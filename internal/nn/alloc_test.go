@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,6 +73,31 @@ func TestGRUAllocsSteadyState(t *testing.T) {
 	const budget = 8
 	if allocs > budget {
 		t.Errorf("GRU forward+backward allocates %.1f/run in steady state, want <= %d", allocs, budget)
+	}
+
+	// Nothing may allocate per timestep: at a batch that splits into row
+	// blocks (one ParallelFor job per pass, at any worker count above 1) a
+	// 4× longer sequence costs exactly the same number of allocations.
+	perPass := func(steps int) float64 {
+		gru := NewGRU(rng, "gru", 6, 12)
+		gru.SetWorkspace(ws)
+		x := tensor.RandUniform(rng, -1, 1, 256, steps, 6)
+		dout := tensor.RandUniform(rng, -1, 1, 256, steps, 12)
+		// The kernels' packing-scratch pool fills as workers happen to
+		// overlap, so one warm-up pass is not always enough: take the
+		// lowest of a few measurements as the steady state.
+		best := math.Inf(1)
+		for rep := 0; rep < 3; rep++ {
+			best = min(best, testing.AllocsPerRun(5, func() {
+				ws.ReleaseAll()
+				gru.Forward(x, true)
+				gru.Backward(dout)
+			}))
+		}
+		return best
+	}
+	if short, long := perPass(8), perPass(32); short != long {
+		t.Errorf("GRU at N=256 allocates %.1f/pass at T=8 but %.1f at T=32: something allocates per timestep", short, long)
 	}
 }
 

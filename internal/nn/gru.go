@@ -18,22 +18,55 @@ import (
 //	r_t = σ(x_t·Wxr + h_{t-1}·Whr + br)
 //	h̃_t = tanh(x_t·Wxh + (r_t ⊙ h_{t-1})·Whh + bh)
 //	h_t = (1-z_t) ⊙ h̃_t + z_t ⊙ h_{t-1}
+//
+// Execution (DESIGN.md "Recurrent layers"): the layer works on time-major
+// copies — row t·N+n is sample n at step t — so one step of any batch row
+// range is a contiguous block. The input projections X·[Wxz|Wxr] and
+// X·Wxh are two (T·N)×D GEMMs before the time loop; the loop keeps only
+// h·[Whz|Whr] and (r⊙h)·Whh, accumulated on top of the hoisted rows with
+// the bias and gate activation in the epilogue. Backward mirrors it: the
+// loop carries only the dh recurrence, and the nine parameter gradients
+// and dx are a handful of K = T·N GEMMs and two column sums after it.
+// Batch rows never interact inside the recurrence, so both loops split N
+// into contiguous row blocks under one ParallelFor and each block runs
+// all T steps with serial kernels and no per-step synchronisation; the
+// parameter gradients are four independent serial tasks under a second
+// one. Nothing is allocated, and no job is dispatched, per timestep.
+//
+// Floating-point contract: every output element, every dx element and
+// the dh chain are the same FMA chains, in the same order, as one fused
+// matmul per gate and step (hoisted input part first, then the recurrent
+// part, bias with a plain + after, activation last; dx accumulates h̃,
+// then z, then r; dh accumulates z, then r) — so they do not depend on
+// the block split or the worker count. Each weight gradient is one chain
+// over (t, n) ascending seeded from the prior gradient; each bias
+// gradient is the column sum over (t, n) ascending, added to the prior
+// gradient. gru_test.go pins all of it bitwise against a per-step
+// reference.
 type GRU struct {
 	D, H int
 	Wxz, Whz, Bz,
 	Wxr, Whr, Br,
 	Wxh, Whh, Bh *Param
 
-	// Per-timestep caches for backpropagation through time.
-	xs, hs, zs, rs, hhs []*tensor.Tensor
-	n, t                int
-	ws                  *tensor.Workspace
+	// Time-major stash Forward leaves for Backward, which consumes it in
+	// place and returns every buffer to the workspace.
+	xT   *tensor.Tensor // (T·N, D) input; Backward reuses it for time-major dx
+	zr   *tensor.Tensor // (T·N, 2H) gates z|r; overwritten with daz|dar
+	hh   *tensor.Tensor // (T·N, H) candidates h̃; overwritten with r⊙h_{t-1}
+	hp   *tensor.Tensor // (T·N, H) block t holds h_{t-1} (block 0 is h_0 = 0)
+	n, t int
+	ws   *tensor.Workspace
+
+	// pass is what the parallel parts of the running pass share. It lives
+	// here rather than in a closure so that a single-block pass allocates
+	// nothing; it is cleared when they return.
+	pass gruPass
 }
 
-// SetWorkspace routes the recurrence's per-timestep scratch and BPTT
-// caches through ws. With the pool attached, gate temporaries are borrowed
-// and returned inside each timestep, so the whole time loop reuses a
-// handful of (N,H) buffers instead of allocating ~16 tensors per step.
+// SetWorkspace routes the layer's time-major buffers through ws. Backward
+// puts all of them back, so a stacked GRU's lower layer reuses the upper
+// layer's storage.
 func (g *GRU) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
 
 // NewGRU creates a GRU layer with Glorot-uniform input weights and
@@ -55,161 +88,310 @@ func NewGRU(rng *rand.Rand, name string, d, h int) *GRU {
 	}
 }
 
+// gruPass is what the parallel parts of one pass share: flat views of the
+// time-major buffers, the fused recurrent weights, and scratch.
+type gruPass struct {
+	blocks     int       // row blocks the batch is split into
+	zr, hh, hp []float64 // the stash (see GRU)
+	whzr, whh  []float64 // [Whz|Whr] (H, 2H) and Whh (H, H)
+
+	// Forward only.
+	bzr, bh []float64 // [bz|br] and bh
+	hLast   []float64 // (N, H) slot for h_T, which no later step reads
+	out     []float64 // (N, T, H) layer output
+
+	// Backward only.
+	xT          []float64 // (T·N, D) time-major input
+	dah         []float64 // (T·N, H) time-major dout, overwritten with dah
+	dh          []float64 // (N, H) dL/dh carried down the recurrence
+	drh         []float64 // (N, H) scratch for dah·Whhᵀ
+	gxzr, ghzr  []float64 // [Wxz|Wxr] and [Whz|Whr] gradients, joined
+	sumH, sumZR []float64 // column sums of dah and of daz|dar
+}
+
+// rowBlocks is how many contiguous row blocks the batch splits into:
+// min(Workers, N/32), at least one.
+func (g *GRU) rowBlocks() int { return max(1, min(tensor.Workers(), g.n/32)) }
+
+// run executes body(g, i) for i in [0, n) with pass p installed: through
+// one ParallelFor when the batch splits into several row blocks, inline
+// (and without building a closure) when it does not.
+func (g *GRU) run(p gruPass, n int, body func(g *GRU, i int)) {
+	g.pass = p
+	if p.blocks > 1 {
+		cost := 6 * g.t * g.n * g.H * (g.D + g.H) / n
+		tensor.ParallelFor(n, cost, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				body(g, i)
+			}
+		})
+	} else {
+		for i := 0; i < n; i++ {
+			body(g, i)
+		}
+	}
+	g.pass = gruPass{}
+}
+
 // Forward runs the recurrence over all T steps and returns (N, T, H).
 func (g *GRU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.NDim() != 3 || x.Dim(2) != g.D {
 		panic("nn: GRU expects input (N, T, D)")
 	}
-	n, t := x.Dim(0), x.Dim(1)
+	n, t, d, h := x.Dim(0), x.Dim(1), g.D, g.H
 	g.n, g.t = n, t
-	g.xs = g.xs[:0]
-	g.hs = g.hs[:0]
-	g.zs = g.zs[:0]
-	g.rs = g.rs[:0]
-	g.hhs = g.hhs[:0]
+	ws := g.ws
 
-	h := g.ws.Get(n, g.H) // h_0 = 0
-	g.hs = append(g.hs, h)
-	out := g.ws.Get(n, t, g.H)
-	// Each gate is two fused kernel calls: the input matmul, then the
-	// recurrent matmul accumulated on top with the bias add and gate
-	// activation folded into its epilogue — no per-gate temporaries.
-	for step := 0; step < t; step++ {
-		xt := sliceTimeInto(g.ws.Get(n, g.D), x, step)
-		g.xs = append(g.xs, xt)
-		hPrev := g.hs[len(g.hs)-1]
+	// Every buffer below is written in full before it is read, so none
+	// needs the pool's zero-fill (h_0 = 0 is the one exception).
+	g.xT = ws.GetUninit(t*n, d)
+	swapLeadingAxes(g.xT.Data(), x.Data(), n, t, d)
 
-		z := g.ws.Get(n, g.H)
-		tensor.MatMulInto(z, xt, g.Wxz.Value)
-		tensor.MatMulAccBiasActInto(z, hPrev, g.Whz.Value, g.Bz.Value, tensor.EpSigmoid)
+	// Hoisted input projections.
+	wxzr := concatCols(ws, g.Wxz.Value, g.Wxr.Value, h)
+	g.zr = ws.GetUninit(t*n, 2*h)
+	tensor.MatMulInto(g.zr, g.xT, wxzr)
+	ws.Put(wxzr)
+	g.hh = ws.GetUninit(t*n, h)
+	tensor.MatMulInto(g.hh, g.xT, g.Wxh.Value)
 
-		r := g.ws.Get(n, g.H)
-		tensor.MatMulInto(r, xt, g.Wxr.Value)
-		tensor.MatMulAccBiasActInto(r, hPrev, g.Whr.Value, g.Br.Value, tensor.EpSigmoid)
+	g.hp = ws.GetUninit(t*n, h)
+	clear(g.hp.Data()[:n*h])
+	whzr := concatCols(ws, g.Whz.Value, g.Whr.Value, h)
+	bzr := concatCols(ws, g.Bz.Value, g.Br.Value, h)
+	hLast := ws.GetUninit(n, h)
+	out := ws.GetUninit(n, t, h)
+	blocks := g.rowBlocks()
+	g.run(gruPass{
+		blocks: blocks,
+		zr:     g.zr.Data(), hh: g.hh.Data(), hp: g.hp.Data(),
+		whzr: whzr.Data(), whh: g.Whh.Value.Data(),
+		bzr: bzr.Data(), bh: g.Bh.Value.Data(),
+		hLast: hLast.Data(), out: out.Data(),
+	}, blocks, (*GRU).forwardBlock)
+	ws.Put(whzr)
+	ws.Put(bzr)
+	ws.Put(hLast)
+	return out
+}
 
-		rh := g.ws.Get(n, g.H)
-		tensor.MulInto(rh, r, hPrev)
-		hh := g.ws.Get(n, g.H)
-		tensor.MatMulInto(hh, xt, g.Wxh.Value)
-		tensor.MatMulAccBiasActInto(hh, rh, g.Whh.Value, g.Bh.Value, tensor.EpTanh)
-		g.ws.Put(rh)
-
-		hNew := g.ws.Get(n, g.H)
-		hd, zd, hhd, hpd := hNew.Data(), z.Data(), hh.Data(), hPrev.Data()
-		for i := range hd {
-			hd[i] = (1-zd[i])*hhd[i] + zd[i]*hpd[i]
+// forwardBlock runs all T steps for row block b.
+func (g *GRU) forwardBlock(b int) {
+	p, n, t, h := &g.pass, g.n, g.t, g.H
+	lo, hi := b*n/p.blocks, (b+1)*n/p.blocks
+	nb := hi - lo
+	for s := 0; s < t; s++ {
+		r0, r1 := s*n+lo, s*n+hi
+		zr := p.zr[r0*2*h : r1*2*h]
+		hh := p.hh[r0*h : r1*h]
+		hPrev := p.hp[r0*h : r1*h]
+		hNext := p.hLast[lo*h : hi*h]
+		if s+1 < t {
+			hNext = p.hp[(r0+n)*h : (r1+n)*h]
 		}
 
-		g.zs = append(g.zs, z)
-		g.rs = append(g.rs, r)
-		g.hhs = append(g.hhs, hh)
-		g.hs = append(g.hs, hNew)
-		copyIntoTime(out, step, hNew)
+		tensor.MatMulAccBiasActSerial(zr, hPrev, p.whzr, p.bzr, nb, h, 2*h, tensor.EpSigmoid)
+		// r⊙h_{t-1} borrows the h_t slot until the state update fills it.
+		for i := 0; i < nb; i++ {
+			r := zr[i*2*h+h : (i+1)*2*h]
+			hpr := hPrev[i*h : (i+1)*h]
+			rh := hNext[i*h : (i+1)*h]
+			for j, rv := range r {
+				rh[j] = rv * hpr[j]
+			}
+		}
+		tensor.MatMulAccBiasActSerial(hh, hNext, p.whh, p.bh, nb, h, h, tensor.EpTanh)
+		for i := 0; i < nb; i++ {
+			z := zr[i*2*h : i*2*h+h]
+			hhr := hh[i*h : (i+1)*h]
+			hpr := hPrev[i*h : (i+1)*h]
+			hn := hNext[i*h : (i+1)*h]
+			o := p.out[((lo+i)*t+s)*h : ((lo+i)*t+s+1)*h]
+			for j, zv := range z {
+				v := (1-zv)*hhr[j] + zv*hpr[j]
+				hn[j] = v
+				o[j] = v
+			}
+		}
+	}
+}
+
+// Backward backpropagates through time given dout of shape (N, T, H) and
+// returns dx of shape (N, T, D). It consumes the stash of the preceding
+// Forward: one Backward per Forward.
+func (g *GRU) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	if g.xT == nil {
+		panic("nn: GRU.Backward without a preceding Forward")
+	}
+	n, t, d, h := g.n, g.t, g.D, g.H
+	ws := g.ws
+
+	dah := ws.GetUninit(t*n, h)
+	swapLeadingAxes(dah.Data(), dout.Data(), n, t, h)
+	whzr := concatCols(ws, g.Whz.Value, g.Whr.Value, h)
+	dh := ws.Get(n, h) // no carry into step T-1
+	drh := ws.GetUninit(n, h)
+	// The z and r halves of a weight gradient are joined so that each is
+	// one GEMM against daz|dar whose chains start from the prior gradient.
+	gxzr := concatCols(ws, g.Wxz.Grad, g.Wxr.Grad, h)
+	ghzr := concatCols(ws, g.Whz.Grad, g.Whr.Grad, h)
+	sumH, sumZR := ws.GetUninit(h), ws.GetUninit(2*h)
+	blocks := g.rowBlocks()
+	pass := gruPass{
+		blocks: blocks,
+		zr:     g.zr.Data(), hh: g.hh.Data(), hp: g.hp.Data(),
+		whzr: whzr.Data(), whh: g.Whh.Value.Data(),
+		xT: g.xT.Data(), dah: dah.Data(), dh: dh.Data(), drh: drh.Data(),
+		gxzr: gxzr.Data(), ghzr: ghzr.Data(), sumH: sumH.Data(), sumZR: sumZR.Data(),
+	}
+	g.run(pass, blocks, (*GRU).backwardBlock)
+	// The stash now holds daz|dar (zr), r⊙h_{t-1} (hh) and dah: every
+	// parameter gradient is one GEMM, or one column sum, over all T·N rows.
+	g.run(pass, gruGradTasks, (*GRU).gradTask)
+	splitCols(gxzr.Data(), g.Wxz.Grad.Data(), g.Wxr.Grad.Data(), h)
+	splitCols(ghzr.Data(), g.Whz.Grad.Data(), g.Whr.Grad.Data(), h)
+	tensor.VecAddInto(g.Bh.Grad.Data(), g.Bh.Grad.Data(), sumH.Data())
+	tensor.VecAddInto(g.Bz.Grad.Data(), g.Bz.Grad.Data(), sumZR.Data()[:h])
+	tensor.VecAddInto(g.Br.Grad.Data(), g.Br.Grad.Data(), sumZR.Data()[h:])
+
+	// dx, time-major, into the now dead input copy: h̃ columns first, then
+	// z, then r.
+	dxT := g.xT
+	tensor.MatMulTInto(dxT, dah, g.Wxh.Value)
+	wxzr := concatCols(ws, g.Wxz.Value, g.Wxr.Value, h)
+	tensor.MatMulTAccInto(dxT, g.zr, wxzr)
+	ws.Put(wxzr)
+	dx := ws.GetUninit(n, t, d)
+	swapLeadingAxes(dx.Data(), dxT.Data(), t, n, d)
+
+	for _, buf := range []*tensor.Tensor{whzr, dh, drh, gxzr, ghzr, sumH, sumZR, dah, g.xT, g.zr, g.hh, g.hp} {
+		ws.Put(buf)
+	}
+	g.xT, g.zr, g.hh, g.hp = nil, nil, nil, nil
+	return dx
+}
+
+// gruGradTasks is the number of independent pieces gradTask splits the
+// parameter gradients into.
+const gruGradTasks = 4
+
+// gradTask computes piece i of the parameter gradients from the finished
+// stash, serially: a K = T·N GEMM (the pair against daz|dar costs twice
+// the one against dah, so the order pairs a heavy piece with a light one)
+// and, where the operand is already streaming through, its column sums.
+func (g *GRU) gradTask(i int) {
+	p, k, d, h := &g.pass, g.t*g.n, g.D, g.H
+	switch i {
+	case 0:
+		tensor.TMatMulAccSerial(p.gxzr, p.xT, p.zr, d, k, 2*h)
+		colSums(p.sumZR, p.zr)
+	case 1:
+		tensor.TMatMulAccSerial(g.Wxh.Grad.Data(), p.xT, p.dah, d, k, h)
+	case 2:
+		tensor.TMatMulAccSerial(p.ghzr, p.hp, p.zr, h, k, 2*h)
+	case 3:
+		tensor.TMatMulAccSerial(g.Whh.Grad.Data(), p.hh, p.dah, h, k, h)
+		colSums(p.sumH, p.dah)
+	}
+}
+
+// backwardBlock runs the dh recurrence from step T-1 down to 0 for row
+// block b, leaving dah, daz|dar and r⊙h_{t-1} in the stash.
+func (g *GRU) backwardBlock(b int) {
+	p, n, t, h := &g.pass, g.n, g.t, g.H
+	lo, hi := b*n/p.blocks, (b+1)*n/p.blocks
+	nb := hi - lo
+	dh := p.dh[lo*h : hi*h]
+	drh := p.drh[lo*h : hi*h]
+	for s := t - 1; s >= 0; s-- {
+		r0, r1 := s*n+lo, s*n+hi
+		zr := p.zr[r0*2*h : r1*2*h]
+		hh := p.hh[r0*h : r1*h]
+		hPrev := p.hp[r0*h : r1*h]
+		dah := p.dah[r0*h : r1*h]
+
+		// h = (1-z)·h̃ + z·hPrev, with dL/dh = dout_t + the carry from
+		// step t+1. daz takes z's slot, dah takes dout's, and the carry
+		// restarts as dh·z.
+		for i := 0; i < nb; i++ {
+			z := zr[i*2*h : i*2*h+h]
+			hhr := hh[i*h : (i+1)*h]
+			hpr := hPrev[i*h : (i+1)*h]
+			da := dah[i*h : (i+1)*h]
+			dhr := dh[i*h : (i+1)*h]
+			for j, zv := range z {
+				dhv := da[j] + dhr[j]
+				hhv := hhr[j]
+				dz := dhv * (hpr[j] - hhv)
+				dhh := dhv * (1 - zv)
+				dhr[j] = dhv * zv
+				da[j] = dhh * (1 - hhv*hhv)
+				z[j] = dz * zv * (1 - zv)
+			}
+		}
+		tensor.MatMulTSerial(drh, dah, p.whh, nb, h, h, false)
+		// r⊙hPrev splits: dar takes r's slot, and the dead h̃ slot gets
+		// r⊙hPrev back for the Whh gradient.
+		for i := 0; i < nb; i++ {
+			r := zr[i*2*h+h : (i+1)*2*h]
+			hhr := hh[i*h : (i+1)*h]
+			hpr := hPrev[i*h : (i+1)*h]
+			dr := drh[i*h : (i+1)*h]
+			dhr := dh[i*h : (i+1)*h]
+			for j, rv := range r {
+				hpv, dv := hpr[j], dr[j]
+				hhr[j] = rv * hpv
+				dhr[j] += dv * rv
+				r[j] = dv * hpv * rv * (1 - rv)
+			}
+		}
+		tensor.MatMulTSerial(dh, zr, p.whzr, nb, 2*h, h, true)
+	}
+}
+
+// colSums sets dst to the column sums of the row-major matrix a with
+// len(dst) columns: rows ascending, starting from zero.
+func colSums(dst, a []float64) {
+	clear(dst)
+	for c := len(dst); len(a) >= c && c > 0; a = a[c:] {
+		tensor.VecAddInto(dst, dst, a[:c])
+	}
+}
+
+// concatCols borrows [a | b]: (rows, 2·cols) for two (rows, cols)
+// matrices, (2·cols) for two biases of length cols.
+func concatCols(ws *tensor.Workspace, a, b *tensor.Tensor, cols int) *tensor.Tensor {
+	var out *tensor.Tensor
+	if a.NDim() == 1 {
+		out = ws.GetUninit(2 * cols)
+	} else {
+		out = ws.GetUninit(a.Dim(0), 2*cols)
+	}
+	od, ad, bd := out.Data(), a.Data(), b.Data()
+	for i := 0; i*cols < len(ad); i++ {
+		copy(od[i*2*cols:i*2*cols+cols], ad[i*cols:(i+1)*cols])
+		copy(od[i*2*cols+cols:(i+1)*2*cols], bd[i*cols:(i+1)*cols])
 	}
 	return out
 }
 
-// Backward backpropagates through time given dout of shape (N, T, H) and
-// returns dx of shape (N, T, D).
-func (g *GRU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n, t := g.n, g.t
-	dx := g.ws.Get(n, t, g.D)
-	dhNext := g.ws.Get(n, g.H)
-
-	// Gradient matmuls accumulate straight into their destinations via the
-	// fused Acc kernels; only the bias reduction still stages through a
-	// pooled buffer.
-	addTMatMul := func(dst, a, b *tensor.Tensor) { tensor.TMatMulAccInto(dst, a, b) }
-	addMatMulT := func(dst, a, b *tensor.Tensor) { tensor.MatMulTAccInto(dst, a, b) }
-	addSumAxis0 := func(dst, a *tensor.Tensor) {
-		tmp := g.ws.Get(dst.Shape()...)
-		tensor.SumAxis0Into(tmp, a)
-		dst.AddInPlace(tmp)
-		g.ws.Put(tmp)
+// splitCols is concatCols' inverse on flat data.
+func splitCols(src, a, b []float64, cols int) {
+	for i := 0; i*cols < len(a); i++ {
+		copy(a[i*cols:(i+1)*cols], src[i*2*cols:i*2*cols+cols])
+		copy(b[i*cols:(i+1)*cols], src[i*2*cols+cols:(i+1)*2*cols])
 	}
+}
 
-	for step := t - 1; step >= 0; step-- {
-		dh := sliceTimeInto(g.ws.Get(n, g.H), dout, step)
-		dh.AddInPlace(dhNext)
-		g.ws.Put(dhNext)
-		z, r, hh := g.zs[step], g.rs[step], g.hhs[step]
-		hPrev := g.hs[step]
-		xt := g.xs[step]
-
-		// h = (1-z)·h̃ + z·hPrev
-		dz := g.ws.Get(n, g.H)
-		dhh := g.ws.Get(n, g.H)
-		dhPrev := g.ws.Get(n, g.H)
-		dhd, zd, hhd, hpd := dh.Data(), z.Data(), hh.Data(), hPrev.Data()
-		dzd, dhhd, dhpd := dz.Data(), dhh.Data(), dhPrev.Data()
-		for i := range dhd {
-			dzd[i] = dhd[i] * (hpd[i] - hhd[i])
-			dhhd[i] = dhd[i] * (1 - zd[i])
-			dhpd[i] = dhd[i] * zd[i]
+// swapLeadingAxes copies row-major (A, B, D) data into (B, A, D) order:
+// batch-major (N, T, D) to time-major (T·N, D) with (A, B) = (N, T), and
+// back with (A, B) = (T, N).
+func swapLeadingAxes(dst, src []float64, a, b, d int) {
+	for i := 0; i < a; i++ {
+		for j := 0; j < b; j++ {
+			copy(dst[(j*a+i)*d:(j*a+i+1)*d], src[(i*b+j)*d:(i*b+j+1)*d])
 		}
-		g.ws.Put(dh)
-
-		// Candidate pre-activation: a_h = x·Wxh + (r⊙hPrev)·Whh + bh.
-		dah := g.ws.Get(n, g.H)
-		dahd := dah.Data()
-		for i := range dahd {
-			dahd[i] = dhhd[i] * (1 - hhd[i]*hhd[i])
-		}
-		g.ws.Put(dhh)
-		rh := g.ws.Get(n, g.H)
-		tensor.MulInto(rh, r, hPrev)
-		addTMatMul(g.Wxh.Grad, xt, dah)
-		addTMatMul(g.Whh.Grad, rh, dah)
-		addSumAxis0(g.Bh.Grad, dah)
-		g.ws.Put(rh)
-		dxt := g.ws.Get(n, g.D)
-		tensor.MatMulTInto(dxt, dah, g.Wxh.Value)
-		drh := g.ws.Get(n, g.H)
-		tensor.MatMulTInto(drh, dah, g.Whh.Value)
-		g.ws.Put(dah)
-		// r⊙hPrev splits.
-		dr := g.ws.Get(n, g.H)
-		tensor.MulInto(dr, drh, hPrev)
-		for i, v := range drh.Data() {
-			dhpd[i] += v * r.Data()[i]
-		}
-		g.ws.Put(drh)
-
-		// Update gate pre-activation.
-		daz := g.ws.Get(n, g.H)
-		dazd := daz.Data()
-		for i := range dazd {
-			dazd[i] = dzd[i] * zd[i] * (1 - zd[i])
-		}
-		g.ws.Put(dz)
-		addTMatMul(g.Wxz.Grad, xt, daz)
-		addTMatMul(g.Whz.Grad, hPrev, daz)
-		addSumAxis0(g.Bz.Grad, daz)
-		addMatMulT(dxt, daz, g.Wxz.Value)
-		addMatMulT(dhPrev, daz, g.Whz.Value)
-		g.ws.Put(daz)
-
-		// Reset gate pre-activation.
-		dar := g.ws.Get(n, g.H)
-		dard := dar.Data()
-		rd := r.Data()
-		for i := range dard {
-			dard[i] = dr.Data()[i] * rd[i] * (1 - rd[i])
-		}
-		g.ws.Put(dr)
-		addTMatMul(g.Wxr.Grad, xt, dar)
-		addTMatMul(g.Whr.Grad, hPrev, dar)
-		addSumAxis0(g.Br.Grad, dar)
-		addMatMulT(dxt, dar, g.Wxr.Value)
-		addMatMulT(dhPrev, dar, g.Whr.Value)
-		g.ws.Put(dar)
-
-		copyIntoTime(dx, step, dxt)
-		g.ws.Put(dxt)
-		dhNext = dhPrev
 	}
-	g.ws.Put(dhNext)
-	return dx
 }
 
 // Params returns all nine weight/bias tensors.

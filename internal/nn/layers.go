@@ -184,14 +184,17 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		d.mask = make([]float64, x.Size())
 	}
 	d.mask = d.mask[:x.Size()]
-	out := cloneInto(d.ws, x)
-	for i := range out.Data() {
-		if d.rng.Float64() < keep {
-			d.mask[i] = scale
-			out.Data()[i] *= scale
+	out := d.ws.GetUninit(x.Shape()...)
+	// One sweep: draw, record the mask, write the output. The draw order
+	// (one rng.Float64 per element, ascending) fixes the mask per seed.
+	xd, od, mask, rng := x.Data(), out.Data(), d.mask, d.rng
+	for i, v := range xd {
+		if rng.Float64() < keep {
+			mask[i] = scale
+			od[i] = v * scale
 		} else {
-			d.mask[i] = 0
-			out.Data()[i] = 0
+			mask[i] = 0
+			od[i] = 0 // a literal +0, not v·0 (which is -0 for negative v)
 		}
 	}
 	return out
@@ -202,10 +205,8 @@ func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if d.mask == nil {
 		return dout
 	}
-	din := cloneInto(d.ws, dout)
-	for i := range din.Data() {
-		din.Data()[i] *= d.mask[i]
-	}
+	din := d.ws.GetUninit(dout.Shape()...)
+	tensor.VecMulInto(din.Data(), dout.Data(), d.mask)
 	return din
 }
 

@@ -220,6 +220,44 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	}
 }
 
+// TestDropoutMatchesTwoPassReference pins the single-sweep Dropout to the
+// copy-then-rescale loops it replaced: for a fixed seed the mask, the
+// output and the input gradient are the same bits, signed zeros included
+// (a dropped negative activation is +0; its gradient is dout·0).
+func TestDropoutMatchesTwoPassReference(t *testing.T) {
+	const seed, rate = 11, 0.2
+	data := rand.New(rand.NewSource(12))
+	x := tensor.RandUniform(data, -1, 1, 7, 5, 33)
+	dout := tensor.RandUniform(data, -1, 1, 7, 5, 33)
+
+	rng := rand.New(rand.NewSource(seed))
+	keep := 1 - rate
+	scale := 1 / keep
+	wantMask := make([]float64, x.Size())
+	wantOut := x.Clone()
+	for i := range wantOut.Data() {
+		if rng.Float64() < keep {
+			wantMask[i] = scale
+			wantOut.Data()[i] *= scale
+		} else {
+			wantMask[i] = 0
+			wantOut.Data()[i] = 0
+		}
+	}
+	wantDin := dout.Clone()
+	for i := range wantDin.Data() {
+		wantDin.Data()[i] *= wantMask[i]
+	}
+
+	for _, ws := range []*tensor.Workspace{nil, tensor.NewWorkspace()} {
+		d := NewDropout(rand.New(rand.NewSource(seed)), rate)
+		d.SetWorkspace(ws)
+		requireSameBits(t, "output", d.Forward(x, true), wantOut)
+		requireSameBits(t, "mask", tensor.FromSlice(d.mask, len(d.mask)), tensor.FromSlice(wantMask, len(wantMask)))
+		requireSameBits(t, "input gradient", d.Backward(dout), wantDin)
+	}
+}
+
 func TestDropoutRatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

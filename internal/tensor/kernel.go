@@ -114,30 +114,36 @@ func gemmEx(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
 		}
 		return
 	}
-	if flops >= packMinFlops {
-		gemmPacked64(kind, out.data, a.data, b.data, bias64, m, k, n, ep)
+	gemm64(kind, out.data, a.data, b.data, bias64, m, k, n, ep, true)
+}
+
+// gemm64 runs one float64 GEMM on raw row-major slices; od already holds
+// the chain seeds. par=false keeps the whole product on the calling
+// goroutine (the Serial entry points in matmul.go).
+func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue, par bool) {
+	if 2*m*n*k >= packMinFlops {
+		gemmPacked64(kind, od, ad, bd, bias, m, k, n, ep, par)
 		return
 	}
-	ad, bd, od := a.data, b.data, out.data
-	par := shouldPar(m, 2*k*n)
+	par = par && shouldPar(m, 2*k*n)
 	switch kind {
 	case gemmNN:
 		if par {
-			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallNN64(od, ad, bd, bias64, k, n, ep, lo, hi) })
+			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallNN64(od, ad, bd, bias, k, n, ep, lo, hi) })
 		} else {
-			gemmSmallNN64(od, ad, bd, bias64, k, n, ep, 0, m)
+			gemmSmallNN64(od, ad, bd, bias, k, n, ep, 0, m)
 		}
 	case gemmNT:
 		if par {
-			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallNT64(od, ad, bd, bias64, k, n, ep, lo, hi) })
+			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallNT64(od, ad, bd, bias, k, n, ep, lo, hi) })
 		} else {
-			gemmSmallNT64(od, ad, bd, bias64, k, n, ep, 0, m)
+			gemmSmallNT64(od, ad, bd, bias, k, n, ep, 0, m)
 		}
 	case gemmTN:
 		if par {
-			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallTN64(od, ad, bd, bias64, m, k, n, ep, lo, hi) })
+			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallTN64(od, ad, bd, bias, m, k, n, ep, lo, hi) })
 		} else {
-			gemmSmallTN64(od, ad, bd, bias64, m, k, n, ep, 0, m)
+			gemmSmallTN64(od, ad, bd, bias, m, k, n, ep, 0, m)
 		}
 	}
 }
@@ -238,7 +244,7 @@ func gemmSmall32(kind gemmKind, od, ad, bd []float32, bias []float32, m, k, n in
 // (AVX2+FMA on amd64). Edge tiles run the same kernel through a
 // zero-padded stack tile whose out-of-range lanes are never stored.
 
-func gemmPacked64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue) {
+func gemmPacked64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue, par bool) {
 	_, kcB, ncB := BlockSizes()
 	kbMax := min(kcB, k)
 	// Loop variables are copied into single-assignment locals (jc, nb,
@@ -260,7 +266,7 @@ func gemmPacked64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epi
 			lastK := pc+kb == k
 			rowBlocks := (m + 3) / 4
 			cost := 8 * kb * nb
-			if shouldPar(rowBlocks, cost) {
+			if par && shouldPar(rowBlocks, cost) {
 				ParallelFor(rowBlocks, cost, func(lo, hi int) {
 					gemmPackedRows64(kind, od, ad, bp, bias, m, k, n, pc, kb, jc, nb, lo, hi, lastK, ep)
 				})

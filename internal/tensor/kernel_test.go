@@ -260,6 +260,52 @@ func TestGemmAsmVsGo(t *testing.T) {
 	}
 }
 
+// TestSerialEntryPointsVsRef: the slice-level serial entry points follow
+// the same contract as the Tensor-level family — on both sides of the
+// packed-path threshold, with the worker pool available (which they must
+// ignore) and on the pure-Go kernels.
+func TestSerialEntryPointsVsRef(t *testing.T) {
+	resetConfigAfter(t)
+	Configure(WithWorkers(4), WithGrain(1024))
+	orig := useAVX
+	t.Cleanup(func() { useAVX = orig })
+	rng := rand.New(rand.NewSource(47))
+	for _, avx := range []bool{orig, false} {
+		useAVX = avx
+		for _, s := range kernelShapes {
+			m, k, n := s[0], s[1], s[2]
+			a := randn2(rng, m, k)
+			b := randn2(rng, k, n)
+			bt := randn2(rng, n, k)
+			bias := randn2(rng, 1, n)
+			seed := randn2(rng, m, n)
+			for _, ep := range []Epilogue{EpNone, EpSigmoid, EpTanh} {
+				got, want := seed.Clone(), seed.Clone()
+				MatMulAccBiasActSerial(got.data, a.data, b.data, bias.data, m, k, n, ep)
+				refGemm(gemmNN, want, a, b, bias, ep, true)
+				if !bitEqual64(got, want) {
+					t.Fatalf("MatMulAccBiasActSerial ep%d %dx%dx%d differs from reference", ep, m, k, n)
+				}
+			}
+			at := randn2(rng, k, m)
+			got, want := seed.Clone(), seed.Clone()
+			TMatMulAccSerial(got.data, at.data, b.data, m, k, n)
+			refGemm(gemmTN, want, at, b, nil, EpNone, true)
+			if !bitEqual64(got, want) {
+				t.Fatalf("TMatMulAccSerial %dx%dx%d differs from reference", m, k, n)
+			}
+			for _, acc := range []bool{false, true} {
+				got, want := seed.Clone(), seed.Clone()
+				MatMulTSerial(got.data, a.data, bt.data, m, k, n, acc)
+				refGemm(gemmNT, want, a, bt, nil, EpNone, acc)
+				if !bitEqual64(got, want) {
+					t.Fatalf("MatMulTSerial acc=%v %dx%dx%d differs from reference", acc, m, k, n)
+				}
+			}
+		}
+	}
+}
+
 func TestConvDirectVsRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	cases := []struct{ n, c, h, w, outC, kh, kw, padH, padW int }{

@@ -99,6 +99,58 @@ func TMatMulAccInto(out, a, b *Tensor) {
 	gemmEx(gemmTN, out, a, b, nil, EpNone, true)
 }
 
+// The Serial entry points run one float64 GEMM on raw row-major slices,
+// entirely on the calling goroutine. They are for callers that already
+// parallelise at a coarser level and walk row ranges of larger buffers in
+// a tight loop (nn.GRU splits the batch and steps through time-major
+// stashes): no Tensor header per row-range view, and no nested
+// ParallelFor whose job descriptor would put an allocation on every
+// timestep. Same floating-point contract as the Tensor-level family, so
+// the results are bitwise those of the matching Into call.
+
+// MatMulAccBiasActSerial computes out = act(out + a×b + bias) for
+// row-major a (m×k), b (k×n), out (m×n); bias (length n) may be nil.
+func MatMulAccBiasActSerial(out, a, b, bias []float64, m, k, n int, act Epilogue) {
+	checkSerial(len(out), len(a), len(b), m*n, m*k, k*n)
+	if bias != nil && len(bias) != n {
+		panic("tensor: matmul bias length mismatch")
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	gemm64(gemmNN, out, a, b, bias, m, k, n, act, false)
+}
+
+// MatMulTSerial computes out = a×bᵀ (acc false) or out += a×bᵀ (acc
+// true) for row-major a (m×k), b (n×k), out (m×n).
+func MatMulTSerial(out, a, b []float64, m, k, n int, acc bool) {
+	checkSerial(len(out), len(a), len(b), m*n, m*k, n*k)
+	if !acc {
+		clear(out)
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	gemm64(gemmNT, out, a, b, nil, m, k, n, EpNone, false)
+}
+
+// TMatMulAccSerial computes out += aᵀ×b for row-major a (k×m), b (k×n),
+// out (m×n): a weight-gradient accumulation as one task of a caller's own
+// parallel region.
+func TMatMulAccSerial(out, a, b []float64, m, k, n int) {
+	checkSerial(len(out), len(a), len(b), m*n, k*m, k*n)
+	if m == 0 || n == 0 {
+		return
+	}
+	gemm64(gemmTN, out, a, b, nil, m, k, n, EpNone, false)
+}
+
+func checkSerial(lo, la, lb, wo, wa, wb int) {
+	if lo != wo || la != wa || lb != wb {
+		panic("tensor: serial matmul slice length does not match its dimensions")
+	}
+}
+
 // MatVec returns a×x for a (M,K) matrix and length-K vector, as shape (M).
 func MatVec(a, x *Tensor) *Tensor {
 	if len(a.shape) != 2 {

@@ -80,6 +80,16 @@ func packBRows64(dst, b []float64, ldb, p0, kb, j0, nb int) {
 			w = 8
 		}
 		out := dst[j8*kb*8 : (j8+1)*kb*8]
+		if w == 8 {
+			// Full panel: element moves through registers; a copy() of 8
+			// elements pays a memmove call per row.
+			for p := 0; p < kb; p++ {
+				s := (*[8]float64)(b[(p0+p)*ldb+jc:])
+				d := (*[8]float64)(out[p*8:])
+				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			}
+			continue
+		}
 		for p := 0; p < kb; p++ {
 			src := b[(p0+p)*ldb+jc : (p0+p)*ldb+jc+w]
 			d := out[p*8 : p*8+8]
@@ -121,6 +131,18 @@ func packBCols64(dst, b []float64, ldb, p0, kb, j0, nb int) {
 // packARows64 packs a 4-row A block (rows [i0,i0+mb) × cols [p0,p0+kb))
 // from a (·,lda) row-major matrix (NN and NT cases).
 func packARows64(dst, a []float64, lda, i0, mb, p0, kb int) {
+	if mb == 4 { // full block: one pass, four read streams, contiguous writes
+		a0 := a[i0*lda+p0:][:kb]
+		a1 := a[(i0+1)*lda+p0:][:kb]
+		a2 := a[(i0+2)*lda+p0:][:kb]
+		a3 := a[(i0+3)*lda+p0:][:kb]
+		dst = dst[:4*kb]
+		for p := range a0 {
+			d := (*[4]float64)(dst[p*4:])
+			d[0], d[1], d[2], d[3] = a0[p], a1[p], a2[p], a3[p]
+		}
+		return
+	}
 	for r := 0; r < 4; r++ {
 		if r >= mb {
 			for p := 0; p < kb; p++ {
@@ -138,6 +160,14 @@ func packARows64(dst, a []float64, lda, i0, mb, p0, kb int) {
 // packACols64 packs A = aᵀ for the TN case: a is (k,m) row-major and
 // A[i][p] = a[(p0+p)*lda + i0+i].
 func packACols64(dst, a []float64, lda, i0, mb, p0, kb int) {
+	if mb == 4 { // full block: register moves, as in packBRows64
+		for p := 0; p < kb; p++ {
+			s := (*[4]float64)(a[(p0+p)*lda+i0:])
+			d := (*[4]float64)(dst[p*4:])
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+		}
+		return
+	}
 	for p := 0; p < kb; p++ {
 		src := a[(p0+p)*lda+i0 : (p0+p)*lda+i0+mb]
 		d := dst[p*4 : p*4+4]

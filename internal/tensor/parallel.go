@@ -17,10 +17,14 @@ import (
 //   - A ParallelFor call splits [0,n) into one contiguous range per
 //     participant. Each participant claims grain-sized chunks off the
 //     front of its own range with a CAS, and when its range is empty it
-//     steals the back half of another participant's range. The caller is
-//     always participant 0, so a ParallelFor never deadlocks: with zero
-//     free helpers (including nested ParallelFor calls from inside a
-//     worker) the caller simply executes everything itself.
+//     steals the back half (rounded up, so a single remaining index is
+//     stealable) of another participant's range. The caller is always
+//     participant 0 and can reach every index — its own range by
+//     draining, everyone else's by stealing — so a ParallelFor never
+//     waits on a helper that has not started: with zero free helpers
+//     (including nested ParallelFor calls from inside a worker) the
+//     caller simply executes everything itself. It only ever waits for
+//     chunks another participant has already claimed and is executing.
 //   - Helper goroutines are lazily spawned, persistent, and shared by
 //     every concurrent ParallelFor in the process (multiple goroutine
 //     "ranks" of an mpi.World issue kernels concurrently; jobs queue and
@@ -190,9 +194,12 @@ func (j *pfJob) drain(r *pfRange) int {
 	}
 }
 
-// steal takes the back half of r (leaving the front for its owner) and
-// executes it, returning the number of indices executed (0 if r was
-// empty or contended away).
+// steal takes the back half of r, rounded up (leaving the front for its
+// owner), and executes it, returning the number of indices executed (0 if
+// r was empty). Rounding up matters: a range holding one index must be
+// stealable, or an owner that never starts — its token still queued
+// behind helpers that are themselves blocked in nested calls — strands
+// that index and the caller waits on done forever.
 func (j *pfJob) steal(r *pfRange) int {
 	for {
 		b := r.bits.Load()
@@ -200,7 +207,7 @@ func (j *pfJob) steal(r *pfRange) int {
 		if hi-lo <= 0 {
 			return 0
 		}
-		mid := lo + (hi-lo+1)/2
+		mid := lo + (hi-lo)/2
 		if r.bits.CompareAndSwap(b, packRange(lo, mid)) {
 			count := 0
 			for x := mid; x < hi; x += j.grain {
@@ -245,17 +252,17 @@ func (j *pfJob) participate() {
 // finish the job themselves).
 var (
 	poolMu      sync.Mutex
-	poolHelpers int
+	poolHelpers atomic.Int32 // written under poolMu, read lock-free
 	jobCh       = make(chan *pfJob, 64)
 )
 
 func ensureHelpers(n int) {
-	if n <= poolHelpers { // racy fast check; poolMu settles it
+	if int32(n) <= poolHelpers.Load() {
 		return
 	}
 	poolMu.Lock()
-	for poolHelpers < n {
-		poolHelpers++
+	for poolHelpers.Load() < int32(n) {
+		poolHelpers.Add(1)
 		go func() {
 			for job := range jobCh {
 				job.participate()
@@ -270,8 +277,9 @@ func ensureHelpers(n int) {
 // uses it to size chunks (WithGrain) and to run small loops inline on
 // the caller. fn must be safe to call concurrently on disjoint ranges
 // and must not retain its arguments. ParallelFor returns when every
-// index has been executed. Nested calls are safe: inner calls run inline
-// on whichever goroutine issues them if the pool is busy.
+// index has been executed. Nested calls are safe: an inner call whose
+// helpers are all busy (or blocked in inner calls of their own) is
+// executed entirely by the goroutine that issued it.
 //
 // Results are independent of the worker count for any fn that writes
 // only inside [lo, hi): the split changes which goroutine computes a

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func resetConfigAfter(t *testing.T) {
@@ -61,6 +62,68 @@ func TestParallelForNested(t *testing.T) {
 	})
 	if total.Load() != 64*128 {
 		t.Fatalf("nested ParallelFor executed %d of %d indices", total.Load(), 64*128)
+	}
+}
+
+// TestParallelForNestedWhenEveryHelperIsBusy is the regression test for a
+// deadlock: every participant of an outer job issues a parallel-eligible
+// matmul at once, so each inner job's tokens queue behind helpers that are
+// all blocked in inner jobs of their own. Each caller must then finish its
+// inner job alone — which it could not while a thief was unable to take a
+// victim's last index.
+func TestParallelForNestedWhenEveryHelperIsBusy(t *testing.T) {
+	resetConfigAfter(t)
+	rng := rand.New(rand.NewSource(7))
+	a := randn2(rng, 64, 64)
+	b := randn2(rng, 64, 64)
+	want := New(64, 64)
+	RefMatMulInto(want, a, b)
+
+	for _, p := range []int{2, 3, 4} {
+		Configure(WithWorkers(p), WithGrain(16384))
+		// Earlier tests may have grown the pool past p-1 helpers; park
+		// the surplus so that none is free to rescue an inner job.
+		ensureHelpers(p - 1)
+		surplus := int(poolHelpers.Load()) - (p - 1)
+		parked := make(chan struct{}, surplus)
+		release := make(chan struct{})
+		var releaseOnce sync.Once
+		unpark := func() { releaseOnce.Do(func() { close(release) }) }
+		t.Cleanup(unpark) // also on the Fatalf path
+		for i := 0; i < surplus; i++ {
+			j := &pfJob{n: 1, grain: 1, slots: 1, done: make(chan struct{}, 1)}
+			j.fn = func(lo, hi int) { parked <- struct{}{}; <-release }
+			j.ranges[0].bits.Store(packRange(0, 1))
+			jobCh <- j
+		}
+		for i := 0; i < surplus; i++ {
+			<-parked
+		}
+
+		outs := make([]*Tensor, p)
+		for i := range outs {
+			outs[i] = New(64, 64)
+		}
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			ParallelFor(p, 1<<20, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					MatMulInto(outs[i], a, b) // 2·64³ flops: packed and parallel-eligible
+				}
+			})
+		}()
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d-participant outer job with nested parallel matmuls deadlocked", p)
+		}
+		unpark()
+		for i, out := range outs {
+			if !bitEqual64(out, want) {
+				t.Fatalf("%d participants: nested matmul %d produced wrong bits", p, i)
+			}
+		}
 	}
 }
 

@@ -66,9 +66,23 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 	return w.GetOf(Float64, shape...)
 }
 
+// GetUninit borrows a float64 tensor whose contents are unspecified —
+// whatever the recycled storage last held. It is for buffers the caller
+// overwrites in full before reading (a layout copy, a kernel output),
+// where Get's zero-fill would be a wasted pass over memory; any element
+// the caller does not write is a bug, not a zero. On a nil workspace it
+// is New.
+func (w *Workspace) GetUninit(shape ...int) *Tensor {
+	return w.get(Float64, false, shape...)
+}
+
 // GetOf borrows a zero-filled tensor of the given dtype and shape. On a
 // nil workspace it is exactly NewOf.
 func (w *Workspace) GetOf(dt DType, shape ...int) *Tensor {
+	return w.get(dt, true, shape...)
+}
+
+func (w *Workspace) get(dt DType, zero bool, shape ...int) *Tensor {
 	if w == nil {
 		return NewOf(dt, shape...)
 	}
@@ -93,13 +107,13 @@ func (w *Workspace) GetOf(dt DType, shape ...int) *Tensor {
 		lists[c] = fl[:len(fl)-1]
 		if dt == Float32 {
 			t.data32 = t.data32[:n]
-			for i := range t.data32 {
-				t.data32[i] = 0
+			if zero {
+				clear(t.data32)
 			}
 		} else {
 			t.data = t.data[:n]
-			for i := range t.data {
-				t.data[i] = 0
+			if zero {
+				clear(t.data)
 			}
 		}
 		t.shape = append(t.shape[:0], shape...)

@@ -43,6 +43,30 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
+func TestWorkspaceGetUninit(t *testing.T) {
+	ws := NewWorkspace()
+	a := ws.Get(4, 8)
+	a.Fill(7)
+	ws.ReleaseAll()
+	// Recycled storage comes back as it was left, under the new shape, and
+	// is tracked like any other borrow.
+	b := ws.GetUninit(2, 11)
+	if b.Dim(0) != 2 || b.Dim(1) != 11 || ws.Allocs() != 1 || ws.InUse() != 1 {
+		t.Fatalf("GetUninit: shape %v, Allocs %d, InUse %d", b.Shape(), ws.Allocs(), ws.InUse())
+	}
+	if b.Data()[21] != 7 {
+		t.Fatal("GetUninit zero-filled recycled storage; it must not touch it")
+	}
+	ws.Put(b)
+	if c := ws.Get(32); c.Data()[0] != 0 {
+		t.Fatal("Get after GetUninit must still zero-fill")
+	}
+	var nilWS *Workspace
+	if d := nilWS.GetUninit(3); d.Size() != 3 {
+		t.Fatal("nil workspace GetUninit must allocate")
+	}
+}
+
 func TestWorkspacePut(t *testing.T) {
 	ws := NewWorkspace()
 	a := ws.Get(16)
