@@ -342,6 +342,31 @@ func BenchmarkIm2Col(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DTrain measures one Conv2D training pass (Forward +
+// Backward: forward, filter-gradient and input-gradient kernels) at the
+// two layer shapes that carry resnet-ddp, in GFLOP/s over the 3·2·N·P·K·OutC
+// flops the three products perform.
+func BenchmarkConv2DTrain(b *testing.B) {
+	for _, s := range []struct{ n, c, hw, outC int }{{16, 8, 16, 8}, {16, 16, 8, 16}} {
+		b.Run(fmt.Sprintf("%dx%dx%dx%d-%d", s.n, s.c, s.hw, s.hw, s.outC), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(17))
+			ws := tensor.NewWorkspace()
+			conv := nn.NewConv2D(rng, "c", s.c, s.outC, 3, 1, 1)
+			conv.SetWorkspace(ws)
+			x := tensor.Randn(rng, 1, s.n, s.c, s.hw, s.hw)
+			dout := tensor.Randn(rng, 1, s.n, s.outC, s.hw, s.hw)
+			flops := 6 * float64(s.n*s.hw*s.hw) * float64(s.c*9) * float64(s.outC)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.ReleaseAll()
+				conv.Forward(x, true)
+				conv.Backward(dout)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
 // BenchmarkGRUForward measures the recurrent forward pass.
 func BenchmarkGRUForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))

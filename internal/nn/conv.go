@@ -7,8 +7,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over (N, C, H, W) input, implemented by
-// im2col lowering so the kernel is a single matmul.
+// Conv2D is a 2-D convolution over (N, C, H, W) input. Forward, filter
+// gradient and input gradient each run one packed-GEMM kernel of the
+// tensor convolution engine over the NCHW tensors directly; no im2col
+// matrix is built, so between the passes the layer keeps only a pointer
+// to its input, as Dense does.
 type Conv2D struct {
 	W, B      *Param // W: (C·KH·KW, OutC), B: (OutC)
 	InC, OutC int
@@ -16,15 +19,14 @@ type Conv2D struct {
 	Stride    int
 	// PadH and PadW pad the two spatial axes independently (Conv1D uses a
 	// 1×k kernel padded only along time).
-	PadH, PadW            int
-	cols                  *tensor.Tensor // cached im2col matrix
-	inShape               []int
-	outH, outW, batchSize int
-	ws                    *tensor.Workspace
-	stash                 []convStash // per-micro-batch cache stash (stash.go)
+	PadH, PadW int
+	x          *tensor.Tensor // cached input
+	ws         *tensor.Workspace
+	stash      []*tensor.Tensor // per-micro-batch input stash (stash.go)
 }
 
-// SetWorkspace routes the im2col/col2im scratch through ws.
+// SetWorkspace routes the layer's output and input-gradient tensors
+// through ws.
 func (c *Conv2D) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
 
 // NewConv2D creates a convolution with He-normal initialization.
@@ -38,50 +40,22 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int) *Conv
 	}
 }
 
-// Forward computes the convolution. The training path lowers the input
-// with im2col (Backward consumes the cached column matrix) and runs the
-// fused matmul+bias kernel; stride-1 inference skips the lowering
-// entirely and runs the direct fused conv kernel.
+// Forward computes conv(x, W) + b with the fused kernel — the same one in
+// training and inference, at every stride.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	c.inShape = append(c.inShape[:0], x.Shape()...)
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.batchSize = n
-	c.outH = tensor.ConvDims(h, c.KH, c.Stride, c.PadH)
-	c.outW = tensor.ConvDims(w, c.KW, c.Stride, c.PadW)
-	if !train && c.Stride == 1 {
-		c.cols = nil // inference: no backward, no cached columns
-		out := c.ws.Get(n, c.OutC, c.outH, c.outW)
-		return tensor.Conv2DBiasInto(c.ws, out, x, c.W.Value, c.B.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
-	}
-	rows := n * c.outH * c.outW
-	c.cols = tensor.Im2ColInto(c.ws.Get(rows, c.InC*c.KH*c.KW), x, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
-	flat := c.ws.Get(rows, c.OutC) // (N·OH·OW, OutC)
-	tensor.MatMulBiasInto(flat, c.cols, c.W.Value, c.B.Value)
-	// Rearrange (N·OH·OW, OutC) → (N, OutC, OH, OW).
-	out := c.ws.Get(n, c.OutC, c.outH, c.outW)
-	tensor.ScatterNCHWInto(out, flat)
-	c.ws.Put(flat)
-	return out
+	c.x = x
+	oh := tensor.ConvDims(x.Dim(2), c.KH, c.Stride, c.PadH)
+	ow := tensor.ConvDims(x.Dim(3), c.KW, c.Stride, c.PadW)
+	out := c.ws.GetUninit(x.Dim(0), c.OutC, oh, ow)
+	return tensor.Conv2DBiasInto(c.ws, out, x, c.W.Value, c.B.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
 }
 
-// Backward computes filter/bias gradients and the input gradient via the
-// col2im adjoint.
+// Backward accumulates the filter and bias gradients from the cached
+// input and returns the input gradient.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	rows := c.batchSize * c.outH * c.outW
-	dflat := c.ws.Get(rows, c.OutC) // (N·OH·OW, OutC)
-	tensor.GatherNCHWInto(dflat, dout)
-	tensor.TMatMulAccInto(c.W.Grad, c.cols, dflat)
-	dB := c.ws.Get(c.B.Value.Shape()...)
-	tensor.SumAxis0Into(dB, dflat)
-	c.B.Grad.AddInPlace(dB)
-	c.ws.Put(dB)
-	dcols := c.ws.Get(rows, c.InC*c.KH*c.KW) // (N·OH·OW, C·KH·KW)
-	tensor.MatMulTInto(dcols, dflat, c.W.Value)
-	c.ws.Put(dflat)
-	din := c.ws.Get(c.inShape...)
-	tensor.Col2ImInto(din, dcols, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
-	c.ws.Put(dcols)
-	return din
+	tensor.Conv2DGradWeightsInto(c.W.Grad, c.B.Grad, c.x, dout, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
+	din := c.ws.GetUninit(c.x.Shape()...)
+	return tensor.Conv2DGradInputInto(din, dout, c.W.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
 }
 
 // Params returns W and b.
@@ -184,65 +158,64 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 // Forward normalizes per channel; in training mode it uses batch
 // statistics and updates the running averages.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	n, c, hw := x.Dim(0), x.Dim(1), x.Dim(2)*x.Dim(3)
 	b.inShape = append(b.inShape[:0], x.Shape()...)
-	cnt := float64(n * h * w)
+	cnt := float64(n * hw)
 	b.countPerChan = cnt
 	if cap(b.meanBuf) < c {
 		b.meanBuf = make([]float64, c)
 		b.varBuf = make([]float64, c)
 	}
-	mean := b.meanBuf[:c]
-	variance := b.varBuf[:c]
-	for ch := 0; ch < c; ch++ {
-		mean[ch], variance[ch] = 0, 0
+	if cap(b.invStd) < c {
+		b.invStd = make([]float64, c)
 	}
+	mean, variance, invStd := b.meanBuf[:c], b.varBuf[:c], b.invStd[:c]
+	b.invStd = invStd
+	xd := x.Data()
+	runMean, runVar := b.RunMean.Data(), b.RunVar.Data()
 	if train {
 		for ch := 0; ch < c; ch++ {
 			s := 0.0
 			for bi := 0; bi < n; bi++ {
-				base := ((bi*c + ch) * h) * w
-				for i := 0; i < h*w; i++ {
-					s += x.Data()[base+i]
+				for _, v := range xd[(bi*c+ch)*hw:][:hw] {
+					s += v
 				}
 			}
 			mean[ch] = s / cnt
 		}
 		for ch := 0; ch < c; ch++ {
-			s := 0.0
+			s, m := 0.0, mean[ch]
 			for bi := 0; bi < n; bi++ {
-				base := ((bi*c + ch) * h) * w
-				for i := 0; i < h*w; i++ {
-					d := x.Data()[base+i] - mean[ch]
+				for _, v := range xd[(bi*c+ch)*hw:][:hw] {
+					d := v - m
 					s += d * d
 				}
 			}
 			variance[ch] = s / cnt
-			b.RunMean.Data()[ch] = b.Momentum*b.RunMean.Data()[ch] + (1-b.Momentum)*mean[ch]
-			b.RunVar.Data()[ch] = b.Momentum*b.RunVar.Data()[ch] + (1-b.Momentum)*variance[ch]
+			runMean[ch] = b.Momentum*runMean[ch] + (1-b.Momentum)*m
+			runVar[ch] = b.Momentum*runVar[ch] + (1-b.Momentum)*variance[ch]
 		}
 	} else {
-		copy(mean, b.RunMean.Data())
-		copy(variance, b.RunVar.Data())
+		copy(mean, runMean)
+		copy(variance, runVar)
 	}
-	if cap(b.invStd) < c {
-		b.invStd = make([]float64, c)
-	}
-	b.invStd = b.invStd[:c]
 	for ch := 0; ch < c; ch++ {
-		b.invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
+		invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
 	}
-	b.xhat = b.ws.Get(x.Shape()...)
-	out := b.ws.Get(x.Shape()...)
+	// xhat and out are written in full below.
+	b.xhat = b.ws.GetUninit(x.Shape()...)
+	out := b.ws.GetUninit(x.Shape()...)
+	xhd, od := b.xhat.Data(), out.Data()
+	gamma, beta := b.Gamma.Value.Data(), b.Beta.Value.Data()
 	for bi := 0; bi < n; bi++ {
 		for ch := 0; ch < c; ch++ {
-			base := ((bi*c + ch) * h) * w
-			g := b.Gamma.Value.Data()[ch]
-			bt := b.Beta.Value.Data()[ch]
-			for i := 0; i < h*w; i++ {
-				xh := (x.Data()[base+i] - mean[ch]) * b.invStd[ch]
-				b.xhat.Data()[base+i] = xh
-				out.Data()[base+i] = g*xh + bt
+			base := (bi*c + ch) * hw
+			xh, o := xhd[base:][:hw], od[base:][:hw]
+			m, inv, g, bt := mean[ch], invStd[ch], gamma[ch], beta[ch]
+			for i, v := range xd[base:][:hw] {
+				t := (v - m) * inv
+				xh[i] = t
+				o[i] = g*t + bt
 			}
 		}
 	}
@@ -251,30 +224,30 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := b.inShape[0], b.inShape[1], b.inShape[2], b.inShape[3]
-	din := b.ws.Get(b.inShape...)
+	n, c, hw := b.inShape[0], b.inShape[1], b.inShape[2]*b.inShape[3]
+	din := b.ws.GetUninit(b.inShape...) // written in full below
+	dd, xhd, dind := dout.Data(), b.xhat.Data(), din.Data()
+	gamma, dGamma, dBeta := b.Gamma.Value.Data(), b.Gamma.Grad.Data(), b.Beta.Grad.Data()
 	cnt := b.countPerChan
 	for ch := 0; ch < c; ch++ {
 		// Accumulate per-channel sums.
 		var sumDy, sumDyXhat float64
 		for bi := 0; bi < n; bi++ {
-			base := ((bi*c + ch) * h) * w
-			for i := 0; i < h*w; i++ {
-				dy := dout.Data()[base+i]
+			base := (bi*c + ch) * hw
+			xh := xhd[base:][:hw]
+			for i, dy := range dd[base:][:hw] {
 				sumDy += dy
-				sumDyXhat += dy * b.xhat.Data()[base+i]
+				sumDyXhat += dy * xh[i]
 			}
 		}
-		b.Beta.Grad.Data()[ch] += sumDy
-		b.Gamma.Grad.Data()[ch] += sumDyXhat
-		g := b.Gamma.Value.Data()[ch]
-		inv := b.invStd[ch]
+		dBeta[ch] += sumDy
+		dGamma[ch] += sumDyXhat
+		scale := gamma[ch] * b.invStd[ch] / cnt
 		for bi := 0; bi < n; bi++ {
-			base := ((bi*c + ch) * h) * w
-			for i := 0; i < h*w; i++ {
-				dy := dout.Data()[base+i]
-				xh := b.xhat.Data()[base+i]
-				din.Data()[base+i] = g * inv / cnt * (cnt*dy - sumDy - xh*sumDyXhat)
+			base := (bi*c + ch) * hw
+			xh, di := xhd[base:][:hw], dind[base:][:hw]
+			for i, dy := range dd[base:][:hw] {
+				di[i] = scale * (cnt*dy - sumDy - xh[i]*sumDyXhat)
 			}
 		}
 	}

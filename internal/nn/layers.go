@@ -62,33 +62,44 @@ type ReLU struct {
 // SetWorkspace routes the layer's temporaries through ws.
 func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
 
-// Forward applies the rectifier and caches the activation mask.
+// Forward applies the rectifier and caches the activation mask, both in
+// one sweep over x: v <= 0 writes a literal +0 (so -0 maps to +0), and
+// anything else — NaN included — passes through with the mask set. The
+// select is a bit mask, not a branch: activation signs are close to coin
+// flips, and a mispredicted branch per element cost more than the sweep.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := cloneInto(r.ws, x)
 	if cap(r.mask) < x.Size() {
 		r.mask = make([]bool, x.Size())
 	}
 	r.mask = r.mask[:x.Size()]
-	for i, v := range out.Data() {
-		if v <= 0 {
-			out.Data()[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
+	out := r.ws.GetUninit(x.Shape()...)
+	od, mask := out.Data(), r.mask
+	for i, v := range x.Data() {
+		m := !(v <= 0)
+		mask[i] = m
+		od[i] = keepIf(v, m)
 	}
 	return out
 }
 
 // Backward gates the upstream gradient by the activation mask.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	din := cloneInto(r.ws, dout)
-	for i := range din.Data() {
-		if !r.mask[i] {
-			din.Data()[i] = 0
-		}
+	din := r.ws.GetUninit(dout.Shape()...)
+	dd, mask := din.Data(), r.mask
+	for i, g := range dout.Data() {
+		dd[i] = keepIf(g, mask[i])
 	}
 	return din
+}
+
+// keepIf returns v when keep is set and a literal +0 otherwise, without
+// branching (the compiler turns the if into a conditional move).
+func keepIf(v float64, keep bool) float64 {
+	var bits uint64
+	if keep {
+		bits = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & bits)
 }
 
 // Params returns nil: ReLU has no parameters.

@@ -11,7 +11,7 @@ import "repro/internal/tensor"
 // (whatever the latest Forward wrote) with slot's previous contents, and
 // Unstash(slot) exchanges them back so the next Backward consumes the
 // saved state. Swapping rather than copying means slice-backed caches
-// (ReLU masks, im2col shapes, argmax scratch) rotate through at most
+// (ReLU masks, input shapes, argmax scratch) rotate through at most
 // slots+1 buffers and stop allocating once every slot has been warmed —
 // the same steady-state-alloc-free property the workspace pool gives
 // tensors. Tensor-valued caches are plain pointer swaps: the tensors
@@ -138,29 +138,16 @@ func (f *Flatten) Stash(slot int) { f.stash[slot], f.inShape = f.inShape, f.stas
 // Unstash implements Stasher.
 func (f *Flatten) Unstash(slot int) { f.stash[slot], f.inShape = f.inShape, f.stash[slot] }
 
-// --- Conv2D: caches im2col matrix, input shape, and output geometry ---
-
-type convStash struct {
-	cols             *tensor.Tensor
-	inShape          []int
-	outH, outW, batc int
-}
+// --- Conv2D: caches the forward input x ---
 
 // EnsureStash implements Stasher.
 func (c *Conv2D) EnsureStash(slots int) { c.stash = ensureLen(c.stash, slots) }
 
 // Stash implements Stasher.
-func (c *Conv2D) Stash(slot int) {
-	s := &c.stash[slot]
-	s.cols, c.cols = c.cols, s.cols
-	s.inShape, c.inShape = c.inShape, s.inShape
-	s.outH, c.outH = c.outH, s.outH
-	s.outW, c.outW = c.outW, s.outW
-	s.batc, c.batchSize = c.batchSize, s.batc
-}
+func (c *Conv2D) Stash(slot int) { c.stash[slot], c.x = c.x, c.stash[slot] }
 
 // Unstash implements Stasher.
-func (c *Conv2D) Unstash(slot int) { c.Stash(slot) }
+func (c *Conv2D) Unstash(slot int) { c.stash[slot], c.x = c.x, c.stash[slot] }
 
 // --- MaxPool: caches argmax positions and the input shape ---
 

@@ -13,6 +13,11 @@ func ConvDims(in, kernel, stride, pad int) int {
 // Im2Col lowers an image batch of shape (N, C, H, W) to a matrix of shape
 // (N*OH*OW, C*KH*KW) so that convolution becomes a single MatMul against a
 // (C*KH*KW, OutC) filter matrix. Out-of-bounds (padding) samples are zero.
+//
+// Im2Col/Col2Im are the reference lowering, not the training path: the
+// convolution engine below computes the same products without building
+// this matrix, and its tests compose these functions with the matmul
+// family to state what every result must equal, bit for bit.
 func Im2Col(img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	if len(img.shape) != 4 {
 		panic("tensor: Im2Col requires (N,C,H,W)")
@@ -30,7 +35,7 @@ func Im2Col(img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 
 // Im2ColInto lowers img into the caller-provided column matrix cols, which
 // must have shape (N*OH*OW, C*KH*KW) and is fully overwritten (padding
-// cells included).
+// cells included). Reference lowering; see Im2Col.
 func Im2ColInto(cols, img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	if len(img.shape) != 4 {
 		panic("tensor: Im2ColInto requires (N,C,H,W)")
@@ -96,7 +101,8 @@ func im2colRows(cols, img []float64, c, h, w, oh, ow, kh, kw, stride, padH, padW
 
 // Col2Im scatters a column matrix (as produced by Im2Col) back into an
 // image batch of shape (N, C, H, W), accumulating overlapping windows.
-// It is the adjoint of Im2Col and is used in the convolution backward pass.
+// It is the adjoint of Im2Col, and with it the reference for the order in
+// which Conv2DGradInputInto adds into each input pixel.
 func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, padH, padW int) *Tensor {
 	img := New(n, c, h, w)
 	Col2ImInto(img, cols, kh, kw, stride, padH, padW)
@@ -105,7 +111,7 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, padH, padW int) *Tensor {
 
 // Col2ImInto scatters cols into the caller-provided image batch img of
 // shape (N, C, H, W), overwriting it (img is zeroed, then overlapping
-// windows accumulate).
+// windows accumulate). Reference lowering; see Im2Col.
 func Col2ImInto(img, cols *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	if len(img.shape) != 4 {
 		panic("tensor: Col2ImInto requires (N,C,H,W) output")
@@ -169,181 +175,379 @@ func col2imBatches(img, cols []float64, c, h, w, oh, ow, kh, kw, stride, padH, p
 	}
 }
 
-// ScatterNCHWInto rearranges a (N·OH·OW, OutC) matmul-layout matrix into
-// channel-major images out (N, OutC, OH, OW), parallel over the batch.
-func ScatterNCHWInto(out, flat *Tensor) *Tensor {
-	if len(out.shape) != 4 {
-		panic("tensor: ScatterNCHWInto requires (N,C,OH,OW) output")
-	}
-	n, oc, oh, ow := out.shape[0], out.shape[1], out.shape[2], out.shape[3]
-	if flat.Size() != n*oc*oh*ow {
-		panic("tensor: ScatterNCHWInto size mismatch")
-	}
-	cost := 2 * oc * oh * ow
-	if shouldPar(n, cost) {
-		od, fd := out.data, flat.data
-		ParallelFor(n, cost, func(lo, hi int) { scatterNCHW(od, fd, oc, oh, ow, lo, hi) })
-	} else {
-		scatterNCHW(out.data, flat.data, oc, oh, ow, 0, n)
-	}
-	return out
-}
-
-func scatterNCHW(out, flat []float64, oc, oh, ow, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				row := ((b*oh+y)*ow + x) * oc
-				for ch := 0; ch < oc; ch++ {
-					out[((b*oc+ch)*oh+y)*ow+x] = flat[row+ch]
-				}
-			}
-		}
-	}
-}
-
-// GatherNCHWInto is the inverse of ScatterNCHWInto: it collects a
-// channel-major image batch img (N, C, OH, OW) into the matmul-layout
-// matrix flat (N·OH·OW, C), parallel over the batch.
-func GatherNCHWInto(flat, img *Tensor) *Tensor {
-	if len(img.shape) != 4 {
-		panic("tensor: GatherNCHWInto requires (N,C,OH,OW) input")
-	}
-	n, oc, oh, ow := img.shape[0], img.shape[1], img.shape[2], img.shape[3]
-	if flat.Size() != n*oc*oh*ow {
-		panic("tensor: GatherNCHWInto size mismatch")
-	}
-	cost := 2 * oc * oh * ow
-	if shouldPar(n, cost) {
-		fd, id := flat.data, img.data
-		ParallelFor(n, cost, func(lo, hi int) { gatherNCHW(fd, id, oc, oh, ow, lo, hi) })
-	} else {
-		gatherNCHW(flat.data, img.data, oc, oh, ow, 0, n)
-	}
-	return flat
-}
-
-func gatherNCHW(flat, img []float64, oc, oh, ow, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				row := ((b*oh+y)*ow + x) * oc
-				for ch := 0; ch < oc; ch++ {
-					flat[row+ch] = img[((b*oc+ch)*oh+y)*ow+x]
-				}
-			}
-		}
-	}
-}
-
-// Conv2DBiasInto computes a fused convolution-plus-bias forward pass:
-// out = conv(img, w) + bias, writing channel-major (N, OutC, OH, OW)
-// images. img is (N, C, H, W), w is the (C·KH·KW, OutC) filter matrix
-// (same layout the im2col path multiplies against), bias has length OutC.
+// The convolution engine: forward, filter gradient and input gradient as
+// three packed-GEMM kernels over the NCHW tensors themselves. With
+// K = C·KH·KW (reduction index p = (c, ky, kx), the filter matrix's row)
+// and P = OH·OW (pixel index (oy, ox) within one output plane), the
+// lowered matrix cols (N·P × K) is never built: the micro-kernel's panels
+// are read in place or gathered (pack.go) from zero-bordered copies of
+// the tensors, where the lowering wrote cols to memory, packed panels out
+// of it three times and scattered the last product back through col2im.
 //
-// For stride-1 convolutions it runs an im2col-free direct kernel —
-// per-(batch, out-channel) output planes accumulate FMA row updates in
-// ascending (c, ky, kx) order, bitwise equal to RefConv2DInto — and
-// touches no scratch beyond the output. Other strides fall back to
-// im2col + fused matmul through ws (nil ws allocates).
+// Floating-point contract — the lowering's, element for element, so every
+// result is bitwise what Im2ColInto + the matmul family + Col2ImInto give
+// (conv_test.go keeps that composition as the reference):
+//
+//   - forward: out[b,oc,oy,ox] is the FMA chain over ascending p seeded
+//     from +0, padding taps entering as explicit zero factors, the bias
+//     added with a plain + after the chain.
+//   - filter gradient: dw[p,oc] continues its FMA chain from its prior
+//     value over ascending (image, pixel); db[oc] += the sum of
+//     dout[·,oc,·,·] taken from +0 in that same order by plain adds.
+//   - input gradient: per kernel tap one zero-seeded FMA chain over
+//     ascending oc, and the per-tap values reach dx[b,c,iy,ix] by plain
+//     adds in ascending output-pixel order. For a fixed input pixel that
+//     is descending (ky, kx) order, because oy = (iy+padH-ky)/stride
+//     falls as ky rises (and likewise ox against kx).
+
+// convGeom is one convolution's geometry. The kernels take it by value so
+// a parallel closure captures a copy and nothing escapes to the heap.
+type convGeom struct {
+	n, c, h, w         int // input batch (N, C, H, W)
+	outC, oh, ow       int // output planes (N, OutC, OH, OW)
+	kh, kw             int
+	stride, padH, padW int
+}
+
+func (g convGeom) k() int { return g.c * g.kh * g.kw }
+func (g convGeom) p() int { return g.oh * g.ow }
+
+// hp and wp are the plane dimensions of the zero-bordered input copies
+// the forward and filter-gradient kernels gather from: the padded image,
+// or the reach of the last window where that is larger (a kernel wider
+// than the padded input, which the lowering reads as zeros too).
+func (g convGeom) hp() int { return max(g.h+2*g.padH, (g.oh-1)*g.stride+g.kh) }
+func (g convGeom) wp() int { return max(g.w+2*g.padW, (g.ow-1)*g.stride+g.kw) }
+
+// convGeometry validates a convolution's operands — img (N,C,H,W), planes
+// (N,OutC,OH,OW) and the (C·KH·KW, OutC) filter matrix w — and returns
+// its geometry.
+func convGeometry(op string, img, planes, w *Tensor, kh, kw, stride, padH, padW int) convGeom {
+	if len(img.shape) != 4 || len(planes.shape) != 4 || len(w.shape) != 2 {
+		panic("tensor: " + op + " requires (N,C,H,W) tensors and a 2-D filter matrix")
+	}
+	if img.dtype != Float64 || planes.dtype != Float64 || w.dtype != Float64 {
+		panic("tensor: " + op + " requires float64 tensors")
+	}
+	if kh < 1 || kw < 1 || stride < 1 || padH < 0 || padW < 0 {
+		panic("tensor: " + op + " kernel, stride or padding out of range")
+	}
+	g := convGeom{
+		n: img.shape[0], c: img.shape[1], h: img.shape[2], w: img.shape[3],
+		outC: w.shape[1], kh: kh, kw: kw, stride: stride, padH: padH, padW: padW,
+	}
+	g.oh = ConvDims(g.h, kh, stride, padH)
+	g.ow = ConvDims(g.w, kw, stride, padW)
+	if g.oh <= 0 || g.ow <= 0 {
+		panic(fmt.Sprintf("tensor: %s degenerate output %dx%d", op, g.oh, g.ow))
+	}
+	if w.shape[0] != g.k() {
+		panic("tensor: " + op + " filter shape mismatch")
+	}
+	if planes.shape[0] != g.n || planes.shape[1] != g.outC || planes.shape[2] != g.oh || planes.shape[3] != g.ow {
+		panic("tensor: " + op + " output shape mismatch")
+	}
+	return g
+}
+
+// Conv2DBiasInto computes the convolution forward pass with the bias add
+// fused: out = conv(img, w) + bias as channel-major (N, OutC, OH, OW)
+// images, every element overwritten. img is (N, C, H, W), w the
+// (C·KH·KW, OutC) filter matrix, bias (length OutC) may be nil.
+//
+// Per image it is the product Wᵀ (OutC×K) · colsᵀ (K×P) on the packed
+// micro-kernel with output pixels as the 8-wide panel dimension: Wᵀ is
+// packed once per call, the input is copied once into zero-bordered
+// planes so that row p of a pixel panel is the panel's window origin plus
+// a fixed offset per (c, ky, kx) with no tap out of range, and the
+// finished 4×8 tiles go straight to the NCHW planes. One kernel serves
+// training and inference at every stride. The scratch is the packing
+// pool's; ws is not used.
 func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, padH, padW int) *Tensor {
-	if len(img.shape) != 4 || len(out.shape) != 4 {
-		panic("tensor: Conv2DBiasInto requires (N,C,H,W) tensors")
-	}
-	if img.dtype != Float64 || out.dtype != Float64 {
-		panic("tensor: Conv2DBiasInto requires float64 tensors")
-	}
-	n, c, h, wd := img.shape[0], img.shape[1], img.shape[2], img.shape[3]
-	oh := ConvDims(h, kh, stride, padH)
-	ow := ConvDims(wd, kw, stride, padW)
-	outC := w.shape[1]
-	if w.shape[0] != c*kh*kw {
-		panic("tensor: Conv2DBiasInto filter shape mismatch")
-	}
-	if out.shape[0] != n || out.shape[1] != outC || out.shape[2] != oh || out.shape[3] != ow {
-		panic("tensor: Conv2DBiasInto output shape mismatch")
-	}
-	if bias != nil && bias.Size() != outC {
-		panic("tensor: Conv2DBiasInto bias length mismatch")
-	}
-	if stride != 1 {
-		rows := n * oh * ow
-		cols := ws.Get(rows, c*kh*kw)
-		Im2ColInto(cols, img, kh, kw, stride, padH, padW)
-		flat := ws.Get(rows, outC)
-		MatMulBiasInto(flat, cols, w, bias)
-		ScatterNCHWInto(out, flat)
-		ws.Put(flat)
-		ws.Put(cols)
-		return out
-	}
-	planes := n * outC
-	cost := 2 * c * kh * kw * oh * ow
-	if shouldPar(planes, cost) {
-		od, id, wdd := out.data, img.data, w.data
-		var bd []float64
-		if bias != nil {
-			bd = bias.data
+	g := convGeometry("Conv2DBiasInto", img, out, w, kh, kw, stride, padH, padW)
+	var bd []float64
+	if bias != nil {
+		if bias.Size() != g.outC || bias.dtype != Float64 {
+			panic("tensor: Conv2DBiasInto bias length mismatch")
 		}
-		ParallelFor(planes, cost, func(lo, hi int) {
-			conv2DDirectPlanes(od, id, wdd, bd, c, h, wd, outC, oh, ow, kh, kw, padH, padW, lo, hi)
-		})
+		bd = bias.data
+	}
+	k := g.k()
+	ocBlocks := (g.outC + 3) / 4
+	apP := getScratch(ocBlocks * k * 4)
+	ap := *apP
+	for ob := 0; ob < ocBlocks; ob++ {
+		packACols64(ap[ob*k*4:(ob+1)*k*4], w.data, g.outC, ob*4, min(4, g.outC-ob*4), 0, k)
+	}
+	xp, xpP := img.data, (*[]float64)(nil)
+	if g.hp() != g.h || g.wp() != g.w {
+		xpP = getScratch(g.n * g.c * g.hp() * g.wp())
+		xp = *xpP
+		padConvPlanes64(xp, img.data, g.n*g.c, g)
+	}
+	units := g.n * ((g.p() + 7) / 8)
+	cost := 16 * k * g.outC
+	if shouldPar(units, cost) {
+		od := out.data
+		ParallelFor(units, cost, func(lo, hi int) { convForwardPanels(od, xp, ap, bd, g, lo, hi) })
 	} else {
-		var bd []float64
-		if bias != nil {
-			bd = bias.data
-		}
-		conv2DDirectPlanes(out.data, img.data, w.data, bd, c, h, wd, outC, oh, ow, kh, kw, padH, padW, 0, planes)
+		convForwardPanels(out.data, xp, ap, bd, g, 0, units)
 	}
+	if xpP != nil {
+		putScratch(xpP)
+	}
+	putScratch(apP)
 	return out
 }
 
-// conv2DDirectPlanes computes output planes [lo,hi) (plane = b*outC+oc)
-// of a stride-1 convolution: each plane is zeroed, then accumulates one
-// axpyFMA row update per (c, ky, kx, valid oy) — the same ascending
-// reduction order as the scalar reference.
-func conv2DDirectPlanes(out, img, w, bias []float64, c, h, iw, outC, oh, ow, kh, kw, padH, padW, lo, hi int) {
-	for plane := lo; plane < hi; plane++ {
-		b := plane / outC
-		oc := plane % outC
-		oplane := out[plane*oh*ow : (plane+1)*oh*ow]
-		for i := range oplane {
-			oplane[i] = 0
+// convForwardPanels computes units [lo,hi), unit = image·panels + pixel
+// panel: every 4-channel block of the packed Wᵀ against the unit's K×8
+// panel into a zero-seeded tile, stored with the bias added. Eight pixels
+// of one output row at stride 1 are read in place from the bordered
+// planes (conv4x8); strided, partial and row-straddling panels are
+// gathered into bp first.
+func convForwardPanels(out, xp, ap, bias []float64, g convGeom, lo, hi int) {
+	k, p := g.k(), g.p()
+	panels := (p + 7) / 8
+	wp := g.wp()
+	plane := g.hp() * wp
+	bpP := getScratch(k * 8)
+	bp := *bpP
+	var tile [32]float64
+	for u := lo; u < hi; u++ {
+		b, pix0 := u/panels, u%panels*8
+		wv := min(8, p-pix0)
+		xpB := xp[b*g.c*plane : (b+1)*g.c*plane]
+		oy, ox0 := pix0/g.ow, pix0%g.ow
+		inPlace := g.stride == 1 && wv == 8 && ox0+8 <= g.ow
+		if !inPlace {
+			packConvPixels64(bp, xpB, &g, pix0)
 		}
-		for ch := 0; ch < c; ch++ {
-			iplane := img[(b*c+ch)*h*iw : (b*c+ch+1)*h*iw]
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					wv := w[((ch*kh+ky)*kw+kx)*outC+oc]
-					ox0 := 0
-					if padW-kx > 0 {
-						ox0 = padW - kx
-					}
-					ox1 := ow
-					if iw+padW-kx < ox1 {
-						ox1 = iw + padW - kx
-					}
-					if ox0 >= ox1 {
+		for oc0 := 0; oc0 < g.outC; oc0 += 4 {
+			if inPlace {
+				conv4x8(ap[oc0*k:], xpB[oy*wp+ox0:], g.c, g.kh, g.kw, plane, wp, &tile)
+			} else {
+				tile = [32]float64{}
+				gemm4x8(k, ap[oc0*k:], bp, tile[:], 8)
+			}
+			for r := 0; r < min(4, g.outC-oc0); r++ {
+				dst := out[(b*g.outC+oc0+r)*p+pix0:][:wv]
+				src := tile[r*8 : r*8+wv]
+				if bias == nil {
+					copy(dst, src)
+					continue
+				}
+				bv := bias[oc0+r]
+				for j, v := range src {
+					dst[j] = v + bv
+				}
+			}
+		}
+	}
+	putScratch(bpP)
+}
+
+// Conv2DGradWeightsInto accumulates a convolution's parameter gradients:
+// dw (C·KH·KW, OutC) += colsᵀ·dout and db (length OutC, may be nil)
+// += Σ dout, from the saved forward input img (N, C, H, W) and the
+// upstream gradient dout (N, OutC, OH, OW).
+//
+// It is the TN product dw (K×OutC) += A·B with the reduction over all
+// N·P pixels. Both operands are repacked once per call: dout into
+// 8-channel p-major panels (the db sums ride on that pass), the input
+// into zero-bordered planes with four channels interleaved per pixel
+// (packConvInput64). A 4-row block of K is then four consecutive channels
+// at one kernel tap — rows (c·KH+ky)·KW+kx of dw, KH·KW rows apart — and
+// its A panel over an output row is one contiguous run of the interleaved
+// input, shifted by the tap. Blocks accumulate in place over ascending
+// (image, pixel), so every dw element keeps the lowering's chain.
+func Conv2DGradWeightsInto(dw, db, img, dout *Tensor, kh, kw, stride, padH, padW int) {
+	g := convGeometry("Conv2DGradWeightsInto", img, dout, dw, kh, kw, stride, padH, padW)
+	var dbd []float64
+	if db != nil {
+		if db.Size() != g.outC || db.dtype != Float64 {
+			panic("tensor: Conv2DGradWeightsInto bias gradient length mismatch")
+		}
+		dbd = db.data
+	}
+	np := g.n * g.p()
+	bpP := getScratch((g.outC + 7) / 8 * np * 8)
+	bp := *bpP
+	packConvGrad64(bp, dbd, dout.data, g.n, g.outC, g.p())
+	cBlocks := (g.c + 3) / 4
+	xtP := getScratch(g.n * cBlocks * g.hp() * g.wp() * 4)
+	xt := *xtP
+	packConvInput64(xt, img.data, g)
+	units := cBlocks * kh * kw
+	cost := 8 * np * g.outC
+	if shouldPar(units, cost) {
+		dwd := dw.data
+		ParallelFor(units, cost, func(lo, hi int) { convFilterRows(dwd, xt, bp, g, lo, hi) })
+	} else {
+		convFilterRows(dw.data, xt, bp, g, 0, units)
+	}
+	putScratch(xtP)
+	putScratch(bpP)
+}
+
+// convFilterRows accumulates 4-row blocks [lo,hi) of dw, block =
+// channel-block·KH·KW + tap. The reduction runs in chunks of whole output
+// rows of one image (about kc pixels), so the A chunk copied out of xt
+// stays cache-resident; dw carries the chain from chunk to chunk exactly
+// as the blocked matmul carries it across kc.
+func convFilterRows(dw, xt, bp []float64, g convGeom, lo, hi int) {
+	p, s, taps := g.p(), g.stride, g.kh*g.kw
+	np := g.n * p
+	cBlocks := (g.c + 3) / 4
+	hp, wp := g.hp(), g.wp()
+	_, kc, _ := BlockSizes()
+	chunkRows := min(g.oh, max(1, kc/g.ow))
+	apP := getScratch(chunkRows * g.ow * 4)
+	ap := *apP
+	var tile [32]float64
+	for u := lo; u < hi; u++ {
+		cb, tap := u/taps, u%taps
+		ky, kx := tap/g.kw, tap%g.kw
+		mb := min(4, g.c-cb*4)
+		ldc := taps * g.outC // dw rows of consecutive channels at one tap
+		c0 := (cb*4*taps + tap) * g.outC
+		for b := 0; b < g.n; b++ {
+			xtB := xt[(b*cBlocks+cb)*hp*wp*4:][:hp*wp*4]
+			for oy0 := 0; oy0 < g.oh; oy0 += chunkRows {
+				rows := min(chunkRows, g.oh-oy0)
+				for r := 0; r < rows; r++ {
+					dst := ap[r*g.ow*4:][:g.ow*4]
+					src := xtB[(((oy0+r)*s+ky)*wp+kx)*4:]
+					if s == 1 {
+						copy(dst, src)
 						continue
 					}
-					for oy := 0; oy < oh; oy++ {
-						iy := oy + ky - padH
-						if iy < 0 || iy >= h {
-							continue
-						}
-						ix0 := ox0 + kx - padW
-						axpyFMA(wv, iplane[iy*iw+ix0:iy*iw+ix0+(ox1-ox0)], oplane[oy*ow+ox0:oy*ow+ox1])
+					for ox := 0; ox < g.ow; ox++ {
+						*(*[4]float64)(dst[ox*4:]) = *(*[4]float64)(src[ox*s*4:])
+					}
+				}
+				kb := rows * g.ow
+				q0 := b*p + oy0*g.ow
+				for jc := 0; jc < g.outC; jc += 8 {
+					bpanel := bp[jc*np+q0*8:][:kb*8]
+					w8 := min(8, g.outC-jc)
+					if mb == 4 && w8 == 8 {
+						gemm4x8(kb, ap, bpanel, dw[c0+jc:], ldc)
+						continue
+					}
+					tile = [32]float64{}
+					for r := 0; r < mb; r++ {
+						copy(tile[r*8:r*8+w8], dw[c0+r*ldc+jc:])
+					}
+					gemm4x8(kb, ap, bpanel, tile[:], 8)
+					for r := 0; r < mb; r++ {
+						copy(dw[c0+r*ldc+jc:][:w8], tile[r*8:])
 					}
 				}
 			}
 		}
-		if bias != nil {
-			bv := bias[oc]
-			for i := range oplane {
-				oplane[i] += bv
+	}
+	putScratch(apP)
+}
+
+// Conv2DGradInputInto computes a convolution's input gradient
+// dx (N, C, H, W) from dout (N, OutC, OH, OW) and the filter matrix w,
+// overwriting every element of dx.
+//
+// Per image and kernel tap it is the product W_tap (C×OutC) · dout_b
+// (OutC×P): dout's planes are already the 8-pixel B panels' rows, the taps'
+// 4-channel A panels are packed once per call, and each finished
+// zero-seeded 4×8 tile is added into dx at the tap's shifted, clipped
+// position. Pixel panels ascend and taps descend within a panel, which
+// adds into every dx element in ascending output-pixel order — the order
+// Col2ImInto scatters in. Overlapping windows meet only within an image,
+// so the split is over images, each worker zeroing the slabs it owns.
+func Conv2DGradInputInto(dx, dout, w *Tensor, kh, kw, stride, padH, padW int) *Tensor {
+	g := convGeometry("Conv2DGradInputInto", dx, dout, w, kh, kw, stride, padH, padW)
+	taps := kh * kw
+	cBlocks := (g.c + 3) / 4
+	apP := getScratch(taps * cBlocks * g.outC * 4)
+	ap := *apP
+	for tap := 0; tap < taps; tap++ {
+		for cb := 0; cb < cBlocks; cb++ {
+			packARows64(ap[(tap*cBlocks+cb)*g.outC*4:][:g.outC*4], w.data[tap*g.outC:], taps*g.outC, cb*4, min(4, g.c-cb*4), 0, g.outC)
+		}
+	}
+	cost := 2 * g.p() * g.k() * g.outC
+	if shouldPar(g.n, cost) {
+		xd, dd := dx.data, dout.data
+		ParallelFor(g.n, cost, func(lo, hi int) { convInputImages(xd, dd, ap, g, lo, hi) })
+	} else {
+		convInputImages(dx.data, dout.data, ap, g, 0, g.n)
+	}
+	putScratch(apP)
+	return dx
+}
+
+// convInputImages computes dx for images [lo,hi).
+func convInputImages(dx, dout, ap []float64, g convGeom, lo, hi int) {
+	p, hw, s := g.p(), g.h*g.w, g.stride
+	cBlocks := (g.c + 3) / 4
+	bpP := getScratch(g.outC * 8)
+	bp := *bpP
+	var tile [32]float64
+	// Lane j of the current panel has its window origin at input pixel
+	// (iyb[j], ixb[j]) and, for the current tap, lands at offset tgt[j] of
+	// a dx plane (-1 when clipped).
+	var tgt, iyb, ixb [8]int
+	for b := lo; b < hi; b++ {
+		slab := dx[b*g.c*hw : (b+1)*g.c*hw]
+		clear(slab)
+		for pix0 := 0; pix0 < p; pix0 += 8 {
+			wv := min(8, p-pix0)
+			packBRows64(bp, dout[b*g.outC*p:(b+1)*g.outC*p], p, 0, g.outC, pix0, wv)
+			for j, oy, ox := 0, pix0/g.ow, pix0%g.ow; j < wv; j++ {
+				iyb[j], ixb[j] = oy*s-g.padH, ox*s-g.padW
+				if ox++; ox == g.ow {
+					oy, ox = oy+1, 0
+				}
+			}
+			for tap := g.kh*g.kw - 1; tap >= 0; tap-- {
+				ky, kx := tap/g.kw, tap%g.kw
+				// The lanes that land inside the image span [jlo,jhi); run
+				// says they are all of that span, on consecutive offsets.
+				jlo, jhi, run := 8, 0, true
+				for j := 0; j < wv; j++ {
+					iy, ix := iyb[j]+ky, ixb[j]+kx
+					if uint(iy) >= uint(g.h) || uint(ix) >= uint(g.w) {
+						tgt[j] = -1
+						continue
+					}
+					tgt[j] = iy*g.w + ix
+					if jlo < jhi && (j != jhi || tgt[j] != tgt[j-1]+1) {
+						run = false
+					}
+					jlo, jhi = min(jlo, j), j+1
+				}
+				if jlo >= jhi {
+					continue // columns the lowering computes and col2im drops
+				}
+				for cb := 0; cb < cBlocks; cb++ {
+					apanel := ap[(tap*cBlocks+cb)*g.outC*4:]
+					if run && g.c-cb*4 >= 4 {
+						gemm4x8Add(g.outC, apanel, bp, slab[cb*4*hw:], tgt[jlo]-jlo, hw, jlo, jhi)
+						continue
+					}
+					tile = [32]float64{}
+					gemm4x8(g.outC, apanel, bp, tile[:], 8)
+					for r := 0; r < min(4, g.c-cb*4); r++ {
+						plane := slab[(cb*4+r)*hw : (cb*4+r+1)*hw]
+						for j := jlo; j < jhi; j++ {
+							if t := tgt[j]; t >= 0 {
+								plane[t] += tile[r*8+j]
+							}
+						}
+					}
+				}
 			}
 		}
 	}
+	putScratch(bpP)
 }
 
 // RefConv2DInto is the naive scalar reference for Conv2DBiasInto

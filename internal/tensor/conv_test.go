@@ -1,0 +1,295 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"os/exec"
+	"testing"
+)
+
+// The lowering the convolution engine replaced, kept verbatim as the
+// reference its three kernels must match bit for bit: im2col + fused
+// matmul + NCHW scatter forward; NCHW gather + TN matmul + column sum +
+// NT matmul + col2im backward.
+
+// scatterNCHW rearranges a (N·OH·OW, OutC) matmul-layout matrix into
+// channel-major images out (N, OutC, OH, OW).
+func scatterNCHW(out, flat *Tensor) {
+	n, oc, oh, ow := out.shape[0], out.shape[1], out.shape[2], out.shape[3]
+	for b := 0; b < n; b++ {
+		for y := 0; y < oh; y++ {
+			for x := 0; x < ow; x++ {
+				row := ((b*oh+y)*ow + x) * oc
+				for ch := 0; ch < oc; ch++ {
+					out.data[((b*oc+ch)*oh+y)*ow+x] = flat.data[row+ch]
+				}
+			}
+		}
+	}
+}
+
+// gatherNCHW is the inverse of scatterNCHW.
+func gatherNCHW(flat, img *Tensor) {
+	n, oc, oh, ow := img.shape[0], img.shape[1], img.shape[2], img.shape[3]
+	for b := 0; b < n; b++ {
+		for y := 0; y < oh; y++ {
+			for x := 0; x < ow; x++ {
+				row := ((b*oh+y)*ow + x) * oc
+				for ch := 0; ch < oc; ch++ {
+					flat.data[row+ch] = img.data[((b*oc+ch)*oh+y)*ow+x]
+				}
+			}
+		}
+	}
+}
+
+func loweredForward(out, img, w, bias *Tensor, kh, kw, stride, padH, padW int) {
+	cols := Im2Col(img, kh, kw, stride, padH, padW)
+	flat := New(cols.shape[0], w.shape[1])
+	MatMulBiasInto(flat, cols, w, bias)
+	scatterNCHW(out, flat)
+}
+
+// loweredBackward accumulates into dw and db and overwrites dx.
+func loweredBackward(dw, db, dx, img, dout, w *Tensor, kh, kw, stride, padH, padW int) {
+	cols := Im2Col(img, kh, kw, stride, padH, padW)
+	dflat := New(cols.shape[0], w.shape[1])
+	gatherNCHW(dflat, dout)
+	TMatMulAccInto(dw, cols, dflat)
+	dB := New(db.shape...)
+	SumAxis0Into(dB, dflat)
+	db.AddInPlace(dB)
+	dcols := New(cols.shape...)
+	MatMulTInto(dcols, dflat, w)
+	Col2ImInto(dx, dcols, kh, kw, stride, padH, padW)
+}
+
+type convCase struct{ n, c, outC, h, w, kh, kw, stride, padH, padW int }
+
+func (tc convCase) valid() bool {
+	return ConvDims(tc.h, tc.kh, tc.stride, tc.padH) > 0 && ConvDims(tc.w, tc.kw, tc.stride, tc.padW) > 0
+}
+
+// convGrid is the property suite's geometry space: batch, channel and
+// filter counts on both sides of the 4-row and 8-column tile edges, plane
+// sizes whose pixel panels are row-aligned (8, 16), partial (5×5) or
+// straddle rows (13, 11, 7), point, square and oblong kernels, three
+// strides and asymmetric padding.
+var convGrid = struct {
+	n, c, outC []int
+	hw, k      [][2]int
+	stride     []int
+}{
+	n: []int{1, 3, 16}, c: []int{1, 3, 4, 8, 16}, outC: []int{1, 3, 5, 8, 16},
+	hw:     [][2]int{{1, 13}, {5, 5}, {8, 8}, {9, 7}, {16, 16}, {13, 11}},
+	k:      [][2]int{{1, 1}, {3, 3}, {1, 5}, {3, 5}, {5, 5}},
+	stride: []int{1, 2, 3},
+}
+
+// convCases draws count valid geometries from convGrid (the full product
+// is 60 750 cases, minutes of reference lowering); every axis value is
+// hit many times over, and the corner cases a draw could miss are
+// appended.
+func convCases(seed int64, count int) []convCase {
+	rng := rand.New(rand.NewSource(seed))
+	pick := func(s []int) int { return s[rng.Intn(len(s))] }
+	g := &convGrid
+	var cases []convCase
+	for len(cases) < count {
+		hw, k := g.hw[rng.Intn(len(g.hw))], g.k[rng.Intn(len(g.k))]
+		tc := convCase{pick(g.n), pick(g.c), pick(g.outC), hw[0], hw[1], k[0], k[1], pick(g.stride), rng.Intn(3), rng.Intn(3)}
+		if tc.valid() {
+			cases = append(cases, tc)
+		}
+	}
+	return append(cases,
+		convCase{16, 8, 8, 16, 16, 3, 3, 1, 1, 1},  // resnet-ddp stage 0
+		convCase{16, 8, 16, 16, 16, 3, 3, 2, 1, 1}, // its strided block
+		convCase{16, 8, 16, 16, 16, 1, 1, 2, 0, 0}, // and projection shortcut
+		convCase{3, 16, 16, 13, 11, 5, 5, 3, 2, 0},
+		convCase{1, 1, 1, 1, 13, 1, 5, 1, 0, 2}, // Conv1D's 1×k over (N,D,1,T)
+		convCase{3, 4, 5, 5, 5, 5, 5, 1, 2, 2},  // window as large as the plane
+		convCase{1, 3, 8, 8, 8, 1, 1, 1, 2, 1},  // padding wider than the kernel
+		convCase{3, 16, 3, 9, 7, 3, 5, 2, 0, 2},
+	)
+}
+
+// checkConvCase runs the three kernels and the lowering on one geometry
+// and compares forward, dw, db and dx bitwise. The gradients start from a
+// non-zero prior and are accumulated twice; out and dx start from NaN.
+func checkConvCase(t *testing.T, rng *rand.Rand, tc convCase, label string) {
+	t.Helper()
+	oh := ConvDims(tc.h, tc.kh, tc.stride, tc.padH)
+	ow := ConvDims(tc.w, tc.kw, tc.stride, tc.padW)
+	k := tc.c * tc.kh * tc.kw
+	img := Randn(rng, 1, tc.n, tc.c, tc.h, tc.w)
+	w := Randn(rng, 1, k, tc.outC)
+	bias := Randn(rng, 1, tc.outC)
+	dout := Randn(rng, 1, tc.n, tc.outC, oh, ow)
+	nan := func(shape ...int) *Tensor {
+		x := New(shape...)
+		x.Fill(math.NaN())
+		return x
+	}
+
+	for _, bs := range []*Tensor{bias, nil} {
+		got, want := nan(tc.n, tc.outC, oh, ow), New(tc.n, tc.outC, oh, ow)
+		Conv2DBiasInto(nil, got, img, w, bs, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+		loweredForward(want, img, w, bs, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+		if !bitEqual64(got, want) {
+			t.Fatalf("%s %+v: forward (bias %v) differs from the lowering", label, tc, bs != nil)
+		}
+	}
+
+	dw0, db0 := Randn(rng, 1, k, tc.outC), Randn(rng, 1, tc.outC)
+	gotW, gotB, wantW, wantB := dw0.Clone(), db0.Clone(), dw0.Clone(), db0.Clone()
+	gotX, wantX := nan(tc.n, tc.c, tc.h, tc.w), New(tc.n, tc.c, tc.h, tc.w)
+	for pass := 0; pass < 2; pass++ {
+		Conv2DGradWeightsInto(gotW, gotB, img, dout, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+		Conv2DGradInputInto(gotX, dout, w, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+		loweredBackward(wantW, wantB, wantX, img, dout, w, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+	}
+	if !bitEqual64(gotW, wantW) {
+		t.Fatalf("%s %+v: dw differs from the lowering", label, tc)
+	}
+	if !bitEqual64(gotB, wantB) {
+		t.Fatalf("%s %+v: db differs from the lowering", label, tc)
+	}
+	if !bitEqual64(gotX, wantX) {
+		t.Fatalf("%s %+v: dx differs from the lowering", label, tc)
+	}
+	// A nil db leaves dw's chain alone.
+	gotW = dw0.Clone()
+	Conv2DGradWeightsInto(gotW, nil, img, dout, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+	Conv2DGradWeightsInto(gotW, nil, img, dout, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+	if !bitEqual64(gotW, wantW) {
+		t.Fatalf("%s %+v: dw with nil db differs from the lowering", label, tc)
+	}
+}
+
+// dirtyScratch refills the packing-scratch free lists with NaN-filled
+// buffers, so a kernel that reads a panel cell it did not write shows.
+func dirtyScratch() {
+	for class := 0; class <= 17; class++ {
+		var held []*[]float64
+		for i := 0; i < scratchPerClass; i++ {
+			p := getScratch(1 << class)
+			for j := range *p {
+				(*p)[j] = math.NaN()
+			}
+			held = append(held, p)
+		}
+		for _, p := range held {
+			putScratch(p)
+		}
+	}
+}
+
+// TestConvEngineVsLowering is the engine's property suite: forward, dw,
+// db and dx bitwise (no tolerance) against the lowering over the geometry
+// grid, on the assembly and the pure-Go micro-kernel, at several worker
+// counts, and through NaN-dirtied packing scratch.
+func TestConvEngineVsLowering(t *testing.T) {
+	resetConfigAfter(t)
+	orig := useAVX
+	t.Cleanup(func() { useAVX = orig })
+	count := 400
+	if testing.Short() {
+		count = 60
+	}
+	cases := convCases(49, count)
+	rng := rand.New(rand.NewSource(50))
+
+	Configure(WithWorkers(1))
+	for _, tc := range cases {
+		checkConvCase(t, rng, tc, "serial")
+	}
+	for i, tc := range cases {
+		if i%4 != 0 {
+			continue
+		}
+		useAVX = false
+		checkConvCase(t, rng, tc, "pure-Go kernel")
+		useAVX = orig
+		dirtyScratch()
+		checkConvCase(t, rng, tc, "dirty scratch")
+	}
+	for _, workers := range []int{2, 3, 8} {
+		Configure(WithWorkers(workers), WithGrain(1024))
+		for i, tc := range cases {
+			if i%3 == 0 || i >= count {
+				checkConvCase(t, rng, tc, fmt.Sprintf("workers=%d", workers))
+			}
+		}
+	}
+}
+
+// TestConvEngineNoAVXProcess re-runs the property suite in a child
+// process started with MSA_NO_AVX=1 — the switch a host without AVX2
+// takes at start-up, as opposed to the in-process flip above.
+func TestConvEngineNoAVXProcess(t *testing.T) {
+	if os.Getenv("MSA_NO_AVX") != "" {
+		t.Skip("already running with MSA_NO_AVX set")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestConvEngineVsLowering$", "-test.short")
+	cmd.Env = append(os.Environ(), "MSA_NO_AVX=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("property suite with MSA_NO_AVX=1: %v\n%s", err, out)
+	}
+}
+
+// TestConvEngineWorkspaceUntouched: the engine's scratch is the packing
+// pool's, so a workspace passed to the forward kernel — NaN-dirtied
+// here — is neither read nor borrowed from.
+func TestConvEngineWorkspaceUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	ws := NewWorkspace()
+	for _, n := range []int{64, 4096, 1 << 16} {
+		ws.Get(n).Fill(math.NaN())
+	}
+	ws.ReleaseAll()
+	tc := convCase{3, 4, 8, 9, 7, 3, 3, 2, 1, 1}
+	img := Randn(rng, 1, tc.n, tc.c, tc.h, tc.w)
+	w, bias := Randn(rng, 1, tc.c*9, tc.outC), Randn(rng, 1, tc.outC)
+	got := ws.GetUninit(tc.n, tc.outC, 5, 4)
+	want := New(tc.n, tc.outC, 5, 4)
+	Conv2DBiasInto(ws, got, img, w, bias, 3, 3, 2, 1, 1)
+	loweredForward(want, img, w, bias, 3, 3, 2, 1, 1)
+	if !bitEqual64(got, want) {
+		t.Fatal("forward through a dirtied workspace differs from the lowering")
+	}
+	if ws.InUse() != 1 {
+		t.Fatalf("forward kernel borrowed from the workspace: %d tensors in use, want 1 (out)", ws.InUse())
+	}
+}
+
+// BenchmarkConvEngine times the three kernels one by one at the two layer
+// shapes that carry resnet-ddp (2·N·P·K·OutC flops each).
+func BenchmarkConvEngine(b *testing.B) {
+	for _, s := range []struct{ n, c, hw, outC int }{{16, 8, 16, 8}, {16, 16, 8, 16}} {
+		rng := rand.New(rand.NewSource(2))
+		img := Randn(rng, 1, s.n, s.c, s.hw, s.hw)
+		w, bias := Randn(rng, 1, s.c*9, s.outC), Randn(rng, 1, s.outC)
+		dout := Randn(rng, 1, s.n, s.outC, s.hw, s.hw)
+		out, dx := New(dout.shape...), New(img.shape...)
+		dw, db := New(w.shape...), New(s.outC)
+		flops := 2 * float64(s.n*s.hw*s.hw) * float64(s.c*9) * float64(s.outC)
+		for _, k := range []struct {
+			name string
+			fn   func()
+		}{
+			{"forward", func() { Conv2DBiasInto(nil, out, img, w, bias, 3, 3, 1, 1, 1) }},
+			{"dw", func() { Conv2DGradWeightsInto(dw, db, img, dout, 3, 3, 1, 1, 1) }},
+			{"dx", func() { Conv2DGradInputInto(dx, dout, w, 3, 3, 1, 1, 1) }},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%dx%d-%d/%s", s.n, s.c, s.hw, s.hw, s.outC, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn()
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

@@ -338,10 +338,10 @@ func TestConvDirectVsRef(t *testing.T) {
 	}
 }
 
-// TestConvStridedFallback checks the stride!=1 im2col fallback against a
-// naive strided loop (close, not bitwise: the matmul reduction order over
-// the im2col layout is a documented difference).
-func TestConvStridedFallback(t *testing.T) {
+// TestConvStridedVsLowering: strided convolutions run the same kernel as
+// stride 1, so they too equal the im2col lowering bit for bit (through a
+// workspace, as the former fallback was called).
+func TestConvStridedVsLowering(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	n, c, h, wd, outC, kh, kw, stride, pad := 2, 3, 9, 9, 4, 3, 3, 2, 1
 	img := Randn(rng, 1, n, c, h, wd)
@@ -349,31 +349,11 @@ func TestConvStridedFallback(t *testing.T) {
 	bias := Randn(rng, 1, outC)
 	oh := ConvDims(h, kh, stride, pad)
 	ow := ConvDims(wd, kw, stride, pad)
-	got := New(n, outC, oh, ow)
-	ws := NewWorkspace()
-	Conv2DBiasInto(ws, got, img, w, bias, kh, kw, stride, pad, pad)
-	for b := 0; b < n; b++ {
-		for oc := 0; oc < outC; oc++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					acc := bias.Data()[oc]
-					for ch := 0; ch < c; ch++ {
-						for ky := 0; ky < kh; ky++ {
-							for kx := 0; kx < kw; kx++ {
-								iy, ix := oy*stride+ky-pad, ox*stride+kx-pad
-								if iy < 0 || iy >= h || ix < 0 || ix >= wd {
-									continue
-								}
-								acc += img.Data()[((b*c+ch)*h+iy)*wd+ix] * w.Data()[((ch*kh+ky)*kw+kx)*outC+oc]
-							}
-						}
-					}
-					if diff := math.Abs(got.Data()[((b*outC+oc)*oh+oy)*ow+ox] - acc); diff > 1e-9 {
-						t.Fatalf("strided conv off by %g at (%d,%d,%d,%d)", diff, b, oc, oy, ox)
-					}
-				}
-			}
-		}
+	got, want := New(n, outC, oh, ow), New(n, outC, oh, ow)
+	Conv2DBiasInto(NewWorkspace(), got, img, w, bias, kh, kw, stride, pad, pad)
+	loweredForward(want, img, w, bias, kh, kw, stride, pad, pad)
+	if !bitEqual64(got, want) {
+		t.Fatal("strided conv differs from the lowering")
 	}
 }
 

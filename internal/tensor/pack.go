@@ -254,3 +254,136 @@ func packACols32(dst []float64, a []float32, lda, i0, mb, p0, kb int) {
 		}
 	}
 }
+
+// Convolution packers (conv.go): the gathers that stand in for the im2col
+// matrix cols (N·P × K). They are data movement only — padding cells
+// become the same explicit zeros Im2ColInto writes — so the micro-kernel
+// sees exactly the panels the lowering would have packed out of cols.
+
+// padConvPlanes64 copies planes (h×w) of src to (hp×wp) planes of dst with
+// the image at row padH, column padW and zeros around it.
+func padConvPlanes64(dst, src []float64, planes int, g convGeom) {
+	hp, wp := g.hp(), g.wp()
+	for pl := 0; pl < planes; pl++ {
+		d := dst[pl*hp*wp : (pl+1)*hp*wp]
+		clear(d[:g.padH*wp])
+		for y := 0; y < g.h; y++ {
+			row := d[(g.padH+y)*wp:][:wp]
+			clear(row[:g.padW])
+			copy(row[g.padW:g.padW+g.w], src[(pl*g.h+y)*g.w:])
+			clear(row[g.padW+g.w:])
+		}
+		clear(d[(g.padH+g.h)*wp:])
+	}
+}
+
+// packConvPixels64 packs the forward B panel of one image, given as its
+// zero-bordered planes xp (C × hp × wp): dst[p*8+j] = cols[pix0+j][p] for
+// the K rows p = (c, ky, kx), zero past the last pixel. The border makes
+// every tap an in-range read, so an entry is lane j's window origin plus
+// one offset per (c, ky, kx). This is the gather for strided, partial and
+// row-straddling panels; the others need no packing (conv4x8).
+func packConvPixels64(dst, xp []float64, g *convGeom, pix0 int) {
+	s, wp := g.stride, g.wp()
+	plane := g.hp() * wp
+	var org [8]int // window origin of each lane within a bordered plane
+	wv := min(8, g.p()-pix0)
+	for j, oy, ox := 0, pix0/g.ow, pix0%g.ow; j < wv; j++ {
+		org[j] = (oy*wp + ox) * s
+		if ox++; ox == g.ow {
+			oy, ox = oy+1, 0
+		}
+	}
+	di := 0
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				d := (*[8]float64)(dst[di:])
+				di += 8
+				src := xp[ch*plane+ky*wp+kx:]
+				for j := 0; j < wv; j++ {
+					d[j] = src[org[j]]
+				}
+				clear(d[wv:])
+			}
+		}
+	}
+}
+
+// packConvInput64 packs the input batch as the filter-gradient A operand:
+// zero-bordered (hp×wp) planes with four channels interleaved per pixel,
+// dst[((b·cBlocks+cb)·hp·wp + y·wp + x)*4 + r] = img[b][cb*4+r][y-padH][x-padW],
+// zero in the border and for channels past C. In this layout the A panel
+// of channels cb*4..cb*4+3 at tap (ky, kx) over output row oy is the
+// contiguous run starting at pixel (oy·stride+ky, kx) — cols is never
+// transposed element by element.
+func packConvInput64(dst, img []float64, g convGeom) {
+	hp, wp, hw := g.hp(), g.wp(), g.h*g.w
+	cBlocks := (g.c + 3) / 4
+	if hp != g.h || wp != g.w {
+		clear(dst[:g.n*cBlocks*hp*wp*4]) // the border
+	}
+	for b := 0; b < g.n; b++ {
+		for cb := 0; cb < cBlocks; cb++ {
+			d := dst[(b*cBlocks+cb)*hp*wp*4:][:hp*wp*4]
+			src := img[(b*g.c+cb*4)*hw:]
+			for y := 0; y < g.h; y++ {
+				packARows64(d[((y+g.padH)*wp+g.padW)*4:], src[y*g.w:], hw, 0, min(4, g.c-cb*4), 0, g.w)
+			}
+		}
+	}
+}
+
+// packConvGrad64 packs dout (N, OutC, P) as the filter-gradient B operand
+// — 8-channel panels over all N·P pixels, dst[jc·N·P + q*8 + j] =
+// dout[b][jc+j][pix] with q = b·P+pix, zero-padded past OutC — and, when
+// db is not nil, adds each channel's sum into db[oc]. A sum runs from +0
+// over ascending (image, pixel) with plain adds before it meets db, the
+// order SumAxis0Into takes over the lowered matrix; four channels go at
+// a time so the four dependent add chains overlap.
+func packConvGrad64(dst, db, dout []float64, n, outC, p int) {
+	np := n * p
+	for jc := 0; jc < outC; jc += 8 {
+		panel := dst[jc*np:][:np*8]
+		w8 := min(8, outC-jc)
+		j := 0
+		for ; j+4 <= w8; j += 4 {
+			var s0, s1, s2, s3 float64
+			for b := 0; b < n; b++ {
+				src := dout[(b*outC+jc+j)*p:][:4*p]
+				a0, a1, a2, a3 := src[:p], src[p:2*p], src[2*p:3*p], src[3*p:]
+				d := panel[b*p*8+j:]
+				for pix, v0 := range a0 {
+					v1, v2, v3 := a1[pix], a2[pix], a3[pix]
+					q := (*[4]float64)(d[pix*8:])
+					q[0], q[1], q[2], q[3] = v0, v1, v2, v3
+					s0, s1, s2, s3 = s0+v0, s1+v1, s2+v2, s3+v3
+				}
+			}
+			if db != nil {
+				db[jc+j] += s0
+				db[jc+j+1] += s1
+				db[jc+j+2] += s2
+				db[jc+j+3] += s3
+			}
+		}
+		for ; j < w8; j++ {
+			sum := 0.0
+			for b := 0; b < n; b++ {
+				d := panel[b*p*8+j:]
+				for pix, v := range dout[(b*outC+jc+j)*p:][:p] {
+					d[pix*8] = v
+					sum += v
+				}
+			}
+			if db != nil {
+				db[jc+j] += sum
+			}
+		}
+		for ; j < 8; j++ {
+			for q := 0; q < np; q++ {
+				panel[q*8+j] = 0
+			}
+		}
+	}
+}

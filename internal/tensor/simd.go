@@ -20,6 +20,35 @@ func gemm4x8Go(k int, ap, bp, c []float64, ldc int) {
 	}
 }
 
+func conv4x8Go(ap, xp []float64, c, kh, kw, plane, wp int, tile *[32]float64) {
+	for r := 0; r < 4; r++ {
+		for j := 0; j < 8; j++ {
+			acc, p := 0.0, 0
+			for ch := 0; ch < c; ch++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						acc = math.FMA(ap[p*4+r], xp[ch*plane+ky*wp+kx+j], acc)
+						p++
+					}
+				}
+			}
+			tile[r*8+j] = acc
+		}
+	}
+}
+
+func gemm4x8AddGo(k int, ap, bp, c []float64, off, ldc, jlo, jhi int) {
+	for r := 0; r < 4; r++ {
+		for j := jlo; j < jhi; j++ {
+			acc := 0.0
+			for p := 0; p < k; p++ {
+				acc = math.FMA(ap[p*4+r], bp[p*8+j], acc)
+			}
+			c[off+r*ldc+j] += acc
+		}
+	}
+}
+
 func axpyFMAGo(alpha float64, x, y []float64) {
 	if len(x) < len(y) {
 		panic("tensor: axpy length mismatch")

@@ -8,6 +8,12 @@ import "os"
 func gemm4x8AVX(k int, ap, bp, c *float64, ldc int)
 
 //go:noescape
+func conv4x8AVX(ap, xp *float64, c, kh, kw, plane, wp int, tile *float64)
+
+//go:noescape
+func gemm4x8AddAVX(k int, ap, bp, c *float64, off, ldc int, mask *int64)
+
+//go:noescape
 func axpyAVX(alpha float64, x, y *float64, n int)
 
 //go:noescape
@@ -75,6 +81,44 @@ func gemm4x8(k int, ap, bp, c []float64, ldc int) {
 	}
 	gemm4x8Go(k, ap, bp, c, ldc)
 }
+
+// conv4x8 overwrites tile (row stride 8) with the zero-seeded 4×8 product
+// of the packed panel ap and a B panel read in place from bordered input
+// planes: row p = (ch, ky, kx) of B is xp[ch*plane+ky*wp+kx ..+8), for
+// ch < c, ky < kh, kx < kw in ascending p.
+func conv4x8(ap, xp []float64, c, kh, kw, plane, wp int, tile *[32]float64) {
+	if useAVX {
+		_, _ = ap[c*kh*kw*4-1], xp[(c-1)*plane+(kh-1)*wp+kw+6]
+		conv4x8AVX(&ap[0], &xp[0], c, kh, kw, plane, wp, &tile[0])
+		return
+	}
+	conv4x8Go(ap, xp, c, kh, kw, plane, wp, tile)
+}
+
+// gemm4x8Add adds the zero-seeded 4×8 product of the packed panels ap and
+// bp (k steps) to c: lane j of row r joins c[off+r*ldc+j] for jlo <= j <
+// jhi; the other lanes are dropped, and off+r*ldc+j may lie outside c for
+// them.
+func gemm4x8Add(k int, ap, bp, c []float64, off, ldc, jlo, jhi int) {
+	if useAVX {
+		_, _, _, _ = ap[k*4-1], bp[k*8-1], c[off+jlo], c[off+3*ldc+jhi-1]
+		gemm4x8AddAVX(k, &ap[0], &bp[0], &c[0], off, ldc, &laneMasks[jlo][jhi][0])
+		return
+	}
+	gemm4x8AddGo(k, ap, bp, c, off, ldc, jlo, jhi)
+}
+
+// laneMasks[jlo][jhi] is the VMASKMOVPD mask selecting lanes [jlo,jhi).
+var laneMasks = func() (m [9][9][8]int64) {
+	for jlo := range m {
+		for jhi := range m[jlo] {
+			for j := jlo; j < jhi; j++ {
+				m[jlo][jhi][j] = -1
+			}
+		}
+	}
+	return
+}()
 
 // axpyFMA performs y[i] = fma(alpha, x[i], y[i]) elementwise.
 func axpyFMA(alpha float64, x, y []float64) {

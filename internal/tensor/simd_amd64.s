@@ -137,3 +137,143 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// The 4×8 FMA step shared by the convolution micro-kernels below: B row
+// in Y8/Y9, the four A values broadcast from (SI), accumulators Y0..Y7.
+#define FMA4X8 \
+	VBROADCASTSD (SI), Y10      \
+	VFMADD231PD  Y8, Y10, Y0    \
+	VFMADD231PD  Y9, Y10, Y1    \
+	VBROADCASTSD 8(SI), Y11     \
+	VFMADD231PD  Y8, Y11, Y2    \
+	VFMADD231PD  Y9, Y11, Y3    \
+	VBROADCASTSD 16(SI), Y12    \
+	VFMADD231PD  Y8, Y12, Y4    \
+	VFMADD231PD  Y9, Y12, Y5    \
+	VBROADCASTSD 24(SI), Y13    \
+	VFMADD231PD  Y8, Y13, Y6    \
+	VFMADD231PD  Y9, Y13, Y7    \
+	ADDQ         $32, SI
+
+#define ZERO4X8 \
+	VXORPD Y0, Y0, Y0 \
+	VXORPD Y1, Y1, Y1 \
+	VXORPD Y2, Y2, Y2 \
+	VXORPD Y3, Y3, Y3 \
+	VXORPD Y4, Y4, Y4 \
+	VXORPD Y5, Y5, Y5 \
+	VXORPD Y6, Y6, Y6 \
+	VXORPD Y7, Y7, Y7
+
+// func conv4x8AVX(ap, xp *float64, c, kh, kw, plane, wp int, tile *float64)
+//
+// The forward convolution micro-kernel: gemm4x8 with the B panel read in
+// place. Row p = (ch, ky, kx) of the panel is the eight doubles at
+// xp[ch*plane + ky*wp + kx], so three nested counters step the B pointer
+// where gemm4x8AVX advances it by one packed row; the A panel and the
+// ascending-p FMA chain per element are the same. The tile (row stride 8)
+// is seeded with +0 and overwritten.
+TEXT ·conv4x8AVX(SB), NOSPLIT, $0-64
+	MOVQ ap+0(FP), SI
+	MOVQ xp+8(FP), DI
+	MOVQ c+16(FP), R8
+	MOVQ kh+24(FP), R9
+	MOVQ kw+32(FP), R10
+	MOVQ plane+40(FP), R11
+	MOVQ wp+48(FP), R12
+	MOVQ tile+56(FP), DX
+	SHLQ $3, R11
+	SHLQ $3, R12
+	ZERO4X8
+
+convch:
+	MOVQ DI, R13
+	MOVQ R9, AX
+
+convky:
+	MOVQ R13, BX
+	MOVQ R10, CX
+
+convkx:
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	FMA4X8
+	ADDQ    $8, BX
+	DECQ    CX
+	JNZ     convkx
+	ADDQ    R12, R13
+	DECQ    AX
+	JNZ     convky
+	ADDQ    R11, DI
+	DECQ    R8
+	JNZ     convch
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// func gemm4x8AddAVX(k int, ap, bp, c *float64, off, ldc int, mask *int64)
+//
+// The input-gradient micro-kernel: the 4×8 product of the packed panels
+// accumulates from +0 in registers (the per-tap chain), then joins C by a
+// plain add, C first: row r of the tile goes to c[off + r*ldc ..+8). mask
+// holds eight lane words (all ones = live); dead lanes are neither read
+// nor written, so they may lie outside the buffer — a tile clipped at
+// the image border adds only the lanes that land inside.
+TEXT ·gemm4x8AddAVX(SB), NOSPLIT, $0-56
+	MOVQ k+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ c+24(FP), DX
+	MOVQ off+32(FP), AX
+	MOVQ ldc+40(FP), R8
+	MOVQ mask+48(FP), BX
+	LEAQ (DX)(AX*8), DX
+	SHLQ $3, R8
+	ZERO4X8
+
+addloop:
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	FMA4X8
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     addloop
+
+	VMOVDQU (BX), Y14
+	VMOVDQU 32(BX), Y15
+	VMASKMOVPD (DX), Y14, Y8
+	VMASKMOVPD 32(DX), Y15, Y9
+	VADDPD     Y0, Y8, Y8
+	VADDPD     Y1, Y9, Y9
+	VMASKMOVPD Y8, Y14, (DX)
+	VMASKMOVPD Y9, Y15, 32(DX)
+	ADDQ       R8, DX
+	VMASKMOVPD (DX), Y14, Y8
+	VMASKMOVPD 32(DX), Y15, Y9
+	VADDPD     Y2, Y8, Y8
+	VADDPD     Y3, Y9, Y9
+	VMASKMOVPD Y8, Y14, (DX)
+	VMASKMOVPD Y9, Y15, 32(DX)
+	ADDQ       R8, DX
+	VMASKMOVPD (DX), Y14, Y8
+	VMASKMOVPD 32(DX), Y15, Y9
+	VADDPD     Y4, Y8, Y8
+	VADDPD     Y5, Y9, Y9
+	VMASKMOVPD Y8, Y14, (DX)
+	VMASKMOVPD Y9, Y15, 32(DX)
+	ADDQ       R8, DX
+	VMASKMOVPD (DX), Y14, Y8
+	VMASKMOVPD 32(DX), Y15, Y9
+	VADDPD     Y6, Y8, Y8
+	VADDPD     Y7, Y9, Y9
+	VMASKMOVPD Y8, Y14, (DX)
+	VMASKMOVPD Y9, Y15, 32(DX)
+	VZEROUPPER
+	RET

@@ -11,6 +11,14 @@ func gemm4x8(k int, ap, bp, c []float64, ldc int) {
 	gemm4x8Go(k, ap, bp, c, ldc)
 }
 
+func conv4x8(ap, xp []float64, c, kh, kw, plane, wp int, tile *[32]float64) {
+	conv4x8Go(ap, xp, c, kh, kw, plane, wp, tile)
+}
+
+func gemm4x8Add(k int, ap, bp, c []float64, off, ldc, jlo, jhi int) {
+	gemm4x8AddGo(k, ap, bp, c, off, ldc, jlo, jhi)
+}
+
 func axpyFMA(alpha float64, x, y []float64) {
 	axpyFMAGo(alpha, x, y)
 }
