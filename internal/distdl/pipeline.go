@@ -15,8 +15,10 @@ import (
 // replica group runs the model as an S-stage pipeline over its own
 // minibatch shard; corresponding stages across replicas form
 // data-parallel groups that average their chunk gradients. Both axes are
-// mpi.SubComms from Comm.Split, so pipeline p2p traffic and per-stage
-// allreduce rings coexist without cross-talk (disjoint tag blocks).
+// groups split off the given communicator, so pipeline p2p traffic and
+// per-stage allreduce rings coexist without cross-talk (disjoint tag
+// blocks), and a wrapped communicator (tracing, fault injection) sees the
+// traffic on both.
 //
 // Gradient sync overlaps with the pipeline tail: the pipeline engine
 // fires a hook the moment a chunk's last micro-batch backward completes,
@@ -29,17 +31,17 @@ import (
 // PipelineTrainer drives one rank of a 2D data×pipeline grid. It
 // implements Stepper; construct it via New(..., WithPipeline(...)).
 type PipelineTrainer struct {
-	Comm  *mpi.Comm
+	Comm  mpi.Communicator
 	Model *nn.Sequential
 	Loss  nn.Loss
 	Opt   nn.Optimizer
 	Cfg   Config
 
 	stage   *pipeline.Stage
-	pipe    *mpi.SubComm // this rank's replica group (pipeline axis)
-	dp      *mpi.SubComm // this rank's stage group (data axis)
-	rep     int          // replica index: world rank / stages
-	stageID int          // pipeline stage: world rank % stages
+	pipe    mpi.Communicator // this rank's replica group (pipeline axis)
+	dp      mpi.Communicator // this rank's stage group (data axis)
+	rep     int              // replica index: world rank / stages
+	stageID int              // pipeline stage: world rank % stages
 
 	localParams []*nn.Param // concatenated params of this rank's chunks
 	chunkBuf    [][]float64 // per-chunk flat gradient buffers (local only)
@@ -53,11 +55,7 @@ type PipelineTrainer struct {
 // newPipelineTrainer splits comm into the 2D grid and builds this rank's
 // pipeline stage. Parameters are broadcast from world rank 0 first, so
 // every replica and stage starts from identical weights.
-func newPipelineTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config, pc pipeOptions) *PipelineTrainer {
-	wc, ok := comm.(*mpi.Comm)
-	if !ok {
-		panic(fmt.Sprintf("distdl: WithPipeline needs a concrete *mpi.Comm to split, got %T", comm))
-	}
+func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config, pc pipeOptions) *PipelineTrainer {
 	W, S := wc.Size(), pc.stages
 	if S < 1 || W%S != 0 {
 		panic(fmt.Sprintf("distdl: world size %d is not divisible by %d pipeline stages", W, S))
@@ -111,7 +109,7 @@ func (t *PipelineTrainer) chunkHook(chunk int, params []*nn.Param) {
 	buf = nn.FlattenGradsInto(buf, params)
 	t.chunkBuf[chunk] = buf
 	c0 := time.Now()
-	t.dp.AllreduceInPlace(buf, mpi.OpSum)
+	t.dp.AllreduceInPlace(buf, mpi.OpSum, mpi.AlgoRing)
 	t.commNS += time.Since(c0).Nanoseconds()
 	tensor.VecScaleInto(buf, buf, 1/float64(t.dp.Size()))
 	nn.UnflattenGrads(params, buf)
@@ -133,7 +131,7 @@ func (t *PipelineTrainer) Step(x, y *tensor.Tensor) float64 {
 	c0 := time.Now()
 	if t.dp.Size() > 1 {
 		t.lossBuf[0] = loss
-		t.dp.AllreduceInPlace(t.lossBuf, mpi.OpSum)
+		t.dp.AllreduceInPlace(t.lossBuf, mpi.OpSum, mpi.AlgoRing)
 		loss = t.lossBuf[0] / float64(t.dp.Size())
 	}
 	now := time.Now()

@@ -71,6 +71,13 @@ func microAccumGrads(model *nn.Sequential, loss nn.Loss, x, y *tensor.Tensor, M 
 
 func run2DEquivalence(t *testing.T, S, R, M, steps int, sched pipeline.Schedule) {
 	t.Helper()
+	run2DEquivalenceOver(t, S, R, M, steps, sched, func(c *mpi.Comm) mpi.Communicator { return c })
+}
+
+// run2DEquivalenceOver is run2DEquivalence with the trainer handed
+// wrap(c) instead of the bare world communicator.
+func run2DEquivalenceOver(t *testing.T, S, R, M, steps int, sched pipeline.Schedule, wrap func(*mpi.Comm) mpi.Communicator) {
+	t.Helper()
 	const rowsPerShard = 8
 	loss := nn.SoftmaxCrossEntropy{}
 
@@ -121,7 +128,7 @@ func run2DEquivalence(t *testing.T, S, R, M, steps int, sched pipeline.Schedule)
 	w := mpi.NewWorld(S * R)
 	err := w.Run(func(c *mpi.Comm) error {
 		model := build2DModel(3)
-		tr := New(c, model, loss, nn.NewSGD(0.9, 0),
+		tr := New(wrap(c), model, loss, nn.NewSGD(0.9, 0),
 			WithSchedule(nn.ConstLR(0.05)),
 			WithPipeline(S, M, sched),
 		).(*PipelineTrainer)
@@ -172,6 +179,53 @@ func Test2DGPipeTwoByTwo(t *testing.T)    { run2DEquivalence(t, 2, 2, 4, 3, pipe
 func Test2DOneFOneBTwoByTwo(t *testing.T) { run2DEquivalence(t, 2, 2, 4, 3, pipeline.OneFOneB) }
 func Test2DOneFOneBThreeStages(t *testing.T) {
 	run2DEquivalence(t, 3, 2, 4, 2, pipeline.OneFOneB)
+}
+
+// countingComm is a minimal interposer: it counts the calls that reach
+// the wire through it and wraps the groups its Split returns, the way a
+// tracing or fault-injecting communicator does. Each rank owns its counts.
+type countingComm struct {
+	mpi.Communicator
+	n *struct{ splits, sends, allreduces int }
+}
+
+func (c countingComm) Split(color, key int) mpi.Communicator {
+	c.n.splits++
+	child := c.Communicator.Split(color, key)
+	if child == nil {
+		return nil
+	}
+	return countingComm{child, c.n}
+}
+
+func (c countingComm) Send(dst, tag int, data []float64) {
+	c.n.sends++
+	c.Communicator.Send(dst, tag, data)
+}
+
+func (c countingComm) AllreduceInPlace(data []float64, op mpi.ReduceOp, algo mpi.Algo) {
+	c.n.allreduces++
+	c.Communicator.AllreduceInPlace(data, op, algo)
+}
+
+// Test2DOverWrappedCommunicator pins the WithPipeline seam: handed any
+// mpi.Communicator, the 2D trainer splits it through the interface, so
+// the pipeline p2p traffic and the per-chunk gradient sync of both axes
+// go through the wrapper — and the run stays bitwise equal to the
+// reference (hence to the run over the bare *mpi.Comm above).
+func Test2DOverWrappedCommunicator(t *testing.T) {
+	const S, R, M, steps = 2, 2, 4, 3
+	counts := make([]struct{ splits, sends, allreduces int }, S*R)
+	run2DEquivalenceOver(t, S, R, M, steps, pipeline.OneFOneB, func(c *mpi.Comm) mpi.Communicator {
+		return countingComm{c, &counts[c.Rank()]}
+	})
+	for r, n := range counts {
+		// Two axes; at least one activation or gradient leaves every stage
+		// per micro-batch; one loss sync per step plus the chunk syncs.
+		if n.splits != 2 || n.sends < steps*M || n.allreduces <= steps {
+			t.Fatalf("rank %d: wrapper saw %+v", r, n)
+		}
+	}
 }
 
 // Test2DPurePipeline pins the R = 1 degenerate case: WithPipeline with

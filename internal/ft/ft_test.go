@@ -1,11 +1,17 @@
 package ft
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/distdl"
 	"repro/internal/mpi"
+	"repro/internal/nn"
+	"repro/internal/pipeline"
+	"repro/internal/tensor"
 )
 
 func TestPlanValidate(t *testing.T) {
@@ -168,6 +174,49 @@ func TestInjectorIsTransparent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInjectorIsTransparentUnderPipeline runs a 2-stage × 2-replica
+// distdl.WithPipeline trainer over a pass-through injector and over the
+// bare *mpi.Comm: the injector's Split wraps both axis groups, its
+// Send/RecvInto/Probe carry the pipeline traffic, and every loss and
+// final parameter must come out bitwise equal.
+func TestInjectorIsTransparentUnderPipeline(t *testing.T) {
+	const S, R, M, steps = 2, 2, 4, 3
+	run := func(wrap func(*mpi.Comm) mpi.Communicator) [][]float64 {
+		out := make([][]float64, S*R)
+		w := mpi.NewWorld(S * R)
+		err := w.Run(func(c *mpi.Comm) error {
+			model := nn.MLP(rand.New(rand.NewSource(3)), 10, 18, 16, 14, 6)
+			tr := distdl.New(wrap(c), model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0),
+				distdl.WithPipeline(S, M, pipeline.OneFOneB)).(*distdl.PipelineTrainer)
+			rng := rand.New(rand.NewSource(int64(100 + tr.Replica())))
+			x := tensor.Randn(rng, 1, 8, 10)
+			y := tensor.New(8, 6)
+			for r := 0; r < 8; r++ {
+				y.Data()[r*6+rng.Intn(6)] = 1
+			}
+			for s := 0; s < steps; s++ {
+				out[c.Rank()] = append(out[c.Rank()], tr.Step(x, y))
+			}
+			tr.SyncFullModel()
+			out[c.Rank()] = append(out[c.Rank()], nn.FlattenValues(model.Params())...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	bare := run(func(c *mpi.Comm) mpi.Communicator { return c })
+	injected := run(func(c *mpi.Comm) mpi.Communicator { return (&Plan{}).Wrap(c, c.Rank()) })
+	for r := range bare {
+		for i := range bare[r] {
+			if math.Float64bits(injected[r][i]) != math.Float64bits(bare[r][i]) {
+				t.Fatalf("rank %d value %d: injected %v, bare %v", r, i, injected[r][i], bare[r][i])
+			}
+		}
 	}
 }
 

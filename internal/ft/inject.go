@@ -36,7 +36,14 @@ func AsRankFailure(r any) (RankFailure, bool) {
 // collective of that step — which keeps detection deterministic (a dead
 // rank's last heartbeat step is strictly behind the survivors').
 type Injector struct {
-	inner      mpi.Communicator
+	inner mpi.Communicator
+	*rankScript
+}
+
+// rankScript is one rank's slice of the plan plus its step clock. An
+// injector and the children its Split returns share one, so a group
+// communicator straggles and delays on the same schedule as its parent.
+type rankScript struct {
 	globalRank int
 	step       atomic.Int64
 	crashStep  int // -1 when the rank never crashes
@@ -49,7 +56,7 @@ var _ mpi.Communicator = (*Injector)(nil)
 // Wrap builds the injector for one global rank from the plan. A nil plan
 // yields a pass-through injector (still usable for step tracking).
 func (p *Plan) Wrap(c mpi.Communicator, globalRank int) *Injector {
-	inj := &Injector{inner: c, globalRank: globalRank, crashStep: -1}
+	inj := &Injector{inner: c, rankScript: &rankScript{globalRank: globalRank, crashStep: -1}}
 	if p != nil {
 		for _, e := range p.Events {
 			if e.Rank != globalRank {
@@ -117,17 +124,23 @@ func (inj *Injector) Send(dst, tag int, data []float64) {
 	inj.inner.Send(dst, tag, data)
 }
 
-func (inj *Injector) Recv(src, tag int) ([]float64, int) {
+func (inj *Injector) RecvInto(src, tag int, buf []float64) (int, int) {
 	inj.straggle()
-	return inj.inner.Recv(src, tag)
-}
-
-func (inj *Injector) RecvTimeout(src, tag int, timeout time.Duration) ([]float64, int, bool) {
-	inj.straggle()
-	return inj.inner.RecvTimeout(src, tag, timeout)
+	return inj.inner.RecvInto(src, tag, buf)
 }
 
 func (inj *Injector) Probe(src, tag int) bool { return inj.inner.Probe(src, tag) }
+
+// Split splits the inner communicator and wraps this rank's child with
+// the same script and step clock.
+func (inj *Injector) Split(color, key int) mpi.Communicator {
+	inj.straggle()
+	child := inj.inner.Split(color, key)
+	if child == nil {
+		return nil
+	}
+	return &Injector{inner: child, rankScript: inj.rankScript}
+}
 
 func (inj *Injector) Barrier() {
 	inj.straggle()
@@ -137,11 +150,6 @@ func (inj *Injector) Barrier() {
 func (inj *Injector) Bcast(root int, data []float64) []float64 {
 	inj.straggle()
 	return inj.inner.Bcast(root, data)
-}
-
-func (inj *Injector) Reduce(root int, data []float64, op mpi.ReduceOp) []float64 {
-	inj.straggle()
-	return inj.inner.Reduce(root, data, op)
 }
 
 func (inj *Injector) Allreduce(data []float64, op mpi.ReduceOp, algo mpi.Algo) []float64 {
@@ -167,11 +175,6 @@ func (inj *Injector) AllreduceInPlace(data []float64, op mpi.ReduceOp, algo mpi.
 	inj.inner.AllreduceInPlace(data, op, algo)
 }
 
-func (inj *Injector) AllreduceMean(data []float64, algo mpi.Algo) []float64 {
-	inj.straggle()
-	return inj.inner.AllreduceMean(data, algo)
-}
-
 func (inj *Injector) AllreduceMeanInPlace(data []float64, algo mpi.Algo) {
 	inj.straggle()
 	inj.inner.AllreduceMeanInPlace(data, algo)
@@ -195,9 +198,4 @@ func (inj *Injector) Allgather(data []float64) []float64 {
 func (inj *Injector) Gather(root int, data []float64) [][]float64 {
 	inj.straggle()
 	return inj.inner.Gather(root, data)
-}
-
-func (inj *Injector) Scatter(root int, parts [][]float64) []float64 {
-	inj.straggle()
-	return inj.inner.Scatter(root, parts)
 }

@@ -16,25 +16,18 @@ import "sync"
 // different from mailbox order; such edges simply go unmatched in the
 // merge rather than corrupting it.
 
-// subCommTagStride is the tag-block stride of SubComm (split.go): each
-// sub-communicator offsets its user tags by subCommTagStride*(lowest
-// member+1), so tag/subCommTagStride recovers a stable communicator id
-// (0 = world).
-const subCommTagStride = maxUserTag * 64
-
-// traceTag reports whether p2p traffic on tag belongs to a user-visible
-// stream worth a causal span: plain user tags and SubComm-offset user
-// tags. The internal collective band [maxUserTag, subCommTagStride) —
-// barrier/bcast/… handshakes and the iallreduce segment band, whose
-// background-goroutine traffic would break per-rank seq ordering — is
-// deliberately excluded; collectives are traced as single
-// SpanCollective spans instead.
-func traceTag(tag int) bool {
-	return tag < maxUserTag || tag >= subCommTagStride
+// traceTag reports whether p2p traffic on a wire tag (group tag block +
+// local tag) belongs to a user-visible stream worth a causal span: plain
+// user tags on the world, and everything in a split group's block —
+// user tags and the group's own collective traffic alike, since group
+// collectives get no collective span (see Comm.collective). The world's
+// internal band [maxUserTag, commTagStride) — barrier/bcast/… handshakes
+// and the iallreduce segment band, whose background-goroutine traffic
+// would break per-rank seq ordering — is deliberately excluded; world
+// collectives are traced as single SpanCollective spans instead.
+func traceTag(wtag int) bool {
+	return wtag < maxUserTag || wtag >= commTagStride
 }
-
-// commIDFor maps a tag to its communicator id (0 = world).
-func commIDFor(tag int) int { return tag / subCommTagStride }
 
 // rankCausal holds one rank's per-stream sequence counters, keyed by
 // (tag, peer). A mutex (not atomics) because the maps grow; the cost is

@@ -6,9 +6,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The tag-band policy: user p2p traffic and SubComm traffic get causal
-// spans; the runtime's internal collective/iallreduce payload bands do
+// The tag-band policy: user p2p traffic and split-group traffic get causal
+// spans; the world's internal collective/iallreduce payload bands do
 // not (they are already summarized by the enclosing collective span).
+// A group's tag block starts at its comm id times the stride.
 func TestTraceTagBands(t *testing.T) {
 	cases := []struct {
 		tag    int
@@ -17,18 +18,18 @@ func TestTraceTagBands(t *testing.T) {
 	}{
 		{0, true, 0},
 		{maxUserTag - 1, true, 0},
-		{maxUserTag, false, 0},             // collective internal band
-		{tagIallreduceBase, false, 0},      // iallreduce band
-		{subCommTagStride - 1, false, 0},   // top of the internal band
-		{subCommTagStride, true, 1},        // SubComm block for members[0]=0
-		{subCommTagStride*3 + 17, true, 3}, // SubComm block for members[0]=2
+		{maxUserTag, false, 0},          // collective internal band
+		{tagIallreduceBase, false, 0},   // iallreduce band
+		{commTagStride - 1, false, 0},   // top of the internal band
+		{commTagStride, true, 1},        // block of the first split group
+		{commTagStride*3 + 17, true, 3}, // block of comm id 3
 	}
 	for _, c := range cases {
 		if got := traceTag(c.tag); got != c.traced {
 			t.Fatalf("traceTag(%d) = %v, want %v", c.tag, got, c.traced)
 		}
-		if got := commIDFor(c.tag); got != c.comm {
-			t.Fatalf("commIDFor(%d) = %d, want %d", c.tag, got, c.comm)
+		if got := newGroup(c.comm, nil).tagBase; got != c.tag-c.tag%commTagStride {
+			t.Fatalf("comm %d tag base = %d, does not cover tag %d", c.comm, got, c.tag)
 		}
 	}
 }
@@ -143,15 +144,15 @@ func TestCollectiveSeqMatchesAcrossRanks(t *testing.T) {
 	}
 }
 
-// SubComm p2p traffic is user-meaningful and IS traced, in its own
+// Split-group p2p traffic is user-meaningful and IS traced, in its own
 // comm-id namespace so group-local streams never collide with world
 // streams.
-func TestSubCommP2PTraced(t *testing.T) {
+func TestGroupP2PTraced(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	w := NewWorld(4)
 	w.SetTracer(tr)
 	err := w.Run(func(c *Comm) error {
-		g := c.Split(c.Rank()%2, 0)
+		g := c.split(c.Rank()%2, 0)
 		if g.Rank() == 0 {
 			g.Send(1, 3, []float64{7})
 		} else {
@@ -169,11 +170,11 @@ func TestSubCommP2PTraced(t *testing.T) {
 		}
 		p2p++
 		if s.CommID < 1 {
-			t.Fatalf("SubComm p2p span has world comm id: %+v", s)
+			t.Fatalf("group p2p span has world comm id: %+v", s)
 		}
 	}
 	if p2p != 4 {
-		t.Fatalf("SubComm p2p spans %d, want 4 (2 sends + 2 recvs)", p2p)
+		t.Fatalf("group p2p spans %d, want 4 (2 sends + 2 recvs)", p2p)
 	}
 }
 

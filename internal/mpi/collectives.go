@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/tensor"
 )
@@ -93,168 +94,136 @@ func (c *Comm) Barrier() {
 }
 
 // Bcast distributes root's buffer to all ranks via a binomial tree and
-// returns each rank's copy (root returns data unchanged).
+// returns each rank's copy (root returns data unchanged; every other rank
+// ignores its argument and owns the buffer it gets back).
 func (c *Comm) Bcast(root int, data []float64) []float64 {
-	p := c.Size()
 	defer c.collective(KindBcast, len(data), "")()
-	if p == 1 {
-		return data
-	}
+	return c.bcastTree(root, data, false)
+}
+
+// BcastInto is Bcast received in place: root's data lands in every other
+// rank's data (lengths must match across the group) and the wire buffers
+// return to the pool, so the steady state allocates nothing.
+func (c *Comm) BcastInto(root int, data []float64) {
+	defer c.collective(KindBcast, len(data), "")()
+	c.bcastTree(root, data, true)
+}
+
+// bcastTree is the binomial-tree schedule behind both broadcast forms; into
+// selects RecvInto(buf) over Recv on the receiving side.
+func (c *Comm) bcastTree(root int, buf []float64, into bool) []float64 {
+	p := c.Size()
 	// Work in a rotated rank space where root is 0.
 	vr := (c.rank - root + p) % p
-	buf := data
 	if vr != 0 {
 		// Receive from parent: the rank with vr's highest set bit cleared,
 		// mirroring the send loop below (vr sends to vr+dist for dist > vr).
-		hb := 1
-		for hb*2 <= vr {
-			hb *= 2
+		parent := (vr - 1<<(bits.Len(uint(vr))-1) + root) % p
+		if into {
+			c.RecvInto(parent, tagBcast, buf)
+		} else {
+			buf, _ = c.Recv(parent, tagBcast)
 		}
-		parent := (vr - hb + root) % p
-		buf, _ = c.Recv(parent, tagBcast)
 	}
 	// Send to children: vr + 2^k for k above vr's highest set bit.
-	for dist := nextPow2Above(vr); vr+dist < p; dist *= 2 {
+	for dist := 1 << bits.Len(uint(vr)); vr+dist < p; dist *= 2 {
 		child := (vr + dist + root) % p
 		c.Send(child, tagBcast, buf)
 	}
 	return buf
 }
 
-// nextPow2Above returns the smallest power of two strictly greater than
-// vr's highest set bit (1 when vr==0).
-func nextPow2Above(vr int) int {
-	if vr == 0 {
-		return 1
-	}
-	d := 1
-	for d <= vr {
-		d *= 2
-	}
-	return d
+// fold receives one message from src and combines it into dst straight out
+// of the wire buffer, which then goes back to the pool: the receive step of
+// every reduction schedule below. Returns the element count.
+func (c *Comm) fold(src, tag int, dst []float64, combine func(dst, src []float64)) int {
+	got, _ := c.Recv(src, tag)
+	combine(dst[:len(got)], got)
+	c.world.wire.put(got)
+	return len(got)
 }
 
+// copyInto is the combine that makes a ring pass pure data movement.
+func copyInto(dst, src []float64) { copy(dst, src) }
+
 // Reduce combines every rank's data at root with op (binomial tree).
-// Non-root ranks return nil.
+// Non-root ranks return nil; root owns the result.
 func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
-	p := c.Size()
-	defer c.collective(KindReduce, len(data), op.Name)()
-	// acc comes from the wire pool: the root's copy leaves as the caller-
-	// owned result (receiver-owns contract, pool refills on demand), while
-	// non-root copies die at their Send and go straight back.
 	acc := c.world.wire.get(len(data))
 	copy(acc, data)
-	if p == 1 {
-		return acc
-	}
-	vr := (c.rank - root + p) % p
-	for dist := 1; dist < p; dist *= 2 {
-		if vr&dist != 0 {
-			parent := (vr - dist + root) % p
-			c.Send(parent, tagReduce, acc)
-			c.world.wire.put(acc)
-			return nil
-		}
-		if vr+dist < p {
-			child := (vr + dist + root) % p
-			part, _ := c.Recv(child, tagReduce)
-			op.Combine(acc, part)
-			c.world.wire.put(part)
-		}
+	c.reduceInPlace(root, acc, op)
+	if c.rank != root {
+		c.world.wire.put(acc)
+		return nil
 	}
 	return acc
 }
 
-// Allreduce combines data across all ranks with op so that every rank
-// obtains the same result, using the requested algorithm.
-func (c *Comm) Allreduce(data []float64, op ReduceOp, algo Algo) []float64 {
-	algo = c.resolveAlgo(algo, len(data))
-	// The span carries the *resolved* algorithm so Auto runs are still
-	// attributable per-regime in the trace.
-	defer c.collective(KindAllreduce, len(data), string(algo))()
-	if c.Size() == 1 {
-		out := c.world.wire.get(len(data))
-		copy(out, data)
-		return out
-	}
-	switch algo {
-	case AlgoNaive:
-		return c.allreduceNaive(data, op)
-	case AlgoTree:
-		out := c.Reduce(0, data, op)
-		if c.rank != 0 {
-			out = nil
+// reduceInPlace is the binomial-tree reduction combining into acc: root's
+// acc ends as the result, every other rank's as the partial sum it sent up.
+func (c *Comm) reduceInPlace(root int, acc []float64, op ReduceOp) {
+	p := c.Size()
+	defer c.collective(KindReduce, len(acc), op.Name)()
+	vr := (c.rank - root + p) % p
+	for dist := 1; dist < p; dist *= 2 {
+		if vr&dist != 0 {
+			c.Send((vr-dist+root)%p, tagReduce, acc)
+			return
 		}
-		return c.Bcast(0, out)
-	case AlgoRing:
-		return c.allreduceRing(data, op)
-	case AlgoRecursiveDoubling:
-		return c.allreduceRecDoubling(data, op)
-	case AlgoGCE:
-		return c.world.gce.allreduce(data, op)
-	default:
-		panic(fmt.Sprintf("mpi: unknown allreduce algorithm %q", algo))
+		if vr+dist < p {
+			c.fold((vr+dist+root)%p, tagReduce, acc, op.Combine)
+		}
 	}
+}
+
+// Allreduce combines data across all ranks with op so that every rank
+// obtains the same result, using the requested algorithm. The caller owns
+// the returned vector; data is left untouched.
+func (c *Comm) Allreduce(data []float64, op ReduceOp, algo Algo) []float64 {
+	out := c.world.wire.get(len(data))
+	copy(out, data)
+	c.allreduce(out, op, algo, false)
+	return out
 }
 
 // AllreduceInPlace combines data across all ranks with op, overwriting
-// data with the result on every rank — the zero-copy twin of Allreduce.
-// Ring and recursive doubling have native in-place cores whose wire
-// buffers fully recirculate through the pool (zero allocations in steady
-// state, and bitwise identical to the allocating forms); the remaining
-// algorithms run their allocating path and copy back, returning the
-// intermediate to the pool. This is the path distdl bucket sync and the
-// pipeline gradient drain ride.
+// data with the result on every rank. Every algorithm reduces natively in
+// place — no result vector is allocated, and the wire buffers a call
+// borrows all return to the pool — so this is the path distdl bucket sync
+// and the pipeline gradient drain ride, and the one Allreduce wraps.
 func (c *Comm) AllreduceInPlace(data []float64, op ReduceOp, algo Algo) {
+	c.allreduce(data, op, algo, true)
+}
+
+// allreduce is the one dispatch behind every blocking allreduce form. The
+// span carries the *resolved* algorithm so Auto runs are still
+// attributable per-regime in the trace; inPlace only picks the attribute
+// spelling ("ring" / "ring-inplace") that tells the two entry points apart.
+func (c *Comm) allreduce(data []float64, op ReduceOp, algo Algo, inPlace bool) {
 	algo = c.resolveAlgo(algo, len(data))
-	defer c.collective(KindAllreduce, len(data), inPlaceAttr(algo))()
+	attr := string(algo)
+	if inPlace {
+		attr = inPlaceAttr(algo)
+	}
+	defer c.collective(KindAllreduce, len(data), attr)()
 	if c.Size() == 1 {
 		return
 	}
 	switch algo {
-	case AlgoRing:
-		c.allreduceRingInPlace(data, op)
-	case AlgoRecursiveDoubling:
-		c.allreduceRecDoublingInPlace(data, op)
 	case AlgoNaive:
-		out := c.allreduceNaive(data, op)
-		copy(data, out)
-		c.world.wire.put(out)
+		c.allreduceNaive(data, op)
 	case AlgoTree:
-		out := c.Reduce(0, data, op)
-		if c.rank != 0 {
-			out = nil
-		}
-		// Root's result is its own reduce accumulator (already copied onto
-		// the wire by Bcast's sends); non-roots exclusively own the buffer
-		// Bcast received. Either way out is dead after the copy-back.
-		out = c.Bcast(0, out)
-		copy(data, out)
-		c.world.wire.put(out)
+		c.reduceInPlace(0, data, op)
+		c.BcastInto(0, data)
+	case AlgoRing:
+		c.allreduceRing(data, op, tagRingRS, tagRingAG, len(data))
+	case AlgoRecursiveDoubling:
+		c.allreduceRecDoubling(data, op)
 	case AlgoGCE:
-		out := c.world.gce.allreduce(data, op)
-		copy(data, out)
-		c.world.wire.put(out)
+		c.world.gce.allreduce(&c.g.gce, c.Size(), data, op)
 	default:
 		panic(fmt.Sprintf("mpi: unknown allreduce algorithm %q", algo))
 	}
-}
-
-// allreduceRecDoublingInPlace mirrors allreduceRecDoubling but combines
-// into data, with the final vector received straight into data on the
-// pre-adjust ranks.
-func (c *Comm) allreduceRecDoublingInPlace(data []float64, op ReduceOp) {
-	p, r := c.Size(), c.rank
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	if r >= p2 {
-		c.Send(r-p2, tagRecAdjust, data)
-		c.RecvInto(r-p2, tagRecAdjust, data)
-		return
-	}
-	c.recDoublingCore(data, op, p2)
 }
 
 // inPlaceAttr returns the span attribute for an in-place collective.
@@ -297,24 +266,19 @@ func (c *Comm) resolveAlgo(algo Algo, elems int) Algo {
 // allreduceNaive gathers every vector at rank 0 sequentially, reduces, and
 // broadcasts with individual sends: the O(p) baseline the GCE and ring
 // algorithms are measured against.
-func (c *Comm) allreduceNaive(data []float64, op ReduceOp) []float64 {
+func (c *Comm) allreduceNaive(data []float64, op ReduceOp) {
 	p := c.Size()
-	if c.rank == 0 {
-		acc := c.world.wire.get(len(data))
-		copy(acc, data)
-		for src := 1; src < p; src++ {
-			part, _ := c.Recv(src, tagReduce)
-			op.Combine(acc, part)
-			c.world.wire.put(part)
-		}
-		for dst := 1; dst < p; dst++ {
-			c.Send(dst, tagBcast, acc)
-		}
-		return acc
+	if c.rank != 0 {
+		c.Send(0, tagReduce, data)
+		c.RecvInto(0, tagBcast, data)
+		return
 	}
-	c.Send(0, tagReduce, data)
-	out, _ := c.Recv(0, tagBcast)
-	return out
+	for src := 1; src < p; src++ {
+		c.fold(src, tagReduce, data, op.Combine)
+	}
+	for dst := 1; dst < p; dst++ {
+		c.Send(dst, tagBcast, data)
+	}
 }
 
 // chunkBounds splits n elements into p nearly equal chunks and returns the
@@ -323,158 +287,106 @@ func chunkBounds(n, p, i int) (int, int) {
 	return i * n / p, (i + 1) * n / p
 }
 
-// allreduceRing is the bandwidth-optimal ring algorithm used by Horovod:
-// a reduce-scatter pass (p-1 steps) followed by an allgather pass (p-1
-// steps); each rank sends 2·n·(p-1)/p elements total.
-func (c *Comm) allreduceRing(data []float64, op ReduceOp) []float64 {
-	acc := c.world.wire.get(len(data))
-	copy(acc, data)
-	c.allreduceRingInPlace(acc, op)
-	return acc
+// allreduceRing is the bandwidth-optimal ring algorithm used by Horovod,
+// in place on data: a reduce-scatter pass (p-1 steps, after which rank r
+// holds the full reduction of chunk r+1) followed by an allgather pass
+// (p-1 steps) circulating the reduced chunks; each rank sends 2·n·(p-1)/p
+// elements total. Blocking, nonblocking and sub-group callers differ only
+// in the tag pair and the segment length they pass, so for a fixed input
+// they all produce the same bits.
+func (c *Comm) allreduceRing(data []float64, op ReduceOp, tagRS, tagAG, seg int) {
+	c.ringPass(data, op.Combine, c.rank, tagRS, seg)
+	c.ringPass(data, copyInto, c.rank+1, tagAG, seg)
 }
 
-// allreduceRingInPlace is the ring algorithm combining directly into
-// data: ring segments arrive via RecvInto — the reduce-scatter phase
-// into one pooled scratch chunk, the allgather phase straight into its
-// destination window of data — so the steady state allocates nothing and
-// every wire buffer returns to the pool. The schedule (and therefore the
-// per-element combine order) is exactly allreduceRing's, so in-place and
-// allocating results are bitwise identical.
-func (c *Comm) allreduceRingInPlace(data []float64, op ReduceOp) {
-	p, r, n := c.Size(), c.rank, len(data)
-	if p == 1 {
-		return
-	}
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-	scratch := c.world.wire.get((n + p - 1) / p)
-	// Reduce-scatter: after step s, rank r holds the partial reduction of
-	// chunk (r-s) from ranks r-s..r.
+// ringPass is the ring schedule, written once. data is viewed as p chunks
+// (chunkBounds); in step s of p-1 a rank sends chunk start-s to its right
+// neighbor and folds the left neighbor's chunk start-s-1 into place with
+// combine — op.Combine makes the pass a reduce-scatter, copyInto an
+// allgather. A chunk travels as segments of at most seg elements (an empty
+// chunk as one empty message), all posted up front — sends are buffered
+// and never block — and drained one at a time, so a receiver combines
+// early segments while later ones are still in flight. With a single
+// outstanding receive per (src, tag) pair the mailbox's FIFO guarantee
+// makes matching positional, so no per-segment tags are needed; plain
+// Send/Recv rather than Isend/Irecv, which would add a request handle, a
+// done channel and a helper goroutine per segment for the same semantics
+// (a revocation panic unwinds to the caller either way). Each
+// segment is combined straight out of its wire buffer and the buffer
+// returned to the pool; together with Send drawing from that pool, a
+// steady-state ring performs no per-message heap allocation.
+func (c *Comm) ringPass(data []float64, combine func(dst, src []float64), start, tag, seg int) {
+	p, n := c.Size(), len(data)
+	right, left := (c.rank+1)%p, (c.rank-1+p)%p
 	for s := 0; s < p-1; s++ {
-		sendChunk := (r - s + p) % p
-		recvChunk := (r - s - 1 + p*2) % p
-		slo, shi := chunkBounds(n, p, sendChunk)
-		rlo, rhi := chunkBounds(n, p, recvChunk)
-		c.Send(right, tagRingRS, data[slo:shi])
-		got := scratch[:rhi-rlo]
-		c.RecvInto(left, tagRingRS, got)
-		op.Combine(data[rlo:rhi], got)
+		slo, shi := chunkBounds(n, p, (start-s+2*p)%p)
+		rlo, rhi := chunkBounds(n, p, (start-s-1+2*p)%p)
+		for lo := slo; ; {
+			hi := min(lo+seg, shi)
+			c.Send(right, tag, data[lo:hi])
+			if lo = hi; lo >= shi {
+				break
+			}
+		}
+		for lo := rlo; ; {
+			if lo += c.fold(left, tag, data[lo:rhi], combine); lo >= rhi {
+				break
+			}
+		}
 	}
-	// Allgather: circulate the fully reduced chunks, received in place.
-	for s := 0; s < p-1; s++ {
-		sendChunk := (r + 1 - s + p*2) % p
-		recvChunk := (r - s + p*2) % p
-		slo, shi := chunkBounds(n, p, sendChunk)
-		rlo, rhi := chunkBounds(n, p, recvChunk)
-		c.Send(right, tagRingAG, data[slo:shi])
-		c.RecvInto(left, tagRingAG, data[rlo:rhi])
-	}
-	c.world.wire.put(scratch)
 }
 
 // allreduceRecDoubling implements the latency-optimal recursive-doubling
-// algorithm with the standard pre/post adjustment for non-power-of-two
-// rank counts (extra ranks fold into partners first and receive the
-// result afterwards).
-func (c *Comm) allreduceRecDoubling(data []float64, op ReduceOp) []float64 {
+// algorithm in place, with the standard pre/post adjustment for
+// non-power-of-two rank counts: the p-p2 extra ranks fold their vector
+// into a partner first and receive the final result afterwards.
+func (c *Comm) allreduceRecDoubling(data []float64, op ReduceOp) {
 	p, r := c.Size(), c.rank
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	// Pre-adjust: ranks >= p2 send their vector to rank-p2 and wait for
-	// the final result. Send copies data onto the wire itself, and the
-	// received pool buffer is handed to the caller as-is (receiver-owns) —
-	// this path performs no copy of its own.
+	p2 := 1 << (bits.Len(uint(p)) - 1) // largest power of two <= p
 	if r >= p2 {
 		c.Send(r-p2, tagRecAdjust, data)
-		out, _ := c.Recv(r-p2, tagRecAdjust)
-		return out
+		c.RecvInto(r-p2, tagRecAdjust, data)
+		return
 	}
-	acc := c.world.wire.get(len(data))
-	copy(acc, data)
-	c.recDoublingCore(acc, op, p2)
-	return acc
-}
-
-// recDoublingCore runs the recursive-doubling exchange for ranks < p2,
-// combining into acc; scratch circulation is fully pooled. Callers handle
-// the >= p2 pre-adjust ranks.
-func (c *Comm) recDoublingCore(acc []float64, op ReduceOp, p2 int) {
-	p, r := c.Size(), c.rank
-	rem := p - p2
-	scratch := c.world.wire.get(len(acc))
-	if r < rem {
-		c.RecvInto(r+p2, tagRecAdjust, scratch)
-		op.Combine(acc, scratch)
+	if r < p-p2 {
+		c.fold(r+p2, tagRecAdjust, data, op.Combine)
 	}
 	// Recursive doubling among the power-of-two group.
 	for dist := 1; dist < p2; dist *= 2 {
-		partner := r ^ dist
-		c.Send(partner, tagRecDouble, acc)
-		c.RecvInto(partner, tagRecDouble, scratch)
-		op.Combine(acc, scratch)
+		c.Send(r^dist, tagRecDouble, data)
+		c.fold(r^dist, tagRecDouble, data, op.Combine)
 	}
-	// Post-adjust: return results to the folded ranks.
-	if r < rem {
-		c.Send(r+p2, tagRecAdjust, acc)
+	if r < p-p2 {
+		c.Send(r+p2, tagRecAdjust, data)
 	}
-	c.world.wire.put(scratch)
 }
 
 // ReduceScatter reduces across ranks and leaves rank r holding chunk r of
 // the result; returns the chunk.
 func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 	defer c.collective(KindReduceScatter, len(data), op.Name)()
-	p, r, n := c.Size(), c.rank, len(data)
-	if p == 1 {
-		out := c.world.wire.get(len(data))
-		copy(out, data)
-		return out
-	}
-	acc := c.world.wire.get(len(data))
+	wire := &c.world.wire
+	acc := wire.get(len(data))
 	copy(acc, data)
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-	// Ring indices shifted by one relative to allreduceRing so that the
-	// final fully-reduced chunk landing at rank r is chunk r (the
+	// The reduce-scatter pass started one chunk behind allreduceRing's, so
+	// that the fully reduced chunk landing at rank r is chunk r (the
 	// MPI_Reduce_scatter convention).
-	for s := 0; s < p-1; s++ {
-		sendChunk := (r - 1 - s + p*2) % p
-		recvChunk := (r - 2 - s + p*2) % p
-		slo, shi := chunkBounds(n, p, sendChunk)
-		rlo, rhi := chunkBounds(n, p, recvChunk)
-		got := c.SendRecv(right, tagRingRS, acc[slo:shi], left, tagRingRS)
-		op.Combine(acc[rlo:rhi], got)
-		c.world.wire.put(got)
-	}
-	lo, hi := chunkBounds(n, p, r)
-	out := c.world.wire.get(hi - lo)
+	c.ringPass(acc, op.Combine, c.rank-1, tagRingRS, len(acc))
+	lo, hi := chunkBounds(len(acc), c.Size(), c.rank)
+	out := wire.get(hi - lo)
 	copy(out, acc[lo:hi])
-	c.world.wire.put(acc)
+	wire.put(acc)
 	return out
 }
 
 // Allgather concatenates every rank's equally-sized buffer in rank order
-// at every rank (ring algorithm).
+// at every rank (the ring's allgather pass over one chunk per rank).
 func (c *Comm) Allgather(data []float64) []float64 {
 	defer c.collective(KindAllgather, len(data), "")()
-	p, r, n := c.Size(), c.rank, len(data)
-	out := make([]float64, n*p)
-	copy(out[r*n:(r+1)*n], data)
-	if p == 1 {
-		return out
-	}
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-	cur := (r + p) % p
-	for s := 0; s < p-1; s++ {
-		c.Send(right, tagAllgather, out[cur*n:(cur+1)*n])
-		got, _ := c.Recv(left, tagAllgather)
-		cur = (cur - 1 + p) % p
-		copy(out[cur*n:(cur+1)*n], got)
-		c.world.wire.put(got)
-	}
+	n := len(data)
+	out := make([]float64, n*c.Size())
+	copy(out[c.rank*n:], data)
+	c.ringPass(out, copyInto, c.rank, tagAllgather, n)
 	return out
 }
 
@@ -548,8 +460,9 @@ func (c *Comm) Alltoall(parts [][]float64) [][]float64 {
 // AllreduceScalar reduces a single value across ranks; a convenience for
 // metric aggregation (loss, accuracy counts).
 func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
-	out := c.Allreduce([]float64{v}, op, AlgoDefault)
-	return out[0]
+	buf := []float64{v}
+	c.allreduce(buf, op, AlgoDefault, false)
+	return buf[0]
 }
 
 // AllreduceMean averages a vector across ranks (sum allreduce then scale).
@@ -560,8 +473,7 @@ func (c *Comm) AllreduceMean(data []float64, algo Algo) []float64 {
 }
 
 // AllreduceMeanInPlace averages data across ranks in place: a sum
-// AllreduceInPlace followed by a SIMD scale, allocation-free for the
-// ring and recursive-doubling algorithms.
+// AllreduceInPlace followed by a SIMD scale.
 func (c *Comm) AllreduceMeanInPlace(data []float64, algo Algo) {
 	c.AllreduceInPlace(data, OpSum, algo)
 	tensor.VecScaleInto(data, data, 1/float64(c.Size()))

@@ -8,85 +8,107 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Comm is a rank's handle onto the world: the object through which all
-// point-to-point and collective communication happens. A Comm is owned by
+// Comm is a rank's handle onto a communicator: an ordered group of world
+// ranks through which all point-to-point and collective communication
+// happens. World.Run and World.Comm hand out the world communicator (the
+// identity group over every rank); Split carves sub-groups out of any
+// Comm. Ranks, sources and destinations are always group-local. Messages
+// travel between world mailboxes, offset into the group's private tag
+// block so concurrent communicators never cross-talk. A Comm is owned by
 // exactly one goroutine (its rank); the underlying World is safe for the
 // concurrent use that implies.
 type Comm struct {
 	world *World
-	rank  int
+	g     *group // shared by every member's handle
+	rank  int    // this rank's index in g.members
+	wrank int    // g.members[rank]
 }
 
-// Rank returns this communicator's rank id.
+// Rank returns this rank's index within the communicator's group.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks in the world.
-func (c *Comm) Size() int { return c.world.size }
+// Size returns the number of ranks in the communicator's group.
+func (c *Comm) Size() int { return len(c.g.members) }
 
-// World returns the underlying world (for stats inspection).
-func (c *Comm) World() *World { return c.world }
+// WorldRank returns the world rank of group member i.
+func (c *Comm) WorldRank(i int) int { return c.g.members[i] }
 
 // Send delivers a copy of data to dst with the given tag. Tags must be in
 // [0, maxUserTag) for user code; internal collectives use the reserved
 // space above. Send is asynchronous-buffered: it never blocks.
 func (c *Comm) Send(dst, tag int, data []float64) {
-	if dst < 0 || dst >= c.world.size {
+	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d", dst))
 	}
 	if tag < 0 {
 		panic("mpi: negative tag")
 	}
+	w, wdst, wtag := c.world, c.g.members[dst], c.g.tagBase+tag
 	// The defensive copy goes through the world's wire pool: internal
 	// collectives release consumed payloads back to it, so steady-state
 	// traffic recirculates instead of allocating per message.
-	buf := c.world.wire.get(len(data))
+	buf := w.wire.get(len(data))
 	copy(buf, data)
-	c.world.boxes[dst].put(message{src: c.rank, tag: tag, data: buf})
-	atomic.AddInt64(&c.world.stats[c.rank].MessagesSent, 1)
-	atomic.AddInt64(&c.world.stats[c.rank].ElemsSent, int64(len(data)))
-	if tr := c.world.tracer.Load(); tr != nil && traceTag(tag) {
-		seq := c.world.causal[c.rank].nextSend(c.world.streamKey(tag, dst))
+	w.boxes[wdst].put(message{src: c.wrank, tag: wtag, data: buf})
+	atomic.AddInt64(&w.stats[c.wrank].MessagesSent, 1)
+	atomic.AddInt64(&w.stats[c.wrank].ElemsSent, int64(len(data)))
+	if tr := w.tracer.Load(); tr != nil && traceTag(wtag) {
+		seq := w.causal[c.wrank].nextSend(w.streamKey(wtag, wdst))
 		tr.EmitSpan(telemetry.Span{
-			Track: c.rank, Cat: telemetry.CatComm, Name: "mpi.send",
+			Track: c.wrank, Cat: telemetry.CatComm, Name: "mpi.send",
 			Start: tr.Start(), Bytes: int64(len(data)) * 8,
-			Kind: telemetry.SpanSend, CommID: commIDFor(tag), Peer: dst, Tag: tag, Seq: seq,
+			Kind: telemetry.SpanSend, CommID: c.g.id, Peer: wdst, Tag: wtag, Seq: seq,
 		})
 	}
 }
 
+// recv is the one matched receive behind Recv, RecvInto and RecvTimeout:
+// it translates the group-local (src, tag) to world coordinates, blocks in
+// this rank's mailbox (up to timeout; noTimeout waits indefinitely), and
+// returns the message with its source mapped back to a group rank. A
+// traced receive emits a span covering the blocked wait and carrying the
+// stream coordinates (actual source, tag, per-stream seq) that match it to
+// its send; the tracer is loaded once so attach/detach races cannot
+// mismatch start and emit, and the clock is read only when the tag is
+// traced.
+func (c *Comm) recv(src, tag int, timeout time.Duration) (message, bool) {
+	w, wsrc, wtag := c.world, src, c.g.tagBase+tag
+	if src != AnySource {
+		wsrc = c.g.members[src]
+	}
+	tr := w.tracer.Load()
+	var t0 int64
+	if tr != nil && traceTag(wtag) {
+		t0 = tr.Start()
+	} else {
+		tr = nil
+	}
+	msg, ok := w.boxes[c.wrank].get(wsrc, wtag, timeout)
+	if !ok {
+		return msg, false
+	}
+	if tr != nil {
+		seq := w.causal[c.wrank].nextRecv(w.streamKey(wtag, msg.src))
+		tr.EmitSpan(telemetry.Span{
+			Track: c.wrank, Cat: telemetry.CatComm, Name: "mpi.recv",
+			Start: t0, Dur: tr.Start() - t0, Bytes: int64(len(msg.data)) * 8,
+			Kind: telemetry.SpanRecv, CommID: c.g.id, Peer: msg.src, Tag: wtag, Seq: seq,
+		})
+	}
+	if src != AnySource {
+		msg.src = src
+	} else {
+		msg.src = c.g.rankOf(msg.src)
+	}
+	return msg, true
+}
+
 // Recv blocks until a message from src (or AnySource) with the given tag
-// arrives and returns its payload and actual source rank.
+// arrives and returns its payload and actual source rank. The caller owns
+// the payload.
 func (c *Comm) Recv(src, tag int) ([]float64, int) {
-	tr, t0 := c.recvStart(tag)
-	msg := c.world.boxes[c.rank].get(src, tag)
-	c.recvSpan(tr, t0, tag, msg.src, len(msg.data))
+	msg, _ := c.recv(src, tag, noTimeout)
 	return msg.data, msg.src
-}
-
-// recvStart opens the blocked-wait window for a traced receive: it loads
-// the tracer once (so attach/detach races cannot mismatch start and
-// emit) and reads the clock only when the tag is traced.
-func (c *Comm) recvStart(tag int) (*telemetry.Tracer, int64) {
-	tr := c.world.tracer.Load()
-	if tr == nil || !traceTag(tag) {
-		return nil, 0
-	}
-	return tr, tr.Start()
-}
-
-// recvSpan closes a traced receive: the span covers the blocked wait
-// from recvStart to message arrival and carries the stream coordinates
-// (actual source, tag, per-stream seq) that match it to its send.
-func (c *Comm) recvSpan(tr *telemetry.Tracer, t0 int64, tag, src, elems int) {
-	if tr == nil {
-		return
-	}
-	seq := c.world.causal[c.rank].nextRecv(c.world.streamKey(tag, src))
-	tr.EmitSpan(telemetry.Span{
-		Track: c.rank, Cat: telemetry.CatComm, Name: "mpi.recv",
-		Start: t0, Dur: tr.Start() - t0, Bytes: int64(elems) * 8,
-		Kind: telemetry.SpanRecv, CommID: commIDFor(tag), Peer: src, Tag: tag, Seq: seq,
-	})
 }
 
 // RecvInto receives a message from src (or AnySource) with the given tag
@@ -96,16 +118,15 @@ func (c *Comm) recvSpan(tr *telemetry.Tracer, t0 int64, tag, src, elems int) {
 // caller (who then owns it, and the pool refills on demand), while
 // RecvInto keeps the buffer circulating — the receive path per-micro-batch
 // pipeline traffic uses so steady-state activation transfers stay off the
-// allocator. Panics if the message does not fit in buf: a pipeline stage
-// knows its activation shapes, so truncation is a protocol bug, not a
-// runtime condition.
+// allocator. AnySource is safe on a split group because the group's tag
+// block is its own: only members' messages can match. Panics if the
+// message does not fit in buf: a pipeline stage knows its activation
+// shapes, so truncation is a protocol bug, not a runtime condition.
 func (c *Comm) RecvInto(src, tag int, buf []float64) (int, int) {
-	tr, t0 := c.recvStart(tag)
-	msg := c.world.boxes[c.rank].get(src, tag)
+	msg, _ := c.recv(src, tag, noTimeout)
 	if len(msg.data) > len(buf) {
 		panic(fmt.Sprintf("mpi: RecvInto buffer too small: message %d elems, buffer %d", len(msg.data), len(buf)))
 	}
-	c.recvSpan(tr, t0, tag, msg.src, len(msg.data))
 	n := copy(buf, msg.data)
 	c.world.wire.put(msg.data)
 	return n, msg.src
@@ -116,41 +137,15 @@ func (c *Comm) RecvInto(src, tag int, buf []float64) (int, int) {
 // detection protocols need a bounded wait — a plain Recv from a dead peer
 // blocks forever.
 func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) ([]float64, int, bool) {
-	tr, t0 := c.recvStart(tag)
-	msg, ok := c.world.boxes[c.rank].getTimeout(src, tag, timeout)
-	if !ok {
-		return nil, 0, false
-	}
-	c.recvSpan(tr, t0, tag, msg.src, len(msg.data))
-	return msg.data, msg.src, true
-}
-
-// SendRecv sends to dst and receives from src concurrently, as in
-// MPI_Sendrecv; required inside ring algorithms to avoid deadlock with
-// blocking semantics (our Send is buffered so ordering is simple, but the
-// helper keeps ring code readable).
-func (c *Comm) SendRecv(dst, sendTag int, data []float64, src, recvTag int) []float64 {
-	c.Send(dst, sendTag, data)
-	out, _ := c.Recv(src, recvTag)
-	return out
+	msg, ok := c.recv(src, tag, max(timeout, 0))
+	return msg.data, msg.src, ok
 }
 
 // Probe reports whether a matching message is already queued, without
-// consuming it.
+// consuming it. src may be AnySource.
 func (c *Comm) Probe(src, tag int) bool {
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for _, msg := range box.queue {
-		if (src == AnySource || msg.src == src) && msg.tag == tag {
-			return true
-		}
+	if src != AnySource {
+		src = c.g.members[src]
 	}
-	return false
-}
-
-// Abort panics the calling rank with a message; provided for parity with
-// MPI_Abort in ported code paths.
-func (c *Comm) Abort(why string) {
-	panic(fmt.Sprintf("mpi: rank %d aborted: %s", c.rank, why))
+	return c.world.boxes[c.wrank].probe(src, c.g.tagBase+tag)
 }

@@ -31,7 +31,7 @@ func ExampleComm_Split() {
 	_ = world.Run(func(c *mpi.Comm) error {
 		node := c.Rank() / 2 // two ranks per "node"
 		local := c.Split(node, c.Rank())
-		sum := local.Allreduce([]float64{1}, mpi.OpSum)
+		sum := local.Allreduce([]float64{1}, mpi.OpSum, mpi.AlgoRing)
 		if c.Rank() == 0 {
 			fmt.Printf("node group size: %d, local sum: %.0f\n", local.Size(), sum[0])
 		}

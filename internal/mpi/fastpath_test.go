@@ -165,20 +165,20 @@ func TestAllreduceRingInPlaceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSubCommInPlaceMatches checks SubComm.AllreduceInPlace and BcastInto
+// TestGroupInPlaceMatches checks a split group's AllreduceInPlace and BcastInto
 // against their allocating forms, across a 2-group split.
-func TestSubCommInPlaceMatches(t *testing.T) {
+func TestGroupInPlaceMatches(t *testing.T) {
 	w := NewWorld(6)
 	err := w.Run(func(c *Comm) error {
-		sub := c.Split(c.Rank()%2, c.Rank())
+		sub := c.split(c.Rank()%2, c.Rank())
 		rng := rand.New(rand.NewSource(int64(c.Rank())))
 		data := make([]float64, 333)
 		for i := range data {
 			data[i] = rng.NormFloat64()
 		}
-		want := sub.Allreduce(data, OpSum)
+		want := sub.Allreduce(data, OpSum, AlgoRing)
 		got := append([]float64(nil), data...)
-		sub.AllreduceInPlace(got, OpSum)
+		sub.AllreduceInPlace(got, OpSum, AlgoRing)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				return fmt.Errorf("subcomm in-place differs at %d", i)
@@ -215,17 +215,16 @@ func TestSubCommInPlaceMatches(t *testing.T) {
 	}
 }
 
-// TestHierarchicalPipelinedLongVector exercises the segment-pipelined
-// hierarchical path (vectors > hierSegElems) against a flat ring
-// allreduce. The pipelined schedule reorders additions across segments
-// relative to the flat ring only in how partial sums accumulate, so the
-// comparison is tolerance-based, matching the historical hierarchical
-// test contract.
+// TestHierarchicalPipelinedLongVector runs the hierarchical allreduce on
+// a long ragged vector against a flat ring allreduce. The two-level
+// schedule accumulates partial sums in a different order than the flat
+// ring, so the comparison is tolerance-based, matching the historical
+// hierarchical test contract.
 func TestHierarchicalPipelinedLongVector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-vector hierarchical test skipped in -short")
 	}
-	n := hierSegElems*2 + 777 // 3 segments, last one ragged
+	n := 8192*2 + 777
 	for _, p := range []int{4, 8} {
 		for _, group := range []int{2, 4} {
 			w := NewWorld(p)

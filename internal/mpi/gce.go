@@ -6,68 +6,73 @@ import "sync"
 // the Extreme Scale Booster's network fabric that executes MPI reductions
 // in hardware (paper Section II-A). Ranks contribute their vectors and the
 // engine combines them centrally in a single in-network pass; every
-// contributor receives the combined result. The struct is a reusable
-// generation-counted rendezvous so back-to-back collectives are safe.
+// contributor receives the combined result. A world has one engine — one
+// lock, one revocation flag — and each communicator group owns a gceRound
+// in it, a generation-counted rendezvous so back-to-back collectives and
+// concurrent sibling groups are safe.
 type gceEngine struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	n       int
-	gen     int
-	count   int
-	acc     []float64
-	result  []float64
 	revoked bool
 	reason  string
 }
 
+// gceRound is one group's rendezvous state, guarded by the engine's lock.
+type gceRound struct {
+	gen, count  int
+	acc, result []float64
+}
+
+func newGCEEngine() *gceEngine {
+	e := &gceEngine{}
+	e.cond = sync.NewCond(&e.mu)
+	return e
+}
+
 // revoke wakes every rank blocked in the engine; they panic with
 // RevokedError, matching mailbox semantics.
-func (g *gceEngine) revoke(reason string) {
-	g.mu.Lock()
-	g.revoked = true
-	g.reason = reason
-	g.mu.Unlock()
-	g.cond.Broadcast()
+func (e *gceEngine) revoke(reason string) {
+	e.mu.Lock()
+	e.revoked = true
+	e.reason = reason
+	e.mu.Unlock()
+	e.cond.Broadcast()
 }
 
-func newGCEEngine(n int) *gceEngine {
-	g := &gceEngine{n: n}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// allreduce contributes data for the current generation and blocks until
-// all n ranks have contributed, then returns a copy of the combined
-// vector. The combine order follows arrival order, matching the
-// nondeterministic accumulation of a real in-network reduction tree.
-func (g *gceEngine) allreduce(data []float64, op ReduceOp) []float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.revoked {
-		panic(RevokedError{Reason: g.reason})
+// allreduce contributes data to round r's current generation, blocks until
+// all n members of the group have contributed, then overwrites data with
+// the combined vector. The combine order follows arrival order, matching
+// the nondeterministic accumulation of a real in-network reduction tree.
+func (e *gceEngine) allreduce(r *gceRound, n int, data []float64, op ReduceOp) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.revoked {
+		panic(RevokedError{Reason: e.reason})
 	}
-	gen := g.gen
-	if g.count == 0 {
-		g.acc = append(g.acc[:0], data...)
+	gen := r.gen
+	if r.count == 0 {
+		r.acc = append(r.acc[:0], data...)
 	} else {
-		op.Combine(g.acc, data)
+		op.Combine(r.acc, data)
 	}
-	g.count++
-	if g.count == g.n {
-		g.result = append([]float64(nil), g.acc...)
-		g.count = 0
-		g.gen++
-		g.cond.Broadcast()
+	r.count++
+	if r.count == n {
+		// Publish by swapping buffers: the previous result is dead (every
+		// member copied it out before contributing to this generation), so
+		// it becomes the next accumulator.
+		r.acc, r.result = r.result, r.acc
+		r.count = 0
+		r.gen++
+		e.cond.Broadcast()
 	}
-	for g.gen == gen {
-		if g.revoked {
-			panic(RevokedError{Reason: g.reason})
+	for r.gen == gen {
+		if e.revoked {
+			panic(RevokedError{Reason: e.reason})
 		}
-		g.cond.Wait()
+		e.cond.Wait()
 	}
-	if g.revoked {
-		panic(RevokedError{Reason: g.reason})
+	if e.revoked {
+		panic(RevokedError{Reason: e.reason})
 	}
-	out := append([]float64(nil), g.result...)
-	return out
+	copy(data, r.result)
 }

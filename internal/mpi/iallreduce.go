@@ -7,18 +7,18 @@ import (
 
 // Nonblocking allreduce (MPI_Iallreduce): the primitive overlapped
 // gradient synchronization is built from. A call returns immediately with
-// an AllreduceRequest handle; the chunk-pipelined ring allreduce runs in
-// the background on the rank's behalf while the caller keeps computing
-// (for distdl, the remaining backward pass). The arithmetic — chunking,
-// combine order — mirrors the blocking ring allreduce exactly, so for a
-// fixed input the result is bitwise identical to
+// an AllreduceRequest handle; the ring allreduce runs in the background on
+// the rank's behalf while the caller keeps computing (for distdl, the
+// remaining backward pass). It is the blocking ring's own function
+// (allreduceRing) on a private tag pair with chunks streamed in segments,
+// so for a fixed input the result is bitwise identical to
 // Allreduce(data, op, AlgoRing); distdl relies on this to keep overlapped
 // and blocking training bit-for-bit equal.
 
 // Iallreduce tag space. Each in-flight operation owns two tags (one per
-// ring phase) carved from a block that sits above the iota-reserved
-// collective tags and below the SubComm blocks (which start at
-// maxUserTag*64). Sequence numbers cycle modulo iallreduceSeqMod, which
+// ring phase) carved from a band that sits above the iota-reserved
+// collective tags, inside the communicator's own tag block (which ends at
+// commTagStride). Sequence numbers cycle modulo iallreduceSeqMod, which
 // bounds simultaneously outstanding operations per rank — far above any
 // realistic gradient bucket count.
 const (
@@ -101,7 +101,7 @@ func (c *Comm) IallreduceShared(buf []float64, op ReduceOp) *AllreduceRequest {
 		end()
 		return r
 	}
-	seq := int(atomic.AddInt64(&c.world.iseq[c.rank], 1)-1) % iallreduceSeqMod
+	seq := int(atomic.AddInt64(&c.g.iseq[c.rank], 1)-1) % iallreduceSeqMod
 	tagRS := tagIallreduceBase + 2*seq
 	go func() {
 		defer func() {
@@ -112,65 +112,8 @@ func (c *Comm) IallreduceShared(buf []float64, op ReduceOp) *AllreduceRequest {
 			end()
 			close(r.done)
 		}()
-		c.iallreduceRing(buf, op, tagRS, tagRS+1)
+		c.allreduceRing(buf, op, tagRS, tagRS+1, iallreduceSegElems)
 		r.out = buf
 	}()
 	return r
-}
-
-// iallreduceRing runs the bandwidth-optimal ring allreduce in place on
-// acc: a reduce-scatter pass followed by an allgather pass, with each
-// step's chunk streamed as pipelined segments. Chunk bounds and combine
-// order are identical to allreduceRing, so results match it bitwise.
-func (c *Comm) iallreduceRing(acc []float64, op ReduceOp, tagRS, tagAG int) {
-	p, r, n := c.Size(), c.rank, len(acc)
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-	for s := 0; s < p-1; s++ {
-		sendChunk := (r - s + p) % p
-		recvChunk := (r - s - 1 + p*2) % p
-		slo, shi := chunkBounds(n, p, sendChunk)
-		rlo, rhi := chunkBounds(n, p, recvChunk)
-		c.ringExchangeSegmented(right, left, tagRS, acc, slo, shi, rlo, rhi, op, true)
-	}
-	for s := 0; s < p-1; s++ {
-		sendChunk := (r + 1 - s + p*2) % p
-		recvChunk := (r - s + p*2) % p
-		slo, shi := chunkBounds(n, p, sendChunk)
-		rlo, rhi := chunkBounds(n, p, recvChunk)
-		c.ringExchangeSegmented(right, left, tagAG, acc, slo, shi, rlo, rhi, op, false)
-	}
-}
-
-// ringExchangeSegmented streams acc[slo:shi] to the right neighbor in
-// segments (all posted up front — sends are buffered and never block) and
-// drains the left neighbor's matching segments into acc[rlo:rhi], combining
-// (reduce-scatter phase) or copying (allgather phase) each as it lands.
-// Receives are drained one at a time: with a single outstanding receive per
-// (src, tag) pair the mailbox's FIFO guarantee makes matching positional,
-// so no per-segment tags are needed. Send/Recv are used directly rather
-// than Isend/Irecv — the semantics are identical (Send never blocks, and a
-// revocation panic unwinds to IallreduceShared's recover either way) but
-// the direct calls avoid a request handle, done channel, and helper
-// goroutine per segment. Each consumed segment goes back to the wire pool;
-// together with Send drawing from that pool, a steady-state ring allreduce
-// performs no per-message heap allocation.
-func (c *Comm) ringExchangeSegmented(right, left, tag int, acc []float64, slo, shi, rlo, rhi int, op ReduceOp, reduce bool) {
-	for lo := slo; lo < shi; lo += iallreduceSegElems {
-		hi := lo + iallreduceSegElems
-		if hi > shi {
-			hi = shi
-		}
-		c.Send(right, tag, acc[lo:hi])
-	}
-	for lo := rlo; lo < rhi; {
-		got, _ := c.Recv(left, tag)
-		if reduce {
-			op.Combine(acc[lo:lo+len(got)], got)
-		} else {
-			copy(acc[lo:lo+len(got)], got)
-		}
-		lo += len(got)
-		c.world.wire.put(got)
-	}
 }

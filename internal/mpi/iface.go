@@ -1,13 +1,13 @@
 package mpi
 
-import "time"
-
 // Communicator is the subset of *Comm that distributed algorithms consume:
-// point-to-point messaging plus the collectives. Code written against this
-// interface (distdl trainers, the ft supervisor) can run over a plain
-// *Comm or over an interposer that injects faults, delays, or tracing
-// between the algorithm and the wire — the mechanism internal/ft uses to
-// make failure scenarios reproducible.
+// the point-to-point calls the pipeline engine needs, the collectives the
+// trainers call, and Split. Code written against this interface (distdl
+// trainers on either axis of a 2D grid, the ft supervisor) can run over a
+// plain *Comm or over an interposer that injects faults, delays, or
+// tracing between the algorithm and the wire — the mechanism internal/ft
+// uses to make failure scenarios reproducible. It lists only what some
+// caller outside this package reaches through it; *Comm has more.
 //
 // Methods panic with RevokedError once the underlying World has been
 // revoked (see World.Revoke), so algorithms blocked in a collective unwind
@@ -15,15 +15,17 @@ import "time"
 type Communicator interface {
 	Rank() int
 	Size() int
+	// Split partitions the communicator by color (MPI_Comm_split) and
+	// returns this rank's handle on its group, or nil for a negative
+	// color. An interposer returns the child wrapped like itself.
+	Split(color, key int) Communicator
 
 	Send(dst, tag int, data []float64)
-	Recv(src, tag int) ([]float64, int)
-	RecvTimeout(src, tag int, timeout time.Duration) ([]float64, int, bool)
+	RecvInto(src, tag int, buf []float64) (int, int)
 	Probe(src, tag int) bool
 
 	Barrier()
 	Bcast(root int, data []float64) []float64
-	Reduce(root int, data []float64, op ReduceOp) []float64
 	Allreduce(data []float64, op ReduceOp, algo Algo) []float64
 	// Iallreduce starts a nonblocking ring allreduce and returns a handle
 	// to Test/Wait on; the caller overlaps computation with the transfer.
@@ -33,16 +35,14 @@ type Communicator interface {
 	// untouched until Wait returns it.
 	IallreduceShared(buf []float64, op ReduceOp) *AllreduceRequest
 	// AllreduceInPlace is the zero-copy Allreduce: the result overwrites
-	// data on every rank, and the ring/recursive-doubling paths allocate
-	// nothing in steady state.
+	// data on every rank, and the ring and recursive-doubling paths
+	// allocate nothing in steady state.
 	AllreduceInPlace(data []float64, op ReduceOp, algo Algo)
-	AllreduceMean(data []float64, algo Algo) []float64
 	AllreduceMeanInPlace(data []float64, algo Algo)
 	AllreduceScalar(v float64, op ReduceOp) float64
 	ReduceScatter(data []float64, op ReduceOp) []float64
 	Allgather(data []float64) []float64
 	Gather(root int, data []float64) [][]float64
-	Scatter(root int, parts [][]float64) []float64
 }
 
 var _ Communicator = (*Comm)(nil)

@@ -88,14 +88,14 @@ func TestRecvIntoRecyclesWire(t *testing.T) {
 	}
 }
 
-func TestSubCommRecvIntoAnySource(t *testing.T) {
+func TestGroupRecvIntoAnySource(t *testing.T) {
 	const p = 6
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
 		// Two sibling groups of three: {0,2,4} and {1,3,5}. Non-roots send
 		// a group-tagged payload; each root drains with AnySource and must
 		// see only its own siblings.
-		sub := c.Split(c.Rank()%2, c.Rank())
+		sub := c.split(c.Rank()%2, c.Rank())
 		const tag = 5
 		if sub.Rank() != 0 {
 			sub.Send(0, tag, []float64{float64(c.Rank())})
@@ -141,8 +141,8 @@ func TestSplitSiblingConcurrentCollectives(t *testing.T) {
 	err := w.Run(func(c *Comm) error {
 		stage := c.Rank() % stages
 		rep := c.Rank() / stages
-		dp := c.Split(stage, c.Rank()) // sibling groups {0,4} {1,5} {2,6} {3,7}
-		pipe := c.Split(rep, c.Rank()) // sibling groups {0..3} {4..7}
+		dp := c.split(stage, c.Rank()) // sibling groups {0,4} {1,5} {2,6} {3,7}
+		pipe := c.split(rep, c.Rank()) // sibling groups {0..3} {4..7}
 		if dp.Size() != reps || pipe.Size() != stages {
 			return fmt.Errorf("rank %d: grid %dx%d", c.Rank(), dp.Size(), pipe.Size())
 		}
@@ -152,7 +152,7 @@ func TestSplitSiblingConcurrentCollectives(t *testing.T) {
 			for i := range data {
 				data[i] = float64(c.Rank() + iter + i)
 			}
-			got := dp.Allreduce(data, OpSum)
+			got := dp.Allreduce(data, OpSum, AlgoRing)
 			for i := range got {
 				want := 0.0
 				for d := 0; d < reps; d++ {
@@ -166,7 +166,7 @@ func TestSplitSiblingConcurrentCollectives(t *testing.T) {
 			for i := range data {
 				data[i] = float64(c.Rank()*10 + iter + i)
 			}
-			got = pipe.Allreduce(data, OpSum)
+			got = pipe.Allreduce(data, OpSum, AlgoRing)
 			for i := range got {
 				want := 0.0
 				for s := 0; s < stages; s++ {

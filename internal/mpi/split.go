@@ -13,357 +13,162 @@ import (
 // reduce, a slower inter-node exchange among node leaders, then an
 // intra-node broadcast.
 
-// SubComm is a communicator over a subset of world ranks. It reuses the
-// world's mailboxes (messages travel between world ranks) but presents
-// group-local ranks and sizes, with a tag offset so concurrent
-// sub-communicators do not cross-talk.
-type SubComm struct {
-	parent *Comm
-	// members are world ranks in group order; myIdx is this rank's
-	// position within members.
-	members []int
-	myIdx   int
+// commTagStride is the width of one communicator's tag block: user tags
+// [0, maxUserTag) plus the internal collective band above them.
+const commTagStride = maxUserTag * 64
+
+// group is the state the members of one communicator share. The world
+// communicator is group 0 over the identity member list; every other
+// group comes out of a Split rendezvous, which hands it a world-unique id.
+// The id fixes the group's tag block [id·commTagStride, (id+1)·commTagStride)
+// — so two groups never share a tag even when they share members, which is
+// what makes AnySource receives safe on a group — and is the CommID its
+// traced p2p spans carry.
+type group struct {
+	id      int
+	members []int // world rank of each group rank, in group order
 	tagBase int
+	// iseq holds each member's nonblocking-collective sequence counter
+	// (iallreduce.go): collectives are issued in the same order on every
+	// member, so equal counters on different members name the same
+	// operation and carve it a private tag pair.
+	iseq  []int64
+	split splitState // rendezvous for Split calls on this group
+	gce   gceRound   // this group's slot in the world's collective engine
 }
 
-// splitState coordinates one Split call across ranks.
+func newGroup(id int, members []int) *group {
+	g := &group{id: id, members: members, tagBase: id * commTagStride, iseq: make([]int64, len(members))}
+	g.split.cond = sync.NewCond(&g.split.mu)
+	return g
+}
+
+// rankOf maps a world rank back to its group rank. The first test answers
+// in O(1) for the world and any group that is a prefix of it.
+func (g *group) rankOf(wrank int) int {
+	if wrank < len(g.members) && g.members[wrank] == wrank {
+		return wrank
+	}
+	for i, r := range g.members {
+		if r == wrank {
+			return i
+		}
+	}
+	// Unreachable while tag blocks are unique per group: only a member can
+	// address a message into this group's block.
+	panic(fmt.Sprintf("mpi: comm %d matched world rank %d outside group %v", g.id, wrank, g.members))
+}
+
+// splitState coordinates one Split call across a group's members.
 type splitState struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	gen     int
-	count   int
 	entries []splitEntry
-	result  map[int][]int // world rank → ordered group members
+	result  []splitResult // indexed by the caller's rank in the parent group
 }
 
 type splitEntry struct {
 	rank, color, key int
 }
 
-// Split partitions the world by color, ordering each group by (key,
-// rank), and returns this rank's sub-communicator — the semantics of
-// MPI_Comm_split. It is a collective call: every rank must invoke it.
-// Negative color means "not in any group" and returns nil.
-func (c *Comm) Split(color, key int) *SubComm {
+type splitResult struct {
+	g    *group // nil for a rank that passed a negative color
+	rank int
+}
+
+// Split partitions the communicator by color, ordering each group by
+// (key, rank), and returns this rank's handle on its new group — the
+// semantics of MPI_Comm_split. It is a collective call: every member must
+// invoke it. A negative color means "not in any group" and returns a nil
+// Communicator. The result is a *Comm, so it can be split again.
+func (c *Comm) Split(color, key int) Communicator {
+	if sub := c.split(color, key); sub != nil {
+		return sub
+	}
+	return nil // an untyped nil, not a (*Comm)(nil) boxed in the interface
+}
+
+func (c *Comm) split(color, key int) *Comm {
 	defer c.collective(KindSplit, 0, "")()
-	st := c.world.split
+	st := &c.g.split
 	st.mu.Lock()
 	gen := st.gen
 	st.entries = append(st.entries, splitEntry{rank: c.rank, color: color, key: key})
-	st.count++
-	if st.count == c.world.size {
-		groups := map[int][]splitEntry{}
-		for _, e := range st.entries {
-			if e.color >= 0 {
-				groups[e.color] = append(groups[e.color], e)
+	if len(st.entries) == c.Size() {
+		// Last arriver builds every new group. Entries sort by (color, key,
+		// rank) and ids are drawn in that order, so for splits issued on one
+		// communicator at a time the id of each group — hence its tag block
+		// and trace CommID — is the same on every run.
+		es := st.entries
+		sort.Slice(es, func(i, j int) bool {
+			if es[i].color != es[j].color {
+				return es[i].color < es[j].color
 			}
-		}
-		st.result = map[int][]int{}
-		for _, g := range groups {
-			sort.Slice(g, func(i, j int) bool {
-				if g[i].key != g[j].key {
-					return g[i].key < g[j].key
+			if es[i].key != es[j].key {
+				return es[i].key < es[j].key
+			}
+			return es[i].rank < es[j].rank
+		})
+		st.result = make([]splitResult, len(es))
+		for lo := 0; lo < len(es); {
+			hi := lo
+			for hi < len(es) && es[hi].color == es[lo].color {
+				hi++
+			}
+			if es[lo].color >= 0 {
+				members := make([]int, hi-lo)
+				for i, e := range es[lo:hi] {
+					members[i] = c.g.members[e.rank]
 				}
-				return g[i].rank < g[j].rank
-			})
-			members := make([]int, len(g))
-			for i, e := range g {
-				members[i] = e.rank
+				g := newGroup(int(c.world.commIDs.Add(1)), members)
+				for i, e := range es[lo:hi] {
+					st.result[e.rank] = splitResult{g: g, rank: i}
+				}
 			}
-			for _, e := range g {
-				st.result[e.rank] = members
-			}
+			lo = hi
 		}
 		st.entries = nil
-		st.count = 0
 		st.gen++
 		st.cond.Broadcast()
 	}
 	for st.gen == gen {
 		st.cond.Wait()
 	}
-	members := st.result[c.rank]
+	res := st.result[c.rank]
 	st.mu.Unlock()
-
-	if members == nil {
+	if res.g == nil {
 		return nil
 	}
-	myIdx := -1
-	for i, r := range members {
-		if r == c.rank {
-			myIdx = i
-		}
-	}
-	// Tag space: separate block per (generation, lowest member) pair so
-	// different groups and successive splits stay isolated. Collectives
-	// inside one group are already safe by FIFO ordering.
-	return &SubComm{
-		parent:  c,
-		members: members,
-		myIdx:   myIdx,
-		tagBase: maxUserTag * 64 * (members[0] + 1),
-	}
+	return &Comm{world: c.world, g: res.g, rank: res.rank, wrank: c.wrank}
 }
-
-// Rank returns the group-local rank.
-func (s *SubComm) Rank() int { return s.myIdx }
-
-// Size returns the group size.
-func (s *SubComm) Size() int { return len(s.members) }
-
-// WorldRank returns the world rank of group member i.
-func (s *SubComm) WorldRank(i int) int { return s.members[i] }
-
-// Send delivers data to group-local rank dst.
-func (s *SubComm) Send(dst, tag int, data []float64) {
-	s.parent.Send(s.members[dst], s.tagBase+tag, data)
-}
-
-// Recv receives from group-local rank src with the given tag.
-func (s *SubComm) Recv(src, tag int) []float64 {
-	data, _ := s.parent.Recv(s.members[src], s.tagBase+tag)
-	return data
-}
-
-// RecvInto receives from group-local rank src (or AnySource) into buf,
-// recycling the wire buffer, and returns the element count and the
-// group-local source rank. AnySource is safe here because tagBase makes
-// the tag unique to this group: only siblings' messages can match.
-func (s *SubComm) RecvInto(src, tag int, buf []float64) (int, int) {
-	worldSrc := AnySource
-	if src != AnySource {
-		worldSrc = s.members[src]
-	}
-	n, from := s.parent.RecvInto(worldSrc, s.tagBase+tag, buf)
-	for i, r := range s.members {
-		if r == from {
-			return n, i
-		}
-	}
-	panic(fmt.Sprintf("mpi: SubComm.RecvInto matched world rank %d outside group %v", from, s.members))
-}
-
-// Probe reports whether a matching group message (src may be AnySource)
-// is already queued, without consuming it.
-func (s *SubComm) Probe(src, tag int) bool {
-	worldSrc := AnySource
-	if src != AnySource {
-		worldSrc = s.members[src]
-	}
-	return s.parent.Probe(worldSrc, s.tagBase+tag)
-}
-
-// Base tags for the SubComm collectives. Each hierarchical pipeline
-// segment s uses its own tag triple starting at hierSegTagBase+3*s, so
-// concurrent per-segment exchanges never share a (src, tag) mailbox.
-const (
-	subRingTag     = 1
-	subBcastTag    = 3
-	hierSegTagBase = 8
-)
-
-// Allreduce runs a ring allreduce inside the group and returns a
-// pool-backed result the caller owns (receiver-owns contract, as with
-// Comm.Allreduce).
-func (s *SubComm) Allreduce(data []float64, op ReduceOp) []float64 {
-	acc := s.parent.world.wire.get(len(data))
-	copy(acc, data)
-	s.allreduceInPlaceTags(acc, op, subRingTag)
-	return acc
-}
-
-// AllreduceInPlace runs the same ring allreduce as Allreduce but combines
-// into data directly, receiving ring segments into a pooled scratch chunk
-// via RecvInto — no per-call allocation in steady state, and results
-// bitwise identical to Allreduce. This is the path for per-chunk gradient
-// sync in 2D (data × pipeline) training, where an allocating allreduce
-// per chunk per step would defeat the workspace pooling the trainers rely
-// on.
-func (s *SubComm) AllreduceInPlace(data []float64, op ReduceOp) {
-	s.allreduceInPlaceTags(data, op, subRingTag)
-}
-
-// allreduceInPlaceTags is the tag-parameterized in-place ring core: tag
-// and tag+1 carry the reduce-scatter and allgather phases. Scratch comes
-// from the world wire pool per call, so concurrent invocations on the
-// same SubComm (the hierarchical segment pipeline) are safe.
-func (s *SubComm) allreduceInPlaceTags(data []float64, op ReduceOp, tag int) {
-	p, r, n := s.Size(), s.myIdx, len(data)
-	if p == 1 {
-		return
-	}
-	wire := &s.parent.world.wire
-	scratch := wire.get((n + p - 1) / p)
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		sendChunk := (r - step + p) % p
-		recvChunk := (r - step - 1 + p*2) % p
-		slo, shi := chunkBounds(n, p, sendChunk)
-		rlo, rhi := chunkBounds(n, p, recvChunk)
-		s.Send(right, tag, data[slo:shi])
-		got := scratch[:rhi-rlo]
-		s.RecvInto(left, tag, got)
-		op.Combine(data[rlo:rhi], got)
-	}
-	for step := 0; step < p-1; step++ {
-		sendChunk := (r + 1 - step + p*2) % p
-		recvChunk := (r - step + p*2) % p
-		slo, shi := chunkBounds(n, p, sendChunk)
-		rlo, rhi := chunkBounds(n, p, recvChunk)
-		s.Send(right, tag+1, data[slo:shi])
-		s.RecvInto(left, tag+1, data[rlo:rhi])
-	}
-	wire.put(scratch)
-}
-
-// Bcast distributes root's buffer (group-local root) linearly; groups are
-// small (node-local), so a tree buys nothing.
-func (s *SubComm) Bcast(root int, data []float64) []float64 {
-	if s.myIdx == root {
-		for i := range s.members {
-			if i != root {
-				s.Send(i, subBcastTag, data)
-			}
-		}
-		return data
-	}
-	return s.Recv(root, subBcastTag)
-}
-
-// bcastIntoTags distributes root's data into every member's data buffer
-// in place (lengths must match across the group), on the given tag.
-func (s *SubComm) bcastIntoTags(root int, data []float64, tag int) {
-	if s.myIdx == root {
-		for i := range s.members {
-			if i != root {
-				s.Send(i, tag, data)
-			}
-		}
-		return
-	}
-	s.RecvInto(root, tag, data)
-}
-
-// BcastInto distributes root's buffer into data on every member without
-// allocating: non-roots receive in place via the wire pool.
-func (s *SubComm) BcastInto(root int, data []float64) {
-	s.bcastIntoTags(root, data, subBcastTag)
-}
-
-// hierSegElems is the pipeline segment size (elements) for
-// HierarchicalAllreduce. Vectors that fit one segment take the
-// unsegmented schedule — bitwise identical to the historical
-// implementation — so only genuinely bandwidth-bound calls pay the
-// (order-changing, tolerance-equivalent) pipelined combine.
-const hierSegElems = 8192
 
 // HierarchicalAllreduce performs the two-level allreduce of NVLink-island
-// clusters: ring-reduce inside each node group, ring allreduce among the
-// group leaders over the slow fabric, then an intra-group broadcast.
+// clusters: ring allreduce inside each node group, ring allreduce among
+// the group leaders over the slow fabric, then an intra-group broadcast.
 // groupSize is the number of ranks per node (the last group may be
 // smaller). It must be called by every rank with identical arguments.
 //
-// Vectors longer than hierSegElems are segment-pipelined: as soon as a
-// segment finishes its intra-node reduce, the leader hands it to a
-// goroutine that runs the inter-node leader exchange and the intra-node
-// broadcast on per-segment tags, overlapping the slow-fabric exchange of
-// segment s with the intra-node reduce of segment s+1 — the standard
-// hierarchical pipelining trick for hiding inter-module latency.
+// The three phases run back to back on the whole vector; DESIGN.md §9 has
+// the measurements behind not pipelining them by segment.
 func (c *Comm) HierarchicalAllreduce(data []float64, op ReduceOp, groupSize int) []float64 {
 	if groupSize < 1 {
 		panic(fmt.Sprintf("mpi: groupSize must be >=1, got %d", groupSize))
 	}
 	defer c.collective(KindHierarchicalAllreduce, len(data), fmt.Sprintf("group=%d", groupSize))()
-	node := c.rank / groupSize
-	local := c.Split(node, c.rank)
-	isLeader := local.Rank() == 0
-	var leaders *SubComm
-	if isLeader {
-		leaders = c.Split(0, c.rank)
-	} else {
-		c.Split(-1, c.rank)
+	local := c.split(c.rank/groupSize, c.rank)
+	leaderColor := -1
+	if local.rank == 0 {
+		leaderColor = 0
 	}
+	leaders := c.split(leaderColor, c.rank)
 
-	wire := &c.world.wire
-	if len(data) <= hierSegElems {
-		// Unsegmented path: the exact historical schedule (whole-vector
-		// intra-node reduce, leader exchange, broadcast), with the
-		// intermediates recirculated through the wire pool.
-		acc := local.Allreduce(data, op)
-		if isLeader && leaders.Size() > 1 {
-			global := leaders.Allreduce(acc, op)
-			wire.put(acc)
-			acc = global
-		}
-		out := local.Bcast(0, acc)
-		if local.Rank() != 0 {
-			// Non-roots received a fresh buffer; their local accumulator
-			// is dead.
-			wire.put(acc)
-		}
-		return out
-	}
-
-	// Pipelined path. All phases run in place on one pooled accumulator;
-	// segments are disjoint windows, so per-segment goroutines never race.
-	acc := wire.get(len(data))
+	acc := c.world.wire.get(len(data))
 	copy(acc, data)
-	nseg := (len(data) + hierSegElems - 1) / hierSegElems
-	var wg sync.WaitGroup
-	var panicked any
-	var panicMu sync.Mutex
-	for seg := 0; seg < nseg; seg++ {
-		lo := seg * hierSegElems
-		hi := lo + hierSegElems
-		if hi > len(acc) {
-			hi = len(acc)
-		}
-		window := acc[lo:hi]
-		tag := hierSegTagBase + 3*seg
-		// Intra-node reduce for this segment (synchronous: the group ring
-		// is the fast link and every member participates).
-		local.allreduceInPlaceTags(window, op, tag)
-		if isLeader {
-			// Leader exchange + broadcast proceed concurrently while the
-			// main loop reduces the next segment. Panics (e.g. a revoked
-			// world) are forwarded to the waiting rank below, mirroring
-			// IallreduceShared.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicMu.Lock()
-						if panicked == nil {
-							panicked = r
-						}
-						panicMu.Unlock()
-					}
-				}()
-				if leaders.Size() > 1 {
-					leaders.allreduceInPlaceTags(window, op, tag)
-				}
-				local.bcastIntoTags(0, window, tag+2)
-			}()
-		}
+	local.AllreduceInPlace(acc, op, AlgoRing)
+	if leaders != nil {
+		leaders.AllreduceInPlace(acc, op, AlgoRing)
 	}
-	if isLeader {
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
-	} else {
-		// Members collect the broadcast segments; per-segment tags make
-		// arrival order irrelevant.
-		for seg := 0; seg < nseg; seg++ {
-			lo := seg * hierSegElems
-			hi := lo + hierSegElems
-			if hi > len(acc) {
-				hi = len(acc)
-			}
-			local.RecvInto(0, hierSegTagBase+3*seg+2, acc[lo:hi])
-		}
-	}
+	local.BcastInto(0, acc)
 	return acc
 }

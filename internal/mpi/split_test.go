@@ -12,7 +12,7 @@ func TestSplitBasicGroups(t *testing.T) {
 	const p = 6
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
-		sub := c.Split(c.Rank()%2, c.Rank())
+		sub := c.split(c.Rank()%2, c.Rank())
 		if sub.Size() != 3 {
 			return fmt.Errorf("rank %d: group size %d", c.Rank(), sub.Size())
 		}
@@ -38,9 +38,9 @@ func TestSplitKeyOrdering(t *testing.T) {
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
 		// Reverse ordering: higher world rank gets lower key.
-		sub := c.Split(0, p-c.Rank())
+		sub := c.split(0, p-c.Rank())
 		if sub.WorldRank(0) != p-1 || sub.WorldRank(p-1) != 0 {
-			return fmt.Errorf("key ordering ignored: %v", sub.members)
+			return fmt.Errorf("key ordering ignored: %v", sub.g.members)
 		}
 		return nil
 	})
@@ -57,7 +57,7 @@ func TestSplitNegativeColorExcluded(t *testing.T) {
 		if c.Rank() == 2 {
 			color = -1
 		}
-		sub := c.Split(color, c.Rank())
+		sub := c.split(color, c.Rank())
 		if c.Rank() == 2 {
 			if sub != nil {
 				return fmt.Errorf("excluded rank got a communicator")
@@ -74,13 +74,59 @@ func TestSplitNegativeColorExcluded(t *testing.T) {
 	}
 }
 
-func TestSubCommAllreduce(t *testing.T) {
+// TestSplitSiblingGroupsSharingLowestRankIsolated is the regression test
+// for tag blocks derived from the lowest member alone: groups A={0,1} and
+// B={0,2} both start at world rank 0 — rank 0's pipeline and data-parallel
+// groups in every 2D run — and must still not see each other's traffic. A
+// message rank 2 sends on B is queued at rank 0 before anything arrives on
+// A; an AnySource receive on A with the same tag has to skip it.
+func TestSplitSiblingGroupsSharingLowestRankIsolated(t *testing.T) {
+	const tag = 7
+	w := NewWorld(3)
+	err := w.Run(func(c *Comm) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("rank %d: %v", c.Rank(), r)
+			}
+		}()
+		color := func(in bool) int {
+			if in {
+				return 0
+			}
+			return -1
+		}
+		a := c.split(color(c.Rank() != 2), c.Rank())
+		b := c.split(color(c.Rank() != 1), c.Rank())
+		if c.Rank() == 2 {
+			b.Send(0, tag, []float64{2})
+		}
+		c.Barrier() // B's message is in rank 0's mailbox from here on
+		switch c.Rank() {
+		case 1:
+			a.Send(0, tag, []float64{1})
+		case 0:
+			buf := make([]float64, 1)
+			if _, src := a.RecvInto(AnySource, tag, buf); src != 1 || buf[0] != 1 {
+				return fmt.Errorf("A.RecvInto(AnySource) got %v from A-rank %d, want 1 from 1", buf[0], src)
+			}
+			if _, src := b.RecvInto(AnySource, tag, buf); src != 1 || buf[0] != 2 {
+				return fmt.Errorf("B.RecvInto(AnySource) got %v from B-rank %d, want 2 from 1", buf[0], src)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestGroupAllreduce(t *testing.T) {
 	const p = 6
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
-		sub := c.Split(c.Rank()/3, c.Rank()) // groups {0,1,2}, {3,4,5}
+		sub := c.split(c.Rank()/3, c.Rank()) // groups {0,1,2}, {3,4,5}
 		data := []float64{float64(c.Rank()), 1}
-		out := sub.Allreduce(data, OpSum)
+		out := sub.Allreduce(data, OpSum, AlgoRing)
 		base := (c.Rank() / 3) * 3
 		wantSum := float64(base + base + 1 + base + 2)
 		if math.Abs(out[0]-wantSum) > 1e-9 || out[1] != 3 {
@@ -93,11 +139,11 @@ func TestSubCommAllreduce(t *testing.T) {
 	}
 }
 
-func TestSubCommBcast(t *testing.T) {
+func TestGroupBcast(t *testing.T) {
 	const p = 4
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
-		sub := c.Split(0, c.Rank())
+		sub := c.split(0, c.Rank())
 		var data []float64
 		if sub.Rank() == 2 {
 			data = []float64{42}

@@ -8,11 +8,11 @@ import (
 )
 
 // Per-collective-type accounting and span tracing. Every collective entry
-// point funnels through Comm.collective, which (1) bumps the rank's total
-// and per-kind counters, and (2) when a tracer is attached to the World,
-// opens a span tagged with the payload size and algorithm — closed by the
-// returned func. With no tracer attached the extra cost over the old
-// single counter is one atomic add.
+// point funnels through Comm.collective, which on the world communicator
+// (1) bumps the rank's total and per-kind counters, and (2) when a tracer
+// is attached to the World, opens a span tagged with the payload size and
+// algorithm — closed by the returned func. With no tracer attached the
+// cost is two atomic adds.
 
 // CollectiveKind identifies a collective operation for per-type counts.
 type CollectiveKind int
@@ -55,10 +55,22 @@ var noopEnd = func() {}
 // collective records a collective call of the given kind moving elems
 // float64 elements (8 bytes each) with an optional algorithm tag, and
 // returns the span-closing func. Nested collectives (e.g. the tree
-// allreduce calling Reduce and Bcast) count and trace individually, as
-// before.
+// allreduce calling Reduce and Bcast) count and trace individually.
+//
+// Only world-communicator collectives are counted and given a collective
+// span. A collective issued on a split group is neither: causal.Build
+// joins the ranks' collective spans into one barrier node by Seq alone,
+// and Seq is the world-rank call count, which only lines up across ranks
+// for calls every rank makes. Group members would bump it at different
+// positions and mis-join unrelated collectives. A group collective shows
+// up instead as what it is on the wire — p2p send/recv spans carrying the
+// group's CommID (every tag of a group's block is traced, see traceTag) —
+// and in MessagesSent/ElemsSent, which count all traffic.
 func (c *Comm) collective(kind CollectiveKind, elems int, attr string) func() {
-	st := &c.world.stats[c.rank]
+	if c.g.id != 0 {
+		return noopEnd
+	}
+	st := &c.world.stats[c.wrank]
 	// The incremented total doubles as the causal sequence: collectives
 	// are issued in the same order on every rank (SPMD), so equal values
 	// on different ranks name the same collective instance — the merge
@@ -70,7 +82,7 @@ func (c *Comm) collective(kind CollectiveKind, elems int, attr string) func() {
 		return noopEnd
 	}
 	start := tr.Start()
-	rank := c.rank
+	rank := c.wrank
 	return func() {
 		tr.EmitSpan(telemetry.Span{
 			Track: rank, Cat: telemetry.CatCollective, Name: kind.String(),

@@ -2,13 +2,18 @@
 //
 // Ranks are goroutines; a World wires them together with per-rank
 // mailboxes that preserve MPI's non-overtaking guarantee (messages between
-// the same pair with the same tag arrive in send order). On top of
-// point-to-point Send/Recv the package provides the collectives the paper's
-// distributed deep-learning workloads need — Barrier, Bcast, Reduce,
-// Allreduce, Allgather, Gather, Scatter, ReduceScatter — with selectable
-// Allreduce algorithms (naive gather-based, binomial tree, ring,
+// the same pair with the same tag arrive in send order). There is one
+// communicator type: a Comm is a rank's handle onto an ordered group of
+// world ranks, the world communicator is the identity group, and Split
+// carves further groups out of any Comm. Point-to-point Send/Recv/RecvInto
+// and every collective the paper's distributed deep-learning workloads
+// need — Barrier, Bcast, Reduce, Allreduce, Allgather, Gather, Scatter,
+// ReduceScatter, nonblocking Iallreduce — are written once against that
+// type and so run on the world and on any split group alike. Allreduce
+// has selectable algorithms (naive gather-based, binomial tree, ring,
 // recursive doubling, and a simulated FPGA Global Collective Engine as in
-// the MSA's ESB fabric, Section II-A of the paper).
+// the MSA's ESB fabric, Section II-A of the paper), each with one
+// in-place core; the allocating, mean and scalar forms wrap it.
 //
 // The World also keeps per-rank traffic statistics so experiments can
 // report communication volume alongside wall-clock measurements.
@@ -63,57 +68,66 @@ func (m *mailbox) put(msg message) {
 	m.cond.Broadcast()
 }
 
+// match returns the first queued message from src (or AnySource) carrying
+// tag, removing it from the queue when take is set. The caller holds m.mu.
+// Every receive and probe goes through here, so the queue representation
+// is known to this file alone.
+func (m *mailbox) match(src, tag int, take bool) (message, bool) {
+	for i, msg := range m.queue {
+		if (src == AnySource || msg.src == src) && msg.tag == tag {
+			if take {
+				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			}
+			return msg, true
+		}
+	}
+	return message{}, false
+}
+
+// noTimeout makes get wait indefinitely.
+const noTimeout time.Duration = -1
+
 // get blocks until a message matching (src, tag) is available and removes
 // it from the queue. src may be AnySource. FIFO order among matching
-// messages is preserved. Panics with RevokedError once the world is
+// messages is preserved. With timeout >= 0 it gives up after that long and
+// returns (zero, false). Panics with RevokedError once the world is
 // revoked, so blocked receivers unwind instead of hanging.
-func (m *mailbox) get(src, tag int) message {
+func (m *mailbox) get(src, tag int, timeout time.Duration) (message, bool) {
+	var deadline time.Time
+	if timeout >= 0 {
+		deadline = time.Now().Add(timeout)
+		timer := time.AfterFunc(timeout, func() {
+			// Take the lock so the broadcast cannot slip between a waiter's
+			// deadline check and its cond.Wait.
+			m.mu.Lock()
+			m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
+			m.cond.Broadcast()
+		})
+		defer timer.Stop()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		if m.revoked {
 			panic(RevokedError{Reason: m.reason})
 		}
-		for i, msg := range m.queue {
-			if (src == AnySource || msg.src == src) && msg.tag == tag {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				return msg
-			}
+		if msg, ok := m.match(src, tag, true); ok {
+			return msg, true
+		}
+		if timeout >= 0 && !time.Now().Before(deadline) {
+			return message{}, false
 		}
 		m.cond.Wait()
 	}
 }
 
-// getTimeout is get with a deadline: it returns (msg, true) if a matching
-// message arrives within d, and (zero, false) on timeout. Revocation still
-// panics with RevokedError.
-func (m *mailbox) getTimeout(src, tag int, d time.Duration) (message, bool) {
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		// Take the lock so the broadcast cannot slip between a waiter's
-		// deadline check and its cond.Wait.
-		m.mu.Lock()
-		m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-		m.cond.Broadcast()
-	})
-	defer timer.Stop()
+// probe reports whether a message matching (src, tag) is queued, without
+// consuming it.
+func (m *mailbox) probe(src, tag int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
-		if m.revoked {
-			panic(RevokedError{Reason: m.reason})
-		}
-		for i, msg := range m.queue {
-			if (src == AnySource || msg.src == src) && msg.tag == tag {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				return msg, true
-			}
-		}
-		if !time.Now().Before(deadline) {
-			return message{}, false
-		}
-		m.cond.Wait()
-	}
+	_, ok := m.match(src, tag, false)
+	return ok
 }
 
 // revoke marks the mailbox dead and wakes every blocked receiver.
@@ -161,13 +175,11 @@ type World struct {
 	boxes   []*mailbox
 	stats   []Stats
 	gce     *gceEngine
-	split   *splitState
 	revoked atomic.Bool
-	// iseq holds each rank's nonblocking-collective sequence counter
-	// (iallreduce.go): collectives are issued in the same order on every
-	// rank, so equal counters on different ranks name the same operation
-	// and carve it a private tag pair.
-	iseq []int64
+	// all is the identity group every world communicator shares (comm id
+	// 0); commIDs hands each group a Split creates the next id (split.go).
+	all     *group
+	commIDs atomic.Int64
 	// defaultAlgo is the world-wide allreduce algorithm that AlgoDefault
 	// resolves to (collectives.go); empty means AlgoAuto. Stored as a
 	// string so it can be swapped atomically while ranks run.
@@ -188,13 +200,14 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("mpi: world size must be >=1, got %d", n))
 	}
-	w := &World{size: n, boxes: make([]*mailbox, n), stats: make([]Stats, n), iseq: make([]int64, n), causal: make([]rankCausal, n)}
+	w := &World{size: n, boxes: make([]*mailbox, n), stats: make([]Stats, n), causal: make([]rankCausal, n)}
+	members := make([]int, n)
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
+		members[i] = i
 	}
-	w.gce = newGCEEngine(n)
-	w.split = &splitState{}
-	w.split.cond = sync.NewCond(&w.split.mu)
+	w.gce = newGCEEngine()
+	w.all = newGroup(0, members)
 	return w
 }
 
@@ -247,7 +260,7 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, w.size))
 	}
-	return &Comm{world: w, rank: rank}
+	return &Comm{world: w, g: w.all, rank: rank, wrank: rank}
 }
 
 // Run executes fn concurrently on every rank and waits for all to finish.

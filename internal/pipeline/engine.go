@@ -10,11 +10,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// Peer is the point-to-point transport a pipeline runs over: the world
-// communicator (*mpi.Comm) or, in 2D data×pipeline grids, a pipeline-axis
-// sub-communicator (*mpi.SubComm). Send must be buffered (never block),
-// RecvInto must support AnySource, and both must match messages by
-// (source, tag) with FIFO order per pair — the mpi package's contract.
+// Peer is the point-to-point transport a pipeline runs over: any
+// mpi.Communicator — the world communicator or, in 2D data×pipeline
+// grids, the pipeline-axis group split off it. Send must be buffered
+// (never block), RecvInto must support AnySource, and both must match
+// messages by (source, tag) with FIFO order per pair — the mpi package's
+// contract.
 type Peer interface {
 	Rank() int
 	Size() int

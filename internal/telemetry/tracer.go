@@ -94,7 +94,8 @@ type Span struct {
 	// Causal identity, zero for plain spans (Kind == SpanNone).
 	Kind SpanKind
 	// CommID distinguishes communicators: 0 is the world (and plain user
-	// tags); sub-communicators map to their tag-block index.
+	// tags); a split group carries the comm id its Split assigned, which
+	// is also its tag-block index.
 	CommID int
 	// Peer is the remote rank for p2p events (destination for sends,
 	// source for receives); meaningless unless Kind is SpanSend/SpanRecv.
