@@ -12,13 +12,15 @@ import (
 // stepAllocBudget is the pinned steady-state allocation budget for one
 // overlapped Trainer.Step on a single rank. The single-rank world makes
 // every collective short-circuit, so the number isolates the training hot
-// path itself (workspace-pooled forward/backward, bucket pack/unpack,
-// optimizer) from the goroutine-ring wire layer. The residue (~11 as of
-// the workspace-pooling change) is the per-bucket AllreduceRequest handle
-// + done channel and the collective span bookkeeping — small fixed-size
-// objects, none proportional to model size. CI fails if a change pushes
-// Step above this ceiling.
-const stepAllocBudget = 16
+// path itself (workspace-pooled forward/backward, allocation-free kernel
+// dispatch, bucket pack/unpack, optimizer) from the goroutine-ring wire
+// layer. It is the measured count, equal at GOMAXPROCS 1, 2 and 4: for
+// each of the model's three gradient buckets an AllreduceRequest and its
+// done channel (6), plus the one-element buffer of the loss
+// AllreduceScalar (1). None is proportional to model size, and none comes
+// from a sync.Pool, so the count is the same under -race. CI fails if a
+// change pushes Step above it.
+const stepAllocBudget = 7
 
 // TestStepAllocsSteadyState is the allocation regression gate for the
 // training hot path (run by CI; see also BenchmarkOverlapStep -benchmem

@@ -1,6 +1,8 @@
 package distdl
 
 import (
+	"fmt"
+
 	"repro/internal/nn"
 )
 
@@ -29,6 +31,7 @@ type Bucket struct {
 	Layers []int // contributing layer indices, descending (backward order)
 	Params []*nn.Param
 	Elems  int
+	span   string    // trace span name of its gradient sync, built once
 	buf    []float64 // reused pack buffer
 }
 
@@ -86,7 +89,8 @@ func NewBucketer(model *nn.Sequential, bucketBytes int) *Bucketer {
 		}
 		elems := nn.NumParams(ps)
 		if cur == nil || (cur.Elems+elems)*8 > bucketBytes {
-			cur = &Bucket{Index: len(bb.buckets)}
+			n := len(bb.buckets)
+			cur = &Bucket{Index: n, span: fmt.Sprintf("grad-sync:bucket%d", n)}
 			bb.buckets = append(bb.buckets, cur)
 		}
 		cur.Layers = append(cur.Layers, i)

@@ -286,7 +286,7 @@ func (t *Trainer) syncBucketsBlocking(tr *telemetry.Tracer, rank int) {
 		t.chargeGradBytes(bk.Elems)
 		tensor.VecScaleInto(flat, flat, inv)
 		bk.Unpack(flat)
-		tr.End(rank, telemetry.CatComm, fmt.Sprintf("grad-sync:bucket%d", bk.Index),
+		tr.End(rank, telemetry.CatComm, bk.span,
 			commStart, int64(bk.Elems)*t.bytesPerElem(), string(t.Cfg.Algo))
 	}
 }
@@ -349,7 +349,7 @@ func (t *Trainer) drainBuckets(tr *telemetry.Tracer, rank int, bwdEnd time.Time)
 		t.chargeGradBytes(bk.Elems)
 		tensor.VecScaleInto(flat, flat, inv)
 		bk.Unpack(flat)
-		tr.End(rank, telemetry.CatComm, fmt.Sprintf("grad-sync:bucket%d", bi),
+		tr.End(rank, telemetry.CatComm, bk.span,
 			waitStart, int64(bk.Elems)*t.bytesPerElem(), "iallreduce-ring")
 		t.inflight[bi] = nil
 	}

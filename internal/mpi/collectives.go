@@ -38,8 +38,8 @@ type ReduceOp struct {
 // identical to the historical scalar loops — including NaN propagation
 // (dst keeps its NaN for max/min; the scalar `>`/`<` is false against
 // NaN) — on the AVX2 path, the pure-Go path, and any worker count. Large
-// combines parallelize through tensor.ParallelFor, so the -kernel-workers
-// knob bounds collective combine parallelism too.
+// combines parallelize through the tensor kernel runtime, so the
+// -kernel-workers knob bounds collective combine parallelism too.
 var (
 	OpSum = ReduceOp{"sum", func(dst, src []float64) {
 		tensor.VecAddInto(dst, dst, src)

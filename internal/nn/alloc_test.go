@@ -76,7 +76,7 @@ func TestGRUAllocsSteadyState(t *testing.T) {
 	}
 
 	// Nothing may allocate per timestep: at a batch that splits into row
-	// blocks (one ParallelFor job per pass, at any worker count above 1) a
+	// blocks (one parallel-for job per pass, at any worker count above 1) a
 	// 4× longer sequence costs exactly the same number of allocations.
 	perPass := func(steps int) float64 {
 		gru := NewGRU(rng, "gru", 6, 12)

@@ -28,7 +28,7 @@ import (
 // loop carries only the dh recurrence, and the nine parameter gradients
 // and dx are a handful of K = T·N GEMMs and two column sums after it.
 // Batch rows never interact inside the recurrence, so both loops split N
-// into contiguous row blocks under one ParallelFor and each block runs
+// into contiguous row blocks under one parallel-for and each block runs
 // all T steps with serial kernels and no per-step synchronisation; the
 // parameter gradients are four independent serial tasks under a second
 // one. Nothing is allocated, and no job is dispatched, per timestep.
@@ -58,9 +58,8 @@ type GRU struct {
 	n, t int
 	ws   *tensor.Workspace
 
-	// pass is what the parallel parts of the running pass share. It lives
-	// here rather than in a closure so that a single-block pass allocates
-	// nothing; it is cleared when they return.
+	// pass is what the parallel parts of the running pass share; it is
+	// cleared when they return.
 	pass gruPass
 }
 
@@ -113,23 +112,24 @@ type gruPass struct {
 // min(Workers, N/32), at least one.
 func (g *GRU) rowBlocks() int { return max(1, min(tensor.Workers(), g.n/32)) }
 
-// run executes body(g, i) for i in [0, n) with pass p installed: through
-// one ParallelFor when the batch splits into several row blocks, inline
-// (and without building a closure) when it does not.
+// gruRun is a layer and the per-piece body one parallel pass runs.
+type gruRun struct {
+	g    *GRU
+	body func(g *GRU, i int)
+}
+
+var gruJobs tensor.Jobs[gruRun]
+
+func runGRUPieces(r gruRun, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r.body(r.g, i)
+	}
+}
+
+// run executes body(g, i) for each of n pieces in parallel, pass p installed.
 func (g *GRU) run(p gruPass, n int, body func(g *GRU, i int)) {
 	g.pass = p
-	if p.blocks > 1 {
-		cost := 6 * g.t * g.n * g.H * (g.D + g.H) / n
-		tensor.ParallelFor(n, cost, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				body(g, i)
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			body(g, i)
-		}
-	}
+	gruJobs.For(n, 6*g.t*g.n*g.H*(g.D+g.H)/n, gruRun{g, body}, runGRUPieces)
 	g.pass = gruPass{}
 }
 

@@ -49,23 +49,17 @@ func Im2ColInto(cols, img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	if len(cols.shape) != 2 || cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
 		panic(fmt.Sprintf("tensor: Im2ColInto output shape %v, want (%d,%d)", cols.shape, n*oh*ow, c*kh*kw))
 	}
-	rows := n * oh * ow
-	cost := 2 * c * kh * kw
-	if shouldPar(rows, cost) {
-		cd, id := cols.data, img.data
-		ParallelFor(rows, cost, func(lo, hi int) {
-			im2colRows(cd, id, c, h, w, oh, ow, kh, kw, stride, padH, padW, lo, hi)
-		})
-	} else {
-		im2colRows(cols.data, img.data, c, h, w, oh, ow, kh, kw, stride, padH, padW, 0, rows)
-	}
+	g := convGeom{c: c, h: h, w: w, oh: oh, ow: ow, kh: kh, kw: kw, stride: stride, padH: padH, padW: padW}
+	convJobs.For(n*oh*ow, 2*c*kh*kw, convArgs{out: cols.data, x: img.data, g: g}, im2colRows)
 	return cols
 }
 
 // im2colRows lowers column-matrix rows [lo,hi). Each row is fully
 // overwritten (padding cells written as explicit zeros), so rows are
 // independent and a recycled buffer matches a fresh one exactly.
-func im2colRows(cols, img []float64, c, h, w, oh, ow, kh, kw, stride, padH, padW, lo, hi int) {
+func im2colRows(v convArgs, lo, hi int) {
+	cols, img, g := v.out, v.x, v.g
+	c, h, w, oh, ow, kh, kw, stride, padH, padW := g.c, g.h, g.w, g.oh, g.ow, g.kh, g.kw, g.stride, g.padH, g.padW
 	for colRow := lo; colRow < hi; colRow++ {
 		b := colRow / (oh * ow)
 		rem := colRow % (oh * ow)
@@ -125,20 +119,15 @@ func Col2ImInto(img, cols *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	// Overlapping windows accumulate, but only within one batch image —
 	// so the scatter parallelizes over the batch axis, each worker owning
 	// a disjoint (C,H,W) slab that it zeroes itself.
-	cost := 2 * oh * ow * c * kh * kw
-	if shouldPar(n, cost) {
-		id, cd := img.data, cols.data
-		ParallelFor(n, cost, func(lo, hi int) {
-			col2imBatches(id, cd, c, h, w, oh, ow, kh, kw, stride, padH, padW, lo, hi)
-		})
-	} else {
-		col2imBatches(img.data, cols.data, c, h, w, oh, ow, kh, kw, stride, padH, padW, 0, n)
-	}
+	g := convGeom{c: c, h: h, w: w, oh: oh, ow: ow, kh: kh, kw: kw, stride: stride, padH: padH, padW: padW}
+	convJobs.For(n, 2*oh*ow*c*kh*kw, convArgs{out: img.data, x: cols.data, g: g}, col2imBatches)
 	return img
 }
 
 // col2imBatches scatters cols back into batch images [lo,hi).
-func col2imBatches(img, cols []float64, c, h, w, oh, ow, kh, kw, stride, padH, padW, lo, hi int) {
+func col2imBatches(v convArgs, lo, hi int) {
+	img, cols, g := v.out, v.x, v.g
+	c, h, w, oh, ow, kh, kw, stride, padH, padW := g.c, g.h, g.w, g.oh, g.ow, g.kh, g.kw, g.stride, g.padH, g.padW
 	for b := lo; b < hi; b++ {
 		slab := img[b*c*h*w : (b+1)*c*h*w]
 		for i := range slab {
@@ -200,14 +189,23 @@ func col2imBatches(img, cols []float64, c, h, w, oh, ow, kh, kw, stride, padH, p
 //     is descending (ky, kx) order, because oy = (iy+padH-ky)/stride
 //     falls as ky rises (and likewise ox against kx).
 
-// convGeom is one convolution's geometry. The kernels take it by value so
-// a parallel closure captures a copy and nothing escapes to the heap.
+// convGeom is one convolution's geometry.
 type convGeom struct {
 	n, c, h, w         int // input batch (N, C, H, W)
 	outC, oh, ow       int // output planes (N, OutC, OH, OW)
 	kh, kw             int
 	stride, padH, padW int
 }
+
+// convArgs is what the convolution and lowering kernels take for a range
+// of their parallel units: the slice they write, the slice they read, the
+// packed operand and bias where they have one, and the geometry.
+type convArgs struct {
+	out, x, a, bias []float64
+	g               convGeom
+}
+
+var convJobs Jobs[convArgs]
 
 func (g convGeom) k() int { return g.c * g.kh * g.kw }
 func (g convGeom) p() int { return g.oh * g.ow }
@@ -285,14 +283,7 @@ func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, pa
 		xp = *xpP
 		padConvPlanes64(xp, img.data, g.n*g.c, g)
 	}
-	units := g.n * ((g.p() + 7) / 8)
-	cost := 16 * k * g.outC
-	if shouldPar(units, cost) {
-		od := out.data
-		ParallelFor(units, cost, func(lo, hi int) { convForwardPanels(od, xp, ap, bd, g, lo, hi) })
-	} else {
-		convForwardPanels(out.data, xp, ap, bd, g, 0, units)
-	}
+	convJobs.For(g.n*((g.p()+7)/8), 16*k*g.outC, convArgs{out: out.data, x: xp, a: ap, bias: bd, g: g}, convForwardPanels)
 	if xpP != nil {
 		putScratch(xpP)
 	}
@@ -306,7 +297,8 @@ func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, pa
 // of one output row at stride 1 are read in place from the bordered
 // planes (conv4x8); strided, partial and row-straddling panels are
 // gathered into bp first.
-func convForwardPanels(out, xp, ap, bias []float64, g convGeom, lo, hi int) {
+func convForwardPanels(v convArgs, lo, hi int) {
+	out, xp, ap, bias, g := v.out, v.x, v.a, v.bias, v.g
 	k, p := g.k(), g.p()
 	panels := (p + 7) / 8
 	wp := g.wp()
@@ -378,14 +370,7 @@ func Conv2DGradWeightsInto(dw, db, img, dout *Tensor, kh, kw, stride, padH, padW
 	xtP := getScratch(g.n * cBlocks * g.hp() * g.wp() * 4)
 	xt := *xtP
 	packConvInput64(xt, img.data, g)
-	units := cBlocks * kh * kw
-	cost := 8 * np * g.outC
-	if shouldPar(units, cost) {
-		dwd := dw.data
-		ParallelFor(units, cost, func(lo, hi int) { convFilterRows(dwd, xt, bp, g, lo, hi) })
-	} else {
-		convFilterRows(dw.data, xt, bp, g, 0, units)
-	}
+	convJobs.For(cBlocks*kh*kw, 8*np*g.outC, convArgs{out: dw.data, x: xt, a: bp, g: g}, convFilterRows)
 	putScratch(xtP)
 	putScratch(bpP)
 }
@@ -395,12 +380,12 @@ func Conv2DGradWeightsInto(dw, db, img, dout *Tensor, kh, kw, stride, padH, padW
 // rows of one image (about kc pixels), so the A chunk copied out of xt
 // stays cache-resident; dw carries the chain from chunk to chunk exactly
 // as the blocked matmul carries it across kc.
-func convFilterRows(dw, xt, bp []float64, g convGeom, lo, hi int) {
+func convFilterRows(v convArgs, lo, hi int) {
+	dw, xt, bp, g := v.out, v.x, v.a, v.g
 	p, s, taps := g.p(), g.stride, g.kh*g.kw
 	np := g.n * p
 	cBlocks := (g.c + 3) / 4
 	hp, wp := g.hp(), g.wp()
-	_, kc, _ := BlockSizes()
 	chunkRows := min(g.oh, max(1, kc/g.ow))
 	apP := getScratch(chunkRows * g.ow * 4)
 	ap := *apP
@@ -473,19 +458,14 @@ func Conv2DGradInputInto(dx, dout, w *Tensor, kh, kw, stride, padH, padW int) *T
 			packARows64(ap[(tap*cBlocks+cb)*g.outC*4:][:g.outC*4], w.data[tap*g.outC:], taps*g.outC, cb*4, min(4, g.c-cb*4), 0, g.outC)
 		}
 	}
-	cost := 2 * g.p() * g.k() * g.outC
-	if shouldPar(g.n, cost) {
-		xd, dd := dx.data, dout.data
-		ParallelFor(g.n, cost, func(lo, hi int) { convInputImages(xd, dd, ap, g, lo, hi) })
-	} else {
-		convInputImages(dx.data, dout.data, ap, g, 0, g.n)
-	}
+	convJobs.For(g.n, 2*g.p()*g.k()*g.outC, convArgs{out: dx.data, x: dout.data, a: ap, g: g}, convInputImages)
 	putScratch(apP)
 	return dx
 }
 
 // convInputImages computes dx for images [lo,hi).
-func convInputImages(dx, dout, ap []float64, g convGeom, lo, hi int) {
+func convInputImages(v convArgs, lo, hi int) {
+	dx, dout, ap, g := v.out, v.x, v.a, v.g
 	p, hw, s := g.p(), g.h*g.w, g.stride
 	cBlocks := (g.c + 3) / 4
 	bpP := getScratch(g.outC * 8)

@@ -8,46 +8,42 @@ import "math"
 // paths stay bitwise identical by construction. The binary elementwise
 // kernels are dtype-generic (float32 tensors compute in float32; the
 // matmul family is where float64 accumulation lives) and run on the
-// shared ParallelFor runtime when the tensor is large enough to pay for
-// it.
+// shared Jobs.For runtime when the tensor is large enough to pay for it.
 //
 // Naming convention: out must have the correct shape (and dtype) and is
 // fully overwritten. out may not alias an input unless the specific op
 // notes it is safe.
 
-// ewRange dispatches one elementwise range kernel serially or over the
-// worker pool. rangeFn is a top-level function, so the serial path
-// constructs no closure and allocates nothing.
-func ewRange[T float32 | float64](od, ad, bd []T, cost int, rangeFn func(od, ad, bd []T, lo, hi int)) {
-	n := len(od)
-	if shouldPar(n, cost) {
-		ParallelFor(n, cost, func(lo, hi int) { rangeFn(od, ad, bd, lo, hi) })
-		return
-	}
-	rangeFn(od, ad, bd, 0, n)
-}
+// ewArgs is the operands of one binary elementwise kernel; the range
+// functions below compute out[lo:hi).
+type ewArgs[T float32 | float64] struct{ od, ad, bd []T }
 
-func addRange[T float32 | float64](od, ad, bd []T, lo, hi int) {
+var (
+	ew32 Jobs[ewArgs[float32]]
+	ew64 Jobs[ewArgs[float64]]
+)
+
+func addRange[T float32 | float64](e ewArgs[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
-		od[i] = ad[i] + bd[i]
+		e.od[i] = e.ad[i] + e.bd[i]
 	}
 }
 
-func subRange[T float32 | float64](od, ad, bd []T, lo, hi int) {
+func subRange[T float32 | float64](e ewArgs[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
-		od[i] = ad[i] - bd[i]
+		e.od[i] = e.ad[i] - e.bd[i]
 	}
 }
 
-func mulRange[T float32 | float64](od, ad, bd []T, lo, hi int) {
+func mulRange[T float32 | float64](e ewArgs[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
-		od[i] = ad[i] * bd[i]
+		e.od[i] = e.ad[i] * e.bd[i]
 	}
 }
 
-func divRange[T float32 | float64](od, ad, bd []T, lo, hi int) {
+func divRange[T float32 | float64](e ewArgs[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
-		od[i] = ad[i] / bd[i]
+		e.od[i] = e.ad[i] / e.bd[i]
 	}
 }
 
@@ -56,7 +52,7 @@ func AddInto(out, a, b *Tensor) *Tensor {
 	checkSame("AddInto", a, b)
 	checkSame("AddInto", out, a)
 	if out.dtype == Float32 {
-		ewRange(out.data32, a.data32, b.data32, 1, addRange[float32])
+		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, addRange[float32])
 	} else {
 		VecAddInto(out.data, a.data, b.data)
 	}
@@ -68,9 +64,9 @@ func SubInto(out, a, b *Tensor) *Tensor {
 	checkSame("SubInto", a, b)
 	checkSame("SubInto", out, a)
 	if out.dtype == Float32 {
-		ewRange(out.data32, a.data32, b.data32, 1, subRange[float32])
+		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, subRange[float32])
 	} else {
-		ewRange(out.data, a.data, b.data, 1, subRange[float64])
+		ew64.For(len(out.data), 1, ewArgs[float64]{out.data, a.data, b.data}, subRange[float64])
 	}
 	return out
 }
@@ -80,7 +76,7 @@ func MulInto(out, a, b *Tensor) *Tensor {
 	checkSame("MulInto", a, b)
 	checkSame("MulInto", out, a)
 	if out.dtype == Float32 {
-		ewRange(out.data32, a.data32, b.data32, 1, mulRange[float32])
+		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, mulRange[float32])
 	} else {
 		VecMulInto(out.data, a.data, b.data)
 	}
@@ -92,11 +88,32 @@ func DivInto(out, a, b *Tensor) *Tensor {
 	checkSame("DivInto", a, b)
 	checkSame("DivInto", out, a)
 	if out.dtype == Float32 {
-		ewRange(out.data32, a.data32, b.data32, 1, divRange[float32])
+		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, divRange[float32])
 	} else {
-		ewRange(out.data, a.data, b.data, 1, divRange[float64])
+		ew64.For(len(out.data), 1, ewArgs[float64]{out.data, a.data, b.data}, divRange[float64])
 	}
 	return out
+}
+
+// applyArgs is ApplyInto's function and operands, one dtype in use.
+type applyArgs struct {
+	od, ad     []float64
+	od32, ad32 []float32
+	f          func(float64) float64
+}
+
+var applyJobs Jobs[applyArgs]
+
+func applyRange(v applyArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v.od[i] = v.f(v.ad[i])
+	}
+}
+
+func applyRange32(v applyArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v.od32[i] = float32(v.f(float64(v.ad32[i])))
+	}
 }
 
 // ApplyInto sets out[i] = f(a[i]); for float32 storage each element is
@@ -109,31 +126,9 @@ func ApplyInto(out, a *Tensor, f func(float64) float64) *Tensor {
 	// the arithmetic kernels.
 	const applyCost = 16
 	if out.dtype == Float32 {
-		od, ad := out.data32, a.data32
-		if shouldPar(len(od), applyCost) {
-			ParallelFor(len(od), applyCost, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					od[i] = float32(f(float64(ad[i])))
-				}
-			})
-		} else {
-			for i, v := range ad {
-				od[i] = float32(f(float64(v)))
-			}
-		}
-		return out
-	}
-	od, ad := out.data, a.data
-	if shouldPar(len(od), applyCost) {
-		ParallelFor(len(od), applyCost, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = f(ad[i])
-			}
-		})
+		applyJobs.For(len(out.data32), applyCost, applyArgs{od32: out.data32, ad32: a.data32, f: f}, applyRange32)
 	} else {
-		for i, v := range ad {
-			od[i] = f(v)
-		}
+		applyJobs.For(len(out.data), applyCost, applyArgs{od: out.data, ad: a.data, f: f}, applyRange)
 	}
 	return out
 }
@@ -163,8 +158,17 @@ func SumAxis0Into(out, a *Tensor) *Tensor {
 	return out
 }
 
+// softmaxArgs is a row-major (·, c) input and output.
+type softmaxArgs struct {
+	od, ad []float64
+	c      int
+}
+
+var softmaxJobs Jobs[softmaxArgs]
+
 // softmaxRows computes the row-wise softmax for rows [lo,hi).
-func softmaxRows(od, ad []float64, c, lo, hi int) {
+func softmaxRows(v softmaxArgs, lo, hi int) {
+	od, ad, c := v.od, v.ad, v.c
 	for i := lo; i < hi; i++ {
 		row := ad[i*c : (i+1)*c]
 		orow := od[i*c : (i+1)*c]
@@ -201,12 +205,7 @@ func SoftmaxRowsInto(out, a *Tensor) *Tensor {
 	r, c := a.shape[0], a.shape[1]
 	// ~3 passes over the row, one of them math.Exp.
 	cost := 24 * c
-	if shouldPar(r, cost) {
-		od, ad := out.data, a.data
-		ParallelFor(r, cost, func(lo, hi int) { softmaxRows(od, ad, c, lo, hi) })
-	} else {
-		softmaxRows(out.data, a.data, c, 0, r)
-	}
+	softmaxJobs.For(r, cost, softmaxArgs{out.data, a.data, c}, softmaxRows)
 	return out
 }
 

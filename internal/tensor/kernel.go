@@ -51,8 +51,41 @@ const (
 
 // packMinFlops is the problem size (2·m·n·k flops) below which the
 // packing overhead outweighs the blocked kernel and the direct small
-// paths win.
-const packMinFlops = 1 << 17
+// paths win. kc and nc are the packed path's cache blocking: kc the panel
+// depth (a kc×8 B panel and a 4×kc A panel stay L1/L2 resident), nc the
+// column strip width packed per pass.
+const (
+	packMinFlops = 1 << 17
+	kc           = 512
+	nc           = 2048
+)
+
+// gemmArgs is one GEMM's operands as its row-range kernels take them:
+// float64 or float32 storage, and on the packed paths the packed B block
+// (bp), the float64 strip of a float32 product (cs), and the current K
+// block and column strip.
+type gemmArgs struct {
+	kind                     gemmKind
+	ep                       Epilogue
+	od, ad, bd, bias         []float64
+	od32, ad32, bd32, bias32 []float32
+	bp, cs                   []float64
+	m, k, n                  int
+	pc, kb, jc, nb           int
+	lastK                    bool
+}
+
+var gemmJobs Jobs[gemmArgs]
+
+// gemmRun runs fn over rows (or row blocks) [0, rows) through the pool,
+// or entirely on the calling goroutine when par is false.
+func gemmRun(par bool, rows, cost int, v gemmArgs, fn func(gemmArgs, int, int)) {
+	if par {
+		gemmJobs.For(rows, cost, v, fn)
+	} else {
+		fn(v, 0, rows)
+	}
+}
 
 // gemmEx is the single entry point for the matmul family.
 func gemmEx(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
@@ -102,15 +135,11 @@ func gemmEx(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
 	}
 	flops := 2 * m * n * k
 	if out.dtype == Float32 {
+		v := gemmArgs{kind: kind, ep: ep, od32: out.data32, ad32: a.data32, bd32: b.data32, bias32: bias32, m: m, k: k, n: n}
 		if flops >= packMinFlops {
-			gemmPacked32(kind, out.data32, a.data32, b.data32, bias32, m, k, n, ep)
-		} else if shouldPar(m, 2*k*n) {
-			ad, bd, od := a.data32, b.data32, out.data32
-			ParallelFor(m, 2*k*n, func(lo, hi int) {
-				gemmSmall32(kind, od, ad, bd, bias32, m, k, n, ep, lo, hi)
-			})
+			gemmPacked32(v)
 		} else {
-			gemmSmall32(kind, out.data32, a.data32, b.data32, bias32, m, k, n, ep, 0, m)
+			gemmJobs.For(m, 2*k*n, v, gemmSmall32)
 		}
 		return
 	}
@@ -121,31 +150,19 @@ func gemmEx(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
 // the chain seeds. par=false keeps the whole product on the calling
 // goroutine (the Serial entry points in matmul.go).
 func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue, par bool) {
+	v := gemmArgs{kind: kind, ep: ep, od: od, ad: ad, bd: bd, bias: bias, m: m, k: k, n: n}
 	if 2*m*n*k >= packMinFlops {
-		gemmPacked64(kind, od, ad, bd, bias, m, k, n, ep, par)
+		gemmPacked64(v, par)
 		return
 	}
-	par = par && shouldPar(m, 2*k*n)
+	fn := gemmSmallNN64
 	switch kind {
-	case gemmNN:
-		if par {
-			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallNN64(od, ad, bd, bias, k, n, ep, lo, hi) })
-		} else {
-			gemmSmallNN64(od, ad, bd, bias, k, n, ep, 0, m)
-		}
 	case gemmNT:
-		if par {
-			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallNT64(od, ad, bd, bias, k, n, ep, lo, hi) })
-		} else {
-			gemmSmallNT64(od, ad, bd, bias, k, n, ep, 0, m)
-		}
+		fn = gemmSmallNT64
 	case gemmTN:
-		if par {
-			ParallelFor(m, 2*k*n, func(lo, hi int) { gemmSmallTN64(od, ad, bd, bias, m, k, n, ep, lo, hi) })
-		} else {
-			gemmSmallTN64(od, ad, bd, bias, m, k, n, ep, 0, m)
-		}
+		fn = gemmSmallTN64
 	}
+	gemmRun(par, m, 2*k*n, v, fn)
 }
 
 // epilogueRowSeg64 applies bias+activation to out[jOff:jOff+len(seg)] of
@@ -168,7 +185,8 @@ func epilogueRowSeg64(seg, bias []float64, jOff int, ep Epilogue) {
 // keep Dense/GRU-sized calls on the fast path the workspace allocation
 // gates pin.
 
-func gemmSmallNN64(od, ad, bd, bias []float64, k, n int, ep Epilogue, lo, hi int) {
+func gemmSmallNN64(v gemmArgs, lo, hi int) {
+	od, ad, bd, bias, k, n, ep := v.od, v.ad, v.bd, v.bias, v.k, v.n, v.ep
 	for i := lo; i < hi; i++ {
 		orow := od[i*n : i*n+n]
 		arow := ad[i*k : i*k+k]
@@ -181,7 +199,8 @@ func gemmSmallNN64(od, ad, bd, bias []float64, k, n int, ep Epilogue, lo, hi int
 	}
 }
 
-func gemmSmallNT64(od, ad, bd, bias []float64, k, n int, ep Epilogue, lo, hi int) {
+func gemmSmallNT64(v gemmArgs, lo, hi int) {
+	od, ad, bd, bias, k, n, ep := v.od, v.ad, v.bd, v.bias, v.k, v.n, v.ep
 	for i := lo; i < hi; i++ {
 		orow := od[i*n : i*n+n]
 		arow := ad[i*k : i*k+k]
@@ -199,7 +218,8 @@ func gemmSmallNT64(od, ad, bd, bias []float64, k, n int, ep Epilogue, lo, hi int
 	}
 }
 
-func gemmSmallTN64(od, ad, bd, bias []float64, m, k, n int, ep Epilogue, lo, hi int) {
+func gemmSmallTN64(v gemmArgs, lo, hi int) {
+	od, ad, bd, bias, m, k, n, ep := v.od, v.ad, v.bd, v.bias, v.m, v.k, v.n, v.ep
 	for i := lo; i < hi; i++ {
 		orow := od[i*n : i*n+n]
 		for p := 0; p < k; p++ {
@@ -213,7 +233,8 @@ func gemmSmallTN64(od, ad, bd, bias []float64, m, k, n int, ep Epilogue, lo, hi 
 
 // gemmSmall32: scalar dots with float64 accumulation; the epilogue runs
 // in float64 before the single rounding to float32.
-func gemmSmall32(kind gemmKind, od, ad, bd []float32, bias []float32, m, k, n int, ep Epilogue, lo, hi int) {
+func gemmSmall32(v gemmArgs, lo, hi int) {
+	kind, od, ad, bd, bias, m, k, n, ep := v.kind, v.od32, v.ad32, v.bd32, v.bias32, v.m, v.k, v.n, v.ep
 	for i := lo; i < hi; i++ {
 		for j := 0; j < n; j++ {
 			acc := float64(od[i*n+j])
@@ -244,41 +265,30 @@ func gemmSmall32(kind gemmKind, od, ad, bd []float32, bias []float32, m, k, n in
 // (AVX2+FMA on amd64). Edge tiles run the same kernel through a
 // zero-padded stack tile whose out-of-range lanes are never stored.
 
-func gemmPacked64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue, par bool) {
-	_, kcB, ncB := BlockSizes()
-	kbMax := min(kcB, k)
-	// Loop variables are copied into single-assignment locals (jc, nb,
-	// pc, kb) before the worker closure captures them: capturing a
-	// mutated variable would box it on the heap on every call, serial
-	// path included.
-	for jcIter := 0; jcIter < n; jcIter += ncB {
-		jc, nb := jcIter, min(n-jcIter, ncB)
+func gemmPacked64(v gemmArgs, par bool) {
+	bd, m, k, n := v.bd, v.m, v.k, v.n
+	for jc := 0; jc < n; jc += nc {
+		nb := min(n-jc, nc)
 		panels := (nb + 7) / 8
-		bpP := getScratch(panels * kbMax * 8)
-		for pcIter := 0; pcIter < k; pcIter += kcB {
-			pc, kb := pcIter, min(k-pcIter, kcB)
+		bpP := getScratch(panels * min(kc, k) * 8)
+		for pc := 0; pc < k; pc += kc {
+			kb := min(k-pc, kc)
 			bp := (*bpP)[:panels*kb*8]
-			if kind == gemmNT {
+			if v.kind == gemmNT {
 				packBCols64(bp, bd, k, pc, kb, jc, nb)
 			} else {
 				packBRows64(bp, bd, n, pc, kb, jc, nb)
 			}
-			lastK := pc+kb == k
-			rowBlocks := (m + 3) / 4
-			cost := 8 * kb * nb
-			if par && shouldPar(rowBlocks, cost) {
-				ParallelFor(rowBlocks, cost, func(lo, hi int) {
-					gemmPackedRows64(kind, od, ad, bp, bias, m, k, n, pc, kb, jc, nb, lo, hi, lastK, ep)
-				})
-			} else {
-				gemmPackedRows64(kind, od, ad, bp, bias, m, k, n, pc, kb, jc, nb, 0, rowBlocks, lastK, ep)
-			}
+			v.bp, v.jc, v.nb, v.pc, v.kb, v.lastK = bp, jc, nb, pc, kb, pc+kb == k
+			gemmRun(par, (m+3)/4, 8*kb*nb, v, gemmPackedRows64)
 		}
 		putScratch(bpP)
 	}
 }
 
-func gemmPackedRows64(kind gemmKind, od, ad, bp, bias []float64, m, k, n, pc, kb, jc, nb, lo, hi int, lastK bool, ep Epilogue) {
+func gemmPackedRows64(v gemmArgs, lo, hi int) {
+	kind, od, ad, bp, bias, ep, m, k, n := v.kind, v.od, v.ad, v.bp, v.bias, v.ep, v.m, v.k, v.n
+	pc, kb, jc, nb, lastK := v.pc, v.kb, v.jc, v.nb, v.lastK
 	apP := getScratch(kb * 4)
 	ap := *apP
 	panels := (nb + 7) / 8
@@ -332,11 +342,10 @@ func gemmPackedRows64(kind gemmKind, od, ad, bp, bias []float64, m, k, n, pc, kb
 // intermediate kc blocks never round to float32, preserving the
 // "float64 accumulation over the full K" contract — then applies the
 // epilogue and rounds once on store.
-func gemmPacked32(kind gemmKind, od, ad, bd []float32, bias []float32, m, k, n int, ep Epilogue) {
-	_, kcB, ncB := BlockSizes()
-	kbMax := min(kcB, k)
-	for jcIter := 0; jcIter < n; jcIter += ncB {
-		jc, nb := jcIter, min(n-jcIter, ncB)
+func gemmPacked32(v gemmArgs) {
+	od, bd, bias, ep, m, k, n := v.od32, v.bd32, v.bias32, v.ep, v.m, v.k, v.n
+	for jc := 0; jc < n; jc += nc {
+		nb := min(n-jc, nc)
 		panels := (nb + 7) / 8
 		csP := getScratch(m * nb)
 		cs := *csP
@@ -347,27 +356,17 @@ func gemmPacked32(kind gemmKind, od, ad, bd []float32, bias []float32, m, k, n i
 				dst[j] = float64(v)
 			}
 		}
-		bpP := getScratch(panels * kbMax * 8)
-		for pc := 0; pc < k; pc += kcB {
-			kb := k - pc
-			if kb > kcB {
-				kb = kcB
-			}
+		bpP := getScratch(panels * min(kc, k) * 8)
+		for pc := 0; pc < k; pc += kc {
+			kb := min(k-pc, kc)
 			bp := (*bpP)[:panels*kb*8]
-			if kind == gemmNT {
+			if v.kind == gemmNT {
 				packBCols32(bp, bd, k, pc, kb, jc, nb)
 			} else {
 				packBRows32(bp, bd, n, pc, kb, jc, nb)
 			}
-			rowBlocks := (m + 3) / 4
-			cost := 8 * kb * nb
-			if shouldPar(rowBlocks, cost) {
-				ParallelFor(rowBlocks, cost, func(lo, hi int) {
-					gemmPackedRows32(kind, cs, ad, bp, m, k, nb, pc, kb, lo, hi)
-				})
-			} else {
-				gemmPackedRows32(kind, cs, ad, bp, m, k, nb, pc, kb, 0, rowBlocks)
-			}
+			v.cs, v.bp, v.nb, v.pc, v.kb = cs, bp, nb, pc, kb
+			gemmJobs.For((m+3)/4, 8*kb*nb, v, gemmPackedRows32)
 		}
 		putScratch(bpP)
 		for i := 0; i < m; i++ {
@@ -389,7 +388,8 @@ func gemmPacked32(kind gemmKind, od, ad, bd []float32, bias []float32, m, k, n i
 
 // gemmPackedRows32 runs the micro-kernel over the float64 strip cs
 // (row stride nb, column origin 0), packing A panels from float32.
-func gemmPackedRows32(kind gemmKind, cs []float64, ad []float32, bp []float64, m, k, nb, pc, kb, lo, hi int) {
+func gemmPackedRows32(v gemmArgs, lo, hi int) {
+	kind, cs, ad, bp, m, k, nb, pc, kb := v.kind, v.cs, v.ad32, v.bp, v.m, v.k, v.nb, v.pc, v.kb
 	apP := getScratch(kb * 4)
 	ap := *apP
 	panels := (nb + 7) / 8

@@ -103,10 +103,10 @@ func TMatMulAccInto(out, a, b *Tensor) {
 // entirely on the calling goroutine. They are for callers that already
 // parallelise at a coarser level and walk row ranges of larger buffers in
 // a tight loop (nn.GRU splits the batch and steps through time-major
-// stashes): no Tensor header per row-range view, and no nested
-// ParallelFor whose job descriptor would put an allocation on every
-// timestep. Same floating-point contract as the Tensor-level family, so
-// the results are bitwise those of the matching Into call.
+// stashes): no Tensor header per row-range view, and no nested parallel
+// dispatch inside the caller's own parallel region. Same floating-point
+// contract as the Tensor-level family, so the results are bitwise those
+// of the matching Into call.
 
 // MatMulAccBiasActSerial computes out = act(out + a×b + bias) for
 // row-major a (m×k), b (k×n), out (m×n); bias (length n) may be nil.

@@ -483,7 +483,7 @@ func TestMatMulIntoReuse(t *testing.T) {
 func TestMatMulParallelPath(t *testing.T) {
 	// On a single-core host the worker pool defaults to one participant
 	// and the parallel path never runs; force it (and a tiny grain) so
-	// the work-stealing kernel is exercised and verified.
+	// the parallel kernel path is exercised and verified.
 	w, g := Workers(), loadCfg().grain
 	Configure(WithWorkers(4), WithGrain(1024))
 	t.Cleanup(func() { Configure(WithWorkers(w), WithGrain(g)) })

@@ -6,8 +6,8 @@ import "math"
 // tensor elementwise ops and, through mpi.ReduceOp, by every collective's
 // combine phase. Each op has one slice-level entry point that dispatches
 // to AVX2 assembly when the host supports it (useAVX, simd_amd64.go) and
-// to a pure-Go loop otherwise, parallelized through the ParallelFor
-// runtime above the grain threshold.
+// to a pure-Go loop otherwise, parallelized through the Jobs.For runtime
+// above the grain threshold.
 //
 // Bitwise contract: vectorization never changes results. The elementwise
 // ops perform exactly the per-index operations of their scalar loops (one
@@ -37,26 +37,32 @@ func checkVec2(op string, dst, a, b []float64) ([]float64, []float64) {
 	return a[:len(dst)], b[:len(dst)]
 }
 
+// vecArgs carries a slice-level vector op and its operands through the
+// pool; the range functions below apply the op to one chunk.
+type vecArgs struct {
+	dst, a, b []float64
+	s         float64
+	bin       func(dst, a, b []float64)
+	un        func(dst, a []float64)
+}
+
+var vecJobs Jobs[vecArgs]
+
+func binRange(v vecArgs, lo, hi int)   { v.bin(v.dst[lo:hi], v.a[lo:hi], v.b[lo:hi]) }
+func unRange(v vecArgs, lo, hi int)    { v.un(v.dst[lo:hi], v.a[lo:hi]) }
+func scaleRange(v vecArgs, lo, hi int) { vecScale(v.dst[lo:hi], v.a[lo:hi], v.s) }
+func axpyRange(v vecArgs, lo, hi int)  { vecAxpyPlain(v.s, v.a[lo:hi], v.dst[lo:hi]) }
+
 // VecAddInto sets dst[i] = a[i] + b[i]. dst may alias a or b.
 func VecAddInto(dst, a, b []float64) {
 	a, b = checkVec2("VecAddInto", dst, a, b)
-	n := len(dst)
-	if shouldPar(n, vecCost) {
-		ParallelFor(n, vecCost, func(lo, hi int) { vecAdd(dst[lo:hi], a[lo:hi], b[lo:hi]) })
-		return
-	}
-	vecAdd(dst, a, b)
+	vecJobs.For(len(dst), vecCost, vecArgs{dst: dst, a: a, b: b, bin: vecAdd}, binRange)
 }
 
 // VecMulInto sets dst[i] = a[i] * b[i]. dst may alias a or b.
 func VecMulInto(dst, a, b []float64) {
 	a, b = checkVec2("VecMulInto", dst, a, b)
-	n := len(dst)
-	if shouldPar(n, vecCost) {
-		ParallelFor(n, vecCost, func(lo, hi int) { vecMul(dst[lo:hi], a[lo:hi], b[lo:hi]) })
-		return
-	}
-	vecMul(dst, a, b)
+	vecJobs.For(len(dst), vecCost, vecArgs{dst: dst, a: a, b: b, bin: vecMul}, binRange)
 }
 
 // VecMaxInto sets dst[i] = b[i] if b[i] > a[i], else a[i] — exactly the
@@ -64,24 +70,14 @@ func VecMulInto(dst, a, b []float64) {
 // and signed zeros in a win ties. dst may alias a or b.
 func VecMaxInto(dst, a, b []float64) {
 	a, b = checkVec2("VecMaxInto", dst, a, b)
-	n := len(dst)
-	if shouldPar(n, vecCost) {
-		ParallelFor(n, vecCost, func(lo, hi int) { vecMax(dst[lo:hi], a[lo:hi], b[lo:hi]) })
-		return
-	}
-	vecMax(dst, a, b)
+	vecJobs.For(len(dst), vecCost, vecArgs{dst: dst, a: a, b: b, bin: vecMax}, binRange)
 }
 
 // VecMinInto sets dst[i] = b[i] if b[i] < a[i], else a[i] (the min-combine
 // mirror of VecMaxInto). dst may alias a or b.
 func VecMinInto(dst, a, b []float64) {
 	a, b = checkVec2("VecMinInto", dst, a, b)
-	n := len(dst)
-	if shouldPar(n, vecCost) {
-		ParallelFor(n, vecCost, func(lo, hi int) { vecMin(dst[lo:hi], a[lo:hi], b[lo:hi]) })
-		return
-	}
-	vecMin(dst, a, b)
+	vecJobs.For(len(dst), vecCost, vecArgs{dst: dst, a: a, b: b, bin: vecMin}, binRange)
 }
 
 // VecScaleInto sets dst[i] = a[i] * s. dst may alias a.
@@ -89,13 +85,7 @@ func VecScaleInto(dst, a []float64, s float64) {
 	if len(a) < len(dst) {
 		panic("tensor: VecScaleInto input shorter than dst")
 	}
-	a = a[:len(dst)]
-	n := len(dst)
-	if shouldPar(n, vecCost) {
-		ParallelFor(n, vecCost, func(lo, hi int) { vecScale(dst[lo:hi], a[lo:hi], s) })
-		return
-	}
-	vecScale(dst, a, s)
+	vecJobs.For(len(dst), vecCost, vecArgs{dst: dst, a: a[:len(dst)], s: s}, scaleRange)
 }
 
 // AxpyInto performs dst[i] += alpha * x[i] with a separately rounded
@@ -106,13 +96,7 @@ func AxpyInto(dst []float64, alpha float64, x []float64) {
 	if len(x) < len(dst) {
 		panic("tensor: AxpyInto input shorter than dst")
 	}
-	x = x[:len(dst)]
-	n := len(dst)
-	if shouldPar(n, vecCost*2) {
-		ParallelFor(n, vecCost*2, func(lo, hi int) { vecAxpyPlain(alpha, x[lo:hi], dst[lo:hi]) })
-		return
-	}
-	vecAxpyPlain(alpha, x, dst)
+	vecJobs.For(len(dst), vecCost*2, vecArgs{dst: dst, a: x[:len(dst)], s: alpha}, axpyRange)
 }
 
 // VecSum returns the sum of x under a fixed 4-lane accumulation order
@@ -131,9 +115,11 @@ func VecSum(x []float64) float64 {
 // parallelization, not instruction width.
 func vecSigmoid(dst, a []float64) {
 	for i, v := range a {
-		dst[i] = 1 / (1 + math.Exp(-v))
+		dst[i] = sigmoid(v)
 	}
 }
+
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 func vecTanh(dst, a []float64) {
 	for i, v := range a {
@@ -151,14 +137,9 @@ const activationCost = 16
 func SigmoidInto(out, a *Tensor) *Tensor {
 	checkSame("SigmoidInto", out, a)
 	if out.dtype != Float64 {
-		return ApplyInto(out, a, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+		return ApplyInto(out, a, sigmoid)
 	}
-	od, ad := out.data, a.data
-	if shouldPar(len(od), activationCost) {
-		ParallelFor(len(od), activationCost, func(lo, hi int) { vecSigmoid(od[lo:hi], ad[lo:hi]) })
-	} else {
-		vecSigmoid(od, ad)
-	}
+	vecJobs.For(len(out.data), activationCost, vecArgs{dst: out.data, a: a.data, un: vecSigmoid}, unRange)
 	return out
 }
 
@@ -169,12 +150,7 @@ func TanhInto(out, a *Tensor) *Tensor {
 	if out.dtype != Float64 {
 		return ApplyInto(out, a, math.Tanh)
 	}
-	od, ad := out.data, a.data
-	if shouldPar(len(od), activationCost) {
-		ParallelFor(len(od), activationCost, func(lo, hi int) { vecTanh(od[lo:hi], ad[lo:hi]) })
-	} else {
-		vecTanh(od, ad)
-	}
+	vecJobs.For(len(out.data), activationCost, vecArgs{dst: out.data, a: a.data, un: vecTanh}, unRange)
 	return out
 }
 
@@ -194,11 +170,6 @@ func ReLUInto(out, a *Tensor) *Tensor {
 		}
 		return out
 	}
-	od, ad := out.data, a.data
-	if shouldPar(len(od), vecCost) {
-		ParallelFor(len(od), vecCost, func(lo, hi int) { vecReLU(od[lo:hi], ad[lo:hi]) })
-	} else {
-		vecReLU(od, ad)
-	}
+	vecJobs.For(len(out.data), vecCost, vecArgs{dst: out.data, a: a.data, un: vecReLU}, unRange)
 	return out
 }
