@@ -2,63 +2,47 @@ package distdl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/nn"
 )
 
 // Gradient bucketing for overlapped synchronization, after PyTorch DDP's
-// reducer: parameters are packed into size-bounded buckets in
-// *reverse-layer* order — the order their gradients become final during
-// the backward pass — so bucket 0 (the output-side layers) is ready while
-// backward is still grinding through the input-side layers, and its
-// allreduce can run concurrently with that remaining compute.
+// reducer: layers are grouped into size-bounded buckets in *reverse-layer*
+// order — the order their gradients become final during the backward pass
+// — so bucket 0 (the output-side layers) is ready while backward is still
+// grinding through the input-side layers, and its allreduce can run
+// concurrently with that remaining compute.
 //
-// The layout is a pure function of the model structure and BucketBytes,
-// computed once at trainer construction. Every rank therefore derives the
-// same layout, each bucket's allreduce reduces the same element sets in
-// the same order, and the result is independent of overlap timing — the
-// property that keeps overlapped and blocking bucketed training bitwise
-// identical.
+// A bucket's layers are adjacent, so their gradients form one contiguous
+// span of the model's gradient arena (nn.Sequential.BindArena), in forward
+// (arena) order; the allreduce runs on that span in place. The layout is a
+// pure function of the model structure and BucketBytes, computed once at
+// trainer construction. Every rank therefore derives the same layout, each
+// bucket's allreduce reduces the same element sets in the same order, and
+// the result is independent of overlap timing — the property that keeps
+// overlapped and blocking bucketed training bitwise identical.
 
 // DefaultBucketBytes is the bucket size cap used when overlap is requested
 // without an explicit BucketBytes (1 MiB of float64 gradient payload).
 const DefaultBucketBytes = 1 << 20
 
 // Bucket is one contiguous gradient-exchange unit: the parameters of one
-// or more adjacent layers, packed flat.
+// or more adjacent layers.
 type Bucket struct {
 	Index  int
 	Layers []int // contributing layer indices, descending (backward order)
-	Params []*nn.Param
 	Elems  int
-	span   string    // trace span name of its gradient sync, built once
-	buf    []float64 // reused pack buffer
+	params []*nn.Param // in forward (arena) order
+	span   string      // trace span name of its gradient sync, built once
+	grads  []float64   // the bucket's span of the gradient arena
 }
 
-// Pack copies the bucket's parameter gradients into its flat buffer (in
-// Params order) and returns it. The buffer is owned by the bucket and
-// reused across steps.
-func (b *Bucket) Pack() []float64 {
-	if cap(b.buf) < b.Elems {
-		b.buf = make([]float64, 0, b.Elems)
-	}
-	b.buf = b.buf[:0]
-	for _, p := range b.Params {
-		b.buf = append(b.buf, p.Grad.Data()...)
-	}
-	return b.buf
-}
-
-// Unpack scatters a flat reduced vector (as produced by Pack, then
-// allreduced) back into the bucket's parameter gradients.
-func (b *Bucket) Unpack(flat []float64) {
-	off := 0
-	for _, p := range b.Params {
-		n := p.Grad.Size()
-		copy(p.Grad.Data(), flat[off:off+n])
-		off += n
-	}
-}
+// Grads returns the bucket's span of the model's gradient arena, its
+// parameters' gradients in forward order. It is a view, not a copy: the
+// allreduce that reads the span writes the result back where backward
+// wrote the gradients.
+func (b *Bucket) Grads() []float64 { return b.grads }
 
 // Bucketer owns a model's bucket layout plus the per-step readiness
 // countdowns that the backward hook drives.
@@ -75,7 +59,8 @@ type Bucketer struct {
 // (8 bytes per float64 gradient element). Splits happen only at layer
 // boundaries — a layer's parameters always share one bucket, so a single
 // backward-hook firing decides a whole bucket's readiness — and a layer
-// bigger than the cap gets a bucket of its own.
+// bigger than the cap gets a bucket of its own. The model's parameter
+// arena must be bound (nn.Sequential.BindArena): the buckets are its spans.
 func NewBucketer(model *nn.Sequential, bucketBytes int) *Bucketer {
 	if bucketBytes <= 0 {
 		bucketBytes = DefaultBucketBytes
@@ -94,13 +79,14 @@ func NewBucketer(model *nn.Sequential, bucketBytes int) *Bucketer {
 			bb.buckets = append(bb.buckets, cur)
 		}
 		cur.Layers = append(cur.Layers, i)
-		cur.Params = append(cur.Params, ps...)
+		cur.params = slices.Concat(ps, cur.params)
 		cur.Elems += elems
 		bb.layerBucket[i] = cur.Index
 	}
 	bb.initial = make([]int, len(bb.buckets))
 	for _, b := range bb.buckets {
 		bb.initial[b.Index] = len(b.Layers)
+		_, b.grads = model.Span(b.params)
 	}
 	bb.remaining = make([]int, len(bb.buckets))
 	bb.Reset()

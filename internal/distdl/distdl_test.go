@@ -149,9 +149,9 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	finals := make([][]float64, p)
 	err := w.Run(func(c *mpi.Comm) error {
 		model := buildModel(100) // same init seed on every rank
-		tr := newTrainer(c, model, loss, nn.NewSGD(0.9, 0), Config{
+		tr := New(c, model, loss, nn.NewSGD(0.9, 0), WithConfig(Config{
 			Algo: mpi.AlgoRing, Schedule: nn.ConstLR(0.05),
-		})
+		})).(*Trainer)
 		for s := 0; s < steps; s++ {
 			idx := make([]int, 4)
 			for i := range idx {
@@ -183,7 +183,7 @@ func TestParamsStayInSync(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		// Different init seeds per rank: broadcast must fix that.
 		model := buildModel(int64(c.Rank()))
-		tr := newTrainer(c, model, nn.SoftmaxCrossEntropy{}, nn.NewAdam(), Config{})
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{})).(*Trainer)
 		if !tr.ParamsInSync() {
 			return fmt.Errorf("params not in sync after broadcast")
 		}
@@ -211,9 +211,9 @@ func TestTrainingConvergesDistributed(t *testing.T) {
 	var acc float64
 	err := w.Run(func(c *mpi.Comm) error {
 		model := buildModel(55)
-		tr := newTrainer(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{
 			Schedule: nn.WarmupLinearScale{Base: 0.01, Workers: p, WarmupSteps: 10},
-		})
+		})).(*Trainer)
 		var last float64
 		for epoch := 0; epoch < 15; epoch++ {
 			shard := Shard(80, int64(epoch), c.Rank(), p)
@@ -245,9 +245,9 @@ func TestFP16CompressionStillConverges(t *testing.T) {
 	var acc float64
 	err := w.Run(func(c *mpi.Comm) error {
 		model := buildModel(66)
-		tr := newTrainer(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{
 			Compression: FP16Compression, Schedule: nn.ConstLR(0.05),
-		})
+		})).(*Trainer)
 		for epoch := 0; epoch < 15; epoch++ {
 			shard := Shard(60, int64(epoch), c.Rank(), p)
 			for _, batch := range Batches(shard, 6) {
@@ -279,7 +279,7 @@ func TestFP16HalvesWireBytes(t *testing.T) {
 		var bytes int64
 		_ = w.Run(func(c *mpi.Comm) error {
 			model := buildModel(1)
-			tr := newTrainer(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0, 0), Config{Compression: comp})
+			tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0, 0), WithConfig(Config{Compression: comp})).(*Trainer)
 			bx, by := GatherBatch(xs, ys, []int{0, 1, 2, 3})
 			tr.Step(bx, by)
 			if c.Rank() == 0 {
@@ -308,7 +308,7 @@ func TestZeROMatchesDenseAdam(t *testing.T) {
 	var refFinal []float64
 	err := wRef.Run(func(c *mpi.Comm) error {
 		model := buildModel(200)
-		tr := newTrainer(c, model, nn.SoftmaxCrossEntropy{}, nn.NewAdam(), Config{Schedule: nn.ConstLR(0.01)})
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*Trainer)
 		for s := 0; s < steps; s++ {
 			idx := []int{(s*p + c.Rank()) % 32}
 			bx, by := GatherBatch(xs, ys, idx)
@@ -328,7 +328,7 @@ func TestZeROMatchesDenseAdam(t *testing.T) {
 	shardSizes := make([]int, p)
 	err = wZ.Run(func(c *mpi.Comm) error {
 		model := buildModel(200)
-		tr := newZeROTrainer(c, model, nn.SoftmaxCrossEntropy{}, Config{Schedule: nn.ConstLR(0.01)})
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nil, WithZeRO(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*ZeROTrainer)
 		for s := 0; s < steps; s++ {
 			idx := []int{(s*p + c.Rank()) % 32}
 			bx, by := GatherBatch(xs, ys, idx)
@@ -363,7 +363,7 @@ func TestZeROShardMemorySaving(t *testing.T) {
 	w := mpi.NewWorld(p)
 	err := w.Run(func(c *mpi.Comm) error {
 		model := buildModel(9)
-		tr := newZeROTrainer(c, model, nn.SoftmaxCrossEntropy{}, Config{})
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nil, WithZeRO(), WithConfig(Config{})).(*ZeROTrainer)
 		full := nn.NumParams(model.Params())
 		if tr.ShardSize() > full/p+1 {
 			return fmt.Errorf("shard %d too large for %d params on %d ranks", tr.ShardSize(), full, p)
@@ -515,7 +515,7 @@ func TestCheckpointResumeExact(t *testing.T) {
 	w1 := mpi.NewWorld(1)
 	var ref []float64
 	_ = w1.Run(func(c *mpi.Comm) error {
-		tr := newTrainer(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{Schedule: sched})
+		tr := New(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: sched})).(*Trainer)
 		for s := 0; s < 8; s++ {
 			step(tr, s)
 		}
@@ -527,7 +527,7 @@ func TestCheckpointResumeExact(t *testing.T) {
 	var blob []byte
 	w2 := mpi.NewWorld(1)
 	_ = w2.Run(func(c *mpi.Comm) error {
-		tr := newTrainer(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{Schedule: sched})
+		tr := New(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: sched})).(*Trainer)
 		for s := 0; s < 4; s++ {
 			step(tr, s)
 		}
@@ -539,7 +539,7 @@ func TestCheckpointResumeExact(t *testing.T) {
 	var resumed []float64
 	w3 := mpi.NewWorld(1)
 	_ = w3.Run(func(c *mpi.Comm) error {
-		tr := newTrainer(c, buildModel(12345), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{Schedule: sched})
+		tr := New(c, buildModel(12345), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: sched})).(*Trainer)
 		if err := tr.Restore(blob); err != nil {
 			return err
 		}
@@ -567,7 +567,7 @@ func TestCheckpointResumeAdam(t *testing.T) {
 		var out []float64
 		w := mpi.NewWorld(1)
 		_ = w.Run(func(c *mpi.Comm) error {
-			tr := newTrainer(c, buildModel(600), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), Config{Schedule: nn.ConstLR(0.01)})
+			tr := New(c, buildModel(600), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*Trainer)
 			for s := 0; s < 3; s++ {
 				bx, by := GatherBatch(xs, ys, []int{s, s + 1})
 				tr.Step(bx, by)
@@ -589,7 +589,7 @@ func TestCheckpointResumeAdam(t *testing.T) {
 		}
 		w2 := mpi.NewWorld(1)
 		_ = w2.Run(func(c *mpi.Comm) error {
-			tr := newTrainer(c, buildModel(77), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), Config{Schedule: nn.ConstLR(0.01)})
+			tr := New(c, buildModel(77), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*Trainer)
 			if err := tr.Restore(blob); err != nil {
 				return err
 			}
@@ -622,7 +622,7 @@ func TestElasticRestart(t *testing.T) {
 	var lossBefore float64
 	w4 := mpi.NewWorld(4)
 	err := w4.Run(func(c *mpi.Comm) error {
-		tr := newTrainer(c, buildModel(700), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{Schedule: nn.ConstLR(0.05)})
+		tr := New(c, buildModel(700), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: nn.ConstLR(0.05)})).(*Trainer)
 		for epoch := 0; epoch < 4; epoch++ {
 			shard := Shard(60, int64(epoch), c.Rank(), 4)
 			for _, batch := range Batches(shard, 5) {
@@ -648,7 +648,7 @@ func TestElasticRestart(t *testing.T) {
 	var lossAfter float64
 	w2 := mpi.NewWorld(2)
 	err = w2.Run(func(c *mpi.Comm) error {
-		tr := newTrainer(c, buildModel(701), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{Schedule: nn.ConstLR(0.05)})
+		tr := New(c, buildModel(701), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: nn.ConstLR(0.05)})).(*Trainer)
 		if err := tr.Restore(blob); err != nil {
 			return err
 		}

@@ -10,10 +10,8 @@ import (
 
 // Unified trainer construction. New is the single entry point for every
 // distributed-training flavour — plain data parallelism, bucketed and
-// overlapped gradient sync, ZeRO-1 optimizer sharding — configured with
-// functional options instead of the two divergent constructors
-// (NewTrainer / NewZeROTrainer) it supersedes. Those remain as thin
-// deprecated wrappers so existing callers compile.
+// overlapped gradient sync, ZeRO-1 optimizer sharding, 2D pipelines —
+// configured with functional options.
 
 // Stepper is the training-loop surface every trainer flavour shares: run
 // one synchronous optimizer step on this rank's minibatch (returning the
@@ -104,8 +102,9 @@ func WithPipeline(stages, microBatches int, schedule pipeline.Schedule) Option {
 // together with WithPipeline.
 func WithVirtualChunks(v int) Option { return func(n *newConfig) { n.pipe.virtualChunks = v } }
 
-// New builds a distributed trainer for one rank over comm, broadcasting
-// rank 0's parameters so every replica starts identical. The concrete
+// New builds a distributed trainer for one rank over comm, binding the
+// model's parameter arena (nn.Sequential.BindArena) and broadcasting rank
+// 0's parameters so every replica starts identical. The concrete
 // type behind the returned Stepper is *Trainer, *ZeROTrainer under
 // WithZeRO, or *PipelineTrainer under WithPipeline; callers needing the
 // wider concrete surface (Checkpoint, Restore, ParamsInSync,
@@ -115,6 +114,8 @@ func New(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optim
 	for _, o := range opts {
 		o(&n)
 	}
+	values, _ := model.BindArena()
+	copy(values, comm.Bcast(0, values))
 	if n.pipe.stages > 0 {
 		if n.zero {
 			panic("distdl: WithPipeline and WithZeRO are mutually exclusive")

@@ -17,6 +17,7 @@ import (
 
 func TestBucketerLayout(t *testing.T) {
 	model := buildModel(1) // MLP(4,16,2): Dense, ReLU, Dense
+	model.BindArena()
 	// Tiny cap: every parameterized layer gets its own bucket.
 	bb := NewBucketer(model, 1)
 	if bb.NumBuckets() != 2 {
@@ -49,7 +50,9 @@ func TestBucketerLayout(t *testing.T) {
 	}
 
 	// Layout is a pure function of (model shape, cap): two replicas agree.
-	bb2 := NewBucketer(buildModel(2), 1)
+	model2 := buildModel(2)
+	model2.BindArena()
+	bb2 := NewBucketer(model2, 1)
 	if bb2.NumBuckets() != bb.NumBuckets() {
 		t.Fatal("layout differs between identically-shaped replicas")
 	}
@@ -62,6 +65,7 @@ func TestBucketerLayout(t *testing.T) {
 
 func TestBucketerCountdown(t *testing.T) {
 	model := buildModel(1)
+	model.BindArena()
 	bb := NewBucketer(model, 1<<30) // single bucket, two contributing layers
 	if bb.NumBuckets() != 1 {
 		t.Fatalf("NumBuckets = %d, want 1", bb.NumBuckets())
@@ -82,27 +86,55 @@ func TestBucketerCountdown(t *testing.T) {
 	}
 }
 
-func TestBucketPackUnpackRoundTrip(t *testing.T) {
-	model := buildModel(3)
+// TestBucketGradsIsGradientSpan: a bucket is a span of the gradient arena
+// in forward order — Grads copies nothing, the spans tile the arena in
+// reverse, and a write through the span is a write to the gradients.
+func TestBucketGradsIsGradientSpan(t *testing.T) {
+	model := nn.MLP(rand.New(rand.NewSource(3)), 4, 8, 6, 2)
 	x, y, _ := synthClassification(9, 8, 4)
 	out := model.Forward(x, true)
 	_, grad := (nn.SoftmaxCrossEntropy{}).Forward(out, y)
 	model.Backward(grad)
-
-	bb := NewBucketer(model, 1)
-	want := nn.FlattenGrads(model.Params())
-	for _, b := range bb.Buckets() {
-		flat := b.Pack()
-		if len(flat) != b.Elems {
-			t.Fatalf("bucket %d: packed %d elems, want %d", b.Index, len(flat), b.Elems)
-		}
-		b.Unpack(flat) // identity round trip
+	want := make([][]float64, 0)
+	for _, p := range model.Params() {
+		want = append(want, append([]float64(nil), p.Grad.Data()...))
 	}
-	got := nn.FlattenGrads(model.Params())
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("elem %d changed across pack/unpack: %v != %v", i, got[i], want[i])
+
+	// The two output-side Dense layers share bucket 0, the input one is
+	// bucket 1.
+	_, grads := model.BindArena()
+	bb := NewBucketer(model, 8*(14+54))
+	if bb.NumBuckets() != 2 || len(bb.Buckets()[0].Layers) != 2 {
+		t.Fatalf("layout: %d buckets, bucket 0 has %d layers", bb.NumBuckets(), len(bb.Buckets()[0].Layers))
+	}
+	end := len(grads)
+	for _, b := range bb.Buckets() {
+		span := b.Grads()
+		if len(span) != b.Elems || &span[len(span)-1] != &grads[end-1] {
+			t.Fatalf("bucket %d: span of %d elems does not end at arena offset %d", b.Index, len(span), end)
 		}
+		end -= len(span)
+		off := 0
+		for _, p := range b.params {
+			if &p.Grad.Data()[0] != &span[off] {
+				t.Fatalf("bucket %d: %s is not at span offset %d", b.Index, p.Name, off)
+			}
+			off += p.Grad.Size()
+		}
+	}
+	if end != 0 {
+		t.Fatalf("buckets leave %d arena elements uncovered", end)
+	}
+	for i, p := range model.Params() {
+		for j, v := range p.Grad.Data() {
+			if v != want[i][j] {
+				t.Fatalf("%s grad[%d] changed by binding: %v != %v", p.Name, j, v, want[i][j])
+			}
+		}
+	}
+	bb.Buckets()[1].Grads()[0] = 42
+	if model.Params()[0].Grad.Data()[0] != 42 {
+		t.Fatal("write through the bucket span did not reach the gradient")
 	}
 }
 
@@ -248,93 +280,6 @@ func TestOverlapRatioAndSpans(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "msa_distdl_overlap_ratio") {
 		t.Fatalf("msa_distdl_overlap_ratio missing from registry output:\n%s", sb.String())
-	}
-}
-
-// TestNewMatchesDeprecatedConstructors: the functional-options front door
-// must behave exactly like the legacy constructors it wraps.
-func TestNewMatchesDeprecatedConstructors(t *testing.T) {
-	x, y, _ := synthClassification(21, 8, 4)
-	run := func(mk func(c *mpi.Comm) Stepper) []float64 {
-		var params []float64
-		w := mpi.NewWorld(2)
-		err := w.Run(func(c *mpi.Comm) error {
-			tr := mk(c)
-			for s := 0; s < 3; s++ {
-				idx := Shard(8, int64(s), c.Rank(), 2)
-				bx, by := GatherBatch(x, y, idx)
-				tr.Step(bx, by)
-			}
-			if c.Rank() == 0 {
-				switch v := tr.(type) {
-				case *Trainer:
-					params = nn.FlattenValues(v.Model.Params())
-				case *ZeROTrainer:
-					params = nn.FlattenValues(v.Model.Params())
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return params
-	}
-	cfg := Config{Schedule: nn.ConstLR(0.05)}
-	oldWay := run(func(c *mpi.Comm) Stepper {
-		//lint:ignore SA1019 the deprecated wrapper is the subject under test
-		return NewTrainer(c, buildModel(31), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), cfg)
-	})
-	newWay := run(func(c *mpi.Comm) Stepper {
-		return New(c, buildModel(31), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(cfg))
-	})
-	for i := range oldWay {
-		if oldWay[i] != newWay[i] {
-			t.Fatalf("param %d: NewTrainer %v != New %v", i, oldWay[i], newWay[i])
-		}
-	}
-	oldZ := run(func(c *mpi.Comm) Stepper {
-		//lint:ignore SA1019 the deprecated wrapper is the subject under test
-		return NewZeROTrainer(c, buildModel(32), nn.SoftmaxCrossEntropy{}, cfg)
-	})
-	newZ := run(func(c *mpi.Comm) Stepper {
-		return New(c, buildModel(32), nn.SoftmaxCrossEntropy{}, nil, WithZeRO(), WithConfig(cfg))
-	})
-	for i := range oldZ {
-		if oldZ[i] != newZ[i] {
-			t.Fatalf("param %d: NewZeROTrainer %v != New(WithZeRO) %v", i, oldZ[i], newZ[i])
-		}
-	}
-}
-
-func TestFlattenIntoReusesBuffer(t *testing.T) {
-	model := buildModel(55)
-	params := model.Params()
-	n := nn.NumParams(params)
-	rng := rand.New(rand.NewSource(5))
-	for _, p := range params {
-		for i := range p.Grad.Data() {
-			p.Grad.Data()[i] = rng.NormFloat64()
-		}
-	}
-	buf := make([]float64, 0, n)
-	got := nn.FlattenGradsInto(buf, params)
-	if &got[0] != &buf[:1][0] {
-		t.Fatal("FlattenGradsInto allocated despite sufficient capacity")
-	}
-	want := nn.FlattenGrads(params)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("elem %d: %v != %v", i, got[i], want[i])
-		}
-	}
-	nn.UnflattenGrads(params, got)
-	vgot := nn.FlattenValuesInto(got[:0], params) // reuse again for values
-	vwant := nn.FlattenValues(params)
-	for i := range vwant {
-		if vgot[i] != vwant[i] {
-			t.Fatalf("value elem %d: %v != %v", i, vgot[i], vwant[i])
-		}
 	}
 }
 

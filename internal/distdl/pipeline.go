@@ -44,7 +44,6 @@ type PipelineTrainer struct {
 	stageID int              // pipeline stage: world rank % stages
 
 	localParams []*nn.Param // concatenated params of this rank's chunks
-	chunkBuf    [][]float64 // per-chunk flat gradient buffers (local only)
 	lossBuf     []float64
 
 	step      int
@@ -53,8 +52,8 @@ type PipelineTrainer struct {
 }
 
 // newPipelineTrainer splits comm into the 2D grid and builds this rank's
-// pipeline stage. Parameters are broadcast from world rank 0 first, so
-// every replica and stage starts from identical weights.
+// pipeline stage. New has already broadcast the parameters from world
+// rank 0, so every replica and stage starts from identical weights.
 func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config, pc pipeOptions) *PipelineTrainer {
 	W, S := wc.Size(), pc.stages
 	if S < 1 || W%S != 0 {
@@ -63,11 +62,6 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 	if cfg.Schedule == nil {
 		cfg.Schedule = nn.ConstLR(0.01)
 	}
-	params := model.Params()
-	flat := nn.FlattenValues(params)
-	flat = wc.Bcast(0, flat)
-	nn.UnflattenValues(params, flat)
-
 	t := &PipelineTrainer{
 		Comm: wc, Model: model, Loss: loss, Opt: opt, Cfg: cfg,
 		rep: wc.Rank() / S, stageID: wc.Rank() % S,
@@ -86,11 +80,8 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 		panic(fmt.Sprintf("distdl: building pipeline stage: %v", err))
 	}
 	t.stage = st
-	t.chunkBuf = make([][]float64, st.Chunks())
 	for _, c := range st.LocalChunks() {
-		cp := st.ChunkParams(c)
-		t.localParams = append(t.localParams, cp...)
-		t.chunkBuf[c] = make([]float64, nn.NumParams(cp))
+		t.localParams = append(t.localParams, st.ChunkParams(c)...)
 	}
 	if t.dp.Size() > 1 {
 		st.SetChunkBackwardHook(t.chunkHook)
@@ -98,21 +89,17 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 	return t
 }
 
-// chunkHook averages one chunk's finished gradients across the replicas,
-// called by the pipeline engine while the rest of the backward pass is
-// still in flight.
-func (t *PipelineTrainer) chunkHook(chunk int, params []*nn.Param) {
-	buf := t.chunkBuf[chunk]
-	if len(buf) == 0 {
+// chunkHook averages one chunk's finished gradients — its span of the
+// gradient arena, in place — across the replicas, called by the pipeline
+// engine while the rest of the backward pass is still in flight.
+func (t *PipelineTrainer) chunkHook(grads []float64) {
+	if len(grads) == 0 {
 		return
 	}
-	buf = nn.FlattenGradsInto(buf, params)
-	t.chunkBuf[chunk] = buf
 	c0 := time.Now()
-	t.dp.AllreduceInPlace(buf, mpi.OpSum, mpi.AlgoRing)
+	t.dp.AllreduceInPlace(grads, mpi.OpSum, mpi.AlgoRing)
 	t.commNS += time.Since(c0).Nanoseconds()
-	tensor.VecScaleInto(buf, buf, 1/float64(t.dp.Size()))
-	nn.UnflattenGrads(params, buf)
+	tensor.VecScaleInto(grads, grads, 1/float64(t.dp.Size()))
 }
 
 // Step runs one synchronous 2D optimizer step on this replica's minibatch

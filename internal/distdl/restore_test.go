@@ -2,6 +2,7 @@ package distdl
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func soloTrainer(modelSeed int64, dims ...int) *Trainer {
 	w := mpi.NewWorld(1)
 	m := nn.MLP(rand.New(rand.NewSource(modelSeed)), dims...)
-	return newTrainer(w.Comm(0), m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{})
+	return New(w.Comm(0), m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{})).(*Trainer)
 }
 
 func TestRestoreRejectsMismatchedModel(t *testing.T) {
@@ -103,6 +104,33 @@ func TestRestoreRoundTripAfterSteps(t *testing.T) {
 	}
 }
 
+// TestRestoreLandsInArena: Restore (LoadModel, then SGD.LoadState) writes
+// into the bound value arena the step reads, so the restored trainer
+// continues bit for bit like the one that wrote the checkpoint.
+func TestRestoreLandsInArena(t *testing.T) {
+	xs, ys, _ := synthClassification(8, 16, 4)
+	tr := soloTrainer(12, 4, 8, 2)
+	for i := 0; i < 3; i++ {
+		tr.Step(xs, ys)
+	}
+	blob, err := tr.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := soloTrainer(13, 4, 8, 2)
+	if err := fresh.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fresh.values, tr.values) {
+		t.Fatal("restored values did not land in the value arena")
+	}
+	tr.Step(xs, ys)
+	fresh.Step(xs, ys)
+	if !slices.Equal(fresh.values, tr.values) {
+		t.Fatal("step after Restore diverged from the checkpointing trainer")
+	}
+}
+
 // TestRestoreIntoSmallerWorld is the elastic-recovery core: a checkpoint
 // written by a 4-rank run restores into a 2-rank world, every surviving
 // rank agrees bitwise, and training proceeds.
@@ -113,7 +141,7 @@ func TestRestoreIntoSmallerWorld(t *testing.T) {
 	w4 := mpi.NewWorld(4)
 	err := w4.Run(func(c *mpi.Comm) error {
 		m := nn.MLP(rand.New(rand.NewSource(11)), 4, 8, 2)
-		tr := newTrainer(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{})
+		tr := New(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{})).(*Trainer)
 		for i := 0; i < 5; i++ {
 			shard := Shard(32, int64(i), c.Rank(), 4)
 			bx, by := GatherBatch(xs, ys, shard[:4])
@@ -133,7 +161,7 @@ func TestRestoreIntoSmallerWorld(t *testing.T) {
 	w2 := mpi.NewWorld(2)
 	err = w2.Run(func(c *mpi.Comm) error {
 		m := nn.MLP(rand.New(rand.NewSource(11)), 4, 8, 2)
-		tr := newTrainer(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), Config{})
+		tr := New(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{})).(*Trainer)
 		if err := tr.Restore(blob); err != nil {
 			return err
 		}

@@ -82,7 +82,11 @@ type Trainer struct {
 	Cfg   Config
 
 	params []*nn.Param
-	step   int
+	// values and grads are the model's parameter arena
+	// (nn.Sequential.BindArena): the gradient allreduce runs on grads in
+	// place, where backward wrote them.
+	values, grads []float64
+	step          int
 	// ws is the trainer-owned tensor workspace threaded through the model
 	// and loss: every forward/backward temporary is borrowed from it and
 	// recycled at the top of the next Step, so steady-state training
@@ -105,10 +109,6 @@ type Trainer struct {
 	ComputeNs int64
 	CommNs    int64
 
-	// flatBuf is the reused monolithic flat-gradient buffer
-	// (nn.FlattenGradsInto), eliminating the per-step allocation.
-	flatBuf []float64
-
 	// Bucketed/overlapped sync state (nil / unused when BucketBytes == 0).
 	bkt      *Bucketer
 	inflight []*mpi.AllreduceRequest // per bucket, launch order
@@ -121,17 +121,8 @@ type Trainer struct {
 	overlapTotalNs  int64
 }
 
-// NewTrainer wires a replica to its communicator.
-//
-// Deprecated: use New, which unifies trainer construction behind
-// functional options (NewTrainer(c, m, l, o, cfg) is New(c, m, l, o,
-// WithConfig(cfg))).
-func NewTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config) *Trainer {
-	return newTrainer(comm, model, loss, opt, cfg)
-}
-
-// newTrainer wires a replica to its communicator. Parameters are
-// broadcast from rank 0 so every replica starts identical (the Horovod
+// newTrainer wires a replica to its communicator over the model's bound
+// parameter arena, whose values New has broadcast from rank 0 (the Horovod
 // `broadcast_parameters` step).
 func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config) *Trainer {
 	if cfg.Algo == "" {
@@ -145,6 +136,7 @@ func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt n
 	}
 	t := &Trainer{Comm: comm, Model: model, Loss: loss, Opt: opt, Cfg: cfg,
 		params: model.Params(), ws: tensor.NewWorkspace()}
+	t.values, t.grads = model.Span(t.params)
 	model.SetWorkspace(t.ws)
 	t.hookFn = t.backwardHook
 	if cfg.BucketBytes > 0 {
@@ -152,9 +144,6 @@ func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt n
 		t.inflight = make([]*mpi.AllreduceRequest, t.bkt.NumBuckets())
 		t.launched = make([]time.Time, t.bkt.NumBuckets())
 	}
-	flat := nn.FlattenValues(t.params)
-	flat = comm.Bcast(0, flat)
-	nn.UnflattenValues(t.params, flat)
 	if cfg.Metrics != nil {
 		cfg.Metrics.SetHelp("msa_distdl_overlap_ratio",
 			"fraction of gradient allreduce wall time hidden behind backward compute")
@@ -249,11 +238,10 @@ func (t *Trainer) chargeGradBytes(elems int) {
 	}
 }
 
-// syncMonolithic exchanges the whole flat gradient in one blocking
-// allreduce (the pre-bucketing path), reusing the trainer-owned buffer.
+// syncMonolithic averages the whole gradient arena in one blocking
+// allreduce, in place.
 func (t *Trainer) syncMonolithic(tr *telemetry.Tracer, rank int) {
-	t.flatBuf = nn.FlattenGradsInto(t.flatBuf, t.params)
-	flat := t.flatBuf
+	flat := t.grads
 	if t.Cfg.Compression == FP16Compression {
 		CompressFP16(flat)
 	}
@@ -265,7 +253,6 @@ func (t *Trainer) syncMonolithic(tr *telemetry.Tracer, rank int) {
 	}
 	t.CommNs += time.Since(c1).Nanoseconds()
 	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, int64(len(flat))*t.bytesPerElem(), string(t.Cfg.Algo))
-	nn.UnflattenGrads(t.params, flat)
 }
 
 // syncBucketsBlocking exchanges each bucket with a blocking allreduce, in
@@ -275,7 +262,7 @@ func (t *Trainer) syncMonolithic(tr *telemetry.Tracer, rank int) {
 func (t *Trainer) syncBucketsBlocking(tr *telemetry.Tracer, rank int) {
 	inv := 1 / float64(t.Comm.Size())
 	for _, bk := range t.bkt.Buckets() {
-		flat := bk.Pack()
+		flat := bk.Grads()
 		if t.Cfg.Compression == FP16Compression {
 			CompressFP16(flat)
 		}
@@ -285,7 +272,6 @@ func (t *Trainer) syncBucketsBlocking(tr *telemetry.Tracer, rank int) {
 		t.CommNs += time.Since(c1).Nanoseconds()
 		t.chargeGradBytes(bk.Elems)
 		tensor.VecScaleInto(flat, flat, inv)
-		bk.Unpack(flat)
 		tr.End(rank, telemetry.CatComm, bk.span,
 			commStart, int64(bk.Elems)*t.bytesPerElem(), string(t.Cfg.Algo))
 	}
@@ -300,14 +286,14 @@ func (t *Trainer) backwardHook(layerIdx int, _ nn.Layer) {
 	}
 }
 
-// launchBucket packs bucket bi and starts its nonblocking ring allreduce.
-// The bucket's reused pack buffer is handed to the ring directly
-// (IallreduceShared) — no wire copy per launch. This is safe because
-// drainBuckets waits on every request before Step returns, so the buffer
-// is quiescent again before the next Step's Pack overwrites it.
+// launchBucket starts bucket bi's nonblocking ring allreduce on its span
+// of the gradient arena (IallreduceShared): no copy per launch. This is
+// safe because the rest of backward writes only the gradients of earlier
+// layers, which lie outside the span, and drainBuckets waits on every
+// request before Step returns.
 func (t *Trainer) launchBucket(bi int) {
 	bk := t.bkt.Buckets()[bi]
-	flat := bk.Pack()
+	flat := bk.Grads()
 	if t.Cfg.Compression == FP16Compression {
 		CompressFP16(flat)
 	}
@@ -316,9 +302,9 @@ func (t *Trainer) launchBucket(bi int) {
 }
 
 // drainBuckets waits for every in-flight bucket allreduce (in launch
-// order), scales to the mean, scatters results back into parameter
-// gradients, and accounts overlap: the span of each operation that ran
-// before bwdEnd was hidden behind backward compute.
+// order), scales each reduced span to the mean in place, and accounts
+// overlap: the span of each operation that ran before bwdEnd was hidden
+// behind backward compute.
 func (t *Trainer) drainBuckets(tr *telemetry.Tracer, rank int, bwdEnd time.Time) {
 	inv := 1 / float64(t.Comm.Size())
 	for bi := range t.inflight {
@@ -348,7 +334,6 @@ func (t *Trainer) drainBuckets(tr *telemetry.Tracer, rank int, bwdEnd time.Time)
 		}
 		t.chargeGradBytes(bk.Elems)
 		tensor.VecScaleInto(flat, flat, inv)
-		bk.Unpack(flat)
 		tr.End(rank, telemetry.CatComm, bk.span,
 			waitStart, int64(bk.Elems)*t.bytesPerElem(), "iallreduce-ring")
 		t.inflight[bi] = nil
@@ -502,9 +487,8 @@ func (t *Trainer) Restore(blob []byte) error {
 // fundamental invariant of synchronous data parallelism. It is a
 // collective call (all ranks must enter).
 func (t *Trainer) ParamsInSync() bool {
-	flat := nn.FlattenValues(t.params)
-	minV := t.Comm.Allreduce(flat, mpi.OpMin, mpi.AlgoTree)
-	maxV := t.Comm.Allreduce(flat, mpi.OpMax, mpi.AlgoTree)
+	minV := t.Comm.Allreduce(t.values, mpi.OpMin, mpi.AlgoTree)
+	maxV := t.Comm.Allreduce(t.values, mpi.OpMax, mpi.AlgoTree)
 	for i := range minV {
 		if minV[i] != maxV[i] {
 			return false

@@ -23,9 +23,12 @@ type ZeROTrainer struct {
 	Loss  nn.Loss
 	Cfg   Config
 
-	params []*nn.Param
-	n      int // total parameter count
-	lo, hi int // this rank's shard bounds
+	// values and grads are the model's parameter arena: the gradient
+	// slab is reduce-scattered as is, and the shard update writes
+	// values[lo:hi] in place.
+	values, grads []float64
+	n             int // total parameter count
+	lo, hi        int // this rank's shard bounds
 
 	// Adam state for the local shard only.
 	m, v              []float64
@@ -37,28 +40,15 @@ type ZeROTrainer struct {
 	ComputeNs int64
 	CommNs    int64
 
-	// flatBuf and valBuf are the reused flat gradient / value buffers
-	// (nn.FlattenGradsInto / FlattenValuesInto); fullBuf is rank 0's
-	// reused concatenation scratch for the uneven-shard gather path.
-	flatBuf []float64
-	valBuf  []float64
-	fullBuf []float64
-
 	// ws pools every forward/backward temporary, recycled per Step (see
 	// Trainer.ws).
 	ws *tensor.Workspace
 }
 
-// NewZeROTrainer builds a sharded-optimizer replica.
-//
-// Deprecated: use New with WithZeRO (and a nil optimizer argument).
-func NewZeROTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, cfg Config) *ZeROTrainer {
-	return newZeROTrainer(comm, model, loss, cfg)
-}
-
-// newZeROTrainer builds a sharded-optimizer replica. The world size must
-// divide nothing in particular: shards use the same chunking as the ring
-// collectives. Parameters are broadcast from rank 0.
+// newZeROTrainer builds a sharded-optimizer replica over the model's bound
+// parameter arena, whose values New has broadcast from rank 0. The world
+// size must divide nothing in particular: shards use the same chunking as
+// the ring collectives.
 func newZeROTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, cfg Config) *ZeROTrainer {
 	if cfg.Algo == "" {
 		cfg.Algo = mpi.AlgoRing
@@ -66,21 +56,18 @@ func newZeROTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, c
 	if cfg.Schedule == nil {
 		cfg.Schedule = nn.ConstLR(0.01)
 	}
-	params := model.Params()
-	n := nn.NumParams(params)
+	values, grads := model.Span(model.Params())
+	n := len(values)
 	p, r := comm.Size(), comm.Rank()
 	lo, hi := r*n/p, (r+1)*n/p
 	t := &ZeROTrainer{
 		Comm: comm, Model: model, Loss: loss, Cfg: cfg,
-		params: params, n: n, lo: lo, hi: hi,
+		values: values, grads: grads, n: n, lo: lo, hi: hi,
 		m: make([]float64, hi-lo), v: make([]float64, hi-lo),
 		beta1: 0.9, beta2: 0.999, eps: 1e-8,
 		ws: tensor.NewWorkspace(),
 	}
 	model.SetWorkspace(t.ws)
-	flat := nn.FlattenValues(params)
-	flat = comm.Bcast(0, flat)
-	nn.UnflattenValues(params, flat)
 	return t
 }
 
@@ -104,23 +91,21 @@ func (t *ZeROTrainer) Step(x, y *tensor.Tensor) float64 {
 	t.ComputeNs += time.Since(c0).Nanoseconds()
 	tr.End(rank, telemetry.CatCompute, "fwd-bwd", stepStart, 0, "")
 
-	t.flatBuf = nn.FlattenGradsInto(t.flatBuf, t.params)
-	flat := t.flatBuf
 	var shard []float64
 	p := t.Comm.Size()
 	rsStart := tr.Start()
 	w1 := time.Now()
 	if p > 1 {
-		shard = t.Comm.ReduceScatter(flat, mpi.OpSum)
+		shard = t.Comm.ReduceScatter(t.grads, mpi.OpSum)
 		inv := 1 / float64(p)
 		for i := range shard {
 			shard[i] *= inv
 		}
 	} else {
-		shard = flat[t.lo:t.hi]
+		shard = t.grads[t.lo:t.hi]
 	}
 	t.CommNs += time.Since(w1).Nanoseconds()
-	tr.End(rank, telemetry.CatComm, "grad-reduce-scatter", rsStart, int64(len(flat))*8, string(t.Cfg.Algo))
+	tr.End(rank, telemetry.CatComm, "grad-reduce-scatter", rsStart, int64(t.n)*8, string(t.Cfg.Algo))
 
 	// Adam on the local shard.
 	adamStart := tr.Start()
@@ -129,9 +114,7 @@ func (t *ZeROTrainer) Step(x, y *tensor.Tensor) float64 {
 	lr := t.Cfg.Schedule.LR(t.step - 1)
 	c1 := 1 - math.Pow(t.beta1, float64(t.step))
 	c2 := 1 - math.Pow(t.beta2, float64(t.step))
-	t.valBuf = nn.FlattenValuesInto(t.valBuf, t.params)
-	vals := t.valBuf
-	local := vals[t.lo:t.hi]
+	local := t.values[t.lo:t.hi]
 	for i, g := range shard {
 		t.m[i] = t.beta1*t.m[i] + (1-t.beta1)*g
 		t.v[i] = t.beta2*t.v[i] + (1-t.beta2)*g*g
@@ -143,34 +126,23 @@ func (t *ZeROTrainer) Step(x, y *tensor.Tensor) float64 {
 	t.ComputeNs += time.Since(a0).Nanoseconds()
 	tr.End(rank, telemetry.CatCompute, "adam-shard", adamStart, 0, "")
 
-	// Allgather the updated shards. Shards may differ in size by one
-	// chunk-boundary element, so exchange via Gather+Bcast on uneven
-	// worlds and fast Allgather when even.
+	// Allgather the updated shards into the value arena. Shards may differ
+	// in size by one chunk-boundary element, so exchange via Gather+Bcast
+	// on uneven worlds (rank 0 assembles the shards in its own arena) and
+	// fast Allgather when even.
 	agStart := tr.Start()
 	g0 := time.Now()
 	if p > 1 {
 		if t.n%p == 0 {
-			full := t.Comm.Allgather(local)
-			nn.UnflattenValues(t.params, full)
+			copy(t.values, t.Comm.Allgather(local))
 		} else {
 			parts := t.Comm.Gather(0, local)
-			var full []float64
-			if t.Comm.Rank() == 0 {
-				if cap(t.fullBuf) < t.n {
-					t.fullBuf = make([]float64, 0, t.n)
-				}
-				full = t.fullBuf[:0]
-				for _, pt := range parts {
-					full = append(full, pt...)
-				}
-				t.fullBuf = full
+			off := 0
+			for _, pt := range parts {
+				off += copy(t.values[off:], pt)
 			}
-			full = t.Comm.Bcast(0, full)
-			nn.UnflattenValues(t.params, full)
+			copy(t.values, t.Comm.Bcast(0, t.values))
 		}
-	} else {
-		copy(vals[t.lo:t.hi], local)
-		nn.UnflattenValues(t.params, vals)
 	}
 	t.CommNs += time.Since(g0).Nanoseconds()
 	tr.End(rank, telemetry.CatComm, "param-allgather", agStart, int64(t.n)*8, "")

@@ -460,7 +460,8 @@ func (c *Comm) Alltoall(parts [][]float64) [][]float64 {
 // AllreduceScalar reduces a single value across ranks; a convenience for
 // metric aggregation (loss, accuracy counts).
 func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
-	buf := []float64{v}
+	buf := c.scalar[:]
+	buf[0] = v
 	c.allreduce(buf, op, AlgoDefault, false)
 	return buf[0]
 }

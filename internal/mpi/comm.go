@@ -22,6 +22,9 @@ type Comm struct {
 	g     *group // shared by every member's handle
 	rank  int    // this rank's index in g.members
 	wrank int    // g.members[rank]
+	// scalar is AllreduceScalar's one-element buffer, so the per-step loss
+	// sync allocates nothing; safe because the handle has one owner.
+	scalar [1]float64
 }
 
 // Rank returns this rank's index within the communicator's group.

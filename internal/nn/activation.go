@@ -22,10 +22,6 @@ const (
 // ActIdentity the input is returned unchanged, never a borrow. Argmax is
 // preserved for every choice (softmax and sigmoid are monotone), so
 // classification decisions are activation-independent.
-//
-// This is the single kernel entry point for final-layer activations; the
-// former ApplyActivation/ApplyActivationWS pair are thin deprecated
-// wrappers over it.
 func Activate(ws *tensor.Workspace, logits *tensor.Tensor, act Activation) *tensor.Tensor {
 	switch act {
 	case ActSoftmax:
@@ -35,18 +31,4 @@ func Activate(ws *tensor.Workspace, logits *tensor.Tensor, act Activation) *tens
 	default:
 		return logits
 	}
-}
-
-// ApplyActivation converts logits to probabilities with fresh allocation.
-//
-// Deprecated: use Activate(nil, logits, act).
-func ApplyActivation(logits *tensor.Tensor, act Activation) *tensor.Tensor {
-	return Activate(nil, logits, act)
-}
-
-// ApplyActivationWS converts logits to probabilities via ws.
-//
-// Deprecated: use Activate.
-func ApplyActivationWS(ws *tensor.Workspace, logits *tensor.Tensor, act Activation) *tensor.Tensor {
-	return Activate(ws, logits, act)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -257,6 +258,10 @@ type Sequential struct {
 	ws *tensor.Workspace
 	// paramsCache memoizes the flattened parameter list (see Params).
 	paramsCache []*Param
+	// values and grads are the parameter arena once bound is set (see
+	// BindArena).
+	values, grads []float64
+	bound         bool
 }
 
 // BackwardHook observes the backward pass layer by layer: it is called
@@ -269,8 +274,12 @@ type BackwardHook func(layerIndex int, layer Layer)
 // NewSequential builds a model from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Add appends a layer and invalidates the cached parameter list.
+// Add appends a layer and invalidates the cached parameter list. It panics
+// once the parameter arena is bound: the arena's layout is fixed.
 func (s *Sequential) Add(l Layer) {
+	if s.bound {
+		panic("nn: Sequential.Add after BindArena: the parameter arena's layout is fixed")
+	}
 	s.Layers = append(s.Layers, l)
 	s.paramsCache = nil
 }
@@ -314,9 +323,62 @@ func (s *Sequential) Params() []*Param {
 	return s.paramsCache
 }
 
-// ZeroGrads clears every parameter gradient in the model.
+// ZeroGrads clears every parameter gradient in the model. On a bound
+// model the gradient views tile the whole gradient slab, so this clears
+// the slab.
 func (s *Sequential) ZeroGrads() {
 	for _, p := range s.Params() {
 		p.ZeroGrad()
 	}
+}
+
+// BindArena gives the model one contiguous value slab and one gradient
+// slab, each laid out in Params() order, and returns them. Every
+// Param.Value and Param.Grad becomes a view into its slab, holding the
+// numbers it held before; layers read p.Value and p.Grad at call time, so
+// they run unchanged. Distributed training exchanges the slabs in place:
+// the gradient slab is the allreduce buffer, and a bucket, pipeline chunk
+// or ZeRO shard is a sub-slice of it (Span). Binding a bound model only
+// returns its slabs, and Add panics afterwards. Parameters must be
+// float64.
+func (s *Sequential) BindArena() (values, grads []float64) {
+	if s.bound {
+		return s.values, s.grads
+	}
+	params := s.Params()
+	n := NumParams(params)
+	s.values, s.grads = make([]float64, n), make([]float64, n)
+	off := 0
+	for _, p := range params {
+		hi := off + p.Value.Size()
+		v, g := s.values[off:hi:hi], s.grads[off:hi:hi]
+		copy(v, p.Value.Data())
+		copy(g, p.Grad.Data())
+		p.Value = tensor.FromSlice(v, p.Value.Shape()...)
+		p.Grad = tensor.FromSlice(g, p.Grad.Shape()...)
+		off = hi
+	}
+	s.bound = true
+	return s.values, s.grads
+}
+
+// Span returns the value and gradient sub-slices of the bound arena that
+// hold ps, which must be a contiguous run of Params() in order: a gradient
+// bucket, a pipeline chunk. It panics on an unbound model or on a list
+// that is not such a run; an empty ps yields empty spans.
+func (s *Sequential) Span(ps []*Param) (values, grads []float64) {
+	if !s.bound {
+		panic("nn: Span on a model without a bound parameter arena (call BindArena)")
+	}
+	if len(ps) == 0 {
+		return nil, nil
+	}
+	all := s.Params()
+	i := slices.Index(all, ps[0])
+	if i < 0 || i+len(ps) > len(all) || !slices.Equal(all[i:i+len(ps)], ps) {
+		panic("nn: Span params are not a contiguous run of the model's Params()")
+	}
+	lo := NumParams(all[:i])
+	hi := lo + NumParams(ps)
+	return s.values[lo:hi:hi], s.grads[lo:hi:hi]
 }

@@ -33,25 +33,25 @@ func NewSGD(momentum, weightDecay float64) *SGD {
 // Name returns "sgd".
 func (s *SGD) Name() string { return "sgd" }
 
-// Step applies v = µv + g; w -= lr·(v + wd·w).
+// Step applies v = µv + g; w += (−lr·wd)·w; w += (−lr)·v, one fused pass
+// per parameter (tensor.SGDStep). Momentum 0 steps along g itself, and
+// NoDecay parameters skip the decay term.
 func (s *SGD) Step(params []*Param, lr float64) {
 	for _, p := range params {
-		g := p.Grad
+		var v []float64
 		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
+			vt, ok := s.velocity[p]
 			if !ok {
-				v = tensor.New(p.Value.Shape()...)
-				s.velocity[p] = v
+				vt = tensor.New(p.Value.Shape()...)
+				s.velocity[p] = vt
 			}
-			v.Scale(s.Momentum).AddInPlace(g)
-			g = v
+			v = vt.Data()
 		}
-		if s.WeightDecay > 0 && !p.NoDecay {
-			// Axpy against the value itself: element i reads only its own
-			// pre-update value, so no defensive copy is needed.
-			p.Value.Axpy(-lr*s.WeightDecay, p.Value)
+		wd := s.WeightDecay
+		if p.NoDecay {
+			wd = 0
 		}
-		p.Value.Axpy(-lr, g)
+		tensor.SGDStep(p.Value.Data(), v, p.Grad.Data(), s.Momentum, wd, lr)
 	}
 }
 

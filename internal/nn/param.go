@@ -14,8 +14,6 @@
 package nn
 
 import (
-	"fmt"
-
 	"repro/internal/tensor"
 )
 
@@ -45,73 +43,15 @@ func NumParams(params []*Param) int {
 	return n
 }
 
-// FlattenValues copies all parameter values into one flat vector in list
-// order (used to broadcast initial weights across ranks).
+// FlattenValues copies all parameter values into one new flat vector in
+// list order (a snapshot for comparisons; a bound model's values already
+// sit in one slab, see Sequential.BindArena).
 func FlattenValues(params []*Param) []float64 {
-	return FlattenValuesInto(nil, params)
-}
-
-// FlattenValuesInto is FlattenValues writing into dst's storage (grown if
-// needed), so a caller flattening every step can reuse one buffer.
-func FlattenValuesInto(dst []float64, params []*Param) []float64 {
-	dst = growTo(dst, NumParams(params))
+	out := make([]float64, 0, NumParams(params))
 	for _, p := range params {
-		dst = append(dst, p.Value.Data()...)
+		out = append(out, p.Value.Data()...)
 	}
-	return dst
-}
-
-// UnflattenValues writes a flat vector (as produced by FlattenValues) back
-// into the parameter values.
-func UnflattenValues(params []*Param, flat []float64) {
-	if len(flat) != NumParams(params) {
-		panic(fmt.Sprintf("nn: UnflattenValues length %d, want %d", len(flat), NumParams(params)))
-	}
-	off := 0
-	for _, p := range params {
-		n := p.Value.Size()
-		copy(p.Value.Data(), flat[off:off+n])
-		off += n
-	}
-}
-
-// FlattenGrads copies all gradients into one flat vector in list order
-// (the payload of the distributed gradient allreduce).
-func FlattenGrads(params []*Param) []float64 {
-	return FlattenGradsInto(nil, params)
-}
-
-// FlattenGradsInto is FlattenGrads writing into dst's storage (grown if
-// needed). The hot path of a distributed training step flattens the full
-// gradient every iteration; reusing a trainer-owned buffer removes that
-// per-step allocation.
-func FlattenGradsInto(dst []float64, params []*Param) []float64 {
-	dst = growTo(dst, NumParams(params))
-	for _, p := range params {
-		dst = append(dst, p.Grad.Data()...)
-	}
-	return dst
-}
-
-// growTo returns dst emptied, with capacity for at least n elements.
-func growTo(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, 0, n)
-	}
-	return dst[:0]
-}
-
-// UnflattenGrads writes a flat gradient vector back into the parameters.
-func UnflattenGrads(params []*Param, flat []float64) {
-	if len(flat) != NumParams(params) {
-		panic(fmt.Sprintf("nn: UnflattenGrads length %d, want %d", len(flat), NumParams(params)))
-	}
-	off := 0
-	for _, p := range params {
-		n := p.Grad.Size()
-		copy(p.Grad.Data(), flat[off:off+n])
-		off += n
-	}
+	return out
 }
 
 // Layer is one differentiable stage of a network.

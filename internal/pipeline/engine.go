@@ -73,6 +73,9 @@ type Config struct {
 type chunkState struct {
 	seq   *nn.Sequential
 	local bool
+	// values and grads are the chunk's spans of the model's parameter
+	// arena.
+	values, grads []float64
 	// Per-step progress. Forwards and backwards of a chunk each run in
 	// strict micro order: the only candidate micro is fwdDone (resp.
 	// bwdDone), so gradient accumulation order is deterministic.
@@ -98,12 +101,12 @@ type Stage struct {
 	shapeScratch [hdrLen - 5]int
 	microRows    []int
 	xs, ys       []*tensor.Tensor
-	syncBuf      []float64
 
 	// onChunkBackward, when set, fires after a local chunk's final
-	// backward of the step: its parameter gradients are final. distdl's 2D
-	// trainer hangs the per-chunk data-parallel allreduce off this.
-	onChunkBackward func(chunk int, params []*nn.Param)
+	// backward of the step with the chunk's gradient span, which is then
+	// final. distdl's 2D trainer hangs the per-chunk data-parallel
+	// allreduce off this.
+	onChunkBackward func(grads []float64)
 
 	// order is this rank's planned task sequence (see PlanSchedule);
 	// orderIdx is the step cursor. Executing a fixed plan keeps the
@@ -121,10 +124,11 @@ type Stage struct {
 }
 
 // New builds this rank's stage over peer. Every rank passes the full
-// (identically initialized) model; the stage partitions it into
-// Size()×VirtualChunks chunks and claims chunks c with c mod Size() ==
-// Rank(). The model must already produce identical parameters on every
-// rank (same seed, or a prior broadcast — distdl.New does the latter).
+// (identically initialized) model; the stage binds its parameter arena,
+// partitions it into Size()×VirtualChunks chunks and claims chunks c with
+// c mod Size() == Rank(). The model must already produce identical
+// parameters on every rank (same seed, or a prior broadcast — distdl.New
+// does the latter).
 func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, error) {
 	S := peer.Size()
 	if cfg.MicroBatches < 1 {
@@ -157,6 +161,7 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 		hdr: make([]float64, hdrLen), lossBuf: make([]float64, 1),
 	}
 	model.SetWorkspace(st.ws)
+	model.BindArena()
 	for c, seq := range parts {
 		cs := &chunkState{
 			seq:   seq,
@@ -164,6 +169,7 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 			inF:   make([]*tensor.Tensor, st.M),
 			inB:   make([]*tensor.Tensor, st.M),
 		}
+		cs.values, cs.grads = model.Span(seq.Params())
 		if cs.local {
 			seq.EnsureStash(st.M)
 			st.locals = append(st.locals, c)
@@ -196,10 +202,10 @@ func (st *Stage) LocalChunks() []int { return st.locals }
 func (st *Stage) ChunkParams(c int) []*nn.Param { return st.chunks[c].seq.Params() }
 
 // SetChunkBackwardHook installs fn to run right after a local chunk's
-// last backward of a step, when that chunk's parameter gradients are
-// final. Used by the 2D trainer to overlap per-chunk gradient allreduce
-// with the remaining pipeline backwards.
-func (st *Stage) SetChunkBackwardHook(fn func(chunk int, params []*nn.Param)) {
+// last backward of a step with the chunk's span of the gradient arena,
+// whose gradients are then final. Used by the 2D trainer to overlap
+// per-chunk gradient allreduce with the remaining pipeline backwards.
+func (st *Stage) SetChunkBackwardHook(fn func(grads []float64)) {
 	st.onChunkBackward = fn
 }
 
@@ -393,7 +399,7 @@ func (st *Stage) run(kind, c int) float64 {
 			st.deliver(kindB, c-1, m, din)
 		}
 		if cs.bwdDone == st.M && st.onChunkBackward != nil {
-			st.onChunkBackward(c, cs.seq.Params())
+			st.onChunkBackward(cs.grads)
 		}
 	}
 	t1 := time.Now().UnixNano()
@@ -485,30 +491,23 @@ func (st *Stage) drain(block bool) {
 
 // SyncFullModel broadcasts every chunk's parameter values from its owner
 // so all ranks hold the complete trained model — what rank-0 evaluation
-// and checkpointing need between training phases. Collective over the
-// pipeline group.
+// and checkpointing need between training phases. Values go out of and
+// land in each chunk's span of the value arena directly. Collective over
+// the pipeline group.
 func (st *Stage) SyncFullModel() {
 	for c, cs := range st.chunks {
-		params := cs.seq.Params()
-		n := nn.NumParams(params)
-		if n == 0 {
+		if len(cs.values) == 0 {
 			continue
 		}
-		if cap(st.syncBuf) < n {
-			st.syncBuf = make([]float64, n)
-		}
-		buf := st.syncBuf[:n]
 		owner := c % st.S
 		if owner == st.rank {
-			nn.FlattenValuesInto(buf, params)
 			for r := 0; r < st.S; r++ {
 				if r != st.rank {
-					st.peer.Send(r, st.syncTag(c), buf)
+					st.peer.Send(r, st.syncTag(c), cs.values)
 				}
 			}
 		} else {
-			st.peer.RecvInto(owner, st.syncTag(c), buf)
-			nn.UnflattenValues(params, buf)
+			st.peer.RecvInto(owner, st.syncTag(c), cs.values)
 		}
 	}
 }

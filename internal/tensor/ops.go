@@ -69,14 +69,6 @@ func (t *Tensor) Axpy(alpha float64, x *Tensor) *Tensor {
 	return t
 }
 
-// Apply returns a new tensor with f applied to each element.
-//
-// Deprecated: use ApplyInto with caller-managed (typically
-// Workspace-pooled) storage; this wrapper allocates on every call.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	return ApplyInto(NewOf(a.dtype, a.shape...), a, f)
-}
-
 // ApplyInPlace applies f to each element in place.
 func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
 	return ApplyInto(t, t, f)

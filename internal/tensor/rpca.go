@@ -59,7 +59,7 @@ func RPCA(x *Tensor, cfg RPCAConfig) RPCAResult {
 			lambda = 3 * medianAbs(diff.Data())
 		}
 		prev := s
-		s = Apply(diff, func(v float64) float64 {
+		s = ApplyInto(diff, diff, func(v float64) float64 {
 			switch {
 			case v > lambda:
 				return v - lambda

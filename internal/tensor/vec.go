@@ -99,6 +99,64 @@ func AxpyInto(dst []float64, alpha float64, x []float64) {
 	vecJobs.For(len(dst), vecCost*2, vecArgs{dst: dst, a: x[:len(dst)], s: alpha}, axpyRange)
 }
 
+// sgdArgs carries one parameter's fused SGD update through the pool.
+type sgdArgs struct {
+	w, v, g           []float64
+	mu, decay, negLR  float64
+	momentum, decayed bool
+}
+
+var sgdJobs Jobs[sgdArgs]
+
+// SGDStep applies one SGD update to the parameter w in a single pass, with
+// per element exactly the separately rounded operations, in the order, of
+// the three-sweep sequence VecScaleInto(v, v, momentum); VecAddInto(v, v,
+// g); AxpyInto(w, −lr·wd, w); AxpyInto(w, −lr, v):
+//
+//	v = v·momentum; v = v + g        (when momentum > 0; else v is unused
+//	                                  and g is the step direction)
+//	w = w + (−lr·wd)·w                (when wd > 0, −lr·wd formed once)
+//	w = w + (−lr)·v                   (or ·g without momentum)
+//
+// so its results are bit-identical to that sequence at any worker count,
+// under the vec layer's NaN rule: where both operands of an add are NaN,
+// which payload survives is the compiler's operand order, so only
+// NaN-ness is pinned there. The explicit float64 conversions forbid
+// fusing a multiply and an add.
+func SGDStep(w, v, g []float64, momentum, wd, lr float64) {
+	if len(g) < len(w) || momentum > 0 && len(v) < len(w) {
+		panic("tensor: SGDStep input shorter than w")
+	}
+	a := sgdArgs{w: w, v: v, g: g, mu: momentum, decay: -lr * wd, negLR: -lr,
+		momentum: momentum > 0, decayed: wd > 0}
+	sgdJobs.For(len(w), 4*vecCost, a, sgdRange)
+}
+
+func sgdRange(a sgdArgs, lo, hi int) {
+	w, g := a.w[lo:hi], a.g[lo:hi]
+	g = g[:len(w)]
+	decayed, decay, negLR := a.decayed, a.decay, a.negLR
+	if !a.momentum {
+		for i := range w {
+			if decayed {
+				w[i] += float64(decay * w[i])
+			}
+			w[i] += float64(negLR * g[i])
+		}
+		return
+	}
+	v, mu := a.v[lo:hi], a.mu
+	v = v[:len(w)]
+	for i := range w {
+		d := float64(v[i]*mu) + g[i]
+		v[i] = d
+		if decayed {
+			w[i] += float64(decay * w[i])
+		}
+		w[i] += float64(negLR * d)
+	}
+}
+
 // VecSum returns the sum of x under a fixed 4-lane accumulation order
 // (lane j takes x[j], x[j+4], …; lanes fold as (l0+l2)+(l1+l3); the
 // remainder folds in last). The assembly and Go paths implement the same

@@ -283,6 +283,57 @@ func TestVecOpsWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestSGDStepMatchesThreePass pins the fused SGD update against the
+// three-sweep sequence it replaced (scale, add, decay axpy, step axpy),
+// bit for bit on w and v under bitsEqNaN: across loop-remainder lengths
+// and one long enough to split, special values in w, v and g, momentum on
+// and off, decay on and off, a zero learning rate (where the decay term is
+// −0·w), worker counts 1, 2, 3 and 8, and both SIMD modes of the
+// reference.
+func TestSGDStepMatchesThreePass(t *testing.T) {
+	w0, g0 := Workers(), loadCfg().grain
+	t.Cleanup(func() { Configure(WithWorkers(w0), WithGrain(g0)) })
+
+	forEachSIMDMode(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		for _, workers := range []int{1, 2, 3, 8} {
+			Configure(WithWorkers(workers), WithGrain(1024))
+			for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 31, 33, 100003} {
+				w, v, g := make([]float64, n), make([]float64, n), make([]float64, n)
+				fillSpecial(rng, w)
+				fillSpecial(rng, v)
+				fillSpecial(rng, g)
+				for _, mu := range []float64{0, 0.9} {
+					for _, wd := range []float64{0, 1e-4} {
+						for _, lr := range []float64{0.05, 0} {
+							gotW, gotV := append([]float64(nil), w...), append([]float64(nil), v...)
+							wantW, wantV := append([]float64(nil), w...), append([]float64(nil), v...)
+							SGDStep(gotW, gotV, g, mu, wd, lr)
+							dir := g
+							if mu > 0 {
+								VecScaleInto(wantV, wantV, mu)
+								VecAddInto(wantV, wantV, g)
+								dir = wantV
+							}
+							if wd > 0 {
+								AxpyInto(wantW, -lr*wd, wantW)
+							}
+							AxpyInto(wantW, -lr, dir)
+							for name, pair := range map[string][2][]float64{"w": {gotW, wantW}, "v": {gotV, wantV}} {
+								if i, ok := bitsEqNaN(pair[0], pair[1]); !ok {
+									t.Fatalf("workers=%d n=%d mu=%v wd=%v lr=%v: %s[%d] = %x, three-pass %x",
+										workers, n, mu, wd, lr, name, i,
+										math.Float64bits(pair[0][i]), math.Float64bits(pair[1][i]))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestActivationIntoMatchesApply pins the direct activation kernels
 // against the historical ApplyInto closures, including the float32
 // widening path.
