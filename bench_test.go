@@ -225,26 +225,54 @@ func BenchmarkE8_QSVM(b *testing.B) {
 	}
 }
 
-// BenchmarkE9_Allreduce times each allreduce algorithm on 4 goroutine
-// ranks with a 16k-element payload (the GCE comparison of §II-A).
+// BenchmarkE9_Allreduce sweeps each allreduce algorithm (the GCE
+// comparison of §II-A) and the two-level hierarchical allreduce over
+// goroutine rank counts, at a latency-bound 4 KB and a bandwidth-bound
+// 4 MB payload. Cells are named <algo>/p=<P>/<payload> and report bus
+// bandwidth, 2·(p−1)/p · bytes / time: flat across p means the algorithm
+// scales like a bandwidth-optimal ring.
 func BenchmarkE9_Allreduce(b *testing.B) {
-	const p, n = 4, 1 << 14
-	for _, algo := range []mpi.Algo{mpi.AlgoNaive, mpi.AlgoTree, mpi.AlgoRecursiveDoubling, mpi.AlgoRing, mpi.AlgoGCE} {
-		b.Run(string(algo), func(b *testing.B) {
-			w := mpi.NewWorld(p)
-			b.SetBytes(int64(n * 8))
-			b.ResetTimer()
-			err := w.Run(func(c *mpi.Comm) error {
-				buf := make([]float64, n)
-				for i := 0; i < b.N; i++ {
-					c.Allreduce(buf, mpi.OpSum, algo)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
+	flat := []int{2, 4, 8, 16}
+	for _, a := range []struct {
+		name  string
+		algo  mpi.Algo
+		group int // > 0: HierarchicalAllreduce with this group size
+		ranks []int
+	}{
+		{"naive", mpi.AlgoNaive, 0, flat},
+		{"tree", mpi.AlgoTree, 0, flat},
+		{"recdbl", mpi.AlgoRecursiveDoubling, 0, flat},
+		{"ring", mpi.AlgoRing, 0, flat},
+		{"gce", mpi.AlgoGCE, 0, flat},
+		{"hier-g4", "", 4, []int{4, 8, 16}},
+	} {
+		for _, p := range a.ranks {
+			for _, payload := range []struct {
+				label string
+				elems int
+			}{{"4KB", 512}, {"4MB", 1 << 19}} {
+				b.Run(fmt.Sprintf("%s/p=%d/%s", a.name, p, payload.label), func(b *testing.B) {
+					w := mpi.NewWorld(p)
+					b.ResetTimer()
+					err := w.Run(func(c *mpi.Comm) error {
+						buf := make([]float64, payload.elems)
+						for i := 0; i < b.N; i++ {
+							if a.group > 0 {
+								c.HierarchicalAllreduce(buf, mpi.OpSum, a.group)
+							} else {
+								c.AllreduceInPlace(buf, mpi.OpSum, a.algo)
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					busBytes := 2 * float64(p-1) / float64(p) * float64(payload.elems*8)
+					b.ReportMetric(busBytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "busGB/s")
+				})
 			}
-		})
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command msa-bench regenerates the paper's tables and figures. Each
-// experiment (e1–e13, indexed in DESIGN.md and EXPERIMENTS.md) prints a
+// experiment (e1–e21, indexed in DESIGN.md and EXPERIMENTS.md) prints a
 // report where measured numbers are labeled "meas:" and analytic
-// projections "model:".
+// projections "model:". Performance is judged by the benchmark harness
+// (bash benchmark/run.sh, workloads in BENCHMARK.json), not here.
 //
 // Usage:
 //
@@ -9,8 +10,6 @@
 //	msa-bench -exp e3         # one experiment
 //	msa-bench -scale full     # paper-scale parameters (slower)
 //	msa-bench -metrics        # also dump machine-readable metrics
-//	msa-bench -suite -out BENCH_2026-08-07.json   # standing perf suite
-//	msa-bench -compare BENCH_old.json BENCH_new.json   # CI regression gate
 package main
 
 import (
@@ -26,64 +25,26 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e13) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (e1..e21) or 'all'")
 	scaleFlag := flag.String("scale", "quick", "quick | full")
 	metrics := flag.Bool("metrics", false, "print machine-readable metrics after each report")
 	list := flag.Bool("list", false, "list experiments and exit")
-	suite := flag.Bool("suite", false, "run the standing benchmark suite and write a JSON report")
-	out := flag.String("out", "", "output path for -suite (default BENCH_<date>.json)")
-	compare := flag.Bool("compare", false, "compare two -suite reports: msa-bench -compare <baseline.json> <new.json>; exits 1 on regression")
-	defTol := defaultCompareOpts()
-	tolThroughput := flag.Float64("tol-throughput", defTol.tolThroughput, "allowed relative throughput drop for -compare")
-	tolFraction := flag.Float64("tol-fraction", defTol.tolFraction, "allowed absolute comm/bubble/overlap worsening for -compare")
-	tolAllocs := flag.Float64("tol-allocs", defTol.tolAllocs, "allowed relative allocs/op growth for -compare")
-	allocSlack := flag.Float64("alloc-slack", defTol.allocSlack, "absolute allocs/op headroom for -compare")
-	tolLatency := flag.Float64("tol-latency", defTol.tolLatency, "allowed relative serving p99 growth for -compare")
-	tolShed := flag.Float64("tol-shed", defTol.tolShed, "allowed absolute shed-fraction worsening for -compare")
-	serveAddr := flag.String("serve", "", "serve the live observability endpoint (/metrics /debug/pprof) at host:port while running")
+	serveAddr := flag.String("serve", "", "serve /healthz and /debug/pprof at host:port while running")
 	kernelWorkers := flag.Int("kernel-workers", 0, "goroutines per tensor kernel (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *kernelWorkers > 0 {
 		tensor.Configure(tensor.WithWorkers(*kernelWorkers))
 	}
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "msa-bench: -compare needs exactly two report paths: <baseline.json> <new.json>")
-			os.Exit(2)
-		}
-		opts := compareOpts{
-			tolThroughput: *tolThroughput, tolFraction: *tolFraction,
-			tolAllocs: *tolAllocs, allocSlack: *allocSlack,
-			tolLatency: *tolLatency, tolShed: *tolShed,
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), opts); err != nil {
-			fmt.Fprintf(os.Stderr, "msa-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *serveAddr != "" {
-		srv, err := telemetry.Serve(*serveAddr, telemetry.ServeConfig{Registry: telemetry.NewRegistry()})
+		srv, err := telemetry.Serve(*serveAddr, telemetry.ServeConfig{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "msa-bench: %v\n", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
 		fmt.Printf("observability endpoint at http://%s\n", srv.Addr)
-	}
-
-	if *suite {
-		path := *out
-		if path == "" {
-			path = "BENCH_" + time.Now().Format("2006-01-02") + ".json"
-		}
-		if err := runSuite(path); err != nil {
-			fmt.Fprintf(os.Stderr, "msa-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mpi"
@@ -338,5 +339,64 @@ func TestPipelineStepPoolSteadyState(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pipelineStepAllocBudget is the pinned heap-allocation budget for one
+// steady-state 3-stage 1F1B step (M=4, MLP 32-48-48-48-10), summed over
+// the three ranks. The measured count is 6 at GOMAXPROCS 1, 2 and 4: the
+// micro-batch shape slice sliceRows copies when each rank splits x and y.
+// The tensors themselves come from the workspace pool
+// (TestPipelineStepPoolSteadyState).
+const pipelineStepAllocBudget = 6
+
+// TestPipelineStepAllocsSteadyState is the allocation regression gate for
+// pipeline training. runtime.MemStats.Mallocs is process-wide, so rank 0
+// reads it around a barrier-fenced window in which every rank steps. As in
+// testing.AllocsPerRun the per-step count is truncated to an integer, so a
+// runtime thread start landing in the window is not charged to the step.
+func TestPipelineStepAllocsSteadyState(t *testing.T) {
+	const S, M, warm, measured = 3, 4, 3, 10
+	var perStep uint64
+	w := mpi.NewWorld(S)
+	err := w.Run(func(c *mpi.Comm) error {
+		rng := rand.New(rand.NewSource(5))
+		model := nn.MLP(rng, 32, 48, 48, 48, 10)
+		st, err := New(c, model, nn.MSE{}, Config{MicroBatches: M, Schedule: OneFOneB})
+		if err != nil {
+			return err
+		}
+		x := tensor.Randn(rng, 1, 8, 32)
+		y := tensor.Randn(rng, 1, 8, 10)
+		step := func() {
+			model.ZeroGrads()
+			st.Step(x, y)
+		}
+		for i := 0; i < warm; i++ {
+			step()
+		}
+		var m0, m1 runtime.MemStats
+		if c.Rank() == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+		}
+		c.Barrier()
+		for i := 0; i < measured; i++ {
+			step()
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+			perStep = (m1.Mallocs - m0.Mallocs) / measured
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d-stage 1F1B M=%d step: %d allocs/step over all ranks (budget %d)", S, M, perStep, pipelineStepAllocBudget)
+	if perStep > pipelineStepAllocBudget {
+		t.Errorf("%d-stage 1F1B M=%d step (MLP 32-48-48-48-10) allocates %d/step summed over ranks in steady state, budget %d",
+			S, M, perStep, pipelineStepAllocBudget)
 	}
 }
