@@ -20,7 +20,7 @@ import (
 // broadcast). act selects the logit-to-probability mapping matching the
 // training loss (sigmoid for multi-label BigEarthNet heads, softmax for
 // single-label). The model must already hold identical parameters on all
-// ranks (e.g. via Trainer's broadcast or nn.LoadParams).
+// ranks (e.g. via Trainer's broadcast or nn.LoadModel).
 func DistributedPredict(c mpi.Communicator, model *nn.Sequential, xs *tensor.Tensor, batch int, act nn.Activation) *tensor.Tensor {
 	if batch < 1 {
 		panic("distdl: batch must be positive")

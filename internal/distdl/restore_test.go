@@ -1,6 +1,8 @@
 package distdl
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // soloTrainer builds a single-rank trainer around a fresh world.
@@ -104,31 +107,146 @@ func TestRestoreRoundTripAfterSteps(t *testing.T) {
 	}
 }
 
-// TestRestoreLandsInArena: Restore (LoadModel, then SGD.LoadState) writes
-// into the bound value arena the step reads, so the restored trainer
-// continues bit for bit like the one that wrote the checkpoint.
-func TestRestoreLandsInArena(t *testing.T) {
-	xs, ys, _ := synthClassification(8, 16, 4)
-	tr := soloTrainer(12, 4, 8, 2)
-	for i := 0; i < 3; i++ {
-		tr.Step(xs, ys)
+// restoreCase is a model/optimizer pair with one batch to train on.
+type restoreCase struct {
+	name  string
+	model func(rng *rand.Rand) *nn.Sequential
+	opt   func() nn.StatefulOptimizer
+	loss  nn.Loss
+	x, y  *tensor.Tensor
+}
+
+// restoreCases are MLP+SGD, ResNetMini+SGD with weight decay (batch-norm
+// statistics) and the GRU imputer+Adam. The imputer's dropout is off: its
+// random stream is not training state a checkpoint carries, so with it on
+// no restored run could follow the uninterrupted one.
+func restoreCases() []restoreCase {
+	mx, my, _ := synthClassification(8, 16, 4)
+	rx, ry := goldenData(true)
+	rng := rand.New(rand.NewSource(9))
+	gx, gy := tensor.Randn(rng, 1, 4, 6, 3), tensor.Randn(rng, 1, 4, 6, 1)
+	sgd := func() nn.StatefulOptimizer { return nn.NewSGD(0.9, 0) }
+	return []restoreCase{
+		{"mlp-sgd", func(rng *rand.Rand) *nn.Sequential { return nn.MLP(rng, 4, 8, 2) }, sgd, nn.SoftmaxCrossEntropy{}, mx, my},
+		{"resnet-sgd-wd", func(rng *rand.Rand) *nn.Sequential { return nn.ResNetMini(rng, 2, 2, 4, 2) },
+			func() nn.StatefulOptimizer { return nn.NewSGD(0.9, 1e-4) }, nn.SoftmaxCrossEntropy{}, rx, ry},
+		{"gru-adam", func(rng *rand.Rand) *nn.Sequential {
+			m := nn.GRUImputer(rng, 3)
+			for _, l := range m.Layers {
+				if d, ok := l.(*nn.Dropout); ok {
+					d.Rate = 0
+				}
+			}
+			return m
+		}, func() nn.StatefulOptimizer { return nn.NewAdam() }, nn.MSE{}, gx, gy},
 	}
+}
+
+// trainer builds a single-rank trainer on a model drawn from seed and
+// takes steps steps.
+func (rc restoreCase) trainer(seed int64, steps int) *Trainer {
+	tr := New(mpi.NewWorld(1).Comm(0), rc.model(rand.New(rand.NewSource(seed))), rc.loss, rc.opt(),
+		WithSchedule(nn.ConstLR(0.05))).(*Trainer)
+	for i := 0; i < steps; i++ {
+		tr.Step(rc.x, rc.y)
+	}
+	return tr
+}
+
+func mustCheckpoint(t *testing.T, tr *Trainer) []byte {
+	t.Helper()
 	blob, err := tr.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := soloTrainer(13, 4, 8, 2)
-	if err := fresh.Restore(blob); err != nil {
-		t.Fatal(err)
+	return blob
+}
+
+// TestRestoreLandsInArena: Restore writes into the bound value arena the
+// step reads, and a fresh trainer restored from a checkpoint takes the
+// next three steps bit for bit like the uninterrupted run: values,
+// batch-norm statistics, optimizer state and step (compared as the
+// checkpoint bytes of both trainers).
+func TestRestoreLandsInArena(t *testing.T) {
+	for _, rc := range restoreCases() {
+		t.Run(rc.name, func(t *testing.T) {
+			ref := rc.trainer(12, 3)
+			fresh := rc.trainer(13, 0)
+			if err := fresh.Restore(mustCheckpoint(t, ref)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(fresh.values, ref.values) {
+				t.Fatal("restored values did not land in the value arena")
+			}
+			for i := 1; i <= 3; i++ {
+				ref.Step(rc.x, rc.y)
+				fresh.Step(rc.x, rc.y)
+				if !bytes.Equal(mustCheckpoint(t, fresh), mustCheckpoint(t, ref)) {
+					t.Fatalf("step %d after Restore diverged from the uninterrupted run", i)
+				}
+			}
+		})
 	}
-	if !slices.Equal(fresh.values, tr.values) {
-		t.Fatal("restored values did not land in the value arena")
+}
+
+// TestRestoreFailureLeavesTrainerUnchanged: a Restore that fails on the
+// other optimizer's state, or on a blob cut off inside its optimizer
+// section, leaves values, batch-norm statistics, optimizer state and step
+// bitwise as they were.
+func TestRestoreFailureLeavesTrainerUnchanged(t *testing.T) {
+	resnet := restoreCases()[1]
+	with := func(opt func() nn.StatefulOptimizer) restoreCase {
+		rc := resnet
+		rc.opt = opt
+		return rc
 	}
-	tr.Step(xs, ys)
-	fresh.Step(xs, ys)
-	if !slices.Equal(fresh.values, tr.values) {
-		t.Fatal("step after Restore diverged from the checkpointing trainer")
+	sgd, adam := resnet.opt, func() nn.StatefulOptimizer { return nn.NewAdam() }
+	sgdBlob := mustCheckpoint(t, resnet.trainer(1, 3))
+	adamBlob := mustCheckpoint(t, with(adam).trainer(1, 3))
+	for _, tc := range []struct {
+		name string
+		opt  func() nn.StatefulOptimizer
+		blob []byte
+	}{
+		{"adam-into-sgd", sgd, adamBlob},
+		{"sgd-into-adam", adam, sgdBlob},
+		{"truncated-optimizer-section", sgd, sgdBlob[:len(sgdBlob)-12]},
+	} {
+		dst := with(tc.opt).trainer(2, 2)
+		values, states, state := floatBits(dst.values), stateBits(dst.Model), mustCheckpoint(t, dst)
+		if err := dst.Restore(tc.blob); err == nil {
+			t.Errorf("%s: Restore accepted the blob", tc.name)
+			continue
+		}
+		if !slices.Equal(values, floatBits(dst.values)) {
+			t.Errorf("%s: failed Restore changed the parameter values", tc.name)
+		}
+		if !slices.Equal(states, stateBits(dst.Model)) {
+			t.Errorf("%s: failed Restore changed the batch-norm statistics", tc.name)
+		}
+		if dst.StepCount() != 2 {
+			t.Errorf("%s: failed Restore changed the step to %d", tc.name, dst.StepCount())
+		}
+		if !bytes.Equal(state, mustCheckpoint(t, dst)) {
+			t.Errorf("%s: failed Restore changed the trainer state", tc.name)
+		}
 	}
+}
+
+func floatBits(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
+}
+
+func stateBits(m *nn.Sequential) []uint64 {
+	var out []uint64
+	for _, s := range m.States() {
+		out = append(out, floatBits(s.Data())...)
+	}
+	return out
 }
 
 // TestRestoreIntoSmallerWorld is the elastic-recovery core: a checkpoint
@@ -182,4 +300,25 @@ func TestRestoreIntoSmallerWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkTrainerCheckpoint times Trainer.Checkpoint at gradsync-ddp's
+// shape: MLP 1024-640-640-640-16 (1.49 M parameters) with SGD momentum,
+// after one step so that every velocity buffer exists. It reports the blob
+// size beside the time.
+func BenchmarkTrainerCheckpoint(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tr := New(mpi.NewWorld(1).Comm(0), nn.MLP(rng, 1024, 640, 640, 640, 16), nn.SoftmaxCrossEntropy{},
+		nn.NewSGD(0.9, 0)).(*Trainer)
+	tr.Step(tensor.Randn(rng, 1, 8, 1024), nn.OneHot([]int{0, 1, 2, 3, 4, 5, 6, 7}, 16))
+	var blob []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if blob, err = tr.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(float64(len(blob)), "blob_bytes")
 }

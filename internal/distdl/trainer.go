@@ -13,8 +13,6 @@
 package distdl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -417,70 +415,47 @@ func gatherRowsInto(out, src *tensor.Tensor, idx []int) *tensor.Tensor {
 }
 
 // Checkpoint serializes the full training state — model parameters and
-// batch-norm statistics, optimizer momenta, and the step counter — so a
-// run can resume exactly (the checkpoint/restart workflow the NAM module
+// batch-norm statistics, optimizer state, and the step counter — so a run
+// can resume exactly (the checkpoint/restart workflow the NAM module
 // accelerates, ref [12]). Requires a StatefulOptimizer.
 func (t *Trainer) Checkpoint() ([]byte, error) {
+	so, err := t.statefulOpt()
+	if err != nil {
+		return nil, err
+	}
+	return nn.EncodeCheckpoint(t.Model, so, t.step), nil
+}
+
+// Restore loads a Checkpoint into a trainer with a structurally identical
+// model and the same optimizer kind. The blob, and step monotonicity, are
+// fully checked before any state is mutated, so a failed Restore leaves
+// the trainer untouched. The world size may differ from the writer's: the
+// snapshot is a full replica, which lets a fault-tolerant run resume into
+// a smaller elastic world.
+func (t *Trainer) Restore(blob []byte) error {
+	so, err := t.statefulOpt()
+	if err != nil {
+		return err
+	}
+	c, err := nn.DecodeCheckpoint(blob, t.Model, so)
+	if err != nil {
+		return fmt.Errorf("distdl: checkpoint incompatible with trainer: %w", err)
+	}
+	if c.Step < t.step {
+		return fmt.Errorf("distdl: checkpoint step %d is behind trainer step %d: refusing non-monotonic restore",
+			c.Step, t.step)
+	}
+	c.Apply()
+	t.step = c.Step
+	return nil
+}
+
+func (t *Trainer) statefulOpt() (nn.StatefulOptimizer, error) {
 	so, ok := t.Opt.(nn.StatefulOptimizer)
 	if !ok {
 		return nil, fmt.Errorf("distdl: optimizer %s does not support checkpointing", t.Opt.Name())
 	}
-	modelBlob, err := nn.SaveModel(t.Model)
-	if err != nil {
-		return nil, err
-	}
-	optBlob, err := so.SaveState(t.params)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	snap := trainerSnapshot{Model: modelBlob, Opt: optBlob, Step: t.step}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("distdl: encoding checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-type trainerSnapshot struct {
-	Model []byte
-	Opt   []byte
-	Step  int
-}
-
-// Restore loads a Checkpoint into this trainer. The model must be
-// structurally identical and the optimizer of the same kind. The blob is
-// fully validated — parameter count/names/shapes and step monotonicity —
-// before any state is mutated, so a failed Restore leaves the trainer
-// untouched. The world size at restore time is free to differ from the
-// one that wrote the checkpoint: the snapshot is a full replica, which is
-// what lets a fault-tolerant run resume into a smaller elastic world.
-func (t *Trainer) Restore(blob []byte) error {
-	so, ok := t.Opt.(nn.StatefulOptimizer)
-	if !ok {
-		return fmt.Errorf("distdl: optimizer %s does not support checkpointing", t.Opt.Name())
-	}
-	var snap trainerSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
-		return fmt.Errorf("distdl: decoding checkpoint: %w", err)
-	}
-	if snap.Step < 0 {
-		return fmt.Errorf("distdl: checkpoint has negative step %d", snap.Step)
-	}
-	if snap.Step < t.step {
-		return fmt.Errorf("distdl: checkpoint step %d is behind trainer step %d: refusing non-monotonic restore",
-			snap.Step, t.step)
-	}
-	if err := nn.ValidateModelBlob(t.Model, snap.Model); err != nil {
-		return fmt.Errorf("distdl: checkpoint incompatible with model: %w", err)
-	}
-	if err := nn.LoadModel(t.Model, snap.Model); err != nil {
-		return err
-	}
-	if err := so.LoadState(t.params, snap.Opt); err != nil {
-		return err
-	}
-	t.step = snap.Step
-	return nil
+	return so, nil
 }
 
 // ParamsInSync reports whether all ranks hold identical parameters: the

@@ -117,30 +117,22 @@ func TestArenaSeesLoads(t *testing.T) {
 		t.Fatal("LoadModel did not land in the value slab")
 	}
 
-	// SGD.LoadState restores the momenta that the next fused step reads:
-	// a restored optimizer steps a bound model exactly like the original.
+	// A checkpoint restores the momenta that the next fused step reads: a
+	// restored optimizer steps a bound model exactly like the original.
 	randomizeGrads(src, 7)
 	randomizeGrads(dst, 7)
 	opt := NewSGD(0.9, 1e-4)
 	opt.Step(src.Params(), 0.1)
-	state, err := opt.SaveState(src.Params())
+	restored := NewSGD(0.9, 1e-4)
+	c, err := DecodeCheckpoint(EncodeCheckpoint(src, opt, 1), dst, restored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blob, err = SaveModel(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadModel(dst, blob); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewSGD(0.9, 1e-4)
-	if err := restored.LoadState(dst.Params(), state); err != nil {
-		t.Fatal(err)
-	}
+	c.Apply()
 	opt.Step(src.Params(), 0.1)
 	restored.Step(dst.Params(), 0.1)
 	if !floatsEqual(values, FlattenValues(src.Params())) {
-		t.Fatal("step after SGD.LoadState diverged from the original optimizer")
+		t.Fatal("step after restoring the optimizer diverged from the original")
 	}
 }
 

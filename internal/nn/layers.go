@@ -250,11 +250,10 @@ func (f *Flatten) Params() []*Param { return nil }
 type Sequential struct {
 	Layers []Layer
 	// hook, when set, fires after each layer's Backward during
-	// Sequential.Backward (SetBackwardHook). Unexported so gob model
-	// snapshots (modelSnapshot) are unaffected.
+	// Sequential.Backward (SetBackwardHook).
 	hook BackwardHook
 	// ws remembers the workspace installed by SetWorkspace (nil means the
-	// model allocates plainly). Unexported for the same gob reason.
+	// model allocates plainly).
 	ws *tensor.Workspace
 	// paramsCache memoizes the flattened parameter list (see Params).
 	paramsCache []*Param

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/tensor"
@@ -141,149 +139,4 @@ func (r *Residual) States() []*tensor.Tensor {
 		out = append(out, r.Shortcut.States()...)
 	}
 	return out
-}
-
-// modelSnapshot is the gob wire format of SaveModel. The field layout must
-// stay stable across versions — gob matches fields by name.
-type modelSnapshot struct {
-	Params [][]float64
-	Names  []string
-	States [][]float64
-}
-
-// SaveModel serializes a model's parameters AND non-trainable state
-// (batch-norm running statistics), producing a checkpoint that restores
-// identical inference behaviour.
-func SaveModel(m *Sequential) ([]byte, error) {
-	var snap modelSnapshot
-	for _, p := range m.Params() {
-		snap.Params = append(snap.Params, append([]float64(nil), p.Value.Data()...))
-		snap.Names = append(snap.Names, p.Name)
-	}
-	for _, st := range m.States() {
-		snap.States = append(snap.States, append([]float64(nil), st.Data()...))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("nn: encoding model: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeModelSnapshot(blob []byte) (*modelSnapshot, error) {
-	var snap modelSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("nn: decoding model: %w", err)
-	}
-	return &snap, nil
-}
-
-// checkSnapshot verifies that snap structurally matches m: parameter
-// count, names, and sizes, plus state-tensor count and sizes. It does not
-// touch the model.
-func checkSnapshot(m *Sequential, snap *modelSnapshot) error {
-	params := m.Params()
-	if len(snap.Params) != len(params) {
-		return fmt.Errorf("nn: snapshot has %d params, model has %d", len(snap.Params), len(params))
-	}
-	if len(snap.Names) != len(snap.Params) {
-		return fmt.Errorf("nn: malformed snapshot: %d names for %d params", len(snap.Names), len(snap.Params))
-	}
-	for i, p := range params {
-		if snap.Names[i] != p.Name {
-			return fmt.Errorf("nn: param %d name mismatch: %q vs %q", i, snap.Names[i], p.Name)
-		}
-		if len(snap.Params[i]) != p.Value.Size() {
-			return fmt.Errorf("nn: param %q size mismatch: snapshot %d, model %d",
-				p.Name, len(snap.Params[i]), p.Value.Size())
-		}
-	}
-	states := m.States()
-	if len(snap.States) != len(states) {
-		return fmt.Errorf("nn: snapshot has %d state tensors, model has %d", len(snap.States), len(states))
-	}
-	for i, st := range states {
-		if len(snap.States[i]) != st.Size() {
-			return fmt.Errorf("nn: state tensor %d size mismatch: snapshot %d, model %d",
-				i, len(snap.States[i]), st.Size())
-		}
-	}
-	return nil
-}
-
-// ValidateModelBlob checks that a SaveModel blob decodes and structurally
-// matches m without mutating the model — the pre-flight a fault-tolerant
-// restore runs before committing to a checkpoint.
-func ValidateModelBlob(m *Sequential, blob []byte) error {
-	snap, err := decodeModelSnapshot(blob)
-	if err != nil {
-		return err
-	}
-	return checkSnapshot(m, snap)
-}
-
-// LoadModel restores a SaveModel checkpoint into a structurally identical
-// model. Validation runs before any copy, so on error the model is left
-// untouched.
-func LoadModel(m *Sequential, blob []byte) error {
-	snap, err := decodeModelSnapshot(blob)
-	if err != nil {
-		return err
-	}
-	if err := checkSnapshot(m, snap); err != nil {
-		return err
-	}
-	for i, p := range m.Params() {
-		copy(p.Value.Data(), snap.Params[i])
-	}
-	for i, st := range m.States() {
-		copy(st.Data(), snap.States[i])
-	}
-	return nil
-}
-
-// SaveParams serializes parameter values (names + data) with gob.
-func SaveParams(params []*Param) ([]byte, error) {
-	type entry struct {
-		Name  string
-		Shape []int
-		Data  []float64
-	}
-	entries := make([]entry, len(params))
-	for i, p := range params {
-		entries[i] = entry{Name: p.Name, Shape: p.Value.Shape(), Data: p.Value.Data()}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, fmt.Errorf("nn: encoding params: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadParams restores parameter values saved by SaveParams into params;
-// names and shapes must match.
-func LoadParams(params []*Param, blob []byte) error {
-	type entry struct {
-		Name  string
-		Shape []int
-		Data  []float64
-	}
-	var entries []entry
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&entries); err != nil {
-		return fmt.Errorf("nn: decoding params: %w", err)
-	}
-	if len(entries) != len(params) {
-		return fmt.Errorf("nn: snapshot has %d params, model has %d", len(entries), len(params))
-	}
-	for i, e := range entries {
-		p := params[i]
-		if e.Name != p.Name {
-			return fmt.Errorf("nn: param %d name mismatch: snapshot %q vs model %q", i, e.Name, p.Name)
-		}
-		if len(e.Data) != p.Value.Size() {
-			return fmt.Errorf("nn: param %q size mismatch: %d vs %d", e.Name, len(e.Data), p.Value.Size())
-		}
-		copy(p.Value.Data(), e.Data)
-	}
-	return nil
 }

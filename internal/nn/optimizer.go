@@ -1,9 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -101,104 +98,35 @@ func (a *Adam) Step(params []*Param, lr float64) {
 	}
 }
 
-// StatefulOptimizer is an optimizer whose internal state (momenta) can be
-// checkpointed; required for exact training resume.
+// StatefulOptimizer is an optimizer whose state a checkpoint carries;
+// required for exact training resume.
 type StatefulOptimizer interface {
 	Optimizer
-	// SaveState serializes optimizer state in param-list order.
-	SaveState(params []*Param) ([]byte, error)
-	// LoadState restores state saved by SaveState for the same model.
-	LoadState(params []*Param, blob []byte) error
+	// State exposes the optimizer's buffers and counter. The checkpoint
+	// codec reads them to save and writes through them to load.
+	State() OptimizerState
 }
 
-type sgdState struct {
-	Velocity [][]float64
+// OptimizerState is what a checkpoint holds of an optimizer: per-parameter
+// buffers under slot names, and an optional step counter.
+type OptimizerState struct {
+	// Slots names the buffers kept per parameter, in checkpoint order.
+	Slots []string
+	// Buffers holds one map per slot. A parameter Step has not seen yet is
+	// in none of them; once seen, it is in all.
+	Buffers []map[*Param]*tensor.Tensor
+	// Counter is the optimizer's own step counter; nil when it keeps none.
+	Counter *int
 }
 
-// SaveState serializes the momentum buffers.
-func (s *SGD) SaveState(params []*Param) ([]byte, error) {
-	st := sgdState{Velocity: make([][]float64, len(params))}
-	for i, p := range params {
-		if v, ok := s.velocity[p]; ok {
-			st.Velocity[i] = append([]float64(nil), v.Data()...)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("nn: encoding SGD state: %w", err)
-	}
-	return buf.Bytes(), nil
+// State exposes the momentum buffers.
+func (s *SGD) State() OptimizerState {
+	return OptimizerState{Slots: []string{"velocity"}, Buffers: []map[*Param]*tensor.Tensor{s.velocity}}
 }
 
-// LoadState restores momentum buffers saved by SaveState.
-func (s *SGD) LoadState(params []*Param, blob []byte) error {
-	var st sgdState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decoding SGD state: %w", err)
-	}
-	if len(st.Velocity) != len(params) {
-		return fmt.Errorf("nn: SGD state has %d buffers, model has %d params", len(st.Velocity), len(params))
-	}
-	for i, p := range params {
-		if st.Velocity[i] == nil {
-			continue
-		}
-		if len(st.Velocity[i]) != p.Value.Size() {
-			return fmt.Errorf("nn: SGD velocity %d size mismatch", i)
-		}
-		v := tensor.New(p.Value.Shape()...)
-		copy(v.Data(), st.Velocity[i])
-		s.velocity[p] = v
-	}
-	return nil
-}
-
-type adamState struct {
-	T    int
-	M, V [][]float64
-}
-
-// SaveState serializes the Adam moments and step counter.
-func (a *Adam) SaveState(params []*Param) ([]byte, error) {
-	st := adamState{T: a.t, M: make([][]float64, len(params)), V: make([][]float64, len(params))}
-	for i, p := range params {
-		if m, ok := a.m[p]; ok {
-			st.M[i] = append([]float64(nil), m.Data()...)
-			st.V[i] = append([]float64(nil), a.v[p].Data()...)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("nn: encoding Adam state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadState restores Adam moments saved by SaveState.
-func (a *Adam) LoadState(params []*Param, blob []byte) error {
-	var st adamState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decoding Adam state: %w", err)
-	}
-	if len(st.M) != len(params) {
-		return fmt.Errorf("nn: Adam state has %d buffers, model has %d params", len(st.M), len(params))
-	}
-	a.t = st.T
-	for i, p := range params {
-		if st.M[i] == nil {
-			continue
-		}
-		if len(st.M[i]) != p.Value.Size() {
-			return fmt.Errorf("nn: Adam moment %d size mismatch", i)
-		}
-		m := tensor.New(p.Value.Shape()...)
-		copy(m.Data(), st.M[i])
-		v := tensor.New(p.Value.Shape()...)
-		copy(v.Data(), st.V[i])
-		a.m[p] = m
-		a.v[p] = v
-	}
-	return nil
+// State exposes the Adam moments and step counter.
+func (a *Adam) State() OptimizerState {
+	return OptimizerState{Slots: []string{"m", "v"}, Buffers: []map[*Param]*tensor.Tensor{a.m, a.v}, Counter: &a.t}
 }
 
 // Schedule yields the learning rate for a given optimizer step.

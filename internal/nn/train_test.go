@@ -317,28 +317,6 @@ func floatsEqual(a, b []float64) bool {
 	return true
 }
 
-func TestSaveLoadParamsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m1 := MLP(rng, 4, 8, 2)
-	blob, err := SaveParams(m1.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng2 := rand.New(rand.NewSource(777))
-	m2 := MLP(rng2, 4, 8, 2)
-	if err := LoadParams(m2.Params(), blob); err != nil {
-		t.Fatal(err)
-	}
-	if !floatsEqual(FlattenValues(m1.Params()), FlattenValues(m2.Params())) {
-		t.Fatal("load did not restore values")
-	}
-	// Mismatched model must error.
-	m3 := MLP(rng2, 4, 9, 2)
-	if err := LoadParams(m3.Params(), blob); err == nil {
-		t.Fatal("expected error on shape mismatch")
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	logits := tensor.FromSlice([]float64{
 		2, 1, 0,
@@ -539,14 +517,12 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 		stepOnce(opt)
 		stepOnce(opt)
 		if resume != nil {
-			blob, err := opt.SaveState(m.Params())
+			opt2 := resume()
+			c, err := DecodeCheckpoint(EncodeCheckpoint(m, opt, 2), m, opt2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt2 := resume()
-			if err := opt2.LoadState(m.Params(), blob); err != nil {
-				t.Fatal(err)
-			}
+			c.Apply()
 			stepOnce(opt2)
 			stepOnce(opt2)
 		} else {
@@ -570,19 +546,33 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOptimizerLoadStateErrors: optimizer state loads only into the
+// optimizer kind and model that wrote it.
 func TestOptimizerLoadStateErrors(t *testing.T) {
 	m := MLP(rand.New(rand.NewSource(63)), 2, 2)
-	sgd := NewSGD(0.9, 0)
-	if err := sgd.LoadState(m.Params(), []byte("garbage")); err == nil {
-		t.Fatal("garbage blob must error")
-	}
-	blob, _ := sgd.SaveState(m.Params())
+	sgd, adam := NewSGD(0.9, 0), NewAdam()
+	sgdBlob, adamBlob := EncodeCheckpoint(m, sgd, 0), EncodeCheckpoint(m, adam, 0)
 	short := MLP(rand.New(rand.NewSource(64)), 2, 2, 2)
-	if err := sgd.LoadState(short.Params(), blob); err == nil {
-		t.Fatal("param-count mismatch must error")
-	}
-	adam := NewAdam()
-	if err := adam.LoadState(m.Params(), []byte("garbage")); err == nil {
-		t.Fatal("garbage blob must error for Adam")
+	partial := NewAdam()
+	partial.Step(m.Params(), 0.1)
+	delete(partial.v, m.Params()[0])
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		m    *Sequential
+		opt  StatefulOptimizer
+	}{
+		{"garbage into sgd", []byte("garbage"), m, sgd},
+		{"garbage into adam", []byte("garbage"), m, adam},
+		{"sgd into adam", sgdBlob, m, adam},
+		{"adam into sgd", adamBlob, m, sgd},
+		{"sgd into a model-only load", sgdBlob, m, nil},
+		{"model-only into sgd", EncodeCheckpoint(m, nil, 0), m, sgd},
+		{"param-count mismatch", sgdBlob, short, sgd},
+		{"m without v", EncodeCheckpoint(m, partial, 0), m, adam},
+	} {
+		if _, err := DecodeCheckpoint(tc.blob, tc.m, tc.opt); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
 	}
 }
