@@ -27,6 +27,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -73,6 +74,50 @@ func (m *manifest) entry(v int) *Entry {
 	return nil
 }
 
+// checkpointName is the ModelStore name of one version's blob.
+func checkpointName(model string, version int) string {
+	return fmt.Sprintf("%s@v%06d", model, version)
+}
+
+func validModelName(model string) bool {
+	return model != "" && !strings.Contains(model, "@")
+}
+
+// validate checks a manifest read back from the store before the
+// registry trusts it. Every method dereferences the entries stable and
+// history name, and GC hands each entry's Checkpoint to ModelStore.Delete,
+// so a manifest is accepted only if its versions are ≥ 1, unique and
+// ascending, each entry belongs to this model under its canonical
+// checkpoint name, and stable (unless 0) and every history element name
+// a listed version.
+func (m *manifest) validate(model string) error {
+	if !validModelName(model) {
+		return fmt.Errorf("invalid model name %q", model)
+	}
+	prev := 0
+	for _, e := range m.Versions {
+		if e.Version <= prev {
+			return fmt.Errorf("version %d after %d: versions must be ≥ 1, unique and ascending", e.Version, prev)
+		}
+		prev = e.Version
+		if e.Model != model {
+			return fmt.Errorf("v%d belongs to model %q", e.Version, e.Model)
+		}
+		if want := checkpointName(model, e.Version); e.Checkpoint != want {
+			return fmt.Errorf("v%d names checkpoint %q, want %q", e.Version, e.Checkpoint, want)
+		}
+	}
+	if m.Stable != 0 && m.entry(m.Stable) == nil {
+		return fmt.Errorf("stable v%d is not a listed version", m.Stable)
+	}
+	for _, v := range m.History {
+		if m.entry(v) == nil {
+			return fmt.Errorf("history names v%d, not a listed version", v)
+		}
+	}
+	return nil
+}
+
 // Registry is the versioned model catalog: checkpoints live in a
 // storage.ModelStore, registry state (stable pointers, rollback history,
 // metadata) lives beside them as per-model manifest blobs, so a restarted
@@ -90,7 +135,8 @@ type Registry struct {
 const manifestSuffix = "@manifest"
 
 // NewRegistry opens a registry over the store, recovering any manifests a
-// previous process persisted.
+// previous process persisted. A manifest that does not parse or does not
+// validate fails the open: the store's contents are not trusted.
 func NewRegistry(store *storage.ModelStore) (*Registry, error) {
 	r := &Registry{store: store, models: map[string]*manifest{}}
 	names, err := store.List()
@@ -109,6 +155,9 @@ func NewRegistry(store *storage.ModelStore) (*Registry, error) {
 		var m manifest
 		if err := json.Unmarshal(blob, &m); err != nil {
 			return nil, fmt.Errorf("fleet: corrupt manifest for %s: %w", model, err)
+		}
+		if err := m.validate(model); err != nil {
+			return nil, fmt.Errorf("fleet: invalid manifest for %s: %w", model, err)
 		}
 		r.models[model] = &m
 	}
@@ -129,7 +178,7 @@ func (r *Registry) persist(model string) error {
 // fresh model is immediately deployable; later versions must earn
 // promotion (directly or through a canary).
 func (r *Registry) Publish(model string, blob []byte, meta map[string]string) (Entry, error) {
-	if model == "" || strings.Contains(model, "@") {
+	if !validModelName(model) {
 		return Entry{}, fmt.Errorf("fleet: invalid model name %q", model)
 	}
 	r.mu.Lock()
@@ -141,12 +190,15 @@ func (r *Registry) Publish(model string, blob []byte, meta map[string]string) (E
 	}
 	next := 1
 	if n := len(m.Versions); n > 0 {
+		if m.Versions[n-1].Version == math.MaxInt {
+			return Entry{}, fmt.Errorf("fleet: model %q has no version number left", model)
+		}
 		next = m.Versions[n-1].Version + 1
 	}
 	e := Entry{
 		Model:      model,
 		Version:    next,
-		Checkpoint: fmt.Sprintf("%s@v%06d", model, next),
+		Checkpoint: checkpointName(model, next),
 		Meta:       meta,
 	}
 	if err := r.store.SaveBlob(e.Checkpoint, blob); err != nil {

@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -116,6 +120,193 @@ func TestRegistryPersistence(t *testing.T) {
 	if vs := reg2.Versions("m"); len(vs) != 3 {
 		t.Fatalf("recovered %d versions, want 3", len(vs))
 	}
+}
+
+// TestRegistryRejectsBadManifest: the manifest is untrusted bytes on
+// disk. One that names a missing version as stable or in the history
+// would make Stable and Rollback dereference nil, and one whose
+// checkpoint names escape model@vNNNNNN would let GC delete any *.ckpt
+// the store path reaches; NewRegistry must refuse them all.
+func TestRegistryRejectsBadManifest(t *testing.T) {
+	const ok = `{"stable":2,"history":[1],"versions":[` +
+		`{"model":"m","version":1,"checkpoint":"m@v000001"},` +
+		`{"model":"m","version":2,"checkpoint":"m@v000002"}]}`
+	cases := []struct{ name, model, manifest string }{
+		{"stable not listed", "m", `{"stable":3,"versions":[{"model":"m","version":1,"checkpoint":"m@v000001"}]}`},
+		{"history not listed", "m", `{"stable":1,"history":[7],"versions":[{"model":"m","version":1,"checkpoint":"m@v000001"}]}`},
+		{"stable without versions", "m", `{"stable":1}`},
+		{"version zero", "m", `{"versions":[{"model":"m","version":0,"checkpoint":"m@v000000"}]}`},
+		{"negative version", "m", `{"versions":[{"model":"m","version":-1,"checkpoint":"m@v-00001"}]}`},
+		{"duplicate version", "m", `{"stable":1,"versions":[` +
+			`{"model":"m","version":1,"checkpoint":"m@v000001"},{"model":"m","version":1,"checkpoint":"m@v000001"}]}`},
+		{"descending versions", "m", `{"stable":1,"versions":[` +
+			`{"model":"m","version":2,"checkpoint":"m@v000002"},{"model":"m","version":1,"checkpoint":"m@v000001"}]}`},
+		{"foreign model", "m", `{"stable":1,"versions":[{"model":"other","version":1,"checkpoint":"m@v000001"}]}`},
+		{"path escape", "m", `{"stable":2,"versions":[` +
+			`{"model":"m","version":1,"checkpoint":"../victim"},{"model":"m","version":2,"checkpoint":"m@v000002"}]}`},
+		{"other model's checkpoint", "m", `{"stable":2,"versions":[` +
+			`{"model":"m","version":1,"checkpoint":"other@v000001"},{"model":"m","version":2,"checkpoint":"m@v000002"}]}`},
+		{"checkpoint of another version", "m", `{"stable":1,"versions":[{"model":"m","version":1,"checkpoint":"m@v000002"}]}`},
+		{"empty model name", "", ok},
+		{"not JSON", "m", ok[:len(ok)/2]},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			store, err := storage.NewModelStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.SaveBlob(c.model+manifestSuffix, []byte(c.manifest)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewRegistry(store); err == nil {
+				t.Fatalf("NewRegistry accepted %s", c.manifest)
+			}
+		})
+	}
+	store, err := storage.NewModelStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveBlob("m"+manifestSuffix, []byte(ok)); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := NewRegistry(store)
+	if err != nil {
+		t.Fatalf("valid manifest rejected: %v", err)
+	}
+	if e, err := reg.Rollback("m"); err != nil || e.Version != 1 {
+		t.Fatalf("rollback on the valid manifest: %+v, %v", e, err)
+	}
+}
+
+// registrySeedManifests returns the manifest model "m" has after each step
+// of a Publish/Promote/Pin/Rollback/GC history, as the registry wrote it.
+func registrySeedManifests(f *testing.F) [][]byte {
+	store, err := storage.NewModelStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg, err := NewRegistry(store)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out [][]byte
+	step := func(err error) {
+		if err != nil {
+			f.Fatal(err)
+		}
+		blob, err := store.Blob("m" + manifestSuffix)
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, blob)
+	}
+	for i := 0; i < 4; i++ {
+		_, err := reg.Publish("m", []byte("class:0"), map[string]string{"run": "seed"})
+		step(err)
+	}
+	step(reg.Promote("m", 3))
+	step(reg.Promote("m", 4))
+	step(reg.Pin("m", 2, true))
+	_, err = reg.Rollback("m")
+	step(err)
+	_, err = reg.GC("m", 1)
+	step(err)
+	return out
+}
+
+// FuzzRegistryManifest loads arbitrary bytes as model "m"'s manifest.
+// Seeds are the manifests the registry itself writes, their truncations
+// and single-field edits. NewRegistry never panics; after a successful
+// load every method runs without panic and every entry names its
+// canonical checkpoint; and GC deletes nothing but files named
+// m@vNNNNNN.ckpt — not another model's checkpoint, not a file outside
+// the store.
+func FuzzRegistryManifest(f *testing.F) {
+	edits := [][2]string{
+		{`"stable": 3`, `"stable": 9`},
+		{`"history": [`, `"history": [7, `},
+		{`"m@v000001"`, `"../victim"`},
+		{`"m@v000002"`, `"other@v000001"`},
+		{`"version": 2`, `"version": 1`},
+		{`"model": "m"`, `"model": "x"`},
+	}
+	for _, blob := range registrySeedManifests(f) {
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		for _, e := range edits {
+			if edited := strings.Replace(string(blob), e[0], e[1], 1); edited != string(blob) {
+				f.Add([]byte(edited))
+			}
+		}
+	}
+	canonical := regexp.MustCompile(`^m@v[0-9]{6,}\.ckpt$`)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		storeDir := filepath.Join(dir, "store")
+		store, err := storage.NewModelStore(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := filepath.Join(dir, "victim.ckpt")
+		if err := os.WriteFile(victim, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{"other@v000001": []byte("x"), "m" + manifestSuffix: blob} {
+			if err := store.SaveBlob(name, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg, err := NewRegistry(store)
+		if err != nil {
+			return
+		}
+		vs := reg.Versions("m")
+		for _, e := range vs {
+			if !canonical.MatchString(e.Checkpoint + ".ckpt") {
+				t.Fatalf("loaded entry v%d names checkpoint %q", e.Version, e.Checkpoint)
+			}
+			if err := store.SaveBlob(e.Checkpoint, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg.Stable("m")
+		for _, e := range vs {
+			reg.Get("m", e.Version)
+			reg.Blob(e)
+			reg.Pin("m", e.Version, e.Version%2 == 0)
+		}
+		if len(vs) > 0 {
+			reg.Promote("m", vs[len(vs)-1].Version)
+		}
+		reg.Rollback("m")
+		before := storeFiles(t, storeDir)
+		reg.GC("m", 1)
+		after := storeFiles(t, storeDir)
+		for name := range before {
+			if !after[name] && !canonical.MatchString(name) {
+				t.Fatalf("GC deleted %s", name)
+			}
+		}
+		if _, err := os.Stat(victim); err != nil {
+			t.Fatalf("file outside the store: %v", err)
+		}
+		reg.Publish("m", []byte("y"), nil)
+		reg.Stable("m")
+	})
+}
+
+func storeFiles(t *testing.T, dir string) map[string]bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, e := range entries {
+		names[e.Name()] = true
+	}
+	return names
 }
 
 func TestRegistryGC(t *testing.T) {

@@ -320,7 +320,7 @@ func convForwardPanels(v convArgs, lo, hi int) {
 				conv4x8(ap[oc0*k:], xpB[oy*wp+ox0:], g.c, g.kh, g.kw, plane, wp, &tile)
 			} else {
 				tile = [32]float64{}
-				gemm4x8(k, ap[oc0*k:], bp, tile[:], 8)
+				gemm4x8(k, ap[oc0*k:], 1, 4, bp, 8, tile[:], 8)
 			}
 			for r := 0; r < min(4, g.outC-oc0); r++ {
 				dst := out[(b*g.outC+oc0+r)*p+pix0:][:wv]
@@ -416,18 +416,14 @@ func convFilterRows(v convArgs, lo, hi int) {
 				for jc := 0; jc < g.outC; jc += 8 {
 					bpanel := bp[jc*np+q0*8:][:kb*8]
 					w8 := min(8, g.outC-jc)
+					c := dw[c0+jc:]
 					if mb == 4 && w8 == 8 {
-						gemm4x8(kb, ap, bpanel, dw[c0+jc:], ldc)
+						gemm4x8(kb, ap, 1, 4, bpanel, 8, c, ldc)
 						continue
 					}
-					tile = [32]float64{}
-					for r := 0; r < mb; r++ {
-						copy(tile[r*8:r*8+w8], dw[c0+r*ldc+jc:])
-					}
-					gemm4x8(kb, ap, bpanel, tile[:], 8)
-					for r := 0; r < mb; r++ {
-						copy(dw[c0+r*ldc+jc:][:w8], tile[r*8:])
-					}
+					loadTile(&tile, c, ldc, mb, w8)
+					gemm4x8(kb, ap, 1, 4, bpanel, 8, tile[:], 8)
+					storeTile(c, ldc, &tile, mb, w8)
 				}
 			}
 		}
@@ -514,7 +510,7 @@ func convInputImages(v convArgs, lo, hi int) {
 						continue
 					}
 					tile = [32]float64{}
-					gemm4x8(g.outC, apanel, bp, tile[:], 8)
+					gemm4x8(g.outC, apanel, 1, 4, bp, 8, tile[:], 8)
 					for r := 0; r < min(4, g.c-cb*4); r++ {
 						plane := slab[(cb*4+r)*hw : (cb*4+r+1)*hw]
 						for j := jlo; j < jhi; j++ {

@@ -53,23 +53,28 @@ const (
 // packing overhead outweighs the blocked kernel and the direct small
 // paths win. kc and nc are the packed path's cache blocking: kc the panel
 // depth (a kc×8 B panel and a 4×kc A panel stay L1/L2 resident), nc the
-// column strip width packed per pass.
+// column strip width packed per pass. At or below smallM rows a float64
+// NN or NT product reads its large operand in place instead of packing
+// it (gemmSmallM64): with one or two 4-row blocks to serve, a packed
+// panel is used too few times to repay the copy.
 const (
 	packMinFlops = 1 << 17
 	kc           = 512
 	nc           = 2048
+	smallM       = 8
 )
 
 // gemmArgs is one GEMM's operands as its row-range kernels take them:
 // float64 or float32 storage, and on the packed paths the packed B block
 // (bp), the float64 strip of a float32 product (cs), and the current K
-// block and column strip.
+// block and column strip. On the small-m path bp holds the packed small
+// operand and edge B's packed edge panel.
 type gemmArgs struct {
 	kind                     gemmKind
 	ep                       Epilogue
 	od, ad, bd, bias         []float64
 	od32, ad32, bd32, bias32 []float32
-	bp, cs                   []float64
+	bp, cs, edge             []float64
 	m, k, n                  int
 	pc, kb, jc, nb           int
 	lastK                    bool
@@ -267,6 +272,10 @@ func gemmSmall32(v gemmArgs, lo, hi int) {
 
 func gemmPacked64(v gemmArgs, par bool) {
 	bd, m, k, n := v.bd, v.m, v.k, v.n
+	if m <= smallM && v.kind != gemmTN {
+		gemmSmallM64(v, par)
+		return
+	}
 	for jc := 0; jc < n; jc += nc {
 		nb := min(n-jc, nc)
 		panels := (nb + 7) / 8
@@ -311,23 +320,14 @@ func gemmPackedRows64(v gemmArgs, lo, hi int) {
 				w = 8
 			}
 			bpanel := bp[j8*kb*8 : (j8+1)*kb*8]
+			c := od[i0*n+jj:]
 			if mb == 4 && w == 8 {
-				gemm4x8(kb, ap, bpanel, od[i0*n+jj:], n)
+				gemm4x8(kb, ap, 1, 4, bpanel, 8, c, n)
 				continue
 			}
-			for r := 0; r < mb; r++ {
-				copy(tile[r*8:r*8+w], od[(i0+r)*n+jj:(i0+r)*n+jj+w])
-				for x := w; x < 8; x++ {
-					tile[r*8+x] = 0
-				}
-			}
-			for r := mb * 8; r < 32; r++ {
-				tile[r] = 0
-			}
-			gemm4x8(kb, ap, bpanel, tile[:], 8)
-			for r := 0; r < mb; r++ {
-				copy(od[(i0+r)*n+jj:(i0+r)*n+jj+w], tile[r*8:r*8+w])
-			}
+			loadTile(&tile, c, n, mb, w)
+			gemm4x8(kb, ap, 1, 4, bpanel, 8, tile[:], 8)
+			storeTile(c, n, &tile, mb, w)
 		}
 		if lastK && (bias != nil || ep != EpNone) {
 			for r := 0; r < mb; r++ {
@@ -336,6 +336,130 @@ func gemmPackedRows64(v gemmArgs, lo, hi int) {
 		}
 	}
 	putScratch(apP)
+}
+
+// loadTile copies the mb×w corner of the C block at c (row stride ldc)
+// into tile and zeroes the rest, so an edge block runs the full 4×8
+// kernel; storeTile writes the corner back.
+func loadTile(tile *[32]float64, c []float64, ldc, mb, w int) {
+	*tile = [32]float64{}
+	for r := 0; r < mb; r++ {
+		copy(tile[r*8:r*8+w], c[r*ldc:])
+	}
+}
+
+func storeTile(c []float64, ldc int, tile *[32]float64, mb, w int) {
+	for r := 0; r < mb; r++ {
+		copy(c[r*ldc:r*ldc+w], tile[r*8:])
+	}
+}
+
+// Small-m path (m ≤ smallM, NN and NT). Packing B would copy the whole
+// large operand to feed one or two 4-row blocks, so the kernel reads it
+// where it lies instead, and only what is small or ragged is packed, once
+// per kc block before the parallel-for: the ≤ 8 rows of A, and B's edge
+// panel (n % 8 columns for NN, n % 4 rows of b for NT), zero-padded as on
+// the packed path. Every element keeps its one ascending-p FMA chain
+// seeded from the prior out, with bias and epilogue on the last K block,
+// so the results are bitwise those of the packed path.
+//
+//   - NN reads B rows in place (bps = n) against the packed 4-row A
+//     panels. The loop runs panel-outer, so one B panel serves both row
+//     blocks while it is in L1; the split is over 8-column panels.
+//   - NT is computed as Cᵀ = b·Aᵀ: four rows of b are the broadcast
+//     operand, read in place (ars = k, aps = 1), against Aᵀ packed as one
+//     8-wide panel (packBCols64 on A). The 4×8 tile is Cᵀ, gathered from
+//     and scattered back to C; the split is over 4-row groups of b.
+func gemmSmallM64(v gemmArgs, par bool) {
+	m, k, n := v.m, v.k, v.n
+	bufP := getScratch(min(kc, k) * 16)
+	for pc := 0; pc < k; pc += kc {
+		kb := min(k-pc, kc)
+		v.bp, v.edge = (*bufP)[:kb*8], (*bufP)[kb*8:kb*16]
+		v.pc, v.kb, v.lastK = pc, kb, pc+kb == k
+		if v.kind == gemmNT {
+			packBCols64(v.bp, v.ad, k, pc, kb, 0, m)
+			if r := n % 4; r != 0 {
+				packARows64(v.edge, v.bd, k, n-r, r, pc, kb)
+			}
+			gemmRun(par, (n+3)/4, 8*m*kb, v, gemmSmallMNT64)
+			continue
+		}
+		for i0 := 0; i0 < m; i0 += 4 {
+			packARows64(v.bp[i0*kb:], v.ad, k, i0, min(4, m-i0), pc, kb)
+		}
+		if r := n % 8; r != 0 {
+			packBRows64(v.edge, v.bd, n, pc, kb, n-r, r)
+		}
+		gemmRun(par, (n+7)/8, 16*m*kb, v, gemmSmallMNN64)
+	}
+	putScratch(bufP)
+}
+
+// gemmSmallMNN64 runs 8-column panels [lo,hi) of one kc block.
+func gemmSmallMNN64(v gemmArgs, lo, hi int) {
+	od, bd, ap, bias, ep, m, n, pc, kb := v.od, v.bd, v.bp, v.bias, v.ep, v.m, v.n, v.pc, v.kb
+	var tile [32]float64
+	for j8 := lo; j8 < hi; j8++ {
+		jj := j8 * 8
+		w := min(8, n-jj)
+		b, bps := bd[pc*n+jj:], n
+		if w < 8 {
+			b, bps = v.edge, 8
+		}
+		for i0 := 0; i0 < m; i0 += 4 {
+			mb := min(4, m-i0)
+			a, c := ap[i0*kb:], od[i0*n+jj:]
+			if mb == 4 && w == 8 {
+				gemm4x8(kb, a, 1, 4, b, bps, c, n)
+				continue
+			}
+			loadTile(&tile, c, n, mb, w)
+			gemm4x8(kb, a, 1, 4, b, bps, tile[:], 8)
+			storeTile(c, n, &tile, mb, w)
+		}
+		if v.lastK && (bias != nil || ep != EpNone) {
+			for r := 0; r < m; r++ {
+				epilogueRowSeg64(od[r*n+jj:r*n+jj+w], bias, jj, ep)
+			}
+		}
+	}
+}
+
+// gemmSmallMNT64 runs 4-row groups [lo,hi) of b, i.e. columns
+// [4·lo, 4·hi) of C, for one kc block. The tile holds Cᵀ: tile[r*8+i] is
+// C[i][j0+r].
+func gemmSmallMNT64(v gemmArgs, lo, hi int) {
+	od, bd, ap, bias, ep, m, k, n, pc, kb := v.od, v.bd, v.bp, v.bias, v.ep, v.m, v.k, v.n, v.pc, v.kb
+	epi := v.lastK && (bias != nil || ep != EpNone)
+	var tile [32]float64
+	for g := lo; g < hi; g++ {
+		j0 := g * 4
+		rows := min(4, n-j0)
+		a, ars, aps := bd[j0*k+pc:], k, 1
+		if rows < 4 {
+			a, ars, aps = v.edge, 1, 4
+		}
+		tile = [32]float64{}
+		for r := 0; r < rows; r++ {
+			for i := 0; i < m; i++ {
+				tile[r*8+i] = od[i*n+j0+r]
+			}
+		}
+		gemm4x8(kb, a, ars, aps, ap, 8, tile[:], 8)
+		for r := 0; r < rows; r++ {
+			for i := 0; i < m; i++ {
+				x := tile[r*8+i]
+				if epi {
+					if bias != nil {
+						x += bias[j0+r]
+					}
+					x = applyEp(x, ep)
+				}
+				od[i*n+j0+r] = x
+			}
+		}
+	}
 }
 
 // gemmPacked32 accumulates each nc strip into a pooled float64 buffer —
@@ -412,23 +536,14 @@ func gemmPackedRows32(v gemmArgs, lo, hi int) {
 				w = 8
 			}
 			bpanel := bp[j8*kb*8 : (j8+1)*kb*8]
+			c := cs[i0*nb+jj:]
 			if mb == 4 && w == 8 {
-				gemm4x8(kb, ap, bpanel, cs[i0*nb+jj:], nb)
+				gemm4x8(kb, ap, 1, 4, bpanel, 8, c, nb)
 				continue
 			}
-			for r := 0; r < mb; r++ {
-				copy(tile[r*8:r*8+w], cs[(i0+r)*nb+jj:(i0+r)*nb+jj+w])
-				for x := w; x < 8; x++ {
-					tile[r*8+x] = 0
-				}
-			}
-			for r := mb * 8; r < 32; r++ {
-				tile[r] = 0
-			}
-			gemm4x8(kb, ap, bpanel, tile[:], 8)
-			for r := 0; r < mb; r++ {
-				copy(cs[(i0+r)*nb+jj:(i0+r)*nb+jj+w], tile[r*8:r*8+w])
-			}
+			loadTile(&tile, c, nb, mb, w)
+			gemm4x8(kb, ap, 1, 4, bpanel, 8, tile[:], 8)
+			storeTile(c, nb, &tile, mb, w)
 		}
 	}
 	putScratch(apP)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"testing"
 )
 
@@ -303,6 +305,154 @@ func TestSerialEntryPointsVsRef(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGemmSmallMVsRef sweeps the small-m path against the scalar
+// reference bit for bit, entering at gemmPacked64 so every shape takes the
+// route the packed-size threshold would give it: m across smallM (1…9, 9
+// being the packed path), k across the kc edge, and n with ragged 8- and
+// 4-column edges beside whole ones, for NN and NT. Accumulation, bias and
+// the four epilogues rotate over the shapes; seeds carry NaN, ±Inf and
+// −0; worker counts 1/2/3/8 rotate too, each with the assembly on and off.
+func TestGemmSmallMVsRef(t *testing.T) {
+	resetConfigAfter(t)
+	orig := useAVX
+	t.Cleanup(func() { useAVX = orig })
+	rng := rand.New(rand.NewSource(52))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	workers := []int{1, 2, 3, 8}
+	idx := 0
+	for m := 1; m <= smallM+1; m++ {
+		for _, k := range []int{1, 511, 512, 513, 1100} {
+			for _, n := range []int{5, 12, 29, 40} {
+				for _, kind := range []gemmKind{gemmNN, gemmNT} {
+					idx++
+					ep := Epilogue(idx % 4)
+					acc := idx%3 != 0
+					a := randn2(rng, m, k)
+					b := randn2(rng, k, n)
+					if kind == gemmNT {
+						b = randn2(rng, n, k)
+					}
+					var bias *Tensor
+					var bd []float64
+					if idx%2 == 0 {
+						bias = randn2(rng, 1, n)
+						bd = bias.data
+					}
+					seed := randn2(rng, m, n)
+					for i, v := range specials {
+						seed.data[(idx+i*7)%(m*n)] = v
+					}
+					want := seed.Clone()
+					refGemm(kind, want, a, b, bias, ep, acc)
+					Configure(WithWorkers(workers[idx%len(workers)]), WithGrain(1024))
+					for _, avx := range []bool{orig, false} {
+						useAVX = avx
+						got := seed.Clone()
+						if !acc {
+							got.Zero()
+						}
+						gemmPacked64(gemmArgs{kind: kind, ep: ep, od: got.data, ad: a.data, bd: b.data, bias: bd, m: m, k: k, n: n}, true)
+						if !bitEqual64(got, want) {
+							t.Fatalf("kind %d m=%d k=%d n=%d ep%d acc=%v bias=%v avx=%v workers=%d differs from reference",
+								kind, m, k, n, ep, acc, bias != nil, avx, Workers())
+						}
+					}
+				}
+			}
+		}
+	}
+	// The three GEMMs of a gradsync-ddp Dense layer, through the public
+	// entry points (the TN weight gradient keeps the packed path).
+	useAVX = orig
+	x, w, bias := randn2(rng, 8, 1024), randn2(rng, 1024, 640), randn2(rng, 1, 640)
+	dy, gw := randn2(rng, 8, 640), randn2(rng, 1024, 640)
+	y, yRef := New(8, 640), New(8, 640)
+	MatMulBiasInto(y, x, w, bias)
+	refGemm(gemmNN, yRef, x, w, bias, EpNone, false)
+	dx, dxRef := New(8, 1024), New(8, 1024)
+	MatMulTInto(dx, dy, w)
+	refGemm(gemmNT, dxRef, dy, w, nil, EpNone, false)
+	gwRef := gw.Clone()
+	TMatMulAccInto(gw, x, dy)
+	refGemm(gemmTN, gwRef, x, dy, nil, EpNone, true)
+	if !bitEqual64(y, yRef) || !bitEqual64(dx, dxRef) || !bitEqual64(gw, gwRef) {
+		t.Fatal("Dense-layer GEMMs at batch 8 differ from the reference")
+	}
+}
+
+// TestGemmSmallMNoAVXProcess re-runs the small-m sweep in a child process
+// started with MSA_NO_AVX=1, the switch a host without AVX2 takes at
+// start-up.
+func TestGemmSmallMNoAVXProcess(t *testing.T) {
+	if os.Getenv("MSA_NO_AVX") != "" {
+		t.Skip("already running with MSA_NO_AVX set")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestGemmSmallMVsRef$")
+	cmd.Env = append(os.Environ(), "MSA_NO_AVX=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("small-m sweep with MSA_NO_AVX=1: %v\n%s", err, out)
+	}
+}
+
+// TestGemmSmallMAllocsSteadyState: the small-m path's packing buffer
+// comes from the scratch pool and its tiles live on the stack, so a
+// batch-8 Dense layer's GEMMs, whole and ragged, allocate nothing once
+// warm, serially and split over workers.
+func TestGemmSmallMAllocsSteadyState(t *testing.T) {
+	resetConfigAfter(t)
+	rng := rand.New(rand.NewSource(53))
+	x, w, bias, dy := randn2(rng, 8, 1024), randn2(rng, 1024, 640), randn2(rng, 1, 640), randn2(rng, 8, 640)
+	y, dx := New(8, 640), New(8, 1024)
+	ra, rb, rbt, rout := randn2(rng, 5, 600), randn2(rng, 600, 45), randn2(rng, 45, 600), New(5, 45)
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"NN+bias", func() { MatMulBiasInto(y, x, w, bias) }},
+		{"NT", func() { MatMulTInto(dx, dy, w) }},
+		{"ragged NN", func() { MatMulBiasActInto(rout, ra, rb, nil, EpTanh) }},
+		{"ragged NT", func() { MatMulTAccInto(rout, ra, rbt) }},
+	}
+	for _, workers := range []int{1, 4} {
+		Configure(WithWorkers(workers), WithGrain(1024))
+		for _, c := range cases {
+			for range 5 {
+				c.f()
+			}
+			if allocs := testing.AllocsPerRun(20, c.f); allocs != 0 {
+				t.Errorf("%s at %d workers allocates %.1f/call in steady state, want 0", c.name, workers, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkDenseSmallBatch times the three GEMMs of one gradsync-ddp Dense
+// layer (1024→640 at batch 8): the forward 8×1024·1024×640 with bias
+// (NN), the input gradient dY·Wᵀ (NT) and the weight gradient Xᵀ·dY
+// accumulated into W's gradient (TN).
+func BenchmarkDenseSmallBatch(b *testing.B) {
+	const m, k, n = 8, 1024, 640
+	rng := rand.New(rand.NewSource(3))
+	x, w, bias, dy := randn2(rng, m, k), randn2(rng, k, n), randn2(rng, 1, n), randn2(rng, m, n)
+	y, dx, gw := New(m, n), New(m, k), New(k, n)
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"fwd-NN", func() { MatMulBiasInto(y, x, w, bias) }},
+		{"dX-NT", func() { MatMulTInto(dx, dy, w) }},
+		{"dW-TN", func() { TMatMulAccInto(gw, x, dy) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.f()
+			}
+			b.ReportMetric(2*m*k*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

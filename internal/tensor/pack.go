@@ -12,6 +12,17 @@ import (
 // storage path), so it never changes results — the micro-kernel still
 // accumulates each output element in ascending p order.
 //
+// Which products pack what:
+//
+//   - m > smallM (any kind), every TN product, and the float32 path pack
+//     both operands as above.
+//   - Float64 NN and NT with m ≤ smallM (gemmSmallM64) pack only what is
+//     small or ragged: the A rows (NN: 4-row panels; NT: Aᵀ as one 8-wide
+//     panel through packBCols64) and B's edge panel (NN: the last n % 8
+//     columns, packBRows64; NT: the last n % 4 rows of b, packARows64).
+//     Whole B panels are read in place by the strided micro-kernel.
+//   - The convolution engine packs its own operands (below).
+//
 // Layouts:
 //
 //	B scratch: panel j8 = columns [8*j8, 8*j8+8) of the strip, laid out

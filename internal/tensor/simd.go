@@ -7,13 +7,14 @@ import "math"
 // to the AVX2 assembly on any architecture — the property the
 // cross-check tests pin.
 
-func gemm4x8Go(k int, ap, bp, c []float64, ldc int) {
+// gemm4x8FMA is the strided 4×8 micro-kernel's mirror (gemm4x8Asm).
+func gemm4x8FMA(k int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc int) {
 	for r := 0; r < 4; r++ {
 		crow := c[r*ldc : r*ldc+8]
 		for j := 0; j < 8; j++ {
 			acc := crow[j]
 			for p := 0; p < k; p++ {
-				acc = math.FMA(ap[p*4+r], bp[p*8+j], acc)
+				acc = math.FMA(a[r*ars+p*aps], b[p*bps+j], acc)
 			}
 			crow[j] = acc
 		}

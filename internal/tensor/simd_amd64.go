@@ -5,7 +5,7 @@ package tensor
 import "os"
 
 //go:noescape
-func gemm4x8AVX(k int, ap, bp, c *float64, ldc int)
+func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc int)
 
 //go:noescape
 func conv4x8AVX(ap, xp *float64, c, kh, kw, plane, wp int, tile *float64)
@@ -72,14 +72,17 @@ func detectAVX2FMA() bool {
 	return b7&(1<<5) != 0 // AVX2
 }
 
-// gemm4x8 accumulates a 4×8 C tile (row stride ldc) with the packed
-// panels ap (4-wide, p-major) and bp (8-wide, p-major) over k steps.
-func gemm4x8(k int, ap, bp, c []float64, ldc int) {
+// gemm4x8 accumulates a 4×8 C tile (row stride ldc) over k steps:
+// c[r*ldc+j] += Σ_p a[r*ars+p*aps] · b[p*bps+j]. Packed panels pass
+// (ars, aps, bps) = (1, 4, 8); see kernel.go for the in-place strides.
+func gemm4x8(k int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc int) {
 	if useAVX {
-		gemm4x8AVX(k, &ap[0], &bp[0], &c[0], ldc)
+		last := max(k-1, 0)
+		_, _, _ = a[3*ars+last*aps], b[last*bps+7], c[3*ldc+7]
+		gemm4x8Asm(k, &a[0], ars, aps, &b[0], bps, &c[0], ldc)
 		return
 	}
-	gemm4x8Go(k, ap, bp, c, ldc)
+	gemm4x8FMA(k, a, ars, aps, b, bps, c, ldc)
 }
 
 // conv4x8 overwrites tile (row stride 8) with the zero-seeded 4×8 product

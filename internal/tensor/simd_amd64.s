@@ -2,24 +2,34 @@
 
 #include "textflag.h"
 
-// The two hot kernels behind the packed/fused matmul and direct-conv
-// paths, written against AVX2+FMA (gated at runtime by useAVX, see
-// simd_amd64.go). Both accumulate with fused multiply-adds in ascending
-// p order per output element, so their results are bit-identical to the
+// The hot kernels behind the packed/fused matmul and direct-conv paths,
+// written against AVX2+FMA (gated at runtime by useAVX, see
+// simd_amd64.go). All accumulate with fused multiply-adds in ascending p
+// order per output element, so their results are bit-identical to the
 // scalar math.FMA reference kernels.
 
-// func gemm4x8AVX(k int, ap, bp, c *float64, ldc int)
+// func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc int)
 //
 // C (a 4×8 tile at c with row stride ldc doubles) accumulates
-// sum_p ap[p*4+r] * bp[p*8+j] on top of its current contents. Eight YMM
-// accumulators hold the tile; each p step is two B-panel loads, four A
-// broadcasts, and eight VFMADD231PD.
-TEXT ·gemm4x8AVX(SB), NOSPLIT, $0-40
+// sum_p a[r*ars + p*aps] * b[p*bps + j] on top of its current contents.
+// Strides are in doubles: a packed panel pair is (ars, aps, bps) =
+// (1, 4, 8); a row-major B read in place has bps = its row length, and
+// rows of a matrix broadcast in place have ars = the row length, aps = 1.
+// Eight YMM accumulators hold the tile; each p step is two B-row loads,
+// four indexed A broadcasts, eight VFMADD231PD and two pointer bumps.
+TEXT ·gemm4x8Asm(SB), NOSPLIT, $0-64
 	MOVQ k+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+	MOVQ a+8(FP), SI
+	MOVQ ars+16(FP), R12
+	MOVQ aps+24(FP), R13
+	MOVQ b+32(FP), DI
+	MOVQ bps+40(FP), AX
+	MOVQ c+48(FP), DX
+	MOVQ ldc+56(FP), R8
+	SHLQ $3, R12
+	SHLQ $3, R13
+	SHLQ $3, AX
+	LEAQ (R12)(R12*2), BX
 	SHLQ $3, R8
 	LEAQ (DX)(R8*1), R9
 	LEAQ (DX)(R8*2), R10
@@ -41,17 +51,17 @@ loop:
 	VBROADCASTSD (SI), Y10
 	VFMADD231PD  Y8, Y10, Y0
 	VFMADD231PD  Y9, Y10, Y1
-	VBROADCASTSD 8(SI), Y11
+	VBROADCASTSD (SI)(R12*1), Y11
 	VFMADD231PD  Y8, Y11, Y2
 	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 16(SI), Y12
+	VBROADCASTSD (SI)(R12*2), Y12
 	VFMADD231PD  Y8, Y12, Y4
 	VFMADD231PD  Y9, Y12, Y5
-	VBROADCASTSD 24(SI), Y13
+	VBROADCASTSD (SI)(BX*1), Y13
 	VFMADD231PD  Y8, Y13, Y6
 	VFMADD231PD  Y9, Y13, Y7
-	ADDQ         $32, SI
-	ADDQ         $64, DI
+	ADDQ         R13, SI
+	ADDQ         AX, DI
 	DECQ         CX
 	JNZ          loop
 
@@ -170,7 +180,7 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 // The forward convolution micro-kernel: gemm4x8 with the B panel read in
 // place. Row p = (ch, ky, kx) of the panel is the eight doubles at
 // xp[ch*plane + ky*wp + kx], so three nested counters step the B pointer
-// where gemm4x8AVX advances it by one packed row; the A panel and the
+// where gemm4x8Asm advances it by one stride; the A panel and the
 // ascending-p FMA chain per element are the same. The tile (row stride 8)
 // is seeded with +0 and overwritten.
 TEXT ·conv4x8AVX(SB), NOSPLIT, $0-64

@@ -7,8 +7,8 @@ package tensor
 // FMA) keep results bit-identical across architectures.
 var useAVX = false
 
-func gemm4x8(k int, ap, bp, c []float64, ldc int) {
-	gemm4x8Go(k, ap, bp, c, ldc)
+func gemm4x8(k int, a []float64, ars, aps int, b []float64, bps int, c []float64, ldc int) {
+	gemm4x8FMA(k, a, ars, aps, b, bps, c, ldc)
 }
 
 func conv4x8(ap, xp []float64, c, kh, kw, plane, wp int, tile *[32]float64) {
