@@ -22,7 +22,7 @@ import "sync"
 // user tags and the group's own collective traffic alike, since group
 // collectives get no collective span (see Comm.collective). The world's
 // internal band [maxUserTag, commTagStride) — barrier/bcast/… handshakes
-// and the iallreduce segment band, whose background-goroutine traffic
+// and the iallreduce band, whose background-goroutine traffic
 // would break per-rank seq ordering — is deliberately excluded; world
 // collectives are traced as single SpanCollective spans instead.
 func traceTag(wtag int) bool {
@@ -38,25 +38,18 @@ type rankCausal struct {
 	recv map[int64]int64 // (tag, src) -> next seq
 }
 
-func (rc *rankCausal) nextSend(key int64) int64 {
-	rc.mu.Lock()
-	if rc.send == nil {
-		rc.send = map[int64]int64{}
-	}
-	seq := rc.send[key]
-	rc.send[key] = seq + 1
-	rc.mu.Unlock()
-	return seq
-}
+func (rc *rankCausal) nextSend(key int64) int64 { return rc.next(&rc.send, key) }
+func (rc *rankCausal) nextRecv(key int64) int64 { return rc.next(&rc.recv, key) }
 
-func (rc *rankCausal) nextRecv(key int64) int64 {
+// next returns stream key's counter in *m and advances it.
+func (rc *rankCausal) next(m *map[int64]int64, key int64) int64 {
 	rc.mu.Lock()
-	if rc.recv == nil {
-		rc.recv = map[int64]int64{}
+	defer rc.mu.Unlock()
+	if *m == nil {
+		*m = map[int64]int64{}
 	}
-	seq := rc.recv[key]
-	rc.recv[key] = seq + 1
-	rc.mu.Unlock()
+	seq := (*m)[key]
+	(*m)[key] = seq + 1
 	return seq
 }
 

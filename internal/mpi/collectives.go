@@ -17,9 +17,7 @@ const (
 	tagReduce
 	tagGather
 	tagScatter
-	tagAllgather
-	tagRingRS
-	tagRingAG
+	tagRing // the traced stream of a blocking ring collective (ring.go)
 	tagRecDouble
 	tagRecAdjust
 	tagAlltoall
@@ -135,16 +133,23 @@ func (c *Comm) bcastTree(root int, buf []float64, into bool) []float64 {
 
 // fold receives one message from src and combines it into dst straight out
 // of the wire buffer, which then goes back to the pool: the receive step of
-// every reduction schedule below. Returns the element count.
-func (c *Comm) fold(src, tag int, dst []float64, combine func(dst, src []float64)) int {
+// every message-based reduction schedule below.
+func (c *Comm) fold(src, tag int, dst []float64, combine func(dst, src []float64)) {
 	got, _ := c.Recv(src, tag)
 	combine(dst[:len(got)], got)
 	c.world.wire.put(got)
-	return len(got)
 }
 
-// copyInto is the combine that makes a ring pass pure data movement.
-func copyInto(dst, src []float64) { copy(dst, src) }
+// copyInto is the combine that makes a ring pass pure data movement. It
+// copies in pieces under 1 MiB: from that size on the runtime's memmove
+// uses non-temporal stores, which push the chunk the next ring step reads
+// out of the cache.
+func copyInto(dst, src []float64) {
+	for len(dst) > 0 {
+		n := copy(dst[:min(len(dst), 1<<16)], src)
+		dst, src = dst[n:], src[n:]
+	}
+}
 
 // Reduce combines every rank's data at root with op (binomial tree).
 // Non-root ranks return nil; root owns the result.
@@ -182,7 +187,7 @@ func (c *Comm) reduceInPlace(root int, acc []float64, op ReduceOp) {
 func (c *Comm) Allreduce(data []float64, op ReduceOp, algo Algo) []float64 {
 	out := c.world.wire.get(len(data))
 	copy(out, data)
-	c.allreduce(out, op, algo, false)
+	c.allreduce(out, op, algo, 0)
 	return out
 }
 
@@ -192,58 +197,37 @@ func (c *Comm) Allreduce(data []float64, op ReduceOp, algo Algo) []float64 {
 // borrows all return to the pool — so this is the path distdl bucket sync
 // and the pipeline gradient drain ride, and the one Allreduce wraps.
 func (c *Comm) AllreduceInPlace(data []float64, op ReduceOp, algo Algo) {
-	c.allreduce(data, op, algo, true)
+	c.allreduce(data, op, algo, 0)
 }
 
 // allreduce is the one dispatch behind every blocking allreduce form. The
 // span carries the *resolved* algorithm so Auto runs are still
-// attributable per-regime in the trace; inPlace only picks the attribute
-// spelling ("ring" / "ring-inplace") that tells the two entry points apart.
-func (c *Comm) allreduce(data []float64, op ReduceOp, algo Algo, inPlace bool) {
+// attributable per-regime in the trace. A nonzero scale multiplies the
+// result (the mean forms): the ring folds it into its reduce-scatter, every
+// other algorithm sweeps it after.
+func (c *Comm) allreduce(data []float64, op ReduceOp, algo Algo, scale float64) {
 	algo = c.resolveAlgo(algo, len(data))
-	attr := string(algo)
-	if inPlace {
-		attr = inPlaceAttr(algo)
+	defer c.collective(KindAllreduce, len(data), string(algo))()
+	if c.Size() > 1 {
+		switch algo {
+		case AlgoNaive:
+			c.allreduceNaive(data, op)
+		case AlgoTree:
+			c.reduceInPlace(0, data, op)
+			c.BcastInto(0, data)
+		case AlgoRing:
+			c.ring(c.g.ring, tagRing, data, op.Combine, c.rank, 2, scale)
+			return
+		case AlgoRecursiveDoubling:
+			c.allreduceRecDoubling(data, op)
+		case AlgoGCE:
+			c.world.gce.allreduce(&c.g.gce, c.Size(), data, op)
+		default:
+			panic(fmt.Sprintf("mpi: unknown allreduce algorithm %q", algo))
+		}
 	}
-	defer c.collective(KindAllreduce, len(data), attr)()
-	if c.Size() == 1 {
-		return
-	}
-	switch algo {
-	case AlgoNaive:
-		c.allreduceNaive(data, op)
-	case AlgoTree:
-		c.reduceInPlace(0, data, op)
-		c.BcastInto(0, data)
-	case AlgoRing:
-		c.allreduceRing(data, op, tagRingRS, tagRingAG, len(data))
-	case AlgoRecursiveDoubling:
-		c.allreduceRecDoubling(data, op)
-	case AlgoGCE:
-		c.world.gce.allreduce(&c.g.gce, c.Size(), data, op)
-	default:
-		panic(fmt.Sprintf("mpi: unknown allreduce algorithm %q", algo))
-	}
-}
-
-// inPlaceAttr returns the span attribute for an in-place collective.
-// The strings are compile-time constants rather than a per-call
-// `algo+"-inplace"` concat: that one hidden allocation was the only
-// thing between the steady-state in-place ring and zero allocs/op.
-func inPlaceAttr(algo Algo) string {
-	switch algo {
-	case AlgoRing:
-		return "ring-inplace"
-	case AlgoRecursiveDoubling:
-		return "recursive-doubling-inplace"
-	case AlgoNaive:
-		return "naive-inplace"
-	case AlgoTree:
-		return "tree-inplace"
-	case AlgoGCE:
-		return "gce-inplace"
-	default:
-		return string(algo) + "-inplace"
+	if scale != 0 {
+		tensor.VecScaleInto(data, data, scale)
 	}
 }
 
@@ -287,55 +271,6 @@ func chunkBounds(n, p, i int) (int, int) {
 	return i * n / p, (i + 1) * n / p
 }
 
-// allreduceRing is the bandwidth-optimal ring algorithm used by Horovod,
-// in place on data: a reduce-scatter pass (p-1 steps, after which rank r
-// holds the full reduction of chunk r+1) followed by an allgather pass
-// (p-1 steps) circulating the reduced chunks; each rank sends 2·n·(p-1)/p
-// elements total. Blocking, nonblocking and sub-group callers differ only
-// in the tag pair and the segment length they pass, so for a fixed input
-// they all produce the same bits.
-func (c *Comm) allreduceRing(data []float64, op ReduceOp, tagRS, tagAG, seg int) {
-	c.ringPass(data, op.Combine, c.rank, tagRS, seg)
-	c.ringPass(data, copyInto, c.rank+1, tagAG, seg)
-}
-
-// ringPass is the ring schedule, written once. data is viewed as p chunks
-// (chunkBounds); in step s of p-1 a rank sends chunk start-s to its right
-// neighbor and folds the left neighbor's chunk start-s-1 into place with
-// combine — op.Combine makes the pass a reduce-scatter, copyInto an
-// allgather. A chunk travels as segments of at most seg elements (an empty
-// chunk as one empty message), all posted up front — sends are buffered
-// and never block — and drained one at a time, so a receiver combines
-// early segments while later ones are still in flight. With a single
-// outstanding receive per (src, tag) pair the mailbox's FIFO guarantee
-// makes matching positional, so no per-segment tags are needed; plain
-// Send/Recv rather than Isend/Irecv, which would add a request handle, a
-// done channel and a helper goroutine per segment for the same semantics
-// (a revocation panic unwinds to the caller either way). Each
-// segment is combined straight out of its wire buffer and the buffer
-// returned to the pool; together with Send drawing from that pool, a
-// steady-state ring performs no per-message heap allocation.
-func (c *Comm) ringPass(data []float64, combine func(dst, src []float64), start, tag, seg int) {
-	p, n := c.Size(), len(data)
-	right, left := (c.rank+1)%p, (c.rank-1+p)%p
-	for s := 0; s < p-1; s++ {
-		slo, shi := chunkBounds(n, p, (start-s+2*p)%p)
-		rlo, rhi := chunkBounds(n, p, (start-s-1+2*p)%p)
-		for lo := slo; ; {
-			hi := min(lo+seg, shi)
-			c.Send(right, tag, data[lo:hi])
-			if lo = hi; lo >= shi {
-				break
-			}
-		}
-		for lo := rlo; ; {
-			if lo += c.fold(left, tag, data[lo:rhi], combine); lo >= rhi {
-				break
-			}
-		}
-	}
-}
-
 // allreduceRecDoubling implements the latency-optimal recursive-doubling
 // algorithm in place, with the standard pre/post adjustment for
 // non-power-of-two rank counts: the p-p2 extra ranks fold their vector
@@ -368,10 +303,9 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 	wire := &c.world.wire
 	acc := wire.get(len(data))
 	copy(acc, data)
-	// The reduce-scatter pass started one chunk behind allreduceRing's, so
-	// that the fully reduced chunk landing at rank r is chunk r (the
-	// MPI_Reduce_scatter convention).
-	c.ringPass(acc, op.Combine, c.rank-1, tagRingRS, len(acc))
+	// Starting one chunk behind the allreduce leaves rank r holding chunk r
+	// (the MPI_Reduce_scatter convention).
+	c.ring(c.g.ring, tagRing, acc, op.Combine, c.rank-1, 1, 0)
 	lo, hi := chunkBounds(len(acc), c.Size(), c.rank)
 	out := wire.get(hi - lo)
 	copy(out, acc[lo:hi])
@@ -386,7 +320,7 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	n := len(data)
 	out := make([]float64, n*c.Size())
 	copy(out[c.rank*n:], data)
-	c.ringPass(out, copyInto, c.rank, tagAllgather, n)
+	c.ring(c.g.ring, tagRing, out, copyInto, c.rank, 1, 0)
 	return out
 }
 
@@ -394,19 +328,16 @@ func (c *Comm) Allgather(data []float64) []float64 {
 // ranks return nil. Buffers may have different lengths.
 func (c *Comm) Gather(root int, data []float64) [][]float64 {
 	defer c.collective(KindGather, len(data), "")()
-	p := c.Size()
 	if c.rank != root {
 		c.Send(root, tagGather, data)
 		return nil
 	}
-	out := make([][]float64, p)
+	out := make([][]float64, c.Size())
 	out[root] = append([]float64(nil), data...)
-	for i := 0; i < p; i++ {
-		if i == root {
-			continue
+	for i := range out {
+		if i != root {
+			out[i], _ = c.Recv(i, tagGather)
 		}
-		part, _ := c.Recv(i, tagGather)
-		out[i] = part
 	}
 	return out
 }
@@ -420,11 +351,10 @@ func (c *Comm) Scatter(root int, parts [][]float64) []float64 {
 		if len(parts) != p {
 			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", p, len(parts)))
 		}
-		for i := 0; i < p; i++ {
-			if i == root {
-				continue
+		for i := range parts {
+			if i != root {
+				c.Send(i, tagScatter, parts[i])
 			}
-			c.Send(i, tagScatter, parts[i])
 		}
 		return append([]float64(nil), parts[root]...)
 	}
@@ -462,22 +392,24 @@ func (c *Comm) Alltoall(parts [][]float64) [][]float64 {
 func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
 	buf := c.scalar[:]
 	buf[0] = v
-	c.allreduce(buf, op, AlgoDefault, false)
+	c.allreduce(buf, op, AlgoDefault, 0)
 	return buf[0]
 }
 
-// AllreduceMean averages a vector across ranks (sum allreduce then scale).
+// AllreduceMean averages a vector across ranks (sum allreduce, scaled).
 func (c *Comm) AllreduceMean(data []float64, algo Algo) []float64 {
-	out := c.Allreduce(data, OpSum, algo)
-	tensor.VecScaleInto(out, out, 1/float64(c.Size()))
+	out := c.world.wire.get(len(data))
+	copy(out, data)
+	c.allreduce(out, OpSum, algo, 1/float64(c.Size()))
 	return out
 }
 
-// AllreduceMeanInPlace averages data across ranks in place: a sum
-// AllreduceInPlace followed by a SIMD scale.
+// AllreduceMeanInPlace averages data across ranks in place: a sum allreduce
+// scaled by 1/p. The ring scales each fully reduced chunk once, at its
+// owner, before the allgather pass; the other algorithms sweep the result.
+// Both multiply every sum by the same factor, so the bits are the same.
 func (c *Comm) AllreduceMeanInPlace(data []float64, algo Algo) {
-	c.AllreduceInPlace(data, OpSum, algo)
-	tensor.VecScaleInto(data, data, 1/float64(c.Size()))
+	c.allreduce(data, OpSum, algo, 1/float64(c.Size()))
 }
 
 // totalLen sums the element counts of a per-rank part list (span sizing
@@ -499,28 +431,18 @@ func HierarchicalCostModel(p, groupSize, n int, alphaFast, betaFast, alphaSlow, 
 	if p <= 1 {
 		return 0
 	}
-	if groupSize < 1 {
-		groupSize = 1
-	}
-	g := groupSize
-	if g > p {
-		g = p
-	}
+	g := min(max(groupSize, 1), p)
 	nodes := (p + g - 1) / g
 	nf := float64(n)
-	intra := 0.0
+	intra, inter, bcast := 0.0, 0.0, 0.0
 	if g > 1 {
 		gf := float64(g)
 		intra = 2*(gf-1)*alphaFast + 2*(gf-1)/gf*nf*betaFast
+		bcast = (gf-1)*alphaFast + nf*betaFast
 	}
-	inter := 0.0
 	if nodes > 1 {
 		nd := float64(nodes)
 		inter = 2*(nd-1)*alphaSlow + 2*(nd-1)/nd*nf*betaSlow
-	}
-	bcast := 0.0
-	if g > 1 {
-		bcast = float64(g-1)*alphaFast + nf*betaFast
 	}
 	return intra + inter + bcast
 }

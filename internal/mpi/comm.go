@@ -56,13 +56,36 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	atomic.AddInt64(&w.stats[c.wrank].MessagesSent, 1)
 	atomic.AddInt64(&w.stats[c.wrank].ElemsSent, int64(len(data)))
 	if tr := w.tracer.Load(); tr != nil && traceTag(wtag) {
-		seq := w.causal[c.wrank].nextSend(w.streamKey(wtag, wdst))
-		tr.EmitSpan(telemetry.Span{
-			Track: c.wrank, Cat: telemetry.CatComm, Name: "mpi.send",
-			Start: tr.Start(), Bytes: int64(len(data)) * 8,
-			Kind: telemetry.SpanSend, CommID: c.g.id, Peer: wdst, Tag: wtag, Seq: seq,
-		})
+		c.traceSend(tr, wdst, wtag, len(data))
 	}
+}
+
+// traceSend emits the causal span of a send of elems elements to world rank
+// wdst on wire tag wtag, numbered on that stream; a nil tracer emits nothing.
+func (c *Comm) traceSend(tr *telemetry.Tracer, wdst, wtag, elems int) {
+	if tr == nil {
+		return
+	}
+	w := c.world
+	tr.EmitSpan(telemetry.Span{
+		Track: c.wrank, Cat: telemetry.CatComm, Name: "mpi.send",
+		Start: tr.Start(), Bytes: int64(elems) * 8, Kind: telemetry.SpanSend,
+		CommID: c.g.id, Peer: wdst, Tag: wtag, Seq: w.causal[c.wrank].nextSend(w.streamKey(wtag, wdst)),
+	})
+}
+
+// traceRecv emits the causal span of a receive of elems elements from world
+// rank wsrc on wire tag wtag, covering the wait since t0.
+func (c *Comm) traceRecv(tr *telemetry.Tracer, t0 int64, wsrc, wtag, elems int) {
+	if tr == nil {
+		return
+	}
+	w := c.world
+	tr.EmitSpan(telemetry.Span{
+		Track: c.wrank, Cat: telemetry.CatComm, Name: "mpi.recv",
+		Start: t0, Dur: tr.Start() - t0, Bytes: int64(elems) * 8, Kind: telemetry.SpanRecv,
+		CommID: c.g.id, Peer: wsrc, Tag: wtag, Seq: w.causal[c.wrank].nextRecv(w.streamKey(wtag, wsrc)),
+	})
 }
 
 // recv is the one matched receive behind Recv, RecvInto and RecvTimeout:
@@ -80,24 +103,15 @@ func (c *Comm) recv(src, tag int, timeout time.Duration) (message, bool) {
 		wsrc = c.g.members[src]
 	}
 	tr := w.tracer.Load()
-	var t0 int64
-	if tr != nil && traceTag(wtag) {
-		t0 = tr.Start()
-	} else {
+	if !traceTag(wtag) {
 		tr = nil
 	}
+	t0 := tr.Start()
 	msg, ok := w.boxes[c.wrank].get(wsrc, wtag, timeout)
 	if !ok {
 		return msg, false
 	}
-	if tr != nil {
-		seq := w.causal[c.wrank].nextRecv(w.streamKey(wtag, msg.src))
-		tr.EmitSpan(telemetry.Span{
-			Track: c.wrank, Cat: telemetry.CatComm, Name: "mpi.recv",
-			Start: t0, Dur: tr.Start() - t0, Bytes: int64(len(msg.data)) * 8,
-			Kind: telemetry.SpanRecv, CommID: c.g.id, Peer: msg.src, Tag: wtag, Seq: seq,
-		})
-	}
+	c.traceRecv(tr, t0, msg.src, wtag, len(msg.data))
 	if src != AnySource {
 		msg.src = src
 	} else {

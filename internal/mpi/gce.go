@@ -12,31 +12,14 @@ import "sync"
 // concurrent sibling groups are safe.
 type gceEngine struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	revoked bool
-	reason  string
+	cond    sync.Cond   // on mu
+	revoked *revocation // the world's
 }
 
 // gceRound is one group's rendezvous state, guarded by the engine's lock.
 type gceRound struct {
 	gen, count  int
 	acc, result []float64
-}
-
-func newGCEEngine() *gceEngine {
-	e := &gceEngine{}
-	e.cond = sync.NewCond(&e.mu)
-	return e
-}
-
-// revoke wakes every rank blocked in the engine; they panic with
-// RevokedError, matching mailbox semantics.
-func (e *gceEngine) revoke(reason string) {
-	e.mu.Lock()
-	e.revoked = true
-	e.reason = reason
-	e.mu.Unlock()
-	e.cond.Broadcast()
 }
 
 // allreduce contributes data to round r's current generation, blocks until
@@ -46,9 +29,7 @@ func (e *gceEngine) revoke(reason string) {
 func (e *gceEngine) allreduce(r *gceRound, n int, data []float64, op ReduceOp) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.revoked {
-		panic(RevokedError{Reason: e.reason})
-	}
+	e.revoked.check()
 	gen := r.gen
 	if r.count == 0 {
 		r.acc = append(r.acc[:0], data...)
@@ -66,13 +47,9 @@ func (e *gceEngine) allreduce(r *gceRound, n int, data []float64, op ReduceOp) {
 		e.cond.Broadcast()
 	}
 	for r.gen == gen {
-		if e.revoked {
-			panic(RevokedError{Reason: e.reason})
-		}
+		e.revoked.check()
 		e.cond.Wait()
 	}
-	if e.revoked {
-		panic(RevokedError{Reason: e.reason})
-	}
+	e.revoked.check()
 	copy(data, r.result)
 }

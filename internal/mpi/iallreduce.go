@@ -5,38 +5,24 @@ import (
 	"time"
 )
 
-// Nonblocking allreduce (MPI_Iallreduce): the primitive overlapped
-// gradient synchronization is built from. A call returns immediately with
-// an AllreduceRequest handle; the ring allreduce runs in the background on
-// the rank's behalf while the caller keeps computing (for distdl, the
-// remaining backward pass). It is the blocking ring's own function
-// (allreduceRing) on a private tag pair with chunks streamed in segments,
-// so for a fixed input the result is bitwise identical to
-// Allreduce(data, op, AlgoRing); distdl relies on this to keep overlapped
-// and blocking training bit-for-bit equal.
+// Nonblocking allreduce (MPI_Iallreduce), the primitive overlapped gradient
+// sync is built from: the blocking ring's in-place core (ring.go) run on a
+// goroutine on the operation's own ring slots, so the result is bitwise
+// Allreduce(data, op, AlgoRing)'s and no mailbox or wire buffer is touched.
+// distdl relies on this to keep overlapped and blocking training equal.
 
-// Iallreduce tag space. Each in-flight operation owns two tags (one per
-// ring phase) carved from a band that sits above the iota-reserved
-// collective tags, inside the communicator's own tag block (which ends at
-// commTagStride). Sequence numbers cycle modulo iallreduceSeqMod, which
-// bounds simultaneously outstanding operations per rank — far above any
-// realistic gradient bucket count.
+// Each in-flight operation is numbered by a per-member counter modulo
+// iallreduceSeqMod (far above any realistic bucket count). The number keys
+// its ring slots and, above tagIallreduceBase, names its traced stream.
 const (
 	tagIallreduceBase = maxUserTag + 1<<16
 	iallreduceSeqMod  = 1 << 14
 )
 
-// iallreduceSegElems is the pipelining granularity: each ring step's chunk
-// is streamed as segments of at most this many elements, so a receiver
-// combines early segments while later ones are still in flight.
-const iallreduceSegElems = 4096
-
 // AllreduceRequest is a handle on a pending nonblocking allreduce started
-// by Iallreduce.
+// by Iallreduce; its Test is Request's.
 type AllreduceRequest struct {
-	done      chan struct{}
-	out       []float64
-	err       any
+	Request
 	completed time.Time
 }
 
@@ -46,22 +32,8 @@ type AllreduceRequest struct {
 // error (RevokedError) on the caller's goroutine, exactly like a blocking
 // collective would.
 func (r *AllreduceRequest) Wait() []float64 {
-	<-r.done
-	if r.err != nil {
-		panic(r.err)
-	}
-	return r.out
-}
-
-// Test reports whether the operation has completed (successfully or not)
-// without blocking. After Test returns true, Wait returns immediately.
-func (r *AllreduceRequest) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
+	out, _ := r.Request.Wait()
+	return out
 }
 
 // CompletedAt returns the wall-clock time the operation finished. Valid
@@ -80,7 +52,7 @@ func (r *AllreduceRequest) CompletedAt() time.Time {
 // Like every collective, all ranks must issue their Iallreduce calls in
 // the same order: matching between ranks is positional (the k-th call on
 // each rank forms one collective). Multiple operations may be outstanding
-// at once — each gets its own tag pair, so concurrent bucket allreduces
+// at once — each gets its own ring slots, so concurrent bucket allreduces
 // do not cross-talk.
 func (c *Comm) Iallreduce(data []float64, op ReduceOp) *AllreduceRequest {
 	return c.IallreduceShared(append([]float64(nil), data...), op)
@@ -92,28 +64,19 @@ func (c *Comm) Iallreduce(data []float64, op ReduceOp) *AllreduceRequest {
 // already own a per-bucket wire buffer (distdl's overlapped gradient sync)
 // use this to launch every bucket with zero allocation.
 func (c *Comm) IallreduceShared(buf []float64, op ReduceOp) *AllreduceRequest {
-	r := &AllreduceRequest{done: make(chan struct{})}
+	r := &AllreduceRequest{Request: Request{done: make(chan struct{}), data: buf}}
 	end := c.collective(KindIallreduce, len(buf), "iallreduce-ring")
 	if c.Size() == 1 {
-		r.out = buf
 		r.completed = time.Now()
-		close(r.done)
 		end()
+		close(r.done)
 		return r
 	}
 	seq := int(atomic.AddInt64(&c.g.iseq[c.rank], 1)-1) % iallreduceSeqMod
-	tagRS := tagIallreduceBase + 2*seq
 	go func() {
-		defer func() {
-			if e := recover(); e != nil {
-				r.err = e
-			}
-			r.completed = time.Now()
-			end()
-			close(r.done)
-		}()
-		c.allreduceRing(buf, op, tagRS, tagRS+1, iallreduceSegElems)
-		r.out = buf
+		defer r.finish()
+		defer func() { r.completed = time.Now(); end() }()
+		c.ring(c.g.iop(seq), tagIallreduceBase+seq, buf, op.Combine, c.rank, 2, 0)
 	}()
 	return r
 }

@@ -26,12 +26,7 @@ type Request struct {
 func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	r := &Request{done: make(chan struct{})}
 	func() {
-		defer func() {
-			if e := recover(); e != nil {
-				r.err = e
-			}
-			close(r.done)
-		}()
+		defer r.finish()
 		c.Send(dst, tag, data)
 	}()
 	return r
@@ -42,15 +37,17 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 func (c *Comm) Irecv(src, tag int) *Request {
 	r := &Request{done: make(chan struct{})}
 	go func() {
-		defer func() {
-			if e := recover(); e != nil {
-				r.err = e
-			}
-			close(r.done)
-		}()
+		defer r.finish()
 		r.data, r.src = c.Recv(src, tag)
 	}()
 	return r
+}
+
+// finish, deferred by the operation, completes the request and records the
+// operation's panic, if any, for Wait to re-raise.
+func (r *Request) finish() {
+	r.err = recover()
+	close(r.done)
 }
 
 // Wait blocks until the operation completes and returns the received

@@ -1,0 +1,154 @@
+package mpi
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/tensor"
+)
+
+// ringOp is the rendezvous of the in-place ring (DESIGN §9): one slot per
+// group member, in which it publishes its buffer and progress. A group
+// keeps one for its blocking ring collectives, each call a new epoch, and
+// one per in-flight IallreduceShared (group.iop).
+type ringOp struct {
+	slots  []ringSlot
+	joined atomic.Int32 // members arrived; nonblocking ops only
+}
+
+// ringSlot is one member's published view. state packs the owner's epoch
+// (its count of calls on the ringOp) above its completed steps, so "this
+// call, at least s steps" is one comparison; buf is set before the epoch is
+// published.
+type ringSlot struct {
+	buf   []float64
+	state atomic.Uint64
+	_     [32]byte // a cache line per slot
+}
+
+// parkSpot is where waiters on one world rank's ring slots sleep.
+type parkSpot struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	parked atomic.Int32
+}
+
+// ringSpins is how many polls a waiter makes before it parks (DESIGN §9
+// has the measurements behind neither yielding nor spinning longer).
+const ringSpins = 32
+
+// ring runs passes·(p-1) steps over data's p chunks (chunkBounds) with the
+// message ring's dst, src and combine order, hence its bits, and no message
+// or wire buffer. First-pass step s waits until the left neighbour has done
+// s steps, then folds its chunk start-s-1 out of its buffer with combine.
+// Second-pass step s pushes this rank's final chunk start+1-s into the right
+// neighbour's buffer, once the left neighbour has pushed it here (s > 0) and
+// the rank two to the right has read the chunk it overwrites (its step s).
+// A call returns once no neighbour touches its buffer any more: the right
+// one has done its single pass, or the left one has pushed its last chunk.
+// A nonzero scale multiplies the chunk the first pass completes. Each step
+// counts, and on a traced group emits, one message of the chunk it makes
+// available.
+func (c *Comm) ring(op *ringOp, tag int, data []float64, combine func(dst, src []float64), start, passes int, scale float64) {
+	w, p, n := c.world, c.Size(), len(data)
+	w.revoked.check()
+	left, right, far := (c.rank+p-1)%p, (c.rank+1)%p, (c.rank+2)%p
+	wl, wr, wf := c.g.members[left], c.g.members[right], c.g.members[far]
+	me, ls, rs, fs := &op.slots[c.rank], &op.slots[left], &op.slots[right], &op.slots[far]
+	me.buf = data
+	base := (me.state.Load()>>32 + 1) << 32
+	tr, wtag := w.tracer.Load(), c.g.tagBase+tag
+	if !traceTag(wtag) {
+		tr = nil
+	}
+	steps, sent := passes*(p-1), 0
+	w.publish(me, c.wrank, base)
+	for g := 0; g < steps; g++ {
+		s, t0 := g%(p-1), tr.Start()
+		if g < p-1 { // pull
+			slo, shi := chunkBounds(n, p, (start-s+2*p)%p)
+			lo, hi := chunkBounds(n, p, (start-s-1+2*p)%p)
+			sent += shi - slo
+			c.traceSend(tr, wr, wtag, shi-slo)
+			w.await(ls, wl, base|uint64(g))
+			c.checkLen(ls, left, n)
+			c.traceRecv(tr, t0, wl, wtag, hi-lo)
+			combine(data[lo:hi], ls.buf[lo:hi])
+			if g == p-2 && scale != 0 {
+				tensor.VecScaleInto(data[lo:hi], data[lo:hi], scale)
+			}
+		} else { // push
+			lo, hi := chunkBounds(n, p, (start+1-s+2*p)%p)
+			sent += hi - lo
+			if s > 0 {
+				w.await(ls, wl, base|uint64(g))
+				c.traceRecv(tr, t0, wl, wtag, hi-lo)
+			}
+			w.await(fs, wf, base|uint64(s+1))
+			c.checkLen(rs, right, n)
+			c.traceSend(tr, wr, wtag, hi-lo)
+			copyInto(rs.buf[lo:hi], data[lo:hi])
+		}
+		w.publish(me, c.wrank, base|uint64(g+1))
+	}
+	if t0 := tr.Start(); passes == 1 {
+		w.await(rs, wr, base|uint64(steps))
+	} else {
+		w.await(ls, wl, base|uint64(steps))
+		lo, hi := chunkBounds(n, p, (start+2)%p)
+		c.traceRecv(tr, t0, wl, wtag, hi-lo)
+	}
+	atomic.AddInt64(&w.stats[c.wrank].MessagesSent, int64(steps))
+	atomic.AddInt64(&w.stats[c.wrank].ElemsSent, int64(sent))
+}
+
+// checkLen panics unless neighbour r's published buffer sl holds n elements
+// like this rank's: a mismatched ring would otherwise fold a short chunk, or
+// read or write past a buffer.
+func (c *Comm) checkLen(sl *ringSlot, r, n int) {
+	if len(sl.buf) != n {
+		panic(fmt.Sprintf("mpi: ring length mismatch: rank %d has %d elements, its neighbour rank %d has %d",
+			c.rank, n, r, len(sl.buf)))
+	}
+}
+
+// publish stores a slot's state and wakes the waiters parked on its owner.
+func (w *World) publish(sl *ringSlot, wrank int, v uint64) {
+	sl.state.Store(v)
+	if sp := &w.spots[wrank]; sp.parked.Load() > 0 {
+		wake(&sp.cond)
+	}
+}
+
+// await blocks until world rank wrank's slot sl reaches state want, polling
+// ringSpins times and then parking; panics with RevokedError once the world
+// is revoked. A waiter counts itself parked under the spot's lock before it
+// re-checks, so a publish either sees the count or precedes the re-check.
+func (w *World) await(sl *ringSlot, wrank int, want uint64) {
+	for spin := 0; sl.state.Load() < want; spin++ {
+		if w.revoked.check(); spin < ringSpins {
+			continue
+		}
+		sp := &w.spots[wrank]
+		sp.mu.Lock()
+		sp.parked.Add(1)
+		for sl.state.Load() < want && !w.Revoked() {
+			sp.cond.Wait()
+		}
+		sp.parked.Add(-1)
+		sp.mu.Unlock()
+	}
+}
+
+// iop returns nonblocking op seq's slots: made by the first member to
+// arrive, dropped from the group by the last, after which each member holds
+// them until its ring returns.
+func (g *group) iop(seq int) *ringOp {
+	v, _ := g.iops.LoadOrStore(seq, &ringOp{slots: make([]ringSlot, len(g.members))})
+	op := v.(*ringOp)
+	if int(op.joined.Add(1)) == len(g.members) {
+		g.iops.Delete(seq)
+	}
+	return op
+}

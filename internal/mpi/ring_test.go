@@ -1,0 +1,347 @@
+package mpi
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/causal"
+	"repro/internal/tensor"
+)
+
+// Tests for the in-place ring (ring.go): bits and traffic counters equal to
+// the message ring it replaced, the mean folded into the reduce-scatter,
+// no wire-pool use, traced group rings that still merge causally, length
+// checks, and revocation of every kind of stuck member without leaks.
+
+// messageRing is the ring schedule over Send/Recv that the in-place ring
+// replaced: in pass k, step s sends chunk start+k-s to the right neighbour
+// and folds the left neighbour's chunk start+k-s-1 out of the received
+// message (by copy in the second pass). It is the reference for the
+// in-place ring's bits and counters.
+func messageRing(c *Comm, data []float64, combine func(dst, src []float64), start, passes int) {
+	p, n := c.Size(), len(data)
+	for g := 0; g < passes*(p-1); g++ {
+		k, s := g/(p-1), g%(p-1)
+		if k > 0 {
+			combine = copyInto
+		}
+		lo, hi := chunkBounds(n, p, (start+k-s+2*p)%p)
+		c.Send((c.rank+1)%p, 7, data[lo:hi])
+		got, _ := c.Recv((c.rank+p-1)%p, 7)
+		lo, hi = chunkBounds(n, p, (start+k-s-1+2*p)%p)
+		combine(data[lo:hi], got)
+	}
+}
+
+// sentDelta runs fn and returns how much it moved this rank's own traffic
+// counters (only the rank's own sends touch them).
+func sentDelta(c *Comm, fn func()) [2]int64 {
+	s0 := c.world.RankStats(c.wrank)
+	fn()
+	s1 := c.world.RankStats(c.wrank)
+	return [2]int64{s1.MessagesSent - s0.MessagesSent, s1.ElemsSent - s0.ElemsSent}
+}
+
+func TestRingMatchesMessageRing(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 5} {
+		w := NewWorld(p)
+		err := runFailFast(w, func(c *Comm) error {
+			for _, g := range []namedComm{{"world", c}, {"reversed", c.split(0, -c.Rank())}} {
+				for ni, n := range []int{0, 1, p - 1, p + 1, 1023, 4099} {
+					for oi, op := range propertyOps {
+						where := fmt.Sprintf("%s p=%d n=%d op=%s", g.name, p, n, op.Name)
+						x := propertyFloats(c.wrank, n, ni*16+oi)
+
+						want := append([]float64(nil), x...)
+						wantSent := sentDelta(g.Comm, func() { messageRing(g.Comm, want, op.Combine, g.rank, 2) })
+						got := append([]float64(nil), x...)
+						gotSent := sentDelta(g.Comm, func() { g.AllreduceInPlace(got, op, AlgoRing) })
+						if err := sameBits(got, want); err != nil {
+							return fmt.Errorf("%s allreduce: %v", where, err)
+						}
+						if gotSent != wantSent {
+							return fmt.Errorf("%s allreduce: sent %v, message ring %v", where, gotSent, wantSent)
+						}
+
+						acc := append([]float64(nil), x...)
+						wantSent = sentDelta(g.Comm, func() { messageRing(g.Comm, acc, op.Combine, g.rank-1, 1) })
+						var chunk []float64
+						gotSent = sentDelta(g.Comm, func() { chunk = g.ReduceScatter(x, op) })
+						lo, hi := chunkBounds(n, g.Size(), g.rank)
+						if err := sameBits(chunk, acc[lo:hi]); err != nil {
+							return fmt.Errorf("%s reduce-scatter: %v", where, err)
+						}
+						if gotSent != wantSent {
+							return fmt.Errorf("%s reduce-scatter: sent %v, message ring %v", where, gotSent, wantSent)
+						}
+
+						all := make([]float64, n*g.Size())
+						copy(all[g.rank*n:], x)
+						wantSent = sentDelta(g.Comm, func() { messageRing(g.Comm, all, copyInto, g.rank, 1) })
+						var gathered []float64
+						gotSent = sentDelta(g.Comm, func() { gathered = g.Allgather(x) })
+						if err := sameBits(gathered, all); err != nil {
+							return fmt.Errorf("%s allgather: %v", where, err)
+						}
+						if gotSent != wantSent {
+							return fmt.Errorf("%s allgather: sent %v, message ring %v", where, gotSent, wantSent)
+						}
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The ring's mean scales each owner's reduced chunk before the allgather;
+// the bits must equal a sum allreduce followed by one sweep.
+func TestRingMeanMatchesSumThenScale(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 5} {
+		w := NewWorld(p)
+		err := runFailFast(w, func(c *Comm) error {
+			for _, n := range []int{0, 1, p + 1, 1023, 4099} {
+				x := propertyFloats(c.wrank, n, 5)
+				want := append([]float64(nil), x...)
+				c.AllreduceInPlace(want, OpSum, AlgoRing)
+				tensor.VecScaleInto(want, want, 1/float64(p))
+				got := append([]float64(nil), x...)
+				c.AllreduceMeanInPlace(got, AlgoRing)
+				if err := sameBits(got, want); err != nil {
+					return fmt.Errorf("p=%d n=%d: mean-in-place: %v", p, n, err)
+				}
+				if err := sameBits(c.AllreduceMean(x, AlgoRing), want); err != nil {
+					return fmt.Errorf("p=%d n=%d: allocating mean: %v", p, n, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A ring allreduce draws nothing from the wire pool: no gets at all, not
+// merely as many puts as gets.
+func TestRingTakesNoWireBuffers(t *testing.T) {
+	w := NewWorld(4)
+	err := runFailFast(w, func(c *Comm) error {
+		x := propertyFloats(c.wrank, 4099, 6)
+		g := c.split(0, -c.Rank())
+		c.Barrier()
+		g0, _ := w.WireStats()
+		c.Barrier()
+		c.AllreduceInPlace(x, OpSum, AlgoRing)
+		c.AllreduceMeanInPlace(x, AlgoRing)
+		g.AllreduceInPlace(x, OpMax, AlgoRing)
+		g.IallreduceShared(x, OpSum).Wait()
+		c.Barrier()
+		if g1, _ := w.WireStats(); g1 != g0 {
+			return fmt.Errorf("ring allreduces took %d wire buffers", g1-g0)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// On a split group a traced ring shows up as one mpi.send/mpi.recv pair
+// per step, and the causal merge matches every receive to its send.
+func TestRingGroupTraceMatches(t *testing.T) {
+	for _, p := range []int{2, 3, 4, 5} {
+		tr := telemetry.NewTracer(0)
+		w := NewWorld(p)
+		w.SetTracer(tr)
+		err := runFailFast(w, func(c *Comm) error {
+			g := c.split(0, -c.Rank())
+			x := propertyFloats(c.wrank, 1023, 7)
+			g.AllreduceInPlace(x, OpSum, AlgoRing)
+			g.IallreduceShared(x, OpSum).Wait()
+			g.ReduceScatter(x, OpSum)
+			g.Allgather(x[:5])
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sends, recvs := map[int]int{}, map[int]int{}
+		for _, s := range tr.Spans() {
+			switch s.Kind {
+			case telemetry.SpanSend:
+				sends[s.Track]++
+			case telemetry.SpanRecv:
+				recvs[s.Track]++
+			}
+		}
+		want := 6 * (p - 1) // two allreduces of 2(p-1) steps, two passes of p-1
+		for r := 0; r < p; r++ {
+			if sends[r] != want || recvs[r] != want {
+				t.Fatalf("p=%d rank %d: %d sends, %d recvs, want %d of each", p, r, sends[r], recvs[r], want)
+			}
+		}
+		if d := causal.Build(tr.Spans()); d.UnmatchedRecvs != 0 {
+			t.Fatalf("p=%d: %d ring receives without a matching send", p, d.UnmatchedRecvs)
+		}
+	}
+}
+
+// A rank whose vector length differs from its left neighbour's panics
+// naming both, instead of folding a short chunk and waiting forever.
+func TestRingLengthMismatchPanics(t *testing.T) {
+	for _, kind := range []string{"allreduce", "reduce-scatter"} {
+		for _, p := range []int{2, 3, 4, 5} {
+			w := NewWorld(p)
+			msgs := make([]string, p)
+			var mismatches atomic.Int32
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(c *Comm) error {
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := AsRevoked(r); !ok {
+								// Revoke once both ranks that see a mismatch
+								// have panicked; the others wait until then.
+								msgs[c.Rank()] = fmt.Sprint(r)
+								if mismatches.Add(1) == 2 {
+									w.Revoke("length mismatch")
+								}
+							}
+						}
+					}()
+					x := make([]float64, 64+c.Rank()/(p-1)) // the last rank has one more
+					if kind == "allreduce" {
+						c.AllreduceInPlace(x, OpSum, AlgoRing)
+					} else {
+						c.ReduceScatter(x, OpSum)
+					}
+					return nil
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s p=%d: mismatched ring hung", kind, p)
+			}
+			// The last rank sees a shorter left neighbour, rank 0 a longer one.
+			for _, r := range []int{0, p - 1} {
+				if !strings.Contains(msgs[r], "length mismatch") || !strings.Contains(msgs[r], fmt.Sprintf("rank %d", r)) ||
+					!strings.Contains(msgs[r], fmt.Sprintf("rank %d", (r+p-1)%p)) {
+					t.Fatalf("%s p=%d rank %d: panic %q, want a length mismatch naming both ranks", kind, p, r, msgs[r])
+				}
+			}
+		}
+	}
+}
+
+// parkedWaiters counts the ring waiters parked anywhere in w.
+func parkedWaiters(w *World) int {
+	n := 0
+	for i := range w.spots {
+		n += int(w.spots[i].parked.Load())
+	}
+	return n
+}
+
+// A member that never joins, or that panics mid-pass, leaves its peers
+// stuck in the ring until Revoke; every one of them must then unwind with
+// RevokedError, blocking or nonblocking, on the world or a split group, and
+// no goroutine may outlive the world.
+func TestRingRevocationUnwindsStuckMembers(t *testing.T) {
+	OpSum.Combine(make([]float64, 1<<18), make([]float64, 1<<18)) // start the kernel pool
+	base := runtime.NumGoroutine()
+	for _, p := range []int{2, 3, 4, 5} {
+		for _, fault := range []string{"never-joins", "panics"} {
+			for _, comm := range []string{"world", "group"} {
+				for _, nonblocking := range []bool{false, true} {
+					where := fmt.Sprintf("p=%d %s %s nonblocking=%v", p, fault, comm, nonblocking)
+					ringRevocationCase(t, where, p, fault == "panics", comm == "group", nonblocking)
+					waitGoroutines(t, base, where)
+				}
+			}
+		}
+	}
+}
+
+func ringRevocationCase(t *testing.T, where string, p int, panics, group, nonblocking bool) {
+	t.Helper()
+	const bad = 1 // the faulty member
+	w := NewWorld(p)
+	outcome := make([]string, p)
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *Comm) error {
+			g := c
+			if group {
+				g = c.split(0, -c.Rank())
+			}
+			if c.Rank() == bad && !panics {
+				outcome[c.Rank()] = "absent"
+				return nil
+			}
+			calls := 0
+			op := ReduceOp{"sum-or-fail", func(dst, src []float64) {
+				if calls++; c.Rank() == bad && calls == p-1 {
+					panic("member failed")
+				}
+				OpSum.Combine(dst, src)
+			}}
+			defer func() {
+				r := recover()
+				if _, ok := AsRevoked(r); ok {
+					outcome[c.Rank()] = "revoked"
+				} else if r == "member failed" {
+					outcome[c.Rank()] = "failed"
+					w.Revoke("member failed")
+				} else if r != nil {
+					panic(r)
+				}
+			}()
+			x := make([]float64, 1000)
+			if nonblocking {
+				g.IallreduceShared(x, op).Wait()
+			} else {
+				g.AllreduceInPlace(x, op, AlgoRing)
+			}
+			outcome[c.Rank()] = "returned"
+			return nil
+		})
+	}()
+	if !panics {
+		// Revoke only once every present member is parked on the ring.
+		deadline := time.Now().Add(10 * time.Second)
+		for parkedWaiters(w) < p-1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d of %d members parked", where, parkedWaiters(w), p-1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		w.Revoke("member never joined")
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: members still stuck after Revoke", where)
+	}
+	for r, o := range outcome {
+		want := "revoked"
+		if r == bad {
+			want = map[bool]string{false: "absent", true: "failed"}[panics]
+		}
+		if o != want {
+			t.Fatalf("%s: rank %d %s, want %s", where, r, o, want)
+		}
+	}
+	if n := parkedWaiters(w); n != 0 {
+		t.Fatalf("%s: %d waiters still parked", where, n)
+	}
+}

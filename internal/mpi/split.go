@@ -1,8 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -31,14 +32,17 @@ type group struct {
 	// iseq holds each member's nonblocking-collective sequence counter
 	// (iallreduce.go): collectives are issued in the same order on every
 	// member, so equal counters on different members name the same
-	// operation and carve it a private tag pair.
+	// operation, whose ring slots iops holds while it is in flight.
 	iseq  []int64
+	iops  sync.Map   // seq -> *ringOp
+	ring  *ringOp    // the blocking ring collectives' slots (ring.go)
 	split splitState // rendezvous for Split calls on this group
 	gce   gceRound   // this group's slot in the world's collective engine
 }
 
 func newGroup(id int, members []int) *group {
-	g := &group{id: id, members: members, tagBase: id * commTagStride, iseq: make([]int64, len(members))}
+	g := &group{id: id, members: members, tagBase: id * commTagStride, iseq: make([]int64, len(members)),
+		ring: &ringOp{slots: make([]ringSlot, len(members))}}
 	g.split.cond = sync.NewCond(&g.split.mu)
 	return g
 }
@@ -101,14 +105,8 @@ func (c *Comm) split(color, key int) *Comm {
 		// communicator at a time the id of each group — hence its tag block
 		// and trace CommID — is the same on every run.
 		es := st.entries
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].color != es[j].color {
-				return es[i].color < es[j].color
-			}
-			if es[i].key != es[j].key {
-				return es[i].key < es[j].key
-			}
-			return es[i].rank < es[j].rank
+		slices.SortFunc(es, func(a, b splitEntry) int {
+			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.rank, b.rank))
 		})
 		st.result = make([]splitResult, len(es))
 		for lo := 0; lo < len(es); {

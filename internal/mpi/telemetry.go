@@ -117,27 +117,10 @@ func (w *World) RegisterMetrics(reg *telemetry.Registry) {
 	reg.SetHelp("msa_mpi_collectives_total", "collective calls by type, summed across ranks")
 	for k := CollectiveKind(0); k < NumCollectiveKinds; k++ {
 		kind := k
-		reg.CounterFunc("msa_mpi_collectives_total", func() float64 {
-			var sum int64
-			for r := 0; r < w.size; r++ {
-				sum += atomic.LoadInt64(&w.stats[r].ByKind[kind])
-			}
-			return float64(sum)
-		}, telemetry.Label{Key: "type", Value: kind.String()})
+		reg.CounterFunc("msa_mpi_collectives_total", func() float64 { return float64(w.TotalStats().ByKind[kind]) },
+			telemetry.Label{Key: "type", Value: kind.String()})
 	}
-	reg.CounterFunc("msa_mpi_messages_sent_total", func() float64 {
-		var sum int64
-		for r := 0; r < w.size; r++ {
-			sum += atomic.LoadInt64(&w.stats[r].MessagesSent)
-		}
-		return float64(sum)
-	})
-	reg.CounterFunc("msa_mpi_elements_sent_total", func() float64 {
-		var sum int64
-		for r := 0; r < w.size; r++ {
-			sum += atomic.LoadInt64(&w.stats[r].ElemsSent)
-		}
-		return float64(sum)
-	})
+	reg.CounterFunc("msa_mpi_messages_sent_total", func() float64 { return float64(w.TotalStats().MessagesSent) })
+	reg.CounterFunc("msa_mpi_elements_sent_total", func() float64 { return float64(w.TotalStats().ElemsSent) })
 	reg.GaugeFunc("msa_mpi_world_size", func() float64 { return float64(w.size) })
 }

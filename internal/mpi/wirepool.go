@@ -7,11 +7,12 @@ import (
 
 // wirePool recycles point-to-point message payloads. Send copies every
 // payload into a buffer drawn from its world's pool (the copy is what makes
-// Send asynchronous-buffered), and the ring collectives — which fully
-// consume a received segment in their combine/copy step — return buffers
-// here instead of dropping them for the GC. In steady state a training
-// step's entire wire traffic (2·n·(p-1)/p elements per rank per allreduce)
-// circulates through the free lists without touching the allocator.
+// Send asynchronous-buffered), and the message-based collectives — which
+// fully consume a received message in their combine/copy step — return
+// buffers here instead of dropping them for the GC, so their steady state
+// circulates through the free lists without touching the allocator. The
+// ring collectives read their neighbours' buffers in place (ring.go) and
+// never come here.
 //
 // Buffers handed to user code by Recv are simply never returned: the pool
 // refills on demand, so external callers keep MPI's "receiver owns the
@@ -64,11 +65,7 @@ func (p *wirePool) get(n int) []float64 {
 		return b[:n]
 	}
 	p.mu.Unlock()
-	capN := 1
-	if n > 1 {
-		capN = 1 << c
-	}
-	return make([]float64, n, capN)
+	return make([]float64, n, 1<<c)
 }
 
 // put returns a dead buffer to its free list. Buffers with non-power-of-two
@@ -80,7 +77,7 @@ func (p *wirePool) put(b []float64) {
 		return
 	}
 	c := wireClass(n)
-	if n != 1 && n != 1<<c {
+	if n != 1<<c {
 		return
 	}
 	p.mu.Lock()

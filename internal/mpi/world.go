@@ -13,7 +13,10 @@
 // has selectable algorithms (naive gather-based, binomial tree, ring,
 // recursive doubling, and a simulated FPGA Global Collective Engine as in
 // the MSA's ESB fabric, Section II-A of the paper), each with one
-// in-place core; the allocating, mean and scalar forms wrap it.
+// in-place core; the allocating, mean and scalar forms wrap it. The ring
+// collectives use neither mailbox nor wire pool: a rank reads and writes
+// its neighbours' buffers in place and returns once no neighbour touches
+// its own, and the ring's mean scales each reduced chunk once (ring.go).
 //
 // The World also keeps per-rank traffic statistics so experiments can
 // report communication volume alongside wall-clock measurements.
@@ -44,25 +47,14 @@ type message struct {
 // mailbox is a rank's incoming-message queue with blocking matched receive.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond // on mu
 	queue   []message
-	revoked bool
-	reason  string
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	revoked *revocation // the world's
 }
 
 func (m *mailbox) put(msg message) {
+	m.revoked.check()
 	m.mu.Lock()
-	if m.revoked {
-		reason := m.reason
-		m.mu.Unlock()
-		panic(RevokedError{Reason: reason})
-	}
 	m.queue = append(m.queue, msg)
 	m.mu.Unlock()
 	m.cond.Broadcast()
@@ -96,21 +88,13 @@ func (m *mailbox) get(src, tag int, timeout time.Duration) (message, bool) {
 	var deadline time.Time
 	if timeout >= 0 {
 		deadline = time.Now().Add(timeout)
-		timer := time.AfterFunc(timeout, func() {
-			// Take the lock so the broadcast cannot slip between a waiter's
-			// deadline check and its cond.Wait.
-			m.mu.Lock()
-			m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-			m.cond.Broadcast()
-		})
+		timer := time.AfterFunc(timeout, func() { wake(&m.cond) })
 		defer timer.Stop()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		if m.revoked {
-			panic(RevokedError{Reason: m.reason})
-		}
+		m.revoked.check()
 		if msg, ok := m.match(src, tag, true); ok {
 			return msg, true
 		}
@@ -130,13 +114,23 @@ func (m *mailbox) probe(src, tag int) bool {
 	return ok
 }
 
-// revoke marks the mailbox dead and wakes every blocked receiver.
-func (m *mailbox) revoke(reason string) {
-	m.mu.Lock()
-	m.revoked = true
-	m.reason = reason
-	m.mu.Unlock()
-	m.cond.Broadcast()
+// wake broadcasts c under its lock, so a waiter between checking its
+// condition and calling Wait cannot miss it.
+func wake(c *sync.Cond) {
+	c.L.Lock()
+	c.Broadcast()
+	c.L.Unlock()
+}
+
+// revocation is a world's revoked flag: Revoke's reason once it is set. The
+// mailboxes, the collective engine and the ring waiters all read this one.
+type revocation struct{ atomic.Pointer[string] }
+
+// check panics with RevokedError once the world is revoked.
+func (r *revocation) check() {
+	if s := r.Load(); s != nil {
+		panic(RevokedError{Reason: *s})
+	}
 }
 
 // RevokedError is the panic payload thrown out of communication calls on a
@@ -172,10 +166,12 @@ type Stats struct {
 // per-rank Comm handles with Comm for manual orchestration.
 type World struct {
 	size    int
-	boxes   []*mailbox
+	boxes   []mailbox
 	stats   []Stats
-	gce     *gceEngine
-	revoked atomic.Bool
+	gce     gceEngine
+	revoked revocation
+	// spots are where ring waiters park, one per world rank (ring.go).
+	spots []parkSpot
 	// all is the identity group every world communicator shares (comm id
 	// 0); commIDs hands each group a Split creates the next id (split.go).
 	all     *group
@@ -200,13 +196,15 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("mpi: world size must be >=1, got %d", n))
 	}
-	w := &World{size: n, boxes: make([]*mailbox, n), stats: make([]Stats, n), causal: make([]rankCausal, n)}
+	w := &World{size: n, boxes: make([]mailbox, n), stats: make([]Stats, n), causal: make([]rankCausal, n),
+		spots: make([]parkSpot, n)}
 	members := make([]int, n)
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+		w.boxes[i].revoked, w.boxes[i].cond.L = &w.revoked, &w.boxes[i].mu
+		w.spots[i].cond.L = &w.spots[i].mu
 		members[i] = i
 	}
-	w.gce = newGCEEngine()
+	w.gce.revoked, w.gce.cond.L = &w.revoked, &w.gce.mu
 	w.all = newGroup(0, members)
 	return w
 }
@@ -221,17 +219,18 @@ func (w *World) Size() int { return w.size }
 // world is then discarded and a smaller one built from the survivors.
 // Idempotent and safe to call from any goroutine.
 func (w *World) Revoke(reason string) {
-	if !w.revoked.CompareAndSwap(false, true) {
+	if !w.revoked.CompareAndSwap(nil, &reason) {
 		return
 	}
-	for _, b := range w.boxes {
-		b.revoke(reason)
+	for i := range w.boxes {
+		wake(&w.boxes[i].cond)
+		wake(&w.spots[i].cond)
 	}
-	w.gce.revoke(reason)
+	wake(&w.gce.cond)
 }
 
 // Revoked reports whether Revoke has been called.
-func (w *World) Revoked() bool { return w.revoked.Load() }
+func (w *World) Revoked() bool { return w.revoked.Load() != nil }
 
 // SetDefaultAlgo sets the allreduce algorithm that AlgoDefault (and
 // collectives with no explicit algorithm choice, like AllreduceScalar)
