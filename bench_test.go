@@ -406,19 +406,6 @@ func BenchmarkGRUForward(b *testing.B) {
 	}
 }
 
-// BenchmarkFP16RoundTrip measures gradient compression throughput.
-func BenchmarkFP16RoundTrip(b *testing.B) {
-	buf := make([]float64, 1<<12)
-	for i := range buf {
-		buf[i] = float64(i) * 0.001
-	}
-	b.SetBytes(int64(len(buf) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		distdl.CompressFP16(buf)
-	}
-}
-
 func benchName(prefix string, v int) string {
 	return prefix + "-" + string(rune('0'+v))
 }

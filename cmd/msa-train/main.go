@@ -6,7 +6,7 @@
 //
 //	msa-train -dataset bigearthnet -workers 4 -epochs 3
 //	msa-train -dataset covidx -workers 2 -epochs 10 -algo gce
-//	msa-train -dataset bigearthnet -fp16 -algo ring
+//	msa-train -dataset bigearthnet -overlap -algo ring
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 	lr := flag.Float64("lr", 0.02, "base learning rate")
 	warmup := flag.Int("warmup", 8, "warmup steps for the linear-scaling rule (0 = off)")
 	algo := flag.String("algo", "ring", "allreduce algorithm: naive|tree|ring|recursive-doubling|gce|auto")
-	fp16 := flag.Bool("fp16", false, "compress gradients to fp16 on the wire")
 	overlap := flag.Bool("overlap", false, "overlap bucketed gradient allreduce with backward compute")
 	bucketKB := flag.Int("bucket-kb", 0, "gradient bucket size in KiB (0 = default when -overlap, monolithic otherwise)")
 	zero := flag.Bool("zero", false, "use ZeRO-1 sharded optimizer state (DeepSpeed style)")
@@ -55,7 +54,7 @@ func main() {
 	}
 	cfg := core.DDPConfig{
 		Workers: *workers, Epochs: *epochs, Batch: *batch,
-		BaseLR: *lr, Warmup: *warmup, Algo: mpi.Algo(*algo), FP16: *fp16,
+		BaseLR: *lr, Warmup: *warmup, Algo: mpi.Algo(*algo),
 		Overlap: *overlap, BucketBytes: *bucketKB * 1024, ZeRO: *zero, Seed: *seed,
 		PipelineStages: *stages, MicroBatches: *micro, PipeSchedule: sched, VirtualChunks: *virtual,
 	}
@@ -105,14 +104,14 @@ func main() {
 		fmt.Printf("workers        %d  (2D: %d pipeline stages x %d replicas, %s, %d micro-batches)\n",
 			*workers, *stages, *workers / *stages, sched, *micro)
 	} else {
-		fmt.Printf("workers        %d  (allreduce=%s, fp16=%v, overlap=%v)\n", *workers, *algo, *fp16, *overlap)
+		fmt.Printf("workers        %d  (allreduce=%s, overlap=%v)\n", *workers, *algo, *overlap)
 	}
 	fmt.Printf("optimizer steps %d\n", res.Steps)
 	fmt.Printf("final loss     %.4f\n", res.FinalLoss)
 	fmt.Printf("train %-9s %.3f\n", metric, res.TrainMetric)
 	fmt.Printf("val %-11s %.3f\n", metric, res.ValMetric)
 	fmt.Printf("wall time      %.2f s\n", res.WallSeconds)
-	fmt.Printf("gradient bytes %d (per rank, wire estimate)\n", res.GradBytes)
+	fmt.Printf("wire bytes     %d (sent by rank 0)\n", res.GradBytes)
 	fmt.Printf("comm fraction  %.3f\n", res.CommFraction)
 	if *overlap {
 		fmt.Printf("overlap ratio  %.3f (allreduce time hidden behind backward)\n", res.OverlapRatio)

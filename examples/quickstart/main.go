@@ -44,5 +44,5 @@ func main() {
 	fmt.Printf("final loss      %.4f\n", res.FinalLoss)
 	fmt.Printf("train micro-F1  %.3f\n", res.TrainMetric)
 	fmt.Printf("val micro-F1    %.3f\n", res.ValMetric)
-	fmt.Printf("gradient bytes  %d\n", res.GradBytes)
+	fmt.Printf("wire bytes      %d (sent by rank 0)\n", res.GradBytes)
 }

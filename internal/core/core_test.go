@@ -257,8 +257,8 @@ func TestDDPTrainersProduceSaneResults(t *testing.T) {
 	if res.Steps <= 0 || res.WallSeconds <= 0 {
 		t.Fatalf("DDP bookkeeping: %+v", res)
 	}
-	if res.GradBytes <= 0 {
-		t.Fatal("no gradient traffic recorded for 2 workers")
+	if res.GradBytes <= 0 || res.GradBytes%8 != 0 {
+		t.Fatalf("wire bytes %d for 2 workers: want a positive count of float64s", res.GradBytes)
 	}
 }
 

@@ -31,12 +31,6 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Addf appends a row built with fmt.Sprintf on each (format, arg) pair is
-// too rigid; instead it takes pre-rendered cells via fmt.Sprint on args.
-func (t *Table) Addf(format string, args ...interface{}) {
-	t.Add(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	cols := len(t.Header)

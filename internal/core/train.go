@@ -26,7 +26,6 @@ type DDPConfig struct {
 	// disables it (constant BaseLR, the ablation of E4).
 	Warmup int
 	Algo   mpi.Algo
-	FP16   bool
 	// Overlap enables overlapped bucketed gradient synchronization:
 	// per-bucket nonblocking allreduces launched from the backward hook
 	// instead of one blocking allreduce after backward.
@@ -41,7 +40,7 @@ type DDPConfig struct {
 	// PipelineStages, when > 1, switches to 2D (data × pipeline) training:
 	// the Workers ranks form Workers/PipelineStages replica groups, each
 	// running the model as a PipelineStages-deep pipeline. Must divide
-	// Workers. Mutually exclusive with ZeRO/Overlap/FP16 (the pipeline
+	// Workers. Mutually exclusive with ZeRO/Overlap (the pipeline
 	// path has its own per-chunk gradient sync).
 	PipelineStages int
 	// MicroBatches is the pipeline micro-batch count per step (M);
@@ -68,7 +67,10 @@ type DDPResult struct {
 	ValMetric   float64
 	WallSeconds float64
 	Steps       int
-	GradBytes   int64
+	// GradBytes counts every float64 rank 0 sent over the run — gradient
+	// sync, parameter broadcast, loss sync and pipeline traffic — at 8
+	// bytes each: the measured wire volume, not a model of it.
+	GradBytes int64
 	// CommFraction is rank 0's communication share of step time;
 	// OverlapRatio is the fraction of gradient allreduce time hidden
 	// behind backward compute (0 unless Overlap was on).
@@ -135,8 +137,8 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 		if cfg.Batch < cfg.MicroBatches {
 			panic(fmt.Sprintf("core: per-replica batch %d smaller than %d micro-batches", cfg.Batch, cfg.MicroBatches))
 		}
-		if cfg.ZeRO || cfg.Overlap || cfg.FP16 {
-			panic("core: pipeline mode does not compose with ZeRO/Overlap/FP16")
+		if cfg.ZeRO || cfg.Overlap {
+			panic("core: pipeline mode does not compose with ZeRO/Overlap")
 		}
 	}
 	var sched nn.Schedule
@@ -144,10 +146,6 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 		sched = nn.WarmupLinearScale{Base: cfg.BaseLR, Workers: cfg.Workers, WarmupSteps: cfg.Warmup}
 	} else {
 		sched = nn.ConstLR(cfg.BaseLR)
-	}
-	comp := distdl.NoCompression
-	if cfg.FP16 {
-		comp = distdl.FP16Compression
 	}
 
 	world := mpi.NewWorld(cfg.Workers)
@@ -176,7 +174,7 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer))
 		default:
 			tr = distdl.New(c, model, loss, nn.NewSGD(0.9, 1e-4),
-				distdl.WithAlgo(cfg.Algo), distdl.WithCompression(comp), distdl.WithSchedule(sched),
+				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched),
 				distdl.WithTracer(cfg.Tracer), distdl.WithBucketBytes(cfg.BucketBytes),
 				distdl.WithOverlap(cfg.Overlap))
 		}
@@ -214,7 +212,6 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 			out.Steps = tr.StepCount()
 			out.CommFraction = tr.CommFraction()
 			if plain != nil {
-				out.GradBytes = plain.GradBytesSent
 				out.OverlapRatio = plain.OverlapRatio()
 			}
 			if pipeTr != nil {
@@ -232,6 +229,7 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 		panic(err) // ranks only return nil here
 	}
 	out.WallSeconds = time.Since(start).Seconds()
+	out.GradBytes = 8 * world.RankStats(0).ElemsSent
 	return out
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mpi"
 	"repro/internal/nn"
@@ -238,64 +237,6 @@ func TestTrainingConvergesDistributed(t *testing.T) {
 	}
 }
 
-func TestFP16CompressionStillConverges(t *testing.T) {
-	xs, ys, labels := synthClassification(4, 60, 4)
-	const p = 2
-	w := mpi.NewWorld(p)
-	var acc float64
-	err := w.Run(func(c *mpi.Comm) error {
-		model := buildModel(66)
-		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{
-			Compression: FP16Compression, Schedule: nn.ConstLR(0.05),
-		})).(*Trainer)
-		for epoch := 0; epoch < 15; epoch++ {
-			shard := Shard(60, int64(epoch), c.Rank(), p)
-			for _, batch := range Batches(shard, 6) {
-				bx, by := GatherBatch(xs, ys, batch)
-				tr.Step(bx, by)
-			}
-		}
-		if c.Rank() == 0 {
-			acc = nn.Accuracy(model.Forward(xs, false), labels)
-		}
-		// fp16 wire format must be charged at half the bytes.
-		if tr.GradBytesSent <= 0 {
-			return fmt.Errorf("no gradient traffic accounted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Fatalf("fp16 training accuracy %f", acc)
-	}
-}
-
-func TestFP16HalvesWireBytes(t *testing.T) {
-	xs, ys, _ := synthClassification(5, 16, 4)
-	run := func(comp Compression) int64 {
-		w := mpi.NewWorld(2)
-		var bytes int64
-		_ = w.Run(func(c *mpi.Comm) error {
-			model := buildModel(1)
-			tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0, 0), WithConfig(Config{Compression: comp})).(*Trainer)
-			bx, by := GatherBatch(xs, ys, []int{0, 1, 2, 3})
-			tr.Step(bx, by)
-			if c.Rank() == 0 {
-				bytes = tr.GradBytesSent
-			}
-			return nil
-		})
-		return bytes
-	}
-	full := run(NoCompression)
-	half := run(FP16Compression)
-	if half*2 != full {
-		t.Fatalf("fp16 bytes %d, fp32 bytes %d", half, full)
-	}
-}
-
 func TestZeROMatchesDenseAdam(t *testing.T) {
 	// ZeRO-1 sharding must produce (numerically) the same trajectory as
 	// ordinary data-parallel Adam: sharding is an implementation detail.
@@ -372,71 +313,6 @@ func TestZeROShardMemorySaving(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// --- fp16 round-trip properties ---
-
-func TestFP16KnownValues(t *testing.T) {
-	cases := map[float64]float64{
-		0:       0,
-		1:       1,
-		-1:      -1,
-		0.5:     0.5,
-		2:       2,
-		65504:   65504, // max half
-		1.0 / 3: 0.333251953125,
-	}
-	for in, want := range cases {
-		got := FromFP16(ToFP16(in))
-		if got != want {
-			t.Fatalf("fp16(%g) = %g, want %g", in, got, want)
-		}
-	}
-	if !math.IsInf(FromFP16(ToFP16(1e10)), 1) {
-		t.Fatal("overflow must saturate to +Inf")
-	}
-	if !math.IsInf(FromFP16(ToFP16(math.Inf(-1))), -1) {
-		t.Fatal("-Inf must round trip")
-	}
-	if !math.IsNaN(FromFP16(ToFP16(math.NaN()))) {
-		t.Fatal("NaN must round trip")
-	}
-	if FromFP16(ToFP16(1e-30)) != 0 {
-		t.Fatal("tiny values must flush to zero")
-	}
-}
-
-// Property: fp16 conversion is idempotent and error is within half ULP.
-func TestFP16RoundTripProperty(t *testing.T) {
-	f := func(x float64) bool {
-		// Focus on the representable range of gradients.
-		x = math.Mod(x, 1000)
-		once := FromFP16(ToFP16(x))
-		twice := FromFP16(ToFP16(once))
-		if once != twice {
-			return false // must be idempotent
-		}
-		if x == 0 {
-			return once == 0
-		}
-		relErr := math.Abs(once-x) / math.Max(math.Abs(x), 6e-5)
-		return relErr < 1.5e-3 // half has ~11 bits: rel err ≤ 2^-11
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFP16Subnormals(t *testing.T) {
-	// 2^-24 is the smallest positive subnormal half.
-	tiny := math.Pow(2, -24)
-	if FromFP16(ToFP16(tiny)) != tiny {
-		t.Fatalf("smallest subnormal: %g", FromFP16(ToFP16(tiny)))
-	}
-	// Just below half of it flushes to zero.
-	if FromFP16(ToFP16(tiny/4)) != 0 {
-		t.Fatal("sub-subnormal must flush")
 	}
 }
 

@@ -48,9 +48,6 @@ func WithConfig(c Config) Option { return func(n *newConfig) { n.cfg = c } }
 // WithAlgo selects the gradient allreduce algorithm.
 func WithAlgo(a mpi.Algo) Option { return func(n *newConfig) { n.cfg.Algo = a } }
 
-// WithCompression selects the gradient wire format.
-func WithCompression(c Compression) Option { return func(n *newConfig) { n.cfg.Compression = c } }
-
 // WithBucketBytes enables bucketed gradient sync with the given per-bucket
 // size cap (bytes of float64 payload); see Config.BucketBytes.
 func WithBucketBytes(b int) Option { return func(n *newConfig) { n.cfg.BucketBytes = b } }
@@ -85,7 +82,7 @@ func WithZeRO() Option { return func(n *newConfig) { n.zero = true } }
 // gradients data-parallel. stages must divide the world size; stages ==
 // world size is pure pipeline parallelism (one replica). Requires a
 // concrete *mpi.Comm (the trainer splits it along both axes). Mutually
-// exclusive with WithZeRO; bucketing/overlap/compression options are
+// exclusive with WithZeRO; bucketing/overlap options are
 // ignored — inter-stage traffic is already point-to-point and per-chunk
 // gradient sync is its own overlap unit.
 func WithPipeline(stages, microBatches int, schedule pipeline.Schedule) Option {

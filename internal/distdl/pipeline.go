@@ -37,11 +37,10 @@ type PipelineTrainer struct {
 	Opt   nn.Optimizer
 	Cfg   Config
 
-	stage   *pipeline.Stage
-	pipe    mpi.Communicator // this rank's replica group (pipeline axis)
-	dp      mpi.Communicator // this rank's stage group (data axis)
-	rep     int              // replica index: world rank / stages
-	stageID int              // pipeline stage: world rank % stages
+	stage *pipeline.Stage
+	pipe  mpi.Communicator // this rank's replica group (pipeline axis)
+	dp    mpi.Communicator // this rank's stage group (data axis)
+	rep   int              // replica index: world rank / stages
 
 	localParams []*nn.Param // concatenated params of this rank's chunks
 	lossBuf     []float64
@@ -64,11 +63,11 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 	}
 	t := &PipelineTrainer{
 		Comm: wc, Model: model, Loss: loss, Opt: opt, Cfg: cfg,
-		rep: wc.Rank() / S, stageID: wc.Rank() % S,
+		rep:     wc.Rank() / S,
 		lossBuf: make([]float64, 1),
 	}
 	t.pipe = wc.Split(t.rep, wc.Rank())
-	t.dp = wc.Split(t.stageID, wc.Rank())
+	t.dp = wc.Split(wc.Rank()%S, wc.Rank()) // color: this rank's pipeline stage
 	st, err := pipeline.New(t.pipe, model, loss, pipeline.Config{
 		MicroBatches:  pc.microBatches,
 		Schedule:      pc.schedule,
@@ -128,7 +127,7 @@ func (t *PipelineTrainer) Step(x, y *tensor.Tensor) float64 {
 }
 
 // Stage exposes the underlying pipeline executor (bubble fraction,
-// occupancy, workspace, chunk layout).
+// busy time, workspace, chunk layout).
 func (t *PipelineTrainer) Stage() *pipeline.Stage { return t.stage }
 
 // Replica returns this rank's replica index along the data axis.
@@ -136,9 +135,6 @@ func (t *PipelineTrainer) Replica() int { return t.rep }
 
 // Replicas returns the number of data-parallel replica groups.
 func (t *PipelineTrainer) Replicas() int { return t.dp.Size() }
-
-// StageID returns this rank's pipeline stage index.
-func (t *PipelineTrainer) StageID() int { return t.stageID }
 
 // SyncFullModel broadcasts every chunk's parameters from its owning stage
 // within this replica group, so the rank holds the complete trained model

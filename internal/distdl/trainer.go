@@ -6,7 +6,7 @@
 //
 // Each rank holds a full model replica; per step, replicas compute
 // gradients on disjoint minibatches, average them with an allreduce
-// (selectable algorithm, optional fp16 compression), and apply identical
+// (selectable algorithm), and apply identical
 // optimizer updates — so all replicas stay bit-identical without any
 // parameter server. A ZeRO-1 style mode shards optimizer state across
 // ranks (as in DeepSpeed, which the paper names as the successor tooling).
@@ -24,21 +24,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Compression selects the gradient wire format.
-type Compression int
-
-// Gradient compression modes.
-const (
-	NoCompression Compression = iota
-	FP16Compression
-)
-
 // Config tunes a distributed trainer.
 type Config struct {
 	// Algo is the gradient allreduce algorithm (ring by default).
 	Algo mpi.Algo
-	// Compression optionally rounds gradients to fp16 before exchange.
-	Compression Compression
 	// BucketBytes, when positive, switches gradient sync from one
 	// monolithic allreduce to per-bucket allreduces over a fixed
 	// reverse-layer bucket layout (bucket.go). The layout depends only on
@@ -95,9 +84,6 @@ type Trainer struct {
 	// hookFn caches the backwardHook method value so overlapped Steps do
 	// not allocate a new closure per step.
 	hookFn nn.BackwardHook
-	// GradBytesSent accumulates the simulated wire volume of gradient
-	// exchanges from this rank (4 bytes/elem fp32 view, 2 for fp16).
-	GradBytesSent int64
 	// ComputeNs and CommNs accumulate wall time spent in local
 	// compute (forward/backward/optimizer) versus communication
 	// (gradient and loss sync) across all steps — the raw inputs to the
@@ -219,38 +205,17 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	return mean
 }
 
-// bytesPerElem returns the simulated wire width of one gradient element.
-func (t *Trainer) bytesPerElem() int64 {
-	if t.Cfg.Compression == FP16Compression {
-		return 2
-	}
-	return 4
-}
-
-// chargeGradBytes adds the canonical ring wire estimate for an allreduce
-// of elems elements — 2·n·(p-1)/p per rank — to GradBytesSent.
-func (t *Trainer) chargeGradBytes(elems int) {
-	p := int64(t.Comm.Size())
-	if p > 1 {
-		t.GradBytesSent += 2 * int64(elems) * (p - 1) / p * t.bytesPerElem()
-	}
-}
-
 // syncMonolithic averages the whole gradient arena in one blocking
 // allreduce, in place.
 func (t *Trainer) syncMonolithic(tr *telemetry.Tracer, rank int) {
 	flat := t.grads
-	if t.Cfg.Compression == FP16Compression {
-		CompressFP16(flat)
-	}
 	commStart := tr.Start()
 	c1 := time.Now()
 	if t.Comm.Size() > 1 {
 		t.Comm.AllreduceMeanInPlace(flat, t.Cfg.Algo)
-		t.chargeGradBytes(len(flat))
 	}
 	t.CommNs += time.Since(c1).Nanoseconds()
-	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, int64(len(flat))*t.bytesPerElem(), string(t.Cfg.Algo))
+	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, 8*int64(len(flat)), string(t.Cfg.Algo))
 }
 
 // syncBucketsBlocking exchanges each bucket with a blocking allreduce, in
@@ -261,17 +226,13 @@ func (t *Trainer) syncBucketsBlocking(tr *telemetry.Tracer, rank int) {
 	inv := 1 / float64(t.Comm.Size())
 	for _, bk := range t.bkt.Buckets() {
 		flat := bk.Grads()
-		if t.Cfg.Compression == FP16Compression {
-			CompressFP16(flat)
-		}
 		commStart := tr.Start()
 		c1 := time.Now()
 		t.Comm.AllreduceInPlace(flat, mpi.OpSum, t.Cfg.Algo)
 		t.CommNs += time.Since(c1).Nanoseconds()
-		t.chargeGradBytes(bk.Elems)
 		tensor.VecScaleInto(flat, flat, inv)
 		tr.End(rank, telemetry.CatComm, bk.span,
-			commStart, int64(bk.Elems)*t.bytesPerElem(), string(t.Cfg.Algo))
+			commStart, 8*int64(bk.Elems), string(t.Cfg.Algo))
 	}
 }
 
@@ -291,12 +252,8 @@ func (t *Trainer) backwardHook(layerIdx int, _ nn.Layer) {
 // request before Step returns.
 func (t *Trainer) launchBucket(bi int) {
 	bk := t.bkt.Buckets()[bi]
-	flat := bk.Grads()
-	if t.Cfg.Compression == FP16Compression {
-		CompressFP16(flat)
-	}
 	t.launched[bi] = time.Now()
-	t.inflight[bi] = t.Comm.IallreduceShared(flat, mpi.OpSum)
+	t.inflight[bi] = t.Comm.IallreduceShared(bk.Grads(), mpi.OpSum)
 }
 
 // drainBuckets waits for every in-flight bucket allreduce (in launch
@@ -330,10 +287,9 @@ func (t *Trainer) drainBuckets(tr *telemetry.Tracer, rank int, bwdEnd time.Time)
 			atomic.AddInt64(&t.overlapHiddenNs, hidden.Nanoseconds())
 			atomic.AddInt64(&t.overlapTotalNs, total.Nanoseconds())
 		}
-		t.chargeGradBytes(bk.Elems)
 		tensor.VecScaleInto(flat, flat, inv)
 		tr.End(rank, telemetry.CatComm, bk.span,
-			waitStart, int64(bk.Elems)*t.bytesPerElem(), "iallreduce-ring")
+			waitStart, 8*int64(bk.Elems), "iallreduce-ring")
 		t.inflight[bi] = nil
 	}
 }
@@ -378,12 +334,6 @@ func (t *Trainer) StepCount() int { return t.step }
 // ReleaseAll between batches so eval borrows are recycled instead of
 // accumulating until the next Step.
 func (t *Trainer) Workspace() *tensor.Workspace { return t.ws }
-
-// AverageScalar averages a per-rank metric across the world (used for
-// validation accuracy / loss aggregation).
-func (t *Trainer) AverageScalar(v float64) float64 {
-	return t.Comm.AllreduceScalar(v, mpi.OpSum) / float64(t.Comm.Size())
-}
 
 // GatherBatch assembles a minibatch (x, y) from row-major sample tensors
 // given selected indices. xs has shape (N, ...), ys (N, ...); the outputs

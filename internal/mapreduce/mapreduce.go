@@ -63,9 +63,6 @@ func (e *Engine) Parallelize(rows []Row, parts int) *Dataset {
 	}
 }
 
-// Partitions returns the partition count.
-func (d *Dataset) Partitions() int { return d.parts }
-
 // Map applies f to every row, lazily.
 func (d *Dataset) Map(f func(Row) Row) *Dataset {
 	prev := d.compute

@@ -226,15 +226,6 @@ func (m *Module) TotalMemGB() float64 {
 	return s
 }
 
-// TotalNVMeTB returns aggregate local NVMe capacity across the module.
-func (m *Module) TotalNVMeTB() float64 {
-	s := 0.0
-	for _, g := range m.Groups {
-		s += float64(g.Count) * g.Node.NVMeTB
-	}
-	return s
-}
-
 // TotalNVMTB returns aggregate byte-addressable NVM across the module
 // (the DEEP DAM's "aggregated 32 TB of NVM", §II-B).
 func (m *Module) TotalNVMTB() float64 {

@@ -192,9 +192,6 @@ func (st *Stage) Workspace() *tensor.Workspace { return st.ws }
 // Model returns the full model this stage was built from.
 func (st *Stage) Model() *nn.Sequential { return st.model }
 
-// Chunks returns the number of model chunks (stages × virtual chunks).
-func (st *Stage) Chunks() int { return st.C }
-
 // LocalChunks returns the chunk indices owned by this rank, ascending.
 func (st *Stage) LocalChunks() []int { return st.locals }
 
@@ -519,18 +516,7 @@ func (st *Stage) Steps() int { return st.steps }
 // over this rank's active window (first task start to last task end).
 func (st *Stage) BubbleFraction() float64 { return st.bubble }
 
-// Occupancy returns the last step's busy share of this rank's window.
-func (st *Stage) Occupancy() float64 { return st.occupancy }
-
-// BusyNS and WindowNS expose the raw measurements behind BubbleFraction;
-// cross-rank aggregation (a global makespan bubble) happens in callers
-// that can see every rank.
+// BusyNS exposes the last step's busy time behind BubbleFraction, in
+// nanoseconds; cross-rank aggregation happens in callers that can see
+// every rank.
 func (st *Stage) BusyNS() int64 { return st.busyNS }
-
-// WindowNS returns the last step's active-window span in nanoseconds.
-func (st *Stage) WindowNS() int64 { return st.windowNS }
-
-// WindowBounds returns the last step's first-task-start and last-task-end
-// wall-clock instants (UnixNano). Cross-rank callers compute the global
-// makespan bubble as 1 − Σ busy / (S · (max end − min start)).
-func (st *Stage) WindowBounds() (startNS, endNS int64) { return st.firstTask, st.lastEnd }

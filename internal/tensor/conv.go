@@ -224,9 +224,6 @@ func convGeometry(op string, img, planes, w *Tensor, kh, kw, stride, padH, padW 
 	if len(img.shape) != 4 || len(planes.shape) != 4 || len(w.shape) != 2 {
 		panic("tensor: " + op + " requires (N,C,H,W) tensors and a 2-D filter matrix")
 	}
-	if img.dtype != Float64 || planes.dtype != Float64 || w.dtype != Float64 {
-		panic("tensor: " + op + " requires float64 tensors")
-	}
 	if kh < 1 || kw < 1 || stride < 1 || padH < 0 || padW < 0 {
 		panic("tensor: " + op + " kernel, stride or padding out of range")
 	}
@@ -265,7 +262,7 @@ func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, pa
 	g := convGeometry("Conv2DBiasInto", img, out, w, kh, kw, stride, padH, padW)
 	var bd []float64
 	if bias != nil {
-		if bias.Size() != g.outC || bias.dtype != Float64 {
+		if bias.Size() != g.outC {
 			panic("tensor: Conv2DBiasInto bias length mismatch")
 		}
 		bd = bias.data
@@ -357,7 +354,7 @@ func Conv2DGradWeightsInto(dw, db, img, dout *Tensor, kh, kw, stride, padH, padW
 	g := convGeometry("Conv2DGradWeightsInto", img, dout, dw, kh, kw, stride, padH, padW)
 	var dbd []float64
 	if db != nil {
-		if db.Size() != g.outC || db.dtype != Float64 {
+		if db.Size() != g.outC {
 			panic("tensor: Conv2DGradWeightsInto bias gradient length mismatch")
 		}
 		dbd = db.data

@@ -5,43 +5,27 @@ import "math"
 // Into-variants of the allocating elementwise/reduction ops. Each op has
 // exactly one kernel — the Into form — and every other spelling
 // (allocating Foo, method FooInPlace) is a thin wrapper over it, so all
-// paths stay bitwise identical by construction. The binary elementwise
-// kernels are dtype-generic (float32 tensors compute in float32; the
-// matmul family is where float64 accumulation lives) and run on the
-// shared Jobs.For runtime when the tensor is large enough to pay for it.
+// paths stay bitwise identical by construction. The elementwise kernels
+// run on the shared Jobs.For runtime when the tensor is large enough to
+// pay for it.
 //
-// Naming convention: out must have the correct shape (and dtype) and is
-// fully overwritten. out may not alias an input unless the specific op
-// notes it is safe.
+// Naming convention: out must have the correct shape and is fully
+// overwritten. out may not alias an input unless the specific op notes
+// it is safe.
 
 // ewArgs is the operands of one binary elementwise kernel; the range
 // functions below compute out[lo:hi).
-type ewArgs[T float32 | float64] struct{ od, ad, bd []T }
+type ewArgs struct{ od, ad, bd []float64 }
 
-var (
-	ew32 Jobs[ewArgs[float32]]
-	ew64 Jobs[ewArgs[float64]]
-)
+var ewJobs Jobs[ewArgs]
 
-func addRange[T float32 | float64](e ewArgs[T], lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e.od[i] = e.ad[i] + e.bd[i]
-	}
-}
-
-func subRange[T float32 | float64](e ewArgs[T], lo, hi int) {
+func subRange(e ewArgs, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		e.od[i] = e.ad[i] - e.bd[i]
 	}
 }
 
-func mulRange[T float32 | float64](e ewArgs[T], lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e.od[i] = e.ad[i] * e.bd[i]
-	}
-}
-
-func divRange[T float32 | float64](e ewArgs[T], lo, hi int) {
+func divRange(e ewArgs, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		e.od[i] = e.ad[i] / e.bd[i]
 	}
@@ -51,11 +35,7 @@ func divRange[T float32 | float64](e ewArgs[T], lo, hi int) {
 func AddInto(out, a, b *Tensor) *Tensor {
 	checkSame("AddInto", a, b)
 	checkSame("AddInto", out, a)
-	if out.dtype == Float32 {
-		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, addRange[float32])
-	} else {
-		VecAddInto(out.data, a.data, b.data)
-	}
+	VecAddInto(out.data, a.data, b.data)
 	return out
 }
 
@@ -63,11 +43,7 @@ func AddInto(out, a, b *Tensor) *Tensor {
 func SubInto(out, a, b *Tensor) *Tensor {
 	checkSame("SubInto", a, b)
 	checkSame("SubInto", out, a)
-	if out.dtype == Float32 {
-		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, subRange[float32])
-	} else {
-		ew64.For(len(out.data), 1, ewArgs[float64]{out.data, a.data, b.data}, subRange[float64])
-	}
+	ewJobs.For(len(out.data), 1, ewArgs{out.data, a.data, b.data}, subRange)
 	return out
 }
 
@@ -75,11 +51,7 @@ func SubInto(out, a, b *Tensor) *Tensor {
 func MulInto(out, a, b *Tensor) *Tensor {
 	checkSame("MulInto", a, b)
 	checkSame("MulInto", out, a)
-	if out.dtype == Float32 {
-		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, mulRange[float32])
-	} else {
-		VecMulInto(out.data, a.data, b.data)
-	}
+	VecMulInto(out.data, a.data, b.data)
 	return out
 }
 
@@ -87,19 +59,14 @@ func MulInto(out, a, b *Tensor) *Tensor {
 func DivInto(out, a, b *Tensor) *Tensor {
 	checkSame("DivInto", a, b)
 	checkSame("DivInto", out, a)
-	if out.dtype == Float32 {
-		ew32.For(len(out.data32), 1, ewArgs[float32]{out.data32, a.data32, b.data32}, divRange[float32])
-	} else {
-		ew64.For(len(out.data), 1, ewArgs[float64]{out.data, a.data, b.data}, divRange[float64])
-	}
+	ewJobs.For(len(out.data), 1, ewArgs{out.data, a.data, b.data}, divRange)
 	return out
 }
 
-// applyArgs is ApplyInto's function and operands, one dtype in use.
+// applyArgs is ApplyInto's function and operands.
 type applyArgs struct {
-	od, ad     []float64
-	od32, ad32 []float32
-	f          func(float64) float64
+	od, ad []float64
+	f      func(float64) float64
 }
 
 var applyJobs Jobs[applyArgs]
@@ -110,37 +77,23 @@ func applyRange(v applyArgs, lo, hi int) {
 	}
 }
 
-func applyRange32(v applyArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v.od32[i] = float32(v.f(float64(v.ad32[i])))
-	}
-}
-
-// ApplyInto sets out[i] = f(a[i]); for float32 storage each element is
-// widened, mapped in float64, and rounded once. out may alias a. This is
-// the single kernel behind Apply and ApplyInPlace.
+// ApplyInto sets out[i] = f(a[i]). out may alias a. This is the single
+// kernel behind Apply and ApplyInPlace.
 func ApplyInto(out, a *Tensor, f func(float64) float64) *Tensor {
 	checkSame("ApplyInto", out, a)
 	// f is an arbitrary function call per element: assume it is
 	// expensive enough to parallelize an order of magnitude sooner than
 	// the arithmetic kernels.
 	const applyCost = 16
-	if out.dtype == Float32 {
-		applyJobs.For(len(out.data32), applyCost, applyArgs{od32: out.data32, ad32: a.data32, f: f}, applyRange32)
-	} else {
-		applyJobs.For(len(out.data), applyCost, applyArgs{od: out.data, ad: a.data, f: f}, applyRange)
-	}
+	applyJobs.For(len(out.data), applyCost, applyArgs{od: out.data, ad: a.data, f: f}, applyRange)
 	return out
 }
 
-// SumAxis0Into reduces a 2-D float64 tensor over rows into out (shape
-// (C)), overwriting out.
+// SumAxis0Into reduces a 2-D tensor over rows into out (shape (C)),
+// overwriting out.
 func SumAxis0Into(out, a *Tensor) *Tensor {
 	if len(a.shape) != 2 {
 		panic("tensor: SumAxis0Into requires a 2-D tensor")
-	}
-	if a.dtype != Float64 || out.dtype != Float64 {
-		panic("tensor: SumAxis0Into requires float64 tensors")
 	}
 	if out.Size() != a.shape[1] {
 		panic("tensor: SumAxis0Into output size mismatch")
@@ -193,13 +146,10 @@ func softmaxRows(v softmaxArgs, lo, hi int) {
 
 // SoftmaxRowsInto computes the row-wise softmax of a into out (same
 // shape), with the max-subtraction trick, parallelized over rows. out
-// may alias a. float64 only.
+// may alias a.
 func SoftmaxRowsInto(out, a *Tensor) *Tensor {
 	if len(a.shape) != 2 {
 		panic("tensor: SoftmaxRowsInto requires a 2-D tensor")
-	}
-	if a.dtype != Float64 || out.dtype != Float64 {
-		panic("tensor: SoftmaxRowsInto requires float64 tensors")
 	}
 	checkSame("SoftmaxRowsInto", out, a)
 	r, c := a.shape[0], a.shape[1]
@@ -209,14 +159,11 @@ func SoftmaxRowsInto(out, a *Tensor) *Tensor {
 	return out
 }
 
-// TransposeInto writes the transpose of the 2-D float64 tensor a into out
+// TransposeInto writes the transpose of the 2-D tensor a into out
 // (shape (C,R)). out must not alias a.
 func TransposeInto(out, a *Tensor) *Tensor {
 	if len(a.shape) != 2 {
 		panic("tensor: TransposeInto requires a 2-D tensor")
-	}
-	if a.dtype != Float64 || out.dtype != Float64 {
-		panic("tensor: TransposeInto requires float64 tensors")
 	}
 	r, c := a.shape[0], a.shape[1]
 	if len(out.shape) != 2 || out.shape[0] != c || out.shape[1] != r {
@@ -230,8 +177,7 @@ func TransposeInto(out, a *Tensor) *Tensor {
 	return out
 }
 
-// ArgmaxRowsInto fills dst with the per-row argmax of a 2-D float64
-// tensor, growing dst only when its capacity is insufficient, and
+// ArgmaxRowsInto fills dst with the per-row argmax of a 2-D tensor, growing dst only when its capacity is insufficient, and
 // returns it.
 func (t *Tensor) ArgmaxRowsInto(dst []int) []int {
 	if len(t.shape) != 2 {

@@ -10,11 +10,10 @@ import "math"
 // an exactly-rounded FMA chain over products in ascending p order, seeded
 // from the element's prior value (out is zeroed first when not
 // accumulating). Bias is added with a plain + after the full-K chain,
-// then the activation is applied. For float32 storage the whole chain
-// runs in float64 (inputs widened exactly) and rounds to float32 once,
-// after the epilogue. Because every path follows the same recipe, results
-// are bitwise identical across kernels, architectures, and worker counts
-// — kernel_test.go pins this against the Ref* kernels below.
+// then the activation is applied. Because every path follows the same
+// recipe, results are bitwise identical across kernels, architectures,
+// and worker counts — kernel_test.go pins this against the Ref* kernels
+// below.
 
 // Epilogue selects the activation fused after the bias add.
 type Epilogue uint8
@@ -64,20 +63,18 @@ const (
 	smallM       = 8
 )
 
-// gemmArgs is one GEMM's operands as its row-range kernels take them:
-// float64 or float32 storage, and on the packed paths the packed B block
-// (bp), the float64 strip of a float32 product (cs), and the current K
-// block and column strip. On the small-m path bp holds the packed small
-// operand and edge B's packed edge panel.
+// gemmArgs is one GEMM's operands as its row-range kernels take them,
+// and on the packed paths the packed B block (bp) and the current K block
+// and column strip. On the small-m path bp holds the packed small operand
+// and edge B's packed edge panel.
 type gemmArgs struct {
-	kind                     gemmKind
-	ep                       Epilogue
-	od, ad, bd, bias         []float64
-	od32, ad32, bd32, bias32 []float32
-	bp, cs, edge             []float64
-	m, k, n                  int
-	pc, kb, jc, nb           int
-	lastK                    bool
+	kind             gemmKind
+	ep               Epilogue
+	od, ad, bd, bias []float64
+	bp, edge         []float64
+	m, k, n          int
+	pc, kb, jc, nb   int
+	lastK            bool
 }
 
 var gemmJobs Jobs[gemmArgs]
@@ -115,22 +112,15 @@ func gemmEx(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
 	if out.shape[0] != m || out.shape[1] != n {
 		panic("tensor: matmul output shape mismatch")
 	}
-	if a.dtype != b.dtype || out.dtype != a.dtype {
-		panic("tensor: matmul dtype mismatch")
-	}
 	if out == a || out == b {
 		panic("tensor: matmul output must not alias an input")
 	}
-	var bias64 []float64
-	var bias32 []float32
+	var biasData []float64
 	if bias != nil {
 		if bias.Size() != n {
 			panic("tensor: matmul bias length mismatch")
 		}
-		if bias.dtype != out.dtype {
-			panic("tensor: matmul bias dtype mismatch")
-		}
-		bias64, bias32 = bias.data, bias.data32
+		biasData = bias.data
 	}
 	if !acc {
 		out.Zero()
@@ -138,20 +128,10 @@ func gemmEx(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
 	if m == 0 || n == 0 {
 		return
 	}
-	flops := 2 * m * n * k
-	if out.dtype == Float32 {
-		v := gemmArgs{kind: kind, ep: ep, od32: out.data32, ad32: a.data32, bd32: b.data32, bias32: bias32, m: m, k: k, n: n}
-		if flops >= packMinFlops {
-			gemmPacked32(v)
-		} else {
-			gemmJobs.For(m, 2*k*n, v, gemmSmall32)
-		}
-		return
-	}
-	gemm64(kind, out.data, a.data, b.data, bias64, m, k, n, ep, true)
+	gemm64(kind, out.data, a.data, b.data, biasData, m, k, n, ep, true)
 }
 
-// gemm64 runs one float64 GEMM on raw row-major slices; od already holds
+// gemm64 runs one GEMM on raw row-major slices; od already holds
 // the chain seeds. par=false keeps the whole product on the calling
 // goroutine (the Serial entry points in matmul.go).
 func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue, par bool) {
@@ -232,35 +212,6 @@ func gemmSmallTN64(v gemmArgs, lo, hi int) {
 		}
 		if bias != nil || ep != EpNone {
 			epilogueRowSeg64(orow, bias, 0, ep)
-		}
-	}
-}
-
-// gemmSmall32: scalar dots with float64 accumulation; the epilogue runs
-// in float64 before the single rounding to float32.
-func gemmSmall32(v gemmArgs, lo, hi int) {
-	kind, od, ad, bd, bias, m, k, n, ep := v.kind, v.od32, v.ad32, v.bd32, v.bias32, v.m, v.k, v.n, v.ep
-	for i := lo; i < hi; i++ {
-		for j := 0; j < n; j++ {
-			acc := float64(od[i*n+j])
-			switch kind {
-			case gemmNN:
-				for p := 0; p < k; p++ {
-					acc = math.FMA(float64(ad[i*k+p]), float64(bd[p*n+j]), acc)
-				}
-			case gemmNT:
-				for p := 0; p < k; p++ {
-					acc = math.FMA(float64(ad[i*k+p]), float64(bd[j*k+p]), acc)
-				}
-			case gemmTN:
-				for p := 0; p < k; p++ {
-					acc = math.FMA(float64(ad[p*m+i]), float64(bd[p*n+j]), acc)
-				}
-			}
-			if bias != nil {
-				acc += float64(bias[j])
-			}
-			od[i*n+j] = float32(applyEp(acc, ep))
 		}
 	}
 }
@@ -462,93 +413,6 @@ func gemmSmallMNT64(v gemmArgs, lo, hi int) {
 	}
 }
 
-// gemmPacked32 accumulates each nc strip into a pooled float64 buffer —
-// intermediate kc blocks never round to float32, preserving the
-// "float64 accumulation over the full K" contract — then applies the
-// epilogue and rounds once on store.
-func gemmPacked32(v gemmArgs) {
-	od, bd, bias, ep, m, k, n := v.od32, v.bd32, v.bias32, v.ep, v.m, v.k, v.n
-	for jc := 0; jc < n; jc += nc {
-		nb := min(n-jc, nc)
-		panels := (nb + 7) / 8
-		csP := getScratch(m * nb)
-		cs := *csP
-		for i := 0; i < m; i++ {
-			src := od[i*n+jc : i*n+jc+nb]
-			dst := cs[i*nb : i*nb+nb]
-			for j, v := range src {
-				dst[j] = float64(v)
-			}
-		}
-		bpP := getScratch(panels * min(kc, k) * 8)
-		for pc := 0; pc < k; pc += kc {
-			kb := min(k-pc, kc)
-			bp := (*bpP)[:panels*kb*8]
-			if v.kind == gemmNT {
-				packBCols32(bp, bd, k, pc, kb, jc, nb)
-			} else {
-				packBRows32(bp, bd, n, pc, kb, jc, nb)
-			}
-			v.cs, v.bp, v.nb, v.pc, v.kb = cs, bp, nb, pc, kb
-			gemmJobs.For((m+3)/4, 8*kb*nb, v, gemmPackedRows32)
-		}
-		putScratch(bpP)
-		for i := 0; i < m; i++ {
-			src := cs[i*nb : i*nb+nb]
-			dst := od[i*n+jc : i*n+jc+nb]
-			if bias != nil {
-				for j, v := range src {
-					dst[j] = float32(applyEp(v+float64(bias[jc+j]), ep))
-				}
-			} else {
-				for j, v := range src {
-					dst[j] = float32(applyEp(v, ep))
-				}
-			}
-		}
-		putScratch(csP)
-	}
-}
-
-// gemmPackedRows32 runs the micro-kernel over the float64 strip cs
-// (row stride nb, column origin 0), packing A panels from float32.
-func gemmPackedRows32(v gemmArgs, lo, hi int) {
-	kind, cs, ad, bp, m, k, nb, pc, kb := v.kind, v.cs, v.ad32, v.bp, v.m, v.k, v.nb, v.pc, v.kb
-	apP := getScratch(kb * 4)
-	ap := *apP
-	panels := (nb + 7) / 8
-	var tile [32]float64
-	for ib := lo; ib < hi; ib++ {
-		i0 := ib * 4
-		mb := m - i0
-		if mb > 4 {
-			mb = 4
-		}
-		if kind == gemmTN {
-			packACols32(ap, ad, m, i0, mb, pc, kb)
-		} else {
-			packARows32(ap, ad, k, i0, mb, pc, kb)
-		}
-		for j8 := 0; j8 < panels; j8++ {
-			jj := j8 * 8
-			w := nb - jj
-			if w > 8 {
-				w = 8
-			}
-			bpanel := bp[j8*kb*8 : (j8+1)*kb*8]
-			c := cs[i0*nb+jj:]
-			if mb == 4 && w == 8 {
-				gemm4x8(kb, ap, 1, 4, bpanel, 8, c, nb)
-				continue
-			}
-			loadTile(&tile, c, nb, mb, w)
-			gemm4x8(kb, ap, 1, 4, bpanel, 8, tile[:], 8)
-			storeTile(c, nb, &tile, mb, w)
-		}
-	}
-	putScratch(apP)
-}
-
 // Reference kernels: the floating-point contract stated literally — one
 // scalar FMA chain per element, ascending p, seeded from the prior out
 // value. Every optimized path must match these bitwise (kernel_test.go).
@@ -568,33 +432,6 @@ func refGemm(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
 	}
 	if !acc {
 		out.Zero()
-	}
-	if out.dtype == Float32 {
-		od, ad, bd := out.data32, a.data32, b.data32
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				acc := float64(od[i*n+j])
-				switch kind {
-				case gemmNN:
-					for p := 0; p < k; p++ {
-						acc = math.FMA(float64(ad[i*k+p]), float64(bd[p*n+j]), acc)
-					}
-				case gemmNT:
-					for p := 0; p < k; p++ {
-						acc = math.FMA(float64(ad[i*k+p]), float64(bd[j*k+p]), acc)
-					}
-				case gemmTN:
-					for p := 0; p < k; p++ {
-						acc = math.FMA(float64(ad[p*m+i]), float64(bd[p*n+j]), acc)
-					}
-				}
-				if bias != nil {
-					acc += float64(bias.data32[j])
-				}
-				od[i*n+j] = float32(applyEp(acc, ep))
-			}
-		}
-		return
 	}
 	od, ad, bd := out.data, a.data, b.data
 	for i := 0; i < m; i++ {

@@ -24,19 +24,6 @@ func bitEqual64(a, b *Tensor) bool {
 	return true
 }
 
-func bitEqual32(a, b *Tensor) bool {
-	ad, bd := a.Data32(), b.Data32()
-	if len(ad) != len(bd) {
-		return false
-	}
-	for i := range ad {
-		if math.Float32bits(ad[i]) != math.Float32bits(bd[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // kernelShapes covers tile remainders (4-row and 8-col micro-kernel
 // edges), odd primes, degenerate dims, and sizes on both sides of the
 // packed-path threshold (2·m·n·k ≷ packMinFlops).
@@ -161,54 +148,6 @@ func TestGemmNaNInfPropagation(t *testing.T) {
 			TMatMulInto(out, atr, b)
 			if !math.IsNaN(out.At(0, 0)) {
 				t.Fatalf("TMatMul lost 0*%v poisoning", poison)
-			}
-		}
-	}
-}
-
-// TestGemmFloat32 pins the float32 storage path: bitwise equal to the
-// float32 reference (same widen→f64-chain→round-once recipe) and within
-// 1e-6 relative of the float64 result.
-func TestGemmFloat32(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, s := range kernelShapes {
-		m, k, n := s[0], s[1], s[2]
-		a64 := randn2(rng, m, k)
-		b64 := randn2(rng, k, n)
-		bias64 := randn2(rng, 1, n)
-		a32, b32, bias32 := a64.Convert(Float32), b64.Convert(Float32), bias64.Convert(Float32)
-
-		got, want := NewOf(Float32, m, n), NewOf(Float32, m, n)
-		gemmEx(gemmNN, got, a32, b32, bias32, EpReLU, false)
-		refGemm(gemmNN, want, a32, b32, bias32, EpReLU, false)
-		if !bitEqual32(got, want) {
-			t.Fatalf("float32 NN %dx%dx%d differs from float32 reference", m, k, n)
-		}
-		bt64 := randn2(rng, n, k)
-		bt32 := bt64.Convert(Float32)
-		gemmEx(gemmNT, got, a32, bt32, nil, EpNone, false)
-		refGemm(gemmNT, want, a32, bt32, nil, EpNone, false)
-		if !bitEqual32(got, want) {
-			t.Fatalf("float32 NT %dx%dx%d differs from float32 reference", m, k, n)
-		}
-		at64 := randn2(rng, k, m)
-		at32 := at64.Convert(Float32)
-		gemmEx(gemmTN, got, at32, b32, nil, EpNone, false)
-		refGemm(gemmTN, want, at32, b32, nil, EpNone, false)
-		if !bitEqual32(got, want) {
-			t.Fatalf("float32 TN %dx%dx%d differs from float32 reference", m, k, n)
-		}
-
-		// Accuracy vs the float64 path: the widened-inputs chain differs
-		// from true f64 only by input quantization and the final rounding.
-		f64out := New(m, n)
-		MatMulInto(f64out, a64.Convert(Float32).Convert(Float64), b64.Convert(Float32).Convert(Float64))
-		gemmEx(gemmNN, got, a32, b32, nil, EpNone, false)
-		g32 := got.Data32()
-		for i, v := range f64out.Data() {
-			rel := math.Abs(float64(g32[i])-v) / math.Max(math.Abs(v), 1)
-			if rel > 1e-6 {
-				t.Fatalf("float32 %dx%dx%d relative error %g > 1e-6 at %d", m, k, n, rel, i)
 			}
 		}
 	}
@@ -507,72 +446,20 @@ func TestConvStridedVsLowering(t *testing.T) {
 	}
 }
 
-func TestDTypeBasics(t *testing.T) {
-	t32 := NewOf(Float32, 2, 3)
-	if t32.DType() != Float32 || t32.Size() != 6 {
-		t.Fatal("NewOf(Float32) metadata")
-	}
-	t32.Set(1.5, 0, 1)
-	if t32.At(0, 1) != 1.5 {
-		t.Fatal("float32 At/Set")
-	}
-	f := FromSlice32([]float32{1, 2, 3, 4}, 2, 2)
-	back := f.Convert(Float64).Convert(Float32)
-	if !bitEqual32(f, back) {
-		t.Fatal("Convert round trip must be exact for float32 values")
-	}
-	cl := f.Clone()
-	cl.Set(9, 0, 0)
-	if f.At(0, 0) == 9 {
-		t.Fatal("Clone must deep-copy float32 storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Data() on float32 tensor must panic")
-		}
-	}()
-	_ = f.Data()
-}
-
-func TestWorkspaceGetOfDTypes(t *testing.T) {
-	ws := NewWorkspace()
-	a := ws.GetOf(Float32, 4, 4)
-	b := ws.Get(4, 4)
-	if a.DType() != Float32 || b.DType() != Float64 {
-		t.Fatal("GetOf dtype")
-	}
-	a.Data32()[0] = 1
-	ws.Put(a)
-	ws.Put(b)
-	a2 := ws.GetOf(Float32, 4, 4)
-	if a2.DType() != Float32 {
-		t.Fatal("float32 free list must return float32 tensors")
-	}
-	if a2.Data32()[0] != 0 {
-		t.Fatal("reused workspace tensor must be zeroed")
-	}
-	b2 := ws.Get(4, 4)
-	if b2.DType() != Float64 {
-		t.Fatal("float64 free list polluted by float32 tensor")
-	}
-}
-
 func BenchmarkMatMulGFLOPS(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
-		for _, dt := range []DType{Float64, Float32} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, dt), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				x := Randn(rng, 1, n, n).Convert(dt)
-				y := Randn(rng, 1, n, n).Convert(dt)
-				out := NewOf(dt, n, n)
-				flops := 2 * float64(n) * float64(n) * float64(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulInto(out, x, y)
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := Randn(rng, 1, n, n)
+			y := Randn(rng, 1, n, n)
+			out := New(n, n)
+			flops := 2 * float64(n) * float64(n) * float64(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulInto(out, x, y)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 {
 		panic("tensor: MatMul requires 2-D tensors")
 	}
-	out := NewOf(a.dtype, a.shape[0], b.shape[1])
+	out := New(a.shape[0], b.shape[1])
 	gemmEx(gemmNN, out, a, b, nil, EpNone, false)
 	return out
 }
@@ -26,11 +26,6 @@ func MatMul(a, b *Tensor) *Tensor {
 // shape (M,N) and is overwritten.
 func MatMulInto(out, a, b *Tensor) {
 	gemmEx(gemmNN, out, a, b, nil, EpNone, false)
-}
-
-// MatMulAccInto computes out += a×b.
-func MatMulAccInto(out, a, b *Tensor) {
-	gemmEx(gemmNN, out, a, b, nil, EpNone, true)
 }
 
 // MatMulBiasInto computes out = a×b + bias, with bias (length N)
@@ -60,7 +55,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 {
 		panic("tensor: MatMulT requires 2-D tensors")
 	}
-	out := NewOf(a.dtype, a.shape[0], b.shape[0])
+	out := New(a.shape[0], b.shape[0])
 	gemmEx(gemmNT, out, a, b, nil, EpNone, false)
 	return out
 }
@@ -82,7 +77,7 @@ func TMatMul(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 {
 		panic("tensor: TMatMul requires 2-D tensors")
 	}
-	out := NewOf(a.dtype, a.shape[1], b.shape[1])
+	out := New(a.shape[1], b.shape[1])
 	gemmEx(gemmTN, out, a, b, nil, EpNone, false)
 	return out
 }
@@ -99,7 +94,7 @@ func TMatMulAccInto(out, a, b *Tensor) {
 	gemmEx(gemmTN, out, a, b, nil, EpNone, true)
 }
 
-// The Serial entry points run one float64 GEMM on raw row-major slices,
+// The Serial entry points run one GEMM on raw row-major slices,
 // entirely on the calling goroutine. They are for callers that already
 // parallelise at a coarser level and walk row ranges of larger buffers in
 // a tight loop (nn.GRU splits the batch and steps through time-major

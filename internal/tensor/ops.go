@@ -5,38 +5,35 @@ import (
 	"math"
 )
 
-// checkSame panics unless a and b have identical shapes and dtypes.
+// checkSame panics unless a and b have identical shapes.
 func checkSame(op string, a, b *Tensor) {
 	if !SameShape(a, b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.shape, b.shape))
-	}
-	if a.dtype != b.dtype {
-		panic(fmt.Sprintf("tensor: %s dtype mismatch %v vs %v", op, a.dtype, b.dtype))
 	}
 }
 
 // Add returns a+b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	checkSame("Add", a, b)
-	return AddInto(NewOf(a.dtype, a.shape...), a, b)
+	return AddInto(New(a.shape...), a, b)
 }
 
 // Sub returns a-b elementwise.
 func Sub(a, b *Tensor) *Tensor {
 	checkSame("Sub", a, b)
-	return SubInto(NewOf(a.dtype, a.shape...), a, b)
+	return SubInto(New(a.shape...), a, b)
 }
 
 // Mul returns a*b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSame("Mul", a, b)
-	return MulInto(NewOf(a.dtype, a.shape...), a, b)
+	return MulInto(New(a.shape...), a, b)
 }
 
 // Div returns a/b elementwise.
 func Div(a, b *Tensor) *Tensor {
 	checkSame("Div", a, b)
-	return DivInto(NewOf(a.dtype, a.shape...), a, b)
+	return DivInto(New(a.shape...), a, b)
 }
 
 // AddInPlace sets a += b.

@@ -8,15 +8,14 @@ import (
 // Panel packing for the blocked matmul (kernel.go). B column strips are
 // packed once per (kc×nc) block into 8-wide p-major panels and shared by
 // every row chunk; each chunk packs its own 4-row A panel. Packing is
-// pure data movement (plus float32→float64 widening on the float32
-// storage path), so it never changes results — the micro-kernel still
+// pure data movement, so it never changes results — the micro-kernel still
 // accumulates each output element in ascending p order.
 //
 // Which products pack what:
 //
-//   - m > smallM (any kind), every TN product, and the float32 path pack
-//     both operands as above.
-//   - Float64 NN and NT with m ≤ smallM (gemmSmallM64) pack only what is
+//   - m > smallM (any kind) and every TN product pack both operands as
+//     above.
+//   - NN and NT with m ≤ smallM (gemmSmallM64) pack only what is
 //     small or ragged: the A rows (NN: 4-row panels; NT: Aᵀ as one 8-wide
 //     panel through packBCols64) and B's edge panel (NN: the last n % 8
 //     columns, packBRows64; NT: the last n % 4 rows of b, packARows64).
@@ -183,83 +182,6 @@ func packACols64(dst, a []float64, lda, i0, mb, p0, kb int) {
 		src := a[(p0+p)*lda+i0 : (p0+p)*lda+i0+mb]
 		d := dst[p*4 : p*4+4]
 		copy(d, src)
-		for r := mb; r < 4; r++ {
-			d[r] = 0
-		}
-	}
-}
-
-// float32 variants: identical layouts, widening on the fly so the same
-// float64 micro-kernel serves float32 storage with float64 accumulation.
-
-func packBRows32(dst []float64, b []float32, ldb, p0, kb, j0, nb int) {
-	panels := (nb + 7) / 8
-	for j8 := 0; j8 < panels; j8++ {
-		jc := j0 + j8*8
-		w := nb - j8*8
-		if w > 8 {
-			w = 8
-		}
-		out := dst[j8*kb*8 : (j8+1)*kb*8]
-		for p := 0; p < kb; p++ {
-			src := b[(p0+p)*ldb+jc : (p0+p)*ldb+jc+w]
-			d := out[p*8 : p*8+8]
-			for x, v := range src {
-				d[x] = float64(v)
-			}
-			for x := w; x < 8; x++ {
-				d[x] = 0
-			}
-		}
-	}
-}
-
-func packBCols32(dst []float64, b []float32, ldb, p0, kb, j0, nb int) {
-	panels := (nb + 7) / 8
-	for j8 := 0; j8 < panels; j8++ {
-		jc := j0 + j8*8
-		w := nb - j8*8
-		if w > 8 {
-			w = 8
-		}
-		out := dst[j8*kb*8 : (j8+1)*kb*8]
-		for x := 0; x < 8; x++ {
-			if x >= w {
-				for p := 0; p < kb; p++ {
-					out[p*8+x] = 0
-				}
-				continue
-			}
-			src := b[(jc+x)*ldb+p0 : (jc+x)*ldb+p0+kb]
-			for p, v := range src {
-				out[p*8+x] = float64(v)
-			}
-		}
-	}
-}
-
-func packARows32(dst []float64, a []float32, lda, i0, mb, p0, kb int) {
-	for r := 0; r < 4; r++ {
-		if r >= mb {
-			for p := 0; p < kb; p++ {
-				dst[p*4+r] = 0
-			}
-			continue
-		}
-		src := a[(i0+r)*lda+p0 : (i0+r)*lda+p0+kb]
-		for p, v := range src {
-			dst[p*4+r] = float64(v)
-		}
-	}
-}
-
-func packACols32(dst []float64, a []float32, lda, i0, mb, p0, kb int) {
-	for p := 0; p < kb; p++ {
-		src := a[(p0+p)*lda+i0 : (p0+p)*lda+i0+mb]
-		d := dst[p*4 : p*4+4]
-		for r, v := range src {
-			d[r] = float64(v)
-		}
 		for r := mb; r < 4; r++ {
 			d[r] = 0
 		}

@@ -15,14 +15,10 @@ import (
 	"math/rand"
 )
 
-// Tensor is a dense, row-major, contiguous n-dimensional array. Exactly
-// one of data/data32 is in use, selected by dtype (Float64 is the zero
-// value and the default).
+// Tensor is a dense, row-major, contiguous n-dimensional array.
 type Tensor struct {
-	shape  []int
-	data   []float64
-	data32 []float32
-	dtype  DType
+	shape []int
+	data  []float64
 	// wsIdx is the tensor's slot in its owning Workspace's live-borrow
 	// list while borrowed (Workspace.Get), -1 once released. Tensors that
 	// never passed through a workspace leave it at the zero value; Put
@@ -109,41 +105,17 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 func (t *Tensor) NDim() int { return len(t.shape) }
 
 // Size returns the total number of elements.
-func (t *Tensor) Size() int {
-	if t.dtype == Float32 {
-		return len(t.data32)
-	}
-	return len(t.data)
-}
+func (t *Tensor) Size() int { return len(t.data) }
 
 // Data exposes the underlying flat buffer. Mutating it mutates the
-// tensor. Panics on a float32 tensor (use Data32).
-func (t *Tensor) Data() []float64 {
-	if t.dtype != Float64 {
-		panic("tensor: Data on a float32 tensor (use Data32)")
-	}
-	return t.data
-}
+// tensor.
+func (t *Tensor) Data() []float64 { return t.data }
 
-// At returns the element at the given multi-index (widened to float64
-// for a float32 tensor).
-func (t *Tensor) At(idx ...int) float64 {
-	off := t.offset(idx)
-	if t.dtype == Float32 {
-		return float64(t.data32[off])
-	}
-	return t.data[off]
-}
+// At returns the element at the given multi-index.
+func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
 
-// Set stores v at the given multi-index (rounded once for float32).
-func (t *Tensor) Set(v float64, idx ...int) {
-	off := t.offset(idx)
-	if t.dtype == Float32 {
-		t.data32[off] = float32(v)
-		return
-	}
-	t.data[off] = v
-}
+// Set stores v at the given multi-index.
+func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
 
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
@@ -159,25 +131,19 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Clone returns a deep copy (same dtype).
+// Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
-	c := NewOf(t.dtype, t.shape...)
+	c := New(t.shape...)
 	copy(c.data, t.data)
-	copy(c.data32, t.data32)
 	return c
 }
 
-// CopyFrom copies src's data into t. Shapes must have equal volume and
-// dtypes must match (use Convert to change dtype).
+// CopyFrom copies src's data into t. Shapes must have equal volume.
 func (t *Tensor) CopyFrom(src *Tensor) {
-	if t.dtype != src.dtype {
-		panic("tensor: CopyFrom dtype mismatch (use Convert)")
-	}
 	if t.Size() != src.Size() {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %v vs %v", t.shape, src.shape))
 	}
 	copy(t.data, src.data)
-	copy(t.data32, src.data32)
 }
 
 // Reshape returns a view-like tensor sharing data with t but with a new
@@ -208,18 +174,11 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != size {
 		panic(fmt.Sprintf("tensor: Reshape volume %d mismatch for %v", n, t.shape))
 	}
-	return &Tensor{shape: out, data: t.data, data32: t.data32, dtype: t.dtype}
+	return &Tensor{shape: out, data: t.data}
 }
 
-// Fill sets every element to v (rounded once per element for float32).
+// Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
-	if t.dtype == Float32 {
-		v32 := float32(v)
-		for i := range t.data32 {
-			t.data32[i] = v32
-		}
-		return
-	}
 	for i := range t.data {
 		t.data[i] = v
 	}
@@ -227,21 +186,15 @@ func (t *Tensor) Fill(v float64) {
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
-	if t.dtype == Float32 {
-		for i := range t.data32 {
-			t.data32[i] = 0
-		}
-		return
-	}
 	for i := range t.data {
 		t.data[i] = 0
 	}
 }
 
-// Row returns a view of row r of a 2-D float64 tensor as a flat slice.
+// Row returns a view of row r of a 2-D tensor as a flat slice.
 func (t *Tensor) Row(r int) []float64 {
-	if len(t.shape) != 2 || t.dtype != Float64 {
-		panic("tensor: Row requires a 2-D float64 tensor")
+	if len(t.shape) != 2 {
+		panic("tensor: Row requires a 2-D tensor")
 	}
 	c := t.shape[1]
 	return t.data[r*c : (r+1)*c]
@@ -260,20 +213,11 @@ func SameShape(a, b *Tensor) bool {
 	return true
 }
 
-// AllClose reports whether a and b have the same shape, the same dtype,
-// and all elements within atol absolute tolerance (float32 elements are
-// compared after exact widening).
+// AllClose reports whether a and b have the same shape and all elements
+// within atol absolute tolerance.
 func AllClose(a, b *Tensor, atol float64) bool {
-	if !SameShape(a, b) || a.dtype != b.dtype {
+	if !SameShape(a, b) {
 		return false
-	}
-	if a.dtype == Float32 {
-		for i := range a.data32 {
-			if math.Abs(float64(a.data32[i])-float64(b.data32[i])) > atol {
-				return false
-			}
-		}
-		return true
 	}
 	for i := range a.data {
 		if math.Abs(a.data[i]-b.data[i]) > atol {
@@ -285,13 +229,6 @@ func AllClose(a, b *Tensor, atol float64) bool {
 
 // String renders a compact description (shape plus a few leading values).
 func (t *Tensor) String() string {
-	if t.dtype == Float32 {
-		n := len(t.data32)
-		if n > 6 {
-			n = 6
-		}
-		return fmt.Sprintf("Tensor%v%v…", t.shape, t.data32[:n])
-	}
 	n := len(t.data)
 	if n > 6 {
 		n = 6

@@ -190,13 +190,9 @@ func vecTanh(dst, a []float64) {
 const activationCost = 16
 
 // SigmoidInto sets out = 1/(1+exp(-a)) elementwise, bit-identical to
-// ApplyInto with the sigmoid closure. out may alias a. Float32 tensors
-// take the widening ApplyInto path unchanged.
+// ApplyInto with the sigmoid closure. out may alias a.
 func SigmoidInto(out, a *Tensor) *Tensor {
 	checkSame("SigmoidInto", out, a)
-	if out.dtype != Float64 {
-		return ApplyInto(out, a, sigmoid)
-	}
 	vecJobs.For(len(out.data), activationCost, vecArgs{dst: out.data, a: a.data, un: vecSigmoid}, unRange)
 	return out
 }
@@ -205,9 +201,6 @@ func SigmoidInto(out, a *Tensor) *Tensor {
 // with math.Tanh. out may alias a.
 func TanhInto(out, a *Tensor) *Tensor {
 	checkSame("TanhInto", out, a)
-	if out.dtype != Float64 {
-		return ApplyInto(out, a, math.Tanh)
-	}
 	vecJobs.For(len(out.data), activationCost, vecArgs{dst: out.data, a: a.data, un: vecTanh}, unRange)
 	return out
 }
@@ -217,17 +210,6 @@ func TanhInto(out, a *Tensor) *Tensor {
 // -0 maps to +0), vectorized as a compare+mask. out may alias a.
 func ReLUInto(out, a *Tensor) *Tensor {
 	checkSame("ReLUInto", out, a)
-	if out.dtype != Float64 {
-		od, ad := out.data32, a.data32
-		for i, v := range ad {
-			if v <= 0 {
-				od[i] = 0
-			} else {
-				od[i] = v
-			}
-		}
-		return out
-	}
 	vecJobs.For(len(out.data), vecCost, vecArgs{dst: out.data, a: a.data, un: vecReLU}, unRange)
 	return out
 }

@@ -33,10 +33,8 @@ import (
 type Workspace struct {
 	// free holds recycled tensors by capacity class: class c stores
 	// tensors whose data capacity is exactly 1<<c (class 0 also holds
-	// empty tensors). float32 tensors recycle through their own lists so
-	// a slot never changes dtype.
-	free   [maxSizeClass][]*Tensor
-	free32 [maxSizeClass][]*Tensor
+	// empty tensors).
+	free [maxSizeClass][]*Tensor
 	// live tracks outstanding borrows so ReleaseAll can recycle them and
 	// leak checks can count them. A borrowed tensor remembers its index
 	// here (wsIdx) for O(1) early release.
@@ -59,32 +57,26 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// Get borrows a zero-filled float64 tensor of the given shape. On a nil
+// Get borrows a zero-filled tensor of the given shape. On a nil
 // workspace it is exactly New. The returned tensor must not be retained
 // past the owner's next ReleaseAll.
 func (w *Workspace) Get(shape ...int) *Tensor {
-	return w.GetOf(Float64, shape...)
+	return w.get(true, shape...)
 }
 
-// GetUninit borrows a float64 tensor whose contents are unspecified —
+// GetUninit borrows a tensor whose contents are unspecified —
 // whatever the recycled storage last held. It is for buffers the caller
 // overwrites in full before reading (a layout copy, a kernel output),
 // where Get's zero-fill would be a wasted pass over memory; any element
 // the caller does not write is a bug, not a zero. On a nil workspace it
 // is New.
 func (w *Workspace) GetUninit(shape ...int) *Tensor {
-	return w.get(Float64, false, shape...)
+	return w.get(false, shape...)
 }
 
-// GetOf borrows a zero-filled tensor of the given dtype and shape. On a
-// nil workspace it is exactly NewOf.
-func (w *Workspace) GetOf(dt DType, shape ...int) *Tensor {
-	return w.get(dt, true, shape...)
-}
-
-func (w *Workspace) get(dt DType, zero bool, shape ...int) *Tensor {
+func (w *Workspace) get(zero bool, shape ...int) *Tensor {
 	if w == nil {
-		return NewOf(dt, shape...)
+		return New(shape...)
 	}
 	n := 1
 	for _, d := range shape {
@@ -96,25 +88,14 @@ func (w *Workspace) get(dt DType, zero bool, shape ...int) *Tensor {
 		n *= d
 	}
 	c := sizeClass(n)
-	lists := &w.free
-	if dt == Float32 {
-		lists = &w.free32
-	}
 	var t *Tensor
-	if fl := lists[c]; len(fl) > 0 {
+	if fl := w.free[c]; len(fl) > 0 {
 		t = fl[len(fl)-1]
 		fl[len(fl)-1] = nil
-		lists[c] = fl[:len(fl)-1]
-		if dt == Float32 {
-			t.data32 = t.data32[:n]
-			if zero {
-				clear(t.data32)
-			}
-		} else {
-			t.data = t.data[:n]
-			if zero {
-				clear(t.data)
-			}
+		w.free[c] = fl[:len(fl)-1]
+		t.data = t.data[:n]
+		if zero {
+			clear(t.data)
 		}
 		t.shape = append(t.shape[:0], shape...)
 	} else {
@@ -122,12 +103,7 @@ func (w *Workspace) get(dt DType, zero bool, shape ...int) *Tensor {
 		if n > 1 {
 			capN = 1 << c
 		}
-		t = &Tensor{shape: append([]int(nil), shape...), dtype: dt}
-		if dt == Float32 {
-			t.data32 = make([]float32, n, capN)
-		} else {
-			t.data = make([]float64, n, capN)
-		}
+		t = &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n, capN)}
 		w.news++
 	}
 	t.wsIdx = len(w.live)
@@ -177,16 +153,11 @@ func (w *Workspace) ReleaseAll() {
 func (w *Workspace) recycle(t *Tensor) {
 	t.wsIdx = -1
 	capN := cap(t.data)
-	lists := &w.free
-	if t.dtype == Float32 {
-		capN = cap(t.data32)
-		lists = &w.free32
-	}
 	c := sizeClass(capN)
 	// Only pow-of-two capacities are pooled; Get allocates them that way,
 	// so this is just a guard against foreign tensors sneaking in.
 	if capN == 0 || capN == 1<<c || capN == 1 {
-		lists[c] = append(lists[c], t)
+		w.free[c] = append(w.free[c], t)
 	}
 }
 
