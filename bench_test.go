@@ -74,75 +74,6 @@ func BenchmarkE3_ResNetScaling(b *testing.B) {
 	}
 }
 
-// overlapBenchRun trains a deep MLP data-parallel over p ranks for steps
-// steps with overlap on or off and returns rank 0's final flat
-// parameters, last mean loss, and measured communication fraction.
-func overlapBenchRun(tb testing.TB, p, steps int, overlap bool) (params []float64, loss, commFrac float64) {
-	world := mpi.NewWorld(p)
-	rng := rand.New(rand.NewSource(30))
-	x := tensor.Randn(rng, 1.0, p*8, 64)
-	labels := make([]int, p*8)
-	for i := range labels {
-		labels[i] = i % 2
-	}
-	y := nn.OneHot(labels, 2)
-	err := world.Run(func(c *mpi.Comm) error {
-		model := nn.MLP(rand.New(rand.NewSource(31)), 64, 256, 256, 256, 2)
-		tr := distdl.New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0),
-			distdl.WithBucketBytes(1<<17), distdl.WithOverlap(overlap),
-			distdl.WithSchedule(nn.ConstLR(0.01)))
-		idx := make([]int, 8)
-		for i := range idx {
-			idx[i] = c.Rank()*8 + i
-		}
-		bx, by := distdl.GatherBatch(x, y, idx)
-		var last float64
-		for s := 0; s < steps; s++ {
-			last = tr.Step(bx, by)
-		}
-		if c.Rank() == 0 {
-			pt := tr.(*distdl.Trainer)
-			params = nn.FlattenValues(pt.Model.Params())
-			loss = last
-			commFrac = pt.CommFraction()
-		}
-		return nil
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return params, loss, commFrac
-}
-
-// BenchmarkOverlapStep times one data-parallel training step on 8
-// simulated ranks with overlapped bucketed gradient sync on vs off. The
-// parent benchmark first verifies the acceptance properties once at a
-// fixed step count — identical loss, bitwise-identical parameters, and a
-// strictly lower communication fraction with overlap — then the
-// sub-benchmarks time each mode and report comm_frac.
-func BenchmarkOverlapStep(b *testing.B) {
-	const p = 8
-	blockParams, blockLoss, blockFrac := overlapBenchRun(b, p, 6, false)
-	overParams, overLoss, overFrac := overlapBenchRun(b, p, 6, true)
-	if blockLoss != overLoss {
-		b.Fatalf("loss diverged: blocking %v, overlapped %v", blockLoss, overLoss)
-	}
-	for i := range blockParams {
-		if blockParams[i] != overParams[i] {
-			b.Fatalf("param %d: blocking %v != overlapped %v (bitwise)", i, blockParams[i], overParams[i])
-		}
-	}
-	if overFrac >= blockFrac {
-		b.Fatalf("comm fraction did not drop: overlap %v >= blocking %v", overFrac, blockFrac)
-	}
-	for _, overlap := range []bool{false, true} {
-		b.Run(fmt.Sprintf("overlap=%v", overlap), func(b *testing.B) {
-			_, _, frac := overlapBenchRun(b, p, b.N, overlap)
-			b.ReportMetric(frac, "comm_frac")
-		})
-	}
-}
-
 // BenchmarkE4_AccuracyVsWorkers times the full (quick) accuracy-parity
 // run: training with the warmup + linear-scaling rule at 2 workers.
 func BenchmarkE4_AccuracyVsWorkers(b *testing.B) {

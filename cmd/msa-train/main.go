@@ -6,7 +6,6 @@
 //
 //	msa-train -dataset bigearthnet -workers 4 -epochs 3
 //	msa-train -dataset covidx -workers 2 -epochs 10 -algo gce
-//	msa-train -dataset bigearthnet -overlap -algo ring
 package main
 
 import (
@@ -32,8 +31,6 @@ func main() {
 	lr := flag.Float64("lr", 0.02, "base learning rate")
 	warmup := flag.Int("warmup", 8, "warmup steps for the linear-scaling rule (0 = off)")
 	algo := flag.String("algo", "ring", "allreduce algorithm: naive|tree|ring|recursive-doubling|gce|auto")
-	overlap := flag.Bool("overlap", false, "overlap bucketed gradient allreduce with backward compute")
-	bucketKB := flag.Int("bucket-kb", 0, "gradient bucket size in KiB (0 = default when -overlap, monolithic otherwise)")
 	zero := flag.Bool("zero", false, "use ZeRO-1 sharded optimizer state (DeepSpeed style)")
 	stages := flag.Int("pipeline-stages", 0, "pipeline depth S for 2D data×pipeline training (0 = plain DDP; must divide -workers)")
 	micro := flag.Int("microbatch", 4, "pipeline micro-batches per step (with -pipeline-stages)")
@@ -55,7 +52,7 @@ func main() {
 	cfg := core.DDPConfig{
 		Workers: *workers, Epochs: *epochs, Batch: *batch,
 		BaseLR: *lr, Warmup: *warmup, Algo: mpi.Algo(*algo),
-		Overlap: *overlap, BucketBytes: *bucketKB * 1024, ZeRO: *zero, Seed: *seed,
+		ZeRO: *zero, Seed: *seed,
 		PipelineStages: *stages, MicroBatches: *micro, PipeSchedule: sched, VirtualChunks: *virtual,
 	}
 
@@ -104,7 +101,7 @@ func main() {
 		fmt.Printf("workers        %d  (2D: %d pipeline stages x %d replicas, %s, %d micro-batches)\n",
 			*workers, *stages, *workers / *stages, sched, *micro)
 	} else {
-		fmt.Printf("workers        %d  (allreduce=%s, overlap=%v)\n", *workers, *algo, *overlap)
+		fmt.Printf("workers        %d  (allreduce=%s)\n", *workers, *algo)
 	}
 	fmt.Printf("optimizer steps %d\n", res.Steps)
 	fmt.Printf("final loss     %.4f\n", res.FinalLoss)
@@ -113,9 +110,6 @@ func main() {
 	fmt.Printf("wall time      %.2f s\n", res.WallSeconds)
 	fmt.Printf("wire bytes     %d (sent by rank 0)\n", res.GradBytes)
 	fmt.Printf("comm fraction  %.3f\n", res.CommFraction)
-	if *overlap {
-		fmt.Printf("overlap ratio  %.3f (allreduce time hidden behind backward)\n", res.OverlapRatio)
-	}
 	if *stages > 1 {
 		fmt.Printf("bubble fraction %.3f (planned %s schedule, S=%d M=%d)\n", res.BubbleFraction, sched, *stages, *micro)
 	}

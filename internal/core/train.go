@@ -26,22 +26,14 @@ type DDPConfig struct {
 	// disables it (constant BaseLR, the ablation of E4).
 	Warmup int
 	Algo   mpi.Algo
-	// Overlap enables overlapped bucketed gradient synchronization:
-	// per-bucket nonblocking allreduces launched from the backward hook
-	// instead of one blocking allreduce after backward.
-	Overlap bool
-	// BucketBytes caps the gradient bucket size when Overlap is on (or
-	// forces blocking bucketed sync when set without Overlap); 0 with
-	// Overlap uses distdl.DefaultBucketBytes.
-	BucketBytes int
 	// ZeRO switches to the DeepSpeed-style sharded-optimizer trainer
 	// (Adam state split across ranks) instead of replicated SGD.
 	ZeRO bool
 	// PipelineStages, when > 1, switches to 2D (data × pipeline) training:
 	// the Workers ranks form Workers/PipelineStages replica groups, each
 	// running the model as a PipelineStages-deep pipeline. Must divide
-	// Workers. Mutually exclusive with ZeRO/Overlap (the pipeline
-	// path has its own per-chunk gradient sync).
+	// Workers. Mutually exclusive with ZeRO (the pipeline path has its
+	// own per-chunk gradient sync).
 	PipelineStages int
 	// MicroBatches is the pipeline micro-batch count per step (M);
 	// defaults to 4 when PipelineStages > 1 and this is 0.
@@ -71,11 +63,8 @@ type DDPResult struct {
 	// sync, parameter broadcast, loss sync and pipeline traffic — at 8
 	// bytes each: the measured wire volume, not a model of it.
 	GradBytes int64
-	// CommFraction is rank 0's communication share of step time;
-	// OverlapRatio is the fraction of gradient allreduce time hidden
-	// behind backward compute (0 unless Overlap was on).
+	// CommFraction is rank 0's communication share of step time.
 	CommFraction float64
-	OverlapRatio float64
 	// BubbleFraction is the pipeline schedule's idle fraction (0 unless
 	// PipelineStages > 1): the planned-schedule replay measure, which is
 	// independent of host core count (see pipeline.PlannedBubble).
@@ -137,8 +126,8 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 		if cfg.Batch < cfg.MicroBatches {
 			panic(fmt.Sprintf("core: per-replica batch %d smaller than %d micro-batches", cfg.Batch, cfg.MicroBatches))
 		}
-		if cfg.ZeRO || cfg.Overlap {
-			panic("core: pipeline mode does not compose with ZeRO/Overlap")
+		if cfg.ZeRO {
+			panic("core: pipeline mode does not compose with ZeRO")
 		}
 	}
 	var sched nn.Schedule
@@ -174,11 +163,8 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer))
 		default:
 			tr = distdl.New(c, model, loss, nn.NewSGD(0.9, 1e-4),
-				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched),
-				distdl.WithTracer(cfg.Tracer), distdl.WithBucketBytes(cfg.BucketBytes),
-				distdl.WithOverlap(cfg.Overlap))
+				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer))
 		}
-		plain, _ := tr.(*distdl.Trainer)
 		pipeTr, _ := tr.(*distdl.PipelineTrainer)
 		// Data sharding: in DDP every rank is its own shard; in 2D every
 		// replica group is one shard, and all its stage ranks must iterate
@@ -211,9 +197,6 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 			out.FinalLoss = last
 			out.Steps = tr.StepCount()
 			out.CommFraction = tr.CommFraction()
-			if plain != nil {
-				out.OverlapRatio = plain.OverlapRatio()
-			}
 			if pipeTr != nil {
 				out.BubbleFraction = pipeline.PlannedBubble(
 					cfg.PipelineStages, cfg.VirtualChunks, cfg.MicroBatches, cfg.PipeSchedule, 1, 2)

@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/mpi"
 	"repro/internal/nn"
+	"repro/internal/pipeline"
 	"repro/internal/tensor"
 )
 
@@ -234,6 +236,32 @@ func TestTrainingConvergesDistributed(t *testing.T) {
 	}
 	if acc < 0.95 {
 		t.Fatalf("distributed training accuracy %f", acc)
+	}
+}
+
+// New refuses option combinations whose trainer would silently ignore one
+// of them: only the plain data-parallel trainer clips gradients, and the
+// 2D trainer has no ZeRO mode. It panics before any collective, so one rank
+// is enough to check.
+func TestNewRejectsUnsupportedCombinations(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+		want string
+	}{
+		{"zero+clip", []Option{WithZeRO(), WithClipNorm(1)}, "WithClipNorm is not supported with WithZeRO"},
+		{"pipeline+clip", []Option{WithPipeline(1, 2, pipeline.GPipe), WithClipNorm(1)}, "WithClipNorm is not supported with WithPipeline"},
+		{"pipeline+zero", []Option{WithPipeline(1, 2, pipeline.GPipe), WithZeRO()}, "WithPipeline and WithZeRO are mutually exclusive"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("New panicked with %v, want %q", r, tc.want)
+				}
+			}()
+			New(mpi.NewWorld(1).Comm(0), buildModel(1), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), tc.opts...)
+		})
 	}
 }
 

@@ -20,21 +20,10 @@ import (
 // pipeline digests were recorded when gradients still travelled through
 // flat copies, before the parameter arena; the arena changed no arithmetic
 // or element order on those paths, so they must reproduce bit for bit.
-//
-// Bucketed runs are the one deliberate exception: a multi-layer bucket is a
-// contiguous span of the gradient arena, so its elements sit in forward
-// (arena) order, where the flat pack buffer held them in reverse-layer
-// order. That moves the ring's chunk boundaries inside the bucket, and with
-// more than two ranks the summation association with them. Their digests
-// were recomputed with the arena; blocking and overlapped sync must still
-// agree with each other bitwise.
 
 const (
 	goldenSteps   = 5
 	goldenSamples = 24
-	// goldenBucketBytes puts the MLP's two output-side Dense layers
-	// (50 + 792 elements) in one bucket and the input Dense in another.
-	goldenBucketBytes = 8 * (50 + 792)
 )
 
 var goldenCases = []struct {
@@ -55,30 +44,20 @@ var goldenCases = []struct {
 	{"zero-mlp-p2", 2, false, []Option{WithZeRO()}, "b5e699c2c3d77ffbd68d0e3656f5b865d4491726489b4a3d454ffdef46559767"},
 	{"zero-mlp-p4", 4, false, []Option{WithZeRO()}, "d55950857def1373457ab880a672b1187c9314e78b21fcf3bed2df8bd83e85b9"},
 	{"pipe2d-mlp-2x2-1f1b", 4, false, []Option{WithPipeline(2, 4, pipeline.OneFOneB)}, "e65662e2805f43833e47b595e5614f6de4a11f795c02337da58970c7dc8f1dc4"},
-	// Recorded with the arena (see above); the flat-buffer digest of both
-	// was 6f066e31ed4ad4095dac65e27f6361db3e0667e7c4c4911f3624baf6902f796e.
-	{"bucketed-mlp-p4", 4, false, []Option{WithBucketBytes(goldenBucketBytes)}, "bffaab9b4a090d8d7b606a12fb57e26f1bbb1ef56868f0a64091588ef45c27a3"},
-	{"overlapped-mlp-p4", 4, false, []Option{WithBucketBytes(goldenBucketBytes), WithOverlap(true)}, "bffaab9b4a090d8d7b606a12fb57e26f1bbb1ef56868f0a64091588ef45c27a3"},
 }
 
 func TestGoldenDigests(t *testing.T) {
-	got := map[string]string{}
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {
-			d := runGolden(t, gc.p, gc.resnet, gc.opts)
-			got[gc.name] = d
-			if d != gc.want {
+			if d := runGolden(t, gc.p, gc.resnet, gc.opts); d != gc.want {
 				t.Errorf("digest %s, want %s", d, gc.want)
 			}
 		})
 	}
-	if b, o := got["bucketed-mlp-p4"], got["overlapped-mlp-p4"]; b != o {
-		t.Errorf("bucketed digest %s != overlapped digest %s", b, o)
-	}
 }
 
-// goldenModel builds the golden runs' model: an MLP whose buckets span
-// several layers, or a ResNetMini with convolutions and batch norm.
+// goldenModel builds the golden runs' model: an MLP, or a ResNetMini with
+// convolutions and batch norm.
 func goldenModel(resnet bool) *nn.Sequential {
 	rng := rand.New(rand.NewSource(71))
 	if resnet {

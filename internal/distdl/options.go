@@ -9,9 +9,8 @@ import (
 )
 
 // Unified trainer construction. New is the single entry point for every
-// distributed-training flavour — plain data parallelism, bucketed and
-// overlapped gradient sync, ZeRO-1 optimizer sharding, 2D pipelines —
-// configured with functional options.
+// distributed-training flavour — plain data parallelism, ZeRO-1 optimizer
+// sharding, 2D pipelines — configured with functional options.
 
 // Stepper is the training-loop surface every trainer flavour shares: run
 // one synchronous optimizer step on this rank's minibatch (returning the
@@ -48,16 +47,9 @@ func WithConfig(c Config) Option { return func(n *newConfig) { n.cfg = c } }
 // WithAlgo selects the gradient allreduce algorithm.
 func WithAlgo(a mpi.Algo) Option { return func(n *newConfig) { n.cfg.Algo = a } }
 
-// WithBucketBytes enables bucketed gradient sync with the given per-bucket
-// size cap (bytes of float64 payload); see Config.BucketBytes.
-func WithBucketBytes(b int) Option { return func(n *newConfig) { n.cfg.BucketBytes = b } }
-
-// WithOverlap launches each gradient bucket's allreduce from the backward
-// hook, overlapping communication with the rest of the backward pass; see
-// Config.Overlap.
-func WithOverlap(on bool) Option { return func(n *newConfig) { n.cfg.Overlap = on } }
-
-// WithClipNorm clips the global gradient norm after averaging.
+// WithClipNorm clips the global gradient norm after averaging. Only the
+// plain data-parallel trainer clips: New panics if it is combined with
+// WithZeRO or WithPipeline.
 func WithClipNorm(c float64) Option { return func(n *newConfig) { n.cfg.ClipNorm = c } }
 
 // WithSchedule sets the learning-rate schedule.
@@ -66,8 +58,8 @@ func WithSchedule(s nn.Schedule) Option { return func(n *newConfig) { n.cfg.Sche
 // WithTracer attaches a span tracer to the trainer's step pipeline.
 func WithTracer(t *telemetry.Tracer) Option { return func(n *newConfig) { n.cfg.Tracer = t } }
 
-// WithMetrics registers the trainer's gauges (overlap ratio) with a
-// telemetry registry.
+// WithMetrics registers the trainer's gauges (the pipeline trainer's stage
+// gauges) with a telemetry registry.
 func WithMetrics(r *telemetry.Registry) Option { return func(n *newConfig) { n.cfg.Metrics = r } }
 
 // WithZeRO selects the ZeRO-1 optimizer-state-sharded trainer. The opt
@@ -81,10 +73,8 @@ func WithZeRO() Option { return func(n *newConfig) { n.zero = true } }
 // while corresponding stages across replicas average their chunk
 // gradients data-parallel. stages must divide the world size; stages ==
 // world size is pure pipeline parallelism (one replica). Requires a
-// concrete *mpi.Comm (the trainer splits it along both axes). Mutually
-// exclusive with WithZeRO; bucketing/overlap options are
-// ignored — inter-stage traffic is already point-to-point and per-chunk
-// gradient sync is its own overlap unit.
+// communicator it can Split along both axes. Mutually exclusive with
+// WithZeRO and WithClipNorm.
 func WithPipeline(stages, microBatches int, schedule pipeline.Schedule) Option {
 	return func(n *newConfig) {
 		n.pipe.stages = stages
@@ -111,12 +101,18 @@ func New(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optim
 	for _, o := range opts {
 		o(&n)
 	}
+	pipe := n.pipe.stages > 0
+	switch {
+	case pipe && n.zero:
+		panic("distdl: WithPipeline and WithZeRO are mutually exclusive")
+	case pipe && n.cfg.ClipNorm > 0:
+		panic("distdl: WithClipNorm is not supported with WithPipeline")
+	case n.zero && n.cfg.ClipNorm > 0:
+		panic("distdl: WithClipNorm is not supported with WithZeRO")
+	}
 	values, _ := model.BindArena()
 	copy(values, comm.Bcast(0, values))
-	if n.pipe.stages > 0 {
-		if n.zero {
-			panic("distdl: WithPipeline and WithZeRO are mutually exclusive")
-		}
+	if pipe {
 		return newPipelineTrainer(comm, model, loss, opt, n.cfg, n.pipe)
 	}
 	if n.zero {

@@ -105,8 +105,8 @@ func (t *PipelineTrainer) chunkHook(grads []float64) {
 // shard and returns the globally averaged loss. Every rank of a replica
 // group passes the same (x, y); different replica groups pass different
 // shards (of equal size, to keep the gradient a true global average).
-// Cfg.ClipNorm is not supported on the pipeline path (the global norm
-// would need a cross-stage reduction mid-step) and is ignored.
+// There is no gradient clipping on this path (the global norm would need
+// a cross-stage reduction mid-step), so New rejects WithClipNorm here.
 func (t *PipelineTrainer) Step(x, y *tensor.Tensor) float64 {
 	t0 := time.Now()
 	commBefore := t.commNS

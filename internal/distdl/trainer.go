@@ -14,8 +14,6 @@ package distdl
 
 import (
 	"fmt"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mpi"
@@ -28,22 +26,10 @@ import (
 type Config struct {
 	// Algo is the gradient allreduce algorithm (ring by default).
 	Algo mpi.Algo
-	// BucketBytes, when positive, switches gradient sync from one
-	// monolithic allreduce to per-bucket allreduces over a fixed
-	// reverse-layer bucket layout (bucket.go). The layout depends only on
-	// the model and this cap, so the reduction order — and hence the
-	// result — is identical whether buckets are exchanged blocking or
-	// overlapped.
-	BucketBytes int
-	// Overlap launches each bucket's allreduce from the backward hook the
-	// moment its layers' gradients are final, hiding the transfer behind
-	// the rest of the backward pass (requires bucketing; BucketBytes
-	// defaults to DefaultBucketBytes when unset). Uses the nonblocking
-	// ring allreduce, which matches the blocking ring bitwise — with the
-	// default AlgoRing, overlap on/off produce identical parameters.
-	Overlap bool
 	// ClipNorm, when positive, clips the global gradient norm after
-	// averaging (needed by the recurrent models).
+	// averaging (needed by the recurrent models). Only the plain trainer
+	// implements it: New panics if it is combined with WithZeRO or
+	// WithPipeline.
 	ClipNorm float64
 	// Schedule yields the learning rate per optimizer step; defaults to
 	// a constant 0.01 when nil.
@@ -53,8 +39,8 @@ type Config struct {
 	// communication fraction is readable straight off the timeline. The
 	// nil default costs nothing on the hot path.
 	Tracer *telemetry.Tracer
-	// Metrics, when non-nil, registers this trainer's gauges (the
-	// per-rank overlap ratio) at construction.
+	// Metrics, when non-nil, registers the trainer's gauges at
+	// construction (the pipeline trainer's stage gauges).
 	Metrics *telemetry.Registry
 }
 
@@ -81,28 +67,12 @@ type Trainer struct {
 	// allocating path — pooled buffers are zero-filled on Get and the same
 	// kernels run in the same order.
 	ws *tensor.Workspace
-	// hookFn caches the backwardHook method value so overlapped Steps do
-	// not allocate a new closure per step.
-	hookFn nn.BackwardHook
 	// ComputeNs and CommNs accumulate wall time spent in local
 	// compute (forward/backward/optimizer) versus communication
 	// (gradient and loss sync) across all steps — the raw inputs to the
 	// comm-fraction breakdown, tracked whether or not a Tracer is set.
-	// For overlapped sync, CommNs charges only the *unhidden* wait time
-	// in the drain, so CommFraction directly reflects the overlap win.
 	ComputeNs int64
 	CommNs    int64
-
-	// Bucketed/overlapped sync state (nil / unused when BucketBytes == 0).
-	bkt      *Bucketer
-	inflight []*mpi.AllreduceRequest // per bucket, launch order
-	launched []time.Time             // per-bucket Iallreduce launch times
-	// overlapHiddenNs / overlapTotalNs accumulate, per bucket allreduce,
-	// the wall time that ran concurrently with backward compute vs the
-	// operation's total duration. Atomics: OverlapRatio may be read by a
-	// metrics scraper while Step runs.
-	overlapHiddenNs int64
-	overlapTotalNs  int64
 }
 
 // newTrainer wires a replica to its communicator over the model's bound
@@ -115,38 +85,17 @@ func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt n
 	if cfg.Schedule == nil {
 		cfg.Schedule = nn.ConstLR(0.01)
 	}
-	if cfg.Overlap && cfg.BucketBytes <= 0 {
-		cfg.BucketBytes = DefaultBucketBytes
-	}
 	t := &Trainer{Comm: comm, Model: model, Loss: loss, Opt: opt, Cfg: cfg,
 		params: model.Params(), ws: tensor.NewWorkspace()}
 	t.values, t.grads = model.Span(t.params)
 	model.SetWorkspace(t.ws)
-	t.hookFn = t.backwardHook
-	if cfg.BucketBytes > 0 {
-		t.bkt = NewBucketer(model, cfg.BucketBytes)
-		t.inflight = make([]*mpi.AllreduceRequest, t.bkt.NumBuckets())
-		t.launched = make([]time.Time, t.bkt.NumBuckets())
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.SetHelp("msa_distdl_overlap_ratio",
-			"fraction of gradient allreduce wall time hidden behind backward compute")
-		cfg.Metrics.GaugeFunc("msa_distdl_overlap_ratio", t.OverlapRatio,
-			telemetry.Label{Key: "rank", Value: strconv.Itoa(comm.Rank())})
-	}
 	return t
 }
 
 // Step runs one synchronous data-parallel optimizer step on this rank's
-// minibatch and returns the *globally averaged* loss.
-//
-// Gradient synchronization runs in one of three modes: a single blocking
-// allreduce over the whole flat gradient (the default), blocking
-// per-bucket allreduces (BucketBytes > 0), or overlapped per-bucket
-// nonblocking allreduces launched from the backward hook as each bucket's
-// gradients become final (Overlap). The bucketed modes share one fixed
-// layout, so with the ring algorithm they produce bitwise-identical
-// parameters.
+// minibatch and returns the *globally averaged* loss. The gradient is
+// averaged by one blocking allreduce over the whole arena, in place, after
+// backward has finished.
 func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	tr := t.Cfg.Tracer
 	rank := t.Comm.Rank()
@@ -156,35 +105,15 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	// any evaluation forwards run since) back to the pool.
 	t.ws.ReleaseAll()
 
-	overlapped := t.bkt != nil && t.Cfg.Overlap
-	if overlapped {
-		t.bkt.Reset()
-		for i := range t.inflight {
-			t.inflight[i] = nil
-		}
-		t.Model.SetBackwardHook(t.hookFn)
-	}
-
 	c0 := time.Now()
 	t.Model.ZeroGrads()
 	out := t.Model.Forward(x, true)
 	loss, grad := nn.LossForward(t.ws, t.Loss, out, y)
 	t.Model.Backward(grad)
-	if overlapped {
-		t.Model.SetBackwardHook(nil)
-	}
-	bwdEnd := time.Now()
-	t.ComputeNs += bwdEnd.Sub(c0).Nanoseconds()
+	t.ComputeNs += time.Since(c0).Nanoseconds()
 	tr.End(rank, telemetry.CatCompute, "fwd-bwd", stepStart, 0, "")
 
-	switch {
-	case t.bkt == nil:
-		t.syncMonolithic(tr, rank)
-	case overlapped:
-		t.drainBuckets(tr, rank, bwdEnd)
-	default:
-		t.syncBucketsBlocking(tr, rank)
-	}
+	t.syncGrads(tr, rank)
 
 	optStart := tr.Start()
 	o0 := time.Now()
@@ -205,9 +134,9 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	return mean
 }
 
-// syncMonolithic averages the whole gradient arena in one blocking
-// allreduce, in place.
-func (t *Trainer) syncMonolithic(tr *telemetry.Tracer, rank int) {
+// syncGrads averages the whole gradient arena in one blocking allreduce,
+// in place.
+func (t *Trainer) syncGrads(tr *telemetry.Tracer, rank int) {
 	flat := t.grads
 	commStart := tr.Start()
 	c1 := time.Now()
@@ -218,112 +147,15 @@ func (t *Trainer) syncMonolithic(tr *telemetry.Tracer, rank int) {
 	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, 8*int64(len(flat)), string(t.Cfg.Algo))
 }
 
-// syncBucketsBlocking exchanges each bucket with a blocking allreduce, in
-// layout order. Same reduction order as the overlapped path, just without
-// the overlap — the reference the bitwise-identity guarantee is stated
-// against.
-func (t *Trainer) syncBucketsBlocking(tr *telemetry.Tracer, rank int) {
-	inv := 1 / float64(t.Comm.Size())
-	for _, bk := range t.bkt.Buckets() {
-		flat := bk.Grads()
-		commStart := tr.Start()
-		c1 := time.Now()
-		t.Comm.AllreduceInPlace(flat, mpi.OpSum, t.Cfg.Algo)
-		t.CommNs += time.Since(c1).Nanoseconds()
-		tensor.VecScaleInto(flat, flat, inv)
-		tr.End(rank, telemetry.CatComm, bk.span,
-			commStart, 8*int64(bk.Elems), string(t.Cfg.Algo))
-	}
-}
-
-// backwardHook is installed on the model during an overlapped Step: fired
-// after each layer's Backward, it launches a bucket's nonblocking
-// allreduce the moment the bucket's last contributing layer finishes.
-func (t *Trainer) backwardHook(layerIdx int, _ nn.Layer) {
-	if bi := t.bkt.MarkLayerDone(layerIdx); bi >= 0 {
-		t.launchBucket(bi)
-	}
-}
-
-// launchBucket starts bucket bi's nonblocking ring allreduce on its span
-// of the gradient arena (IallreduceShared): no copy per launch. This is
-// safe because the rest of backward writes only the gradients of earlier
-// layers, which lie outside the span, and drainBuckets waits on every
-// request before Step returns.
-func (t *Trainer) launchBucket(bi int) {
-	bk := t.bkt.Buckets()[bi]
-	t.launched[bi] = time.Now()
-	t.inflight[bi] = t.Comm.IallreduceShared(bk.Grads(), mpi.OpSum)
-}
-
-// drainBuckets waits for every in-flight bucket allreduce (in launch
-// order), scales each reduced span to the mean in place, and accounts
-// overlap: the span of each operation that ran before bwdEnd was hidden
-// behind backward compute.
-func (t *Trainer) drainBuckets(tr *telemetry.Tracer, rank int, bwdEnd time.Time) {
-	inv := 1 / float64(t.Comm.Size())
-	for bi := range t.inflight {
-		if t.inflight[bi] == nil {
-			// Every Sequential layer's Backward runs, so every bucket is
-			// launched by the hook; this is a guard for exotic models.
-			t.launchBucket(bi)
-		}
-		req := t.inflight[bi]
-		bk := t.bkt.Buckets()[bi]
-		waitStart := tr.Start()
-		w := time.Now()
-		flat := req.Wait()
-		t.CommNs += time.Since(w).Nanoseconds()
-		completed := req.CompletedAt()
-		total := completed.Sub(t.launched[bi])
-		hidden := total
-		if completed.After(bwdEnd) {
-			hidden = bwdEnd.Sub(t.launched[bi])
-		}
-		if hidden < 0 {
-			hidden = 0
-		}
-		if total > 0 {
-			atomic.AddInt64(&t.overlapHiddenNs, hidden.Nanoseconds())
-			atomic.AddInt64(&t.overlapTotalNs, total.Nanoseconds())
-		}
-		tensor.VecScaleInto(flat, flat, inv)
-		tr.End(rank, telemetry.CatComm, bk.span,
-			waitStart, 8*int64(bk.Elems), "iallreduce-ring")
-		t.inflight[bi] = nil
-	}
-}
-
 // CommFraction returns the share of this rank's accumulated step time
 // spent communicating — the quantity whose growth with worker count
-// bounds data-parallel scaling efficiency (§III-A). Overlapped sync
-// charges only unhidden wait time, so enabling overlap lowers this.
+// bounds data-parallel scaling efficiency (§III-A).
 func (t *Trainer) CommFraction() float64 {
 	total := t.ComputeNs + t.CommNs
 	if total == 0 {
 		return 0
 	}
 	return float64(t.CommNs) / float64(total)
-}
-
-// OverlapRatio returns the fraction of cumulative bucket-allreduce wall
-// time that ran concurrently with backward compute (0 when overlap never
-// ran). Safe to call from a metrics scraper while training runs.
-func (t *Trainer) OverlapRatio() float64 {
-	total := atomic.LoadInt64(&t.overlapTotalNs)
-	if total == 0 {
-		return 0
-	}
-	return float64(atomic.LoadInt64(&t.overlapHiddenNs)) / float64(total)
-}
-
-// NumBuckets returns the number of gradient buckets in the configured
-// layout (0 in monolithic mode).
-func (t *Trainer) NumBuckets() int {
-	if t.bkt == nil {
-		return 0
-	}
-	return t.bkt.NumBuckets()
 }
 
 // StepCount returns the number of optimizer steps taken.

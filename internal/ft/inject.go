@@ -157,19 +157,6 @@ func (inj *Injector) Allreduce(data []float64, op mpi.ReduceOp, algo mpi.Algo) [
 	return inj.inner.Allreduce(data, op, algo)
 }
 
-func (inj *Injector) Iallreduce(data []float64, op mpi.ReduceOp) *mpi.AllreduceRequest {
-	// Straggle charges the launch, not the completion: the background
-	// transfer itself is the inner comm's business, and delaying the call
-	// site is what perturbs an overlapped schedule the way a slow NIC does.
-	inj.straggle()
-	return inj.inner.Iallreduce(data, op)
-}
-
-func (inj *Injector) IallreduceShared(buf []float64, op mpi.ReduceOp) *mpi.AllreduceRequest {
-	inj.straggle()
-	return inj.inner.IallreduceShared(buf, op)
-}
-
 func (inj *Injector) AllreduceInPlace(data []float64, op mpi.ReduceOp, algo mpi.Algo) {
 	inj.straggle()
 	inj.inner.AllreduceInPlace(data, op, algo)

@@ -21,10 +21,9 @@ import "sync"
 // user tags on the world, and everything in a split group's block —
 // user tags and the group's own collective traffic alike, since group
 // collectives get no collective span (see Comm.collective). The world's
-// internal band [maxUserTag, commTagStride) — barrier/bcast/… handshakes
-// and the iallreduce band, whose background-goroutine traffic
-// would break per-rank seq ordering — is deliberately excluded; world
-// collectives are traced as single SpanCollective spans instead.
+// internal band [maxUserTag, commTagStride) — barrier/bcast/… handshakes —
+// is deliberately excluded; world collectives are traced as single
+// SpanCollective spans instead.
 func traceTag(wtag int) bool {
 	return wtag < maxUserTag || wtag >= commTagStride
 }

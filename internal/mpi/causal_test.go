@@ -7,8 +7,8 @@ import (
 )
 
 // The tag-band policy: user p2p traffic and split-group traffic get causal
-// spans; the world's internal collective/iallreduce payload bands do
-// not (they are already summarized by the enclosing collective span).
+// spans; the world's internal collective band does not (it is already
+// summarized by the enclosing collective span).
 // A group's tag block starts at its comm id times the stride.
 func TestTraceTagBands(t *testing.T) {
 	cases := []struct {
@@ -19,7 +19,6 @@ func TestTraceTagBands(t *testing.T) {
 		{0, true, 0},
 		{maxUserTag - 1, true, 0},
 		{maxUserTag, false, 0},          // collective internal band
-		{tagIallreduceBase, false, 0},   // iallreduce band
 		{commTagStride - 1, false, 0},   // top of the internal band
 		{commTagStride, true, 1},        // block of the first split group
 		{commTagStride*3 + 17, true, 3}, // block of comm id 3

@@ -20,7 +20,6 @@ const (
 	tagRing // the traced stream of a blocking ring collective (ring.go)
 	tagRecDouble
 	tagRecAdjust
-	tagAlltoall
 )
 
 // ReduceOp is an associative, commutative elementwise reduction.
@@ -194,8 +193,8 @@ func (c *Comm) Allreduce(data []float64, op ReduceOp, algo Algo) []float64 {
 // AllreduceInPlace combines data across all ranks with op, overwriting
 // data with the result on every rank. Every algorithm reduces natively in
 // place — no result vector is allocated, and the wire buffers a call
-// borrows all return to the pool — so this is the path distdl bucket sync
-// and the pipeline gradient drain ride, and the one Allreduce wraps.
+// borrows all return to the pool — so this is the path the pipeline
+// gradient drain rides, and the one Allreduce wraps.
 func (c *Comm) AllreduceInPlace(data []float64, op ReduceOp, algo Algo) {
 	c.allreduce(data, op, algo, 0)
 }
@@ -216,7 +215,7 @@ func (c *Comm) allreduce(data []float64, op ReduceOp, algo Algo, scale float64) 
 			c.reduceInPlace(0, data, op)
 			c.BcastInto(0, data)
 		case AlgoRing:
-			c.ring(c.g.ring, tagRing, data, op.Combine, c.rank, 2, scale)
+			c.ring(data, op.Combine, c.rank, 2, scale)
 			return
 		case AlgoRecursiveDoubling:
 			c.allreduceRecDoubling(data, op)
@@ -305,7 +304,7 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 	copy(acc, data)
 	// Starting one chunk behind the allreduce leaves rank r holding chunk r
 	// (the MPI_Reduce_scatter convention).
-	c.ring(c.g.ring, tagRing, acc, op.Combine, c.rank-1, 1, 0)
+	c.ring(acc, op.Combine, c.rank-1, 1, 0)
 	lo, hi := chunkBounds(len(acc), c.Size(), c.rank)
 	out := wire.get(hi - lo)
 	copy(out, acc[lo:hi])
@@ -320,7 +319,7 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	n := len(data)
 	out := make([]float64, n*c.Size())
 	copy(out[c.rank*n:], data)
-	c.ring(c.g.ring, tagRing, out, copyInto, c.rank, 1, 0)
+	c.ring(out, copyInto, c.rank, 1, 0)
 	return out
 }
 
@@ -362,31 +361,6 @@ func (c *Comm) Scatter(root int, parts [][]float64) []float64 {
 	return out
 }
 
-// Alltoall performs a full personalized exchange: rank r sends parts[d]
-// to rank d and returns the slice of parts received, indexed by source
-// rank. len(parts) must equal the world size; part lengths may differ.
-func (c *Comm) Alltoall(parts [][]float64) [][]float64 {
-	defer c.collective(KindAlltoall, totalLen(parts), "")()
-	p := c.Size()
-	if len(parts) != p {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d parts, got %d", p, len(parts)))
-	}
-	out := make([][]float64, p)
-	out[c.rank] = append([]float64(nil), parts[c.rank]...)
-	// Send in a rank-rotated order to avoid all ranks hammering rank 0
-	// first (a standard alltoall scattering pattern).
-	for s := 1; s < p; s++ {
-		dst := (c.rank + s) % p
-		c.Send(dst, tagAlltoall, parts[dst])
-	}
-	for s := 1; s < p; s++ {
-		src := (c.rank - s + p) % p
-		data, _ := c.Recv(src, tagAlltoall)
-		out[src] = data
-	}
-	return out
-}
-
 // AllreduceScalar reduces a single value across ranks; a convenience for
 // metric aggregation (loss, accuracy counts).
 func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
@@ -394,14 +368,6 @@ func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
 	buf[0] = v
 	c.allreduce(buf, op, AlgoDefault, 0)
 	return buf[0]
-}
-
-// AllreduceMean averages a vector across ranks (sum allreduce, scaled).
-func (c *Comm) AllreduceMean(data []float64, algo Algo) []float64 {
-	out := c.world.wire.get(len(data))
-	copy(out, data)
-	c.allreduce(out, OpSum, algo, 1/float64(c.Size()))
-	return out
 }
 
 // AllreduceMeanInPlace averages data across ranks in place: a sum allreduce
@@ -413,7 +379,7 @@ func (c *Comm) AllreduceMeanInPlace(data []float64, algo Algo) {
 }
 
 // totalLen sums the element counts of a per-rank part list (span sizing
-// for Scatter/Alltoall, whose payload is the whole part set).
+// for Scatter, whose payload is the whole part set).
 func totalLen(parts [][]float64) int {
 	n := 0
 	for _, p := range parts {

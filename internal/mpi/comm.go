@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -88,16 +87,15 @@ func (c *Comm) traceRecv(tr *telemetry.Tracer, t0 int64, wsrc, wtag, elems int) 
 	})
 }
 
-// recv is the one matched receive behind Recv, RecvInto and RecvTimeout:
-// it translates the group-local (src, tag) to world coordinates, blocks in
-// this rank's mailbox (up to timeout; noTimeout waits indefinitely), and
-// returns the message with its source mapped back to a group rank. A
-// traced receive emits a span covering the blocked wait and carrying the
-// stream coordinates (actual source, tag, per-stream seq) that match it to
-// its send; the tracer is loaded once so attach/detach races cannot
-// mismatch start and emit, and the clock is read only when the tag is
-// traced.
-func (c *Comm) recv(src, tag int, timeout time.Duration) (message, bool) {
+// recv is the one matched receive behind Recv and RecvInto: it translates
+// the group-local (src, tag) to world coordinates, blocks in this rank's
+// mailbox, and returns the message with its source mapped back to a group
+// rank. A traced receive emits a span covering the blocked wait and
+// carrying the stream coordinates (actual source, tag, per-stream seq)
+// that match it to its send; the tracer is loaded once so attach/detach
+// races cannot mismatch start and emit, and the clock is read only when
+// the tag is traced.
+func (c *Comm) recv(src, tag int) message {
 	w, wsrc, wtag := c.world, src, c.g.tagBase+tag
 	if src != AnySource {
 		wsrc = c.g.members[src]
@@ -107,24 +105,21 @@ func (c *Comm) recv(src, tag int, timeout time.Duration) (message, bool) {
 		tr = nil
 	}
 	t0 := tr.Start()
-	msg, ok := w.boxes[c.wrank].get(wsrc, wtag, timeout)
-	if !ok {
-		return msg, false
-	}
+	msg := w.boxes[c.wrank].get(wsrc, wtag)
 	c.traceRecv(tr, t0, msg.src, wtag, len(msg.data))
 	if src != AnySource {
 		msg.src = src
 	} else {
 		msg.src = c.g.rankOf(msg.src)
 	}
-	return msg, true
+	return msg
 }
 
 // Recv blocks until a message from src (or AnySource) with the given tag
 // arrives and returns its payload and actual source rank. The caller owns
 // the payload.
 func (c *Comm) Recv(src, tag int) ([]float64, int) {
-	msg, _ := c.recv(src, tag, noTimeout)
+	msg := c.recv(src, tag)
 	return msg.data, msg.src
 }
 
@@ -140,22 +135,13 @@ func (c *Comm) Recv(src, tag int) ([]float64, int) {
 // message does not fit in buf: a pipeline stage knows its activation
 // shapes, so truncation is a protocol bug, not a runtime condition.
 func (c *Comm) RecvInto(src, tag int, buf []float64) (int, int) {
-	msg, _ := c.recv(src, tag, noTimeout)
+	msg := c.recv(src, tag)
 	if len(msg.data) > len(buf) {
 		panic(fmt.Sprintf("mpi: RecvInto buffer too small: message %d elems, buffer %d", len(msg.data), len(buf)))
 	}
 	n := copy(buf, msg.data)
 	c.world.wire.put(msg.data)
 	return n, msg.src
-}
-
-// RecvTimeout is Recv with a deadline: the third return reports whether a
-// message arrived before the timeout elapsed. Heartbeat and failure-
-// detection protocols need a bounded wait — a plain Recv from a dead peer
-// blocks forever.
-func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) ([]float64, int, bool) {
-	msg, ok := c.recv(src, tag, max(timeout, 0))
-	return msg.data, msg.src, ok
 }
 
 // Probe reports whether a matching message is already queued, without

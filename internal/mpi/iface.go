@@ -27,13 +27,6 @@ type Communicator interface {
 	Barrier()
 	Bcast(root int, data []float64) []float64
 	Allreduce(data []float64, op ReduceOp, algo Algo) []float64
-	// Iallreduce starts a nonblocking ring allreduce and returns a handle
-	// to Test/Wait on; the caller overlaps computation with the transfer.
-	Iallreduce(data []float64, op ReduceOp) *AllreduceRequest
-	// IallreduceShared is Iallreduce without the defensive input copy: the
-	// reduction runs in place on the caller's buffer, which must stay
-	// untouched until Wait returns it.
-	IallreduceShared(buf []float64, op ReduceOp) *AllreduceRequest
 	// AllreduceInPlace is the zero-copy Allreduce: the result overwrites
 	// data on every rank, and the ring and recursive-doubling paths
 	// allocate nothing in steady state.

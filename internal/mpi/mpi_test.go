@@ -423,7 +423,8 @@ func TestAllreduceScalarAndMean(t *testing.T) {
 		if got := c.AllreduceScalar(2, OpSum); got != 8 {
 			return fmt.Errorf("scalar: %f", got)
 		}
-		m := c.AllreduceMean([]float64{float64(c.Rank())}, AlgoRing)
+		m := []float64{float64(c.Rank())}
+		c.AllreduceMeanInPlace(m, AlgoRing)
 		if m[0] != 1.5 {
 			return fmt.Errorf("mean: %v", m)
 		}
@@ -552,62 +553,6 @@ func TestGCEConcurrentGenerations(t *testing.T) {
 	}
 }
 
-func TestAlltoall(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		w := NewWorld(p)
-		err := w.Run(func(c *Comm) error {
-			parts := make([][]float64, p)
-			for d := range parts {
-				// rank r sends [r, d] to rank d.
-				parts[d] = []float64{float64(c.Rank()), float64(d)}
-			}
-			got := c.Alltoall(parts)
-			for src, data := range got {
-				if len(data) != 2 || data[0] != float64(src) || data[1] != float64(c.Rank()) {
-					return fmt.Errorf("rank %d from %d: %v", c.Rank(), src, data)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
-func TestAlltoallUnevenParts(t *testing.T) {
-	const p = 3
-	w := NewWorld(p)
-	err := w.Run(func(c *Comm) error {
-		parts := make([][]float64, p)
-		for d := range parts {
-			parts[d] = make([]float64, c.Rank()+1) // length = sender rank+1
-		}
-		got := c.Alltoall(parts)
-		for src, data := range got {
-			if len(data) != src+1 {
-				return fmt.Errorf("from %d: len %d", src, len(data))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallPanicsOnWrongPartCount(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		defer func() { recover() }()
-		c.Alltoall([][]float64{{1}})
-		return fmt.Errorf("expected panic")
-	})
-	if err != nil && err.Error() == "expected panic" {
-		t.Fatal(err)
-	}
-}
-
 // TestCollectiveStressRandomDelays injects random scheduling delays into
 // ranks while running mixed collectives back-to-back: a failure-injection
 // test for ordering assumptions (FIFO matching must keep everything
@@ -640,16 +585,42 @@ func TestCollectiveStressRandomDelays(t *testing.T) {
 			for d := range parts {
 				parts[d] = []float64{float64(iter)}
 			}
-			a2a := c.Alltoall(parts)
-			for _, d := range a2a {
-				if d[0] != float64(iter) {
-					return fmt.Errorf("alltoall: %v", a2a)
-				}
+			if got := c.Scatter(iter%p, parts); got[0] != float64(iter) {
+				return fmt.Errorf("scatter: %v", got)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllreduceScalarRespectsDefaultAlgo: scalar reductions route through
+// the world default instead of hardcoding recursive doubling. The resolved
+// algorithm is observable in the per-collective span attribute.
+func TestAllreduceScalarRespectsDefaultAlgo(t *testing.T) {
+	w := NewWorld(2)
+	w.SetDefaultAlgo(AlgoNaive)
+	if got := w.DefaultAlgo(); got != AlgoNaive {
+		t.Fatalf("DefaultAlgo = %q, want %q", got, AlgoNaive)
+	}
+	err := w.Run(func(c *Comm) error {
+		if got := c.AllreduceScalar(1, OpSum); got != 2 {
+			return fmt.Errorf("AllreduceScalar = %v, want 2", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With the naive algorithm there is no recursive-doubling traffic at
+	// all; with the old hardcoded choice there would be.
+	if n := w.TotalStats().ByKind[KindAllreduce]; n != 2 {
+		t.Fatalf("allreduce count = %d, want 2", n)
+	}
+	w2 := NewWorld(2)
+	if got := w2.DefaultAlgo(); got != AlgoAuto {
+		t.Fatalf("unset DefaultAlgo = %q, want %q", got, AlgoAuto)
 	}
 }

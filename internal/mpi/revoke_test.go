@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -112,35 +114,57 @@ func TestRevokedErrorMessage(t *testing.T) {
 	}
 }
 
-func TestRecvTimeoutExpires(t *testing.T) {
-	w := NewWorld(2)
-	start := time.Now()
-	_, _, ok := w.Comm(0).RecvTimeout(1, 5, 50*time.Millisecond)
-	if ok {
-		t.Fatal("RecvTimeout reported a message that was never sent")
+// A rank that never joins leaves its peers parked in the mailbox (a
+// receive, the dissemination barrier, the tree allreduce) or in the
+// collective engine (GCE) until Revoke; every one of them must then unwind
+// with RevokedError, and no goroutine may outlive the world. The ring's
+// waiters have their own gate (TestRingRevocationUnwindsStuckMembers).
+func TestRevocationUnwindsMailboxWaiters(t *testing.T) {
+	OpSum.Combine(make([]float64, 1<<18), make([]float64, 1<<18)) // start the kernel pool
+	base := runtime.NumGoroutine()
+	waits := []struct {
+		name string
+		wait func(c *Comm, absent int)
+	}{
+		{"Recv", func(c *Comm, absent int) { c.Recv(absent, 3) }},
+		{"RecvInto", func(c *Comm, absent int) { c.RecvInto(absent, 3, make([]float64, 4)) }},
+		{"Barrier", func(c *Comm, _ int) { c.Barrier() }},
+		{"tree-Allreduce", func(c *Comm, _ int) { c.Allreduce([]float64{1, 2}, OpSum, AlgoTree) }},
+		{"GCE-Allreduce", func(c *Comm, _ int) { c.Allreduce([]float64{1, 2}, OpSum, AlgoGCE) }},
 	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Fatalf("RecvTimeout returned after %v, before the deadline", elapsed)
-	}
-}
-
-func TestRecvTimeoutDelivers(t *testing.T) {
-	w := NewWorld(2)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		w.Comm(1).Send(0, 5, []float64{42})
-	}()
-	data, src, ok := w.Comm(0).RecvTimeout(1, 5, 2*time.Second)
-	if !ok || src != 1 || len(data) != 1 || data[0] != 42 {
-		t.Fatalf("RecvTimeout got (%v, %d, %v)", data, src, ok)
-	}
-}
-
-func TestRecvTimeoutImmediate(t *testing.T) {
-	w := NewWorld(2)
-	w.Comm(1).Send(0, 9, []float64{7})
-	data, _, ok := w.Comm(0).RecvTimeout(1, 9, time.Millisecond)
-	if !ok || data[0] != 7 {
-		t.Fatal("RecvTimeout missed an already-queued message")
+	for _, wc := range waits {
+		for _, p := range []int{2, 3, 4} {
+			where := fmt.Sprintf("%s p=%d", wc.name, p)
+			absent := p - 1
+			w := NewWorld(p)
+			outcome := make([]string, p)
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(c *Comm) error {
+					switch {
+					case c.Rank() == absent:
+						outcome[c.Rank()] = "absent"
+					case recoverRevoked(func() { wc.wait(c, absent) }):
+						outcome[c.Rank()] = "revoked"
+					default:
+						outcome[c.Rank()] = "returned"
+					}
+					return nil
+				})
+			}()
+			time.Sleep(20 * time.Millisecond) // let the present ranks park
+			w.Revoke("rank never joined")
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: ranks still blocked after Revoke", where)
+			}
+			for r, o := range outcome {
+				if want := map[bool]string{false: "revoked", true: "absent"}[r == absent]; o != want {
+					t.Fatalf("%s: rank %d %s, want %s", where, r, o, want)
+				}
+			}
+			waitGoroutines(t, base, where)
+		}
 	}
 }

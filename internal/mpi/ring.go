@@ -8,17 +8,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// ringOp is the rendezvous of the in-place ring (DESIGN §9): one slot per
-// group member, in which it publishes its buffer and progress. A group
-// keeps one for its blocking ring collectives, each call a new epoch, and
-// one per in-flight IallreduceShared (group.iop).
-type ringOp struct {
-	slots  []ringSlot
-	joined atomic.Int32 // members arrived; nonblocking ops only
-}
-
-// ringSlot is one member's published view. state packs the owner's epoch
-// (its count of calls on the ringOp) above its completed steps, so "this
+// ringSlot is one member's published view in the rendezvous of the
+// in-place ring (DESIGN §9): a group holds one slot per member, and each
+// ring collective is a new epoch on it. state packs the owner's epoch (its
+// count of ring calls on the group) above its completed steps, so "this
 // call, at least s steps" is one comparison; buf is set before the epoch is
 // published.
 type ringSlot struct {
@@ -50,15 +43,16 @@ const ringSpins = 32
 // A nonzero scale multiplies the chunk the first pass completes. Each step
 // counts, and on a traced group emits, one message of the chunk it makes
 // available.
-func (c *Comm) ring(op *ringOp, tag int, data []float64, combine func(dst, src []float64), start, passes int, scale float64) {
+func (c *Comm) ring(data []float64, combine func(dst, src []float64), start, passes int, scale float64) {
 	w, p, n := c.world, c.Size(), len(data)
 	w.revoked.check()
 	left, right, far := (c.rank+p-1)%p, (c.rank+1)%p, (c.rank+2)%p
 	wl, wr, wf := c.g.members[left], c.g.members[right], c.g.members[far]
-	me, ls, rs, fs := &op.slots[c.rank], &op.slots[left], &op.slots[right], &op.slots[far]
+	slots := c.g.ring
+	me, ls, rs, fs := &slots[c.rank], &slots[left], &slots[right], &slots[far]
 	me.buf = data
 	base := (me.state.Load()>>32 + 1) << 32
-	tr, wtag := w.tracer.Load(), c.g.tagBase+tag
+	tr, wtag := w.tracer.Load(), c.g.tagBase+tagRing
 	if !traceTag(wtag) {
 		tr = nil
 	}
@@ -139,16 +133,4 @@ func (w *World) await(sl *ringSlot, wrank int, want uint64) {
 		sp.parked.Add(-1)
 		sp.mu.Unlock()
 	}
-}
-
-// iop returns nonblocking op seq's slots: made by the first member to
-// arrive, dropped from the group by the last, after which each member holds
-// them until its ring returns.
-func (g *group) iop(seq int) *ringOp {
-	v, _ := g.iops.LoadOrStore(seq, &ringOp{slots: make([]ringSlot, len(g.members))})
-	op := v.(*ringOp)
-	if int(op.joined.Add(1)) == len(g.members) {
-		g.iops.Delete(seq)
-	}
-	return op
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -108,6 +109,7 @@ func TestRingMeanMatchesSumThenScale(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5} {
 		w := NewWorld(p)
 		err := runFailFast(w, func(c *Comm) error {
+			g := c.split(0, c.Rank())
 			for _, n := range []int{0, 1, p + 1, 1023, 4099} {
 				x := propertyFloats(c.wrank, n, 5)
 				want := append([]float64(nil), x...)
@@ -118,14 +120,81 @@ func TestRingMeanMatchesSumThenScale(t *testing.T) {
 				if err := sameBits(got, want); err != nil {
 					return fmt.Errorf("p=%d n=%d: mean-in-place: %v", p, n, err)
 				}
-				if err := sameBits(c.AllreduceMean(x, AlgoRing), want); err != nil {
-					return fmt.Errorf("p=%d n=%d: allocating mean: %v", p, n, err)
+				got = append(got[:0], x...)
+				g.AllreduceMeanInPlace(got, AlgoRing)
+				if err := sameBits(got, want); err != nil {
+					return fmt.Errorf("p=%d n=%d: group mean-in-place: %v", p, n, err)
 				}
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// iallreduce is the nonblocking allreduce a caller builds now that mpi has
+// none: the in-place ring run over a copy of data on a goroutine of its
+// own, which is what the deleted Iallreduce was. wait returns the result,
+// or re-panics on the caller's goroutine with what the ring panicked with.
+func iallreduce(c *Comm, data []float64, op ReduceOp) (wait func() []float64) {
+	buf := append([]float64(nil), data...)
+	done := make(chan struct{})
+	var failed any
+	go func() {
+		defer close(done)
+		defer func() { failed = recover() }()
+		c.AllreduceInPlace(buf, op, AlgoRing)
+	}()
+	return func() []float64 {
+		<-done
+		if failed != nil {
+			panic(failed)
+		}
+		return buf
+	}
+}
+
+// TestIallreduceMatchesBlockingRing keeps the name it had when it pinned
+// Iallreduce to the blocking ring. For every world size, payload size and
+// op, the in-place ring driven from a goroutine other than the rank's
+// (iallreduce above) must return bitwise what the allocating blocking ring
+// returns, and leave its input untouched.
+func TestIallreduceMatchesBlockingRing(t *testing.T) {
+	ops := []ReduceOp{OpSum, OpMax, OpMin, OpProd}
+	sizes := []int{0, 1, 2, 3, 5, 17, 1024, 4099}
+	for _, p := range []int{1, 2, 3, 4, 8} {
+		for _, n := range sizes {
+			for _, op := range ops {
+				t.Run(fmt.Sprintf("p%d/n%d/%s", p, n, op.Name), func(t *testing.T) {
+					inputs := make([][]float64, p)
+					rng := rand.New(rand.NewSource(int64(p*100000 + n)))
+					for r := range inputs {
+						inputs[r] = make([]float64, n)
+						for i := range inputs[r] {
+							inputs[r][i] = rng.NormFloat64() * 10
+						}
+					}
+					w := NewWorld(p)
+					err := runFailFast(w, func(c *Comm) error {
+						in := inputs[c.Rank()]
+						orig := append([]float64(nil), in...)
+						want := c.Allreduce(in, op, AlgoRing)
+						got := iallreduce(c, in, op)()
+						if err := sameBits(got, want); err != nil {
+							return fmt.Errorf("rank %d: goroutine in-place ring vs blocking ring: %v", c.Rank(), err)
+						}
+						if err := sameBits(in, orig); err != nil {
+							return fmt.Errorf("rank %d: input changed: %v", c.Rank(), err)
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }
@@ -143,7 +212,6 @@ func TestRingTakesNoWireBuffers(t *testing.T) {
 		c.AllreduceInPlace(x, OpSum, AlgoRing)
 		c.AllreduceMeanInPlace(x, AlgoRing)
 		g.AllreduceInPlace(x, OpMax, AlgoRing)
-		g.IallreduceShared(x, OpSum).Wait()
 		c.Barrier()
 		if g1, _ := w.WireStats(); g1 != g0 {
 			return fmt.Errorf("ring allreduces took %d wire buffers", g1-g0)
@@ -166,7 +234,7 @@ func TestRingGroupTraceMatches(t *testing.T) {
 			g := c.split(0, -c.Rank())
 			x := propertyFloats(c.wrank, 1023, 7)
 			g.AllreduceInPlace(x, OpSum, AlgoRing)
-			g.IallreduceShared(x, OpSum).Wait()
+			g.AllreduceMeanInPlace(x, AlgoRing)
 			g.ReduceScatter(x, OpSum)
 			g.Allgather(x[:5])
 			return nil
@@ -254,25 +322,23 @@ func parkedWaiters(w *World) int {
 
 // A member that never joins, or that panics mid-pass, leaves its peers
 // stuck in the ring until Revoke; every one of them must then unwind with
-// RevokedError, blocking or nonblocking, on the world or a split group, and
-// no goroutine may outlive the world.
+// RevokedError, on the world or a split group, and no goroutine may outlive
+// the world.
 func TestRingRevocationUnwindsStuckMembers(t *testing.T) {
 	OpSum.Combine(make([]float64, 1<<18), make([]float64, 1<<18)) // start the kernel pool
 	base := runtime.NumGoroutine()
 	for _, p := range []int{2, 3, 4, 5} {
 		for _, fault := range []string{"never-joins", "panics"} {
 			for _, comm := range []string{"world", "group"} {
-				for _, nonblocking := range []bool{false, true} {
-					where := fmt.Sprintf("p=%d %s %s nonblocking=%v", p, fault, comm, nonblocking)
-					ringRevocationCase(t, where, p, fault == "panics", comm == "group", nonblocking)
-					waitGoroutines(t, base, where)
-				}
+				where := fmt.Sprintf("p=%d %s %s", p, fault, comm)
+				ringRevocationCase(t, where, p, fault == "panics", comm == "group")
+				waitGoroutines(t, base, where)
 			}
 		}
 	}
 }
 
-func ringRevocationCase(t *testing.T, where string, p int, panics, group, nonblocking bool) {
+func ringRevocationCase(t *testing.T, where string, p int, panics, group bool) {
 	t.Helper()
 	const bad = 1 // the faulty member
 	w := NewWorld(p)
@@ -306,12 +372,7 @@ func ringRevocationCase(t *testing.T, where string, p int, panics, group, nonblo
 					panic(r)
 				}
 			}()
-			x := make([]float64, 1000)
-			if nonblocking {
-				g.IallreduceShared(x, op).Wait()
-			} else {
-				g.AllreduceInPlace(x, op, AlgoRing)
-			}
+			g.AllreduceInPlace(make([]float64, 1000), op, AlgoRing)
 			outcome[c.Rank()] = "returned"
 			return nil
 		})

@@ -29,20 +29,13 @@ type group struct {
 	id      int
 	members []int // world rank of each group rank, in group order
 	tagBase int
-	// iseq holds each member's nonblocking-collective sequence counter
-	// (iallreduce.go): collectives are issued in the same order on every
-	// member, so equal counters on different members name the same
-	// operation, whose ring slots iops holds while it is in flight.
-	iseq  []int64
-	iops  sync.Map   // seq -> *ringOp
-	ring  *ringOp    // the blocking ring collectives' slots (ring.go)
-	split splitState // rendezvous for Split calls on this group
-	gce   gceRound   // this group's slot in the world's collective engine
+	ring    []ringSlot // the ring collectives' slots, one per member (ring.go)
+	split   splitState // rendezvous for Split calls on this group
+	gce     gceRound   // this group's slot in the world's collective engine
 }
 
 func newGroup(id int, members []int) *group {
-	g := &group{id: id, members: members, tagBase: id * commTagStride, iseq: make([]int64, len(members)),
-		ring: &ringOp{slots: make([]ringSlot, len(members))}}
+	g := &group{id: id, members: members, tagBase: id * commTagStride, ring: make([]ringSlot, len(members))}
 	g.split.cond = sync.NewCond(&g.split.mu)
 	return g
 }

@@ -268,82 +268,3 @@ func TestHierarchicalCostModelShape(t *testing.T) {
 		t.Fatalf("groupSize=1 should equal flat ring: %g vs %g", g1, flat8)
 	}
 }
-
-func TestIsendIrecvWait(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 5, []float64{7, 8})
-			if !req.Test() {
-				return fmt.Errorf("buffered Isend must complete immediately")
-			}
-			req.Wait()
-			return nil
-		}
-		req := c.Irecv(0, 5)
-		data, src := req.Wait()
-		if src != 0 || len(data) != 2 || data[1] != 8 {
-			return fmt.Errorf("irecv: %v from %d", data, src)
-		}
-		if !req.Test() {
-			return fmt.Errorf("completed request must test true")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIrecvOverlapsWork(t *testing.T) {
-	// Post the receive before the send exists, do "compute", then wait:
-	// the overlap pattern of Horovod's layer-wise allreduce.
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
-			req := c.Irecv(0, 9)
-			if req.Test() {
-				return fmt.Errorf("receive completed before any send")
-			}
-			sum := 0.0
-			for i := 0; i < 100000; i++ {
-				sum += float64(i)
-			}
-			_ = sum
-			c.Send(0, 10, []float64{1}) // signal rank 0 to send
-			data, _ := req.Wait()
-			if data[0] != 42 {
-				return fmt.Errorf("overlapped recv: %v", data)
-			}
-			return nil
-		}
-		c.Recv(1, 10)
-		c.Send(1, 9, []float64{42})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			r1 := c.Irecv(1, 1)
-			r2 := c.Irecv(2, 1)
-			WaitAll(r1, r2)
-			d1, _ := r1.Wait()
-			d2, _ := r2.Wait()
-			if d1[0] != 1 || d2[0] != 2 {
-				return fmt.Errorf("waitall: %v %v", d1, d2)
-			}
-			return nil
-		}
-		c.Send(0, 1, []float64{float64(c.Rank())})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

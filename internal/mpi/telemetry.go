@@ -27,17 +27,14 @@ const (
 	KindAllgather
 	KindGather
 	KindScatter
-	KindAlltoall
 	KindSplit
 	KindHierarchicalAllreduce
-	KindIallreduce
 	NumCollectiveKinds
 )
 
 var kindNames = [NumCollectiveKinds]string{
 	"barrier", "bcast", "reduce", "allreduce", "reduce-scatter",
-	"allgather", "gather", "scatter", "alltoall", "split",
-	"hierarchical-allreduce", "iallreduce",
+	"allgather", "gather", "scatter", "split", "hierarchical-allreduce",
 }
 
 // String returns the kind's canonical lowercase name.

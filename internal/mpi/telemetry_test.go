@@ -135,7 +135,7 @@ func TestWorldRegisterMetrics(t *testing.T) {
 	for _, want := range []string{
 		`msa_mpi_collectives_total{type="allreduce"} 2`,
 		`msa_mpi_collectives_total{type="barrier"} 2`,
-		`msa_mpi_collectives_total{type="alltoall"} 0`,
+		`msa_mpi_collectives_total{type="scatter"} 0`,
 		"msa_mpi_world_size 2",
 	} {
 		if !strings.Contains(out, want) {

@@ -8,12 +8,12 @@
 // carves further groups out of any Comm. Point-to-point Send/Recv/RecvInto
 // and every collective the paper's distributed deep-learning workloads
 // need — Barrier, Bcast, Reduce, Allreduce, Allgather, Gather, Scatter,
-// ReduceScatter, nonblocking Iallreduce — are written once against that
-// type and so run on the world and on any split group alike. Allreduce
-// has selectable algorithms (naive gather-based, binomial tree, ring,
-// recursive doubling, and a simulated FPGA Global Collective Engine as in
-// the MSA's ESB fabric, Section II-A of the paper), each with one
-// in-place core; the allocating, mean and scalar forms wrap it. The ring
+// ReduceScatter — are written once against that type and so run on the
+// world and on any split group alike. Allreduce has selectable algorithms
+// (naive gather-based, binomial tree, ring, recursive doubling, and a
+// simulated FPGA Global Collective Engine as in the MSA's ESB fabric,
+// Section II-A of the paper), each with one in-place core; the allocating,
+// mean and scalar forms wrap it. The ring
 // collectives use neither mailbox nor wire pool: a rank reads and writes
 // its neighbours' buffers in place and returns once no neighbour touches
 // its own, and the ring's mean scales each reduced chunk once (ring.go).
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -76,30 +75,17 @@ func (m *mailbox) match(src, tag int, take bool) (message, bool) {
 	return message{}, false
 }
 
-// noTimeout makes get wait indefinitely.
-const noTimeout time.Duration = -1
-
 // get blocks until a message matching (src, tag) is available and removes
 // it from the queue. src may be AnySource. FIFO order among matching
-// messages is preserved. With timeout >= 0 it gives up after that long and
-// returns (zero, false). Panics with RevokedError once the world is
+// messages is preserved. Panics with RevokedError once the world is
 // revoked, so blocked receivers unwind instead of hanging.
-func (m *mailbox) get(src, tag int, timeout time.Duration) (message, bool) {
-	var deadline time.Time
-	if timeout >= 0 {
-		deadline = time.Now().Add(timeout)
-		timer := time.AfterFunc(timeout, func() { wake(&m.cond) })
-		defer timer.Stop()
-	}
+func (m *mailbox) get(src, tag int) message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		m.revoked.check()
 		if msg, ok := m.match(src, tag, true); ok {
-			return msg, true
-		}
-		if timeout >= 0 && !time.Now().Before(deadline) {
-			return message{}, false
+			return msg
 		}
 		m.cond.Wait()
 	}

@@ -249,9 +249,6 @@ func (f *Flatten) Params() []*Param { return nil }
 // Sequential chains layers.
 type Sequential struct {
 	Layers []Layer
-	// hook, when set, fires after each layer's Backward during
-	// Sequential.Backward (SetBackwardHook).
-	hook BackwardHook
 	// ws remembers the workspace installed by SetWorkspace (nil means the
 	// model allocates plainly).
 	ws *tensor.Workspace
@@ -262,13 +259,6 @@ type Sequential struct {
 	values, grads []float64
 	bound         bool
 }
-
-// BackwardHook observes the backward pass layer by layer: it is called
-// with the layer index right after that layer's Backward returns, i.e. at
-// the moment the layer's parameter gradients are final. Overlapped
-// gradient synchronization (distdl) hangs off this: the hook launches a
-// bucket's allreduce while backward continues on earlier layers.
-type BackwardHook func(layerIndex int, layer Layer)
 
 // NewSequential builds a model from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
@@ -291,23 +281,13 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward runs all layers in reverse order, firing the backward hook
-// (if set) after each layer.
+// Backward runs all layers in reverse order.
 func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		dout = s.Layers[i].Backward(dout)
-		if s.hook != nil {
-			s.hook(i, s.Layers[i])
-		}
 	}
 	return dout
 }
-
-// SetBackwardHook installs (or, with nil, removes) the per-layer backward
-// hook. At most one hook is active; the gradients of layer i are final
-// when the hook fires with that index, since gradient accumulation for a
-// layer happens entirely inside its own Backward.
-func (s *Sequential) SetBackwardHook(h BackwardHook) { s.hook = h }
 
 // Params concatenates all layers' parameters in order. The list is cached
 // per layer set (Add invalidates it) so per-step callers — ZeroGrads runs
@@ -336,8 +316,8 @@ func (s *Sequential) ZeroGrads() {
 // Param.Value and Param.Grad becomes a view into its slab, holding the
 // numbers it held before; layers read p.Value and p.Grad at call time, so
 // they run unchanged. Distributed training exchanges the slabs in place:
-// the gradient slab is the allreduce buffer, and a bucket, pipeline chunk
-// or ZeRO shard is a sub-slice of it (Span). Binding a bound model only
+// the gradient slab is the allreduce buffer, and a pipeline chunk or ZeRO
+// shard is a sub-slice of it (Span). Binding a bound model only
 // returns its slabs, and Add panics afterwards. Parameters must be
 // float64.
 func (s *Sequential) BindArena() (values, grads []float64) {
@@ -362,8 +342,8 @@ func (s *Sequential) BindArena() (values, grads []float64) {
 }
 
 // Span returns the value and gradient sub-slices of the bound arena that
-// hold ps, which must be a contiguous run of Params() in order: a gradient
-// bucket, a pipeline chunk. It panics on an unbound model or on a list
+// hold ps, which must be a contiguous run of Params() in order, such as a
+// pipeline chunk. It panics on an unbound model or on a list
 // that is not such a run; an empty ps yields empty spans.
 func (s *Sequential) Span(ps []*Param) (values, grads []float64) {
 	if !s.bound {

@@ -9,7 +9,7 @@
 // (S−1)/(M+S−1) to roughly (S−1)/(vM+S−1)).
 //
 // This is the missing half of the repository's parallelism story: every
-// prior layer (ring/tree/GCE allreduce, overlap buckets, ZeRO-1) scales
+// prior layer (ring/tree/GCE allreduce, ZeRO-1) scales
 // training data-parallel only, replicating the whole model per rank. The
 // source paper's MSA setting — models grown to the point where one module
 // cannot hold them (§III-A; JUWELS Booster, arXiv:2108.11976) — needs the

@@ -23,10 +23,10 @@ import (
 //   - straggler-wait: time inside a collective before its last
 //     participant arrived — waiting on a slow peer, not on the network.
 //
-// Overlapped communication (background Iallreduce spans running under
-// compute) can make per-class sums exceed the window; idle is clamped
-// at zero and fractions report the sums as-is, which is the honest
-// reading: overlap hides comm *under* compute rather than deleting it.
+// Communication spans that run concurrently with compute on the same
+// track can make per-class sums exceed the window; idle is clamped at
+// zero and fractions report the sums as-is, which is the honest reading:
+// overlap hides comm *under* compute rather than deleting it.
 
 // RankBreakdown is one rank's attribution inside a window.
 type RankBreakdown struct {

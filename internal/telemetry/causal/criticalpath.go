@@ -94,7 +94,7 @@ func (d *DAG) binding(cur *Node) *Node {
 	selfT := int64(-1)
 	if prev != nil {
 		selfT = prev.Span.End()
-		// A concurrent span (overlapped background comm) can end after
+		// A span concurrent with cur on the same track can end after
 		// cur began; it cannot have gated cur later than cur's own start.
 		if selfT > cur.Span.Start {
 			selfT = cur.Span.Start
