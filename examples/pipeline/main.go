@@ -20,8 +20,8 @@ func main() {
 	//    schedule idles each stage for S−1 micro-slots per step:
 	//    B = (S−1)/(M+S−1). Interleaved 1F1B assigns each rank v=2 model
 	//    chunks, shrinking the fill to (S−1)/v slots. PlannedBubble
-	//    replays the exact schedule the engine will execute, so these are
-	//    the real numbers, not asymptotics.
+	//    reads the timeline of the exact schedule the engine will
+	//    execute, so these are the real numbers, not asymptotics.
 	fmt.Println("— Bubble fraction vs micro-batches (4 stages) —")
 	fmt.Printf("%4s  %8s  %8s  %8s\n", "M", "analytic", "gpipe", "1f1b")
 	for _, M := range []int{4, 8, 16, 32} {

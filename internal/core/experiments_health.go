@@ -27,8 +27,7 @@ func E6CovidNet(scale Scale) Result {
 
 	// Per-class sensitivity on the validation split needs a fresh model
 	// evaluation; retrain single-worker deterministically for the matrix.
-	resEval := trainCovidForConfusion(ds, split, epochs)
-	cm := resEval.confusion
+	cm := trainCovidForConfusion(ds, split, epochs)
 	rec := nn.PerClassRecall(cm)
 	prec := nn.PerClassPrecision(cm)
 
@@ -69,41 +68,27 @@ func E6CovidNet(scale Scale) Result {
 	}
 }
 
-type covidEval struct {
-	confusion [][]int
-}
-
-// trainCovidForConfusion trains a single-replica model to extract the
+// trainCovidForConfusion trains a single-replica model and returns its
 // validation confusion matrix.
-func trainCovidForConfusion(ds *data.CXRDataset, split data.Split, epochs int) covidEval {
-	res := covidEval{}
+func trainCovidForConfusion(ds *data.CXRDataset, split data.Split, epochs int) [][]int {
 	oneHot := ds.OneHotLabels()
-	w := mpi.NewWorld(1)
-	if err := w.Run(func(c *mpi.Comm) error {
-		cfg := DDPConfig{Workers: 1, Epochs: epochs, Batch: 4, BaseLR: 0.02, Seed: 54}
-		_ = cfg
-		model := nn.CovidNetMini(newRNG(54), ds.X.Dim(2), data.CXRClasses)
-		opt := nn.NewSGD(0.9, 1e-4)
-		loss := nn.SoftmaxCrossEntropy{}
-		for e := 0; e < epochs; e++ {
-			for _, batch := range batchIdx(split.Train, 4) {
-				bx := data.SelectRows(ds.X, batch)
-				by := data.SelectRows(oneHot, batch)
-				model.ZeroGrads()
-				out := model.Forward(bx, true)
-				_, grad := loss.Forward(out, by)
-				model.Backward(grad)
-				opt.Step(model.Params(), 0.02)
-			}
+	model := nn.CovidNetMini(newRNG(54), ds.X.Dim(2), data.CXRClasses)
+	opt := nn.NewSGD(0.9, 1e-4)
+	loss := nn.SoftmaxCrossEntropy{}
+	for e := 0; e < epochs; e++ {
+		for _, batch := range batchIdx(split.Train, 4) {
+			bx := data.SelectRows(ds.X, batch)
+			by := data.SelectRows(oneHot, batch)
+			model.ZeroGrads()
+			out := model.Forward(bx, true)
+			_, grad := loss.Forward(out, by)
+			model.Backward(grad)
+			opt.Step(model.Params(), 0.02)
 		}
-		vx := data.SelectRows(ds.X, split.Val)
-		vl := data.SelectLabels(ds.Labels, split.Val)
-		res.confusion = nn.ConfusionMatrix(model.Forward(vx, false), vl, data.CXRClasses)
-		return nil
-	}); err != nil {
-		panic(err)
 	}
-	return res
+	vx := data.SelectRows(ds.X, split.Val)
+	vl := data.SelectLabels(ds.Labels, split.Val)
+	return nn.ConfusionMatrix(model.Forward(vx, false), vl, data.CXRClasses)
 }
 
 func batchIdx(idx []int, size int) [][]int {

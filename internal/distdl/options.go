@@ -85,8 +85,8 @@ func WithPipeline(stages, microBatches int, schedule pipeline.Schedule) Option {
 
 // WithVirtualChunks sets the interleaving depth v of the pipeline axis:
 // each stage hosts v model chunks (chunk c lives on stage c mod S).
-// Defaults to 2 for the 1F1B schedule and 1 for GPipe; only meaningful
-// together with WithPipeline.
+// Unset (0), the schedule's default applies (see pipeline.Config's
+// VirtualChunks); only meaningful together with WithPipeline.
 func WithVirtualChunks(v int) Option { return func(n *newConfig) { n.pipe.virtualChunks = v } }
 
 // New builds a distributed trainer for one rank over comm, binding the

@@ -300,184 +300,8 @@ func (f *Fleet) promoteCanary(d *deployment, c *canary, reason string) {
 	}()
 }
 
-// ShadowConfig tunes a shadow rollout.
-type ShadowConfig struct {
-	// SampleFrac of stable traffic mirrored to the shadow (default 1.0).
-	SampleFrac float64
-	// Buffer bounds the mirror queue; a full buffer drops the mirror
-	// rather than slowing the user request (default 256).
-	Buffer int
-	// Workers is the mirror dispatch concurrency (default 2).
-	Workers int
-	// Deadline bounds each mirrored request (default 1s).
-	Deadline time.Duration
-}
-
-func (c ShadowConfig) withDefaults() ShadowConfig {
-	if c.SampleFrac <= 0 || c.SampleFrac > 1 {
-		c.SampleFrac = 1
-	}
-	if c.Buffer <= 0 {
-		c.Buffer = 256
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = time.Second
-	}
-	return c
-}
-
-type shadowJob struct {
-	x     *tensor.Tensor // private copy — the caller's tensor is not retained
-	class int            // stable verdict to compare against
-}
-
-// shadow mirrors stable traffic to a candidate version without ever
-// touching the user-visible response: results are only compared (argmax
-// agreement), counted, and reported.
-type shadow struct {
-	entry   Entry
-	cfg     ShadowConfig
-	group   *group
-	jobs    chan shadowJob
-	workers sync.WaitGroup
-
-	sampled  atomic.Uint64
-	mirrored atomic.Int64
-	agreed   atomic.Int64
-	disagree atomic.Int64
-	dropped  atomic.Int64
-	errs     atomic.Int64
-}
-
-// ShadowReport summarizes a shadow rollout.
-type ShadowReport struct {
-	Version   string
-	Mirrored  int64
-	Agreed    int64
-	Disagreed int64
-	Dropped   int64
-	Errors    int64
-	Agreement float64 // agreed / compared
-	P99       time.Duration
-}
-
-// StartShadow mirrors model's stable traffic onto version v served by a
-// replica group sized by spec. The mirror path is fire-and-forget: a
-// bounded buffer, dedicated workers, and per-mirror deadlines guarantee
-// the user path never waits on the shadow, whatever the candidate does.
-func (f *Fleet) StartShadow(model string, v int, spec GroupSpec, cfg ShadowConfig) error {
-	d, err := f.deployment(model)
-	if err != nil {
-		return err
-	}
-	e, err := f.reg.Get(model, v)
-	if err != nil {
-		return err
-	}
-	blob, err := f.reg.Blob(e)
-	if err != nil {
-		return err
-	}
-	sh := &shadow{entry: e, cfg: cfg.withDefaults()}
-	g, err := newGroup(f, spec, e, blob)
-	if err != nil {
-		return err
-	}
-	sh.group = g
-	sh.jobs = make(chan shadowJob, sh.cfg.Buffer)
-	if !d.shadow.CompareAndSwap(nil, sh) {
-		g.close()
-		return fmt.Errorf("fleet: model %q already has an active shadow", model)
-	}
-	for w := 0; w < sh.cfg.Workers; w++ {
-		sh.workers.Add(1)
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer sh.workers.Done()
-			for job := range sh.jobs {
-				ctx, cancel := context.WithTimeout(context.Background(), sh.cfg.Deadline)
-				p, err := sh.group.predict(ctx, job.x)
-				cancel()
-				if err != nil {
-					sh.errs.Add(1)
-					continue
-				}
-				sh.mirrored.Add(1)
-				if p.Class == job.class {
-					sh.agreed.Add(1)
-				} else {
-					sh.disagree.Add(1)
-				}
-			}
-		}()
-	}
-	f.events.emit(model, "shadow-start", e.Ref())
-	return nil
-}
-
-// mirror enqueues a shadow copy of a served request (non-blocking).
-func (sh *shadow) mirror(x *tensor.Tensor, class int) {
-	if sh.cfg.SampleFrac < 1 {
-		// Deterministic stride sampling — no rng on the hot path.
-		n := sh.sampled.Add(1)
-		if float64(n%100) >= sh.cfg.SampleFrac*100 {
-			return
-		}
-	}
-	cp := tensor.New(x.Shape()...)
-	copy(cp.Data(), x.Data())
-	select {
-	case sh.jobs <- shadowJob{x: cp, class: class}:
-	default:
-		sh.dropped.Add(1)
-	}
-}
-
-func (sh *shadow) report() ShadowReport {
-	rep := ShadowReport{
-		Version:   sh.entry.Ref(),
-		Mirrored:  sh.mirrored.Load(),
-		Agreed:    sh.agreed.Load(),
-		Disagreed: sh.disagree.Load(),
-		Dropped:   sh.dropped.Load(),
-		Errors:    sh.errs.Load(),
-	}
-	if compared := rep.Agreed + rep.Disagreed; compared > 0 {
-		rep.Agreement = float64(rep.Agreed) / float64(compared)
-	}
-	if srv := sh.group.srv.Load(); srv != nil {
-		rep.P99 = srv.P99()
-	}
-	return rep
-}
-
-// StopShadow detaches the shadow, waits for queued mirrors to finish,
-// drains the shadow group, and returns the comparison report — the
-// evidence for (or against) promoting the candidate through a canary
-// next.
-func (f *Fleet) StopShadow(model string) (ShadowReport, error) {
-	d, err := f.deployment(model)
-	if err != nil {
-		return ShadowReport{}, err
-	}
-	sh := d.shadow.Swap(nil)
-	if sh == nil {
-		return ShadowReport{}, fmt.Errorf("fleet: model %q has no active shadow", model)
-	}
-	close(sh.jobs)
-	sh.workers.Wait()
-	sh.group.close()
-	rep := sh.report()
-	f.events.emit(model, "shadow-stop", fmt.Sprintf("%s: agreement %.3f over %d mirrors", sh.entry.Ref(), rep.Agreement, rep.Mirrored))
-	return rep, nil
-}
-
 // Event is one fleet control-plane transition (canary start/rollback/
-// promote, shadow start/stop, scale up/down, drain), kept in a bounded
+// promote, scale up/down, drain), kept in a bounded
 // in-memory log and emitted as a zero-width tracer span on the fleet
 // events track.
 type Event struct {

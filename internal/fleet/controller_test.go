@@ -119,80 +119,6 @@ func TestCanaryDoubleDeployRejected(t *testing.T) {
 	}
 }
 
-// TestShadowComparesWithoutUserImpact mirrors traffic to v2 (which
-// predicts a different class than stable v1) and checks (a) users only
-// ever see stable results, (b) the report counts full disagreement.
-func TestShadowComparesWithoutUserImpact(t *testing.T) {
-	f, _ := newTestFleet(t, Config{})
-	err := f.StartShadow("m", 2, GroupSpec{Name: "shadow", Kind: "DAM", Replicas: 1},
-		ShadowConfig{Workers: 2, Buffer: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 60
-	for i := 0; i < n; i++ {
-		p, err := f.Predict(context.Background(), "m", testSample(float64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Class != 0 {
-			t.Fatalf("user response came from the shadow: class %d", p.Class)
-		}
-	}
-	rep, err := f.StopShadow("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mirrored+rep.Dropped+rep.Errors != n {
-		t.Fatalf("mirror accounting: %+v (want mirrored+dropped+errors = %d)", rep, n)
-	}
-	if rep.Mirrored == 0 {
-		t.Fatalf("nothing mirrored: %+v", rep)
-	}
-	// v2 predicts class 1, stable predicts 0 — full disagreement.
-	if rep.Agreed != 0 || rep.Disagreed != rep.Mirrored {
-		t.Fatalf("agreement accounting: %+v", rep)
-	}
-	if _, err := f.StopShadow("m"); err == nil {
-		t.Fatal("double stop succeeded")
-	}
-}
-
-// TestShadowNeverBlocks wires a shadow with a tiny buffer and a slow
-// build; the user-visible path must stay fast and mirrors must be
-// dropped, not queued unboundedly.
-func TestShadowNeverBlocks(t *testing.T) {
-	f, reg := newTestFleet(t, Config{})
-	if _, err := reg.Publish("m", []byte("slow:1"), nil); err != nil { // v3
-		t.Fatal(err)
-	}
-	err := f.StartShadow("m", 3, GroupSpec{Name: "shadow", Replicas: 1},
-		ShadowConfig{Workers: 1, Buffer: 2, Deadline: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	const n = 100
-	for i := 0; i < n; i++ {
-		if _, err := f.Predict(context.Background(), "m", testSample(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	rep, err := f.StopShadow("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dropped == 0 {
-		t.Fatalf("slow shadow dropped nothing (buffer backpressure leaked to users?): %+v", rep)
-	}
-	// 100 user requests against a 5ms/sample shadow would take >500ms if
-	// the mirror path blocked; give wide CI margin.
-	if elapsed > 2*time.Second {
-		t.Fatalf("user path took %v with a slow shadow attached", elapsed)
-	}
-}
-
 func TestEventLogRecordsLifecycle(t *testing.T) {
 	f, _ := newTestFleet(t, Config{})
 	if err := f.DeployCanary("m", 2, GroupSpec{Name: "c", Replicas: 1},

@@ -38,7 +38,7 @@ type Config struct {
 }
 
 // deployment is one model being served: its stable version across the
-// fleet's groups, plus at most one active canary and one active shadow.
+// fleet's groups, plus at most one active canary.
 type deployment struct {
 	model  string
 	stable atomic.Pointer[Entry]
@@ -47,7 +47,6 @@ type deployment struct {
 	split      atomic.Uint64 // traffic-split counter for canary weighting
 	canary     atomic.Pointer[canary]
 	lastCanary atomic.Pointer[canary]
-	shadow     atomic.Pointer[shadow]
 }
 
 // Fleet serves many models across heterogeneous replica groups. All
@@ -62,7 +61,7 @@ type Fleet struct {
 	closed      bool
 
 	events *eventLog
-	wg     sync.WaitGroup // background drains + shadow/canary teardown
+	wg     sync.WaitGroup // background drains + canary teardown
 
 	// Fleet-level counters (exported as msa_fleet_* by RegisterMetrics).
 	served     atomic.Int64
@@ -172,11 +171,6 @@ func (f *Fleet) Undeploy(model string) error {
 	if c := d.canary.Swap(nil); c != nil {
 		c.group.close()
 	}
-	if sh := d.shadow.Swap(nil); sh != nil {
-		close(sh.jobs)
-		sh.workers.Wait()
-		sh.group.close()
-	}
 	for _, g := range d.groups {
 		g.close()
 	}
@@ -232,9 +226,6 @@ func (f *Fleet) predict(ctx context.Context, model string, x *tensor.Tensor, ide
 	if err != nil {
 		return p, err
 	}
-	if sh := d.shadow.Load(); sh != nil {
-		sh.mirror(x, p.Class)
-	}
 	if idempotent && f.cache != nil {
 		f.cache.put(key, p)
 	}
@@ -262,8 +253,8 @@ func (f *Fleet) route(ctx context.Context, d *deployment, x *tensor.Tensor) (ser
 	return p, g, err
 }
 
-// groupTrack maps a group to its tracer track (canary/shadow groups share
-// the events track — they are control-plane creatures).
+// groupTrack maps a group to its tracer track (canary groups share the
+// events track — they are control-plane creatures).
 func (f *Fleet) groupTrack(g *group) int {
 	for i := range f.cfg.Groups {
 		if f.cfg.Groups[i].Name == g.spec.Name {

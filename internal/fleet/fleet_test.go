@@ -17,9 +17,8 @@ import (
 // decoded from the checkpoint blob, so tests can tell apart which model
 // version answered a request.
 type classBackend struct {
-	cls   int
-	delay time.Duration
-	fail  bool
+	cls  int
+	fail bool
 }
 
 const testClasses = 4
@@ -27,9 +26,6 @@ const testClasses = 4
 func (b *classBackend) Infer(batch *tensor.Tensor) (*tensor.Tensor, error) {
 	if b.fail {
 		return nil, errors.New("classBackend: deliberate failure")
-	}
-	if b.delay > 0 {
-		time.Sleep(b.delay)
 	}
 	rows := batch.Dim(0)
 	out := tensor.New(rows, testClasses)
@@ -40,14 +36,12 @@ func (b *classBackend) Infer(batch *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // classFactory decodes blobs of the form "class:N" (or "fail" for an
-// always-broken build, or "slow:N" for a 5ms-per-call build).
+// always-broken build).
 func classFactory(_ string, blob []byte) (serve.Backend, error) {
 	s := string(blob)
 	switch {
 	case strings.HasPrefix(s, "fail"):
 		return &classBackend{fail: true}, nil
-	case strings.HasPrefix(s, "slow:"):
-		return &classBackend{cls: int(s[5] - '0'), delay: 5 * time.Millisecond}, nil
 	case strings.HasPrefix(s, "class:"):
 		return &classBackend{cls: int(s[6] - '0')}, nil
 	}

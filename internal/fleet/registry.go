@@ -7,9 +7,8 @@
 //
 //   - a model Registry of versioned checkpoints in storage.ModelStore
 //     with promote/rollback/pin and per-version metadata (registry.go);
-//   - a deployment Controller doing canary (weighted split, automatic
-//     rollback on error-rate or p99 breach) and shadow (mirrored, never
-//     user-visible) rollouts (controller.go);
+//   - a deployment Controller doing canary rollouts (weighted split,
+//     automatic rollback on error-rate or p99 breach) (controller.go);
 //   - a Router dispatching each request across heterogeneous CM/ESB/DAM
 //     replica groups by least-loaded, perfmodel-latency-weighted scoring,
 //     with a bounded result cache for idempotent requests (router.go);

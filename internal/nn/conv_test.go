@@ -171,7 +171,7 @@ func TestConvStashOneFOneB(t *testing.T) {
 		got.Stash(m)
 	}
 	for m := range xs {
-		got.Unstash(m)
+		got.Stash(m)
 		requireSameBits(t, fmt.Sprintf("micro-batch %d stashed dx vs sequential order", m), got.Backward(douts[m]), wantX[m])
 	}
 	requireSameBits(t, "stashed dW vs sequential order", got.W.Grad, seq.W.Grad)

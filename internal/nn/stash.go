@@ -8,26 +8,30 @@ import "repro/internal/tensor"
 // execution shape of pipeline-parallel schedules (internal/pipeline).
 //
 // The contract is swap-based: Stash(slot) exchanges the working cache
-// (whatever the latest Forward wrote) with slot's previous contents, and
-// Unstash(slot) exchanges them back so the next Backward consumes the
-// saved state. Swapping rather than copying means slice-backed caches
-// (ReLU masks, input shapes, argmax scratch) rotate through at most
-// slots+1 buffers and stop allocating once every slot has been warmed —
+// with slot's contents, so the swap is its own inverse. After a Forward,
+// Stash(slot) parks the cache that Forward wrote; before the matching
+// Backward, Stash(slot) again brings it back into the working fields.
+// Swapping rather than copying means slice-backed caches (ReLU masks,
+// input shapes, argmax scratch) rotate through at most slots+1 buffers
+// and stop allocating once every slot has been warmed —
 // the same steady-state-alloc-free property the workspace pool gives
 // tensors. Tensor-valued caches are plain pointer swaps: the tensors
 // live in the stage's tensor.Workspace and stay valid until its next
 // ReleaseAll, which pipeline steps only perform once all stashed
 // micro-batches of the step are consumed.
 //
-// Stash and Unstash with an out-of-range slot panic via the slice index;
-// callers size the stash first with EnsureStash.
+// Stash with an out-of-range slot panics via the slice index; callers
+// size the stash first with EnsureStash.
 type Stasher interface {
 	// EnsureStash grows the stash to hold at least slots micro-batches.
 	// Existing slots are preserved; growing is cheap and idempotent.
 	EnsureStash(slots int)
-	// Stash swaps the working activation cache into slot.
+	// Stash swaps the working activation cache with slot's contents.
 	Stash(slot int)
-	// Unstash swaps slot's saved cache back into the working fields.
+	// Unstash is Stash.
+	//
+	// Deprecated: the swap is its own inverse; call Stash. Unstash stays
+	// only for layer wrappers outside this package that still forward it.
 	Unstash(slot int)
 }
 
@@ -81,7 +85,7 @@ func (d *Dense) EnsureStash(slots int) { d.stash = ensureLen(d.stash, slots) }
 func (d *Dense) Stash(slot int) { d.stash[slot], d.x = d.x, d.stash[slot] }
 
 // Unstash implements Stasher.
-func (d *Dense) Unstash(slot int) { d.stash[slot], d.x = d.x, d.stash[slot] }
+func (d *Dense) Unstash(slot int) { d.Stash(slot) }
 
 // --- ReLU: caches the activation mask ---
 
@@ -92,7 +96,7 @@ func (r *ReLU) EnsureStash(slots int) { r.stash = ensureLen(r.stash, slots) }
 func (r *ReLU) Stash(slot int) { r.stash[slot], r.mask = r.mask, r.stash[slot] }
 
 // Unstash implements Stasher.
-func (r *ReLU) Unstash(slot int) { r.stash[slot], r.mask = r.mask, r.stash[slot] }
+func (r *ReLU) Unstash(slot int) { r.Stash(slot) }
 
 // --- Sigmoid / Tanh: cache the forward output ---
 
@@ -103,7 +107,7 @@ func (s *Sigmoid) EnsureStash(slots int) { s.stash = ensureLen(s.stash, slots) }
 func (s *Sigmoid) Stash(slot int) { s.stash[slot], s.out = s.out, s.stash[slot] }
 
 // Unstash implements Stasher.
-func (s *Sigmoid) Unstash(slot int) { s.stash[slot], s.out = s.out, s.stash[slot] }
+func (s *Sigmoid) Unstash(slot int) { s.Stash(slot) }
 
 // EnsureStash implements Stasher.
 func (t *Tanh) EnsureStash(slots int) { t.stash = ensureLen(t.stash, slots) }
@@ -112,7 +116,7 @@ func (t *Tanh) EnsureStash(slots int) { t.stash = ensureLen(t.stash, slots) }
 func (t *Tanh) Stash(slot int) { t.stash[slot], t.out = t.out, t.stash[slot] }
 
 // Unstash implements Stasher.
-func (t *Tanh) Unstash(slot int) { t.stash[slot], t.out = t.out, t.stash[slot] }
+func (t *Tanh) Unstash(slot int) { t.Stash(slot) }
 
 // --- Dropout: caches the sampled mask (nil in eval mode) ---
 
@@ -125,7 +129,7 @@ func (d *Dropout) EnsureStash(slots int) { d.stash = ensureLen(d.stash, slots) }
 func (d *Dropout) Stash(slot int) { d.stash[slot].mask, d.mask = d.mask, d.stash[slot].mask }
 
 // Unstash implements Stasher.
-func (d *Dropout) Unstash(slot int) { d.stash[slot].mask, d.mask = d.mask, d.stash[slot].mask }
+func (d *Dropout) Unstash(slot int) { d.Stash(slot) }
 
 // --- Flatten: caches the input shape ---
 
@@ -136,7 +140,7 @@ func (f *Flatten) EnsureStash(slots int) { f.stash = ensureLen(f.stash, slots) }
 func (f *Flatten) Stash(slot int) { f.stash[slot], f.inShape = f.inShape, f.stash[slot] }
 
 // Unstash implements Stasher.
-func (f *Flatten) Unstash(slot int) { f.stash[slot], f.inShape = f.inShape, f.stash[slot] }
+func (f *Flatten) Unstash(slot int) { f.Stash(slot) }
 
 // --- Conv2D: caches the forward input x ---
 
@@ -147,7 +151,7 @@ func (c *Conv2D) EnsureStash(slots int) { c.stash = ensureLen(c.stash, slots) }
 func (c *Conv2D) Stash(slot int) { c.stash[slot], c.x = c.x, c.stash[slot] }
 
 // Unstash implements Stasher.
-func (c *Conv2D) Unstash(slot int) { c.stash[slot], c.x = c.x, c.stash[slot] }
+func (c *Conv2D) Unstash(slot int) { c.Stash(slot) }
 
 // --- MaxPool: caches argmax positions and the input shape ---
 
@@ -233,13 +237,7 @@ func (r *Residual) Stash(slot int) {
 }
 
 // Unstash implements Stasher.
-func (r *Residual) Unstash(slot int) {
-	r.relu.Unstash(slot)
-	r.Main.Unstash(slot)
-	if r.Shortcut != nil {
-		r.Shortcut.Unstash(slot)
-	}
-}
+func (r *Residual) Unstash(slot int) { r.Stash(slot) }
 
 // --- Sequential: recurses into every stashable layer. Callers validate
 // the model with StashUnsupported first; layers without stash support are
@@ -265,10 +263,4 @@ func (s *Sequential) Stash(slot int) {
 }
 
 // Unstash implements Stasher.
-func (s *Sequential) Unstash(slot int) {
-	for _, l := range s.Layers {
-		if st, ok := l.(Stasher); ok {
-			st.Unstash(slot)
-		}
-	}
-}
+func (s *Sequential) Unstash(slot int) { s.Stash(slot) }

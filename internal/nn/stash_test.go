@@ -19,7 +19,7 @@ func forwardStashed(t *testing.T, model *Sequential, loss Loss, xs, ys []*tensor
 		model.Stash(m)
 	}
 	for m := range xs {
-		model.Unstash(m)
+		model.Stash(m)
 		_, grad := loss.Forward(outs[m], ys[m])
 		model.Backward(grad)
 	}

@@ -51,7 +51,7 @@ type Config struct {
 	// Schedule picks GPipe or interleaved 1F1B.
 	Schedule Schedule
 	// VirtualChunks is v, the model chunks per rank (interleaving depth).
-	// 0 defaults to 1 for GPipe and 2 for OneFOneB.
+	// 0 picks the schedule's default: 1 for GPipe, 2 for OneFOneB.
 	VirtualChunks int
 	// BaseTag relocates the pipeline tag block (DefaultBaseTag when 0).
 	BaseTag int
@@ -60,10 +60,6 @@ type Config struct {
 	// Metrics, when set, gets pipeline_bubble_fraction and
 	// pipeline_stage_occupancy gauges labeled by stage rank.
 	Metrics *telemetry.Registry
-	// RecordSchedule logs every executed task per step so TaskLog and
-	// SimulateBubble can evaluate the executed schedule deterministically
-	// (see sim.go for why wall-clock occupancy is not enough).
-	RecordSchedule bool
 }
 
 // chunkState is one model chunk's runtime state. All C chunks exist on
@@ -112,9 +108,8 @@ type Stage struct {
 	// orderIdx is the step cursor. Executing a fixed plan keeps the
 	// realized schedule — and therefore the bubble structure — identical
 	// on any host, instead of drifting with goroutine timing.
-	order    []TaskRecord
+	order    []Task
 	orderIdx int
-	taskLog  []TaskRecord
 
 	steps              int
 	busyNS, windowNS   int64
@@ -134,14 +129,7 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 	if cfg.MicroBatches < 1 {
 		return nil, fmt.Errorf("pipeline: MicroBatches must be ≥ 1, got %d", cfg.MicroBatches)
 	}
-	v := cfg.VirtualChunks
-	if v == 0 {
-		if cfg.Schedule == OneFOneB {
-			v = 2
-		} else {
-			v = 1
-		}
-	}
+	v := virtualChunks(cfg.Schedule, cfg.VirtualChunks)
 	if v < 1 {
 		return nil, fmt.Errorf("pipeline: VirtualChunks must be ≥ 1, got %d", cfg.VirtualChunks)
 	}
@@ -272,7 +260,6 @@ func (st *Stage) Step(x, y *tensor.Tensor) float64 {
 }
 
 func (st *Stage) resetStep() {
-	st.taskLog = st.taskLog[:0]
 	st.orderIdx = 0
 	for _, cs := range st.chunks {
 		cs.fwdDone, cs.bwdDone = 0, 0
@@ -389,7 +376,7 @@ func (st *Stage) run(kind, c int) float64 {
 	} else {
 		m := cs.bwdDone
 		micro = m
-		cs.seq.Unstash(m)
+		cs.seq.Stash(m)
 		din := cs.seq.Backward(cs.inB[m])
 		cs.bwdDone++
 		if c > 0 {
@@ -400,9 +387,6 @@ func (st *Stage) run(kind, c int) float64 {
 		}
 	}
 	t1 := time.Now().UnixNano()
-	if st.cfg.RecordSchedule {
-		st.taskLog = append(st.taskLog, TaskRecord{Kind: kind, Chunk: c, Micro: micro})
-	}
 	if st.cfg.Tracer != nil {
 		name := "pipe.fwd"
 		if kind == kindB {

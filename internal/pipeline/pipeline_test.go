@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -250,6 +251,50 @@ func TestTwoStagePipeline(t *testing.T)                { runEquivalence(t, 2, 4,
 func TestSingleRankPipelineLocalHandoff(t *testing.T) {
 	// S=1 exercises the local chunk-to-chunk handoff path (no messages).
 	runEquivalence(t, 1, 4, 2, OneFOneB, 3)
+}
+
+// TestPipelineRunsPlanVerbatim runs one traced step and checks that every
+// rank executed its PlanSchedule order exactly: the compute spans on each
+// track, in order, name the planned tasks.
+func TestPipelineRunsPlanVerbatim(t *testing.T) {
+	const S, M = 3, 4
+	for _, sched := range []Schedule{GPipe, OneFOneB} {
+		tr := telemetry.NewTracer(1 << 10)
+		w := mpi.NewWorld(S)
+		err := w.Run(func(c *mpi.Comm) error {
+			model := buildPipeModel(42)
+			st, err := New(c, model, nn.SoftmaxCrossEntropy{}, Config{MicroBatches: M, Schedule: sched, Tracer: tr})
+			if err != nil {
+				return err
+			}
+			x, y := pipeBatch(100, 8)
+			model.ZeroGrads()
+			st.Step(x, y)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]string, S)
+		for _, sp := range tr.Spans() {
+			if sp.Cat == telemetry.CatCompute {
+				got[sp.Track] = append(got[sp.Track], sp.Name)
+			}
+		}
+		for r, tasks := range PlanSchedule(S, 0, M, sched, 1, 2) {
+			want := make([]string, len(tasks))
+			for i, tk := range tasks {
+				kind := "pipe.fwd"
+				if tk.Kind == kindB {
+					kind = "pipe.bwd"
+				}
+				want[i] = fmt.Sprintf("%s c%d m%d", kind, tk.Chunk, tk.Micro)
+			}
+			if fmt.Sprint(got[r]) != fmt.Sprint(want) {
+				t.Errorf("%v rank %d ran\n  %v\nplanned\n  %v", sched, r, got[r], want)
+			}
+		}
+	}
 }
 
 // TestConvPipelineEquivalence runs the conv/bn/residual stack through a

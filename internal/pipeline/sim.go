@@ -1,33 +1,39 @@
 package pipeline
 
-import "fmt"
+// Task is one compute task of a planned step: the forward (Kind kindF) or
+// backward (kindB) of micro-batch Micro through chunk Chunk, with its
+// start and end time on the ideal machine PlanSchedule evaluates.
+type Task struct {
+	Kind, Chunk, Micro int
+	Start, End         float64
+}
 
-// Schedule-replay bubble measurement. Wall-clock occupancy (BubbleFraction)
-// is only meaningful when every stage owns a core; on oversubscribed hosts
-// (CI containers, laptops running S ranks as goroutines) the ranks
-// timeshare and the wall clock measures the Go scheduler, not the
-// pipeline. The replay below instead evaluates the schedule the engine
-// *actually executed*: Step records the per-rank task order, and
-// SimulateBubble replays that order on an ideal machine (one core per
-// stage, zero message latency, fixed forward/backward costs), yielding a
-// deterministic bubble fraction that depends only on schedule structure —
-// exactly the quantity the analytic model B = (S−1)/(M+S−1) describes.
-
-// TaskRecord is one executed compute task in a stage's step log.
-type TaskRecord struct {
-	Kind  int // kindF or kindB
-	Chunk int
-	Micro int
+// virtualChunks resolves a VirtualChunks setting: 0 picks the schedule's
+// default of 1 chunk per rank for GPipe and 2 for OneFOneB.
+func virtualChunks(sched Schedule, v int) int {
+	if v != 0 {
+		return v
+	}
+	if sched == OneFOneB {
+		return 2
+	}
+	return 1
 }
 
 // PlanSchedule list-schedules all 2·S·v·M pipeline tasks on an ideal
 // machine (one core per rank, zero message latency, forward cost tf,
 // backward cost tb) under the given schedule policy and returns each
-// rank's task order. The engine executes this plan verbatim: a reactive
-// greedy picker would instead bake host-scheduler noise into the executed
-// order (on an oversubscribed machine "ready" reflects goroutine timing,
-// not pipeline structure), and the interleaved 1F1B bubble advantage only
-// materializes when deep-chunk forwards run at their planned slots.
+// rank's task order with every task's start and end. v = 0 picks the
+// schedule's default chunk count. Forward (c, m) waits for forward
+// (c−1, m); backward (c, m) waits for forward (c, m) and, below the last
+// chunk, backward (c+1, m). This is the one evaluation of that machine:
+// PlannedBubble and EmitPlannedTrace read the timeline it returns.
+//
+// The engine executes this plan verbatim: a reactive greedy picker would
+// instead bake host-scheduler noise into the executed order (on an
+// oversubscribed machine "ready" reflects goroutine timing, not pipeline
+// structure), and the interleaved 1F1B bubble advantage only materializes
+// when deep-chunk forwards run at their planned slots.
 //
 // The plan is work-conserving: each round commits the globally earliest
 // startable task, so a rank never idles while it has a ready task. Within
@@ -39,8 +45,8 @@ type TaskRecord struct {
 // candidates drain earliest-micro, deepest-chunk first. Per chunk, both
 // streams stay in strict micro order, which is what keeps pipeline
 // gradient accumulation bitwise equal to the single-rank reference.
-func PlanSchedule(S, v, M int, sched Schedule, tf, tb float64) [][]TaskRecord {
-	C := S * v
+func PlanSchedule(S, v, M int, sched Schedule, tf, tb float64) [][]Task {
+	C := S * virtualChunks(sched, v)
 	type key struct{ kind, chunk, micro int }
 	end := make(map[key]float64, 2*C*M)
 	fwdDone := make([]int, C)
@@ -50,7 +56,7 @@ func PlanSchedule(S, v, M int, sched Schedule, tf, tb float64) [][]TaskRecord {
 	for r := range lastKind {
 		lastKind[r] = kindB
 	}
-	orders := make([][]TaskRecord, S)
+	orders := make([][]Task, S)
 
 	// readyAt returns the earliest ideal-machine start for a rank's
 	// candidate task, or false while a producer task is still unplanned.
@@ -182,29 +188,37 @@ func PlanSchedule(S, v, M int, sched Schedule, tf, tb float64) [][]TaskRecord {
 			bwdDone[cd.chunk]++
 		}
 		lastKind[bestR] = cd.kind
-		orders[bestR] = append(orders[bestR], TaskRecord{Kind: cd.kind, Chunk: cd.chunk, Micro: m})
+		orders[bestR] = append(orders[bestR], Task{Kind: cd.kind, Chunk: cd.chunk, Micro: m, Start: bestT, End: clock[bestR]})
 		remaining--
 	}
 	return orders
 }
 
-// PlannedBubble returns the bubble fraction of the schedule a Stage with
-// these parameters executes: the engine runs PlanSchedule's task order
-// verbatim, so replaying the plan is replaying the execution. Forward
-// tasks cost tf, backwards tb (use 1 and 2 for the dense-stack ratio).
+// PlannedBubble returns the bubble fraction 1 − Σ busy / (S · makespan)
+// of the schedule a Stage with these parameters executes: the engine runs
+// PlanSchedule's task order verbatim, so the planned timeline is the
+// execution on the ideal machine. Forward tasks cost tf, backwards tb
+// (use 1 and 2 for the dense-stack ratio); v = 0 picks the schedule's
+// default chunk count.
 func PlannedBubble(S, v, M int, sched Schedule, tf, tb float64) float64 {
-	if v == 0 {
-		if sched == OneFOneB {
-			v = 2
-		} else {
-			v = 1
+	busy, makespan := 0.0, 0.0
+	for _, tasks := range PlanSchedule(S, v, M, sched, tf, tb) {
+		// Sum costs, not End−Start: the rounded difference of two
+		// timeline points need not equal the cost that was added.
+		rankBusy := 0.0
+		for _, t := range tasks {
+			if t.Kind == kindF {
+				rankBusy += tf
+			} else {
+				rankBusy += tb
+			}
+		}
+		busy += rankBusy
+		if end := tasks[len(tasks)-1].End; end > makespan {
+			makespan = end
 		}
 	}
-	b, err := SimulateBubble(PlanSchedule(S, v, M, sched, tf, tb), tf, tb)
-	if err != nil {
-		panic(err) // planner output is always consistent
-	}
-	return b
+	return 1 - busy/(float64(S)*makespan)
 }
 
 // fwdKeyLess orders forward candidates by interleaved fill position:
@@ -215,94 +229,4 @@ func fwdKeyLess(fwdDone []int, a, b, S int) bool {
 		return ga < gb
 	}
 	return a < b
-}
-
-// TaskLog returns the last step's executed task sequence for this rank.
-// Recording must be enabled via Config.RecordSchedule.
-func (st *Stage) TaskLog() []TaskRecord {
-	return append([]TaskRecord(nil), st.taskLog...)
-}
-
-// SimulateBubble replays per-rank executed task logs (index = rank) on an
-// ideal parallel machine where every forward costs tf, every backward tb,
-// and messages are free, and returns the resulting bubble fraction
-// 1 − Σ busy / (S · makespan). Dependencies: a rank runs its log in
-// order; forward (c, m) additionally waits for forward (c−1, m); backward
-// (c, m) waits for forward (c, m) and, below the last chunk, backward
-// (c+1, m). An error is returned if the logs are not a consistent
-// pipeline execution (missing producer tasks).
-func SimulateBubble(logs [][]TaskRecord, tf, tb float64) (float64, error) {
-	S := len(logs)
-	total := 0
-	maxChunk := 0
-	for _, l := range logs {
-		total += len(l)
-		for _, t := range l {
-			if t.Chunk > maxChunk {
-				maxChunk = t.Chunk
-			}
-		}
-	}
-	type key struct{ kind, chunk, micro int }
-	end := make(map[key]float64, total)
-	next := make([]int, S)
-	clock := make([]float64, S)
-	busy := make([]float64, S)
-	done := 0
-	for done < total {
-		progressed := false
-		for r := 0; r < S; r++ {
-			for next[r] < len(logs[r]) {
-				t := logs[r][next[r]]
-				start := clock[r]
-				ok := true
-				dep := func(k key) {
-					e, have := end[k]
-					if !have {
-						ok = false
-						return
-					}
-					if e > start {
-						start = e
-					}
-				}
-				if t.Kind == kindF && t.Chunk > 0 {
-					dep(key{kindF, t.Chunk - 1, t.Micro})
-				}
-				if t.Kind == kindB {
-					dep(key{kindF, t.Chunk, t.Micro})
-					if t.Chunk < maxChunk {
-						dep(key{kindB, t.Chunk + 1, t.Micro})
-					}
-				}
-				if !ok {
-					break
-				}
-				cost := tf
-				if t.Kind == kindB {
-					cost = tb
-				}
-				clock[r] = start + cost
-				busy[r] += cost
-				end[key{t.Kind, t.Chunk, t.Micro}] = clock[r]
-				next[r]++
-				done++
-				progressed = true
-			}
-		}
-		if !progressed {
-			return 0, fmt.Errorf("pipeline: task logs are not a consistent execution (stuck at %d/%d tasks)", done, total)
-		}
-	}
-	makespan, busyTotal := 0.0, 0.0
-	for r := 0; r < S; r++ {
-		busyTotal += busy[r]
-		if clock[r] > makespan {
-			makespan = clock[r]
-		}
-	}
-	if makespan == 0 {
-		return 0, fmt.Errorf("pipeline: empty task logs")
-	}
-	return 1 - busyTotal/(float64(S)*makespan), nil
 }

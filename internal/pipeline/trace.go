@@ -6,143 +6,79 @@ import (
 	"repro/internal/telemetry"
 )
 
-// EmitPlannedTrace replays the planned schedule for (S, v, M, sched) on
-// the ideal machine (one core per stage, zero latency, forward cost tf,
-// backward cost tb — the same machine PlannedBubble evaluates) and emits
-// the execution as causally tagged spans: per-rank compute spans, a
-// zero-duration SpanSend at each producer task's end, and a SpanRecv
-// covering each consumer's dependency wait. One cost unit maps to 1 µs
-// of simulated time.
+// EmitPlannedTrace emits the planned schedule for (S, v, M, sched) — the
+// PlanSchedule timeline on the ideal machine PlannedBubble evaluates (one
+// core per stage, zero latency, forward cost tf, backward cost tb) — as
+// causally tagged spans: per-rank compute spans, a zero-duration SpanSend
+// at each producer task's end, and a SpanRecv covering each consumer's
+// wait for its remote input. One cost unit maps to 1 µs of simulated
+// time; v = 0 picks the schedule's default chunk count.
 //
 // This is the deterministic fixture behind the critical-path validation:
 // a wall-clock trace of a real run depends on host scheduling, but the
-// planned replay depends only on schedule structure, so the causal
+// planned timeline depends only on schedule structure, so the causal
 // analysis of its trace must reproduce the analytic bubble
-// (S−1)/(M+S−1) for GPipe exactly — the same plan-vs-wall-clock split
-// sim.go exploits for bubble telemetry.
+// (S−1)/(M+S−1) for GPipe exactly.
 //
 // Message identity mirrors the engine's wire protocol: the payload tag
 // is payloadTag(kind, chunk) over DefaultBaseTag, and because the engine
 // runs each chunk's forwards (and backwards) in strict micro order, the
-// per-stream sequence number is simply the micro index. v and tf/tb
-// follow PlannedBubble's defaulting (v=0 → schedule default; tf,tb ≤ 0 →
-// 1 and 2).
+// per-stream sequence number is simply the micro index.
 func EmitPlannedTrace(tr *telemetry.Tracer, S, v, M int, sched Schedule, tf, tb float64) error {
 	if tr == nil {
 		return fmt.Errorf("pipeline: EmitPlannedTrace needs a tracer")
 	}
-	if v == 0 {
-		if sched == OneFOneB {
-			v = 2
-		} else {
-			v = 1
+	C := S * virtualChunks(sched, v)
+	plan := PlanSchedule(S, v, M, sched, tf, tb)
+	// end[kind][chunk*M+micro] is each task's planned end.
+	end := [2][]float64{make([]float64, C*M), make([]float64, C*M)}
+	for _, tasks := range plan {
+		for _, t := range tasks {
+			end[t.Kind][t.Chunk*M+t.Micro] = t.End
 		}
 	}
-	if tf <= 0 {
-		tf = 1
-	}
-	if tb <= 0 {
-		tb = 2
-	}
-	C := S * v
-	logs := PlanSchedule(S, v, M, sched, tf, tb)
 	payloadTag := func(kind, c int) int { return DefaultBaseTag + 1 + kind*C + c }
 	owner := func(c int) int { return c % S }
 	const unit = 1e3 // cost units → ns (1 unit = 1 µs)
 	ns := func(t float64) int64 { return int64(t*unit + 0.5) }
 
-	type key struct{ kind, chunk, micro int }
-	end := make(map[key]float64, 2*C*M)
-	next := make([]int, S)
-	clock := make([]float64, S)
-	total := 2 * C * M
-	done := 0
-	for r := 0; r < S; r++ {
+	for r, tasks := range plan {
 		tr.SetTrackName(r, fmt.Sprintf("stage %d", r))
-	}
-	for done < total {
-		progressed := false
-		for r := 0; r < S; r++ {
-			for next[r] < len(logs[r]) {
-				t := logs[r][next[r]]
-				start := clock[r]
-				ok := true
-				// remote tracks the one cross-rank input this task may
-				// have (its kind/chunk coordinates name the message).
-				remote := false
-				var remSrc, remTag int
-				var remArrive float64
-				dep := func(k key, src, tag int) {
-					e, have := end[k]
-					if !have {
-						ok = false
-						return
-					}
-					if e > start {
-						start = e
-					}
-					if src != r {
-						remote, remSrc, remTag, remArrive = true, src, tag, e
-					}
-				}
-				if t.Kind == kindF && t.Chunk > 0 {
-					dep(key{kindF, t.Chunk - 1, t.Micro}, owner(t.Chunk-1), payloadTag(kindF, t.Chunk))
-				}
-				if t.Kind == kindB {
-					dep(key{kindF, t.Chunk, t.Micro}, r, 0)
-					if t.Chunk < C-1 {
-						dep(key{kindB, t.Chunk + 1, t.Micro}, owner(t.Chunk+1), payloadTag(kindB, t.Chunk))
-					}
-				}
-				if !ok {
-					break
-				}
-				cost, name := tf, "pipe.fwd"
-				if t.Kind == kindB {
-					cost, name = tb, "pipe.bwd"
-				}
-				if remote {
-					// The dependency wait the engine's drain would block
-					// in: from when the rank went idle to arrival.
-					tr.EmitSpan(telemetry.Span{
-						Track: r, Cat: telemetry.CatComm, Name: "pipe.recv",
-						Start: ns(clock[r]), Dur: ns(remArrive) - ns(clock[r]),
-						Kind: telemetry.SpanRecv, Peer: remSrc, Tag: remTag, Seq: int64(t.Micro),
-					})
-				}
-				tr.EmitSpan(telemetry.Span{
-					Track: r, Cat: telemetry.CatCompute,
-					Name:  fmt.Sprintf("%s c%d m%d", name, t.Chunk, t.Micro),
-					Start: ns(start), Dur: ns(start+cost) - ns(start),
-					Attr: sched.String(),
-				})
-				clock[r] = start + cost
-				end[key{t.Kind, t.Chunk, t.Micro}] = clock[r]
-				// Producer side: the task's output leaves for a remote
-				// consumer the instant it completes.
-				if t.Kind == kindF && t.Chunk < C-1 && owner(t.Chunk+1) != r {
-					tr.EmitSpan(telemetry.Span{
-						Track: r, Cat: telemetry.CatComm, Name: "mpi.send",
-						Start: ns(clock[r]),
-						Kind:  telemetry.SpanSend, Peer: owner(t.Chunk + 1),
-						Tag: payloadTag(kindF, t.Chunk+1), Seq: int64(t.Micro),
-					})
-				}
-				if t.Kind == kindB && t.Chunk > 0 && owner(t.Chunk-1) != r {
-					tr.EmitSpan(telemetry.Span{
-						Track: r, Cat: telemetry.CatComm, Name: "mpi.send",
-						Start: ns(clock[r]),
-						Kind:  telemetry.SpanSend, Peer: owner(t.Chunk - 1),
-						Tag: payloadTag(kindB, t.Chunk-1), Seq: int64(t.Micro),
-					})
-				}
-				next[r]++
-				done++
-				progressed = true
+		idle := 0.0 // when the rank finished its previous task
+		for _, t := range tasks {
+			// A forward consumes chunk c−1's activation and feeds c+1; a
+			// backward consumes chunk c+1's gradient and feeds c−1.
+			name, from, to := "pipe.fwd", t.Chunk-1, t.Chunk+1
+			if t.Kind == kindB {
+				name, from, to = "pipe.bwd", t.Chunk+1, t.Chunk-1
 			}
-		}
-		if !progressed {
-			return fmt.Errorf("pipeline: planned trace replay stuck at %d/%d tasks", done, total)
+			if from >= 0 && from < C && owner(from) != r {
+				// The dependency wait the engine's drain would block in:
+				// from when the rank went idle to arrival.
+				tr.EmitSpan(telemetry.Span{
+					Track: r, Cat: telemetry.CatComm, Name: "pipe.recv",
+					Start: ns(idle), Dur: ns(end[t.Kind][from*M+t.Micro]) - ns(idle),
+					Kind: telemetry.SpanRecv, Peer: owner(from),
+					Tag: payloadTag(t.Kind, t.Chunk), Seq: int64(t.Micro),
+				})
+			}
+			tr.EmitSpan(telemetry.Span{
+				Track: r, Cat: telemetry.CatCompute,
+				Name:  fmt.Sprintf("%s c%d m%d", name, t.Chunk, t.Micro),
+				Start: ns(t.Start), Dur: ns(t.End) - ns(t.Start),
+				Attr: sched.String(),
+			})
+			if to >= 0 && to < C && owner(to) != r {
+				// The output leaves for its remote consumer the instant
+				// the task completes.
+				tr.EmitSpan(telemetry.Span{
+					Track: r, Cat: telemetry.CatComm, Name: "mpi.send",
+					Start: ns(t.End),
+					Kind:  telemetry.SpanSend, Peer: owner(to),
+					Tag: payloadTag(t.Kind, to), Seq: int64(t.Micro),
+				})
+			}
+			idle = t.End
 		}
 	}
 	return nil
