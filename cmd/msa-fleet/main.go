@@ -172,7 +172,7 @@ func main() {
 
 	// --- 3. Autoscaler: queue depth leads, rolling p99 confirms.
 	scaler, err := f.NewAutoscaler(modelName, fleet.AutoscaleConfig{
-		SLO:      fleet.SLO{P99: *sloP99, QueueFrac: 0.5},
+		SLO:      fleet.SLO{P99: *sloP99},
 		Interval: 25 * time.Millisecond,
 		UpAfter:  1, DownAfter: 4, Cooldown: 2,
 	})

@@ -55,10 +55,8 @@ func main() {
 
 	opts := func(p *ft.Plan) ft.Options {
 		o := ft.Options{
-			Plan:             p,
-			Checkpoint:       ft.CheckpointConfig{Every: *every, Retain: *retain},
-			HeartbeatTimeout: 400 * time.Millisecond,
-			PollInterval:     5 * time.Millisecond,
+			Plan:       p,
+			Checkpoint: ft.CheckpointConfig{Every: *every, Retain: *retain},
 		}
 		if *verbose {
 			o.Logf = func(format string, args ...any) {

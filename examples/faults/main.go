@@ -30,11 +30,9 @@ func main() {
 	//    recovery. The log below is deterministic — run this example twice
 	//    and you get the same lines.
 	sup, err := ft.NewSupervisor(job, ft.Options{
-		Plan:             plan,
-		Checkpoint:       ft.CheckpointConfig{Every: 20, Retain: 3},
-		HeartbeatTimeout: 400 * time.Millisecond,
-		PollInterval:     5 * time.Millisecond,
-		Logf:             func(format string, args ...any) { fmt.Printf("  | "+format+"\n", args...) },
+		Plan:       plan,
+		Checkpoint: ft.CheckpointConfig{Every: 20, Retain: 3},
+		Logf:       func(format string, args ...any) { fmt.Printf("  | "+format+"\n", args...) },
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -392,15 +392,6 @@ func TestDistributedArgmaxPanicsOnBadBatch(t *testing.T) {
 	}
 }
 
-func TestInferenceThroughput(t *testing.T) {
-	if InferenceThroughput(100, 2) != 50 {
-		t.Fatal("throughput math")
-	}
-	if InferenceThroughput(100, 0) != 0 {
-		t.Fatal("zero-duration guard")
-	}
-}
-
 // TestCheckpointResumeExact is the checkpoint/restart invariant (the
 // workflow the NAM accelerates, ref [12]): training k steps, saving,
 // resuming in a fresh process, and training k more must equal an

@@ -108,13 +108,3 @@ func TopK(probs []float64, k int) []int {
 	sort.SliceStable(order, func(a, b int) bool { return probs[order[a]] > probs[order[b]] })
 	return order[:k]
 }
-
-// InferenceThroughput reports samples/second achieved by this rank's
-// shard given a wall-clock duration measured by the caller; a convenience
-// for the scale-out experiment.
-func InferenceThroughput(samples int, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(samples) / seconds
-}

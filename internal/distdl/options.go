@@ -58,10 +58,6 @@ func WithSchedule(s nn.Schedule) Option { return func(n *newConfig) { n.cfg.Sche
 // WithTracer attaches a span tracer to the trainer's step pipeline.
 func WithTracer(t *telemetry.Tracer) Option { return func(n *newConfig) { n.cfg.Tracer = t } }
 
-// WithMetrics registers the trainer's gauges (the pipeline trainer's stage
-// gauges) with a telemetry registry.
-func WithMetrics(r *telemetry.Registry) Option { return func(n *newConfig) { n.cfg.Metrics = r } }
-
 // WithZeRO selects the ZeRO-1 optimizer-state-sharded trainer. The opt
 // argument to New is ignored in this mode (the shard optimizer is the
 // trainer's built-in Adam); pass nil.

@@ -19,14 +19,6 @@ import (
 // per-stage allreduce rings coexist without cross-talk (disjoint tag
 // blocks), and a wrapped communicator (tracing, fault injection) sees the
 // traffic on both.
-//
-// Gradient sync overlaps with the pipeline tail: the pipeline engine
-// fires a hook the moment a chunk's last micro-batch backward completes,
-// and the hook runs that chunk's data-parallel allreduce right there —
-// while other chunks' backwards are still draining. All replicas execute
-// the same planned schedule, so the hooks fire in the same chunk order on
-// every member of a data-parallel group and the blocking ring inside the
-// hook cannot deadlock.
 
 // PipelineTrainer drives one rank of a 2D data×pipeline grid. It
 // implements Stepper; construct it via New(..., WithPipeline(...)).
@@ -43,7 +35,11 @@ type PipelineTrainer struct {
 	rep   int              // replica index: world rank / stages
 
 	localParams []*nn.Param // concatenated params of this rank's chunks
-	lossBuf     []float64
+	// chunkGrads are the local chunks' non-empty spans of the gradient
+	// arena, in ascending chunk order: the order every member of a
+	// data-parallel group averages them in.
+	chunkGrads [][]float64
+	lossBuf    []float64
 
 	step      int
 	computeNS int64
@@ -73,32 +69,19 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 		Schedule:      pc.schedule,
 		VirtualChunks: pc.virtualChunks,
 		Tracer:        cfg.Tracer,
-		Metrics:       cfg.Metrics,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("distdl: building pipeline stage: %v", err))
 	}
 	t.stage = st
 	for _, c := range st.LocalChunks() {
-		t.localParams = append(t.localParams, st.ChunkParams(c)...)
-	}
-	if t.dp.Size() > 1 {
-		st.SetChunkBackwardHook(t.chunkHook)
+		ps := st.ChunkParams(c)
+		t.localParams = append(t.localParams, ps...)
+		if _, g := model.Span(ps); len(g) > 0 {
+			t.chunkGrads = append(t.chunkGrads, g)
+		}
 	}
 	return t
-}
-
-// chunkHook averages one chunk's finished gradients — its span of the
-// gradient arena, in place — across the replicas, called by the pipeline
-// engine while the rest of the backward pass is still in flight.
-func (t *PipelineTrainer) chunkHook(grads []float64) {
-	if len(grads) == 0 {
-		return
-	}
-	c0 := time.Now()
-	t.dp.AllreduceInPlace(grads, mpi.OpSum, mpi.AlgoRing)
-	t.commNS += time.Since(c0).Nanoseconds()
-	tensor.VecScaleInto(grads, grads, 1/float64(t.dp.Size()))
 }
 
 // Step runs one synchronous 2D optimizer step on this replica's minibatch
@@ -112,9 +95,16 @@ func (t *PipelineTrainer) Step(x, y *tensor.Tensor) float64 {
 	commBefore := t.commNS
 	t.Model.ZeroGrads()
 	loss := t.stage.Step(x, y)
+	c0 := time.Now()
+	if t.dp.Size() > 1 {
+		for _, g := range t.chunkGrads {
+			t.dp.AllreduceMeanInPlace(g, mpi.AlgoRing)
+		}
+	}
+	t.commNS += time.Since(c0).Nanoseconds()
 	t.Opt.Step(t.localParams, t.Cfg.Schedule.LR(t.step))
 	t.step++
-	c0 := time.Now()
+	c0 = time.Now()
 	if t.dp.Size() > 1 {
 		t.lossBuf[0] = loss
 		t.dp.AllreduceInPlace(t.lossBuf, mpi.OpSum, mpi.AlgoRing)

@@ -208,6 +208,11 @@ func (c countingComm) AllreduceInPlace(data []float64, op mpi.ReduceOp, algo mpi
 	c.Communicator.AllreduceInPlace(data, op, algo)
 }
 
+func (c countingComm) AllreduceMeanInPlace(data []float64, algo mpi.Algo) {
+	c.n.allreduces++
+	c.Communicator.AllreduceMeanInPlace(data, algo)
+}
+
 // Test2DOverWrappedCommunicator pins the WithPipeline seam: handed any
 // mpi.Communicator, the 2D trainer splits it through the interface, so
 // the pipeline p2p traffic and the per-chunk gradient sync of both axes
@@ -230,7 +235,7 @@ func Test2DOverWrappedCommunicator(t *testing.T) {
 
 // Test2DPurePipeline pins the R = 1 degenerate case: WithPipeline with
 // stages == world size is plain pipeline parallelism (no data axis), and
-// the chunk hook must not be installed (nothing to average).
+// no chunk gradient is averaged (nothing to average across).
 func Test2DPurePipeline(t *testing.T) { run2DEquivalence(t, 3, 1, 4, 2, pipeline.GPipe) }
 
 // Test2DStepAllocSteadyState extends the steady-state allocation gate to

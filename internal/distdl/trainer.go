@@ -39,9 +39,6 @@ type Config struct {
 	// communication fraction is readable straight off the timeline. The
 	// nil default costs nothing on the hot path.
 	Tracer *telemetry.Tracer
-	// Metrics, when non-nil, registers the trainer's gauges at
-	// construction (the pipeline trainer's stage gauges).
-	Metrics *telemetry.Registry
 }
 
 // Trainer drives one rank's replica. Comm is an interface so a fault

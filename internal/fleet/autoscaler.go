@@ -13,11 +13,21 @@ type SLO struct {
 	// P99 is the target 99th-percentile latency; a rolling window above
 	// it is an overload signal (0 disables the latency signal).
 	P99 time.Duration
-	// QueueFrac is the admission-queue occupancy fraction treated as
-	// overload (default 0.5) — queue depth leads latency, so this signal
-	// fires before p99 does.
-	QueueFrac float64
 }
+
+// Fixed control-loop constants. queueFrac is the admission-queue
+// occupancy fraction treated as overload — queue depth leads latency, so
+// this signal fires before p99 does. A scale-up multiplies the replica
+// count by upFactor (doubling closes an SLO gap in O(log n) ticks); a
+// scale-down removes downStep replicas. The rolling-p99 signal is trusted
+// only over at least minWindow observations (queue-depth overload is
+// always trusted).
+const (
+	queueFrac = 0.5
+	upFactor  = 2
+	downStep  = 1
+	minWindow = 20
+)
 
 // AutoscaleConfig tunes the control loop.
 type AutoscaleConfig struct {
@@ -32,26 +42,14 @@ type AutoscaleConfig struct {
 	// scale-down (default 5 — scale-downs are cheap to delay and
 	// expensive to flap).
 	DownAfter int
-	// UpFactor multiplies the replica count on scale-up (default 2 —
-	// doubling closes an SLO gap in O(log n) ticks).
-	UpFactor float64
-	// DownStep is how many replicas one scale-down removes (default 1).
-	DownStep int
 	// Cooldown is how many ticks after a resize the group is left alone,
 	// letting the rolling p99 window reflect the new capacity before the
 	// next decision (default 2). This is the hysteresis that keeps the
 	// loop from flapping.
 	Cooldown int
-	// MinWindow is the minimum observation count for the rolling-p99
-	// signal to be trusted (default 20; queue-depth overload is always
-	// trusted).
-	MinWindow int64
 }
 
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
-	if c.SLO.QueueFrac <= 0 {
-		c.SLO.QueueFrac = 0.5
-	}
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
 	}
@@ -61,19 +59,10 @@ func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if c.DownAfter <= 0 {
 		c.DownAfter = 5
 	}
-	if c.UpFactor <= 1 {
-		c.UpFactor = 2
-	}
-	if c.DownStep <= 0 {
-		c.DownStep = 1
-	}
 	if c.Cooldown < 0 {
 		c.Cooldown = 0
 	} else if c.Cooldown == 0 {
 		c.Cooldown = 2
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 20
 	}
 	return c
 }
@@ -166,13 +155,13 @@ func (a *Autoscaler) tickGroup(g *group) (ScaleEvent, bool) {
 	p99 := window.Quantile(0.99)
 	qfrac := float64(srv.QueueDepth()) / float64(srv.QueueCap())
 
-	overP99 := a.cfg.SLO.P99 > 0 && window.Count() >= a.cfg.MinWindow && p99 > a.cfg.SLO.P99
-	overQueue := qfrac >= a.cfg.SLO.QueueFrac
+	overP99 := a.cfg.SLO.P99 > 0 && window.Count() >= minWindow && p99 > a.cfg.SLO.P99
+	overQueue := qfrac >= queueFrac
 	overloaded := overP99 || overQueue
 	// Underload needs the opposite of BOTH signals with margin: a near
 	// empty queue and a rolling p99 under half the target (or no traffic
 	// at all — the diurnal trough).
-	underloaded := qfrac < a.cfg.SLO.QueueFrac/4 &&
+	underloaded := qfrac < queueFrac/4 &&
 		(window.Count() == 0 || a.cfg.SLO.P99 <= 0 || p99 < a.cfg.SLO.P99/2)
 
 	if st.cooldown > 0 {
@@ -185,13 +174,7 @@ func (a *Autoscaler) tickGroup(g *group) (ScaleEvent, bool) {
 		st.upStreak++
 		st.downStreak = 0
 		if st.upStreak >= a.cfg.UpAfter && replicas < g.spec.MaxReplicas {
-			target := int(float64(replicas) * a.cfg.UpFactor)
-			if target <= replicas {
-				target = replicas + 1
-			}
-			if target > g.spec.MaxReplicas {
-				target = g.spec.MaxReplicas
-			}
+			target := min(max(upFactor*replicas, replicas+1), g.spec.MaxReplicas)
 			reason := fmt.Sprintf("queue %.0f%% of cap", qfrac*100)
 			if overP99 {
 				reason = fmt.Sprintf("rolling p99 %s > SLO %s", p99.Round(time.Microsecond), a.cfg.SLO.P99)
@@ -205,10 +188,7 @@ func (a *Autoscaler) tickGroup(g *group) (ScaleEvent, bool) {
 	if underloaded {
 		st.downStreak++
 		if st.downStreak >= a.cfg.DownAfter && replicas > g.spec.MinReplicas {
-			target := replicas - a.cfg.DownStep
-			if target < g.spec.MinReplicas {
-				target = g.spec.MinReplicas
-			}
+			target := max(replicas-downStep, g.spec.MinReplicas)
 			return a.apply(g, st, replicas, target,
 				fmt.Sprintf("rolling p99 %s, queue %.0f%% of cap", p99.Round(time.Microsecond), qfrac*100), p99, qfrac)
 		}

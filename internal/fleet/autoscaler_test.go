@@ -29,7 +29,7 @@ func TestAutoscalerScalesUpOnQueuePressure(t *testing.T) {
 		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MinReplicas: 1, MaxReplicas: 8,
 			PerSample: 2 * time.Millisecond})
 	a, err := f.NewAutoscaler("m", AutoscaleConfig{
-		SLO: SLO{QueueFrac: 0.5}, UpAfter: 1, Cooldown: 1,
+		UpAfter: 1, Cooldown: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 	f, _ := newTestFleet(t, Config{},
 		GroupSpec{Name: "cm", Kind: "CM", Replicas: 4, MinReplicas: 1, MaxReplicas: 8})
 	a, err := f.NewAutoscaler("m", AutoscaleConfig{
-		SLO: SLO{P99: 50 * time.Millisecond}, DownAfter: 3, DownStep: 1, Cooldown: 1,
+		SLO: SLO{P99: 50 * time.Millisecond}, DownAfter: 3, Cooldown: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MinReplicas: 1, MaxReplicas: 4,
 			PerSample: 2 * time.Millisecond})
 	a, err := f.NewAutoscaler("m", AutoscaleConfig{
-		SLO: SLO{QueueFrac: 0.5}, UpAfter: 1, DownAfter: 4, Cooldown: 2,
+		UpAfter: 1, DownAfter: 4, Cooldown: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

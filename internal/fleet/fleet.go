@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -277,26 +278,9 @@ func (f *Fleet) account(err error) {
 	}
 }
 
-func isShed(err error) bool { return err != nil && errorIs(err, serve.ErrOverloaded) }
+func isShed(err error) bool { return errors.Is(err, serve.ErrOverloaded) }
 func isExpired(err error) bool {
-	return err != nil && (errorIs(err, context.DeadlineExceeded) || errorIs(err, context.Canceled))
-}
-
-// errorIs is errors.Is without the import shadowing headaches in this
-// file's hot path.
-func errorIs(err, target error) bool {
-	for e := err; e != nil; {
-		if e == target {
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := e.(unwrapper)
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // Stats is a point-in-time fleet snapshot.

@@ -47,7 +47,7 @@ func TestStormClosedLoop(t *testing.T) {
 	}
 
 	scaler, err := f.NewAutoscaler("m", AutoscaleConfig{
-		SLO:      SLO{P99: 100 * time.Millisecond, QueueFrac: 0.5},
+		SLO:      SLO{P99: 100 * time.Millisecond},
 		Interval: 20 * time.Millisecond,
 		UpAfter:  1, DownAfter: 2, Cooldown: 1,
 	})

@@ -88,16 +88,10 @@ type CheckpointConfig struct {
 	// Retain caps how many checkpoints are kept; older ones are pruned
 	// after each successful write. 0 means keep all.
 	Retain int
-	// Prefix names the checkpoint series in the store (default "ft").
-	Prefix string
 }
 
-func (c CheckpointConfig) prefix() string {
-	if c.Prefix == "" {
-		return "ft"
-	}
-	return c.Prefix
-}
+// checkpointPrefix names the supervisor's checkpoint series in the store.
+const checkpointPrefix = "ft"
 
 // checkpointName formats a step into a zero-padded, lexically sortable
 // checkpoint name: "<prefix>-0000000040" for step 40.

@@ -48,39 +48,11 @@ func (m *Monitor) Done(rank int) {
 	m.mu.Unlock()
 }
 
-// AllDone reports whether every tracked rank has finished cleanly.
-func (m *Monitor) AllDone() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for r := range m.last {
-		if !m.done[r] {
-			return false
-		}
-	}
-	return true
-}
-
 // LastStep returns the last step the rank beat at (-1 before any beat).
 func (m *Monitor) LastStep(rank int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.last[rank].step
-}
-
-// Stale returns the tracked, unfinished ranks whose last beat is older
-// than the timeout, in ascending rank order.
-func (m *Monitor) Stale(timeout time.Duration) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cut := time.Now().Add(-timeout)
-	var out []int
-	for r, b := range m.last {
-		if !m.done[r] && b.at.Before(cut) {
-			out = append(out, r)
-		}
-	}
-	sortInts(out)
-	return out
 }
 
 // SuspectDead applies the failure-detection rule: a rank is suspected dead
@@ -105,23 +77,6 @@ func (m *Monitor) SuspectDead(timeout time.Duration) []int {
 		}
 	}
 	sortInts(out)
-	return out
-}
-
-// MeanStepNs estimates each tracked rank's pace as the mean wall time per
-// step since monitoring began, in nanoseconds; ranks with no beats yet get
-// 0. Used by the straggler-aware re-sharding policy.
-func (m *Monitor) MeanStepNs(start time.Time) map[int]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[int]float64, len(m.last))
-	for r, b := range m.last {
-		if b.step < 0 {
-			out[r] = 0
-			continue
-		}
-		out[r] = float64(b.at.Sub(start).Nanoseconds()) / float64(b.step+1)
-	}
 	return out
 }
 

@@ -18,23 +18,15 @@ import (
 // bit-comparable to failure-free ones.
 
 // StepBatch returns the index slice of the global batch for `step` owned
-// by survivor `pos` of `alive` (equal shares). n is the dataset size,
-// globalBatch the fixed initialWorld×batchSize product. Steps wrap into
-// epochs: each epoch reshuffles [0,n) with epochSeed+epoch, exactly like
-// distdl.Shard, and holds stepsPerEpoch = n/globalBatch steps (the short
-// tail is dropped to keep every step's batch full-size).
+// by survivor `pos` of `alive`. n is the dataset size, globalBatch the
+// fixed initialWorld×batchSize product. Steps wrap into epochs: each epoch
+// reshuffles [0,n) with epochSeed+epoch, exactly like distdl.Shard, and
+// holds stepsPerEpoch = n/globalBatch steps (the short tail is dropped to
+// keep every step's batch full-size). The global batch splits into equal
+// contiguous shares of q = globalBatch/alive samples; the first
+// globalBatch%alive survivors take one more.
 func StepBatch(n int, epochSeed int64, step, globalBatch, pos, alive int) []int {
-	return WeightedStepBatch(n, epochSeed, step, globalBatch, pos, uniformWeights(alive))
-}
-
-// WeightedStepBatch is StepBatch with explicit per-survivor weights: the
-// global batch is apportioned proportionally (largest-remainder), so a
-// straggler-aware policy can hand slow ranks fewer samples per step while
-// the global batch stays intact. len(weights) is the live world size; pos
-// indexes into it.
-func WeightedStepBatch(n int, epochSeed int64, step, globalBatch int, pos int, weights []float64) []int {
-	alive := len(weights)
-	if alive == 0 || pos < 0 || pos >= alive {
+	if alive <= 0 || pos < 0 || pos >= alive {
 		panic(fmt.Sprintf("ft: survivor pos %d out of [0,%d)", pos, alive))
 	}
 	if globalBatch <= 0 || globalBatch > n {
@@ -45,57 +37,8 @@ func WeightedStepBatch(n int, epochSeed int64, step, globalBatch int, pos int, w
 	pos0 := (step % stepsPerEpoch) * globalBatch
 	perm := rand.New(rand.NewSource(epochSeed + int64(epoch))).Perm(n)
 	batch := perm[pos0 : pos0+globalBatch]
-	counts := apportion(globalBatch, weights)
-	lo := 0
-	for i := 0; i < pos; i++ {
-		lo += counts[i]
-	}
-	return batch[lo : lo+counts[pos]]
-}
-
-// apportion splits total into len(weights) non-negative integer shares
-// proportional to the weights, summing exactly to total, via the
-// largest-remainder method. Zero/negative weights are treated as equal
-// shares (a rank with no pace estimate yet gets an average slice). Ties on
-// remainders break by lower index, so the split is deterministic.
-func apportion(total int, weights []float64) []int {
-	k := len(weights)
-	sum := 0.0
-	for _, w := range weights {
-		if w <= 0 {
-			return apportion(total, uniformWeights(k))
-		}
-		sum += w
-	}
-	counts := make([]int, k)
-	rems := make([]float64, k)
-	assigned := 0
-	for i, w := range weights {
-		exact := float64(total) * w / sum
-		counts[i] = int(exact)
-		rems[i] = exact - float64(counts[i])
-		assigned += counts[i]
-	}
-	for assigned < total {
-		best := 0
-		for i := 1; i < k; i++ {
-			if rems[i] > rems[best] {
-				best = i
-			}
-		}
-		counts[best]++
-		rems[best] = -1
-		assigned++
-	}
-	return counts
-}
-
-func uniformWeights(k int) []float64 {
-	w := make([]float64, k)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
+	q, r := globalBatch/alive, globalBatch%alive
+	return batch[pos*q+min(pos, r) : (pos+1)*q+min(pos+1, r)]
 }
 
 // StepsPerEpoch returns how many full global batches one epoch holds.

@@ -39,17 +39,14 @@ type Job struct {
 	Cfg distdl.Config
 }
 
-// StragglerPolicy controls straggler-aware re-sharding at recovery
-// boundaries. Disabled by default: re-weighting derives from measured
-// step pace, which is wall-clock and therefore breaks bit-determinism —
-// opt in only when throughput matters more than replayability.
-type StragglerPolicy struct {
-	Enabled bool
-	// Quantum is the weight quantization step (default 0.25): measured
-	// paces are noisy, so weights snap to multiples of the quantum and a
-	// rank never drops below one quantum of the average share.
-	Quantum float64
-}
+// Failure-detector constants: the watcher checks heartbeats every
+// pollInterval, and a rank whose last beat is older than heartbeatTimeout
+// (and behind the survivors' frontier, see Monitor.SuspectDead) is
+// declared dead.
+const (
+	heartbeatTimeout = 400 * time.Millisecond
+	pollInterval     = 5 * time.Millisecond
+)
 
 // Options tunes the supervisor.
 type Options struct {
@@ -60,13 +57,6 @@ type Options struct {
 	// Store persists checkpoints; defaults to an in-memory MemStore. Use
 	// *storage.ModelStore for durable SSSM-style placement.
 	Store BlobStore
-	// HeartbeatTimeout is how stale a rank's beat must be before it can be
-	// suspected (default 2s; tests shrink it).
-	HeartbeatTimeout time.Duration
-	// PollInterval is the failure detector's check period (default 20ms).
-	PollInterval time.Duration
-	// Straggler enables pace-weighted re-sharding after recoveries.
-	Straggler StragglerPolicy
 	// Tracer, when set, receives checkpoint and recovery spans (plus the
 	// per-step spans the trainers emit via Job.Cfg.Tracer if configured).
 	Tracer *telemetry.Tracer
@@ -156,15 +146,6 @@ func NewSupervisor(job Job, opt Options) (*Supervisor, error) {
 	if opt.Store == nil {
 		opt.Store = NewMemStore()
 	}
-	if opt.HeartbeatTimeout <= 0 {
-		opt.HeartbeatTimeout = 2 * time.Second
-	}
-	if opt.PollInterval <= 0 {
-		opt.PollInterval = 20 * time.Millisecond
-	}
-	if opt.Straggler.Quantum <= 0 {
-		opt.Straggler.Quantum = 0.25
-	}
 	return &Supervisor{job: job, opt: opt}, nil
 }
 
@@ -200,7 +181,6 @@ func (s *Supervisor) Run() (*Report, error) {
 	for i := range alive {
 		alive[i] = i
 	}
-	weights := uniformWeights(len(alive))
 	var restoreBlob []byte
 	restoreStep := 0
 	maxInc := 2
@@ -217,7 +197,7 @@ func (s *Supervisor) Run() (*Report, error) {
 			return nil, fmt.Errorf("ft: %d incarnations without completing — supervisor is not converging", inc)
 		}
 		s.logf("incarnation %d: ranks %v from step %d", inc, alive, restoreStep)
-		res := s.runIncarnation(inc, alive, weights, restoreBlob, restoreStep)
+		res := s.runIncarnation(inc, alive, restoreBlob, restoreStep)
 		if res.err != nil {
 			return nil, res.err
 		}
@@ -261,7 +241,7 @@ func (s *Supervisor) Run() (*Report, error) {
 		if len(survivors) == 0 {
 			return nil, fmt.Errorf("ft: all ranks dead at step %d — nothing to recover with", res.stallStep)
 		}
-		blob, ckptStep, ok, err := LatestCheckpoint(s.opt.Store, s.opt.Checkpoint.prefix())
+		blob, ckptStep, ok, err := LatestCheckpoint(s.opt.Store, checkpointPrefix)
 		if err != nil {
 			return nil, fmt.Errorf("ft: reading checkpoints during recovery: %w", err)
 		}
@@ -288,12 +268,6 @@ func (s *Supervisor) Run() (*Report, error) {
 				fmt.Sprintf("recover-%d", inc), res.traceStart, 0, 0,
 				fmt.Sprintf("dead %v", res.dead))
 		}
-		if s.opt.Straggler.Enabled {
-			weights = stragglerWeights(res.pace, survivors, s.opt.Straggler)
-			s.logf("incarnation %d: straggler-aware shares %v for ranks %v", inc, weights, survivors)
-		} else {
-			weights = uniformWeights(len(survivors))
-		}
 		alive, restoreBlob, restoreStep = survivors, blob, ckptStep
 	}
 }
@@ -305,19 +279,17 @@ type incResult struct {
 	detectedAt time.Time
 	traceStart int64 // tracer timestamp at detection
 	readyAt    time.Time
-	pace       map[int]float64 // per-rank mean ns/step (straggler policy input)
 	finalLoss  float64
 	inSync     bool
 	finalStep  int
 	params     []float64
 }
 
-func (s *Supervisor) runIncarnation(inc int, alive []int, weights []float64, restoreBlob []byte, restoreStep int) incResult {
+func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, restoreStep int) incResult {
 	n := s.job.Xs.Shape()[0]
 	globalBatch := s.job.Ranks * s.job.BatchSize
 	world := mpi.NewWorld(len(alive))
 	mon := NewMonitor(alive)
-	start := time.Now()
 	res := incResult{stallStep: -1}
 	var resMu sync.Mutex
 
@@ -334,14 +306,14 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, weights []float64, res
 	monWG.Add(1)
 	go func() {
 		defer monWG.Done()
-		tick := time.NewTicker(s.opt.PollInterval)
+		tick := time.NewTicker(pollInterval)
 		defer tick.Stop()
 		for {
 			select {
 			case <-stopMon:
 				return
 			case <-tick.C:
-				suspects := mon.SuspectDead(s.opt.HeartbeatTimeout)
+				suspects := mon.SuspectDead(heartbeatTimeout)
 				if len(suspects) == 0 {
 					continue
 				}
@@ -356,7 +328,6 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, weights []float64, res
 				res.stallStep = stall
 				res.detectedAt = time.Now()
 				res.traceStart = s.opt.Tracer.Start()
-				res.pace = mon.MeanStepNs(start)
 				resMu.Unlock()
 				s.logf("incarnation %d: heartbeat detector suspects ranks %v dead (survivor frontier step %d); revoking world",
 					inc, suspects, stall)
@@ -416,7 +387,7 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, weights []float64, res
 				// makes SuspectDead exact and deterministic.
 				inj.AtStep(step)
 				mon.Beat(gid, step)
-				idx := WeightedStepBatch(n, s.job.EpochSeed, step, globalBatch, pos, weights)
+				idx := StepBatch(n, s.job.EpochSeed, step, globalBatch, pos, len(alive))
 				x, y := distdl.GatherBatch(s.job.Xs, s.job.Ys, idx)
 				lastLoss = trainer.Step(x, y)
 				if every := s.opt.Checkpoint.Every; every > 0 && (step+1)%every == 0 {
@@ -454,12 +425,12 @@ func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, com
 		traceStart := s.opt.Tracer.Start()
 		t0 := time.Now()
 		blob, err := trainer.Checkpoint()
-		name := checkpointName(s.opt.Checkpoint.prefix(), step)
+		name := checkpointName(checkpointPrefix, step)
 		if err == nil {
 			err = s.opt.Store.SaveBlob(name, blob)
 		}
 		if err == nil {
-			err = pruneCheckpoints(s.opt.Store, s.opt.Checkpoint.prefix(), s.opt.Checkpoint.Retain)
+			err = pruneCheckpoints(s.opt.Store, checkpointPrefix, s.opt.Checkpoint.Retain)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("coordinated checkpoint %s failed: %v", name, err))
@@ -475,37 +446,6 @@ func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, com
 		s.logf("incarnation %d: coordinated checkpoint %s at step %d (%d bytes)", inc, name, step, len(blob))
 	}
 	comm.Barrier()
-}
-
-// stragglerWeights converts measured per-rank paces (ns/step) into
-// quantized proportional-share weights for WeightedStepBatch: a rank
-// twice as slow gets roughly half the samples. Quantization to the
-// policy's quantum keeps noisy measurements from producing a different
-// partition on every run.
-func stragglerWeights(pace map[int]float64, survivors []int, pol StragglerPolicy) []float64 {
-	w := uniformWeights(len(survivors))
-	if !pol.Enabled {
-		return w
-	}
-	speeds := make([]float64, len(survivors))
-	sum := 0.0
-	for i, gid := range survivors {
-		p := pace[gid]
-		if p <= 0 {
-			return w // no usable estimates: keep equal shares
-		}
-		speeds[i] = 1 / p
-		sum += speeds[i]
-	}
-	mean := sum / float64(len(survivors))
-	for i := range speeds {
-		q := pol.Quantum * float64(int(speeds[i]/mean/pol.Quantum+0.5))
-		if q < pol.Quantum {
-			q = pol.Quantum
-		}
-		w[i] = q
-	}
-	return w
 }
 
 func containsInt(s []int, v int) bool {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/telemetry"
@@ -17,13 +16,10 @@ func testJob(ranks, batchSize, steps int) Job {
 	return DemoJob(ranks, batchSize, steps)
 }
 
-// testOptions shrinks the failure detector to test-friendly latencies.
 func testOptions(plan *Plan, every int) Options {
 	return Options{
-		Plan:             plan,
-		Checkpoint:       CheckpointConfig{Every: every, Retain: 3},
-		HeartbeatTimeout: 400 * time.Millisecond,
-		PollInterval:     5 * time.Millisecond,
+		Plan:       plan,
+		Checkpoint: CheckpointConfig{Every: every, Retain: 3},
 	}
 }
 
@@ -282,27 +278,6 @@ func TestRecoveryWithoutCheckpoints(t *testing.T) {
 	}
 	if rep.FinalStep != 30 || !rep.ParamsInSync {
 		t.Fatalf("run did not complete: %+v", rep)
-	}
-}
-
-func TestStragglerAwareRecovery(t *testing.T) {
-	// Rank 1 straggles from the start; rank 2 dies at step 30. With the
-	// policy enabled, the post-recovery re-shard hands the straggler a
-	// smaller slice of each global batch — and the run still completes in
-	// sync because the global batch itself is unchanged.
-	plan := &Plan{Events: []Event{
-		{Kind: Straggle, Rank: 1, Step: 0, PerOp: 500 * time.Microsecond},
-		{Kind: Crash, Rank: 2, Step: 30},
-	}}
-	opt := testOptions(plan, 10)
-	opt.Straggler = StragglerPolicy{Enabled: true, Quantum: 0.25}
-	rep := mustRun(t, testJob(4, 8, 60), opt)
-	if rep.Incarnations != 2 || !rep.ParamsInSync || rep.FinalStep != 60 {
-		t.Fatalf("report = %+v", rep)
-	}
-	joined := strings.Join(rep.Log, "\n")
-	if !strings.Contains(joined, "straggler-aware shares") {
-		t.Fatalf("straggler policy left no trace:\n%s", joined)
 	}
 }
 

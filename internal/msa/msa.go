@@ -190,6 +190,28 @@ func (m *Module) Nodes() int {
 	return n
 }
 
+// ComputeNode returns the node spec of the module's largest non-service
+// group: the compute partition that placements, the scheduler and the
+// serving tier size work against. Ties go to the earlier group. It panics
+// if the module has no compute group.
+func (m *Module) ComputeNode() NodeSpec {
+	best := -1
+	var spec NodeSpec
+	for _, g := range m.Groups {
+		if g.Node.Service {
+			continue
+		}
+		if g.Count > best {
+			best = g.Count
+			spec = g.Node
+		}
+	}
+	if best < 0 {
+		panic(fmt.Sprintf("msa: module %s has no compute group", m.Name))
+	}
+	return spec
+}
+
 // Cores returns total compute cores in the module.
 func (m *Module) Cores() int {
 	n := 0

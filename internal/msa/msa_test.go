@@ -161,6 +161,30 @@ func TestNodeSpecDerived(t *testing.T) {
 	}
 }
 
+// TestComputeNode: the compute node is the largest non-service group's,
+// a service group never counts however large, and a module with only
+// service nodes has none.
+func TestComputeNode(t *testing.T) {
+	small := NodeSpec{CPU: Skylake6148, Sockets: 1}
+	large := NodeSpec{CPU: Skylake6148, Sockets: 2}
+	svc := NodeSpec{CPU: Skylake6148, Sockets: 2, Service: true}
+	m := &Module{Name: "m", Groups: []NodeGroup{
+		{Name: "login", Count: 100, Node: svc},
+		{Name: "a", Count: 4, Node: small},
+		{Name: "b", Count: 8, Node: large},
+		{Name: "c", Count: 8, Node: small},
+	}}
+	if got := m.ComputeNode(); got.Sockets != 2 || got.Service {
+		t.Fatalf("ComputeNode = %+v, want group b's node", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("module without compute groups must panic")
+		}
+	}()
+	(&Module{Name: "svc", Groups: []NodeGroup{{Name: "login", Count: 2, Node: svc}}}).ComputeNode()
+}
+
 func TestPowerAggregation(t *testing.T) {
 	dam := DEEP().Module(DataAnalytics)
 	perNode := dam.Groups[0].Node.PowerW()

@@ -182,7 +182,7 @@ func Evaluate(w Workload, p Placement) Result {
 	if p.Nodes < 1 || p.Nodes > p.Module.Nodes() {
 		panic(fmt.Sprintf("perfmodel: placement of %d nodes on module %s with %d nodes", p.Nodes, p.Module.Name, p.Module.Nodes()))
 	}
-	spec := computeGroupSpec(p.Module)
+	spec := p.Module.ComputeNode()
 	algo := mpi.AlgoRing
 	if p.Module.HasGCE {
 		algo = mpi.AlgoGCE
@@ -191,11 +191,6 @@ func Evaluate(w Workload, p Placement) Result {
 	power := spec.PowerW() * float64(p.Nodes)
 	return Result{Seconds: t, Joules: power * t}
 }
-
-// ComputeSpec returns the node spec of the module's largest non-service
-// group — the partition placements (and the serving tier in
-// internal/serve) run on.
-func ComputeSpec(m *msa.Module) msa.NodeSpec { return computeGroupSpec(m) }
 
 // InferenceWorkload describes one online-inference request as a
 // perfmodel workload: per-sample forward flops and activation/weight
@@ -207,26 +202,6 @@ func InferenceWorkload(name string, flopsPerSample, bytesPerSample float64) Work
 		Flops: flopsPerSample, Bytes: bytesPerSample,
 		ParallelFrac: 1, PrefersGPU: true,
 	}
-}
-
-// computeGroupSpec returns the node spec of the module's largest
-// non-service group (the compute partition used for placements).
-func computeGroupSpec(m *msa.Module) msa.NodeSpec {
-	best := -1
-	var spec msa.NodeSpec
-	for _, g := range m.Groups {
-		if g.Node.Service {
-			continue
-		}
-		if g.Count > best {
-			best = g.Count
-			spec = g.Node
-		}
-	}
-	if best < 0 {
-		panic(fmt.Sprintf("perfmodel: module %s has no compute group", m.Name))
-	}
-	return spec
 }
 
 // BestModule evaluates w on up to maxNodes nodes of every compute module
@@ -278,9 +253,7 @@ func (app TwoPhaseApp) ModularTime(ma, mb *msa.Module, fed msa.Link, nodesA, nod
 	rb := Evaluate(app.PhaseB, Placement{Module: mb, Nodes: nodesB})
 	tXfer := fed.LatencyUS*1e-6 + app.DataGB/fed.BWGBs
 	// Transfer energy: both endpoints' node power for the transfer window.
-	specA := computeGroupSpec(ma)
-	specB := computeGroupSpec(mb)
-	eXfer := (specA.PowerW()*float64(nodesA) + specB.PowerW()*float64(nodesB)) * tXfer * 0.5
+	eXfer := (ma.ComputeNode().PowerW()*float64(nodesA) + mb.ComputeNode().PowerW()*float64(nodesB)) * tXfer * 0.5
 	return Result{
 		Seconds: ra.Seconds + tXfer + rb.Seconds,
 		Joules:  ra.Joules + rb.Joules + eXfer,

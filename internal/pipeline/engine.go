@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/nn"
@@ -53,13 +52,8 @@ type Config struct {
 	// VirtualChunks is v, the model chunks per rank (interleaving depth).
 	// 0 picks the schedule's default: 1 for GPipe, 2 for OneFOneB.
 	VirtualChunks int
-	// BaseTag relocates the pipeline tag block (DefaultBaseTag when 0).
-	BaseTag int
 	// Tracer, when set, records per-task compute spans and recv-wait spans.
 	Tracer *telemetry.Tracer
-	// Metrics, when set, gets pipeline_bubble_fraction and
-	// pipeline_stage_occupancy gauges labeled by stage rank.
-	Metrics *telemetry.Registry
 }
 
 // chunkState is one model chunk's runtime state. All C chunks exist on
@@ -69,9 +63,8 @@ type Config struct {
 type chunkState struct {
 	seq   *nn.Sequential
 	local bool
-	// values and grads are the chunk's spans of the model's parameter
-	// arena.
-	values, grads []float64
+	// values is the chunk's span of the model's parameter arena.
+	values []float64
 	// Per-step progress. Forwards and backwards of a chunk each run in
 	// strict micro order: the only candidate micro is fwdDone (resp.
 	// bwdDone), so gradient accumulation order is deterministic.
@@ -98,12 +91,6 @@ type Stage struct {
 	microRows    []int
 	xs, ys       []*tensor.Tensor
 
-	// onChunkBackward, when set, fires after a local chunk's final
-	// backward of the step with the chunk's gradient span, which is then
-	// final. distdl's 2D trainer hangs the per-chunk data-parallel
-	// allreduce off this.
-	onChunkBackward func(grads []float64)
-
 	// order is this rank's planned task sequence (see PlanSchedule);
 	// orderIdx is the step cursor. Executing a fixed plan keeps the
 	// realized schedule — and therefore the bubble structure — identical
@@ -112,10 +99,9 @@ type Stage struct {
 	orderIdx int
 
 	steps              int
-	busyNS, windowNS   int64
+	busyNS             int64
 	firstTask, lastEnd int64
-	bubble, occupancy  float64
-	gBubble, gOcc      *telemetry.Gauge
+	bubble             float64
 }
 
 // New builds this rank's stage over peer. Every rank passes the full
@@ -134,9 +120,6 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 		return nil, fmt.Errorf("pipeline: VirtualChunks must be ≥ 1, got %d", cfg.VirtualChunks)
 	}
 	cfg.VirtualChunks = v
-	if cfg.BaseTag == 0 {
-		cfg.BaseTag = DefaultBaseTag
-	}
 	C := S * v
 	parts, err := Partition(model, C)
 	if err != nil {
@@ -157,7 +140,7 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 			inF:   make([]*tensor.Tensor, st.M),
 			inB:   make([]*tensor.Tensor, st.M),
 		}
-		cs.values, cs.grads = model.Span(seq.Params())
+		cs.values, _ = model.Span(seq.Params())
 		if cs.local {
 			seq.EnsureStash(st.M)
 			st.locals = append(st.locals, c)
@@ -165,11 +148,6 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 		st.chunks = append(st.chunks, cs)
 	}
 	st.order = PlanSchedule(S, v, cfg.MicroBatches, cfg.Schedule, 1, 2)[st.rank]
-	if cfg.Metrics != nil {
-		lbl := telemetry.Label{Key: "stage", Value: strconv.Itoa(st.rank)}
-		st.gBubble = cfg.Metrics.Gauge("pipeline_bubble_fraction", lbl)
-		st.gOcc = cfg.Metrics.Gauge("pipeline_stage_occupancy", lbl)
-	}
 	return st, nil
 }
 
@@ -186,18 +164,10 @@ func (st *Stage) LocalChunks() []int { return st.locals }
 // ChunkParams returns chunk c's parameter list.
 func (st *Stage) ChunkParams(c int) []*nn.Param { return st.chunks[c].seq.Params() }
 
-// SetChunkBackwardHook installs fn to run right after a local chunk's
-// last backward of a step with the chunk's span of the gradient arena,
-// whose gradients are then final. Used by the 2D trainer to overlap
-// per-chunk gradient allreduce with the remaining pipeline backwards.
-func (st *Stage) SetChunkBackwardHook(fn func(grads []float64)) {
-	st.onChunkBackward = fn
-}
-
-func (st *Stage) headerTag() int             { return st.cfg.BaseTag }
-func (st *Stage) payloadTag(kind, c int) int { return st.cfg.BaseTag + 1 + kind*st.C + c }
-func (st *Stage) lossTag() int               { return st.cfg.BaseTag + 1 + 2*st.C }
-func (st *Stage) syncTag(c int) int          { return st.cfg.BaseTag + 2 + 2*st.C + c }
+func (st *Stage) headerTag() int             { return DefaultBaseTag }
+func (st *Stage) payloadTag(kind, c int) int { return DefaultBaseTag + 1 + kind*st.C + c }
+func (st *Stage) lossTag() int               { return DefaultBaseTag + 1 + 2*st.C }
+func (st *Stage) syncTag(c int) int          { return DefaultBaseTag + 2 + 2*st.C + c }
 
 // Step runs one pipeline-parallel optimizer step's forward/backward over
 // the minibatch, leaving accumulated gradients on the local chunks'
@@ -246,13 +216,7 @@ func (st *Stage) Step(x, y *tensor.Tensor) float64 {
 	}
 
 	if st.lastEnd > st.firstTask {
-		st.windowNS = st.lastEnd - st.firstTask
-		st.occupancy = float64(st.busyNS) / float64(st.windowNS)
-		st.bubble = 1 - st.occupancy
-		if st.gOcc != nil {
-			st.gOcc.Set(st.occupancy)
-			st.gBubble.Set(st.bubble)
-		}
+		st.bubble = 1 - float64(st.busyNS)/float64(st.lastEnd-st.firstTask)
 	}
 	st.cfg.Tracer.End(st.rank, telemetry.CatStep, "pipe.step", trStep, 0, st.cfg.Schedule.String())
 	st.steps++
@@ -381,9 +345,6 @@ func (st *Stage) run(kind, c int) float64 {
 		cs.bwdDone++
 		if c > 0 {
 			st.deliver(kindB, c-1, m, din)
-		}
-		if cs.bwdDone == st.M && st.onChunkBackward != nil {
-			st.onChunkBackward(cs.grads)
 		}
 	}
 	t1 := time.Now().UnixNano()

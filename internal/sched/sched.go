@@ -122,7 +122,7 @@ func Simulate(sys *msa.System, jobs []Job, opts Options) Report {
 		case msa.StorageService, msa.NetworkMemory, msa.QuantumModule:
 			continue
 		}
-		spec := largestComputeGroup(m)
+		spec := m.ComputeNode()
 		states[m.Name] = &moduleState{
 			mod: m, capacity: m.Nodes(), free: m.Nodes(),
 			powerPerNode: spec.PowerW(),
@@ -459,24 +459,4 @@ func shadowTime(st *moduleState, needed int, now float64) (float64, int) {
 		now = e.end
 	}
 	return now, free - needed
-}
-
-// largestComputeGroup returns the node spec of the module's biggest
-// non-service group.
-func largestComputeGroup(m *msa.Module) msa.NodeSpec {
-	best := -1
-	var spec msa.NodeSpec
-	for _, g := range m.Groups {
-		if g.Node.Service {
-			continue
-		}
-		if g.Count > best {
-			best = g.Count
-			spec = g.Node
-		}
-	}
-	if best < 0 {
-		panic(fmt.Sprintf("sched: module %s has no compute group", m.Name))
-	}
-	return spec
 }

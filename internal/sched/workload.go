@@ -139,7 +139,7 @@ func Monolithic(ref *msa.System, kind msa.ModuleKind) *msa.System {
 	if src == nil {
 		panic(fmt.Sprintf("sched: reference system has no %s module", kind))
 	}
-	spec := largestComputeGroup(src)
+	spec := src.ComputeNode()
 	return &msa.System{
 		Name:       ref.Name + "-mono-" + string(kind),
 		Federation: ref.Federation,

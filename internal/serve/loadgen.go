@@ -114,72 +114,6 @@ func poisson(rng *rand.Rand, lambda float64) int {
 	return int(n + 0.5)
 }
 
-// ShapedReport is the client-side view of one shaped (open-ish loop)
-// load run: per-phase issued counts plus the terminal-outcome totals.
-type ShapedReport struct {
-	LoadReport
-	PhasePlanned []int
-}
-
-// RunShaped drives s with the shaped arrival process: each phase issues
-// its planned arrival count through `workers` concurrent senders, pacing
-// phases to phaseDur (a phase whose arrivals outrun the server simply
-// extends — closed-loop backpressure inside the phase, open-loop shape
-// across phases). sample(phase, i) supplies request inputs.
-func RunShaped(s *Server, shape ShapeConfig, phaseDur time.Duration, workers int, sample func(phase, i int) *tensor.Tensor) ShapedReport {
-	if workers < 1 {
-		workers = 1
-	}
-	counts := shape.ArrivalCounts()
-	var sent, ok, shed, expired, failed atomic.Int64
-	start := time.Now()
-	for p, n := range counts {
-		phaseEnd := start.Add(time.Duration(p+1) * phaseDur)
-		var idx atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(idx.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					sent.Add(1)
-					_, err := s.Predict(context.Background(), sample(p, i))
-					switch {
-					case err == nil:
-						ok.Add(1)
-					case errors.Is(err, ErrOverloaded):
-						shed.Add(1)
-					case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-						expired.Add(1)
-					default:
-						failed.Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if d := time.Until(phaseEnd); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	wall := time.Since(start)
-	rep := ShapedReport{
-		LoadReport: LoadReport{
-			Sent: sent.Load(), OK: ok.Load(), Shed: shed.Load(),
-			Expired: expired.Load(), Failed: failed.Load(), Wall: wall,
-		},
-		PhasePlanned: counts,
-	}
-	if wall > 0 {
-		rep.Throughput = float64(rep.OK) / wall.Seconds()
-	}
-	return rep
-}
-
 // RunClosedLoop runs the load against s, sampling request inputs via
 // sample(client, i).
 func RunClosedLoop(s *Server, cfg LoadConfig, sample func(client, i int) *tensor.Tensor) LoadReport {

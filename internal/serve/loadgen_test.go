@@ -3,9 +3,6 @@ package serve
 import (
 	"math"
 	"testing"
-	"time"
-
-	"repro/internal/tensor"
 )
 
 // TestArrivalCountsPinned pins the exact per-phase arrival counts for a
@@ -75,49 +72,5 @@ func TestArrivalCountsSeedAndAmplitude(t *testing.T) {
 		if math.Abs(float64(n)-50_000) > 6*math.Sqrt(50_000) {
 			t.Fatalf("large-lambda phase %d count %d implausible for Poisson(50000)", i, n)
 		}
-	}
-}
-
-// TestRunShapedDrivesServer runs a tiny shaped load end to end: every
-// planned arrival is issued and accounted, and the server accessor
-// methods (QueueCap, P99, LatencySnapshot) report coherently.
-func TestRunShapedDrivesServer(t *testing.T) {
-	be := &echoBackend{}
-	s := New([]Backend{be}, Config{MaxBatch: 4, BatchWindow: 200 * time.Microsecond,
-		QueueCap: 64, DefaultDeadline: 5 * time.Second})
-	defer s.Close()
-
-	if s.QueueCap() != 64 {
-		t.Fatalf("QueueCap = %d, want 64", s.QueueCap())
-	}
-	before := s.LatencySnapshot()
-
-	shape := ShapeConfig{BaseRate: 40, Amplitude: 0.5, Period: 4, Phases: 4, Seed: 7}
-	rep := RunShaped(s, shape, time.Millisecond, 8,
-		func(phase, i int) *tensor.Tensor { return sampleVec(float64(phase), float64(i)) })
-
-	planned := 0
-	for _, n := range rep.PhasePlanned {
-		planned += n
-	}
-	if rep.Sent != int64(planned) {
-		t.Fatalf("sent %d, planned %d", rep.Sent, planned)
-	}
-	if rep.OK+rep.Shed+rep.Expired+rep.Failed != rep.Sent {
-		t.Fatalf("outcomes don't sum: %+v", rep.LoadReport)
-	}
-	if rep.OK == 0 {
-		t.Fatalf("no request served: %+v", rep.LoadReport)
-	}
-
-	window := s.LatencySnapshot().Sub(before)
-	if window.Count() != rep.OK {
-		t.Fatalf("latency window count %d, want %d served", window.Count(), rep.OK)
-	}
-	if p99 := window.Quantile(0.99); p99 <= 0 {
-		t.Fatalf("windowed p99 = %v, want > 0", p99)
-	}
-	if s.P99() <= 0 {
-		t.Fatal("cumulative P99 accessor returned 0 after traffic")
 	}
 }

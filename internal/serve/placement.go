@@ -48,7 +48,7 @@ func DerivePlan(w perfmodel.Workload, m *msa.Module, nodes int) Plan {
 	if nodes > m.Nodes() {
 		nodes = m.Nodes()
 	}
-	spec := perfmodel.ComputeSpec(m)
+	spec := m.ComputeNode()
 	perNode := 1
 	if w.PrefersGPU && spec.GPUs() > 0 {
 		perNode = spec.GPUs()

@@ -30,20 +30,18 @@ type replica struct {
 }
 
 // pool hands exclusive replica ownership to dispatch workers. Failed
-// replicas are quarantined for a cooldown, then rejoin — graceful
+// replicas are quarantined for failureCooldown, then rejoin — graceful
 // degradation rather than permanent capacity loss (a restarted serving
 // process on an MSA node comes back).
 type pool struct {
-	free     chan *replica
-	all      []*replica
-	cooldown time.Duration
+	free chan *replica
+	all  []*replica
 }
 
-func newPool(backends []Backend, cooldown time.Duration) *pool {
+func newPool(backends []Backend) *pool {
 	p := &pool{
-		free:     make(chan *replica, len(backends)),
-		all:      make([]*replica, len(backends)),
-		cooldown: cooldown,
+		free: make(chan *replica, len(backends)),
+		all:  make([]*replica, len(backends)),
 	}
 	for i, b := range backends {
 		r := &replica{id: i, backend: b}
@@ -54,15 +52,15 @@ func newPool(backends []Backend, cooldown time.Duration) *pool {
 }
 
 // acquire blocks until a healthy replica is available. Quarantined
-// replicas always rejoin after the cooldown, so acquire cannot starve
+// replicas always rejoin after failureCooldown, so acquire cannot starve
 // forever.
 func (p *pool) acquire() *replica { return <-p.free }
 
 func (p *pool) release(r *replica) { p.free <- r }
 
-// quarantine keeps a failed replica out of the pool for the cooldown.
+// quarantine keeps a failed replica out of the pool for failureCooldown.
 func (p *pool) quarantine(r *replica) {
-	time.AfterFunc(p.cooldown, func() { p.free <- r })
+	time.AfterFunc(failureCooldown, func() { p.free <- r })
 }
 
 // ModelBackend serves a real nn.Sequential. Layers cache activations

@@ -35,7 +35,7 @@ var (
 	// ErrClosed is returned for requests arriving after Close.
 	ErrClosed = errors.New("serve: server closed")
 	// ErrReplicasExhausted is returned when every dispatch attempt
-	// (1 + MaxRetries) hit a failing replica.
+	// (1 + maxRetries) hit a failing replica.
 	ErrReplicasExhausted = errors.New("serve: all inference replicas failed")
 )
 
@@ -63,15 +63,6 @@ type Config struct {
 	// DefaultDeadline is the per-request deadline applied when the
 	// caller's context carries none (default 250ms).
 	DefaultDeadline time.Duration
-	// MaxRetries is how many times a batch is re-dispatched to another
-	// replica after a replica failure (default 2; -1 disables retries).
-	MaxRetries int
-	// RetryBackoff is the base sleep between dispatch attempts, doubled
-	// each retry (default 500µs).
-	RetryBackoff time.Duration
-	// FailureCooldown quarantines a failed replica before it rejoins the
-	// pool (default 10ms).
-	FailureCooldown time.Duration
 	// Tracer, when non-nil, records queue-wait spans (one per request, on
 	// the "queue" track) and batch-dispatch spans (one per dispatched
 	// batch, on the serving replica's track). Nil costs nothing.
@@ -91,19 +82,18 @@ func (c Config) withDefaults() Config {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 250 * time.Millisecond
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 500 * time.Microsecond
-	}
-	if c.FailureCooldown <= 0 {
-		c.FailureCooldown = 10 * time.Millisecond
-	}
 	return c
 }
+
+// Replica failure handling: a batch that hits a failing replica is
+// re-dispatched up to maxRetries times, sleeping retryBackoff doubled per
+// retry, and the failed replica sits out failureCooldown before it rejoins
+// the pool.
+const (
+	maxRetries      = 2
+	retryBackoff    = 500 * time.Microsecond
+	failureCooldown = 10 * time.Millisecond
+)
 
 type response struct {
 	pred Prediction
@@ -152,7 +142,7 @@ func New(backends []Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		pool:    newPool(backends, cfg.FailureCooldown),
+		pool:    newPool(backends),
 		queue:   make(chan *request, cfg.QueueCap),
 		batches: make(chan *batchJob, len(backends)),
 		metrics: newMetrics(),
@@ -304,10 +294,10 @@ func (s *Server) runBatch(ws *tensor.Workspace, job *batchJob) {
 	}
 
 	var lastErr error
-	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			s.metrics.retries.Add(1)
-			time.Sleep(s.cfg.RetryBackoff << (attempt - 1))
+			time.Sleep(retryBackoff << (attempt - 1))
 		}
 		rep := s.pool.acquire()
 		start := time.Now()

@@ -182,7 +182,6 @@ func TestReplicaFailureRetries(t *testing.T) {
 	bad := &FlakyBackend{Inner: &echoBackend{}, FailWhen: func(int64) bool { return true }}
 	good := &echoBackend{}
 	s := New([]Backend{bad, good}, Config{MaxBatch: 4, BatchWindow: time.Millisecond,
-		MaxRetries: 3, RetryBackoff: 100 * time.Microsecond, FailureCooldown: time.Millisecond,
 		DefaultDeadline: 5 * time.Second})
 	defer s.Close()
 
@@ -208,19 +207,28 @@ func TestReplicaFailureRetries(t *testing.T) {
 	}
 }
 
+// TestAllReplicasFailing: a one-replica server whose replica always fails
+// dispatches the batch exactly 1+maxRetries times, then gives up with
+// ErrReplicasExhausted.
 func TestAllReplicasFailing(t *testing.T) {
-	bad := &FlakyBackend{Inner: &echoBackend{}, FailWhen: func(int64) bool { return true }}
-	s := New([]Backend{bad}, Config{MaxBatch: 1, MaxRetries: 1,
-		RetryBackoff: 100 * time.Microsecond, FailureCooldown: time.Millisecond,
-		DefaultDeadline: 5 * time.Second})
+	var calls atomic.Int64
+	bad := &FlakyBackend{Inner: &echoBackend{}, FailWhen: func(int64) bool { calls.Add(1); return true }}
+	s := New([]Backend{bad}, Config{MaxBatch: 1, DefaultDeadline: 5 * time.Second})
 	defer s.Close()
 
 	_, err := s.Predict(context.Background(), sampleVec(1))
 	if !errors.Is(err, ErrReplicasExhausted) {
 		t.Fatalf("got %v, want ErrReplicasExhausted", err)
 	}
-	if snap := s.Snapshot(); snap.Failed != 1 {
+	if got := calls.Load(); got != 1+maxRetries {
+		t.Fatalf("Infer called %d times, want 1+maxRetries = %d", got, 1+maxRetries)
+	}
+	snap := s.Snapshot()
+	if snap.Failed != 1 {
 		t.Fatalf("failed count %d, want 1", snap.Failed)
+	}
+	if snap.Retries != maxRetries {
+		t.Fatalf("retries %d, want %d", snap.Retries, maxRetries)
 	}
 }
 
@@ -406,9 +414,13 @@ func TestDerivePlan(t *testing.T) {
 func TestRunClosedLoop(t *testing.T) {
 	be := &echoBackend{}
 	s := New([]Backend{be, &echoBackend{}}, Config{MaxBatch: 4, BatchWindow: 500 * time.Microsecond,
-		DefaultDeadline: time.Second})
+		QueueCap: 64, DefaultDeadline: time.Second})
 	defer s.Close()
 
+	if s.QueueCap() != 64 {
+		t.Fatalf("QueueCap = %d, want 64", s.QueueCap())
+	}
+	before := s.LatencySnapshot()
 	rep := RunClosedLoop(s, LoadConfig{Clients: 8, RequestsPerClient: 25},
 		func(c, i int) *tensor.Tensor { return sampleVec(float64(c), float64(i)) })
 	if rep.Sent != 200 {
@@ -419,5 +431,16 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 	if rep.OK == 0 || rep.Throughput <= 0 {
 		t.Fatalf("no successful load: %+v", rep)
+	}
+
+	window := s.LatencySnapshot().Sub(before)
+	if window.Count() != rep.OK {
+		t.Fatalf("latency window count %d, want %d served", window.Count(), rep.OK)
+	}
+	if p99 := window.Quantile(0.99); p99 <= 0 {
+		t.Fatalf("windowed p99 = %v, want > 0", p99)
+	}
+	if s.P99() <= 0 {
+		t.Fatal("cumulative P99 accessor returned 0 after traffic")
 	}
 }

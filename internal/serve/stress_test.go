@@ -45,9 +45,6 @@ func TestStressConcurrentClients(t *testing.T) {
 		BatchWindow:     300 * time.Microsecond,
 		QueueCap:        32,
 		DefaultDeadline: 2 * time.Second,
-		MaxRetries:      3,
-		RetryBackoff:    100 * time.Microsecond,
-		FailureCooldown: 500 * time.Microsecond,
 	})
 
 	var ok, shed, expired, failed atomic.Int64
@@ -131,9 +128,6 @@ func TestStressReplicaChurn(t *testing.T) {
 		BatchWindow:     200 * time.Microsecond,
 		QueueCap:        64,
 		DefaultDeadline: 5 * time.Second,
-		MaxRetries:      5,
-		RetryBackoff:    100 * time.Microsecond,
-		FailureCooldown: 300 * time.Microsecond,
 	})
 	defer s.Close()
 
