@@ -9,7 +9,7 @@
 //
 //	msa-trace                              # 4 ranks, 1 epoch, trace.json + metrics.txt
 //	msa-trace -workers 8 -epochs 2
-//	msa-trace -dataset cxr -zero           # CovidNet with ZeRO-1 sharding
+//	msa-trace -dataset cxr                 # CovidNet
 //	msa-trace -algo tree
 package main
 
@@ -32,7 +32,6 @@ func main() {
 	batch := flag.Int("batch", 4, "per-rank batch size")
 	samples := flag.Int("samples", 64, "synthetic dataset size")
 	algo := flag.String("algo", "ring", "allreduce algorithm: ring | recursive-doubling | tree | naive | gce")
-	zero := flag.Bool("zero", false, "use the ZeRO-1 sharded-optimizer trainer")
 	seed := flag.Int64("seed", 42, "random seed")
 	out := flag.String("out", "trace.json", "Chrome trace-event JSON output path")
 	metricsOut := flag.String("metrics", "metrics.txt", "Prometheus text dump output path")
@@ -65,7 +64,7 @@ func main() {
 	telemetry.RegisterMemMetrics(reg)
 	cfg := core.DDPConfig{
 		Workers: *workers, Epochs: *epochs, Batch: *batch, BaseLR: 0.01,
-		Algo: mpi.Algo(*algo), ZeRO: *zero, Seed: *seed,
+		Algo: mpi.Algo(*algo), Seed: *seed,
 		Tracer: tracer, Registry: reg,
 	}
 
@@ -120,8 +119,8 @@ func main() {
 	}
 
 	sum := telemetry.Summarize(tracer)
-	fmt.Printf("msa-trace: %s, %d ranks x %d epochs (algo=%s zero=%v)\n",
-		*dataset, *workers, *epochs, *algo, *zero)
+	fmt.Printf("msa-trace: %s, %d ranks x %d epochs (algo=%s)\n",
+		*dataset, *workers, *epochs, *algo)
 	fmt.Printf("steps %d  final loss %.4f  train metric %.3f  val metric %.3f  wall %.2fs\n\n",
 		res.Steps, res.FinalLoss, res.TrainMetric, res.ValMetric, res.WallSeconds)
 	fmt.Print(sum.String())

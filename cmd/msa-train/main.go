@@ -31,7 +31,6 @@ func main() {
 	lr := flag.Float64("lr", 0.02, "base learning rate")
 	warmup := flag.Int("warmup", 8, "warmup steps for the linear-scaling rule (0 = off)")
 	algo := flag.String("algo", "ring", "allreduce algorithm: naive|tree|ring|recursive-doubling|gce|auto")
-	zero := flag.Bool("zero", false, "use ZeRO-1 sharded optimizer state (DeepSpeed style)")
 	stages := flag.Int("pipeline-stages", 0, "pipeline depth S for 2D data×pipeline training (0 = plain DDP; must divide -workers)")
 	micro := flag.Int("microbatch", 4, "pipeline micro-batches per step (with -pipeline-stages)")
 	pipeSched := flag.String("pipe-schedule", "gpipe", "pipeline schedule: gpipe | 1f1b")
@@ -51,8 +50,7 @@ func main() {
 	}
 	cfg := core.DDPConfig{
 		Workers: *workers, Epochs: *epochs, Batch: *batch,
-		BaseLR: *lr, Warmup: *warmup, Algo: mpi.Algo(*algo),
-		ZeRO: *zero, Seed: *seed,
+		BaseLR: *lr, Warmup: *warmup, Algo: mpi.Algo(*algo), Seed: *seed,
 		PipelineStages: *stages, MicroBatches: *micro, PipeSchedule: sched, VirtualChunks: *virtual,
 	}
 

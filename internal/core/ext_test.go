@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"repro/internal/data"
 )
 
 func TestE14ForestBeatsSingleTree(t *testing.T) {
@@ -102,19 +100,6 @@ func TestE19SweepRanksModels(t *testing.T) {
 	// Larger models should not have fewer parameters (sanity of the sweep).
 	if r.Metric("params_resnet-w16-s2") <= r.Metric("params_resnet-w8-s2") {
 		t.Fatal("parameter counts inconsistent")
-	}
-}
-
-func TestDDPZeROPathTrains(t *testing.T) {
-	ds := data.GenCXR(data.CXRConfig{Samples: 24, Seed: 131})
-	split := data.TrainValSplit(24, 0.25, 132)
-	res := TrainCovidNet(DDPConfig{Workers: 2, Epochs: 15, Batch: 4,
-		BaseLR: 0.01, ZeRO: true, Seed: 133}, ds, split)
-	if res.Steps <= 0 {
-		t.Fatalf("ZeRO path took no steps: %+v", res)
-	}
-	if res.ValMetric < 0.5 {
-		t.Fatalf("ZeRO training accuracy %f", res.ValMetric)
 	}
 }
 

@@ -26,14 +26,10 @@ type DDPConfig struct {
 	// disables it (constant BaseLR, the ablation of E4).
 	Warmup int
 	Algo   mpi.Algo
-	// ZeRO switches to the DeepSpeed-style sharded-optimizer trainer
-	// (Adam state split across ranks) instead of replicated SGD.
-	ZeRO bool
 	// PipelineStages, when > 1, switches to 2D (data × pipeline) training:
 	// the Workers ranks form Workers/PipelineStages replica groups, each
 	// running the model as a PipelineStages-deep pipeline. Must divide
-	// Workers. Mutually exclusive with ZeRO (the pipeline path has its
-	// own per-chunk gradient sync).
+	// Workers. The pipeline path has its own per-chunk gradient sync.
 	PipelineStages int
 	// MicroBatches is the pipeline micro-batch count per step (M);
 	// defaults to 4 when PipelineStages > 1 and this is 0.
@@ -126,9 +122,6 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 		if cfg.Batch < cfg.MicroBatches {
 			panic(fmt.Sprintf("core: per-replica batch %d smaller than %d micro-batches", cfg.Batch, cfg.MicroBatches))
 		}
-		if cfg.ZeRO {
-			panic("core: pipeline mode does not compose with ZeRO")
-		}
 	}
 	var sched nn.Schedule
 	if cfg.Warmup > 0 {
@@ -152,16 +145,12 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 	err := world.Run(func(c *mpi.Comm) error {
 		model := build()
 		var tr distdl.Stepper
-		switch {
-		case pipelined:
+		if pipelined {
 			tr = distdl.New(c, model, loss, nn.NewSGD(0.9, 1e-4),
 				distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer),
 				distdl.WithPipeline(cfg.PipelineStages, cfg.MicroBatches, cfg.PipeSchedule),
 				distdl.WithVirtualChunks(cfg.VirtualChunks))
-		case cfg.ZeRO:
-			tr = distdl.New(c, model, loss, nil, distdl.WithZeRO(),
-				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer))
-		default:
+		} else {
 			tr = distdl.New(c, model, loss, nn.NewSGD(0.9, 1e-4),
 				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer))
 		}

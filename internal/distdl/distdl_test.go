@@ -1,9 +1,11 @@
 package distdl
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -240,18 +242,15 @@ func TestTrainingConvergesDistributed(t *testing.T) {
 }
 
 // New refuses option combinations whose trainer would silently ignore one
-// of them: only the plain data-parallel trainer clips gradients, and the
-// 2D trainer has no ZeRO mode. It panics before any collective, so one rank
-// is enough to check.
+// of them: the 2D trainer does not clip gradients. It panics before any
+// collective, so one rank is enough to check.
 func TestNewRejectsUnsupportedCombinations(t *testing.T) {
 	cases := []struct {
 		name string
 		opts []Option
 		want string
 	}{
-		{"zero+clip", []Option{WithZeRO(), WithClipNorm(1)}, "WithClipNorm is not supported with WithZeRO"},
 		{"pipeline+clip", []Option{WithPipeline(1, 2, pipeline.GPipe), WithClipNorm(1)}, "WithClipNorm is not supported with WithPipeline"},
-		{"pipeline+zero", []Option{WithPipeline(1, 2, pipeline.GPipe), WithZeRO()}, "WithPipeline and WithZeRO are mutually exclusive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,82 +264,127 @@ func TestNewRejectsUnsupportedCombinations(t *testing.T) {
 	}
 }
 
+// refStep is the data-parallel step the sharded one replaced, as a test
+// reference: forward and backward through the workspace like Trainer.Step,
+// one ring allreduce of the mean gradient, then Optimizer.Step over every
+// parameter on every rank.
+func refStep(c mpi.Communicator, model *nn.Sequential, ws *tensor.Workspace, opt nn.Optimizer, x, y *tensor.Tensor, lr float64) {
+	ws.ReleaseAll()
+	model.ZeroGrads()
+	_, grad := nn.LossForward(ws, nn.SoftmaxCrossEntropy{}, model.Forward(x, true), y)
+	model.Backward(grad)
+	_, grads := model.Span(model.Params())
+	c.AllreduceMeanInPlace(grads, mpi.AlgoRing)
+	opt.Step(model.Params(), lr)
+}
+
+// refWorld binds model's arena, broadcasts rank 0's values like New and
+// returns the workspace refStep runs on.
+func refWorld(c mpi.Communicator, model *nn.Sequential) *tensor.Workspace {
+	values, _ := model.BindArena()
+	copy(values, c.Bcast(0, values))
+	ws := tensor.NewWorkspace()
+	model.SetWorkspace(ws)
+	return ws
+}
+
+// TestZeROMatchesDenseAdam: the data-parallel step is ZeRO-1 (reduce-scatter,
+// a span step, allgather) and must leave every rank with bitwise the
+// parameters, and rank 0 with bitwise the checkpoint, of the replicated step
+// it replaced (refStep). SGD with momentum and weight decay, which NoDecay
+// biases skip, and Adam, at world sizes that do and do not divide the
+// parameter count.
 func TestZeROMatchesDenseAdam(t *testing.T) {
-	// ZeRO-1 sharding must produce (numerically) the same trajectory as
-	// ordinary data-parallel Adam: sharding is an implementation detail.
-	xs, ys, _ := synthClassification(6, 32, 4)
-	const p = 4
+	xs, ys, _ := synthClassification(6, 40, 4)
 	const steps = 4
-
-	// Reference: plain distributed Adam.
-	wRef := mpi.NewWorld(p)
-	var refFinal []float64
-	err := wRef.Run(func(c *mpi.Comm) error {
-		model := buildModel(200)
-		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*Trainer)
-		for s := 0; s < steps; s++ {
-			idx := []int{(s*p + c.Rank()) % 32}
-			bx, by := GatherBatch(xs, ys, idx)
-			tr.Step(bx, by)
-		}
-		if c.Rank() == 0 {
-			refFinal = nn.FlattenValues(model.Params())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wZ := mpi.NewWorld(p)
-	var zFinal []float64
-	shardSizes := make([]int, p)
-	err = wZ.Run(func(c *mpi.Comm) error {
-		model := buildModel(200)
-		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nil, WithZeRO(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*ZeROTrainer)
-		for s := 0; s < steps; s++ {
-			idx := []int{(s*p + c.Rank()) % 32}
-			bx, by := GatherBatch(xs, ys, idx)
-			tr.Step(bx, by)
-		}
-		if c.Rank() == 0 {
-			zFinal = nn.FlattenValues(model.Params())
-		}
-		shardSizes[c.Rank()] = tr.ShardSize()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardTotal := 0
-	for _, s := range shardSizes {
-		shardTotal += s
-	}
-	n := nn.NumParams(buildModel(200).Params())
-	if shardTotal != n {
-		t.Fatalf("shards cover %d of %d optimizer elements", shardTotal, n)
-	}
-	for i := range refFinal {
-		if math.Abs(refFinal[i]-zFinal[i]) > 1e-8 {
-			t.Fatalf("ZeRO diverged from dense Adam at %d: %g vs %g", i, refFinal[i], zFinal[i])
+	for _, oc := range []struct {
+		name string
+		opt  func() nn.StatefulOptimizer
+	}{
+		{"sgd", func() nn.StatefulOptimizer { return nn.NewSGD(0.9, 1e-4) }},
+		{"adam", func() nn.StatefulOptimizer { return nn.NewAdam() }},
+	} {
+		for _, p := range []int{2, 3, 4, 5} {
+			t.Run(fmt.Sprintf("%s/p%d", oc.name, p), func(t *testing.T) {
+				run := func(sharded bool) ([][]float64, []byte) {
+					finals := make([][]float64, p)
+					var blob []byte
+					err := mpi.NewWorld(p).Run(func(c *mpi.Comm) error {
+						model, opt := buildModel(200), oc.opt()
+						var tr *Trainer
+						var ws *tensor.Workspace
+						if sharded {
+							tr = New(c, model, nn.SoftmaxCrossEntropy{}, opt, WithSchedule(nn.ConstLR(0.01))).(*Trainer)
+						} else {
+							ws = refWorld(c, model)
+						}
+						for s := 0; s < steps; s++ {
+							bx, by := GatherBatch(xs, ys, Shard(40, int64(s), c.Rank(), p)[:2])
+							if sharded {
+								tr.Step(bx, by)
+							} else {
+								refStep(c, model, ws, opt, bx, by, 0.01)
+							}
+						}
+						finals[c.Rank()] = nn.FlattenValues(model.Params())
+						if c.Rank() == 0 {
+							blob = nn.EncodeCheckpoint(model, opt, steps)
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return finals, blob
+				}
+				want, wantBlob := run(false)
+				got, gotBlob := run(true)
+				for r := range got {
+					if !slices.Equal(floatBits(got[r]), floatBits(want[0])) {
+						t.Fatalf("rank %d: sharded parameters differ from the replicated step's", r)
+					}
+				}
+				if !bytes.Equal(gotBlob, wantBlob) {
+					t.Fatal("rank 0's checkpoint differs from the replicated step's")
+				}
+			})
 		}
 	}
 }
 
+// TestZeROShardMemorySaving: each rank's optimizer state covers exactly the
+// chunk its reduce-scatter owns, per slot, and the chunks tile the arena:
+// at 4 ranks a quarter of the replicated state each.
 func TestZeROShardMemorySaving(t *testing.T) {
 	const p = 4
-	w := mpi.NewWorld(p)
-	err := w.Run(func(c *mpi.Comm) error {
-		model := buildModel(9)
-		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nil, WithZeRO(), WithConfig(Config{})).(*ZeROTrainer)
-		full := nn.NumParams(model.Params())
-		if tr.ShardSize() > full/p+1 {
-			return fmt.Errorf("shard %d too large for %d params on %d ranks", tr.ShardSize(), full, p)
+	n := nn.NumParams(buildModel(9).Params())
+	spans := make([][2]int, p)
+	err := mpi.NewWorld(p).Run(func(c *mpi.Comm) error {
+		opt := nn.NewAdam()
+		New(c, buildModel(9), nn.SoftmaxCrossEntropy{}, opt)
+		lo, hi := opt.State().Span()
+		spans[c.Rank()] = [2]int{lo, hi}
+		if wlo, whi := mpi.OwnedChunk(n, p, c.Rank()); lo != wlo || hi != whi {
+			return fmt.Errorf("rank %d: state spans [%d, %d), its chunk is [%d, %d)", c.Rank(), lo, hi, wlo, whi)
+		}
+		if hi-lo > n/p+1 {
+			return fmt.Errorf("rank %d: state of %d elements for %d params on %d ranks", c.Rank(), hi-lo, n, p)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
+	end := 0
+	for _, s := range spans {
+		if s[0] != end {
+			t.Fatalf("rank spans %v do not tile [0, %d)", spans, n)
+		}
+		end = s[1]
+	}
+	if end != n {
+		t.Fatalf("rank spans %v do not tile [0, %d)", spans, n)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // Unified trainer construction. New is the single entry point for every
-// distributed-training flavour — plain data parallelism, ZeRO-1 optimizer
-// sharding, 2D pipelines — configured with functional options.
+// distributed-training flavour — data parallelism (a ZeRO-1 sharded step),
+// 2D pipelines — configured with functional options.
 
 // Stepper is the training-loop surface every trainer flavour shares: run
 // one synchronous optimizer step on this rank's minibatch (returning the
@@ -27,7 +27,6 @@ type Option func(*newConfig)
 
 type newConfig struct {
 	cfg  Config
-	zero bool
 	pipe pipeOptions
 }
 
@@ -48,8 +47,8 @@ func WithConfig(c Config) Option { return func(n *newConfig) { n.cfg = c } }
 func WithAlgo(a mpi.Algo) Option { return func(n *newConfig) { n.cfg.Algo = a } }
 
 // WithClipNorm clips the global gradient norm after averaging. Only the
-// plain data-parallel trainer clips: New panics if it is combined with
-// WithZeRO or WithPipeline.
+// data-parallel trainer clips: New panics if it is combined with
+// WithPipeline.
 func WithClipNorm(c float64) Option { return func(n *newConfig) { n.cfg.ClipNorm = c } }
 
 // WithSchedule sets the learning-rate schedule.
@@ -58,11 +57,6 @@ func WithSchedule(s nn.Schedule) Option { return func(n *newConfig) { n.cfg.Sche
 // WithTracer attaches a span tracer to the trainer's step pipeline.
 func WithTracer(t *telemetry.Tracer) Option { return func(n *newConfig) { n.cfg.Tracer = t } }
 
-// WithZeRO selects the ZeRO-1 optimizer-state-sharded trainer. The opt
-// argument to New is ignored in this mode (the shard optimizer is the
-// trainer's built-in Adam); pass nil.
-func WithZeRO() Option { return func(n *newConfig) { n.zero = true } }
-
 // WithPipeline selects the 2D (data × pipeline) trainer: the world's W
 // ranks form W/stages replica groups, each running the model as a
 // `stages`-deep pipeline with the given micro-batch count and schedule,
@@ -70,7 +64,7 @@ func WithZeRO() Option { return func(n *newConfig) { n.zero = true } }
 // gradients data-parallel. stages must divide the world size; stages ==
 // world size is pure pipeline parallelism (one replica). Requires a
 // communicator it can Split along both axes. Mutually exclusive with
-// WithZeRO and WithClipNorm.
+// WithClipNorm.
 func WithPipeline(stages, microBatches int, schedule pipeline.Schedule) Option {
 	return func(n *newConfig) {
 		n.pipe.stages = stages
@@ -87,32 +81,25 @@ func WithVirtualChunks(v int) Option { return func(n *newConfig) { n.pipe.virtua
 
 // New builds a distributed trainer for one rank over comm, binding the
 // model's parameter arena (nn.Sequential.BindArena) and broadcasting rank
-// 0's parameters so every replica starts identical. The concrete
-// type behind the returned Stepper is *Trainer, *ZeROTrainer under
-// WithZeRO, or *PipelineTrainer under WithPipeline; callers needing the
-// wider concrete surface (Checkpoint, Restore, ParamsInSync,
-// SyncFullModel) type-assert accordingly.
+// 0's parameters so every replica starts identical. The concrete type
+// behind the returned Stepper is *Trainer, or *PipelineTrainer under
+// WithPipeline; callers needing the wider concrete surface (Checkpoint,
+// Restore, ParamsInSync, SyncFullModel) type-assert accordingly. A
+// *Trainer reserves opt's state for the span of the arena its rank steps,
+// discarding any state opt held.
 func New(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, opts ...Option) Stepper {
 	var n newConfig
 	for _, o := range opts {
 		o(&n)
 	}
 	pipe := n.pipe.stages > 0
-	switch {
-	case pipe && n.zero:
-		panic("distdl: WithPipeline and WithZeRO are mutually exclusive")
-	case pipe && n.cfg.ClipNorm > 0:
+	if pipe && n.cfg.ClipNorm > 0 {
 		panic("distdl: WithClipNorm is not supported with WithPipeline")
-	case n.zero && n.cfg.ClipNorm > 0:
-		panic("distdl: WithClipNorm is not supported with WithZeRO")
 	}
 	values, _ := model.BindArena()
 	copy(values, comm.Bcast(0, values))
 	if pipe {
 		return newPipelineTrainer(comm, model, loss, opt, n.cfg, n.pipe)
-	}
-	if n.zero {
-		return newZeROTrainer(comm, model, loss, n.cfg)
 	}
 	return newTrainer(comm, model, loss, opt, n.cfg)
 }

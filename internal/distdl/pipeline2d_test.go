@@ -90,7 +90,10 @@ func run2DEquivalenceOver(t *testing.T, S, R, M, steps int, sched pipeline.Sched
 		refs[r] = build2DModel(3)
 		refParams[r] = refs[r].Params()
 	}
-	refOpt := nn.NewSGD(0.9, 0)
+	refOpts := make([]*nn.SGD, R) // an optimizer steps one run of parameters
+	for r := range refOpts {
+		refOpts[r] = nn.NewSGD(0.9, 0)
+	}
 	refLosses := make([]float64, steps)
 	for s := 0; s < steps; s++ {
 		lsum := 0.0
@@ -120,7 +123,7 @@ func run2DEquivalenceOver(t *testing.T, S, R, M, steps int, sched pipeline.Sched
 			}
 		}
 		for r := 0; r < R; r++ {
-			refOpt.Step(refParams[r], 0.05)
+			refOpts[r].Step(refParams[r], 0.05)
 		}
 	}
 	refValues := nn.FlattenValues(refParams[0])

@@ -4,16 +4,19 @@
 // parallelism strategy ... using multiple GPUs and communicating with MPI
 // to synchronise the learning process").
 //
-// Each rank holds a full model replica; per step, replicas compute
-// gradients on disjoint minibatches, average them with an allreduce
-// (selectable algorithm), and apply identical
-// optimizer updates — so all replicas stay bit-identical without any
-// parameter server. A ZeRO-1 style mode shards optimizer state across
-// ranks (as in DeepSpeed, which the paper names as the successor tooling).
+// Each rank holds a full model replica and computes gradients on its own
+// minibatch. A step is ZeRO stage 1, as in DeepSpeed, which the paper names
+// as the successor tooling: the ring reduce-scatter leaves each rank one
+// averaged chunk of the gradient arena, the rank's optimizer updates that
+// chunk and keeps state for it alone, and an allgather of the values makes
+// every replica whole and bit-identical again, with no parameter server.
+// That moves the bytes of one ring allreduce, and each rank's optimizer
+// sweeps 1/p of the arena.
 package distdl
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/mpi"
@@ -24,12 +27,13 @@ import (
 
 // Config tunes a distributed trainer.
 type Config struct {
-	// Algo is the gradient allreduce algorithm (ring by default).
+	// Algo is the gradient allreduce algorithm (ring by default). The
+	// ring shards the step; any other algorithm allreduces the gradient
+	// and every rank steps the whole arena.
 	Algo mpi.Algo
 	// ClipNorm, when positive, clips the global gradient norm after
-	// averaging (needed by the recurrent models). Only the plain trainer
-	// implements it: New panics if it is combined with WithZeRO or
-	// WithPipeline.
+	// averaging (needed by the recurrent models). New panics if it is
+	// combined with WithPipeline.
 	ClipNorm float64
 	// Schedule yields the learning rate per optimizer step; defaults to
 	// a constant 0.01 when nil.
@@ -53,10 +57,14 @@ type Trainer struct {
 
 	params []*nn.Param
 	// values and grads are the model's parameter arena
-	// (nn.Sequential.BindArena): the gradient allreduce runs on grads in
+	// (nn.Sequential.BindArena): the gradient collective runs on grads in
 	// place, where backward wrote them.
 	values, grads []float64
-	step          int
+	// [lo, hi) is the span of the arena this rank's optimizer steps and
+	// keeps state for: its reduce-scatter chunk when sharded, else all.
+	lo, hi  int
+	sharded bool
+	step    int
 	// ws is the trainer-owned tensor workspace threaded through the model
 	// and loss: every forward/backward temporary is borrowed from it and
 	// recycled at the top of the next Step, so steady-state training
@@ -74,7 +82,9 @@ type Trainer struct {
 
 // newTrainer wires a replica to its communicator over the model's bound
 // parameter arena, whose values New has broadcast from rank 0 (the Horovod
-// `broadcast_parameters` step).
+// `broadcast_parameters` step). A stateful optimizer's state is reserved
+// for the span this rank steps and, when sharded, shared with every rank
+// (the MPI_Win_allocate_shared pattern), so that Checkpoint can read it.
 func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config) *Trainer {
 	if cfg.Algo == "" {
 		cfg.Algo = mpi.AlgoRing
@@ -86,13 +96,30 @@ func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt n
 		params: model.Params(), ws: tensor.NewWorkspace()}
 	t.values, t.grads = model.Span(t.params)
 	model.SetWorkspace(t.ws)
+	p := comm.Size()
+	t.hi, t.sharded = len(t.values), p > 1 && cfg.Algo == mpi.AlgoRing
+	if t.sharded {
+		t.lo, t.hi = mpi.OwnedChunk(len(t.values), p, comm.Rank())
+	}
+	if so, ok := opt.(nn.StatefulOptimizer); ok {
+		st := so.State()
+		mine := st.Reserve(t.params, t.lo, t.hi)
+		if t.sharded {
+			// Rank r owns chunk r+1: rank p-1's state comes first.
+			all := comm.ShareBuffer(mine)
+			st.Share(append(all[p-1:], all[:p-1]...))
+		}
+	}
 	return t
 }
 
 // Step runs one synchronous data-parallel optimizer step on this rank's
-// minibatch and returns the *globally averaged* loss. The gradient is
-// averaged by one blocking allreduce over the whole arena, in place, after
-// backward has finished.
+// minibatch and returns the *globally averaged* loss. After backward, a
+// sharded step reduce-scatters the gradient arena in place, steps this
+// rank's chunk and allgathers the values; otherwise the gradient is
+// allreduced and every rank steps all of it. The owned chunk carries the
+// allreduce's bits, and the optimizer updates one element at a time, so
+// the sharded step gives every parameter the replicated step's bits.
 func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	tr := t.Cfg.Tracer
 	rank := t.Comm.Rank()
@@ -115,12 +142,20 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	optStart := tr.Start()
 	o0 := time.Now()
 	if t.Cfg.ClipNorm > 0 {
-		nn.ClipGradNorm(t.params, t.Cfg.ClipNorm)
+		t.clipGrads()
 	}
-	t.Opt.Step(t.params, t.Cfg.Schedule.LR(t.step))
+	t.Opt.StepSpan(t.params, t.lo, t.hi, t.Cfg.Schedule.LR(t.step))
 	t.ComputeNs += time.Since(o0).Nanoseconds()
 	tr.End(rank, telemetry.CatCompute, "optimizer", optStart, 0, "")
 	t.step++
+
+	if t.sharded {
+		agStart := tr.Start()
+		g0 := time.Now()
+		t.Comm.AllgatherInPlace(t.values)
+		t.CommNs += time.Since(g0).Nanoseconds()
+		tr.End(rank, telemetry.CatComm, "param-allgather", agStart, 8*int64(len(t.values)), string(t.Cfg.Algo))
+	}
 
 	lossStart := tr.Start()
 	c2 := time.Now()
@@ -131,17 +166,35 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	return mean
 }
 
-// syncGrads averages the whole gradient arena in one blocking allreduce,
-// in place.
+// syncGrads averages the gradient arena in place: the span this rank
+// steps by a reduce-scatter when sharded, all of it by an allreduce
+// otherwise.
 func (t *Trainer) syncGrads(tr *telemetry.Tracer, rank int) {
-	flat := t.grads
 	commStart := tr.Start()
 	c1 := time.Now()
-	if t.Comm.Size() > 1 {
-		t.Comm.AllreduceMeanInPlace(flat, t.Cfg.Algo)
+	if p := t.Comm.Size(); t.sharded {
+		t.Comm.ReduceScatterInPlace(t.grads, mpi.OpSum, 1/float64(p))
+	} else if p > 1 {
+		t.Comm.AllreduceMeanInPlace(t.grads, t.Cfg.Algo)
 	}
 	t.CommNs += time.Since(c1).Nanoseconds()
-	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, 8*int64(len(flat)), string(t.Cfg.Algo))
+	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, 8*int64(len(t.grads)), string(t.Cfg.Algo))
+}
+
+// clipGrads scales the averaged gradient span this rank steps so that the
+// global L2 norm is at most ClipNorm: each rank sums its span's squares,
+// and a sharded world adds them up with one scalar allreduce.
+func (t *Trainer) clipGrads() {
+	g, sq := t.grads[t.lo:t.hi], 0.0
+	for _, v := range g {
+		sq += v * v
+	}
+	if t.sharded {
+		sq = t.Comm.AllreduceScalar(sq, mpi.OpSum)
+	}
+	if norm := math.Sqrt(sq); norm > t.Cfg.ClipNorm {
+		tensor.VecScaleInto(g, g, t.Cfg.ClipNorm/norm)
+	}
 }
 
 // CommFraction returns the share of this rank's accumulated step time
@@ -197,6 +250,14 @@ func gatherRowsInto(out, src *tensor.Tensor, idx []int) *tensor.Tensor {
 // batch-norm statistics, optimizer state, and the step counter — so a run
 // can resume exactly (the checkpoint/restart workflow the NAM module
 // accelerates, ref [12]). Requires a StatefulOptimizer.
+//
+// One rank calls it alone, between its Steps, while the other ranks may
+// be inside their next Step; it makes no collective, which would interleave
+// with theirs. It reads the other ranks' optimizer state in place, through
+// the references New shared. That is safe: a rank writes its state only in
+// its optimizer step, after a reduce-scatter that cannot finish before
+// every rank, this one included, has joined it; and this rank's last
+// allgather could not finish before every rank had ended its step.
 func (t *Trainer) Checkpoint() ([]byte, error) {
 	so, err := t.statefulOpt()
 	if err != nil {
@@ -209,8 +270,9 @@ func (t *Trainer) Checkpoint() ([]byte, error) {
 // model and the same optimizer kind. The blob, and step monotonicity, are
 // fully checked before any state is mutated, so a failed Restore leaves
 // the trainer untouched. The world size may differ from the writer's: the
-// snapshot is a full replica, which lets a fault-tolerant run resume into
-// a smaller elastic world.
+// snapshot is a full replica, of which each rank keeps the optimizer state
+// of its own span, which lets a fault-tolerant run resume into a smaller
+// elastic world.
 func (t *Trainer) Restore(blob []byte) error {
 	so, err := t.statefulOpt()
 	if err != nil {

@@ -172,14 +172,19 @@ func (inj *Injector) AllreduceScalar(v float64, op mpi.ReduceOp) float64 {
 	return inj.inner.AllreduceScalar(v, op)
 }
 
-func (inj *Injector) ReduceScatter(data []float64, op mpi.ReduceOp) []float64 {
+func (inj *Injector) ReduceScatterInPlace(data []float64, op mpi.ReduceOp, scale float64) (int, int) {
 	inj.straggle()
-	return inj.inner.ReduceScatter(data, op)
+	return inj.inner.ReduceScatterInPlace(data, op, scale)
 }
 
-func (inj *Injector) Allgather(data []float64) []float64 {
+func (inj *Injector) AllgatherInPlace(data []float64) {
 	inj.straggle()
-	return inj.inner.Allgather(data)
+	inj.inner.AllgatherInPlace(data)
+}
+
+func (inj *Injector) ShareBuffer(buf []float64) [][]float64 {
+	inj.straggle()
+	return inj.inner.ShareBuffer(buf)
 }
 
 func (inj *Injector) Gather(root int, data []float64) [][]float64 {

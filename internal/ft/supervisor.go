@@ -416,8 +416,10 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, re
 
 // coordinatedCheckpoint quiesces all replicas at the same step boundary
 // (barrier), has survivor 0 serialize and persist the full snapshot —
-// replicas are bit-identical, so one writer suffices — and releases the
-// world only once the write is durable (second barrier). Write failures
+// replicas hold bit-identical parameters, and the writer reads the other
+// ranks' optimizer-state shards in place (distdl.Trainer.Checkpoint), so
+// one writer suffices — and releases the world only once the write is
+// durable (second barrier). Write failures
 // panic and are classified as fatal by the rank's recover handler.
 func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, comm mpi.Communicator, pos, step int) {
 	comm.Barrier()

@@ -65,8 +65,9 @@ func TestNewSupervisorValidation(t *testing.T) {
 
 type statelessOpt struct{}
 
-func (statelessOpt) Name() string                        { return "stateless" }
-func (statelessOpt) Step(params []*nn.Param, lr float64) {}
+func (statelessOpt) Name() string                                        { return "stateless" }
+func (statelessOpt) Step(params []*nn.Param, lr float64)                 {}
+func (statelessOpt) StepSpan(params []*nn.Param, lo, hi int, lr float64) {}
 
 func TestFailureFreeRun(t *testing.T) {
 	rep := mustRun(t, testJob(4, 8, 60), testOptions(nil, 20))

@@ -306,11 +306,32 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 	// (the MPI_Reduce_scatter convention).
 	c.ring(acc, op.Combine, c.rank-1, 1, 0)
 	lo, hi := chunkBounds(len(acc), c.Size(), c.rank)
-	out := wire.get(hi - lo)
-	copy(out, acc[lo:hi])
+	out := append(wire.get(hi - lo)[:0], acc[lo:hi]...)
 	wire.put(acc)
 	return out
 }
+
+// ReduceScatterInPlace runs the ring allreduce's first pass over data and
+// returns the span it leaves reduced here (OwnedChunk), times a nonzero
+// scale, with that allreduce's bits; the rest of data is scratch.
+func (c *Comm) ReduceScatterInPlace(data []float64, op ReduceOp, scale float64) (lo, hi int) {
+	defer c.collective(KindReduceScatter, len(data), op.Name)()
+	if c.Size() == 1 && scale != 0 {
+		tensor.VecScaleInto(data, data, scale)
+	}
+	c.ring(data, op.Combine, c.rank, 1, scale)
+	return OwnedChunk(len(data), c.Size(), c.rank)
+}
+
+// AllgatherInPlace copies every rank's OwnedChunk of data to all ranks: the
+// ring allreduce's second pass, in bits and in messages.
+func (c *Comm) AllgatherInPlace(data []float64) {
+	defer c.collective(KindAllgather, len(data), "")()
+	c.ring(data, copyInto, c.rank+1, 1, 0)
+}
+
+// OwnedChunk is the span of n elements ReduceScatterInPlace leaves on rank r of p.
+func OwnedChunk(n, p, r int) (lo, hi int) { return chunkBounds(n, p, (r+1)%p) }
 
 // Allgather concatenates every rank's equally-sized buffer in rank order
 // at every rank (the ring's allgather pass over one chunk per rank).

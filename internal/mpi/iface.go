@@ -33,8 +33,9 @@ type Communicator interface {
 	AllreduceInPlace(data []float64, op ReduceOp, algo Algo)
 	AllreduceMeanInPlace(data []float64, algo Algo)
 	AllreduceScalar(v float64, op ReduceOp) float64
-	ReduceScatter(data []float64, op ReduceOp) []float64
-	Allgather(data []float64) []float64
+	ReduceScatterInPlace(data []float64, op ReduceOp, scale float64) (lo, hi int)
+	AllgatherInPlace(data []float64)
+	ShareBuffer(buf []float64) [][]float64
 	Gather(root int, data []float64) [][]float64
 }
 

@@ -97,6 +97,24 @@ func (c *Comm) ring(data []float64, combine func(dst, src []float64), start, pas
 	atomic.AddInt64(&w.stats[c.wrank].ElemsSent, int64(sent))
 }
 
+// ShareBuffer is MPI_Win_shared_query in one address space: it returns every
+// member's buf by reference, in rank order; callers order their accesses.
+func (c *Comm) ShareBuffer(buf []float64) [][]float64 {
+	w, slots, out := c.world, c.g.ring, make([][]float64, c.Size())
+	me := &slots[c.rank]
+	me.buf = buf
+	base := (me.state.Load()>>32 + 1) << 32
+	for step := range uint64(2) { // publish the buffers, then keep them until all are read
+		w.publish(me, c.wrank, base|step)
+		for r := range out {
+			if w.await(&slots[r], c.g.members[r], base|step); step == 0 {
+				out[r] = slots[r].buf
+			}
+		}
+	}
+	return out
+}
+
 // checkLen panics unless neighbour r's published buffer sl holds n elements
 // like this rank's: a mismatched ring would otherwise fold a short chunk, or
 // read or write past a buffer.

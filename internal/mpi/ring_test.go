@@ -15,9 +15,11 @@ import (
 )
 
 // Tests for the in-place ring (ring.go): bits and traffic counters equal to
-// the message ring it replaced, the mean folded into the reduce-scatter,
+// the message ring it replaced, the in-place reduce-scatter and allgather
+// as the allreduce's two passes, the mean folded into the reduce-scatter,
 // no wire-pool use, traced group rings that still merge causally, length
-// checks, and revocation of every kind of stuck member without leaks.
+// checks, buffer sharing, and revocation of every kind of stuck member
+// without leaks.
 
 // messageRing is the ring schedule over Send/Recv that the in-place ring
 // replaced: in pass k, step s sends chunk start+k-s to the right neighbour
@@ -67,6 +69,26 @@ func TestRingMatchesMessageRing(t *testing.T) {
 						}
 						if gotSent != wantSent {
 							return fmt.Errorf("%s allreduce: sent %v, message ring %v", where, gotSent, wantSent)
+						}
+
+						// The in-place reduce-scatter and allgather are the
+						// allreduce's two passes: together, its bits and its
+						// traffic.
+						var olo, ohi int
+						split := append([]float64(nil), x...)
+						rsSent := sentDelta(g.Comm, func() { olo, ohi = g.ReduceScatterInPlace(split, op, 0) })
+						if wlo, whi := OwnedChunk(n, g.Size(), g.rank); olo != wlo || ohi != whi {
+							return fmt.Errorf("%s reduce-scatter in place: owns [%d, %d), want [%d, %d)", where, olo, ohi, wlo, whi)
+						}
+						if err := sameBits(split[olo:ohi], want[olo:ohi]); err != nil {
+							return fmt.Errorf("%s reduce-scatter in place: %v", where, err)
+						}
+						agSent := sentDelta(g.Comm, func() { g.AllgatherInPlace(split) })
+						if err := sameBits(split, want); err != nil {
+							return fmt.Errorf("%s allgather in place: %v", where, err)
+						}
+						if both := [2]int64{rsSent[0] + agSent[0], rsSent[1] + agSent[1]}; both != wantSent {
+							return fmt.Errorf("%s in-place passes: sent %v, allreduce %v", where, both, wantSent)
 						}
 
 						acc := append([]float64(nil), x...)
@@ -124,6 +146,12 @@ func TestRingMeanMatchesSumThenScale(t *testing.T) {
 				g.AllreduceMeanInPlace(got, AlgoRing)
 				if err := sameBits(got, want); err != nil {
 					return fmt.Errorf("p=%d n=%d: group mean-in-place: %v", p, n, err)
+				}
+				got = append(got[:0], x...)
+				g.ReduceScatterInPlace(got, OpSum, 1/float64(p))
+				g.AllgatherInPlace(got)
+				if err := sameBits(got, want); err != nil {
+					return fmt.Errorf("p=%d n=%d: group reduce-scatter/allgather mean: %v", p, n, err)
 				}
 			}
 			return nil
@@ -237,6 +265,8 @@ func TestRingGroupTraceMatches(t *testing.T) {
 			g.AllreduceMeanInPlace(x, AlgoRing)
 			g.ReduceScatter(x, OpSum)
 			g.Allgather(x[:5])
+			g.ReduceScatterInPlace(x, OpSum, 0.5)
+			g.AllgatherInPlace(x)
 			return nil
 		})
 		if err != nil {
@@ -251,7 +281,7 @@ func TestRingGroupTraceMatches(t *testing.T) {
 				recvs[s.Track]++
 			}
 		}
-		want := 6 * (p - 1) // two allreduces of 2(p-1) steps, two passes of p-1
+		want := 8 * (p - 1) // two allreduces of 2(p-1) steps, four passes of p-1
 		for r := 0; r < p; r++ {
 			if sends[r] != want || recvs[r] != want {
 				t.Fatalf("p=%d rank %d: %d sends, %d recvs, want %d of each", p, r, sends[r], recvs[r], want)
@@ -266,7 +296,7 @@ func TestRingGroupTraceMatches(t *testing.T) {
 // A rank whose vector length differs from its left neighbour's panics
 // naming both, instead of folding a short chunk and waiting forever.
 func TestRingLengthMismatchPanics(t *testing.T) {
-	for _, kind := range []string{"allreduce", "reduce-scatter"} {
+	for _, kind := range []string{"allreduce", "reduce-scatter", "reduce-scatter-in-place"} {
 		for _, p := range []int{2, 3, 4, 5} {
 			w := NewWorld(p)
 			msgs := make([]string, p)
@@ -287,10 +317,13 @@ func TestRingLengthMismatchPanics(t *testing.T) {
 						}
 					}()
 					x := make([]float64, 64+c.Rank()/(p-1)) // the last rank has one more
-					if kind == "allreduce" {
+					switch kind {
+					case "allreduce":
 						c.AllreduceInPlace(x, OpSum, AlgoRing)
-					} else {
+					case "reduce-scatter":
 						c.ReduceScatter(x, OpSum)
+					default:
+						c.ReduceScatterInPlace(x, OpSum, 0)
 					}
 					return nil
 				})
@@ -330,15 +363,17 @@ func TestRingRevocationUnwindsStuckMembers(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 5} {
 		for _, fault := range []string{"never-joins", "panics"} {
 			for _, comm := range []string{"world", "group"} {
-				where := fmt.Sprintf("p=%d %s %s", p, fault, comm)
-				ringRevocationCase(t, where, p, fault == "panics", comm == "group")
-				waitGoroutines(t, base, where)
+				for _, passes := range []string{"allreduce", "reduce-scatter+allgather"} {
+					where := fmt.Sprintf("p=%d %s %s %s", p, fault, comm, passes)
+					ringRevocationCase(t, where, p, fault == "panics", comm == "group", passes == "allreduce")
+					waitGoroutines(t, base, where)
+				}
 			}
 		}
 	}
 }
 
-func ringRevocationCase(t *testing.T, where string, p int, panics, group bool) {
+func ringRevocationCase(t *testing.T, where string, p int, panics, group, allreduce bool) {
 	t.Helper()
 	const bad = 1 // the faulty member
 	w := NewWorld(p)
@@ -372,7 +407,12 @@ func ringRevocationCase(t *testing.T, where string, p int, panics, group bool) {
 					panic(r)
 				}
 			}()
-			g.AllreduceInPlace(make([]float64, 1000), op, AlgoRing)
+			if x := make([]float64, 1000); allreduce {
+				g.AllreduceInPlace(x, op, AlgoRing)
+			} else {
+				g.ReduceScatterInPlace(x, op, 0)
+				g.AllgatherInPlace(x)
+			}
 			outcome[c.Rank()] = "returned"
 			return nil
 		})
@@ -404,5 +444,41 @@ func ringRevocationCase(t *testing.T, where string, p int, panics, group bool) {
 	}
 	if n := parkedWaiters(w); n != 0 {
 		t.Fatalf("%s: %d waiters still parked", where, n)
+	}
+}
+
+// ShareBuffer hands every member every member's buffer by reference, in
+// rank order, on the world and on a split group, and ring collectives on
+// the same group run on correctly after it.
+func TestShareBufferReturnsEveryBuffer(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5} {
+		w := NewWorld(p)
+		bufs := make([][]float64, p)
+		for r := range bufs {
+			bufs[r] = make([]float64, r+1)
+		}
+		err := runFailFast(w, func(c *Comm) error {
+			for _, g := range []namedComm{{"world", c}, {"reversed", c.split(0, -c.Rank())}} {
+				x := propertyFloats(c.wrank, 17, 3)
+				want := append([]float64(nil), x...)
+				messageRing(g.Comm, want, OpSum.Combine, g.rank, 2)
+				g.AllreduceInPlace(x, OpSum, AlgoRing)
+				got := g.ShareBuffer(bufs[c.wrank])
+				for r, b := range got {
+					if wr := g.WorldRank(r); len(b) != len(bufs[wr]) || &b[0] != &bufs[wr][0] {
+						return fmt.Errorf("p=%d %s rank %d: member %d shared another buffer", p, g.name, g.rank, r)
+					}
+				}
+				y := propertyFloats(c.wrank, 17, 3)
+				g.AllreduceInPlace(y, OpSum, AlgoRing)
+				if err := sameBits(y, want); err != nil {
+					return fmt.Errorf("p=%d %s: allreduce after ShareBuffer: %v", p, g.name, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -174,12 +174,14 @@ func TestSGDStepMatchesThreePass(t *testing.T) {
 				opt.Step(got.Params(), 0.05)
 				refSGDStep(ref, vel, want.Params(), 0.05)
 			}
+			off := 0
 			for i, p := range got.Params() {
 				q := want.Params()[i]
 				pairs := [][2][]float64{{p.Value.Data(), q.Value.Data()}}
 				if mu > 0 {
-					pairs = append(pairs, [2][]float64{opt.velocity[p].Data(), vel[q].Data()})
+					pairs = append(pairs, [2][]float64{opt.st.slabs[0][off : off+p.Value.Size()], vel[q].Data()})
 				}
+				off += p.Value.Size()
 				for _, pr := range pairs {
 					for j := range pr[0] {
 						if math.Float64bits(pr[0][j]) != math.Float64bits(pr[1][j]) {

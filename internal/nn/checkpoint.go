@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"math"
 	"strconv"
-
-	"repro/internal/tensor"
 )
 
 // The checkpoint format, version 1, is the one byte layout of model and
@@ -61,34 +59,53 @@ func LoadModel(m *Sequential, blob []byte) error {
 
 // section is one named float64 slab of a checkpoint.
 type section struct {
-	name  string
-	data  []float64 // live storage; nil for an absent optimizer buffer
-	param *Param    // optimizer sections: the buffer's parameter
-	bufs  map[*Param]*tensor.Tensor
-	n     int // the count a checked blob holds
+	name string
+	data []float64 // parameters and state tensors: live storage
+	// Optimizer sections: the buffer's parameter and slot, the parameter's
+	// index in the optimizer's run (-1 if it is not in it) and its offset.
+	param         *Param
+	slot, at, off int
+	n             int // the count to write, or the count a checked blob holds
 }
 
 // ckptSections lists m's and opt's sections in table order, with opt's
-// state and name (zero for a nil opt).
-func ckptSections(m *Sequential, opt StatefulOptimizer) ([]section, OptimizerState, string) {
-	var st OptimizerState
+// state and name (zero for a nil opt). An optimizer not bound to a run yet
+// is listed as it will be once a load binds it: to m's parameters.
+func ckptSections(m *Sequential, opt StatefulOptimizer) ([]section, *OptimizerState, string) {
+	var st *OptimizerState
 	kind := ""
 	if opt != nil {
 		st, kind = opt.State(), opt.Name()
 	}
 	params, states := m.Params(), m.States()
-	secs := make([]section, 0, len(params)*(1+len(st.Slots))+len(states))
+	secs := make([]section, 0, len(params)+len(states))
 	for _, p := range params {
-		secs = append(secs, section{name: p.Name, data: p.Value.Data()})
+		secs = append(secs, section{name: p.Name, data: p.Value.Data(), n: p.Value.Size()})
 	}
 	for i, s := range states {
-		secs = append(secs, section{name: "state" + strconv.Itoa(i), data: s.Data()})
+		secs = append(secs, section{name: "state" + strconv.Itoa(i), data: s.Data(), n: s.Size()})
+	}
+	if st == nil {
+		return secs, nil, kind
+	}
+	run := st.run
+	if st.slabs == nil {
+		run = params
+	}
+	where, off := make(map[*Param][2]int, len(run)), 0
+	for i, p := range run {
+		where[p] = [2]int{i, off}
+		off += p.Value.Size()
 	}
 	for _, p := range params {
+		w, ok := where[p]
 		for j, slot := range st.Slots {
-			s := section{name: p.Name + "/" + slot, param: p, bufs: st.Buffers[j]}
-			if buf := s.bufs[p]; buf != nil {
-				s.data = buf.Data()
+			s := section{name: p.Name + "/" + slot, param: p, slot: j, at: -1}
+			if ok {
+				s.at, s.off = w[0], w[1]
+				if st.slabs != nil && st.has[s.at] {
+					s.n = p.Value.Size()
+				}
 			}
 			secs = append(secs, s)
 		}
@@ -98,29 +115,34 @@ func ckptSections(m *Sequential, opt StatefulOptimizer) ([]section, OptimizerSta
 
 // EncodeCheckpoint returns the blob of m's parameters and state tensors,
 // opt's buffers and counter (nil opt: a model-only blob), and step. It
-// sizes the output once and writes it in one pass.
+// sizes the output once and writes it in one pass. A state that steps a
+// span of its run (OptimizerState.Reserve) is written whole, read from
+// every rank's shard once shared; it panics if a shard is missing.
 func EncodeCheckpoint(m *Sequential, opt StatefulOptimizer, step int) []byte {
 	secs, st, kind := ckptSections(m, opt)
 	counter := 0
-	if st.Counter != nil {
+	if st != nil && st.Counter != nil {
 		counter = *st.Counter
 	}
 	size := ckptFixed + len(kind)
 	for _, s := range secs {
-		size += 2 + len(s.name) + 8 + 8*len(s.data)
+		size += 2 + len(s.name) + 8 + 8*s.n
 	}
 	b := le.AppendUint32(append(make([]byte, 0, size), ckptMagic...), ckptVersion)
 	b = appendName(le.AppendUint64(b, uint64(step)), kind)
 	b = le.AppendUint32(le.AppendUint64(b, uint64(counter)), uint32(len(secs)))
 	for _, s := range secs {
-		b = le.AppendUint64(appendName(b, s.name), uint64(len(s.data)))
+		b = le.AppendUint64(appendName(b, s.name), uint64(s.n))
 	}
 	for _, s := range secs {
-		off := len(b)
-		b = b[:off+8*len(s.data)]
-		for i, v := range s.data {
-			le.PutUint64(b[off+8*i:], math.Float64bits(v))
+		if s.param == nil {
+			b = appendFloats(b, s.data)
+		} else if s.n > 0 {
+			st.pieces(s.slot, s.off, s.off+s.n, func(x []float64) { b = appendFloats(b, x) })
 		}
+	}
+	if len(b) != size-4 {
+		panic("nn: checkpoint of an optimizer state that holds part of its run: share every rank's part first")
 	}
 	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
@@ -129,12 +151,23 @@ func appendName(b []byte, name string) []byte {
 	return append(le.AppendUint16(b, uint16(len(name))), name...)
 }
 
+// appendFloats appends x's little-endian bits to b, within b's capacity.
+func appendFloats(b []byte, x []float64) []byte {
+	off := len(b)
+	b = b[:off+8*len(x)]
+	for i, v := range x {
+		le.PutUint64(b[off+8*i:], math.Float64bits(v))
+	}
+	return b
+}
+
 // Checkpoint is a blob that passed every check against one model and
 // optimizer; Apply copies it into them.
 type Checkpoint struct {
 	Step    int // the trainer step the blob was written at
 	counter int
-	st      OptimizerState
+	st      *OptimizerState
+	params  []*Param // the run an unbound optimizer state binds to
 	secs    []section
 	slabs   []byte
 }
@@ -168,7 +201,7 @@ func DecodeCheckpoint(blob []byte, m *Sequential, opt StatefulOptimizer) (*Check
 		return nil, fmt.Errorf("nn: checkpoint step %d or counter %d out of range", step, counter)
 	case string(name) != kind:
 		return nil, fmt.Errorf("nn: checkpoint holds optimizer state %q, destination optimizer is %q", name, kind)
-	case st.Counter == nil && counter != 0:
+	case (st == nil || st.Counter == nil) && counter != 0:
 		return nil, fmt.Errorf("nn: checkpoint sets counter %d, optimizer %q keeps none", counter, kind)
 	case int(nsec) != len(secs):
 		return nil, fmt.Errorf("nn: checkpoint has %d sections, destination has %d", nsec, len(secs))
@@ -194,6 +227,8 @@ func DecodeCheckpoint(blob []byte, m *Sequential, opt StatefulOptimizer) (*Check
 			return nil, fmt.Errorf("nn: checkpoint section %q holds %d values, destination has %d", s.name, n, want)
 		case s.param != nil && s.param == secs[i-1].param && n != uint64(secs[i-1].n):
 			return nil, fmt.Errorf("nn: checkpoint has some of %s's optimizer buffers but not all", s.param.Name)
+		case n > 0 && s.param != nil && s.at < 0:
+			return nil, fmt.Errorf("nn: checkpoint holds optimizer state of %s, which the optimizer does not step", s.param.Name)
 		}
 		s.n = int(n)
 		floats += s.n
@@ -201,30 +236,45 @@ func DecodeCheckpoint(blob []byte, m *Sequential, opt StatefulOptimizer) (*Check
 	if slab := len(body) - off; slab != 8*floats {
 		return nil, fmt.Errorf("nn: checkpoint has %d slab bytes, its table needs %d", slab, 8*floats)
 	}
-	return &Checkpoint{Step: int(step), counter: int(counter), st: st, secs: secs, slabs: body[off:]}, nil
+	return &Checkpoint{Step: int(step), counter: int(counter), st: st, params: m.Params(), secs: secs, slabs: body[off:]}, nil
 }
 
 // Apply copies the checked blob into the model and optimizer it was checked
-// against: values, state tensors, optimizer buffers (creating the missing
-// ones and dropping those the blob marks absent) and the counter.
+// against: values, state tensors, the optimizer's buffers over the span it
+// steps (binding an unbound one to the model's parameters) with which of
+// them exist, and the counter.
 func (c *Checkpoint) Apply() {
-	b := c.slabs
-	for _, s := range c.secs {
-		if s.param != nil && s.n == 0 {
-			delete(s.bufs, s.param)
-			continue
-		}
-		if s.param != nil && s.data == nil {
-			buf := tensor.New(s.param.Value.Shape()...)
-			s.bufs[s.param], s.data = buf, buf.Data()
-		}
-		for i := range s.data {
-			s.data[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-		}
-		b = b[8*len(s.data):]
+	st, b := c.st, c.slabs
+	if st != nil && st.slabs == nil {
+		st.Reserve(c.params, 0, NumParams(c.params))
 	}
-	if c.st.Counter != nil {
-		*c.st.Counter = c.counter
+	for _, s := range c.secs {
+		switch {
+		case s.param == nil:
+			readFloats(s.data, b)
+		case s.at >= 0:
+			st.has[s.at] = s.n > 0
+			lo, hi := max(s.off, st.lo), min(s.off+s.param.Value.Size(), st.hi)
+			if lo >= hi {
+				break
+			}
+			if dst := st.slabs[s.slot][lo-st.lo : hi-st.lo]; s.n == 0 {
+				clear(dst)
+			} else {
+				readFloats(dst, b[8*(lo-s.off):])
+			}
+		}
+		b = b[8*s.n:]
+	}
+	if st != nil && st.Counter != nil {
+		*st.Counter = c.counter
+	}
+}
+
+// readFloats fills dst from the little-endian bits at the start of b.
+func readFloats(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
 	}
 }
 

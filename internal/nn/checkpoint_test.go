@@ -22,7 +22,9 @@ func TestCheckpointLayoutV1(t *testing.T) {
 	m := NewSequential(d)
 	adam := NewAdam()
 	adam.t = 3
-	adam.m[d.W], adam.v[d.W] = tensor.FromSlice([]float64{0.25}, 1, 1), tensor.FromSlice([]float64{0.5}, 1, 1)
+	st := adam.State()
+	st.Reserve(m.Params(), 0, 2)
+	st.slabs[0][0], st.slabs[1][0], st.has[0] = 0.25, 0.5, true
 	want := "" +
 		"4e4e434b50540d0a" + "01000000" + // magic "NNCKPT\r\n", version 1
 		"0700000000000000" + // step 7
@@ -75,6 +77,29 @@ func ckptFixtures(seed int64, steps int) []ckptFixture {
 		out[i] = ckptFixture{f.m, f.opt}
 	}
 	return out
+}
+
+// withoutSection returns blob with the named section emptied: its count
+// set to 0 and its values cut out, resealed. It builds the blobs that no
+// optimizer writes, such as Adam's m without its v.
+func withoutSection(blob []byte, name string) []byte {
+	_, _, off, _ := entry(blob, len(ckptMagic)+12)
+	nsec := int(le.Uint32(blob[off:]))
+	off += 4
+	countAt, before, n := 0, 0, 0
+	for i := 0; i < nsec; i++ {
+		got, c, next, _ := entry(blob, off)
+		if string(got) == name {
+			countAt, n = next-8, int(c)
+		} else if countAt == 0 {
+			before += int(c)
+		}
+		off = next
+	}
+	out := slices.Clone(blob)
+	le.PutUint64(out[countAt:], 0)
+	cut := off + 8*before
+	return reseal(append(out[:cut], out[cut+8*n:]...))
 }
 
 // reseal returns a copy of b with its CRC trailer recomputed, so that a

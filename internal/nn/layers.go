@@ -316,8 +316,8 @@ func (s *Sequential) ZeroGrads() {
 // Param.Value and Param.Grad becomes a view into its slab, holding the
 // numbers it held before; layers read p.Value and p.Grad at call time, so
 // they run unchanged. Distributed training exchanges the slabs in place:
-// the gradient slab is the allreduce buffer, and a pipeline chunk or ZeRO
-// shard is a sub-slice of it (Span). Binding a bound model only
+// the gradient slab is the reduce-scatter or allreduce buffer, the value
+// slab the allgather's, and a pipeline chunk is a sub-slice (Span). Binding a bound model only
 // returns its slabs, and Add panics afterwards. Parameters must be
 // float64.
 func (s *Sequential) BindArena() (values, grads []float64) {

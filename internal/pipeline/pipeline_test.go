@@ -185,7 +185,10 @@ func runEquivalence(t *testing.T, S, M, steps int, sched Schedule, virtual int) 
 		if err != nil {
 			return err
 		}
-		opt := nn.NewSGD(0.9, 0)
+		opts := map[int]*nn.SGD{} // per chunk: an optimizer steps one run of parameters
+		for _, ci := range st.LocalChunks() {
+			opts[ci] = nn.NewSGD(0.9, 0)
+		}
 		for s := 0; s < steps; s++ {
 			x, y := pipeBatch(int64(100+s), rows)
 			model.ZeroGrads()
@@ -194,7 +197,7 @@ func runEquivalence(t *testing.T, S, M, steps int, sched Schedule, virtual int) 
 				return fmt.Errorf("rank %d step %d: loss %v, reference %v", c.Rank(), s, got, refLosses[s])
 			}
 			for _, ci := range st.LocalChunks() {
-				opt.Step(st.ChunkParams(ci), 0.05)
+				opts[ci].Step(st.ChunkParams(ci), 0.05)
 			}
 		}
 		// Local chunks must match the reference bitwise: gradients of the
