@@ -10,7 +10,6 @@
 //	msa-trace                              # 4 ranks, 1 epoch, trace.json + metrics.txt
 //	msa-trace -workers 8 -epochs 2
 //	msa-trace -dataset cxr                 # CovidNet
-//	msa-trace -algo tree
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/mpi"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/causal"
 )
@@ -31,7 +29,6 @@ func main() {
 	epochs := flag.Int("epochs", 1, "training epochs")
 	batch := flag.Int("batch", 4, "per-rank batch size")
 	samples := flag.Int("samples", 64, "synthetic dataset size")
-	algo := flag.String("algo", "ring", "allreduce algorithm: ring | recursive-doubling | tree | naive | gce")
 	seed := flag.Int64("seed", 42, "random seed")
 	out := flag.String("out", "trace.json", "Chrome trace-event JSON output path")
 	metricsOut := flag.String("metrics", "metrics.txt", "Prometheus text dump output path")
@@ -63,8 +60,7 @@ func main() {
 	// allocator.
 	telemetry.RegisterMemMetrics(reg)
 	cfg := core.DDPConfig{
-		Workers: *workers, Epochs: *epochs, Batch: *batch, BaseLR: 0.01,
-		Algo: mpi.Algo(*algo), Seed: *seed,
+		Workers: *workers, Epochs: *epochs, Batch: *batch, BaseLR: 0.01, Seed: *seed,
 		Tracer: tracer, Registry: reg,
 	}
 
@@ -119,8 +115,7 @@ func main() {
 	}
 
 	sum := telemetry.Summarize(tracer)
-	fmt.Printf("msa-trace: %s, %d ranks x %d epochs (algo=%s)\n",
-		*dataset, *workers, *epochs, *algo)
+	fmt.Printf("msa-trace: %s, %d ranks x %d epochs\n", *dataset, *workers, *epochs)
 	fmt.Printf("steps %d  final loss %.4f  train metric %.3f  val metric %.3f  wall %.2fs\n\n",
 		res.Steps, res.FinalLoss, res.TrainMetric, res.ValMetric, res.WallSeconds)
 	fmt.Print(sum.String())

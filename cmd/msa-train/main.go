@@ -5,7 +5,7 @@
 // Usage:
 //
 //	msa-train -dataset bigearthnet -workers 4 -epochs 3
-//	msa-train -dataset covidx -workers 2 -epochs 10 -algo gce
+//	msa-train -dataset covidx -workers 2 -epochs 10
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/mpi"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/causal"
@@ -30,7 +29,6 @@ func main() {
 	samples := flag.Int("samples", 96, "synthetic dataset size")
 	lr := flag.Float64("lr", 0.02, "base learning rate")
 	warmup := flag.Int("warmup", 8, "warmup steps for the linear-scaling rule (0 = off)")
-	algo := flag.String("algo", "ring", "allreduce algorithm: naive|tree|ring|recursive-doubling|gce|auto")
 	stages := flag.Int("pipeline-stages", 0, "pipeline depth S for 2D data×pipeline training (0 = plain DDP; must divide -workers)")
 	micro := flag.Int("microbatch", 4, "pipeline micro-batches per step (with -pipeline-stages)")
 	pipeSched := flag.String("pipe-schedule", "gpipe", "pipeline schedule: gpipe | 1f1b")
@@ -50,7 +48,7 @@ func main() {
 	}
 	cfg := core.DDPConfig{
 		Workers: *workers, Epochs: *epochs, Batch: *batch,
-		BaseLR: *lr, Warmup: *warmup, Algo: mpi.Algo(*algo), Seed: *seed,
+		BaseLR: *lr, Warmup: *warmup, Seed: *seed,
 		PipelineStages: *stages, MicroBatches: *micro, PipeSchedule: sched, VirtualChunks: *virtual,
 	}
 
@@ -99,7 +97,7 @@ func main() {
 		fmt.Printf("workers        %d  (2D: %d pipeline stages x %d replicas, %s, %d micro-batches)\n",
 			*workers, *stages, *workers / *stages, sched, *micro)
 	} else {
-		fmt.Printf("workers        %d  (allreduce=%s)\n", *workers, *algo)
+		fmt.Printf("workers        %d\n", *workers)
 	}
 	fmt.Printf("optimizer steps %d\n", res.Steps)
 	fmt.Printf("final loss     %.4f\n", res.FinalLoss)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/nn"
 	"repro/internal/perfmodel"
@@ -26,7 +25,7 @@ func main() {
 	// Distributed training across 2 simulated GPUs.
 	res := core.TrainCovidNet(core.DDPConfig{
 		Workers: 2, Epochs: 10, Batch: 4,
-		BaseLR: 0.02, Warmup: 5, Algo: mpi.AlgoRing, Seed: 23,
+		BaseLR: 0.02, Warmup: 5, Seed: 23,
 	}, ds, split)
 	fmt.Printf("distributed training: %d steps, %.1fs wall\n", res.Steps, res.WallSeconds)
 	fmt.Printf("validation accuracy:  %.3f\n\n", res.ValMetric)

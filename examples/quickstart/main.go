@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/mpi"
 	"repro/internal/msa"
 )
 
@@ -37,7 +36,7 @@ func main() {
 	res := core.TrainResNetBigEarthNet(core.DDPConfig{
 		Workers: 4, Epochs: 4, Batch: 4,
 		BaseLR: 0.02, Warmup: 8, // warmup + linear-scaling rule
-		Algo: mpi.AlgoRing, Seed: 3,
+		Seed: 3,
 	}, ds, split)
 
 	fmt.Printf("\ntrained %d steps across 4 workers in %.1fs\n", res.Steps, res.WallSeconds)

@@ -28,7 +28,7 @@ func main() {
 	for _, workers := range []int{1, 2, 4} {
 		res := core.TrainResNetBigEarthNet(core.DDPConfig{
 			Workers: workers, Epochs: 2, Batch: 4,
-			BaseLR: 0.02, Warmup: 6, Algo: mpi.AlgoRing, Seed: 9,
+			BaseLR: 0.02, Warmup: 6, Seed: 9,
 		}, ds, split)
 		if workers == 1 {
 			base = res.WallSeconds

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -36,8 +35,7 @@ func main() {
 	ds := data.GenMultispectral(data.MultispectralConfig{Samples: 32, Seed: 1, Size: 8})
 	split := data.TrainValSplit(32, 0.25, 1)
 	res := core.TrainResNetBigEarthNet(core.DDPConfig{
-		Workers: 4, Epochs: 1, Batch: 6, BaseLR: 0.01,
-		Algo: mpi.AlgoRing, Seed: 1,
+		Workers: 4, Epochs: 1, Batch: 6, BaseLR: 0.01, Seed: 1,
 		Tracer: tracer, Registry: reg,
 	}, ds, split)
 	fmt.Printf("trained: %d steps, final loss %.4f\n\n", res.Steps, res.FinalLoss)

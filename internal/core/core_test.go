@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/data"
-	"repro/internal/mpi"
 )
 
 func TestNewRuntime(t *testing.T) {
@@ -253,7 +252,7 @@ func TestDDPTrainersProduceSaneResults(t *testing.T) {
 	ds := data.GenMultispectral(data.MultispectralConfig{Samples: 24, Seed: 5})
 	split := data.TrainValSplit(24, 0.25, 6)
 	res := TrainResNetBigEarthNet(DDPConfig{Workers: 2, Epochs: 1, Batch: 4,
-		BaseLR: 0.01, Algo: mpi.AlgoRing, Seed: 7}, ds, split)
+		BaseLR: 0.01, Seed: 7}, ds, split)
 	if res.Steps <= 0 || res.WallSeconds <= 0 {
 		t.Fatalf("DDP bookkeeping: %+v", res)
 	}

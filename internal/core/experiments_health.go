@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/data"
-	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/nn"
 	"repro/internal/perfmodel"
@@ -23,7 +22,7 @@ func E6CovidNet(scale Scale) Result {
 	split := data.TrainValSplit(samples, 0.25, 52)
 
 	res := TrainCovidNet(DDPConfig{Workers: workers, Epochs: epochs, Batch: 4,
-		BaseLR: 0.02, Warmup: 5, Algo: mpi.AlgoRing, Seed: 53}, ds, split)
+		BaseLR: 0.02, Warmup: 5, Seed: 53}, ds, split)
 
 	// Per-class sensitivity on the validation split needs a fresh model
 	// evaluation; retrain single-worker deterministically for the matrix.

@@ -33,7 +33,7 @@ func E3ResNetScaling(scale Scale) Result {
 	var base float64
 	for _, p := range workersMeasured {
 		cfg := DDPConfig{Workers: p, Epochs: epochs, Batch: 4, BaseLR: 0.01,
-			Warmup: 5, Algo: mpi.AlgoRing, Seed: 31}
+			Warmup: 5, Seed: 31}
 		res := TrainResNetBigEarthNet(cfg, ds, split)
 		if p == 1 {
 			base = res.WallSeconds
@@ -87,9 +87,9 @@ func E4AccuracyVsWorkers(scale Scale) Result {
 	metrics := map[string]float64{}
 	for _, p := range workerCounts {
 		with := TrainResNetBigEarthNet(DDPConfig{Workers: p, Epochs: epochs, Batch: 4,
-			BaseLR: 0.02, Warmup: 8, Algo: mpi.AlgoRing, Seed: 41}, ds, split)
+			BaseLR: 0.02, Warmup: 8, Seed: 41}, ds, split)
 		without := TrainResNetBigEarthNet(DDPConfig{Workers: p, Epochs: epochs, Batch: 4,
-			BaseLR: 0.02, Warmup: 0, Algo: mpi.AlgoRing, Seed: 41}, ds, split)
+			BaseLR: 0.02, Warmup: 0, Seed: 41}, ds, split)
 		tb.Add(fmt.Sprint(p), fmt.Sprintf("%.3f", with.ValMetric), fmt.Sprintf("%.3f", without.ValMetric))
 		metrics[fmt.Sprintf("f1_scaled_p%d", p)] = with.ValMetric
 		metrics[fmt.Sprintf("f1_const_p%d", p)] = without.ValMetric

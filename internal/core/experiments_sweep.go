@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/perfmodel"
 )
@@ -56,7 +55,7 @@ func E19ModelComparison(scale Scale) Result {
 		}
 		start := time.Now()
 		res := runDDP(DDPConfig{Workers: workers, Epochs: epochs, Batch: 4,
-			BaseLR: 0.02, Warmup: 8, Algo: mpi.AlgoRing, Seed: 124},
+			BaseLR: 0.02, Warmup: 8, Seed: 124},
 			build, nn.BCEWithLogits{}, ds.X, ds.Y, split, evalFn)
 		rows = append(rows, row{
 			name: v.name, params: nn.NumParams(build().Params()),

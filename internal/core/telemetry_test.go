@@ -13,9 +13,10 @@ import (
 
 // TestDDPChromeTraceExport is the end-to-end observability acceptance
 // check: a 4-rank training run must produce a valid Chrome trace-event
-// JSON with one distinct track per rank, collective spans tagged with
-// payload bytes and the resolved algorithm, and a Prometheus text dump
-// carrying per-kind collective counters.
+// JSON with one distinct track per rank; per step and rank, one
+// reduce-scatter and one allgather span with payload bytes (the gradient
+// sync) and one recursive-doubling allreduce (the loss sync); and a
+// Prometheus text dump carrying per-kind collective counters.
 func TestDDPChromeTraceExport(t *testing.T) {
 	// 32 samples → 24 train → an even 6 per rank: synchronous DDP needs
 	// every rank to take the same number of steps.
@@ -24,7 +25,7 @@ func TestDDPChromeTraceExport(t *testing.T) {
 	tracer := telemetry.NewTracer(0)
 	reg := telemetry.NewRegistry()
 	res := TrainResNetBigEarthNet(DDPConfig{Workers: 4, Epochs: 1, Batch: 4,
-		BaseLR: 0.01, Algo: mpi.AlgoRing, Seed: 7, Tracer: tracer, Registry: reg}, ds, split)
+		BaseLR: 0.01, Seed: 7, Tracer: tracer, Registry: reg}, ds, split)
 	if res.Steps <= 0 {
 		t.Fatalf("run did not train: %+v", res)
 	}
@@ -39,8 +40,7 @@ func TestDDPChromeTraceExport(t *testing.T) {
 	}
 
 	tids := map[int]bool{}
-	collectives := 0
-	ringAllreduces := 0
+	perStep := map[string]int{} // gradient and loss sync spans, by name
 	steps := 0
 	for _, ev := range trace.TraceEvents {
 		switch ev.Ph {
@@ -56,22 +56,18 @@ func TestDDPChromeTraceExport(t *testing.T) {
 		}
 		switch ev.Cat {
 		case string(telemetry.CatCollective):
-			collectives++
-			if ev.Name == "allreduce" {
-				b, _ := ev.Args["bytes"].(float64)
+			b, _ := ev.Args["bytes"].(float64)
+			switch ev.Name {
+			case "reduce-scatter", "allgather":
 				if b <= 0 {
-					t.Fatalf("allreduce span missing payload bytes: %+v", ev)
+					t.Fatalf("%s span missing payload bytes: %+v", ev.Name, ev)
 				}
-				attr, _ := ev.Args["attr"].(string)
-				if attr == "" {
-					t.Fatalf("allreduce span missing algorithm attr: %+v", ev)
-				}
-				// Gradient syncs are explicitly ring; loss syncs resolve
-				// AlgoAuto on their own.
-				if attr == string(mpi.AlgoRing) {
-					ringAllreduces++
+			case "allreduce":
+				if attr, _ := ev.Args["attr"].(string); b != 8 || attr != string(mpi.AlgoRecursiveDoubling) {
+					t.Fatalf("loss allreduce span: %+v, want 8 bytes by %s", ev, mpi.AlgoRecursiveDoubling)
 				}
 			}
+			perStep[ev.Name]++
 		case string(telemetry.CatStep):
 			steps++
 		}
@@ -79,14 +75,13 @@ func TestDDPChromeTraceExport(t *testing.T) {
 	if len(tids) < 4 {
 		t.Fatalf("trace has %d distinct tracks, want >= 4 (one per rank)", len(tids))
 	}
-	if collectives == 0 {
-		t.Fatal("no collective spans in trace")
+	if steps != 4*res.Steps {
+		t.Fatalf("%d step spans, want %d", steps, 4*res.Steps)
 	}
-	if ringAllreduces == 0 {
-		t.Fatal("no ring-tagged gradient allreduce spans in trace")
-	}
-	if steps == 0 {
-		t.Fatal("no step spans in trace")
+	for _, name := range []string{"reduce-scatter", "allgather", "allreduce"} {
+		if perStep[name] != steps {
+			t.Fatalf("%d %s spans over %d rank steps, want one per step", perStep[name], name, steps)
+		}
 	}
 	names := tracer.TrackNames()
 	for r := 0; r < 4; r++ {

@@ -25,7 +25,6 @@ type DDPConfig struct {
 	// Warmup enables the warmup + linear-scaling large-batch rule; 0
 	// disables it (constant BaseLR, the ablation of E4).
 	Warmup int
-	Algo   mpi.Algo
 	// PipelineStages, when > 1, switches to 2D (data × pipeline) training:
 	// the Workers ranks form Workers/PipelineStages replica groups, each
 	// running the model as a PipelineStages-deep pipeline. Must divide
@@ -108,9 +107,6 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 	if cfg.Workers < 1 {
 		panic("core: DDP needs at least one worker")
 	}
-	if cfg.Algo == "" {
-		cfg.Algo = mpi.AlgoRing
-	}
 	pipelined := cfg.PipelineStages > 1
 	if pipelined {
 		if cfg.Workers%cfg.PipelineStages != 0 {
@@ -131,9 +127,6 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 	}
 
 	world := mpi.NewWorld(cfg.Workers)
-	// Route algorithm-agnostic collectives (scalar loss sync) through the
-	// run's configured algorithm as well.
-	world.SetDefaultAlgo(cfg.Algo)
 	if cfg.Tracer != nil {
 		world.SetTracer(cfg.Tracer)
 	}
@@ -152,7 +145,7 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 				distdl.WithVirtualChunks(cfg.VirtualChunks))
 		} else {
 			tr = distdl.New(c, model, loss, nn.NewSGD(0.9, 1e-4),
-				distdl.WithAlgo(cfg.Algo), distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer))
+				distdl.WithSchedule(sched), distdl.WithTracer(cfg.Tracer))
 		}
 		pipeTr, _ := tr.(*distdl.PipelineTrainer)
 		// Data sharding: in DDP every rank is its own shard; in 2D every

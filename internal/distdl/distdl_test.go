@@ -152,9 +152,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	finals := make([][]float64, p)
 	err := w.Run(func(c *mpi.Comm) error {
 		model := buildModel(100) // same init seed on every rank
-		tr := New(c, model, loss, nn.NewSGD(0.9, 0), WithConfig(Config{
-			Algo: mpi.AlgoRing, Schedule: nn.ConstLR(0.05),
-		})).(*Trainer)
+		tr := New(c, model, loss, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: nn.ConstLR(0.05)})).(*Trainer)
 		for s := 0; s < steps; s++ {
 			idx := make([]int, 4)
 			for i := range idx {
@@ -251,6 +249,7 @@ func TestNewRejectsUnsupportedCombinations(t *testing.T) {
 		want string
 	}{
 		{"pipeline+clip", []Option{WithPipeline(1, 2, pipeline.GPipe), WithClipNorm(1)}, "WithClipNorm is not supported with WithPipeline"},
+		{"non-ring-algo", []Option{WithAlgo(mpi.AlgoTree)}, "gradients always sync over the ring"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

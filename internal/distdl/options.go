@@ -43,8 +43,17 @@ type pipeOptions struct {
 // listed after it still apply on top.
 func WithConfig(c Config) Option { return func(n *newConfig) { n.cfg = c } }
 
-// WithAlgo selects the gradient allreduce algorithm.
-func WithAlgo(a mpi.Algo) Option { return func(n *newConfig) { n.cfg.Algo = a } }
+// WithAlgo accepts mpi.AlgoRing only: gradients always sync over the ring.
+//
+// Deprecated: New panics on any other algorithm. WithAlgo stays only for
+// callers outside this module that still pass it.
+func WithAlgo(a mpi.Algo) Option {
+	return func(*newConfig) {
+		if a != mpi.AlgoRing {
+			panic("distdl: WithAlgo(" + string(a) + "): gradients always sync over the ring")
+		}
+	}
+}
 
 // WithClipNorm clips the global gradient norm after averaging. Only the
 // data-parallel trainer clips: New panics if it is combined with

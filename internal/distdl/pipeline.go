@@ -39,7 +39,6 @@ type PipelineTrainer struct {
 	// arena, in ascending chunk order: the order every member of a
 	// data-parallel group averages them in.
 	chunkGrads [][]float64
-	lossBuf    []float64
 
 	step      int
 	computeNS int64
@@ -59,8 +58,7 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 	}
 	t := &PipelineTrainer{
 		Comm: wc, Model: model, Loss: loss, Opt: opt, Cfg: cfg,
-		rep:     wc.Rank() / S,
-		lossBuf: make([]float64, 1),
+		rep: wc.Rank() / S,
 	}
 	t.pipe = wc.Split(t.rep, wc.Rank())
 	t.dp = wc.Split(wc.Rank()%S, wc.Rank()) // color: this rank's pipeline stage
@@ -106,9 +104,7 @@ func (t *PipelineTrainer) Step(x, y *tensor.Tensor) float64 {
 	t.step++
 	c0 = time.Now()
 	if t.dp.Size() > 1 {
-		t.lossBuf[0] = loss
-		t.dp.AllreduceInPlace(t.lossBuf, mpi.OpSum, mpi.AlgoRing)
-		loss = t.lossBuf[0] / float64(t.dp.Size())
+		loss = t.dp.AllreduceScalar(loss, mpi.OpSum) / float64(t.dp.Size())
 	}
 	now := time.Now()
 	t.commNS += now.Sub(c0).Nanoseconds()

@@ -216,6 +216,11 @@ func (c countingComm) AllreduceMeanInPlace(data []float64, algo mpi.Algo) {
 	c.Communicator.AllreduceMeanInPlace(data, algo)
 }
 
+func (c countingComm) AllreduceScalar(v float64, op mpi.ReduceOp) float64 {
+	c.n.allreduces++
+	return c.Communicator.AllreduceScalar(v, op)
+}
+
 // Test2DOverWrappedCommunicator pins the WithPipeline seam: handed any
 // mpi.Communicator, the 2D trainer splits it through the interface, so
 // the pipeline p2p traffic and the per-chunk gradient sync of both axes

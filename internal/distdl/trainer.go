@@ -27,10 +27,6 @@ import (
 
 // Config tunes a distributed trainer.
 type Config struct {
-	// Algo is the gradient allreduce algorithm (ring by default). The
-	// ring shards the step; any other algorithm allreduces the gradient
-	// and every rank steps the whole arena.
-	Algo mpi.Algo
 	// ClipNorm, when positive, clips the global gradient norm after
 	// averaging (needed by the recurrent models). New panics if it is
 	// combined with WithPipeline.
@@ -61,10 +57,9 @@ type Trainer struct {
 	// place, where backward wrote them.
 	values, grads []float64
 	// [lo, hi) is the span of the arena this rank's optimizer steps and
-	// keeps state for: its reduce-scatter chunk when sharded, else all.
-	lo, hi  int
-	sharded bool
-	step    int
+	// keeps state for: its reduce-scatter chunk, all of it when p = 1.
+	lo, hi int
+	step   int
 	// ws is the trainer-owned tensor workspace threaded through the model
 	// and loss: every forward/backward temporary is borrowed from it and
 	// recycled at the top of the next Step, so steady-state training
@@ -83,12 +78,9 @@ type Trainer struct {
 // newTrainer wires a replica to its communicator over the model's bound
 // parameter arena, whose values New has broadcast from rank 0 (the Horovod
 // `broadcast_parameters` step). A stateful optimizer's state is reserved
-// for the span this rank steps and, when sharded, shared with every rank
+// for the span this rank steps and, when p > 1, shared with every rank
 // (the MPI_Win_allocate_shared pattern), so that Checkpoint can read it.
 func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config) *Trainer {
-	if cfg.Algo == "" {
-		cfg.Algo = mpi.AlgoRing
-	}
 	if cfg.Schedule == nil {
 		cfg.Schedule = nn.ConstLR(0.01)
 	}
@@ -97,14 +89,11 @@ func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt n
 	t.values, t.grads = model.Span(t.params)
 	model.SetWorkspace(t.ws)
 	p := comm.Size()
-	t.hi, t.sharded = len(t.values), p > 1 && cfg.Algo == mpi.AlgoRing
-	if t.sharded {
-		t.lo, t.hi = mpi.OwnedChunk(len(t.values), p, comm.Rank())
-	}
+	t.lo, t.hi = mpi.OwnedChunk(len(t.values), p, comm.Rank())
 	if so, ok := opt.(nn.StatefulOptimizer); ok {
 		st := so.State()
 		mine := st.Reserve(t.params, t.lo, t.hi)
-		if t.sharded {
+		if p > 1 {
 			// Rank r owns chunk r+1: rank p-1's state comes first.
 			all := comm.ShareBuffer(mine)
 			st.Share(append(all[p-1:], all[:p-1]...))
@@ -114,12 +103,12 @@ func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt n
 }
 
 // Step runs one synchronous data-parallel optimizer step on this rank's
-// minibatch and returns the *globally averaged* loss. After backward, a
-// sharded step reduce-scatters the gradient arena in place, steps this
-// rank's chunk and allgathers the values; otherwise the gradient is
-// allreduced and every rank steps all of it. The owned chunk carries the
-// allreduce's bits, and the optimizer updates one element at a time, so
-// the sharded step gives every parameter the replicated step's bits.
+// minibatch and returns the *globally averaged* loss. After backward, it
+// reduce-scatters the gradient arena in place, steps this rank's chunk and
+// allgathers the values; with one rank it makes no collective. The owned
+// chunk carries a ring allreduce's bits, and the optimizer updates one
+// element at a time, so every parameter gets the bits of a replicated step
+// that allreduced the gradient and stepped the whole arena.
 func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	tr := t.Cfg.Tracer
 	rank := t.Comm.Rank()
@@ -149,12 +138,12 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	tr.End(rank, telemetry.CatCompute, "optimizer", optStart, 0, "")
 	t.step++
 
-	if t.sharded {
+	if t.Comm.Size() > 1 {
 		agStart := tr.Start()
 		g0 := time.Now()
 		t.Comm.AllgatherInPlace(t.values)
 		t.CommNs += time.Since(g0).Nanoseconds()
-		tr.End(rank, telemetry.CatComm, "param-allgather", agStart, 8*int64(len(t.values)), string(t.Cfg.Algo))
+		tr.End(rank, telemetry.CatComm, "param-allgather", agStart, 8*int64(len(t.values)), "ring")
 	}
 
 	lossStart := tr.Start()
@@ -166,30 +155,27 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	return mean
 }
 
-// syncGrads averages the gradient arena in place: the span this rank
-// steps by a reduce-scatter when sharded, all of it by an allreduce
-// otherwise.
+// syncGrads averages, in place, the span of the gradient arena this rank
+// steps, by a ring reduce-scatter.
 func (t *Trainer) syncGrads(tr *telemetry.Tracer, rank int) {
 	commStart := tr.Start()
 	c1 := time.Now()
-	if p := t.Comm.Size(); t.sharded {
+	if p := t.Comm.Size(); p > 1 {
 		t.Comm.ReduceScatterInPlace(t.grads, mpi.OpSum, 1/float64(p))
-	} else if p > 1 {
-		t.Comm.AllreduceMeanInPlace(t.grads, t.Cfg.Algo)
 	}
 	t.CommNs += time.Since(c1).Nanoseconds()
-	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, 8*int64(len(t.grads)), string(t.Cfg.Algo))
+	tr.End(rank, telemetry.CatComm, "grad-sync", commStart, 8*int64(len(t.grads)), "ring")
 }
 
 // clipGrads scales the averaged gradient span this rank steps so that the
 // global L2 norm is at most ClipNorm: each rank sums its span's squares,
-// and a sharded world adds them up with one scalar allreduce.
+// and more than one rank add them up with one scalar allreduce.
 func (t *Trainer) clipGrads() {
 	g, sq := t.grads[t.lo:t.hi], 0.0
 	for _, v := range g {
 		sq += v * v
 	}
-	if t.sharded {
+	if t.Comm.Size() > 1 {
 		sq = t.Comm.AllreduceScalar(sq, mpi.OpSum)
 	}
 	if norm := math.Sqrt(sq); norm > t.Cfg.ClipNorm {

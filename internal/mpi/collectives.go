@@ -16,7 +16,6 @@ const (
 	tagBcast
 	tagReduce
 	tagGather
-	tagScatter
 	tagRing // the traced stream of a blocking ring collective (ring.go)
 	tagRecDouble
 	tagRecAdjust
@@ -55,27 +54,15 @@ var (
 // Algo selects the Allreduce implementation.
 type Algo string
 
-// Allreduce algorithm choices. Auto picks recursive doubling for small
-// messages and ring for large ones, mirroring production MPI heuristics.
+// Allreduce algorithm choices. Every caller names one; E9 and the cost
+// model compare them.
 const (
-	// AlgoDefault (the zero value) defers the choice to the world-wide
-	// default set with World.SetDefaultAlgo, falling back to AlgoAuto.
-	// Collectives with no algorithm parameter of their own
-	// (AllreduceScalar) route through this, so a run configured for e.g.
-	// the GCE fabric uses it for scalar metric reductions too.
-	AlgoDefault           Algo = ""
-	AlgoAuto              Algo = "auto"
 	AlgoNaive             Algo = "naive" // gather to root 0, reduce, broadcast
 	AlgoTree              Algo = "tree"  // binomial-tree reduce + binomial bcast
 	AlgoRing              Algo = "ring"  // reduce-scatter + allgather (bandwidth optimal)
 	AlgoRecursiveDoubling Algo = "recursive-doubling"
 	AlgoGCE               Algo = "gce" // FPGA Global Collective Engine offload
 )
-
-// autoRingThreshold is the message size (elements) above which Auto
-// switches from recursive doubling (latency-bound regime) to ring
-// (bandwidth-bound regime).
-const autoRingThreshold = 4096
 
 // Barrier blocks until every rank has entered it (dissemination barrier,
 // ⌈log₂ p⌉ rounds).
@@ -150,19 +137,6 @@ func copyInto(dst, src []float64) {
 	}
 }
 
-// Reduce combines every rank's data at root with op (binomial tree).
-// Non-root ranks return nil; root owns the result.
-func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
-	acc := c.world.wire.get(len(data))
-	copy(acc, data)
-	c.reduceInPlace(root, acc, op)
-	if c.rank != root {
-		c.world.wire.put(acc)
-		return nil
-	}
-	return acc
-}
-
 // reduceInPlace is the binomial-tree reduction combining into acc: root's
 // acc ends as the result, every other rank's as the partial sum it sent up.
 func (c *Comm) reduceInPlace(root int, acc []float64, op ReduceOp) {
@@ -199,13 +173,11 @@ func (c *Comm) AllreduceInPlace(data []float64, op ReduceOp, algo Algo) {
 	c.allreduce(data, op, algo, 0)
 }
 
-// allreduce is the one dispatch behind every blocking allreduce form. The
-// span carries the *resolved* algorithm so Auto runs are still
-// attributable per-regime in the trace. A nonzero scale multiplies the
-// result (the mean forms): the ring folds it into its reduce-scatter, every
-// other algorithm sweeps it after.
+// allreduce is the one dispatch behind every blocking allreduce form; its
+// span carries the algorithm. A nonzero scale multiplies the result (the
+// mean forms): the ring folds it into its reduce-scatter, every other
+// algorithm sweeps it after.
 func (c *Comm) allreduce(data []float64, op ReduceOp, algo Algo, scale float64) {
-	algo = c.resolveAlgo(algo, len(data))
 	defer c.collective(KindAllreduce, len(data), string(algo))()
 	if c.Size() > 1 {
 		switch algo {
@@ -228,22 +200,6 @@ func (c *Comm) allreduce(data []float64, op ReduceOp, algo Algo, scale float64) 
 	if scale != 0 {
 		tensor.VecScaleInto(data, data, scale)
 	}
-}
-
-// resolveAlgo maps the indirect algorithm choices to a concrete one:
-// AlgoDefault defers to the world default (SetDefaultAlgo), and AlgoAuto
-// picks by message size, mirroring production MPI heuristics.
-func (c *Comm) resolveAlgo(algo Algo, elems int) Algo {
-	if algo == AlgoDefault {
-		algo = c.world.DefaultAlgo()
-	}
-	if algo == AlgoAuto {
-		if elems >= autoRingThreshold {
-			return AlgoRing
-		}
-		return AlgoRecursiveDoubling
-	}
-	return algo
 }
 
 // allreduceNaive gathers every vector at rank 0 sequentially, reduces, and
@@ -295,22 +251,6 @@ func (c *Comm) allreduceRecDoubling(data []float64, op ReduceOp) {
 	}
 }
 
-// ReduceScatter reduces across ranks and leaves rank r holding chunk r of
-// the result; returns the chunk.
-func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
-	defer c.collective(KindReduceScatter, len(data), op.Name)()
-	wire := &c.world.wire
-	acc := wire.get(len(data))
-	copy(acc, data)
-	// Starting one chunk behind the allreduce leaves rank r holding chunk r
-	// (the MPI_Reduce_scatter convention).
-	c.ring(acc, op.Combine, c.rank-1, 1, 0)
-	lo, hi := chunkBounds(len(acc), c.Size(), c.rank)
-	out := append(wire.get(hi - lo)[:0], acc[lo:hi]...)
-	wire.put(acc)
-	return out
-}
-
 // ReduceScatterInPlace runs the ring allreduce's first pass over data and
 // returns the span it leaves reduced here (OwnedChunk), times a nonzero
 // scale, with that allreduce's bits; the rest of data is scratch.
@@ -333,17 +273,6 @@ func (c *Comm) AllgatherInPlace(data []float64) {
 // OwnedChunk is the span of n elements ReduceScatterInPlace leaves on rank r of p.
 func OwnedChunk(n, p, r int) (lo, hi int) { return chunkBounds(n, p, (r+1)%p) }
 
-// Allgather concatenates every rank's equally-sized buffer in rank order
-// at every rank (the ring's allgather pass over one chunk per rank).
-func (c *Comm) Allgather(data []float64) []float64 {
-	defer c.collective(KindAllgather, len(data), "")()
-	n := len(data)
-	out := make([]float64, n*c.Size())
-	copy(out[c.rank*n:], data)
-	c.ring(out, copyInto, c.rank, 1, 0)
-	return out
-}
-
 // Gather collects every rank's buffer at root in rank order. Non-root
 // ranks return nil. Buffers may have different lengths.
 func (c *Comm) Gather(root int, data []float64) [][]float64 {
@@ -362,32 +291,13 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 	return out
 }
 
-// Scatter distributes parts[i] from root to rank i and returns each rank's
-// part. Only root's parts argument is consulted.
-func (c *Comm) Scatter(root int, parts [][]float64) []float64 {
-	defer c.collective(KindScatter, totalLen(parts), "")()
-	p := c.Size()
-	if c.rank == root {
-		if len(parts) != p {
-			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", p, len(parts)))
-		}
-		for i := range parts {
-			if i != root {
-				c.Send(i, tagScatter, parts[i])
-			}
-		}
-		return append([]float64(nil), parts[root]...)
-	}
-	out, _ := c.Recv(root, tagScatter)
-	return out
-}
-
-// AllreduceScalar reduces a single value across ranks; a convenience for
-// metric aggregation (loss, accuracy counts).
+// AllreduceScalar reduces a single value across ranks by recursive
+// doubling, the latency-optimal schedule for one element; a convenience
+// for metric aggregation (loss, accuracy counts).
 func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
 	buf := c.scalar[:]
 	buf[0] = v
-	c.allreduce(buf, op, AlgoDefault, 0)
+	c.allreduce(buf, op, AlgoRecursiveDoubling, 0)
 	return buf[0]
 }
 
@@ -397,16 +307,6 @@ func (c *Comm) AllreduceScalar(v float64, op ReduceOp) float64 {
 // Both multiply every sum by the same factor, so the bits are the same.
 func (c *Comm) AllreduceMeanInPlace(data []float64, algo Algo) {
 	c.allreduce(data, OpSum, algo, 1/float64(c.Size()))
-}
-
-// totalLen sums the element counts of a per-rank part list (span sizing
-// for Scatter, whose payload is the whole part set).
-func totalLen(parts [][]float64) int {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	return n
 }
 
 // HierarchicalCostModel returns the alpha-beta cost of the two-level

@@ -213,32 +213,6 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 	}
 }
 
-func TestReduceSumAllRoots(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 9} {
-		for root := 0; root < p; root++ {
-			w := NewWorld(p)
-			err := w.Run(func(c *Comm) error {
-				data := []float64{float64(c.Rank()), 1}
-				out := c.Reduce(root, data, OpSum)
-				if c.Rank() != root {
-					if out != nil {
-						return fmt.Errorf("non-root got result")
-					}
-					return nil
-				}
-				wantSum := float64(p*(p-1)) / 2
-				if out[0] != wantSum || out[1] != float64(p) {
-					return fmt.Errorf("reduce: %v want [%f %d]", out, wantSum, p)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
-		}
-	}
-}
-
 func TestAllreduceAllAlgorithmsAllSizes(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 12} {
 		for _, algo := range allAlgos {
@@ -289,28 +263,6 @@ func TestAllreduceMaxMinProd(t *testing.T) {
 	}
 }
 
-func TestAllreduceAuto(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		small := c.Allreduce([]float64{1}, OpSum, AlgoAuto)
-		if small[0] != 3 {
-			return fmt.Errorf("auto small: %v", small)
-		}
-		big := make([]float64, autoRingThreshold+10)
-		for i := range big {
-			big[i] = 1
-		}
-		out := c.Allreduce(big, OpSum, AlgoAuto)
-		if out[0] != 3 || out[len(out)-1] != 3 {
-			return fmt.Errorf("auto big wrong")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBackToBackCollectives(t *testing.T) {
 	// Stresses tag reuse: many successive collectives of mixed types must
 	// not cross-talk thanks to FIFO mailbox matching.
@@ -339,28 +291,6 @@ func TestBackToBackCollectives(t *testing.T) {
 	}
 }
 
-func TestAllgather(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 6} {
-		w := NewWorld(p)
-		err := w.Run(func(c *Comm) error {
-			data := []float64{float64(c.Rank()), float64(c.Rank() * 10)}
-			out := c.Allgather(data)
-			if len(out) != 2*p {
-				return fmt.Errorf("allgather len %d", len(out))
-			}
-			for r := 0; r < p; r++ {
-				if out[2*r] != float64(r) || out[2*r+1] != float64(r*10) {
-					return fmt.Errorf("allgather content: %v", out)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
 func TestGatherScatter(t *testing.T) {
 	w := NewWorld(4)
 	err := w.Run(func(c *Comm) error {
@@ -374,46 +304,10 @@ func TestGatherScatter(t *testing.T) {
 		} else if got != nil {
 			return fmt.Errorf("non-root gather result")
 		}
-		var parts [][]float64
-		if c.Rank() == 1 {
-			parts = [][]float64{{0}, {10}, {20}, {30}}
-		}
-		mine := c.Scatter(1, parts)
-		if mine[0] != float64(c.Rank()*10) {
-			return fmt.Errorf("scatter: %v", mine)
-		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	for _, p := range []int{2, 3, 4} {
-		n := 12
-		w := NewWorld(p)
-		err := w.Run(func(c *Comm) error {
-			data := make([]float64, n)
-			for i := range data {
-				data[i] = float64(i)
-			}
-			chunk := c.ReduceScatter(data, OpSum)
-			lo, hi := chunkBounds(n, p, c.Rank())
-			if len(chunk) != hi-lo {
-				return fmt.Errorf("chunk len %d want %d", len(chunk), hi-lo)
-			}
-			for i, v := range chunk {
-				want := float64((lo + i) * p)
-				if math.Abs(v-want) > 1e-9 {
-					return fmt.Errorf("rank %d chunk[%d]=%f want %f", c.Rank(), i, v, want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
 	}
 }
 
@@ -575,52 +469,25 @@ func TestCollectiveStressRandomDelays(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
 			}
-			g := c.Allgather([]float64{float64(c.Rank())})
+			g := make([]float64, p)
+			g[(c.Rank()+1)%p] = float64(c.Rank()) // this rank's OwnedChunk
+			c.AllgatherInPlace(g)
 			for r := 0; r < p; r++ {
-				if g[r] != float64(r) {
+				if g[(r+1)%p] != float64(r) {
 					return fmt.Errorf("allgather: %v", g)
 				}
 			}
-			parts := make([][]float64, p)
-			for d := range parts {
-				parts[d] = []float64{float64(iter)}
-			}
-			if got := c.Scatter(iter%p, parts); got[0] != float64(iter) {
-				return fmt.Errorf("scatter: %v", got)
+			root := iter % p
+			got := c.Gather(root, []float64{float64(iter + c.Rank())})
+			for r := range got {
+				if got[r][0] != float64(iter+r) {
+					return fmt.Errorf("gather: %v", got)
+				}
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAllreduceScalarRespectsDefaultAlgo: scalar reductions route through
-// the world default instead of hardcoding recursive doubling. The resolved
-// algorithm is observable in the per-collective span attribute.
-func TestAllreduceScalarRespectsDefaultAlgo(t *testing.T) {
-	w := NewWorld(2)
-	w.SetDefaultAlgo(AlgoNaive)
-	if got := w.DefaultAlgo(); got != AlgoNaive {
-		t.Fatalf("DefaultAlgo = %q, want %q", got, AlgoNaive)
-	}
-	err := w.Run(func(c *Comm) error {
-		if got := c.AllreduceScalar(1, OpSum); got != 2 {
-			return fmt.Errorf("AllreduceScalar = %v, want 2", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the naive algorithm there is no recursive-doubling traffic at
-	// all; with the old hardcoded choice there would be.
-	if n := w.TotalStats().ByKind[KindAllreduce]; n != 2 {
-		t.Fatalf("allreduce count = %d, want 2", n)
-	}
-	w2 := NewWorld(2)
-	if got := w2.DefaultAlgo(); got != AlgoAuto {
-		t.Fatalf("unset DefaultAlgo = %q, want %q", got, AlgoAuto)
 	}
 }

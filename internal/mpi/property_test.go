@@ -164,17 +164,13 @@ func otherCollectives(c *Comm, n int, in func(rank int) []float64) [][]float64 {
 	into := in(r)
 	c.BcastInto(q-1, into)
 	out = append(out, into)
-	out = append(out, c.Reduce(root, in(r), OpSum))
-	out = append(out, c.ReduceScatter(in(r), OpProd))
-	out = append(out, c.Allgather(in(r)))
-	out = append(out, c.Gather(root, in(r)[:n-min(n, r)])...) // ragged parts
-	var parts [][]float64
-	if r == root {
-		for i := 0; i < q; i++ {
-			parts = append(parts, in(i)[:min(n, i+1)])
-		}
-	}
-	return append(out, c.Scatter(root, parts))
+	scattered := in(r)
+	lo, hi := c.ReduceScatterInPlace(scattered, OpProd, 0)
+	out = append(out, scattered[lo:hi])
+	gathered := in(r)
+	c.AllgatherInPlace(gathered)
+	out = append(out, gathered)
+	return append(out, c.Gather(root, in(r)[:n-min(n, r)])...) // ragged parts
 }
 
 func TestPropertyCollectives(t *testing.T) {

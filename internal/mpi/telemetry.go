@@ -26,7 +26,6 @@ const (
 	KindReduceScatter
 	KindAllgather
 	KindGather
-	KindScatter
 	KindSplit
 	KindHierarchicalAllreduce
 	NumCollectiveKinds
@@ -34,7 +33,7 @@ const (
 
 var kindNames = [NumCollectiveKinds]string{
 	"barrier", "bcast", "reduce", "allreduce", "reduce-scatter",
-	"allgather", "gather", "scatter", "split", "hierarchical-allreduce",
+	"allgather", "gather", "split", "hierarchical-allreduce",
 }
 
 // String returns the kind's canonical lowercase name.
@@ -52,7 +51,7 @@ var noopEnd = func() {}
 // collective records a collective call of the given kind moving elems
 // float64 elements (8 bytes each) with an optional algorithm tag, and
 // returns the span-closing func. Nested collectives (e.g. the tree
-// allreduce calling Reduce and Bcast) count and trace individually.
+// allreduce calling its reduce and Bcast) count and trace individually.
 //
 // Only world-communicator collectives are counted and given a collective
 // span. A collective issued on a split group is neither: causal.Build

@@ -64,7 +64,7 @@ func TestTreeAllreduceCountsNestedKinds(t *testing.T) {
 
 // TestCollectiveSpans runs traced collectives on a 4-rank world and
 // validates that every rank's track carries spans tagged with payload
-// bytes and the resolved algorithm.
+// bytes and the algorithm.
 func TestCollectiveSpans(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	w := NewWorld(4)
@@ -72,7 +72,7 @@ func TestCollectiveSpans(t *testing.T) {
 	const n = 32
 	err := w.Run(func(c *Comm) error {
 		buf := make([]float64, n)
-		c.Allreduce(buf, OpSum, AlgoAuto) // resolves to recursive-doubling
+		c.Allreduce(buf, OpSum, AlgoRecursiveDoubling)
 		c.Barrier()
 		return nil
 	})
@@ -92,7 +92,7 @@ func TestCollectiveSpans(t *testing.T) {
 				t.Fatalf("allreduce span bytes %d, want %d", s.Bytes, n*8)
 			}
 			if s.Attr != string(AlgoRecursiveDoubling) {
-				t.Fatalf("allreduce span attr %q, want resolved algorithm", s.Attr)
+				t.Fatalf("allreduce span attr %q, want %q", s.Attr, AlgoRecursiveDoubling)
 			}
 		case "barrier":
 			if s.Bytes != 0 {
@@ -135,7 +135,7 @@ func TestWorldRegisterMetrics(t *testing.T) {
 	for _, want := range []string{
 		`msa_mpi_collectives_total{type="allreduce"} 2`,
 		`msa_mpi_collectives_total{type="barrier"} 2`,
-		`msa_mpi_collectives_total{type="scatter"} 0`,
+		`msa_mpi_collectives_total{type="gather"} 0`,
 		"msa_mpi_world_size 2",
 	} {
 		if !strings.Contains(out, want) {

@@ -7,11 +7,11 @@
 // world ranks, the world communicator is the identity group, and Split
 // carves further groups out of any Comm. Point-to-point Send/Recv/RecvInto
 // and every collective the paper's distributed deep-learning workloads
-// need — Barrier, Bcast, Reduce, Allreduce, Allgather, Gather, Scatter,
-// ReduceScatter — are written once against that type and so run on the
-// world and on any split group alike. Allreduce has selectable algorithms
-// (naive gather-based, binomial tree, ring, recursive doubling, and a
-// simulated FPGA Global Collective Engine as in the MSA's ESB fabric,
+// need — Barrier, Bcast, Allreduce, the in-place ReduceScatter and
+// Allgather, Gather — are written once against that type and so run on the
+// world and on any split group alike. Allreduce takes its algorithm from
+// the caller (naive gather-based, binomial tree, ring, recursive doubling,
+// and a simulated FPGA Global Collective Engine as in the MSA's ESB fabric,
 // Section II-A of the paper), each with one in-place core; the allocating,
 // mean and scalar forms wrap it. The ring
 // collectives use neither mailbox nor wire pool: a rank reads and writes
@@ -162,10 +162,6 @@ type World struct {
 	// 0); commIDs hands each group a Split creates the next id (split.go).
 	all     *group
 	commIDs atomic.Int64
-	// defaultAlgo is the world-wide allreduce algorithm that AlgoDefault
-	// resolves to (collectives.go); empty means AlgoAuto. Stored as a
-	// string so it can be swapped atomically while ranks run.
-	defaultAlgo atomic.Value // Algo
 	// tracer, when set, receives one span per collective call, tagged
 	// with payload bytes and algorithm (telemetry.go).
 	tracer atomic.Pointer[telemetry.Tracer]
@@ -217,22 +213,6 @@ func (w *World) Revoke(reason string) {
 
 // Revoked reports whether Revoke has been called.
 func (w *World) Revoked() bool { return w.revoked.Load() != nil }
-
-// SetDefaultAlgo sets the allreduce algorithm that AlgoDefault (and
-// collectives with no explicit algorithm choice, like AllreduceScalar)
-// resolve to. The zero value restores AlgoAuto. Safe to call while ranks
-// run, but all ranks must observe the same value for a given collective —
-// set it before Run, or at a point where ranks are synchronized.
-func (w *World) SetDefaultAlgo(a Algo) { w.defaultAlgo.Store(a) }
-
-// DefaultAlgo returns the world default set by SetDefaultAlgo, or
-// AlgoAuto if none was set.
-func (w *World) DefaultAlgo() Algo {
-	if a, ok := w.defaultAlgo.Load().(Algo); ok && a != AlgoDefault {
-		return a
-	}
-	return AlgoAuto
-}
 
 // WireStats returns the cumulative wire-pool get/put counts. Over a
 // window of purely internal buffer circulation (in-place collectives)
