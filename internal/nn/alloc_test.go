@@ -117,6 +117,25 @@ func TestConvForwardAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestEvalForwardAllocsSteadyState: serving runs CovidNetMini's eval
+// forward through a workspace, which keeps no backward caches and so has
+// nothing to grow.
+func TestEvalForwardAllocsSteadyState(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ws := tensor.NewWorkspace()
+	model := CovidNetMini(rng, 16, 3)
+	model.SetWorkspace(ws)
+	x := tensor.RandUniform(rng, -1, 1, 4, 1, 16, 16)
+
+	allocs := testing.AllocsPerRun(20, func() {
+		ws.ReleaseAll()
+		model.Forward(x, false)
+	})
+	if allocs > 0 {
+		t.Errorf("CovidNetMini eval forward allocates %.1f/run in steady state, want 0", allocs)
+	}
+}
+
 // TestWorkspaceBitwiseIdentity trains two identically seeded models — one
 // pooled, one allocating — in lockstep and requires exactly equal outputs
 // and parameters after every step. This is the contract that lets the

@@ -61,7 +61,9 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns W and b.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// MaxPool is a 2-D max-pooling layer over (N, C, H, W).
+// MaxPool is a 2-D max-pooling layer over (N, C, H, W). An eval-mode
+// Forward (train false) writes only the pooled values and keeps no argmax
+// map, so Backward must follow a training Forward.
 type MaxPool struct {
 	K, Stride int
 	arg       []int // persistent argmax scratch, regrown only on batch-shape change
@@ -76,12 +78,17 @@ func NewMaxPool(k, stride int) *MaxPool { return &MaxPool{K: k, Stride: stride} 
 // SetWorkspace routes the layer's temporaries through ws.
 func (m *MaxPool) SetWorkspace(ws *tensor.Workspace) { m.ws = ws }
 
-// Forward applies max pooling and records argmax positions.
+// Forward applies max pooling; in training mode it also records the
+// argmax positions and the input shape for Backward.
 func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	m.inShape = append(m.inShape[:0], x.Shape()...)
 	oh := tensor.ConvDims(x.Dim(2), m.K, m.Stride, 0)
 	ow := tensor.ConvDims(x.Dim(3), m.K, m.Stride, 0)
-	out := m.ws.Get(x.Dim(0), x.Dim(1), oh, ow)
+	out := m.ws.GetUninit(x.Dim(0), x.Dim(1), oh, ow) // the pool writes every element
+	if !train {
+		tensor.MaxPool2DInto(out, nil, x, m.K, m.Stride)
+		return out
+	}
+	m.inShape = append(m.inShape[:0], x.Shape()...)
 	if cap(m.arg) < out.Size() {
 		m.arg = make([]int, out.Size())
 	}
@@ -124,7 +131,8 @@ func (g *GlobalAvgPool2D) Params() []*Param { return nil }
 
 // BatchNorm2D normalizes each channel of (N,C,H,W) over the batch and
 // spatial axes, with learnable scale/shift and running statistics for
-// inference.
+// inference. An eval-mode Forward (train false) writes only its output and
+// keeps no xhat or statistics, so Backward must follow a training Forward.
 type BatchNorm2D struct {
 	Gamma, Beta  *Param
 	RunMean      *tensor.Tensor
@@ -155,9 +163,15 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	}
 }
 
-// Forward normalizes per channel; in training mode it uses batch
-// statistics and updates the running averages.
+// Forward normalizes per channel. In training mode it uses batch
+// statistics, updates the running averages and keeps xhat for Backward;
+// in eval mode it normalizes with the running statistics in one pass.
+// Both round g*((v-m)*inv) + bt the same way, so an eval output equals the
+// training formula applied to the running statistics bit for bit.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		return b.forwardEval(x)
+	}
 	n, c, hw := x.Dim(0), x.Dim(1), x.Dim(2)*x.Dim(3)
 	b.inShape = append(b.inShape[:0], x.Shape()...)
 	cnt := float64(n * hw)
@@ -173,31 +187,26 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.invStd = invStd
 	xd := x.Data()
 	runMean, runVar := b.RunMean.Data(), b.RunVar.Data()
-	if train {
-		for ch := 0; ch < c; ch++ {
-			s := 0.0
-			for bi := 0; bi < n; bi++ {
-				for _, v := range xd[(bi*c+ch)*hw:][:hw] {
-					s += v
-				}
+	for ch := 0; ch < c; ch++ {
+		s := 0.0
+		for bi := 0; bi < n; bi++ {
+			for _, v := range xd[(bi*c+ch)*hw:][:hw] {
+				s += v
 			}
-			mean[ch] = s / cnt
 		}
-		for ch := 0; ch < c; ch++ {
-			s, m := 0.0, mean[ch]
-			for bi := 0; bi < n; bi++ {
-				for _, v := range xd[(bi*c+ch)*hw:][:hw] {
-					d := v - m
-					s += d * d
-				}
+		mean[ch] = s / cnt
+	}
+	for ch := 0; ch < c; ch++ {
+		s, m := 0.0, mean[ch]
+		for bi := 0; bi < n; bi++ {
+			for _, v := range xd[(bi*c+ch)*hw:][:hw] {
+				d := v - m
+				s += d * d
 			}
-			variance[ch] = s / cnt
-			runMean[ch] = b.Momentum*runMean[ch] + (1-b.Momentum)*m
-			runVar[ch] = b.Momentum*runVar[ch] + (1-b.Momentum)*variance[ch]
 		}
-	} else {
-		copy(mean, runMean)
-		copy(variance, runVar)
+		variance[ch] = s / cnt
+		runMean[ch] = b.Momentum*runMean[ch] + (1-b.Momentum)*m
+		runVar[ch] = b.Momentum*runVar[ch] + (1-b.Momentum)*variance[ch]
 	}
 	for ch := 0; ch < c; ch++ {
 		invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
@@ -216,6 +225,27 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				t := (v - m) * inv
 				xh[i] = t
 				o[i] = g*t + bt
+			}
+		}
+	}
+	return out
+}
+
+// forwardEval normalizes x with the running statistics, writing only the
+// output.
+func (b *BatchNorm2D) forwardEval(x *tensor.Tensor) *tensor.Tensor {
+	n, c, hw := x.Dim(0), x.Dim(1), x.Dim(2)*x.Dim(3)
+	out := b.ws.GetUninit(x.Shape()...) // written in full below
+	xd, od := x.Data(), out.Data()
+	runMean, runVar := b.RunMean.Data(), b.RunVar.Data()
+	gamma, beta := b.Gamma.Value.Data(), b.Beta.Value.Data()
+	for ch := 0; ch < c; ch++ {
+		m, inv, g, bt := runMean[ch], 1/math.Sqrt(runVar[ch]+b.Eps), gamma[ch], beta[ch]
+		for bi := 0; bi < n; bi++ {
+			base := (bi*c + ch) * hw
+			o := od[base:][:hw]
+			for i, v := range xd[base:][:hw] {
+				o[i] = g*((v-m)*inv) + bt
 			}
 		}
 	}

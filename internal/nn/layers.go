@@ -53,7 +53,9 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns W and b.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise. An eval-mode Forward (train false)
+// writes only its output and keeps no mask, so Backward must follow a
+// training Forward.
 type ReLU struct {
 	mask  []bool
 	ws    *tensor.Workspace
@@ -63,17 +65,21 @@ type ReLU struct {
 // SetWorkspace routes the layer's temporaries through ws.
 func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
 
-// Forward applies the rectifier and caches the activation mask, both in
-// one sweep over x: v <= 0 writes a literal +0 (so -0 maps to +0), and
-// anything else — NaN included — passes through with the mask set. The
-// select is a bit mask, not a branch: activation signs are close to coin
-// flips, and a mispredicted branch per element cost more than the sweep.
+// Forward applies the rectifier: v <= 0 writes a literal +0 (so -0 maps
+// to +0), and anything else — NaN included — passes through. In eval mode
+// that is the vector kernel tensor.ReLUInto. In training mode one sweep
+// also caches the activation mask; the select is a bit mask, not a
+// branch: activation signs are close to coin flips, and a mispredicted
+// branch per element cost more than the sweep.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out := r.ws.GetUninit(x.Shape()...)
+	if !train {
+		return tensor.ReLUInto(out, x)
+	}
 	if cap(r.mask) < x.Size() {
 		r.mask = make([]bool, x.Size())
 	}
 	r.mask = r.mask[:x.Size()]
-	out := r.ws.GetUninit(x.Shape()...)
 	od, mask := out.Data(), r.mask
 	for i, v := range x.Data() {
 		m := !(v <= 0)

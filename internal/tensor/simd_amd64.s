@@ -287,3 +287,78 @@ addloop:
 	VMASKMOVPD Y9, Y15, 32(DX)
 	VZEROUPPER
 	RET
+
+// func pool2x2AVX(dst, src *float64, oh, ow, w int)
+//
+// The 2×2, stride-2 max pool of one plane (row length w doubles) into
+// dst, oh rows of ow. Four outputs at a time: two loads per input row
+// cover taps 2ox..2ox+7, VSHUFPD splits them into even and odd columns
+// (in lane order o0, o2, o1, o3, which VPERMPD $0xD8 undoes at the end),
+// and three VMAXPD fold the taps (2oy, even), (2oy, odd), (2oy+1, even),
+// (2oy+1, odd) in that order. MAXPD returns src1 > src2 ? src1 : src2, so
+// with the new tap as src1 and the running maximum as src2 (Go syntax:
+// VMAXPD Ybest, Ytap, Ybest) each step is the scalar "replace only when
+// strictly greater": NaN and ±0 ties keep the running value. The last
+// ow mod 4 outputs of a row take the same chain in VMAXSD.
+TEXT ·pool2x2AVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ oh+16(FP), CX
+	MOVQ ow+24(FP), DX
+	MOVQ w+32(FP), R8
+	SHLQ $3, R8        // row stride in bytes
+	LEAQ (R8)(R8*1), R9 // row-pair stride
+
+poolrow:
+	MOVQ SI, R10        // row 2oy
+	LEAQ (SI)(R8*1), R11 // row 2oy+1
+	MOVQ DX, BX
+	CMPQ BX, $4
+	JLT  pooltail
+
+poolquad:
+	VMOVUPD (R10), Y0
+	VMOVUPD 32(R10), Y1
+	VMOVUPD (R11), Y2
+	VMOVUPD 32(R11), Y3
+	VSHUFPD $0x0, Y1, Y0, Y4
+	VSHUFPD $0xF, Y1, Y0, Y5
+	VSHUFPD $0x0, Y3, Y2, Y6
+	VSHUFPD $0xF, Y3, Y2, Y7
+	VMAXPD  Y4, Y5, Y4
+	VMAXPD  Y4, Y6, Y4
+	VMAXPD  Y4, Y7, Y4
+	VPERMPD $0xD8, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ    $64, R10
+	ADDQ    $64, R11
+	ADDQ    $32, DI
+	SUBQ    $4, BX
+	CMPQ    BX, $4
+	JGE     poolquad
+
+pooltail:
+	TESTQ BX, BX
+	JZ    poolnext
+
+poolscalar:
+	VMOVSD (R10), X4
+	VMOVSD 8(R10), X5
+	VMAXSD X4, X5, X4
+	VMOVSD (R11), X5
+	VMAXSD X4, X5, X4
+	VMOVSD 8(R11), X5
+	VMAXSD X4, X5, X4
+	VMOVSD X4, (DI)
+	ADDQ   $16, R10
+	ADDQ   $16, R11
+	ADDQ   $8, DI
+	DECQ   BX
+	JNZ    poolscalar
+
+poolnext:
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  poolrow
+	VZEROUPPER
+	RET

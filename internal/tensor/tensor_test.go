@@ -394,15 +394,16 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out, arg := MaxPool2D(x, 2, 2)
+	out, arg := New(1, 1, 2, 2), make([]int, 4)
+	MaxPool2DInto(out, arg, x, 2, 2)
 	want := []float64{6, 8, 14, 16}
 	for i, w := range want {
 		if out.Data()[i] != w {
-			t.Fatalf("MaxPool2D: %v", out.Data())
+			t.Fatalf("MaxPool2DInto: %v", out.Data())
 		}
 	}
 	dout := Ones(1, 1, 2, 2)
-	din := MaxPool2DBackward(dout, arg, x.Shape())
+	din := MaxPool2DBackwardInto(New(x.Shape()...), dout, arg)
 	// Gradient lands only at max positions.
 	if din.At(0, 0, 1, 1) != 1 || din.At(0, 0, 0, 0) != 0 || din.At(0, 0, 3, 3) != 1 {
 		t.Fatalf("MaxPool2DBackward: %v", din.Data())
@@ -414,13 +415,13 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 
 func TestGlobalAvgPool(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
-	out := GlobalAvgPool(x)
+	out := GlobalAvgPoolInto(New(1, 2), x)
 	if out.At(0, 0) != 2.5 || out.At(0, 1) != 25 {
-		t.Fatalf("GlobalAvgPool: %v", out.Data())
+		t.Fatalf("GlobalAvgPoolInto: %v", out.Data())
 	}
-	din := GlobalAvgPoolBackward(out, 2, 2)
+	din := GlobalAvgPoolBackwardInto(New(1, 2, 2, 2), out)
 	if din.At(0, 0, 0, 0) != 2.5/4 {
-		t.Fatal("GlobalAvgPoolBackward broadcast wrong")
+		t.Fatal("GlobalAvgPoolBackwardInto broadcast wrong")
 	}
 }
 
