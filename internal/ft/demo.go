@@ -8,7 +8,7 @@ import (
 )
 
 // DemoJob builds the small, fully seeded 2-class MLP training job the
-// msa-ft driver and examples/faults use: a 256-sample synthetic Gaussian
+// msa-ft driver uses: a 256-sample synthetic Gaussian
 // classification task with a 4-16-2 network and momentum SGD. Every
 // source of randomness is fixed, so runs are bit-reproducible — the
 // property the fault-injection demos rely on.

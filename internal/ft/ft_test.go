@@ -183,7 +183,7 @@ func TestInjectorIsTransparent(t *testing.T) {
 // TestInjectorIsTransparentUnderPipeline runs a 2-stage × 2-replica
 // distdl.WithPipeline trainer over a pass-through injector and over the
 // bare *mpi.Comm: the injector's Split wraps both axis groups, its
-// Send/RecvInto/Probe carry the pipeline traffic, and every loss and
+// Send/RecvInto carry the pipeline traffic, and every loss and
 // final parameter must come out bitwise equal.
 func TestInjectorIsTransparentUnderPipeline(t *testing.T) {
 	const S, R, M, steps = 2, 2, 4, 3

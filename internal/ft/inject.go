@@ -124,12 +124,10 @@ func (inj *Injector) Send(dst, tag int, data []float64) {
 	inj.inner.Send(dst, tag, data)
 }
 
-func (inj *Injector) RecvInto(src, tag int, buf []float64) (int, int) {
+func (inj *Injector) RecvInto(src, tag int, buf []float64) int {
 	inj.straggle()
 	return inj.inner.RecvInto(src, tag, buf)
 }
-
-func (inj *Injector) Probe(src, tag int) bool { return inj.inner.Probe(src, tag) }
 
 // Split splits the inner communicator and wraps this rank's child with
 // the same script and step clock.

@@ -50,7 +50,7 @@ func TestP2PSpanCausalCoords(t *testing.T) {
 			c.Recv(0, 5)
 			buf := make([]float64, 2)
 			c.RecvInto(0, 5, buf)
-			c.Recv(AnySource, 9)
+			c.Recv(0, 9)
 			c.Recv(0, 5)
 		}
 		return nil
@@ -74,7 +74,6 @@ func TestP2PSpanCausalCoords(t *testing.T) {
 			if s.Track != 1 || s.Name != "mpi.recv" {
 				t.Fatalf("recv span on track %d name %q", s.Track, s.Name)
 			}
-			// Peer is the actual source even for an AnySource receive.
 			recvs = append(recvs, coord{s.CommID, s.Peer, s.Tag, s.Seq, s.Bytes})
 		default:
 			t.Fatalf("unexpected span kind %d (%s)", s.Kind, s.Name)

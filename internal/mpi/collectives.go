@@ -106,7 +106,7 @@ func (c *Comm) bcastTree(root int, buf []float64, into bool) []float64 {
 		if into {
 			c.RecvInto(parent, tagBcast, buf)
 		} else {
-			buf, _ = c.Recv(parent, tagBcast)
+			buf = c.Recv(parent, tagBcast)
 		}
 	}
 	// Send to children: vr + 2^k for k above vr's highest set bit.
@@ -121,7 +121,7 @@ func (c *Comm) bcastTree(root int, buf []float64, into bool) []float64 {
 // of the wire buffer, which then goes back to the pool: the receive step of
 // every message-based reduction schedule below.
 func (c *Comm) fold(src, tag int, dst []float64, combine func(dst, src []float64)) {
-	got, _ := c.Recv(src, tag)
+	got := c.Recv(src, tag)
 	combine(dst[:len(got)], got)
 	c.world.wire.put(got)
 }
@@ -285,7 +285,7 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 	out[root] = append([]float64(nil), data...)
 	for i := range out {
 		if i != root {
-			out[i], _ = c.Recv(i, tagGather)
+			out[i] = c.Recv(i, tagGather)
 		}
 	}
 	return out

@@ -88,67 +88,43 @@ func (c *Comm) traceRecv(tr *telemetry.Tracer, t0 int64, wsrc, wtag, elems int) 
 }
 
 // recv is the one matched receive behind Recv and RecvInto: it translates
-// the group-local (src, tag) to world coordinates, blocks in this rank's
-// mailbox, and returns the message with its source mapped back to a group
-// rank. A traced receive emits a span covering the blocked wait and
-// carrying the stream coordinates (actual source, tag, per-stream seq)
-// that match it to its send; the tracer is loaded once so attach/detach
-// races cannot mismatch start and emit, and the clock is read only when
-// the tag is traced.
-func (c *Comm) recv(src, tag int) message {
-	w, wsrc, wtag := c.world, src, c.g.tagBase+tag
-	if src != AnySource {
-		wsrc = c.g.members[src]
-	}
+// the group-local (src, tag) to world coordinates and blocks in this rank's
+// mailbox. A traced receive emits a span covering the blocked wait and
+// carrying the stream coordinates (source, tag, per-stream seq) that match
+// it to its send; the tracer is loaded once so attach/detach races cannot
+// mismatch start and emit, and the clock is read only when the tag is
+// traced.
+func (c *Comm) recv(src, tag int) []float64 {
+	w, wsrc, wtag := c.world, c.g.members[src], c.g.tagBase+tag
 	tr := w.tracer.Load()
 	if !traceTag(wtag) {
 		tr = nil
 	}
 	t0 := tr.Start()
 	msg := w.boxes[c.wrank].get(wsrc, wtag)
-	c.traceRecv(tr, t0, msg.src, wtag, len(msg.data))
-	if src != AnySource {
-		msg.src = src
-	} else {
-		msg.src = c.g.rankOf(msg.src)
-	}
-	return msg
+	c.traceRecv(tr, t0, wsrc, wtag, len(msg.data))
+	return msg.data
 }
 
-// Recv blocks until a message from src (or AnySource) with the given tag
-// arrives and returns its payload and actual source rank. The caller owns
-// the payload.
-func (c *Comm) Recv(src, tag int) ([]float64, int) {
-	msg := c.recv(src, tag)
-	return msg.data, msg.src
-}
+// Recv blocks until a message from src with the given tag arrives and
+// returns its payload, which the caller owns.
+func (c *Comm) Recv(src, tag int) []float64 { return c.recv(src, tag) }
 
-// RecvInto receives a message from src (or AnySource) with the given tag
-// into buf, releasing the wire-pool payload immediately, and returns the
-// element count and actual source rank. It is the pooled-receive
-// counterpart of Send's pooled copy: Recv hands the wire buffer to the
-// caller (who then owns it, and the pool refills on demand), while
-// RecvInto keeps the buffer circulating — the receive path per-micro-batch
-// pipeline traffic uses so steady-state activation transfers stay off the
-// allocator. AnySource is safe on a split group because the group's tag
-// block is its own: only members' messages can match. Panics if the
-// message does not fit in buf: a pipeline stage knows its activation
-// shapes, so truncation is a protocol bug, not a runtime condition.
-func (c *Comm) RecvInto(src, tag int, buf []float64) (int, int) {
-	msg := c.recv(src, tag)
-	if len(msg.data) > len(buf) {
-		panic(fmt.Sprintf("mpi: RecvInto buffer too small: message %d elems, buffer %d", len(msg.data), len(buf)))
+// RecvInto receives a message from src with the given tag into buf,
+// releasing the wire-pool payload immediately, and returns the element
+// count. It is the pooled-receive counterpart of Send's pooled copy: Recv
+// hands the wire buffer to the caller (who then owns it, and the pool
+// refills on demand), while RecvInto keeps the buffer circulating — the
+// receive path per-micro-batch pipeline traffic uses so steady-state
+// activation transfers stay off the allocator. Panics if the message does
+// not fit in buf: a pipeline stage knows its activation shapes, so
+// truncation is a protocol bug, not a runtime condition.
+func (c *Comm) RecvInto(src, tag int, buf []float64) int {
+	data := c.recv(src, tag)
+	if len(data) > len(buf) {
+		panic(fmt.Sprintf("mpi: RecvInto buffer too small: message %d elems, buffer %d", len(data), len(buf)))
 	}
-	n := copy(buf, msg.data)
-	c.world.wire.put(msg.data)
-	return n, msg.src
-}
-
-// Probe reports whether a matching message is already queued, without
-// consuming it. src may be AnySource.
-func (c *Comm) Probe(src, tag int) bool {
-	if src != AnySource {
-		src = c.g.members[src]
-	}
-	return c.world.boxes[c.wrank].probe(src, c.g.tagBase+tag)
+	n := copy(buf, data)
+	c.world.wire.put(data)
+	return n
 }

@@ -2,7 +2,9 @@ package mpi
 
 // Communicator is the subset of *Comm that distributed algorithms consume:
 // the point-to-point calls the pipeline engine needs, the collectives the
-// trainers call, and Split. Code written against this interface (distdl
+// trainers call, and Split. Every receive names its source rank: there is
+// no wildcard receive and no probe, so a message is matched by (source,
+// tag) alone, FIFO per pair. Code written against this interface (distdl
 // trainers on either axis of a 2D grid, the ft supervisor) can run over a
 // plain *Comm or over an interposer that injects faults, delays, or
 // tracing between the algorithm and the wire — the mechanism internal/ft
@@ -21,8 +23,7 @@ type Communicator interface {
 	Split(color, key int) Communicator
 
 	Send(dst, tag int, data []float64)
-	RecvInto(src, tag int, buf []float64) (int, int)
-	Probe(src, tag int) bool
+	RecvInto(src, tag int, buf []float64) int
 
 	Barrier()
 	Bcast(root int, data []float64) []float64

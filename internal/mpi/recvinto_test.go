@@ -15,15 +15,15 @@ func TestRecvIntoBasic(t *testing.T) {
 			return nil
 		}
 		buf := make([]float64, 3)
-		n, src := c.RecvInto(0, tag, buf)
-		if n != 3 || src != 0 || buf[0] != 1 || buf[2] != 3 {
-			return fmt.Errorf("first RecvInto: n=%d src=%d buf=%v", n, src, buf)
+		n := c.RecvInto(0, tag, buf)
+		if n != 3 || buf[0] != 1 || buf[2] != 3 {
+			return fmt.Errorf("first RecvInto: n=%d buf=%v", n, buf)
 		}
 		// FIFO per (src, tag): the short message arrives second, into a
 		// larger buffer; only n elements are meaningful.
-		n, src = c.RecvInto(AnySource, tag, buf)
-		if n != 2 || src != 0 || buf[0] != 4 || buf[1] != 5 {
-			return fmt.Errorf("second RecvInto: n=%d src=%d buf=%v", n, src, buf)
+		n = c.RecvInto(0, tag, buf)
+		if n != 2 || buf[0] != 4 || buf[1] != 5 {
+			return fmt.Errorf("second RecvInto: n=%d buf=%v", n, buf)
 		}
 		return nil
 	})
@@ -88,37 +88,39 @@ func TestRecvIntoRecyclesWire(t *testing.T) {
 	}
 }
 
-func TestGroupRecvIntoAnySource(t *testing.T) {
+// TestGroupRecvIntoIsolated checks that a group's tag block keeps its
+// traffic apart from the parent communicator's: a receive on the group
+// names the same world source and the same local tag as a message queued
+// earlier on the parent, and must skip it.
+func TestGroupRecvIntoIsolated(t *testing.T) {
 	const p = 6
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) error {
-		// Two sibling groups of three: {0,2,4} and {1,3,5}. Non-roots send
-		// a group-tagged payload; each root drains with AnySource and must
-		// see only its own siblings.
+		// Two sibling groups of three: {0,2,4} and {1,3,5}. Each non-root
+		// sends its root a decoy on the world communicator, then a payload
+		// on the group, both on one tag; each root receives from every
+		// sibling by group rank and must see only the group payloads.
 		sub := c.split(c.Rank()%2, c.Rank())
 		const tag = 5
 		if sub.Rank() != 0 {
+			c.Send(sub.WorldRank(0), tag, []float64{-1})
 			sub.Send(0, tag, []float64{float64(c.Rank())})
 			return nil
 		}
 		buf := make([]float64, 1)
-		seen := map[int]bool{}
-		for i := 0; i < sub.Size()-1; i++ {
-			n, src := sub.RecvInto(AnySource, tag, buf)
-			if n != 1 {
+		for src := 1; src < sub.Size(); src++ {
+			if n := sub.RecvInto(src, tag, buf); n != 1 {
 				return fmt.Errorf("root %d: n=%d", c.Rank(), n)
 			}
 			if int(buf[0]) != sub.WorldRank(src) {
 				return fmt.Errorf("root %d: got payload %v from group-local %d (world %d)",
 					c.Rank(), buf[0], src, sub.WorldRank(src))
 			}
-			if int(buf[0])%2 != c.Rank()%2 {
-				return fmt.Errorf("root %d: cross-group leak from world rank %v", c.Rank(), buf[0])
-			}
-			seen[src] = true
 		}
-		if len(seen) != sub.Size()-1 {
-			return fmt.Errorf("root %d: saw %d distinct senders", c.Rank(), len(seen))
+		for src := 1; src < sub.Size(); src++ {
+			if c.RecvInto(sub.WorldRank(src), tag, buf); buf[0] != -1 {
+				return fmt.Errorf("root %d: world receive got %v, want the decoy", c.Rank(), buf[0])
+			}
 		}
 		return nil
 	})

@@ -35,7 +35,7 @@ func messageRing(c *Comm, data []float64, combine func(dst, src []float64), star
 		}
 		lo, hi := chunkBounds(n, p, (start+k-s+2*p)%p)
 		c.Send((c.rank+1)%p, 7, data[lo:hi])
-		got, _ := c.Recv((c.rank+p-1)%p, 7)
+		got := c.Recv((c.rank+p-1)%p, 7)
 		lo, hi = chunkBounds(n, p, (start+k-s-1+2*p)%p)
 		combine(data[lo:hi], got)
 	}

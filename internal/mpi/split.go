@@ -23,7 +23,8 @@ const commTagStride = maxUserTag * 64
 // group comes out of a Split rendezvous, which hands it a world-unique id.
 // The id fixes the group's tag block [id·commTagStride, (id+1)·commTagStride)
 // — so two groups never share a tag even when they share members, which is
-// what makes AnySource receives safe on a group — and is the CommID its
+// what keeps receives on sibling groups apart even when the same two world
+// ranks talk on the same group-local tag in both — and is the CommID its
 // traced p2p spans carry.
 type group struct {
 	id      int
@@ -38,22 +39,6 @@ func newGroup(id int, members []int) *group {
 	g := &group{id: id, members: members, tagBase: id * commTagStride, ring: make([]ringSlot, len(members))}
 	g.split.cond = sync.NewCond(&g.split.mu)
 	return g
-}
-
-// rankOf maps a world rank back to its group rank. The first test answers
-// in O(1) for the world and any group that is a prefix of it.
-func (g *group) rankOf(wrank int) int {
-	if wrank < len(g.members) && g.members[wrank] == wrank {
-		return wrank
-	}
-	for i, r := range g.members {
-		if r == wrank {
-			return i
-		}
-	}
-	// Unreachable while tag blocks are unique per group: only a member can
-	// address a message into this group's block.
-	panic(fmt.Sprintf("mpi: comm %d matched world rank %d outside group %v", g.id, wrank, g.members))
 }
 
 // splitState coordinates one Split call across a group's members.

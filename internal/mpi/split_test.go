@@ -76,10 +76,12 @@ func TestSplitNegativeColorExcluded(t *testing.T) {
 
 // TestSplitSiblingGroupsSharingLowestRankIsolated is the regression test
 // for tag blocks derived from the lowest member alone: groups A={0,1} and
-// B={0,2} both start at world rank 0 — rank 0's pipeline and data-parallel
-// groups in every 2D run — and must still not see each other's traffic. A
-// message rank 2 sends on B is queued at rank 0 before anything arrives on
-// A; an AnySource receive on A with the same tag has to skip it.
+// B={0,1,2} both start at world rank 0 — rank 0's pipeline and data-parallel
+// groups in every 2D run — and must still not see each other's traffic.
+// Group rank 1 is world rank 1 in both, so a receive from it names the same
+// source on either group and only the tag block tells them apart. A message
+// rank 1 sends on B is queued at rank 0 before anything arrives on A; the
+// receive on A with the same tag has to skip it.
 func TestSplitSiblingGroupsSharingLowestRankIsolated(t *testing.T) {
 	const tag = 7
 	w := NewWorld(3)
@@ -89,15 +91,13 @@ func TestSplitSiblingGroupsSharingLowestRankIsolated(t *testing.T) {
 				err = fmt.Errorf("rank %d: %v", c.Rank(), r)
 			}
 		}()
-		color := func(in bool) int {
-			if in {
-				return 0
-			}
-			return -1
-		}
-		a := c.split(color(c.Rank() != 2), c.Rank())
-		b := c.split(color(c.Rank() != 1), c.Rank())
+		colorA := 0
 		if c.Rank() == 2 {
+			colorA = -1
+		}
+		a := c.split(colorA, c.Rank())
+		b := c.split(0, c.Rank())
+		if c.Rank() == 1 {
 			b.Send(0, tag, []float64{2})
 		}
 		c.Barrier() // B's message is in rank 0's mailbox from here on
@@ -106,11 +106,11 @@ func TestSplitSiblingGroupsSharingLowestRankIsolated(t *testing.T) {
 			a.Send(0, tag, []float64{1})
 		case 0:
 			buf := make([]float64, 1)
-			if _, src := a.RecvInto(AnySource, tag, buf); src != 1 || buf[0] != 1 {
-				return fmt.Errorf("A.RecvInto(AnySource) got %v from A-rank %d, want 1 from 1", buf[0], src)
+			if a.RecvInto(1, tag, buf); buf[0] != 1 {
+				return fmt.Errorf("A.RecvInto(1) got %v, want 1", buf[0])
 			}
-			if _, src := b.RecvInto(AnySource, tag, buf); src != 1 || buf[0] != 2 {
-				return fmt.Errorf("B.RecvInto(AnySource) got %v from B-rank %d, want 2 from 1", buf[0], src)
+			if b.RecvInto(1, tag, buf); buf[0] != 2 {
+				return fmt.Errorf("B.RecvInto(1) got %v, want 2", buf[0])
 			}
 		}
 		return nil

@@ -30,9 +30,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AnySource matches a message from any sender in Recv.
-const AnySource = -1
-
 // maxUserTag is the highest tag available to user code; larger tags are
 // reserved for internal collective traffic.
 const maxUserTag = 1 << 20
@@ -59,45 +56,24 @@ func (m *mailbox) put(msg message) {
 	m.cond.Broadcast()
 }
 
-// match returns the first queued message from src (or AnySource) carrying
-// tag, removing it from the queue when take is set. The caller holds m.mu.
-// Every receive and probe goes through here, so the queue representation
-// is known to this file alone.
-func (m *mailbox) match(src, tag int, take bool) (message, bool) {
-	for i, msg := range m.queue {
-		if (src == AnySource || msg.src == src) && msg.tag == tag {
-			if take {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			}
-			return msg, true
-		}
-	}
-	return message{}, false
-}
-
-// get blocks until a message matching (src, tag) is available and removes
-// it from the queue. src may be AnySource. FIFO order among matching
-// messages is preserved. Panics with RevokedError once the world is
-// revoked, so blocked receivers unwind instead of hanging.
+// get blocks until a message from world rank src carrying tag is queued
+// and removes it from the queue; FIFO order per (src, tag) is preserved.
+// Every receive goes through here, so the queue representation is known
+// to this file alone. Panics with RevokedError once the world is revoked,
+// so blocked receivers unwind instead of hanging.
 func (m *mailbox) get(src, tag int) message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		m.revoked.check()
-		if msg, ok := m.match(src, tag, true); ok {
-			return msg
+		for i, msg := range m.queue {
+			if msg.src == src && msg.tag == tag {
+				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				return msg
+			}
 		}
 		m.cond.Wait()
 	}
-}
-
-// probe reports whether a message matching (src, tag) is queued, without
-// consuming it.
-func (m *mailbox) probe(src, tag int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.match(src, tag, false)
-	return ok
 }
 
 // wake broadcasts c under its lock, so a waiter between checking its

@@ -91,8 +91,8 @@ func Conv1DImputer(rng *rand.Rand, features int) *Sequential {
 	)
 }
 
-// MLP builds a plain multilayer perceptron (used for quickstart examples
-// and as a cheap distributed-training workload in tests).
+// MLP builds a plain multilayer perceptron (the fault-tolerance demo job
+// and a cheap distributed-training workload in tests and benchmarks).
 func MLP(rng *rand.Rand, dims ...int) *Sequential {
 	if len(dims) < 2 {
 		panic("nn: MLP needs at least input and output dims")

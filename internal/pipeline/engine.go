@@ -12,35 +12,43 @@ import (
 // Peer is the point-to-point transport a pipeline runs over: any
 // mpi.Communicator — the world communicator or, in 2D data×pipeline
 // grids, the pipeline-axis group split off it. Send must be buffered
-// (never block), RecvInto must support AnySource, and both must match
-// messages by (source, tag) with FIFO order per pair — the mpi package's
-// contract.
+// (never block), and RecvInto must match messages by (source, tag) with
+// FIFO order per pair — the mpi package's contract. Every receive names
+// its source: the stage's plan says which rank produces each input.
 type Peer interface {
 	Rank() int
 	Size() int
 	Send(dst, tag int, data []float64)
-	RecvInto(src, tag int, buf []float64) (int, int)
-	Probe(src, tag int) bool
+	RecvInto(src, tag int, buf []float64) int
 }
 
-// anySource mirrors mpi.AnySource without importing the package here.
-const anySource = -1
-
-// Wire protocol: every logical transfer is a fixed-size header on
-// headerTag (so a rank can block on "anything addressed to me" with one
-// AnySource receive) followed by the payload on a (kind, chunk)-specific
-// tag. Payload tags are unique per sender stream, and mailbox FIFO per
-// (source, tag) keeps header and payload order consistent.
+// Wire protocol: every logical transfer to chunk c is a fixed-size shape
+// header followed by the payload, each on its own tag of the (kind, c)
+// stream (see tag), and both from the rank that owns the producing chunk.
+// A stage knows from its plan which stream and producer feed its next
+// task, so it posts exactly those two receives. Each stream carries its
+// micros in strict order, so mailbox FIFO per (source, tag) makes a
+// stream's n-th message micro n.
 const (
 	kindF = 0 // payload is an activation entering chunk c's forward
 	kindB = 1 // payload is an activation-gradient entering chunk c's backward
+	// kindHdr + kind is the stream of shape headers ahead of kind's payloads.
+	kindHdr  = 2
+	kindSync = 4 // chunk c's parameter values (SyncFullModel)
 )
 
 // DefaultBaseTag anchors the pipeline tag block high in the user tag
-// space, clear of the small constants examples and tests use.
+// space, clear of the small constants tests use. The block holds the step
+// loss at DefaultBaseTag itself and one C-wide run of tags per stream
+// kind above it.
 const DefaultBaseTag = 1 << 19
 
-const hdrLen = 9 // kind, micro, chunk, payloadLen, ndims, up to 4 dims
+// tag is the wire tag of stream kind for chunk c in a pipeline of C
+// chunks. Payload tags are what traced receives carry, so EmitPlannedTrace
+// stamps its planned messages with the same function.
+func tag(C, kind, c int) int { return DefaultBaseTag + 1 + kind*C + c }
+
+const hdrLen = 7 // micro, payloadLen, ndims, up to 4 dims
 
 // Config parameterizes a Stage.
 type Config struct {
@@ -69,7 +77,10 @@ type chunkState struct {
 	// strict micro order: the only candidate micro is fwdDone (resp.
 	// bwdDone), so gradient accumulation order is deterministic.
 	fwdDone, bwdDone int
-	inF, inB         []*tensor.Tensor // ready inputs per micro (nil = not arrived)
+	// Inputs per micro that did not cross the wire: the micro-batches
+	// (chunk 0's forwards), the loss gradients (the last chunk's
+	// backwards) and, on a single-rank pipeline, every handoff.
+	inF, inB []*tensor.Tensor
 }
 
 // Stage is one rank's pipeline executor. It is owned by that rank's
@@ -87,16 +98,15 @@ type Stage struct {
 
 	hdr          []float64
 	lossBuf      []float64
-	shapeScratch [hdrLen - 5]int
+	shapeScratch [hdrLen - 3]int
 	microRows    []int
 	xs, ys       []*tensor.Tensor
 
-	// order is this rank's planned task sequence (see PlanSchedule);
-	// orderIdx is the step cursor. Executing a fixed plan keeps the
-	// realized schedule — and therefore the bubble structure — identical
-	// on any host, instead of drifting with goroutine timing.
-	order    []Task
-	orderIdx int
+	// order is this rank's planned task sequence (see PlanSchedule).
+	// Executing a fixed plan keeps the realized schedule — and therefore
+	// the bubble structure — identical on any host, instead of drifting
+	// with goroutine timing.
+	order []Task
 
 	steps              int
 	busyNS             int64
@@ -164,11 +174,6 @@ func (st *Stage) LocalChunks() []int { return st.locals }
 // ChunkParams returns chunk c's parameter list.
 func (st *Stage) ChunkParams(c int) []*nn.Param { return st.chunks[c].seq.Params() }
 
-func (st *Stage) headerTag() int             { return DefaultBaseTag }
-func (st *Stage) payloadTag(kind, c int) int { return DefaultBaseTag + 1 + kind*st.C + c }
-func (st *Stage) lossTag() int               { return DefaultBaseTag + 1 + 2*st.C }
-func (st *Stage) syncTag(c int) int          { return DefaultBaseTag + 2 + 2*st.C + c }
-
 // Step runs one pipeline-parallel optimizer step's forward/backward over
 // the minibatch, leaving accumulated gradients on the local chunks'
 // parameters (the caller owns zeroing, averaging, and the optimizer
@@ -186,18 +191,10 @@ func (st *Stage) Step(x, y *tensor.Tensor) float64 {
 		copy(st.chunks[0].inF, st.xs)
 	}
 
-	remaining := len(st.locals) * st.M * 2
 	lossTotal := 0.0
 	st.firstTask, st.lastEnd, st.busyNS = 0, 0, 0
-	for remaining > 0 {
-		st.drain(false)
-		kind, c, ok := st.pick()
-		if !ok {
-			st.drain(true)
-			continue
-		}
-		lossTotal += st.run(kind, c)
-		remaining--
+	for _, tk := range st.order {
+		lossTotal += st.run(tk)
 	}
 
 	// The last stage owns the scalar loss; share it so every rank's Step
@@ -207,11 +204,11 @@ func (st *Stage) Step(x, y *tensor.Tensor) float64 {
 		st.lossBuf[0] = lossTotal
 		for r := 0; r < st.S; r++ {
 			if r != st.rank {
-				st.peer.Send(r, st.lossTag(), st.lossBuf)
+				st.peer.Send(r, DefaultBaseTag, st.lossBuf)
 			}
 		}
 	} else {
-		st.peer.RecvInto(last, st.lossTag(), st.lossBuf)
+		st.peer.RecvInto(last, DefaultBaseTag, st.lossBuf)
 		lossTotal = st.lossBuf[0]
 	}
 
@@ -224,7 +221,6 @@ func (st *Stage) Step(x, y *tensor.Tensor) float64 {
 }
 
 func (st *Stage) resetStep() {
-	st.orderIdx = 0
 	for _, cs := range st.chunks {
 		cs.fwdDone, cs.bwdDone = 0, 0
 		for m := 0; m < st.M; m++ {
@@ -276,48 +272,18 @@ func (st *Stage) sliceRows(dst []*tensor.Tensor, t *tensor.Tensor) {
 	}
 }
 
-// pick returns the next task of this rank's planned order once its input
-// has arrived, or false while it is still in flight. The plan visits each
-// chunk's forwards (and separately backwards) in strict micro order —
-// that invariant, asserted here, is what makes gradient accumulation
-// deterministic.
-func (st *Stage) pick() (int, int, bool) {
-	if st.orderIdx >= len(st.order) {
-		return 0, 0, false
-	}
-	tk := st.order[st.orderIdx]
-	cs := st.chunks[tk.Chunk]
-	if tk.Kind == kindF {
-		if cs.fwdDone != tk.Micro {
-			panic(fmt.Sprintf("pipeline: plan visits chunk %d forward micro %d before %d", tk.Chunk, tk.Micro, cs.fwdDone))
-		}
-		if cs.inF[tk.Micro] == nil {
-			return 0, 0, false
-		}
-	} else {
-		if cs.bwdDone != tk.Micro {
-			panic(fmt.Sprintf("pipeline: plan visits chunk %d backward micro %d before %d", tk.Chunk, tk.Micro, cs.bwdDone))
-		}
-		if cs.inB[tk.Micro] == nil {
-			return 0, 0, false
-		}
-	}
-	st.orderIdx++
-	return tk.Kind, tk.Chunk, true
-}
-
-// run executes one forward or backward task and returns this task's
+// run executes one planned forward or backward task — receiving its input
+// first when another rank produces it — and returns the task's
 // contribution to the step loss (non-zero only for last-chunk forwards).
-func (st *Stage) run(kind, c int) float64 {
+func (st *Stage) run(tk Task) float64 {
+	kind, c, m := tk.Kind, tk.Chunk, tk.Micro
+	in := st.input(tk)
 	cs := st.chunks[c]
 	t0 := time.Now().UnixNano()
 	tr := st.cfg.Tracer.Start()
 	lossShare := 0.0
-	var micro int
 	if kind == kindF {
-		m := cs.fwdDone
-		micro = m
-		out := cs.seq.Forward(cs.inF[m], true)
+		out := cs.seq.Forward(in, true)
 		cs.seq.Stash(m)
 		cs.fwdDone++
 		if c == st.C-1 {
@@ -338,10 +304,8 @@ func (st *Stage) run(kind, c int) float64 {
 			st.deliver(kindF, c+1, m, out)
 		}
 	} else {
-		m := cs.bwdDone
-		micro = m
 		cs.seq.Stash(m)
-		din := cs.seq.Backward(cs.inB[m])
+		din := cs.seq.Backward(in)
 		cs.bwdDone++
 		if c > 0 {
 			st.deliver(kindB, c-1, m, din)
@@ -354,7 +318,7 @@ func (st *Stage) run(kind, c int) float64 {
 			name = "pipe.bwd"
 		}
 		st.cfg.Tracer.End(st.rank, telemetry.CatCompute,
-			fmt.Sprintf("%s c%d m%d", name, c, micro), tr, 0, st.cfg.Schedule.String())
+			fmt.Sprintf("%s c%d m%d", name, c, m), tr, 0, st.cfg.Schedule.String())
 	}
 	if st.firstTask == 0 {
 		st.firstTask = t0
@@ -364,71 +328,78 @@ func (st *Stage) run(kind, c int) float64 {
 	return lossShare
 }
 
-// deliver hands tensor t to chunk c's kind-queue for micro m: directly
+// input returns task tk's input tensor: received from the rank owning the
+// producing chunk (c−1 for a forward, c+1 for a backward) when that rank is
+// another, otherwise the one already handed over locally. The plan visits
+// each chunk's forwards (and separately backwards) in strict micro order —
+// that invariant, asserted here, is what makes gradient accumulation
+// deterministic and lets a stream's FIFO order stand in for micro indices.
+func (st *Stage) input(tk Task) *tensor.Tensor {
+	cs := st.chunks[tk.Chunk]
+	done, local, from := cs.fwdDone, cs.inF, tk.Chunk-1
+	if tk.Kind == kindB {
+		done, local, from = cs.bwdDone, cs.inB, tk.Chunk+1
+	}
+	if done != tk.Micro {
+		panic(fmt.Sprintf("pipeline: plan visits chunk %d kind %d micro %d before %d", tk.Chunk, tk.Kind, tk.Micro, done))
+	}
+	if from < 0 || from >= st.C || from%st.S == st.rank {
+		return local[tk.Micro]
+	}
+	return st.recv(tk.Kind, tk.Chunk, tk.Micro, from%st.S)
+}
+
+// recv receives micro m's input to chunk c's kind-stream from rank src:
+// the shape header, then the payload into a pooled tensor of that shape.
+func (st *Stage) recv(kind, c, m, src int) *tensor.Tensor {
+	tr := st.cfg.Tracer.Start()
+	st.peer.RecvInto(src, tag(st.C, kindHdr+kind, c), st.hdr)
+	if int(st.hdr[0]) != m {
+		panic(fmt.Sprintf("pipeline: chunk %d kind %d expected micro %d, header carries %d", c, kind, m, int(st.hdr[0])))
+	}
+	elems, nd := int(st.hdr[1]), int(st.hdr[2])
+	shape := st.shapeScratch[:0]
+	for i := 0; i < nd; i++ {
+		shape = append(shape, int(st.hdr[3+i]))
+	}
+	t := st.ws.Get(shape...)
+	if t.Size() != elems {
+		panic(fmt.Sprintf("pipeline: header shape %v disagrees with payload length %d", shape, elems))
+	}
+	n := st.peer.RecvInto(src, tag(st.C, kind, c), t.Data())
+	// Bytes from the wire length actually received, not elems*8: a
+	// compressed/FP16 payload path must report what crossed the wire.
+	st.cfg.Tracer.End(st.rank, telemetry.CatComm, "pipe.recv", tr, int64(n)*8, "")
+	return t
+}
+
+// deliver hands tensor t to chunk c's kind-stream for micro m: directly
 // when c is local (only possible on a single-rank pipeline), otherwise as
 // a header+payload message pair to the owning rank.
 func (st *Stage) deliver(kind, c, m int, t *tensor.Tensor) {
 	owner := c % st.S
 	if owner == st.rank {
-		st.enqueue(kind, c, m, t)
+		if kind == kindF {
+			st.chunks[c].inF[m] = t
+		} else {
+			st.chunks[c].inB[m] = t
+		}
 		return
 	}
 	shape := t.Shape()
-	if len(shape) > hdrLen-5 {
+	if len(shape) > len(st.shapeScratch) {
 		panic(fmt.Sprintf("pipeline: rank-%d tensor exceeds header capacity", len(shape)))
 	}
 	h := st.hdr
-	h[0], h[1], h[2] = float64(kind), float64(m), float64(c)
-	h[3] = float64(t.Size())
-	h[4] = float64(len(shape))
-	for i := range h[5:] {
-		h[5+i] = 0
+	h[0], h[1], h[2] = float64(m), float64(t.Size()), float64(len(shape))
+	for i := range h[3:] {
+		h[3+i] = 0
 	}
 	for i, d := range shape {
-		h[5+i] = float64(d)
+		h[3+i] = float64(d)
 	}
-	st.peer.Send(owner, st.headerTag(), h)
-	st.peer.Send(owner, st.payloadTag(kind, c), t.Data())
-}
-
-func (st *Stage) enqueue(kind, c, m int, t *tensor.Tensor) {
-	if kind == kindF {
-		st.chunks[c].inF[m] = t
-	} else {
-		st.chunks[c].inB[m] = t
-	}
-}
-
-// drain consumes queued pipeline messages. With block set it waits for at
-// least one (the executor has no runnable task until a message arrives);
-// either way it then empties the queue without blocking.
-func (st *Stage) drain(block bool) {
-	for {
-		if !block && !st.peer.Probe(anySource, st.headerTag()) {
-			return
-		}
-		tr := st.cfg.Tracer.Start()
-		_, src := st.peer.RecvInto(anySource, st.headerTag(), st.hdr)
-		kind := int(st.hdr[0])
-		m := int(st.hdr[1])
-		c := int(st.hdr[2])
-		elems := int(st.hdr[3])
-		nd := int(st.hdr[4])
-		shape := st.shapeScratch[:0]
-		for i := 0; i < nd; i++ {
-			shape = append(shape, int(st.hdr[5+i]))
-		}
-		t := st.ws.Get(shape...)
-		if t.Size() != elems {
-			panic(fmt.Sprintf("pipeline: header shape %v disagrees with payload length %d", shape, elems))
-		}
-		n, _ := st.peer.RecvInto(src, st.payloadTag(kind, c), t.Data())
-		// Bytes from the wire length actually received, not elems*8: a
-		// compressed/FP16 payload path must report what crossed the wire.
-		st.cfg.Tracer.End(st.rank, telemetry.CatComm, "pipe.recv", tr, int64(n)*8, "")
-		st.enqueue(kind, c, m, t)
-		block = false
-	}
+	st.peer.Send(owner, tag(st.C, kindHdr+kind, c), h)
+	st.peer.Send(owner, tag(st.C, kind, c), t.Data())
 }
 
 // SyncFullModel broadcasts every chunk's parameter values from its owner
@@ -445,11 +416,11 @@ func (st *Stage) SyncFullModel() {
 		if owner == st.rank {
 			for r := 0; r < st.S; r++ {
 				if r != st.rank {
-					st.peer.Send(r, st.syncTag(c), cs.values)
+					st.peer.Send(r, tag(st.C, kindSync, c), cs.values)
 				}
 			}
 		} else {
-			st.peer.RecvInto(owner, st.syncTag(c), cs.values)
+			st.peer.RecvInto(owner, tag(st.C, kindSync, c), cs.values)
 		}
 	}
 }

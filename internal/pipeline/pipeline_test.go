@@ -448,3 +448,72 @@ func TestPipelineStepAllocsSteadyState(t *testing.T) {
 			S, M, perStep, pipelineStepAllocBudget)
 	}
 }
+
+// recvRecorder is a Peer that logs every RecvInto's (source, tag) before
+// passing it on. Each rank owns its recorder, so the log needs no lock.
+type recvRecorder struct {
+	Peer
+	recvs [][2]int
+}
+
+func (p *recvRecorder) RecvInto(src, tag int, buf []float64) int {
+	p.recvs = append(p.recvs, [2]int{src, tag})
+	return p.Peer.RecvInto(src, tag, buf)
+}
+
+// TestPipelineReceivesFromPlannedProducer pins the receive discipline: a
+// step receives each remote input as exactly two messages (shape header,
+// then payload) from the rank owning the producing chunk, in plan order,
+// and then the loss from the last stage. No receive names a wildcard
+// source.
+func TestPipelineReceivesFromPlannedProducer(t *testing.T) {
+	const M, steps = 4, 2
+	for _, S := range []int{2, 3} {
+		for _, sched := range []Schedule{GPipe, OneFOneB} {
+			C := S * virtualChunks(sched, 0)
+			last := (C - 1) % S
+			w := mpi.NewWorld(S)
+			err := w.Run(func(c *mpi.Comm) error {
+				peer := &recvRecorder{Peer: c}
+				model := buildPipeModel(42)
+				st, err := New(peer, model, nn.SoftmaxCrossEntropy{}, Config{MicroBatches: M, Schedule: sched})
+				if err != nil {
+					return err
+				}
+				var want [][2]int
+				for _, tk := range PlanSchedule(S, 0, M, sched, 1, 2)[c.Rank()] {
+					from := tk.Chunk - 1
+					if tk.Kind == kindB {
+						from = tk.Chunk + 1
+					}
+					if from < 0 || from >= C {
+						continue // the micro-batch or the loss gradient: local
+					}
+					src := from % S
+					want = append(want, [2]int{src, tag(C, kindHdr+tk.Kind, tk.Chunk)}, [2]int{src, tag(C, tk.Kind, tk.Chunk)})
+				}
+				if c.Rank() != last {
+					want = append(want, [2]int{last, DefaultBaseTag})
+				}
+				x, y := pipeBatch(100, 13)
+				for s := 0; s < steps; s++ {
+					peer.recvs = peer.recvs[:0]
+					model.ZeroGrads()
+					st.Step(x, y)
+					for _, r := range peer.recvs {
+						if r[0] < 0 || r[0] >= S || r[0] == c.Rank() {
+							return fmt.Errorf("S=%d %v rank %d step %d: receive from rank %d", S, sched, c.Rank(), s, r[0])
+						}
+					}
+					if fmt.Sprint(peer.recvs) != fmt.Sprint(want) {
+						return fmt.Errorf("S=%d %v rank %d step %d received (src, tag)\n  %v\nwant\n  %v", S, sched, c.Rank(), s, peer.recvs, want)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -21,9 +21,9 @@ import (
 // (S−1)/(M+S−1) for GPipe exactly.
 //
 // Message identity mirrors the engine's wire protocol: the payload tag
-// is payloadTag(kind, chunk) over DefaultBaseTag, and because the engine
-// runs each chunk's forwards (and backwards) in strict micro order, the
-// per-stream sequence number is simply the micro index.
+// is tag(C, kind, chunk), and because the engine runs each chunk's
+// forwards (and backwards) in strict micro order, the per-stream sequence
+// number is simply the micro index.
 func EmitPlannedTrace(tr *telemetry.Tracer, S, v, M int, sched Schedule, tf, tb float64) error {
 	if tr == nil {
 		return fmt.Errorf("pipeline: EmitPlannedTrace needs a tracer")
@@ -37,7 +37,6 @@ func EmitPlannedTrace(tr *telemetry.Tracer, S, v, M int, sched Schedule, tf, tb 
 			end[t.Kind][t.Chunk*M+t.Micro] = t.End
 		}
 	}
-	payloadTag := func(kind, c int) int { return DefaultBaseTag + 1 + kind*C + c }
 	owner := func(c int) int { return c % S }
 	const unit = 1e3 // cost units → ns (1 unit = 1 µs)
 	ns := func(t float64) int64 { return int64(t*unit + 0.5) }
@@ -53,13 +52,13 @@ func EmitPlannedTrace(tr *telemetry.Tracer, S, v, M int, sched Schedule, tf, tb 
 				name, from, to = "pipe.bwd", t.Chunk+1, t.Chunk-1
 			}
 			if from >= 0 && from < C && owner(from) != r {
-				// The dependency wait the engine's drain would block in:
-				// from when the rank went idle to arrival.
+				// The dependency wait the engine's receive of this input
+				// would block in: from when the rank went idle to arrival.
 				tr.EmitSpan(telemetry.Span{
 					Track: r, Cat: telemetry.CatComm, Name: "pipe.recv",
 					Start: ns(idle), Dur: ns(end[t.Kind][from*M+t.Micro]) - ns(idle),
 					Kind: telemetry.SpanRecv, Peer: owner(from),
-					Tag: payloadTag(t.Kind, t.Chunk), Seq: int64(t.Micro),
+					Tag: tag(C, t.Kind, t.Chunk), Seq: int64(t.Micro),
 				})
 			}
 			tr.EmitSpan(telemetry.Span{
@@ -75,7 +74,7 @@ func EmitPlannedTrace(tr *telemetry.Tracer, S, v, M int, sched Schedule, tf, tb 
 					Track: r, Cat: telemetry.CatComm, Name: "mpi.send",
 					Start: ns(t.End),
 					Kind:  telemetry.SpanSend, Peer: owner(to),
-					Tag: payloadTag(t.Kind, to), Seq: int64(t.Micro),
+					Tag: tag(C, t.Kind, to), Seq: int64(t.Micro),
 				})
 			}
 			idle = t.End

@@ -81,7 +81,7 @@ func TrainCascade(c *mpi.Comm, localX [][]float64, localY []int, cfg Config) *Mo
 		if c.Rank()%(2*stride) == 0 {
 			partner := c.Rank() + stride
 			if partner < p {
-				buf, _ := c.Recv(partner, userTagSV)
+				buf := c.Recv(partner, userTagSV)
 				ox, oy := deserializeSVSet(buf)
 				svX = append(svX, ox...)
 				svY = append(svY, oy...)

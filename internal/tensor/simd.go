@@ -118,25 +118,6 @@ func vecAxpyPlainGo(alpha float64, x, y []float64) {
 	}
 }
 
-// vecSumGo fixes the 4-lane accumulation order shared with vecSumAVX:
-// lane j accumulates x[j], x[j+4], …; lanes fold as (l0+l2)+(l1+l3);
-// the <4 remainder folds into the total last.
-func vecSumGo(x []float64) float64 {
-	var l0, l1, l2, l3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		l0 += x[i]
-		l1 += x[i+1]
-		l2 += x[i+2]
-		l3 += x[i+3]
-	}
-	s := (l0 + l2) + (l1 + l3)
-	for ; i < len(x); i++ {
-		s += x[i]
-	}
-	return s
-}
-
 // vecReLUGo keeps the scalar rectifier's exact branch: v <= 0 writes a
 // literal +0 (so -0 maps to +0), anything else — including NaN — passes
 // through.

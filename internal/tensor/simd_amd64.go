@@ -38,9 +38,6 @@ func vecScaleAVX(dst, a *float64, s float64, n int)
 func vecAxpyPlainAVX(alpha float64, x, y *float64, n int)
 
 //go:noescape
-func vecSumAVX(x *float64, n int) float64
-
-//go:noescape
 func vecReLUAVX(dst, a *float64, n int)
 
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -218,16 +215,6 @@ func vecAxpyPlain(alpha float64, x, y []float64) {
 		return
 	}
 	vecAxpyPlainGo(alpha, x, y)
-}
-
-func vecSum(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	if useAVX {
-		return vecSumAVX(&x[0], len(x))
-	}
-	return vecSumGo(x)
 }
 
 func vecReLU(dst, a []float64) {

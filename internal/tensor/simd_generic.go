@@ -29,6 +29,5 @@ func vecMax(dst, a, b []float64)                 { vecMaxGo(dst, a, b) }
 func vecMin(dst, a, b []float64)                 { vecMinGo(dst, a, b) }
 func vecScale(dst, a []float64, s float64)       { vecScaleGo(dst, a, s) }
 func vecAxpyPlain(alpha float64, x, y []float64) { vecAxpyPlainGo(alpha, x, y) }
-func vecSum(x []float64) float64                 { return vecSumGo(x) }
 func vecReLU(dst, a []float64)                   { vecReLUGo(dst, a) }
 func pool2x2(dst, src []float64, oh, ow, w int)  { maxPoolPlane(dst, src, w, ow, 2, 2) }

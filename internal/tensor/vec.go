@@ -14,10 +14,7 @@ import "math"
 // IEEE add/mul/compare per element, in the same operand order), so the
 // assembly, the Go fallback, and any worker count produce bit-identical
 // outputs — the property the mpi collectives' equivalence guarantees
-// (PR 4/6) rest on, pinned by the property tests in vec_test.go. VecSum
-// is the one reduction: it fixes a 4-lane accumulation order shared by
-// the assembly and the Go fallback, and stays serial so its result is
-// independent of the worker count.
+// rest on, pinned by the property tests in vec_test.go.
 //
 // dst may alias an input exactly (dst == a or dst == b); partial overlap
 // is undefined. Inputs may be longer than dst; extra elements are
@@ -155,15 +152,6 @@ func sgdRange(a sgdArgs, lo, hi int) {
 		}
 		w[i] += float64(negLR * d)
 	}
-}
-
-// VecSum returns the sum of x under a fixed 4-lane accumulation order
-// (lane j takes x[j], x[j+4], …; lanes fold as (l0+l2)+(l1+l3); the
-// remainder folds in last). The assembly and Go paths implement the same
-// order, so the result is bit-identical everywhere — and the op stays
-// serial, so it is also independent of the configured worker count.
-func VecSum(x []float64) float64 {
-	return vecSum(x)
 }
 
 // vecSigmoid and vecTanh are the direct-loop activation kernels: the same

@@ -347,45 +347,6 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func vecSumAVX(x *float64, n int) float64
-//
-// The fixed 4-lane sum: one YMM accumulator takes stride-4 partial sums
-// (lane j holds x[j] + x[j+4] + …), lanes fold as (l0+l2) + (l1+l3), and
-// the <4 remainder folds in last — the exact order of vecSumGo, with the
-// accumulator always src1 so double-NaN payloads propagate identically.
-TEXT ·vecSumAVX(SB), NOSPLIT, $0-24
-	MOVQ   x+0(FP), SI
-	MOVQ   n+8(FP), CX
-	VXORPD Y0, Y0, Y0
-	MOVQ   CX, BX
-	SHRQ   $2, BX
-	JZ     sumfold
-
-sumloop4:
-	VADDPD (SI), Y0, Y0
-	ADDQ   $32, SI
-	DECQ   BX
-	JNZ    sumloop4
-
-sumfold:
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0
-	VUNPCKHPD    X0, X0, X1
-	VADDSD       X1, X0, X0
-	ANDQ         $3, CX
-	JZ           sumdone
-
-sumscalar:
-	VADDSD (SI), X0, X0
-	ADDQ   $8, SI
-	DECQ   CX
-	JNZ    sumscalar
-
-sumdone:
-	VMOVSD X0, ret+16(FP)
-	VZEROUPPER
-	RET
-
 // func vecReLUAVX(dst, a *float64, n int)
 //
 // dst[i] = +0 when a[i] <= 0, else a[i]. A plain MAX-against-zero would
