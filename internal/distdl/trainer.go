@@ -173,7 +173,7 @@ func (t *Trainer) syncGrads(tr *telemetry.Tracer, rank int) {
 func (t *Trainer) clipGrads() {
 	g, sq := t.grads[t.lo:t.hi], 0.0
 	for _, v := range g {
-		sq += v * v
+		sq += float64(v * v)
 	}
 	if t.Comm.Size() > 1 {
 		sq = t.Comm.AllreduceScalar(sq, mpi.OpSum)

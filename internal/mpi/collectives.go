@@ -324,12 +324,12 @@ func HierarchicalCostModel(p, groupSize, n int, alphaFast, betaFast, alphaSlow, 
 	intra, inter, bcast := 0.0, 0.0, 0.0
 	if g > 1 {
 		gf := float64(g)
-		intra = 2*(gf-1)*alphaFast + 2*(gf-1)/gf*nf*betaFast
-		bcast = (gf-1)*alphaFast + nf*betaFast
+		intra = float64(2*(gf-1)*alphaFast) + float64(2*(gf-1)/gf*nf*betaFast)
+		bcast = float64((gf-1)*alphaFast) + float64(nf*betaFast)
 	}
 	if nodes > 1 {
 		nd := float64(nodes)
-		inter = 2*(nd-1)*alphaSlow + 2*(nd-1)/nd*nf*betaSlow
+		inter = float64(2*(nd-1)*alphaSlow) + float64(2*(nd-1)/nd*nf*betaSlow)
 	}
 	return intra + inter + bcast
 }
@@ -350,17 +350,17 @@ func CollectiveCostModel(algo Algo, p, n int, alpha, beta, gceFactor float64) fl
 	switch algo {
 	case AlgoNaive:
 		// Root receives p-1 vectors sequentially, then sends p-1 copies.
-		return 2 * (pf - 1) * (alpha + nf*beta)
+		return 2 * (pf - 1) * (alpha + float64(nf*beta))
 	case AlgoTree:
-		return 2 * lg * (alpha + nf*beta)
+		return 2 * lg * (alpha + float64(nf*beta))
 	case AlgoRing:
-		return 2*(pf-1)*alpha + 2*(pf-1)/pf*nf*beta
+		return float64(2*(pf-1)*alpha) + float64(2*(pf-1)/pf*nf*beta)
 	case AlgoRecursiveDoubling:
-		return lg * (alpha + nf*beta)
+		return lg * (alpha + float64(nf*beta))
 	case AlgoGCE:
 		// One injection + one result delivery, with the reduction pipelined
 		// in fabric hardware.
-		return (2*alpha + 2*nf*beta) / gceFactor
+		return (float64(2*alpha) + float64(2*nf*beta)) / gceFactor
 	default:
 		panic(fmt.Sprintf("mpi: no cost model for algorithm %q", algo))
 	}

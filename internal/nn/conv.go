@@ -201,12 +201,12 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for bi := 0; bi < n; bi++ {
 			for _, v := range xd[(bi*c+ch)*hw:][:hw] {
 				d := v - m
-				s += d * d
+				s += float64(d * d)
 			}
 		}
 		variance[ch] = s / cnt
-		runMean[ch] = b.Momentum*runMean[ch] + (1-b.Momentum)*m
-		runVar[ch] = b.Momentum*runVar[ch] + (1-b.Momentum)*variance[ch]
+		runMean[ch] = float64(b.Momentum*runMean[ch]) + float64((1-b.Momentum)*m)
+		runVar[ch] = float64(b.Momentum*runVar[ch]) + float64((1-b.Momentum)*variance[ch])
 	}
 	for ch := 0; ch < c; ch++ {
 		invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
@@ -224,7 +224,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for i, v := range xd[base:][:hw] {
 				t := (v - m) * inv
 				xh[i] = t
-				o[i] = g*t + bt
+				o[i] = float64(g*t) + bt
 			}
 		}
 	}
@@ -245,7 +245,7 @@ func (b *BatchNorm2D) forwardEval(x *tensor.Tensor) *tensor.Tensor {
 			base := (bi*c + ch) * hw
 			o := od[base:][:hw]
 			for i, v := range xd[base:][:hw] {
-				o[i] = g*((v-m)*inv) + bt
+				o[i] = float64(g*((v-m)*inv)) + bt
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			xh := xhd[base:][:hw]
 			for i, dy := range dd[base:][:hw] {
 				sumDy += dy
-				sumDyXhat += dy * xh[i]
+				sumDyXhat += float64(dy * xh[i])
 			}
 		}
 		dBeta[ch] += sumDy
@@ -277,7 +277,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			base := (bi*c + ch) * hw
 			xh, di := xhd[base:][:hw], dind[base:][:hw]
 			for i, dy := range dd[base:][:hw] {
-				di[i] = scale * (cnt*dy - sumDy - xh[i]*sumDyXhat)
+				di[i] = scale * (float64(cnt*dy) - sumDy - float64(xh[i]*sumDyXhat))
 			}
 		}
 	}

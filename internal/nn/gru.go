@@ -208,7 +208,7 @@ func (g *GRU) forwardBlock(b int) {
 			hn := hNext[i*h : (i+1)*h]
 			o := p.out[((lo+i)*t+s)*h : ((lo+i)*t+s+1)*h]
 			for j, zv := range z {
-				v := (1-zv)*hhr[j] + zv*hpr[j]
+				v := float64((1-zv)*hhr[j]) + float64(zv*hpr[j])
 				hn[j] = v
 				o[j] = v
 			}
@@ -325,7 +325,7 @@ func (g *GRU) backwardBlock(b int) {
 				dz := dhv * (hpr[j] - hhv)
 				dhh := dhv * (1 - zv)
 				dhr[j] = dhv * zv
-				da[j] = dhh * (1 - hhv*hhv)
+				da[j] = dhh * (1 - float64(hhv*hhv))
 				z[j] = dz * zv * (1 - zv)
 			}
 		}
@@ -341,7 +341,7 @@ func (g *GRU) backwardBlock(b int) {
 			for j, rv := range r {
 				hpv, dv := hpr[j], dr[j]
 				hhr[j] = rv * hpv
-				dhr[j] += dv * rv
+				dhr[j] += float64(dv * rv)
 				r[j] = dv * hpv * rv * (1 - rv)
 			}
 		}

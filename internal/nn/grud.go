@@ -122,12 +122,12 @@ func (d *InputDecay) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				delta := d.delta.At(b, t, ch)
 				// out = exp(-softplus(w)·δ)·x_last ⇒
 				// ∂out/∂w = out·(-δ)·σ(w), ∂out/∂x_last = γ.
-				d.W.Grad.Data()[ch] += g * gamma * xl * (-delta) * dsig
+				d.W.Grad.Data()[ch] += float64(g * gamma * xl * (-delta) * dsig)
 				// The missing input slot itself contributed nothing...
 				din.Set(0, b, t, ch)
 				// ...but the source observation did, through γ.
 				if src := int(d.srcT.At(b, t, ch)); src >= 0 {
-					din.Set(din.At(b, src, ch)+g*gamma, b, src, ch)
+					din.Set(din.At(b, src, ch)+float64(g*gamma), b, src, ch)
 				}
 			}
 		}

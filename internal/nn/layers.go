@@ -160,7 +160,7 @@ func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (t *Tanh) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	din := cloneInto(t.ws, dout)
 	for i, o := range t.out.Data() {
-		din.Data()[i] *= 1 - o*o
+		din.Data()[i] *= 1 - float64(o*o)
 	}
 	return din
 }

@@ -35,7 +35,7 @@ func softmaxCEForward(ws *tensor.Workspace, logits, target *tensor.Tensor) (floa
 		trow := target.Row(i)
 		for j, tv := range trow {
 			if tv > 0 {
-				loss -= tv * math.Log(math.Max(prow[j], 1e-12))
+				loss -= float64(tv * math.Log(math.Max(prow[j], 1e-12)))
 			}
 		}
 	}
@@ -67,7 +67,7 @@ func bceForward(ws *tensor.Workspace, logits, target *tensor.Tensor) (float64, *
 	for i := range ld {
 		x, y := ld[i], td[i]
 		// Numerically stable: max(x,0) - x·y + log(1+exp(-|x|)).
-		loss += math.Max(x, 0) - x*y + math.Log1p(math.Exp(-math.Abs(x)))
+		loss += math.Max(x, 0) - float64(x*y) + math.Log1p(math.Exp(-math.Abs(x)))
 		s := 1 / (1 + math.Exp(-x))
 		gd[i] = (s - y) * inv
 	}
@@ -92,7 +92,7 @@ func mseForward(ws *tensor.Workspace, pred, target *tensor.Tensor) (float64, *te
 	pd, td, gd := pred.Data(), target.Data(), grad.Data()
 	for i := range pd {
 		d := pd[i] - td[i]
-		loss += d * d
+		loss += float64(d * d)
 		gd[i] = 2 * d / n
 	}
 	return loss / n, grad

@@ -93,10 +93,10 @@ func (a *Adam) StepSpan(params []*Param, lo, hi int, lr float64) {
 		for i := range gd {
 			g := gd[i]
 			if a.WeightDecay > 0 && !p.NoDecay {
-				g += a.WeightDecay * wd[i]
+				g += float64(a.WeightDecay * wd[i])
 			}
-			md[i] = a.Beta1*md[i] + (1-a.Beta1)*g
-			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*g*g
+			md[i] = float64(a.Beta1*md[i]) + float64((1-a.Beta1)*g)
+			vd[i] = float64(a.Beta2*vd[i]) + float64((1-a.Beta2)*g*g)
 			mh := md[i] / c1
 			vh := vd[i] / c2
 			wd[i] -= lr * mh / (math.Sqrt(vh) + a.Eps)
@@ -250,12 +250,12 @@ type WarmupLinearScale struct {
 
 // LR ramps linearly from Base to Base·Workers, then holds.
 func (w WarmupLinearScale) LR(step int) float64 {
-	target := w.Base * float64(w.Workers)
+	target := float64(w.Base * float64(w.Workers))
 	if w.WarmupSteps <= 0 || step >= w.WarmupSteps {
 		return target
 	}
 	frac := float64(step) / float64(w.WarmupSteps)
-	return w.Base + (target-w.Base)*frac
+	return w.Base + float64((target-w.Base)*frac)
 }
 
 // StepDecay multiplies the base rate by Gamma every DecayEvery steps.
@@ -280,7 +280,7 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
 		n := p.Grad.Norm2()
-		total += n * n
+		total += float64(n * n)
 	}
 	norm := math.Sqrt(total)
 	if norm > maxNorm && norm > 0 {

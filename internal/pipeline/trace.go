@@ -39,7 +39,7 @@ func EmitPlannedTrace(tr *telemetry.Tracer, S, v, M int, sched Schedule, tf, tb 
 	}
 	owner := func(c int) int { return c % S }
 	const unit = 1e3 // cost units → ns (1 unit = 1 µs)
-	ns := func(t float64) int64 { return int64(t*unit + 0.5) }
+	ns := func(t float64) int64 { return int64(float64(t*unit) + 0.5) }
 
 	for r, tasks := range plan {
 		tr.SetTrackName(r, fmt.Sprintf("stage %d", r))

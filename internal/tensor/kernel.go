@@ -10,32 +10,31 @@ import "math"
 // an exactly-rounded FMA chain over products in ascending p order, seeded
 // from the element's prior value (out is zeroed first when not
 // accumulating). Bias is added with a plain + after the full-K chain,
-// then the activation is applied. Because every path follows the same
-// recipe, results are bitwise identical across kernels, architectures,
-// and worker counts — kernel_test.go pins this against the Ref* kernels
-// below.
+// then the activation is applied: the repo's own Sigmoid and Tanh
+// (exp.go), whose scalar code and AVX2 kernels round every operation
+// once. Because every path follows the same recipe, results are bitwise
+// identical across kernels, worker counts and architectures —
+// kernel_test.go pins this against the Ref* kernels below. What still
+// calls math.Exp, whose bits differ between ports, is outside this
+// engine: the softmax (into.go), the losses and GRU-D (package nn).
 
 // Epilogue selects the activation fused after the bias add.
 type Epilogue uint8
 
 const (
 	EpNone Epilogue = iota
-	EpReLU
 	EpSigmoid
 	EpTanh
 )
 
+// applyEp is the per-element epilogue; epilogueRowSeg64 runs the same
+// functions through their vector kernels.
 func applyEp(v float64, ep Epilogue) float64 {
 	switch ep {
-	case EpReLU:
-		if v <= 0 {
-			return 0
-		}
-		return v
 	case EpSigmoid:
-		return 1 / (1 + math.Exp(-v))
+		return Sigmoid(v)
 	case EpTanh:
-		return math.Tanh(v)
+		return Tanh(v)
 	}
 	return v
 }
@@ -150,19 +149,33 @@ func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue,
 	gemmRun(par, m, 2*k*n, v, fn)
 }
 
-// epilogueRowSeg64 applies bias+activation to out[jOff:jOff+len(seg)] of
-// one row. A plain add (not FMA) keeps bias semantics identical to the
-// former separate AddRowVector pass.
-func epilogueRowSeg64(seg, bias []float64, jOff int, ep Epilogue) {
+// epilogueRowSeg64 applies bias+activation to rows row segments of width
+// w at c (row stride ldc), whose columns start at jOff. A plain add (not
+// FMA) keeps bias semantics identical to the former separate AddRowVector
+// pass. Contiguous segments (ldc == w) go through the activation kernel in
+// one call.
+func epilogueRowSeg64(c []float64, ldc, rows, w int, bias []float64, jOff int, ep Epilogue) {
 	if bias != nil {
-		for x := range seg {
-			seg[x] += bias[jOff+x]
+		for r := range rows {
+			seg := c[r*ldc : r*ldc+w]
+			vecAdd(seg, seg, bias[jOff:])
 		}
 	}
-	if ep != EpNone {
-		for x, v := range seg {
-			seg[x] = applyEp(v, ep)
-		}
+	act := vecSigmoid
+	switch ep {
+	case EpNone:
+		return
+	case EpTanh:
+		act = vecTanh
+	}
+	if ldc == w {
+		seg := c[:rows*w]
+		act(seg, seg)
+		return
+	}
+	for r := range rows {
+		seg := c[r*ldc : r*ldc+w]
+		act(seg, seg)
 	}
 }
 
@@ -179,7 +192,7 @@ func gemmSmallNN64(v gemmArgs, lo, hi int) {
 			axpyFMA(arow[p], bd[p*n:p*n+n], orow)
 		}
 		if bias != nil || ep != EpNone {
-			epilogueRowSeg64(orow, bias, 0, ep)
+			epilogueRowSeg64(orow, n, 1, n, bias, 0, ep)
 		}
 	}
 }
@@ -198,7 +211,7 @@ func gemmSmallNT64(v gemmArgs, lo, hi int) {
 			orow[j] = acc
 		}
 		if bias != nil || ep != EpNone {
-			epilogueRowSeg64(orow, bias, 0, ep)
+			epilogueRowSeg64(orow, n, 1, n, bias, 0, ep)
 		}
 	}
 }
@@ -211,7 +224,7 @@ func gemmSmallTN64(v gemmArgs, lo, hi int) {
 			axpyFMA(ad[p*m+i], bd[p*n:p*n+n], orow)
 		}
 		if bias != nil || ep != EpNone {
-			epilogueRowSeg64(orow, bias, 0, ep)
+			epilogueRowSeg64(orow, n, 1, n, bias, 0, ep)
 		}
 	}
 }
@@ -281,9 +294,7 @@ func gemmPackedRows64(v gemmArgs, lo, hi int) {
 			storeTile(c, n, &tile, mb, w)
 		}
 		if lastK && (bias != nil || ep != EpNone) {
-			for r := 0; r < mb; r++ {
-				epilogueRowSeg64(od[(i0+r)*n+jc:(i0+r)*n+jc+nb], bias, jc, ep)
-			}
+			epilogueRowSeg64(od[i0*n+jc:], n, mb, nb, bias, jc, ep)
 		}
 	}
 	putScratch(apP)
@@ -370,9 +381,7 @@ func gemmSmallMNN64(v gemmArgs, lo, hi int) {
 			storeTile(c, n, &tile, mb, w)
 		}
 		if v.lastK && (bias != nil || ep != EpNone) {
-			for r := 0; r < m; r++ {
-				epilogueRowSeg64(od[r*n+jj:r*n+jj+w], bias, jj, ep)
-			}
+			epilogueRowSeg64(od[jj:], n, m, w, bias, jj, ep)
 		}
 	}
 }

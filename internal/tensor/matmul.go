@@ -36,12 +36,6 @@ func MatMulBiasInto(out, a, b, bias *Tensor) {
 	gemmEx(gemmNN, out, a, b, bias, EpNone, false)
 }
 
-// MatMulBiasActInto computes out = act(a×b + bias) with the activation
-// fused into the kernel's epilogue.
-func MatMulBiasActInto(out, a, b, bias *Tensor, act Epilogue) {
-	gemmEx(gemmNN, out, a, b, bias, act, false)
-}
-
 // MatMulAccBiasActInto computes out = act(out + a×b + bias): the fused
 // GRU gate pattern (x·Wx already in out, then + h·Wh + bias, then the
 // gate activation).
@@ -160,7 +154,7 @@ func MatVec(a, x *Tensor) *Tensor {
 		row := a.data[i*k : (i+1)*k]
 		s := 0.0
 		for j, v := range row {
-			s += v * x.data[j]
+			s += float64(v * x.data[j])
 		}
 		out.data[i] = s
 	}

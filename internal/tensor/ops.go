@@ -78,7 +78,7 @@ func Dot(a, b *Tensor) float64 {
 	}
 	s := 0.0
 	for i := range a.data {
-		s += a.data[i] * b.data[i]
+		s += float64(a.data[i] * b.data[i])
 	}
 	return s
 }
@@ -87,7 +87,7 @@ func Dot(a, b *Tensor) float64 {
 func (t *Tensor) Norm2() float64 {
 	s := 0.0
 	for _, v := range t.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

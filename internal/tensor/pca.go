@@ -40,7 +40,7 @@ func PCA(x *Tensor, k, iters int, rng *rand.Rand) (components *Tensor, means *Te
 				row := centered.Row(i)
 				s := xv.Data()[i]
 				for j := range row {
-					w[j] += s * row[j]
+					w[j] += float64(s * row[j])
 				}
 			}
 			// Deflate against previously found components.
@@ -48,10 +48,10 @@ func PCA(x *Tensor, k, iters int, rng *rand.Rand) (components *Tensor, means *Te
 				prev := components.Row(p)
 				dot := 0.0
 				for j := range w {
-					dot += w[j] * prev[j]
+					dot += float64(w[j] * prev[j])
 				}
 				for j := range w {
-					w[j] -= dot * prev[j]
+					w[j] -= float64(dot * prev[j])
 				}
 			}
 			normalize(w)
@@ -65,7 +65,7 @@ func PCA(x *Tensor, k, iters int, rng *rand.Rand) (components *Tensor, means *Te
 func normalize(v []float64) {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	if s == 0 {
 		v[0] = 1
@@ -89,7 +89,7 @@ func PCAProject(x, components, means *Tensor) *Tensor {
 			comp := components.Row(c)
 			s := 0.0
 			for j := 0; j < d; j++ {
-				s += (row[j] - means.Data()[j]) * comp[j]
+				s += float64((row[j] - means.Data()[j]) * comp[j])
 			}
 			out.Set(s, i, c)
 		}
@@ -109,7 +109,7 @@ func PCAReconstruct(scores, components, means *Tensor) *Tensor {
 			s := scores.At(i, c)
 			comp := components.Row(c)
 			for j := 0; j < d; j++ {
-				row[j] += s * comp[j]
+				row[j] += float64(s * comp[j])
 			}
 		}
 	}

@@ -100,7 +100,7 @@ func (r RPCAResult) AnomalyScores() []float64 {
 		row := r.S.Row(i)
 		s := 0.0
 		for j := 0; j < d; j++ {
-			s += row[j] * row[j]
+			s += float64(row[j] * row[j])
 		}
 		out[i] = math.Sqrt(s)
 	}

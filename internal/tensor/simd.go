@@ -114,7 +114,7 @@ func vecScaleGo(dst, a []float64, s float64) {
 // Tensor.Axpy loop bit for bit.
 func vecAxpyPlainGo(alpha float64, x, y []float64) {
 	for i := range y {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 

@@ -40,6 +40,12 @@ func vecAxpyPlainAVX(alpha float64, x, y *float64, n int)
 //go:noescape
 func vecReLUAVX(dst, a *float64, n int)
 
+//go:noescape
+func expAVX(dst, a *float64, n int, sig bool) int
+
+//go:noescape
+func tanhAVX(dst, a *float64, n int)
+
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
@@ -226,4 +232,26 @@ func vecReLU(dst, a []float64) {
 		return
 	}
 	vecReLUGo(dst, a)
+}
+
+// expKernel runs Exp (Sigmoid when sig) over the leading groups of four
+// whose inputs all lie in the kernel's fast range and returns how many
+// elements it wrote: a multiple of 4, stopping at the first group that
+// needs the scalar code (exp.go) or at the tail.
+func expKernel(dst, a []float64, sig bool) int {
+	if !useAVX || len(dst) < 4 {
+		return 0
+	}
+	return expAVX(&dst[0], &a[0], len(dst), sig)
+}
+
+// tanhKernel runs Tanh over the leading len(dst)&^3 elements and returns
+// that count.
+func tanhKernel(dst, a []float64) int {
+	n := len(dst) &^ 3
+	if !useAVX || n == 0 {
+		return 0
+	}
+	tanhAVX(&dst[0], &a[0], n)
+	return n
 }

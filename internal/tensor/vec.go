@@ -1,7 +1,5 @@
 package tensor
 
-import "math"
-
 // The shared SIMD vector-op layer: flat []float64 kernels used by the
 // tensor elementwise ops and, through mpi.ReduceOp, by every collective's
 // combine phase. Each op has one slice-level entry point that dispatches
@@ -154,39 +152,21 @@ func sgdRange(a sgdArgs, lo, hi int) {
 	}
 }
 
-// vecSigmoid and vecTanh are the direct-loop activation kernels: the same
-// per-element expressions the ApplyInto closures compute, without the
-// per-element indirect call. math.Exp/math.Tanh are scalar (no bitwise
-// vector equivalent exists), so these win on call overhead and
-// parallelization, not instruction width.
-func vecSigmoid(dst, a []float64) {
-	for i, v := range a {
-		dst[i] = sigmoid(v)
-	}
-}
-
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
-
-func vecTanh(dst, a []float64) {
-	for i, v := range a {
-		dst[i] = math.Tanh(v)
-	}
-}
-
 // activationCost mirrors ApplyInto's parallelization threshold for
 // function-call-heavy elementwise loops.
 const activationCost = 16
 
-// SigmoidInto sets out = 1/(1+exp(-a)) elementwise, bit-identical to
-// ApplyInto with the sigmoid closure. out may alias a.
+// SigmoidInto sets out = Sigmoid(a) elementwise, bit-identical to
+// ApplyInto with Sigmoid: its AVX2 kernel (exp.go) performs the scalar
+// operations exactly, four lanes at a time. out may alias a.
 func SigmoidInto(out, a *Tensor) *Tensor {
 	checkSame("SigmoidInto", out, a)
 	vecJobs.For(len(out.data), activationCost, vecArgs{dst: out.data, a: a.data, un: vecSigmoid}, unRange)
 	return out
 }
 
-// TanhInto sets out = tanh(a) elementwise, bit-identical to ApplyInto
-// with math.Tanh. out may alias a.
+// TanhInto sets out = Tanh(a) elementwise, bit-identical to ApplyInto
+// with Tanh, through the same kind of kernel. out may alias a.
 func TanhInto(out, a *Tensor) *Tensor {
 	checkSame("TanhInto", out, a)
 	vecJobs.For(len(out.data), activationCost, vecArgs{dst: out.data, a: a.data, un: vecTanh}, unRange)

@@ -314,7 +314,7 @@ func TestSGDStepMatchesThreePass(t *testing.T) {
 }
 
 // TestActivationIntoMatchesApply pins the direct activation kernels
-// against the historical ApplyInto closures.
+// against ApplyInto over the scalar definitions.
 func TestActivationIntoMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 7, 64, 1000} {
@@ -324,14 +324,14 @@ func TestActivationIntoMatchesApply(t *testing.T) {
 
 		gotS, wantS := New(n), New(n)
 		SigmoidInto(gotS, a)
-		ApplyInto(wantS, a, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+		ApplyInto(wantS, a, Sigmoid)
 		if !bitEqual64(gotS, wantS) {
 			t.Fatalf("SigmoidInto n=%d differs from ApplyInto", n)
 		}
 
 		gotT, wantT := New(n), New(n)
 		TanhInto(gotT, a)
-		ApplyInto(wantT, a, math.Tanh)
+		ApplyInto(wantT, a, Tanh)
 		if !bitEqual64(gotT, wantT) {
 			t.Fatalf("TanhInto n=%d differs from ApplyInto", n)
 		}
