@@ -13,11 +13,10 @@ import "math"
 // every architecture and the results are bitwise portable.
 //
 // The AVX2 kernels (vec_amd64.s) run exactly these operations on four
-// lanes, never FMA. Exp and sigmoid handle groups of four whose inputs
-// all lie in |x| ∈ [2⁻²⁸, 708], where the reduction's k keeps y·2^k a
-// normal number; at the first group that leaves that range the kernel
-// returns, and vecExpSig runs the group through the scalar code and
-// resumes. Tanh computes its branches on every lane and blends them,
+// lanes, never FMA. Sigmoid handles groups of four whose inputs all lie
+// in |x| ∈ [2⁻²⁸, 708], where the reduction's k keeps y·2^k a normal
+// number; at the first group that leaves that range the kernel returns,
+// and vecSigmoid runs the group through the scalar code and resumes. Tanh computes its branches on every lane and blends them,
 // skipping the exp branch in a group with no lane at |x| >= 0.625.
 
 const (
@@ -90,23 +89,16 @@ func Tanh(x float64) float64 {
 	return x + x*s*num/den
 }
 
-// vecSigmoid sets dst[i] = Sigmoid(a[i]) and vecTanh dst[i] = Tanh(a[i]);
-// vecExpSig sets dst[i] = Exp(a[i]), or Sigmoid(a[i]) when sig. dst may
-// alias a.
-func vecSigmoid(dst, a []float64) { vecExpSig(dst, a, true) }
-
-func vecExpSig(dst, a []float64, sig bool) {
-	f := Exp
-	if sig {
-		f = Sigmoid
-	}
+// vecSigmoid sets dst[i] = Sigmoid(a[i]) and vecTanh dst[i] = Tanh(a[i]).
+// dst may alias a.
+func vecSigmoid(dst, a []float64) {
 	for len(dst) > 0 {
-		i, n := expKernel(dst, a, sig), len(dst)
+		i, n := sigmoidKernel(dst, a), len(dst)
 		if useAVX {
 			n = min(i+4, n) // the group that left the fast range
 		}
 		for j := i; j < n; j++ {
-			dst[j] = f(a[j])
+			dst[j] = Sigmoid(a[j])
 		}
 		dst, a = dst[n:], a[n:]
 	}

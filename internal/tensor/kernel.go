@@ -152,8 +152,7 @@ func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue,
 // epilogueRowSeg64 applies bias+activation to rows row segments of width
 // w at c (row stride ldc), whose columns start at jOff. A plain add (not
 // FMA) keeps bias semantics identical to the former separate AddRowVector
-// pass. Contiguous segments (ldc == w) go through the activation kernel in
-// one call.
+// pass.
 func epilogueRowSeg64(c []float64, ldc, rows, w int, bias []float64, jOff int, ep Epilogue) {
 	if bias != nil {
 		for r := range rows {
@@ -167,11 +166,6 @@ func epilogueRowSeg64(c []float64, ldc, rows, w int, bias []float64, jOff int, e
 		return
 	case EpTanh:
 		act = vecTanh
-	}
-	if ldc == w {
-		seg := c[:rows*w]
-		act(seg, seg)
-		return
 	}
 	for r := range rows {
 		seg := c[r*ldc : r*ldc+w]

@@ -253,8 +253,9 @@ func TestSerialEntryPointsVsRef(t *testing.T) {
 // route the packed-size threshold would give it: m across smallM (1…9, 9
 // being the packed path), k across the kc edge, and n with ragged 8- and
 // 4-column edges beside whole ones, for NN and NT. Accumulation, bias and
-// the three epilogues rotate over the shapes; seeds carry NaN, ±Inf and
-// −0; worker counts 1/2/3/8 rotate too, each with the assembly on and off.
+// the three epilogues rotate independently over the shapes, so every
+// (epilogue, accumulation) pair comes up; seeds carry NaN, ±Inf and −0;
+// worker counts 1/2/3/8 rotate too, each with the assembly on and off.
 func TestGemmSmallMVsRef(t *testing.T) {
 	resetConfigAfter(t)
 	orig := useAVX
@@ -268,7 +269,7 @@ func TestGemmSmallMVsRef(t *testing.T) {
 			for _, n := range []int{5, 12, 29, 40} {
 				for _, kind := range []gemmKind{gemmNN, gemmNT} {
 					idx++
-					ep := Epilogue(idx % 3)
+					ep := Epilogue(idx / 3 % 3)
 					acc := idx%3 != 0
 					a := randn2(rng, m, k)
 					b := randn2(rng, k, n)

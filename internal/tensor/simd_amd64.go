@@ -41,7 +41,7 @@ func vecAxpyPlainAVX(alpha float64, x, y *float64, n int)
 func vecReLUAVX(dst, a *float64, n int)
 
 //go:noescape
-func expAVX(dst, a *float64, n int, sig bool) int
+func sigmoidAVX(dst, a *float64, n int) int
 
 //go:noescape
 func tanhAVX(dst, a *float64, n int)
@@ -234,15 +234,15 @@ func vecReLU(dst, a []float64) {
 	vecReLUGo(dst, a)
 }
 
-// expKernel runs Exp (Sigmoid when sig) over the leading groups of four
-// whose inputs all lie in the kernel's fast range and returns how many
-// elements it wrote: a multiple of 4, stopping at the first group that
-// needs the scalar code (exp.go) or at the tail.
-func expKernel(dst, a []float64, sig bool) int {
+// sigmoidKernel runs Sigmoid over the leading groups of four whose inputs
+// all lie in the kernel's fast range and returns how many elements it
+// wrote: a multiple of 4, stopping at the first group that needs the
+// scalar code (exp.go) or at the tail.
+func sigmoidKernel(dst, a []float64) int {
 	if !useAVX || len(dst) < 4 {
 		return 0
 	}
-	return expAVX(&dst[0], &a[0], len(dst), sig)
+	return sigmoidAVX(&dst[0], &a[0], len(dst))
 }
 
 // tanhKernel runs Tanh over the leading len(dst)&^3 elements and returns

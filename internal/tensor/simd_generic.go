@@ -31,5 +31,5 @@ func vecScale(dst, a []float64, s float64)       { vecScaleGo(dst, a, s) }
 func vecAxpyPlain(alpha float64, x, y []float64) { vecAxpyPlainGo(alpha, x, y) }
 func vecReLU(dst, a []float64)                   { vecReLUGo(dst, a) }
 func pool2x2(dst, src []float64, oh, ow, w int)  { maxPoolPlane(dst, src, w, ow, 2, 2) }
-func expKernel(dst, a []float64, sig bool) int   { return 0 }
+func sigmoidKernel(dst, a []float64) int         { return 0 }
 func tanhKernel(dst, a []float64) int            { return 0 }

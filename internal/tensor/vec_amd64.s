@@ -478,23 +478,21 @@ GLOBL transc<>(SB), RODATA|NOPTR, $768
 	VPSLLQ      $52, Y1, Y1; \
 	VMULPD      Y1, Y0, Y0
 
-// func expAVX(dst, a *float64, n int, sig bool) int
+// func sigmoidAVX(dst, a *float64, n int) int
 //
-// dst[i] = Exp(a[i]), or Sigmoid(a[i]) = 1/(1+Exp(−a[i])) when sig, for
-// whole groups of four while every lane has |a[i]| in [2⁻²⁸, 708] (an
-// ordered compare, so NaN fails it). Returns the number of elements
-// written; the caller runs the group that failed, and the tail, through
-// the scalar code.
-TEXT ·expAVX(SB), NOSPLIT, $0-40
-	MOVQ    dst+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    n+16(FP), CX
-	MOVBLZX sig+24(FP), DX
-	XORQ    AX, AX
-	ANDQ    $~3, CX
-	JZ      expdone
+// dst[i] = Sigmoid(a[i]) = 1/(1+Exp(−a[i])) for whole groups of four
+// while every lane has |a[i]| in [2⁻²⁸, 708] (an ordered compare, so NaN
+// fails it). Returns the number of elements written; the caller runs the
+// group that failed, and the tail, through the scalar code.
+TEXT ·sigmoidAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	ANDQ $~3, CX
+	JZ   sigdone
 
-exploop:
+sigloop:
 	VMOVUPD   (SI)(AX*8), Y0
 	VANDPD    transc<>+32(SB), Y0, Y8
 	VCMPPD    $0x1d, transc<>+448(SB), Y8, Y9 // |x| >= 2⁻²⁸
@@ -502,27 +500,19 @@ exploop:
 	VANDPD    Y9, Y8, Y8
 	VMOVMSKPD Y8, BX
 	CMPQ      BX, $15
-	JNE       expdone
-	TESTQ     DX, DX
-	JZ        expcore
+	JNE       sigdone
 	VXORPD    transc<>+0(SB), Y0, Y0
-
-expcore:
 	EXP4
-	TESTQ   DX, DX
-	JZ      expstore
-	VADDPD  transc<>+352(SB), Y0, Y0
-	VMOVUPD transc<>+352(SB), Y1
-	VDIVPD  Y0, Y1, Y0
+	VADDPD    transc<>+352(SB), Y0, Y0
+	VMOVUPD   transc<>+352(SB), Y1
+	VDIVPD    Y0, Y1, Y0
+	VMOVUPD   Y0, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JLT       sigloop
 
-expstore:
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     exploop
-
-expdone:
-	MOVQ AX, ret+32(FP)
+sigdone:
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET
 
