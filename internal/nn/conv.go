@@ -99,7 +99,7 @@ func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes gradients to the argmax positions.
 func (m *MaxPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return tensor.MaxPool2DBackwardInto(m.ws.Get(m.inShape...), dout, m.arg)
+	return tensor.MaxPool2DBackwardInto(m.ws.GetUninit(m.inShape...), dout, m.arg) // zeroes din itself
 }
 
 // Params returns nil.
@@ -118,12 +118,12 @@ func (g *GlobalAvgPool2D) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
 // Forward averages each feature map.
 func (g *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g.h, g.w = x.Dim(2), x.Dim(3)
-	return tensor.GlobalAvgPoolInto(g.ws.Get(x.Dim(0), x.Dim(1)), x)
+	return tensor.GlobalAvgPoolInto(g.ws.GetUninit(x.Dim(0), x.Dim(1)), x)
 }
 
 // Backward broadcasts the gradient uniformly over each map.
 func (g *GlobalAvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return tensor.GlobalAvgPoolBackwardInto(g.ws.Get(dout.Dim(0), dout.Dim(1), g.h, g.w), dout)
+	return tensor.GlobalAvgPoolBackwardInto(g.ws.GetUninit(dout.Dim(0), dout.Dim(1), g.h, g.w), dout)
 }
 
 // Params returns nil.
@@ -133,21 +133,21 @@ func (g *GlobalAvgPool2D) Params() []*Param { return nil }
 // spatial axes, with learnable scale/shift and running statistics for
 // inference. An eval-mode Forward (train false) writes only its output and
 // keeps no xhat or statistics, so Backward must follow a training Forward.
+// The arithmetic runs in tensor's batch-norm kernels.
 type BatchNorm2D struct {
-	Gamma, Beta  *Param
-	RunMean      *tensor.Tensor
-	RunVar       *tensor.Tensor
-	Momentum     float64
-	Eps          float64
-	C            int
-	xhat         *tensor.Tensor
-	invStd       []float64
-	meanBuf      []float64 // persistent per-channel stat scratch
-	varBuf       []float64
-	inShape      []int
-	countPerChan float64
-	ws           *tensor.Workspace
-	stash        []bnStash // per-micro-batch cache stash (stash.go)
+	Gamma, Beta *Param
+	RunMean     *tensor.Tensor
+	RunVar      *tensor.Tensor
+	Momentum    float64
+	Eps         float64
+	C           int
+	xhat        *tensor.Tensor
+	invStd      []float64
+	meanBuf     []float64 // per-channel scratch of one call (scratch)
+	varBuf      []float64
+	inShape     []int
+	ws          *tensor.Workspace
+	stash       []bnStash // per-micro-batch cache stash (stash.go)
 }
 
 // SetWorkspace routes the layer's temporaries through ws.
@@ -163,123 +163,62 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	}
 }
 
+// scratch returns the two per-channel scratch slices, c long: the batch
+// statistics in a training Forward, 1/√(var+ε) in an eval one, and the
+// gradient sums in Backward.
+func (b *BatchNorm2D) scratch(c int) (s1, s2 []float64) {
+	if cap(b.meanBuf) < c {
+		b.meanBuf = make([]float64, c)
+		b.varBuf = make([]float64, c)
+	}
+	return b.meanBuf[:c], b.varBuf[:c]
+}
+
 // Forward normalizes per channel. In training mode it uses batch
 // statistics, updates the running averages and keeps xhat for Backward;
 // in eval mode it normalizes with the running statistics in one pass.
 // Both round g*((v-m)*inv) + bt the same way, so an eval output equals the
 // training formula applied to the running statistics bit for bit.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	c := x.Dim(1)
+	gamma, beta := b.Gamma.Value.Data(), b.Beta.Value.Data()
+	runMean, runVar := b.RunMean.Data(), b.RunVar.Data()
 	if !train {
-		return b.forwardEval(x)
+		_, inv := b.scratch(c)
+		for ch, v := range runVar {
+			inv[ch] = 1 / math.Sqrt(v+b.Eps)
+		}
+		out := b.ws.GetUninit(x.Shape()...) // the kernel writes every element
+		return tensor.BatchNormNormalizeInto(out, nil, x, runMean, inv, gamma, beta)
 	}
-	n, c, hw := x.Dim(0), x.Dim(1), x.Dim(2)*x.Dim(3)
 	b.inShape = append(b.inShape[:0], x.Shape()...)
-	cnt := float64(n * hw)
-	b.countPerChan = cnt
-	if cap(b.meanBuf) < c {
-		b.meanBuf = make([]float64, c)
-		b.varBuf = make([]float64, c)
-	}
 	if cap(b.invStd) < c {
 		b.invStd = make([]float64, c)
 	}
-	mean, variance, invStd := b.meanBuf[:c], b.varBuf[:c], b.invStd[:c]
+	invStd := b.invStd[:c]
 	b.invStd = invStd
-	xd := x.Data()
-	runMean, runVar := b.RunMean.Data(), b.RunVar.Data()
-	for ch := 0; ch < c; ch++ {
-		s := 0.0
-		for bi := 0; bi < n; bi++ {
-			for _, v := range xd[(bi*c+ch)*hw:][:hw] {
-				s += v
-			}
-		}
-		mean[ch] = s / cnt
-	}
-	for ch := 0; ch < c; ch++ {
-		s, m := 0.0, mean[ch]
-		for bi := 0; bi < n; bi++ {
-			for _, v := range xd[(bi*c+ch)*hw:][:hw] {
-				d := v - m
-				s += float64(d * d)
-			}
-		}
-		variance[ch] = s / cnt
+	mean, variance := b.scratch(c)
+	tensor.BatchNormStats(mean, variance, x)
+	for ch, m := range mean {
 		runMean[ch] = float64(b.Momentum*runMean[ch]) + float64((1-b.Momentum)*m)
 		runVar[ch] = float64(b.Momentum*runVar[ch]) + float64((1-b.Momentum)*variance[ch])
-	}
-	for ch := 0; ch < c; ch++ {
 		invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
 	}
-	// xhat and out are written in full below.
+	// xhat and out are written in full by the kernel.
 	b.xhat = b.ws.GetUninit(x.Shape()...)
 	out := b.ws.GetUninit(x.Shape()...)
-	xhd, od := b.xhat.Data(), out.Data()
-	gamma, beta := b.Gamma.Value.Data(), b.Beta.Value.Data()
-	for bi := 0; bi < n; bi++ {
-		for ch := 0; ch < c; ch++ {
-			base := (bi*c + ch) * hw
-			xh, o := xhd[base:][:hw], od[base:][:hw]
-			m, inv, g, bt := mean[ch], invStd[ch], gamma[ch], beta[ch]
-			for i, v := range xd[base:][:hw] {
-				t := (v - m) * inv
-				xh[i] = t
-				o[i] = float64(g*t) + bt
-			}
-		}
-	}
-	return out
-}
-
-// forwardEval normalizes x with the running statistics, writing only the
-// output.
-func (b *BatchNorm2D) forwardEval(x *tensor.Tensor) *tensor.Tensor {
-	n, c, hw := x.Dim(0), x.Dim(1), x.Dim(2)*x.Dim(3)
-	out := b.ws.GetUninit(x.Shape()...) // written in full below
-	xd, od := x.Data(), out.Data()
-	runMean, runVar := b.RunMean.Data(), b.RunVar.Data()
-	gamma, beta := b.Gamma.Value.Data(), b.Beta.Value.Data()
-	for ch := 0; ch < c; ch++ {
-		m, inv, g, bt := runMean[ch], 1/math.Sqrt(runVar[ch]+b.Eps), gamma[ch], beta[ch]
-		for bi := 0; bi < n; bi++ {
-			base := (bi*c + ch) * hw
-			o := od[base:][:hw]
-			for i, v := range xd[base:][:hw] {
-				o[i] = float64(g*((v-m)*inv)) + bt
-			}
-		}
-	}
-	return out
+	return tensor.BatchNormNormalizeInto(out, b.xhat, x, mean, invStd, gamma, beta)
 }
 
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n, c, hw := b.inShape[0], b.inShape[1], b.inShape[2]*b.inShape[3]
-	din := b.ws.GetUninit(b.inShape...) // written in full below
-	dd, xhd, dind := dout.Data(), b.xhat.Data(), din.Data()
-	gamma, dGamma, dBeta := b.Gamma.Value.Data(), b.Gamma.Grad.Data(), b.Beta.Grad.Data()
-	cnt := b.countPerChan
-	for ch := 0; ch < c; ch++ {
-		// Accumulate per-channel sums.
-		var sumDy, sumDyXhat float64
-		for bi := 0; bi < n; bi++ {
-			base := (bi*c + ch) * hw
-			xh := xhd[base:][:hw]
-			for i, dy := range dd[base:][:hw] {
-				sumDy += dy
-				sumDyXhat += float64(dy * xh[i])
-			}
-		}
-		dBeta[ch] += sumDy
-		dGamma[ch] += sumDyXhat
-		scale := gamma[ch] * b.invStd[ch] / cnt
-		for bi := 0; bi < n; bi++ {
-			base := (bi*c + ch) * hw
-			xh, di := xhd[base:][:hw], dind[base:][:hw]
-			for i, dy := range dd[base:][:hw] {
-				di[i] = scale * (float64(cnt*dy) - sumDy - float64(xh[i]*sumDyXhat))
-			}
-		}
+	sumDy, sumDyXhat := b.scratch(b.inShape[1])
+	din := b.ws.GetUninit(b.inShape...) // written in full by the kernel
+	tensor.BatchNormBackwardInto(din, dout, b.xhat, b.Gamma.Value.Data(), b.invStd, sumDy, sumDyXhat)
+	dGamma, dBeta := b.Gamma.Grad.Data(), b.Beta.Grad.Data()
+	for ch := range sumDy {
+		dBeta[ch] += sumDy[ch]
+		dGamma[ch] += sumDyXhat[ch]
 	}
 	return din
 }
@@ -293,9 +232,7 @@ func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 type Residual struct {
 	Main     *Sequential
 	Shortcut *Sequential // nil for identity
-	relu     ReLU
-	x        *tensor.Tensor
-	sum      *tensor.Tensor
+	relu     ReLU        // the join's rectifier; Backward reads its output gate
 	ws       *tensor.Workspace
 }
 
@@ -331,9 +268,8 @@ func NewResidual(rng *rand.Rand, name string, inC, outC, stride int) *Residual {
 	return &Residual{Main: main, Shortcut: shortcut}
 }
 
-// Forward computes ReLU(F(x) + shortcut(x)).
+// Forward computes ReLU(F(x) + shortcut(x)) in one pass (no sum tensor).
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.x = x
 	f := r.Main.Forward(x, train)
 	var s *tensor.Tensor
 	if r.Shortcut != nil {
@@ -341,8 +277,11 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		s = x
 	}
-	r.sum = tensor.AddInto(r.ws.Get(f.Shape()...), f, s)
-	return r.relu.Forward(r.sum, train)
+	out := tensor.AddReLUInto(r.ws.GetUninit(f.Shape()...), f, s)
+	if train {
+		r.relu.out = out
+	}
+	return out
 }
 
 // Backward splits the gradient across the main path and the shortcut.
@@ -355,7 +294,7 @@ func (r *Residual) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	} else {
 		dshort = dsum
 	}
-	return tensor.AddInto(r.ws.Get(dmain.Shape()...), dmain, dshort)
+	return tensor.AddInto(r.ws.GetUninit(dmain.Shape()...), dmain, dshort)
 }
 
 // Params returns parameters of both paths.

@@ -198,12 +198,14 @@ func TestConvForwardKeepsNoColumns(t *testing.T) {
 }
 
 // refBNForward and refBNBackward are BatchNorm2D's former loops (Data()
-// accessors inside the innermost loops, zero-filled temporaries).
+// accessors inside the innermost loops, zero-filled temporaries, one
+// channel at a time). The float64(…) conversions keep every product
+// rounded before its add, as the layer's contract does on every
+// architecture (arm64 would otherwise fuse them).
 func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	b.inShape = append(b.inShape[:0], x.Shape()...)
 	cnt := float64(n * h * w)
-	b.countPerChan = cnt
 	mean, variance := make([]float64, c), make([]float64, c)
 	if train {
 		for ch := 0; ch < c; ch++ {
@@ -222,12 +224,12 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 				base := ((bi*c + ch) * h) * w
 				for i := 0; i < h*w; i++ {
 					d := x.Data()[base+i] - mean[ch]
-					s += d * d
+					s += float64(d * d)
 				}
 			}
 			variance[ch] = s / cnt
-			b.RunMean.Data()[ch] = b.Momentum*b.RunMean.Data()[ch] + (1-b.Momentum)*mean[ch]
-			b.RunVar.Data()[ch] = b.Momentum*b.RunVar.Data()[ch] + (1-b.Momentum)*variance[ch]
+			b.RunMean.Data()[ch] = float64(b.Momentum*b.RunMean.Data()[ch]) + float64((1-b.Momentum)*mean[ch])
+			b.RunVar.Data()[ch] = float64(b.Momentum*b.RunVar.Data()[ch]) + float64((1-b.Momentum)*variance[ch])
 		}
 	} else {
 		copy(mean, b.RunMean.Data())
@@ -247,7 +249,7 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 			for i := 0; i < h*w; i++ {
 				xh := (x.Data()[base+i] - mean[ch]) * b.invStd[ch]
 				b.xhat.Data()[base+i] = xh
-				out.Data()[base+i] = g*xh + bt
+				out.Data()[base+i] = float64(g*xh) + bt
 			}
 		}
 	}
@@ -257,7 +259,7 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 func refBNBackward(b *BatchNorm2D, dout *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := b.inShape[0], b.inShape[1], b.inShape[2], b.inShape[3]
 	din := tensor.New(b.inShape...)
-	cnt := b.countPerChan
+	cnt := float64(n * h * w)
 	for ch := 0; ch < c; ch++ {
 		var sumDy, sumDyXhat float64
 		for bi := 0; bi < n; bi++ {
@@ -265,7 +267,7 @@ func refBNBackward(b *BatchNorm2D, dout *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < h*w; i++ {
 				dy := dout.Data()[base+i]
 				sumDy += dy
-				sumDyXhat += dy * b.xhat.Data()[base+i]
+				sumDyXhat += float64(dy * b.xhat.Data()[base+i])
 			}
 		}
 		b.Beta.Grad.Data()[ch] += sumDy
@@ -277,7 +279,7 @@ func refBNBackward(b *BatchNorm2D, dout *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < h*w; i++ {
 				dy := dout.Data()[base+i]
 				xh := b.xhat.Data()[base+i]
-				din.Data()[base+i] = g * inv / cnt * (cnt*dy - sumDy - xh*sumDyXhat)
+				din.Data()[base+i] = g * inv / cnt * (float64(cnt*dy) - sumDy - float64(xh*sumDyXhat))
 			}
 		}
 	}
@@ -287,46 +289,53 @@ func refBNBackward(b *BatchNorm2D, dout *tensor.Tensor) *tensor.Tensor {
 // TestBatchNorm2DMatchesFormerLoops: output, xhat, running statistics,
 // dGamma, dBeta (on top of a non-zero prior) and din equal the former
 // loops bit for bit over two training steps and an inference forward,
-// through a workspace whose recycled buffers are dirty.
+// through a workspace whose recycled buffers are dirty. The channel
+// counts cover a channel tail after one lane group (5), whole groups (8,
+// 16), and the 7×6 planes a pixel tail.
 func TestBatchNorm2DMatchesFormerLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	const c = 5
-	build := func() *BatchNorm2D {
-		b := NewBatchNorm2D("bn", c)
-		r := rand.New(rand.NewSource(37))
-		b.Gamma.Value, b.Beta.Value = tensor.Randn(r, 1, c), tensor.Randn(r, 1, c)
-		b.Gamma.Grad, b.Beta.Grad = tensor.Randn(r, 1, c), tensor.Randn(r, 1, c)
-		return b
+	for _, c := range []int{5, 8, 16} {
+		t.Run(fmt.Sprintf("c=%d", c), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(36))
+			build := func() *BatchNorm2D {
+				b := NewBatchNorm2D("bn", c)
+				r := rand.New(rand.NewSource(37))
+				b.Gamma.Value, b.Beta.Value = tensor.Randn(r, 1, c), tensor.Randn(r, 1, c)
+				b.Gamma.Grad, b.Beta.Grad = tensor.Randn(r, 1, c), tensor.Randn(r, 1, c)
+				return b
+			}
+			got, ref := build(), build()
+			ws := tensor.NewWorkspace()
+			got.SetWorkspace(ws)
+			for step := 0; step < 2; step++ {
+				for i := 0; i < 3; i++ {
+					ws.GetUninit(3, c, 7, 6).Fill(math.NaN())
+				}
+				ws.ReleaseAll()
+				x := tensor.Randn(rng, 2, 3, c, 7, 6)
+				dout := tensor.Randn(rng, 1, 3, c, 7, 6)
+				name := fmt.Sprintf("step %d ", step)
+				requireSameBits(t, name+"training output", got.Forward(x, true), refBNForward(ref, x, true))
+				requireSameBits(t, name+"xhat", got.xhat, ref.xhat)
+				requireSameBits(t, name+"running mean", got.RunMean, ref.RunMean)
+				requireSameBits(t, name+"running variance", got.RunVar, ref.RunVar)
+				requireSameBits(t, name+"din", got.Backward(dout), refBNBackward(ref, dout))
+				requireSameBits(t, name+"dGamma", got.Gamma.Grad, ref.Gamma.Grad)
+				requireSameBits(t, name+"dBeta", got.Beta.Grad, ref.Beta.Grad)
+			}
+			x := tensor.Randn(rng, 1, 2, c, 4, 4)
+			requireSameBits(t, "inference output", got.Forward(x, false), refBNForward(ref, x, false))
+			requireSameBits(t, "running mean after inference", got.RunMean, ref.RunMean)
+			requireSameBits(t, "running variance after inference", got.RunVar, ref.RunVar)
+		})
 	}
-	got, ref := build(), build()
-	ws := tensor.NewWorkspace()
-	got.SetWorkspace(ws)
-	for step := 0; step < 2; step++ {
-		for i := 0; i < 3; i++ {
-			ws.GetUninit(3, c, 7, 6).Fill(math.NaN())
-		}
-		ws.ReleaseAll()
-		x := tensor.Randn(rng, 2, 3, c, 7, 6)
-		dout := tensor.Randn(rng, 1, 3, c, 7, 6)
-		name := fmt.Sprintf("step %d ", step)
-		requireSameBits(t, name+"training output", got.Forward(x, true), refBNForward(ref, x, true))
-		requireSameBits(t, name+"xhat", got.xhat, ref.xhat)
-		requireSameBits(t, name+"running mean", got.RunMean, ref.RunMean)
-		requireSameBits(t, name+"running variance", got.RunVar, ref.RunVar)
-		requireSameBits(t, name+"din", got.Backward(dout), refBNBackward(ref, dout))
-		requireSameBits(t, name+"dGamma", got.Gamma.Grad, ref.Gamma.Grad)
-		requireSameBits(t, name+"dBeta", got.Beta.Grad, ref.Beta.Grad)
-	}
-	x := tensor.Randn(rng, 1, 2, c, 4, 4)
-	requireSameBits(t, "inference output", got.Forward(x, false), refBNForward(ref, x, false))
-	requireSameBits(t, "running mean after inference", got.RunMean, ref.RunMean)
-	requireSameBits(t, "running variance after inference", got.RunVar, ref.RunVar)
 }
 
-// TestReLUMatchesFormerLoops pins the single-sweep ReLU against the
-// former copy-then-fix-up loops on the values where a rectifier can go
-// wrong: -0 and +0 (both give a literal +0, mask false), NaN (passes
-// through, mask true) and the infinities.
+// TestReLUMatchesFormerLoops pins the output-gated ReLU against the
+// former copy-then-fix-up loops and their input mask on the values where
+// a rectifier can go wrong: -0 and +0 (both give a literal +0, gate
+// closed), NaN (passes through, gate open) and the infinities. Backward
+// reads its gate from the output, so the din check pins every gated slot
+// against the input mask.
 func TestReLUMatchesFormerLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	special := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), -1e-310, 1e-310}
@@ -358,9 +367,9 @@ func TestReLUMatchesFormerLoops(t *testing.T) {
 	r := &ReLU{}
 	r.SetWorkspace(ws)
 	requireSameBits(t, "ReLU output", r.Forward(x, true), wantOut)
-	for i, m := range r.mask {
-		if m != wantMask[i] {
-			t.Fatalf("ReLU mask[%d] = %v for input %v, want %v", i, m, x.Data()[i], wantMask[i])
+	for i, o := range r.out.Data() {
+		if gate := !(o <= 0); gate != wantMask[i] {
+			t.Fatalf("ReLU output gate[%d] = %v for input %v, want the input mask %v", i, gate, x.Data()[i], wantMask[i])
 		}
 	}
 	requireSameBits(t, "ReLU din", r.Backward(dout), wantDin)

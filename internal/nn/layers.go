@@ -33,7 +33,7 @@ func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
 // epilogue.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d.x = x
-	y := d.ws.Get(x.Dim(0), d.W.Value.Dim(1))
+	y := d.ws.GetUninit(x.Dim(0), d.W.Value.Dim(1)) // the GEMM zeroes it
 	tensor.MatMulBiasInto(y, x, d.W.Value, d.B.Value)
 	return y
 }
@@ -45,7 +45,7 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tensor.SumAxis0Into(dB, dout)
 	d.B.Grad.AddInPlace(dB)
 	d.ws.Put(dB)
-	din := d.ws.Get(dout.Dim(0), d.W.Value.Dim(0))
+	din := d.ws.GetUninit(dout.Dim(0), d.W.Value.Dim(0)) // the GEMM zeroes it
 	tensor.MatMulTInto(din, dout, d.W.Value)
 	return din
 }
@@ -53,60 +53,33 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns W and b.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// ReLU applies max(0, x) elementwise. An eval-mode Forward (train false)
-// writes only its output and keeps no mask, so Backward must follow a
-// training Forward.
+// ReLU applies max(0, x) elementwise: v <= 0 writes a literal +0 (so -0
+// maps to +0), and anything else — NaN included — passes through. A
+// training Forward keeps a pointer to its output, whose sign gates
+// Backward; an eval-mode Forward (train false) keeps nothing, so Backward
+// must follow a training Forward.
 type ReLU struct {
-	mask  []bool
+	out   *tensor.Tensor
 	ws    *tensor.Workspace
-	stash [][]bool // per-micro-batch mask stash (stash.go)
+	stash []*tensor.Tensor // per-micro-batch output stash (stash.go)
 }
 
 // SetWorkspace routes the layer's temporaries through ws.
 func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
 
-// Forward applies the rectifier: v <= 0 writes a literal +0 (so -0 maps
-// to +0), and anything else — NaN included — passes through. In eval mode
-// that is the vector kernel tensor.ReLUInto. In training mode one sweep
-// also caches the activation mask; the select is a bit mask, not a
-// branch: activation signs are close to coin flips, and a mispredicted
-// branch per element cost more than the sweep.
+// Forward applies the rectifier (tensor.ReLUInto).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := r.ws.GetUninit(x.Shape()...)
-	if !train {
-		return tensor.ReLUInto(out, x)
-	}
-	if cap(r.mask) < x.Size() {
-		r.mask = make([]bool, x.Size())
-	}
-	r.mask = r.mask[:x.Size()]
-	od, mask := out.Data(), r.mask
-	for i, v := range x.Data() {
-		m := !(v <= 0)
-		mask[i] = m
-		od[i] = keepIf(v, m)
+	out := tensor.ReLUInto(r.ws.GetUninit(x.Shape()...), x)
+	if train {
+		r.out = out
 	}
 	return out
 }
 
-// Backward gates the upstream gradient by the activation mask.
+// Backward passes the upstream gradient where the output is not <= 0,
+// which is exactly where the input was not (tensor.ReLUBackwardInto).
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	din := r.ws.GetUninit(dout.Shape()...)
-	dd, mask := din.Data(), r.mask
-	for i, g := range dout.Data() {
-		dd[i] = keepIf(g, mask[i])
-	}
-	return din
-}
-
-// keepIf returns v when keep is set and a literal +0 otherwise, without
-// branching (the compiler turns the if into a conditional move).
-func keepIf(v float64, keep bool) float64 {
-	var bits uint64
-	if keep {
-		bits = ^uint64(0)
-	}
-	return math.Float64frombits(math.Float64bits(v) & bits)
+	return tensor.ReLUBackwardInto(r.ws.GetUninit(dout.Shape()...), r.out, dout)
 }
 
 // Params returns nil: ReLU has no parameters.
@@ -124,7 +97,7 @@ func (s *Sigmoid) SetWorkspace(ws *tensor.Workspace) { s.ws = ws }
 
 // Forward computes σ(x), caching the output for the backward pass.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.out = tensor.SigmoidInto(s.ws.Get(x.Shape()...), x)
+	s.out = tensor.SigmoidInto(s.ws.GetUninit(x.Shape()...), x)
 	return s.out
 }
 
@@ -152,7 +125,7 @@ func (t *Tanh) SetWorkspace(ws *tensor.Workspace) { t.ws = ws }
 
 // Forward computes tanh(x).
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t.out = tensor.TanhInto(t.ws.Get(x.Shape()...), x)
+	t.out = tensor.TanhInto(t.ws.GetUninit(x.Shape()...), x)
 	return t.out
 }
 

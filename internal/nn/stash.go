@@ -11,7 +11,7 @@ import "repro/internal/tensor"
 // with slot's contents, so the swap is its own inverse. After a Forward,
 // Stash(slot) parks the cache that Forward wrote; before the matching
 // Backward, Stash(slot) again brings it back into the working fields.
-// Swapping rather than copying means slice-backed caches (ReLU masks,
+// Swapping rather than copying means slice-backed caches (dropout masks,
 // input shapes, argmax scratch) rotate through at most slots+1 buffers
 // and stop allocating once every slot has been warmed —
 // the same steady-state-alloc-free property the workspace pool gives
@@ -87,13 +87,13 @@ func (d *Dense) Stash(slot int) { d.stash[slot], d.x = d.x, d.stash[slot] }
 // Unstash implements Stasher.
 func (d *Dense) Unstash(slot int) { d.Stash(slot) }
 
-// --- ReLU: caches the activation mask ---
+// --- ReLU: caches the forward output, whose sign gates Backward ---
 
 // EnsureStash implements Stasher.
 func (r *ReLU) EnsureStash(slots int) { r.stash = ensureLen(r.stash, slots) }
 
 // Stash implements Stasher.
-func (r *ReLU) Stash(slot int) { r.stash[slot], r.mask = r.mask, r.stash[slot] }
+func (r *ReLU) Stash(slot int) { r.stash[slot], r.out = r.out, r.stash[slot] }
 
 // Unstash implements Stasher.
 func (r *ReLU) Unstash(slot int) { r.Stash(slot) }
@@ -188,15 +188,14 @@ func (g *GlobalAvgPool2D) Stash(slot int) {
 // Unstash implements Stasher.
 func (g *GlobalAvgPool2D) Unstash(slot int) { g.Stash(slot) }
 
-// --- BatchNorm2D: caches xhat, invStd, input shape, and element count.
-// meanBuf/varBuf are forward-only scratch and need no stashing; running
+// --- BatchNorm2D: caches xhat, invStd and the input shape. meanBuf and
+// varBuf are scratch within one call and need no stashing; running
 // statistics are parameters of the step, not per-micro-batch state. ---
 
 type bnStash struct {
 	xhat    *tensor.Tensor
 	invStd  []float64
 	inShape []int
-	count   float64
 }
 
 // EnsureStash implements Stasher.
@@ -208,15 +207,14 @@ func (b *BatchNorm2D) Stash(slot int) {
 	s.xhat, b.xhat = b.xhat, s.xhat
 	s.invStd, b.invStd = b.invStd, s.invStd
 	s.inShape, b.inShape = b.inShape, s.inShape
-	s.count, b.countPerChan = b.countPerChan, s.count
 }
 
 // Unstash implements Stasher.
 func (b *BatchNorm2D) Unstash(slot int) { b.Stash(slot) }
 
-// --- Residual: its own x/sum fields are forward-only (Backward re-derives
-// everything from the sub-paths), so stashing recurses into the ReLU and
-// both sub-sequentials. ---
+// --- Residual: keeps no cache of its own (the join's gate is its ReLU's
+// output pointer), so stashing recurses into the ReLU and both
+// sub-sequentials. ---
 
 // EnsureStash implements Stasher.
 func (r *Residual) EnsureStash(slots int) {

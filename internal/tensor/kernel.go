@@ -17,6 +17,13 @@ import "math"
 // kernel_test.go pins this against the Ref* kernels below. What still
 // calls math.Exp, whose bits differ between ports, is outside this
 // engine: the softmax (into.go), the losses and GRU-D (package nn).
+//
+// The element kernels beside the engine keep the same contract, each
+// AVX2 lane doing its Go mirror's operations in order, rounded once
+// each, never fused: the vector ops and the gated rectifier vecReLU
+// (vec.go), Sigmoid and Tanh (exp.go), and the batch-norm kernels
+// (bn.go) — the channel-lane sums chanSums4, whose lanes are four
+// channels' serial chains, and the normalise and backward passes.
 
 // Epilogue selects the activation fused after the bias add.
 type Epilogue uint8

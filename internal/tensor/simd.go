@@ -118,17 +118,25 @@ func vecAxpyPlainGo(alpha float64, x, y []float64) {
 	}
 }
 
-// vecReLUGo keeps the scalar rectifier's exact branch: v <= 0 writes a
-// literal +0 (so -0 maps to +0), anything else — including NaN — passes
-// through.
-func vecReLUGo(dst, a []float64) {
-	for i, v := range a {
-		if v <= 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = v
-		}
+// vecReLUGo keeps the scalar rectifier's exact branch on the gate: where
+// gate[i] <= 0 it writes a literal +0 (so -0 maps to +0), anywhere else —
+// a NaN gate included — a[i] passes through. The rectifier is gate = a.
+func vecReLUGo(dst, gate, a []float64) {
+	for i := range dst {
+		dst[i] = keepIf(a[i], !(gate[i] <= 0))
 	}
+}
+
+// keepIf returns v when keep is set and a literal +0 otherwise, without
+// branching (the compiler turns the if into a conditional move):
+// activation signs are close to coin flips, and a mispredicted branch per
+// element costs more than the select.
+func keepIf(v float64, keep bool) float64 {
+	var bits uint64
+	if keep {
+		bits = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & bits)
 }
 
 // maxGT returns v when v > best and best otherwise — the max-pool fold's

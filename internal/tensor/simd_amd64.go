@@ -38,7 +38,16 @@ func vecScaleAVX(dst, a *float64, s float64, n int)
 func vecAxpyPlainAVX(alpha float64, x, y *float64, n int)
 
 //go:noescape
-func vecReLUAVX(dst, a *float64, n int)
+func vecReLUAVX(dst, gate, a *float64, n int)
+
+//go:noescape
+func chanSums4AVX(s *[8]float64, a, b *float64, m *[4]float64, n, stride, hw int)
+
+//go:noescape
+func bnNormAVX(out, xhat, x, mean, inv, gamma, beta *float64, n, c, hw int)
+
+//go:noescape
+func bnBackAVX(din, dy, xhat, gamma, inv, sumDy, sumDyXhat *float64, cnt float64, n, c, hw int)
 
 //go:noescape
 func sigmoidAVX(dst, a *float64, n int) int
@@ -223,15 +232,59 @@ func vecAxpyPlain(alpha float64, x, y []float64) {
 	vecAxpyPlainGo(alpha, x, y)
 }
 
-func vecReLU(dst, a []float64) {
+func vecReLU(dst, gate, a []float64) {
 	if len(dst) == 0 {
 		return
 	}
 	if useAVX {
-		vecReLUAVX(&dst[0], &a[0], len(dst))
+		vecReLUAVX(&dst[0], &gate[0], &a[0], len(dst))
 		return
 	}
-	vecReLUGo(dst, a)
+	vecReLUGo(dst, gate, a)
+}
+
+// chanSums4 runs chanSumsGo's chains for k channels; the AVX2 kernel
+// takes whole groups of four.
+func chanSums4(s *[8]float64, a, b []float64, m *[4]float64, k, n, stride, hw int) {
+	if !useAVX || k < 4 || n == 0 || hw == 0 {
+		chanSumsGo(s, a, b, m, k, n, stride, hw)
+		return
+	}
+	last := (n-1)*stride + 4*hw - 1
+	_ = a[last]
+	var bp *float64
+	if b != nil {
+		_ = b[last]
+		bp = &b[0]
+	}
+	chanSums4AVX(s, &a[0], bp, m, n, stride, hw)
+}
+
+// bnNorm and bnBack run the element passes (bn.go) for n, c, hw >= 1.
+func bnNorm(out, xhat, x, mean, inv, gamma, beta []float64, n, c, hw int) {
+	if !useAVX {
+		bnNormGo(out, xhat, x, mean, inv, gamma, beta, n, c, hw)
+		return
+	}
+	last := n*c*hw - 1
+	_, _, _, _, _, _ = out[last], x[last], mean[c-1], inv[c-1], gamma[c-1], beta[c-1]
+	var xh *float64
+	if xhat != nil {
+		_ = xhat[last]
+		xh = &xhat[0]
+	}
+	bnNormAVX(&out[0], xh, &x[0], &mean[0], &inv[0], &gamma[0], &beta[0], n, c, hw)
+}
+
+func bnBack(din, dy, xhat, gamma, inv, sumDy, sumDyXhat []float64, cnt float64, n, c, hw int) {
+	if !useAVX {
+		bnBackGo(din, dy, xhat, gamma, inv, sumDy, sumDyXhat, cnt, n, c, hw)
+		return
+	}
+	last := n*c*hw - 1
+	_, _, _ = din[last], dy[last], xhat[last]
+	_, _, _, _ = gamma[c-1], inv[c-1], sumDy[c-1], sumDyXhat[c-1]
+	bnBackAVX(&din[0], &dy[0], &xhat[0], &gamma[0], &inv[0], &sumDy[0], &sumDyXhat[0], cnt, n, c, hw)
 }
 
 // sigmoidKernel runs Sigmoid over the leading groups of four whose inputs

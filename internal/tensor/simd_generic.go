@@ -29,7 +29,19 @@ func vecMax(dst, a, b []float64)                 { vecMaxGo(dst, a, b) }
 func vecMin(dst, a, b []float64)                 { vecMinGo(dst, a, b) }
 func vecScale(dst, a []float64, s float64)       { vecScaleGo(dst, a, s) }
 func vecAxpyPlain(alpha float64, x, y []float64) { vecAxpyPlainGo(alpha, x, y) }
-func vecReLU(dst, a []float64)                   { vecReLUGo(dst, a) }
+func vecReLU(dst, gate, a []float64)             { vecReLUGo(dst, gate, a) }
 func pool2x2(dst, src []float64, oh, ow, w int)  { maxPoolPlane(dst, src, w, ow, 2, 2) }
 func sigmoidKernel(dst, a []float64) int         { return 0 }
 func tanhKernel(dst, a []float64) int            { return 0 }
+
+func chanSums4(s *[8]float64, a, b []float64, m *[4]float64, k, n, stride, hw int) {
+	chanSumsGo(s, a, b, m, k, n, stride, hw)
+}
+
+func bnNorm(out, xhat, x, mean, inv, gamma, beta []float64, n, c, hw int) {
+	bnNormGo(out, xhat, x, mean, inv, gamma, beta, n, c, hw)
+}
+
+func bnBack(din, dy, xhat, gamma, inv, sumDy, sumDyXhat []float64, cnt float64, n, c, hw int) {
+	bnBackGo(din, dy, xhat, gamma, inv, sumDy, sumDyXhat, cnt, n, c, hw)
+}

@@ -178,6 +178,41 @@ func TanhInto(out, a *Tensor) *Tensor {
 // -0 maps to +0), vectorized as a compare+mask. out may alias a.
 func ReLUInto(out, a *Tensor) *Tensor {
 	checkSame("ReLUInto", out, a)
-	vecJobs.For(len(out.data), vecCost, vecArgs{dst: out.data, a: a.data, un: vecReLU}, unRange)
+	vecJobs.For(len(out.data), vecCost, vecArgs{dst: out.data, a: a.data, b: a.data, bin: vecReLU}, binRange)
 	return out
+}
+
+// ReLUBackwardInto sets din[i] = dout[i] unless out[i] <= 0, in which case
+// +0, where out is the rectifier's output. out <= 0 exactly where the
+// input was <= 0 (it is then +0; NaN and +Inf pass through), so this is
+// the gradient gated by the input's sign, bit for bit, with the gate read
+// from the output. din may alias dout.
+func ReLUBackwardInto(din, out, dout *Tensor) *Tensor {
+	checkSame("ReLUBackwardInto", din, out)
+	checkSame("ReLUBackwardInto", din, dout)
+	vecJobs.For(len(din.data), vecCost, vecArgs{dst: din.data, a: out.data, b: dout.data, bin: vecReLU}, binRange)
+	return din
+}
+
+// reluBlock is AddReLUInto's block length: 4 KB of float64s, so a block's
+// sums are still in L1 when the rectifier reads them back.
+const reluBlock = 512
+
+// AddReLUInto sets out = ReLU(a + b), the residual join, bit-identical to
+// AddInto followed by ReLUInto: each block is added, then rectified in
+// place while resident, so no sum tensor exists. out may alias a or b.
+func AddReLUInto(out, a, b *Tensor) *Tensor {
+	checkSame("AddReLUInto", out, a)
+	checkSame("AddReLUInto", out, b)
+	vecJobs.For(len(out.data), 2*vecCost, vecArgs{dst: out.data, a: a.data, b: b.data}, addReLURange)
+	return out
+}
+
+func addReLURange(v vecArgs, lo, hi int) {
+	for ; lo < hi; lo += reluBlock {
+		end := min(lo+reluBlock, hi)
+		d := v.dst[lo:end]
+		vecAdd(d, v.a[lo:end], v.b[lo:end])
+		vecReLU(d, d, d)
+	}
 }

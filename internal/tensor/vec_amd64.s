@@ -347,31 +347,34 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func vecReLUAVX(dst, a *float64, n int)
+// func vecReLUAVX(dst, gate, a *float64, n int)
 //
-// dst[i] = +0 when a[i] <= 0, else a[i]. A plain MAX-against-zero would
-// zero NaNs and break bitwise identity with the scalar branch, so this
-// builds the (a <= 0) mask with an ordered-quiet VCMPPD (predicate 2:
-// unordered compares are false, letting NaN through) and clears masked
-// lanes with VANDNPD.
-TEXT ·vecReLUAVX(SB), NOSPLIT, $0-24
+// dst[i] = +0 when gate[i] <= 0, else a[i]: the rectifier with gate = a,
+// and its gradient with gate = the rectifier's output. A plain
+// MAX-against-zero would zero NaNs and break bitwise identity with the
+// scalar branch, so this builds the (gate <= 0) mask with an ordered-quiet
+// VCMPPD (predicate 2: unordered compares are false, letting NaN through)
+// and clears masked lanes with VANDNPD.
+TEXT ·vecReLUAVX(SB), NOSPLIT, $0-32
 	MOVQ   dst+0(FP), DI
-	MOVQ   a+8(FP), SI
-	MOVQ   n+16(FP), CX
+	MOVQ   gate+8(FP), DX
+	MOVQ   a+16(FP), SI
+	MOVQ   n+24(FP), CX
 	VXORPD Y0, Y0, Y0
 	MOVQ   CX, BX
 	SHRQ   $3, BX
 	JZ     relutail4
 
 reluloop8:
-	VMOVUPD (SI), Y1
-	VMOVUPD 32(SI), Y2
-	VCMPPD  $2, Y0, Y1, Y3
-	VCMPPD  $2, Y0, Y2, Y4
-	VANDNPD Y1, Y3, Y1
-	VANDNPD Y2, Y4, Y2
+	VMOVUPD (DX), Y1
+	VMOVUPD 32(DX), Y2
+	VCMPPD  $2, Y0, Y1, Y1
+	VCMPPD  $2, Y0, Y2, Y2
+	VANDNPD (SI), Y1, Y1
+	VANDNPD 32(SI), Y2, Y2
 	VMOVUPD Y1, (DI)
 	VMOVUPD Y2, 32(DI)
+	ADDQ    $64, DX
 	ADDQ    $64, SI
 	ADDQ    $64, DI
 	DECQ    BX
@@ -380,10 +383,11 @@ reluloop8:
 relutail4:
 	TESTQ $4, CX
 	JZ    relutail1
-	VMOVUPD (SI), Y1
-	VCMPPD  $2, Y0, Y1, Y3
-	VANDNPD Y1, Y3, Y1
+	VMOVUPD (DX), Y1
+	VCMPPD  $2, Y0, Y1, Y1
+	VANDNPD (SI), Y1, Y1
 	VMOVUPD Y1, (DI)
+	ADDQ    $32, DX
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 
@@ -392,10 +396,12 @@ relutail1:
 	JZ   reludone
 
 reluscalar:
-	VMOVSD  (SI), X1
-	VCMPSD  $2, X0, X1, X3
-	VANDNPD X1, X3, X1
+	VMOVSD  (DX), X1
+	VCMPSD  $2, X0, X1, X1
+	VMOVSD  (SI), X2
+	VANDNPD X2, X1, X1
 	VMOVSD  X1, (DI)
+	ADDQ    $8, DX
 	ADDQ    $8, SI
 	ADDQ    $8, DI
 	DECQ    CX

@@ -209,7 +209,49 @@ func VecReLUSlice(dst, a []float64) {
 	if len(a) < len(dst) {
 		panic("tensor: VecReLUSlice input shorter than dst")
 	}
-	vecReLU(dst, a[:len(dst)])
+	vecReLU(dst, a[:len(dst)], a[:len(dst)])
+}
+
+// TestReLUGateMatchesBranch pins the gated rectifier kernel (dst = +0
+// where gate <= 0, else a) against the scalar branch bit for bit, on the
+// assembly and the Go mirror, over every loop8/tail4/tail1 residue with
+// special values in both gate and a. ReLUBackwardInto, gated by the
+// rectifier's output, must equal the gradient gated by the input's sign,
+// and AddReLUInto must equal AddInto then ReLUInto across its blocks.
+func TestReLUGateMatchesBranch(t *testing.T) {
+	forEachSIMDMode(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		for _, n := range vecLens {
+			x, a, b := make([]float64, n), make([]float64, n), make([]float64, n)
+			fillSpecial(rng, x)
+			fillSpecial(rng, a)
+			fillSpecial(rng, b)
+			got, want := make([]float64, n), make([]float64, n)
+			vecReLU(got, x, a)
+			for i := range want {
+				if x[i] <= 0 {
+					want[i] = 0
+				} else {
+					want[i] = a[i]
+				}
+			}
+			if i, ok := bitsEq(got, want); !ok {
+				t.Fatalf("gated relu n=%d differs at %d: gate=%v a=%v got %v want %v", n, i, x[i], a[i], got[i], want[i])
+			}
+
+			xt, at, bt := FromSlice(x, n), FromSlice(a, n), FromSlice(b, n)
+			din := ReLUBackwardInto(New(n), ReLUInto(New(n), xt), at)
+			if i, ok := bitsEq(din.data, want); !ok {
+				t.Fatalf("ReLUBackwardInto n=%d differs at %d: x=%v got %v want %v", n, i, x[i], din.data[i], want[i])
+			}
+
+			joined := AddReLUInto(New(n), at, bt)
+			sum := ReLUInto(New(n), AddInto(New(n), at, bt))
+			if i, ok := bitsEq(joined.data, sum.data); !ok {
+				t.Fatalf("AddReLUInto n=%d differs at %d: got %v want %v", n, i, joined.data[i], sum.data[i])
+			}
+		}
+	})
 }
 
 // TestVecOpsWorkerInvariance pins that the parallelized vector ops return
