@@ -24,7 +24,7 @@ func synthClassification(seed int64, n, dim int) (*tensor.Tensor, *tensor.Tensor
 	for i := 0; i < n; i++ {
 		c := i % 2
 		for j := 0; j < dim; j++ {
-			x.Set(float64(c*2-1)+rng.NormFloat64()*0.8, i, j)
+			x.Set(float64(c*2-1)+float64(rng.NormFloat64()*0.8), i, j)
 		}
 		labels[i] = c
 	}

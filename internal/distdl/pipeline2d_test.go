@@ -64,7 +64,7 @@ func microAccumGrads(model *nn.Sequential, loss nn.Loss, x, y *tensor.Tensor, M 
 		l, g := loss.Forward(out, ym)
 		g.Scale(w)
 		model.Backward(g)
-		total += l * w
+		total += float64(l * w)
 	}
 	return total
 }

@@ -37,7 +37,7 @@ func TestAutoencoderLearnsIdentityOnLowRankData(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a, b := rng.NormFloat64(), rng.NormFloat64()
 		for j := 0; j < 6; j++ {
-			x.Set(a*float64(j+1)*0.2+b*float64(6-j)*0.2, i, j)
+			x.Set(float64(a*float64(j+1)*0.2)+float64(b*float64(6-j)*0.2), i, j)
 		}
 	}
 	ae := NewAutoencoder(rand.New(rand.NewSource(4)), 6, 12, 2)

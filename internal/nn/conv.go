@@ -12,6 +12,11 @@ import (
 // tensor convolution engine over the NCHW tensors directly; no im2col
 // matrix is built, so between the passes the layer keeps only a pointer
 // to its input, as Dense does.
+//
+// Where a Sequential holds Conv2D → BatchNorm2D (→ ReLU), it links them
+// when it is built (linkEval). An eval Forward of the conv then applies
+// the batch norm and the rectifier in its tile store, and their own eval
+// Forwards return their input: the same bits as three passes, in one.
 type Conv2D struct {
 	W, B      *Param // W: (C·KH·KW, OutC), B: (OutC)
 	InC, OutC int
@@ -23,6 +28,20 @@ type Conv2D struct {
 	x          *tensor.Tensor // cached input
 	ws         *tensor.Workspace
 	stash      []*tensor.Tensor // per-micro-batch input stash (stash.go)
+	bn         *BatchNorm2D     // eval links (evalLinks)
+	relu       *ReLU
+}
+
+// evalLinks returns the batch norm and rectifier an eval Forward of c
+// applies: those linkEval last linked to c and to nothing since.
+func (c *Conv2D) evalLinks() (bn *BatchNorm2D, relu *ReLU) {
+	if c != nil && c.bn != nil && c.bn.conv == c {
+		bn = c.bn
+		if c.relu != nil && c.relu.conv == c {
+			relu = c.relu
+		}
+	}
+	return bn, relu
 }
 
 // SetWorkspace routes the layer's output and input-gradient tensors
@@ -41,12 +60,16 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int) *Conv
 }
 
 // Forward computes conv(x, W) + b with the fused kernel — the same one in
-// training and inference, at every stride.
+// training and inference, at every stride — and in eval mode the linked
+// batch norm and rectifier too.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.x = x
 	oh := tensor.ConvDims(x.Dim(2), c.KH, c.Stride, c.PadH)
 	ow := tensor.ConvDims(x.Dim(3), c.KW, c.Stride, c.PadW)
 	out := c.ws.GetUninit(x.Dim(0), c.OutC, oh, ow)
+	if bn, relu := c.evalLinks(); bn != nil && !train {
+		return tensor.Conv2DBiasInto(c.ws, out, x, c.W.Value, c.B.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW, bn.evalChain(relu != nil))
+	}
 	return tensor.Conv2DBiasInto(c.ws, out, x, c.W.Value, c.B.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
 }
 
@@ -132,8 +155,10 @@ func (g *GlobalAvgPool2D) Params() []*Param { return nil }
 // BatchNorm2D normalizes each channel of (N,C,H,W) over the batch and
 // spatial axes, with learnable scale/shift and running statistics for
 // inference. An eval-mode Forward (train false) writes only its output and
-// keeps no xhat or statistics, so Backward must follow a training Forward.
-// The arithmetic runs in tensor's batch-norm kernels.
+// keeps no xhat or statistics, so Backward must follow a training Forward;
+// linked to the Conv2D before it (see Conv2D), it returns its input, which
+// the conv has already normalized. The arithmetic runs in tensor's
+// batch-norm kernels.
 type BatchNorm2D struct {
 	Gamma, Beta *Param
 	RunMean     *tensor.Tensor
@@ -148,6 +173,7 @@ type BatchNorm2D struct {
 	inShape     []int
 	ws          *tensor.Workspace
 	stash       []bnStash // per-micro-batch cache stash (stash.go)
+	conv        *Conv2D   // the conv that applies this layer in eval (evalLinks)
 }
 
 // SetWorkspace routes the layer's temporaries through ws.
@@ -164,8 +190,8 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 }
 
 // scratch returns the two per-channel scratch slices, c long: the batch
-// statistics in a training Forward, 1/√(var+ε) in an eval one, and the
-// gradient sums in Backward.
+// statistics in a training Forward, 1/√(var+ε) in an eval one (evalChain),
+// and the gradient sums in Backward.
 func (b *BatchNorm2D) scratch(c int) (s1, s2 []float64) {
 	if cap(b.meanBuf) < c {
 		b.meanBuf = make([]float64, c)
@@ -176,20 +202,21 @@ func (b *BatchNorm2D) scratch(c int) (s1, s2 []float64) {
 
 // Forward normalizes per channel. In training mode it uses batch
 // statistics, updates the running averages and keeps xhat for Backward;
-// in eval mode it normalizes with the running statistics in one pass.
-// Both round g*((v-m)*inv) + bt the same way, so an eval output equals the
-// training formula applied to the running statistics bit for bit.
+// in eval mode it normalizes with the running statistics in one pass, or
+// returns x when its linked conv has done so (see Conv2D). Both round
+// g*((v-m)*inv) + bt the same way, so an eval output equals the training
+// formula applied to the running statistics bit for bit.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c := x.Dim(1)
 	gamma, beta := b.Gamma.Value.Data(), b.Beta.Value.Data()
 	runMean, runVar := b.RunMean.Data(), b.RunVar.Data()
 	if !train {
-		_, inv := b.scratch(c)
-		for ch, v := range runVar {
-			inv[ch] = 1 / math.Sqrt(v+b.Eps)
+		if linked, _ := b.conv.evalLinks(); linked == b {
+			return x
 		}
+		e := b.evalChain(false)
 		out := b.ws.GetUninit(x.Shape()...) // the kernel writes every element
-		return tensor.BatchNormNormalizeInto(out, nil, x, runMean, inv, gamma, beta)
+		return tensor.BatchNormNormalizeInto(out, nil, x, e.Mean, e.Inv, e.Gamma, e.Beta)
 	}
 	b.inShape = append(b.inShape[:0], x.Shape()...)
 	if cap(b.invStd) < c {
@@ -208,6 +235,16 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.xhat = b.ws.GetUninit(x.Shape()...)
 	out := b.ws.GetUninit(x.Shape()...)
 	return tensor.BatchNormNormalizeInto(out, b.xhat, x, mean, invStd, gamma, beta)
+}
+
+// evalChain returns the eval normalisation over the running statistics,
+// with 1/√(var+ε) in the layer's scratch; relu adds the rectifier.
+func (b *BatchNorm2D) evalChain(relu bool) tensor.BNReLU {
+	_, inv := b.scratch(b.RunVar.Size())
+	for ch, v := range b.RunVar.Data() {
+		inv[ch] = 1 / math.Sqrt(v+b.Eps)
+	}
+	return tensor.BNReLU{Mean: b.RunMean.Data(), Inv: inv, Gamma: b.Gamma.Value.Data(), Beta: b.Beta.Value.Data(), ReLU: relu}
 }
 
 // Backward implements the standard batch-norm gradient.

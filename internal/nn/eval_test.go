@@ -38,14 +38,14 @@ func evalModels() (models []*Sequential, inputs []*tensor.Tensor) {
 		for _, p := range m.Params() {
 			if strings.HasSuffix(p.Name, ".gamma") || strings.HasSuffix(p.Name, ".beta") {
 				for i := range p.Value.Data() {
-					p.Value.Data()[i] = rng.Float64()*1.5 - 0.5
+					p.Value.Data()[i] = float64(rng.Float64()*1.5) - 0.5
 				}
 			}
 		}
 		for i, s := range m.States() {
 			lo := 0.5 * float64(i%2) // running variances stay positive
 			for j := range s.Data() {
-				s.Data()[j] = lo + rng.Float64()
+				s.Data()[j] = float64(lo) + float64(rng.Float64())
 			}
 		}
 	}

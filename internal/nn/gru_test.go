@@ -57,7 +57,7 @@ func (r *refGRU) forward(x *tensor.Tensor) *tensor.Tensor {
 		hNew := tensor.New(n, g.H)
 		hd, zd, hhd, hpd := hNew.Data(), z.Data(), hh.Data(), hPrev.Data()
 		for i := range hd {
-			hd[i] = (1-zd[i])*hhd[i] + zd[i]*hpd[i]
+			hd[i] = float64((1-zd[i])*hhd[i]) + float64(zd[i]*hpd[i])
 		}
 
 		r.xs = append(r.xs, xt)
@@ -102,7 +102,7 @@ func (r *refGRU) backward(dout *tensor.Tensor) *tensor.Tensor {
 		dah := tensor.New(n, g.H)
 		dahd := dah.Data()
 		for i := range dahd {
-			dahd[i] = dhhd[i] * (1 - hhd[i]*hhd[i])
+			dahd[i] = dhhd[i] * (1 - float64(hhd[i]*hhd[i]))
 		}
 		rh := tensor.New(n, g.H)
 		tensor.MulInto(rh, rr, hPrev)
@@ -114,7 +114,7 @@ func (r *refGRU) backward(dout *tensor.Tensor) *tensor.Tensor {
 		dr := tensor.New(n, g.H)
 		tensor.MulInto(dr, drh, hPrev)
 		for i, v := range drh.Data() {
-			dhpd[i] += v * rr.Data()[i]
+			dhpd[i] += float64(v * rr.Data()[i])
 		}
 
 		// Update gate pre-activation.

@@ -57,11 +57,14 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // maps to +0), and anything else — NaN included — passes through. A
 // training Forward keeps a pointer to its output, whose sign gates
 // Backward; an eval-mode Forward (train false) keeps nothing, so Backward
-// must follow a training Forward.
+// must follow a training Forward. After a Conv2D → BatchNorm2D it is
+// linked to the conv (see Conv2D), and an eval Forward returns its input,
+// which the conv has already rectified.
 type ReLU struct {
 	out   *tensor.Tensor
 	ws    *tensor.Workspace
 	stash []*tensor.Tensor // per-micro-batch output stash (stash.go)
+	conv  *Conv2D          // the conv that applies this layer in eval (evalLinks)
 }
 
 // SetWorkspace routes the layer's temporaries through ws.
@@ -69,6 +72,9 @@ func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
 
 // Forward applies the rectifier (tensor.ReLUInto).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if _, linked := r.conv.evalLinks(); linked == r && !train {
+		return x
+	}
 	out := tensor.ReLUInto(r.ws.GetUninit(x.Shape()...), x)
 	if train {
 		r.out = out
@@ -239,17 +245,48 @@ type Sequential struct {
 	bound         bool
 }
 
-// NewSequential builds a model from the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
+// NewSequential builds a model from the given layers and links their
+// Conv2D → BatchNorm2D (→ ReLU) runs for eval (linkEval).
+func NewSequential(layers ...Layer) *Sequential {
+	linkEval(layers)
+	return &Sequential{Layers: layers}
+}
 
-// Add appends a layer and invalidates the cached parameter list. It panics
-// once the parameter arena is bound: the arena's layout is fixed.
+// Add appends a layer, links it as NewSequential would and invalidates
+// the cached parameter list. It panics once the parameter arena is bound:
+// the arena's layout is fixed.
 func (s *Sequential) Add(l Layer) {
 	if s.bound {
 		panic("nn: Sequential.Add after BindArena: the parameter arena's layout is fixed")
 	}
 	s.Layers = append(s.Layers, l)
+	linkEval(s.Layers)
 	s.paramsCache = nil
+}
+
+// linkEval links each Conv2D → BatchNorm2D (→ ReLU) run of layers for
+// eval (see Conv2D). Each of the three sets its own link from its
+// neighbours here, so one that is in no such run here is unlinked, as at
+// a pipeline cut. The links live on the layers, so wrappers installed
+// later, as a tracer's are, keep them.
+func linkEval(layers []Layer) {
+	at := func(i int) Layer {
+		if i < 0 || i >= len(layers) {
+			return nil
+		}
+		return layers[i]
+	}
+	for i, l := range layers {
+		switch v := l.(type) {
+		case *Conv2D:
+			v.bn, _ = at(i + 1).(*BatchNorm2D)
+			v.relu, _ = at(i + 2).(*ReLU)
+		case *BatchNorm2D:
+			v.conv, _ = at(i - 1).(*Conv2D)
+		case *ReLU:
+			v.conv, _ = at(i - 2).(*Conv2D)
+		}
+	}
 }
 
 // Forward runs all layers in order.

@@ -14,9 +14,9 @@ func makeBlobs(rng *rand.Rand, n int) (*tensor.Tensor, []int) {
 	labels := make([]int, n)
 	for i := 0; i < n; i++ {
 		c := i % 2
-		cx := float64(c)*4 - 2
-		x.Set(cx+rng.NormFloat64()*0.7, i, 0)
-		x.Set(cx+rng.NormFloat64()*0.7, i, 1)
+		cx := float64(float64(c)*4) - 2
+		x.Set(cx+float64(rng.NormFloat64()*0.7), i, 0)
+		x.Set(cx+float64(rng.NormFloat64()*0.7), i, 1)
 		labels[i] = c
 	}
 	return x, labels
@@ -82,7 +82,7 @@ func TestAdamBeatsPlainSGDOnIllConditioned(t *testing.T) {
 		b := rng.NormFloat64() * 100
 		x.Set(a, i, 0)
 		x.Set(b, i, 1)
-		y.Set(3*a+0.01*b, i, 0)
+		y.Set(float64(3*a)+float64(0.01*b), i, 0)
 	}
 	run := func(opt Optimizer, lr float64) float64 {
 		rng2 := rand.New(rand.NewSource(5))
@@ -439,7 +439,7 @@ func TestGRULearnsToEchoInput(t *testing.T) {
 		s := 0.0
 		for step := 0; step < tl; step++ {
 			v := rng.Float64()
-			s += v
+			s += float64(v)
 			x.Set(v, b, step, 0)
 			y.Set(s/float64(step+1), b, step, 0)
 		}

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mpi"
@@ -50,6 +52,43 @@ func TestPartitionContiguousAndBalanced(t *testing.T) {
 	if _, err := Partition(nn.GRUImputer(rng, 3), 2); err == nil {
 		t.Fatal("Partition of a recurrent model should fail (no stash support)")
 	}
+}
+
+// TestPartitionCutUnlinksConvBN: Partition cuts CovidNetMini between every
+// pair of layers, so each conv ends a chunk and its batch norm starts the
+// next. The chunks run unlinked in eval: the first returns the plain
+// convolution, and the chunks in turn give the whole model's eval output
+// bit for bit.
+func TestPartitionCutUnlinksConvBN(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	model := nn.CovidNetMini(rng, 12, 3)
+	for i, s := range model.States() {
+		for j := range s.Data() {
+			s.Data()[j] = float64(0.5*float64(i%2)) + float64(rng.Float64()) // running variances stay positive
+		}
+	}
+	x := tensor.RandUniform(rng, -1, 1, 2, 1, 12, 12)
+	want := model.Forward(x, false).Clone()
+	parts, err := Partition(model, len(model.Layers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv := model.Layers[0].(*nn.Conv2D)
+	y := parts[0].Forward(x, false)
+	plain := tensor.Conv2DBiasInto(nil, tensor.New(y.Shape()...), x, conv.W.Value, conv.B.Value, 3, 3, 1, 1, 1)
+	if !bitEqual(y.Data(), plain.Data()) {
+		t.Fatal("the conv's chunk did not return the plain convolution")
+	}
+	for _, p := range parts[1:] {
+		y = p.Forward(y, false)
+	}
+	if !bitEqual(y.Data(), want.Data()) {
+		t.Fatal("the chunks in turn differ from the whole model's eval output")
+	}
+}
+
+func bitEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestPartitionBalancesParams(t *testing.T) {
@@ -138,7 +177,7 @@ func microRef(model *nn.Sequential, loss nn.Loss, x, y *tensor.Tensor, M int) fl
 		l, g := loss.Forward(out, ym)
 		g.Scale(w)
 		model.Backward(g)
-		total += l * w
+		total += float64(l * w)
 	}
 	return total
 }

@@ -173,14 +173,16 @@ func checkBatchNormCase(t *testing.T, rng *rand.Rand, name string, n, c, hw, sp 
 // nn.BatchNorm2D and nn.ReLU run them: at resnet-ddp's two training
 // shapes (statistics, normalise with xhat, rectify, then the rectifier's
 // and the batch norm's backward) and at serve-model's three eval shapes
-// (normalise without xhat, rectify).
+// (normalise without xhat, rectify). Each eval shape also times the 3×3
+// conv that produces it, followed by the two passes (conv+bn+relu) and
+// with both in its tile store (fused), as nn.Conv2D runs a linked group.
 func BenchmarkBatchNormReLU(b *testing.B) {
 	for _, s := range []struct {
-		n, c, hw int
-		train    bool
+		n, c, hw, inC int
+		train         bool
 	}{
-		{16, 8, 16, true}, {16, 16, 8, true},
-		{8, 16, 32, false}, {8, 32, 16, false}, {8, 64, 8, false},
+		{16, 8, 16, 0, true}, {16, 16, 8, 0, true},
+		{8, 16, 32, 1, false}, {8, 32, 16, 16, false}, {8, 64, 8, 32, false},
 	} {
 		rng := rand.New(rand.NewSource(3))
 		x := Randn(rng, 1, s.n, s.c, s.hw, s.hw)
@@ -188,14 +190,39 @@ func BenchmarkBatchNormReLU(b *testing.B) {
 		out, xhat, act, dact, din := New(x.shape...), New(x.shape...), New(x.shape...), New(x.shape...), New(x.shape...)
 		mean, variance, inv := make([]float64, s.c), make([]float64, s.c), make([]float64, s.c)
 		gamma, beta := Randn(rng, 1, s.c).data, Randn(rng, 1, s.c).data
-		mode := map[bool]string{true: "train", false: "eval"}[s.train]
-		b.Run(fmt.Sprintf("%dx%dx%dx%d/%s", s.n, s.c, s.hw, s.hw, mode), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !s.train {
+		name := fmt.Sprintf("%dx%dx%dx%d/", s.n, s.c, s.hw, s.hw)
+		if !s.train {
+			img := Randn(rng, 1, s.n, s.inC, s.hw, s.hw)
+			w, bias := Randn(rng, 0.2, s.inC*9, s.c), Randn(rng, 0.1, s.c)
+			copy(mean, Randn(rng, 0.1, s.c).data)
+			for ch := range inv {
+				inv[ch] = 0.5 + float64(rng.Float64())
+			}
+			b.Run(name+"eval", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
 					BatchNormNormalizeInto(out, nil, x, mean, inv, gamma, beta)
 					ReLUInto(act, out)
-					continue
 				}
+				b.ReportMetric(float64(x.Size()*b.N)/b.Elapsed().Seconds()/1e9, "Gelem/s")
+			})
+			b.Run(name+"conv+bn+relu", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Conv2DBiasInto(nil, x, img, w, bias, 3, 3, 1, 1, 1)
+					BatchNormNormalizeInto(out, nil, x, mean, inv, gamma, beta)
+					ReLUInto(act, out)
+				}
+				b.ReportMetric(float64(x.Size()*b.N)/b.Elapsed().Seconds()/1e9, "Gelem/s")
+			})
+			b.Run(name+"fused", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Conv2DBiasInto(nil, act, img, w, bias, 3, 3, 1, 1, 1, BNReLU{mean, inv, gamma, beta, true})
+				}
+				b.ReportMetric(float64(x.Size()*b.N)/b.Elapsed().Seconds()/1e9, "Gelem/s")
+			})
+			continue
+		}
+		b.Run(name+"train", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
 				BatchNormStats(mean, variance, x)
 				for ch, v := range variance {
 					inv[ch] = 1 / math.Sqrt(v+1e-5)

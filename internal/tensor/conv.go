@@ -199,10 +199,12 @@ type convGeom struct {
 
 // convArgs is what the convolution and lowering kernels take for a range
 // of their parallel units: the slice they write, the slice they read, the
-// packed operand and bias where they have one, and the geometry.
+// packed operand where they have one, the forward's tile-store operands
+// and mode (packConvEpilogue), and the geometry.
 type convArgs struct {
-	out, x, a, bias []float64
-	g               convGeom
+	out, x, a, ep []float64
+	mode          int
+	g             convGeom
 }
 
 var convJobs Jobs[convArgs]
@@ -245,20 +247,39 @@ func convGeometry(op string, img, planes, w *Tensor, kh, kw, stride, padH, padW 
 	return g
 }
 
+// BNReLU is the eval chain Conv2DBiasInto can apply as it stores each
+// tile, after the bias: BatchNormNormalizeInto's eval expression
+// float64(g·((v−m)·iv)) + bt with the channel's Mean, Inv, Gamma and Beta
+// entries, then, with ReLU set, ReLUInto's gate. Every step rounds as the
+// separate pass rounds it, so the output is theirs bit for bit.
+type BNReLU struct {
+	Mean, Inv, Gamma, Beta []float64
+	ReLU                   bool
+}
+
+// Tile-store modes (convStore): apply the eval batch norm after the bias,
+// and then the rectifier.
+const (
+	epBN = 1 << iota
+	epReLU
+)
+
 // Conv2DBiasInto computes the convolution forward pass with the bias add
 // fused: out = conv(img, w) + bias as channel-major (N, OutC, OH, OW)
 // images, every element overwritten. img is (N, C, H, W), w the
-// (C·KH·KW, OutC) filter matrix, bias (length OutC) may be nil.
+// (C·KH·KW, OutC) filter matrix, bias (length OutC) may be nil. An eval
+// chain ev (at most one) is applied to each value after the bias, in the
+// same store.
 //
 // Per image it is the product Wᵀ (OutC×K) · colsᵀ (K×P) on the packed
 // micro-kernel with output pixels as the 8-wide panel dimension: Wᵀ is
 // packed once per call, the input is copied once into zero-bordered
 // planes so that row p of a pixel panel is the panel's window origin plus
 // a fixed offset per (c, ky, kx) with no tap out of range, and the
-// finished 4×8 tiles go straight to the NCHW planes. One kernel serves
-// training and inference at every stride. The scratch is the packing
-// pool's; ws is not used.
-func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, padH, padW int) *Tensor {
+// finished 4×8 tiles go straight to the NCHW planes through one epilogue
+// (convStore). One kernel serves training and inference at every stride.
+// The scratch is the packing pool's; ws is not used.
+func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, padH, padW int, ev ...BNReLU) *Tensor {
 	g := convGeometry("Conv2DBiasInto", img, out, w, kh, kw, stride, padH, padW)
 	var bd []float64
 	if bias != nil {
@@ -269,18 +290,19 @@ func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, pa
 	}
 	k := g.k()
 	ocBlocks := (g.outC + 3) / 4
-	apP := getScratch(ocBlocks * k * 4)
-	ap := *apP
+	apP := getScratch(ocBlocks * (k*4 + 20))
+	ap, ep := (*apP)[:ocBlocks*k*4], (*apP)[ocBlocks*k*4:]
 	for ob := 0; ob < ocBlocks; ob++ {
 		packACols64(ap[ob*k*4:(ob+1)*k*4], w.data, g.outC, ob*4, min(4, g.outC-ob*4), 0, k)
 	}
+	mode := packConvEpilogue(ep, bd, ev, g.outC)
 	xp, xpP := img.data, (*[]float64)(nil)
 	if g.hp() != g.h || g.wp() != g.w {
 		xpP = getScratch(g.n * g.c * g.hp() * g.wp())
 		xp = *xpP
 		padConvPlanes64(xp, img.data, g.n*g.c, g)
 	}
-	convJobs.For(g.n*((g.p()+7)/8), 16*k*g.outC, convArgs{out: out.data, x: xp, a: ap, bias: bd, g: g}, convForwardPanels)
+	convJobs.For(g.n*((g.p()+7)/8), 16*k*g.outC, convArgs{out: out.data, x: xp, a: ap, ep: ep, mode: mode, g: g}, convForwardPanels)
 	if xpP != nil {
 		putScratch(xpP)
 	}
@@ -288,14 +310,41 @@ func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, pa
 	return out
 }
 
+// packConvEpilogue lays out the tile store's per-channel operands, 20 per
+// 4-channel block: bias, mean, inv, gamma and beta, four of each. A nil
+// bias is −0, which x + (−0) leaves as x bit for bit (+0 would turn −0
+// into +0).
+func packConvEpilogue(ep, bias []float64, ev []BNReLU, outC int) (mode int) {
+	cols := [5][]float64{bias}
+	for _, e := range ev {
+		if min(len(e.Mean), len(e.Inv), len(e.Gamma), len(e.Beta)) < outC {
+			panic("tensor: Conv2DBiasInto per-channel slice shorter than OutC")
+		}
+		cols[1], cols[2], cols[3], cols[4] = e.Mean, e.Inv, e.Gamma, e.Beta
+		mode = epBN
+		if e.ReLU {
+			mode = epBN | epReLU
+		}
+	}
+	for i := range ep {
+		ep[i] = math.Copysign(0, -1)
+	}
+	for i, col := range cols {
+		for oc := range min(len(col), outC) {
+			ep[oc/4*20+i*4+oc%4] = col[oc]
+		}
+	}
+	return mode
+}
+
 // convForwardPanels computes units [lo,hi), unit = image·panels + pixel
 // panel: every 4-channel block of the packed Wᵀ against the unit's K×8
-// panel into a zero-seeded tile, stored with the bias added. Eight pixels
-// of one output row at stride 1 are read in place from the bordered
-// planes (conv4x8); strided, partial and row-straddling panels are
-// gathered into bp first.
+// panel into a zero-seeded tile, stored through the epilogue. Eight
+// pixels of one output row at stride 1 are read in place from the
+// bordered planes (conv4x8); strided, partial and row-straddling panels
+// are gathered into bp first.
 func convForwardPanels(v convArgs, lo, hi int) {
-	out, xp, ap, bias, g := v.out, v.x, v.a, v.bias, v.g
+	out, xp, ap, g := v.out, v.x, v.a, v.g
 	k, p := g.k(), g.p()
 	panels := (p + 7) / 8
 	wp := g.wp()
@@ -319,21 +368,29 @@ func convForwardPanels(v convArgs, lo, hi int) {
 				tile = [32]float64{}
 				gemm4x8(k, ap[oc0*k:], 1, 4, bp, 8, tile[:], 8)
 			}
-			for r := 0; r < min(4, g.outC-oc0); r++ {
-				dst := out[(b*g.outC+oc0+r)*p+pix0:][:wv]
-				src := tile[r*8 : r*8+wv]
-				if bias == nil {
-					copy(dst, src)
-					continue
-				}
-				bv := bias[oc0+r]
-				for j, v := range src {
-					dst[j] = v + bv
-				}
-			}
+			convStore(out[(b*g.outC+oc0)*p+pix0:], p, &tile, (*[20]float64)(v.ep[oc0*5:]), v.mode, min(4, g.outC-oc0), wv)
 		}
 	}
 	putScratch(bpP)
+}
+
+// convStoreGo stores rows r < rows and lanes j < wv of a conv tile (row
+// stride 8) at dst[r·p+j], adding the bias and then, by mode, the eval
+// batch norm and the rectifier, each rounded as bnNormGo and vecReLUGo
+// round them. convStoreAVX does the same to whole tiles.
+func convStoreGo(dst []float64, p int, tile *[32]float64, ep *[20]float64, mode, rows, wv int) {
+	for r := 0; r < rows; r++ {
+		for j, v := range tile[r*8 : r*8+wv] {
+			v += ep[r]
+			if mode&epBN != 0 {
+				v = float64(ep[12+r]*((v-ep[4+r])*ep[8+r])) + ep[16+r]
+			}
+			if mode&epReLU != 0 {
+				v = keepIf(v, !(v <= 0))
+			}
+			dst[r*p+j] = v
+		}
+	}
 }
 
 // Conv2DGradWeightsInto accumulates a convolution's parameter gradients:

@@ -377,3 +377,103 @@ func TestMaxPoolSeedsFromFirstTap(t *testing.T) {
 		t.Fatalf("backward %v, want %v", din.Data(), want)
 	}
 }
+
+// TestConvEvalEpilogue: the eval chain applied in the conv's tile store
+// (Conv2DBiasInto with a BNReLU) equals Conv2DBiasInto, then
+// BatchNormNormalizeInto with no xhat, then ReLUInto, bit for bit, with
+// and without the rectifier, with useAVX on and off. NaN, ±Inf and −0 are
+// placed in turn in the input and in every per-channel operand (bias,
+// mean, inv, gamma, beta), in alternate channel rows and scattered input
+// pixels (−0 in gamma and beta together, so that −0 reaches the gate), over 4, 5, 8 and 13 output channels (whole and partial channel
+// blocks), in-place, gathered row-straddling, partial and strided pixel
+// panels, and a nil bias. With a nil bias and no chain, a −0 sum (from
+// subnormal products) is stored as −0, as the lowering stores it.
+func TestConvEvalEpilogue(t *testing.T) {
+	orig := useAVX
+	t.Cleanup(func() { useAVX = orig })
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	geoms := []struct{ n, c, h, w, stride int }{
+		{2, 2, 10, 10, 1}, // ow 10: in-place, row-straddling and a 4-pixel tail
+		{1, 3, 8, 8, 1},   // ow 8: every panel in place
+		{1, 2, 9, 9, 2},   // 5×5 outputs, gathered, with a 1-pixel tail
+	}
+	rng := rand.New(rand.NewSource(44))
+	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
+	// A nil bias adds nothing: products of the smallest subnormal round to
+	// signed zeros, and the store must keep a −0 sum as the lowering does.
+	tiny := New(1, 2, 6, 6)
+	tiny.Fill(math.SmallestNonzeroFloat64)
+	tw := RandUniform(rng, -0.4, 0.4, 18, 5)
+	for _, avx := range []bool{orig, false} {
+		useAVX = avx
+		got, want := New(1, 5, 6, 6), New(1, 5, 6, 6)
+		Conv2DBiasInto(nil, got, tiny, tw, nil, 3, 3, 1, 1, 1)
+		useAVX = orig
+		loweredForward(want, tiny, tw, nil, 3, 3, 1, 1, 1)
+		if !bitEqual64(got, want) || !slices.ContainsFunc(want.data, math.Signbit) {
+			t.Fatalf("avx=%v: subnormal products with a nil bias: got %v, want %v (with a −0)", avx, got.data, want.data)
+		}
+	}
+	for _, gm := range geoms {
+		oh, ow := ConvDims(gm.h, 3, gm.stride, 1), ConvDims(gm.w, 3, gm.stride, 1)
+		for _, outC := range []int{4, 5, 8, 13} {
+			w := RandUniform(rng, -1, 1, gm.c*9, outC)
+			for _, nilBias := range []bool{false, true} {
+				for target := 0; target < 6; target++ {
+					if nilBias && target == 1 {
+						continue
+					}
+					for _, s := range specials {
+						for rot := 0; rot < 2; rot++ {
+							img := RandUniform(rng, -1, 1, gm.n, gm.c, gm.h, gm.w)
+							ops := [5]*Tensor{RandUniform(rng, -1, 1, outC), RandUniform(rng, -1, 1, outC),
+								RandUniform(rng, 0.5, 2, outC), RandUniform(rng, -2, 2, outC), RandUniform(rng, -1, 1, outC)}
+							if target == 0 {
+								for i := range img.data {
+									if i%7 == rot*3 {
+										img.data[i] = s
+									}
+								}
+							} else {
+								for ch := range ops[target-1].data {
+									if ch%2 == rot {
+										ops[target-1].data[ch] = s
+										if target == 4 && s == 0 {
+											ops[4].data[ch] = s // −0·t + −0: a −0 into the rectifier
+										}
+									}
+								}
+							}
+							bias := ops[0]
+							if nilBias {
+								bias = nil
+							}
+							mean, inv, gamma, beta := ops[1].data, ops[2].data, ops[3].data, ops[4].data
+							for _, relu := range []bool{false, true} {
+								for _, avx := range []bool{orig, false} {
+									useAVX = avx
+									want := New(gm.n, outC, oh, ow)
+									Conv2DBiasInto(nil, want, img, w, bias, 3, 3, gm.stride, 1, 1)
+									BatchNormNormalizeInto(want, nil, want, mean, inv, gamma, beta)
+									if relu {
+										ReLUInto(want, want)
+									}
+									got := New(gm.n, outC, oh, ow)
+									got.Fill(sentinel)
+									Conv2DBiasInto(nil, got, img, w, bias, 3, 3, gm.stride, 1, 1, BNReLU{mean, inv, gamma, beta, relu})
+									useAVX = orig
+									for i, v := range got.data {
+										if math.Float64bits(v) != math.Float64bits(want.data[i]) {
+											t.Fatalf("%+v outC=%d nilBias=%v target=%d special=%v rot=%d relu=%v avx=%v: output %d is %v, want %v",
+												gm, outC, nilBias, target, s, rot, relu, avx, i, v, want.data[i])
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

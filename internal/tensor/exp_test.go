@@ -59,7 +59,7 @@ func TestExpSigmoidTanhKernelsVsScalar(t *testing.T) {
 		rng := rand.New(rand.NewSource(61))
 		x := make([]float64, 1<<20)
 		for i := range x {
-			x[i] = []float64{1520, 40, 2}[i/16%3] * (rng.Float64() - 0.5)
+			x[i] = []float64{1520, 40, 2}[i/16%3] * (float64(rng.Float64()) - 0.5)
 		}
 		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1000} {
 			for off := range 4 {
@@ -195,7 +195,7 @@ func TestExpSigmoidTanhAccuracy(t *testing.T) {
 	xs := make([]float64, 0, 12000+len(transcSpecials))
 	for i := range 4000 {
 		u := (float64(i) + 0.5) / 4000
-		xs = append(xs, -745+1454*u, -20+40*u, math.Copysign(math.Exp2(-40*u), float64(i%2)-0.5))
+		xs = append(xs, -745+float64(1454*u), -20+float64(40*u), math.Copysign(math.Exp2(-40*u), float64(i%2)-0.5))
 	}
 	for _, v := range transcSpecials {
 		if !math.IsInf(v, 0) && !math.IsNaN(v) {
@@ -285,7 +285,7 @@ func BenchmarkActivationKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(63))
 	x, dst := make([]float64, 64), make([]float64, 64)
 	for i := range x {
-		x[i] = 8*rng.Float64() - 4
+		x[i] = float64(8*rng.Float64()) - 4
 	}
 	for _, f := range transcFuncs {
 		b.Run(f.name+"/kernel", func(b *testing.B) {

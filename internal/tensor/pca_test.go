@@ -22,11 +22,11 @@ func lowRankData(rng *rand.Rand, n, d, k int, noise float64) *Tensor {
 		for b := 0; b < k; b++ {
 			w := rng.NormFloat64() * float64(k-b) // decreasing variance
 			for j := 0; j < d; j++ {
-				row[j] += w * basis[b][j]
+				row[j] += float64(w * basis[b][j])
 			}
 		}
 		for j := 0; j < d; j++ {
-			row[j] += rng.NormFloat64() * noise
+			row[j] += float64(rng.NormFloat64() * noise)
 		}
 	}
 	return x
@@ -40,7 +40,7 @@ func TestPCAComponentsOrthonormal(t *testing.T) {
 		ri := comps.Row(i)
 		norm := 0.0
 		for _, v := range ri {
-			norm += v * v
+			norm += float64(v * v)
 		}
 		if math.Abs(norm-1) > 1e-6 {
 			t.Fatalf("component %d not unit: %f", i, norm)
@@ -49,7 +49,7 @@ func TestPCAComponentsOrthonormal(t *testing.T) {
 			rj := comps.Row(j)
 			dot := 0.0
 			for p := range ri {
-				dot += ri[p] * rj[p]
+				dot += float64(ri[p] * rj[p])
 			}
 			if math.Abs(dot) > 1e-4 {
 				t.Fatalf("components %d,%d not orthogonal: %f", i, j, dot)

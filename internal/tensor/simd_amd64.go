@@ -11,6 +11,9 @@ func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64
 func conv4x8AVX(ap, xp *float64, c, kh, kw, plane, wp int, tile *float64)
 
 //go:noescape
+func convStoreAVX(dst *float64, p int, tile, ep *float64, mode int)
+
+//go:noescape
 func gemm4x8AddAVX(k int, ap, bp, c *float64, off, ldc int, mask *int64)
 
 //go:noescape
@@ -111,6 +114,17 @@ func conv4x8(ap, xp []float64, c, kh, kw, plane, wp int, tile *[32]float64) {
 		return
 	}
 	conv4x8Go(ap, xp, c, kh, kw, plane, wp, tile)
+}
+
+// convStore stores a finished conv tile through the epilogue
+// (convStoreGo); the AVX2 kernel takes whole 4×8 tiles.
+func convStore(dst []float64, p int, tile *[32]float64, ep *[20]float64, mode, rows, wv int) {
+	if useAVX && rows == 4 && wv == 8 {
+		_ = dst[3*p+7]
+		convStoreAVX(&dst[0], p, &tile[0], &ep[0], mode)
+		return
+	}
+	convStoreGo(dst, p, tile, ep, mode, rows, wv)
 }
 
 // gemm4x8Add adds the zero-seeded 4×8 product of the packed panels ap and

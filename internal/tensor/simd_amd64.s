@@ -228,6 +228,66 @@ convkx:
 	VZEROUPPER
 	RET
 
+// func convStoreAVX(dst *float64, p int, tile, ep *float64, mode int)
+//
+// The forward convolution's tile store: row r of the 4×8 tile (row
+// stride 8) goes to dst[r*p ..+8), the channel planes p doubles apart.
+// ep holds the block's operands, four of each: bias, mean, inv, gamma,
+// beta. Each row takes + bias, then by the mode bits (epBN 1, epReLU 2)
+// bnNormAVX's t = (v − m)·iv and g·t + bt and vecReLUAVX's gate (an
+// ordered VCMPPD $2 against +0 and a VANDNPD): one rounded instruction
+// each, in the separate passes' operand order, so a NaN operand
+// propagates as it does there. No FMA.
+TEXT ·convStoreAVX(SB), NOSPLIT, $0-40
+	MOVQ   dst+0(FP), DI
+	MOVQ   p+8(FP), DX
+	MOVQ   tile+16(FP), SI
+	MOVQ   ep+24(FP), R8
+	MOVQ   mode+32(FP), AX
+	SHLQ   $3, DX
+	MOVQ   $4, CX
+	VXORPD Y15, Y15, Y15
+
+storerow:
+	VMOVUPD      (SI), Y0
+	VMOVUPD      32(SI), Y1
+	VBROADCASTSD (R8), Y2
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y2, Y1, Y1
+	TESTQ        $1, AX
+	JZ           storerelu
+	VBROADCASTSD 32(R8), Y2
+	VBROADCASTSD 64(R8), Y3
+	VBROADCASTSD 96(R8), Y4
+	VBROADCASTSD 128(R8), Y5
+	VSUBPD       Y2, Y0, Y0
+	VSUBPD       Y2, Y1, Y1
+	VMULPD       Y3, Y0, Y0
+	VMULPD       Y3, Y1, Y1
+	VMULPD       Y0, Y4, Y0
+	VMULPD       Y1, Y4, Y1
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+
+storerelu:
+	TESTQ   $2, AX
+	JZ      storeout
+	VCMPPD  $2, Y15, Y0, Y2
+	VCMPPD  $2, Y15, Y1, Y3
+	VANDNPD Y0, Y2, Y0
+	VANDNPD Y1, Y3, Y1
+
+storeout:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $8, R8
+	ADDQ    DX, DI
+	DECQ    CX
+	JNZ     storerow
+	VZEROUPPER
+	RET
+
 // func gemm4x8AddAVX(k int, ap, bp, c *float64, off, ldc int, mask *int64)
 //
 // The input-gradient micro-kernel: the 4×8 product of the packed panels

@@ -15,6 +15,10 @@ func conv4x8(ap, xp []float64, c, kh, kw, plane, wp int, tile *[32]float64) {
 	conv4x8Go(ap, xp, c, kh, kw, plane, wp, tile)
 }
 
+func convStore(dst []float64, p int, tile *[32]float64, ep *[20]float64, mode, rows, wv int) {
+	convStoreGo(dst, p, tile, ep, mode, rows, wv)
+}
+
 func gemm4x8Add(k int, ap, bp, c []float64, off, ldc, jlo, jhi int) {
 	gemm4x8AddGo(k, ap, bp, c, off, ldc, jlo, jhi)
 }

@@ -261,7 +261,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += float64(a.At(i, p) * b.At(p, j))
 			}
 			out.Set(s, i, j)
 		}

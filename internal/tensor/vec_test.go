@@ -104,7 +104,7 @@ func refScale(dst, a []float64, s float64) {
 
 func refAxpy(dst []float64, alpha float64, x []float64) {
 	for i := range dst {
-		dst[i] += alpha * x[i]
+		dst[i] += float64(alpha * x[i])
 	}
 }
 

@@ -171,7 +171,7 @@ func TestIm2ColAdjoint(t *testing.T) {
 		dot := func(a, b *Tensor) float64 {
 			s := 0.0
 			for i, v := range a.Data() {
-				s += v * b.Data()[i]
+				s += float64(v * b.Data()[i])
 			}
 			return s
 		}
