@@ -25,11 +25,11 @@ type Conv2D struct {
 	// PadH and PadW pad the two spatial axes independently (Conv1D uses a
 	// 1×k kernel padded only along time).
 	PadH, PadW int
-	x          *tensor.Tensor // cached input
-	ws         *tensor.Workspace
-	stash      []*tensor.Tensor // per-micro-batch input stash (stash.go)
-	bn         *BatchNorm2D     // eval links (evalLinks)
-	relu       *ReLU
+
+	base[*tensor.Tensor] // saved: the input
+
+	bn   *BatchNorm2D // eval links (evalLinks)
+	relu *ReLU
 }
 
 // evalLinks returns the batch norm and rectifier an eval Forward of c
@@ -43,10 +43,6 @@ func (c *Conv2D) evalLinks() (bn *BatchNorm2D, relu *ReLU) {
 	}
 	return bn, relu
 }
-
-// SetWorkspace routes the layer's output and input-gradient tensors
-// through ws.
-func (c *Conv2D) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
 
 // NewConv2D creates a convolution with He-normal initialization.
 func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int) *Conv2D {
@@ -63,7 +59,7 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int) *Conv
 // training and inference, at every stride — and in eval mode the linked
 // batch norm and rectifier too.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	c.x = x
+	c.saved = x
 	oh := tensor.ConvDims(x.Dim(2), c.KH, c.Stride, c.PadH)
 	ow := tensor.ConvDims(x.Dim(3), c.KW, c.Stride, c.PadW)
 	out := c.ws.GetUninit(x.Dim(0), c.OutC, oh, ow)
@@ -73,11 +69,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return tensor.Conv2DBiasInto(c.ws, out, x, c.W.Value, c.B.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
 }
 
-// Backward accumulates the filter and bias gradients from the cached
+// Backward accumulates the filter and bias gradients from the saved
 // input and returns the input gradient.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	tensor.Conv2DGradWeightsInto(c.W.Grad, c.B.Grad, c.x, dout, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
-	din := c.ws.GetUninit(c.x.Shape()...)
+	tensor.Conv2DGradWeightsInto(c.W.Grad, c.B.Grad, c.saved, dout, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
+	din := c.ws.GetUninit(c.saved.Shape()...)
 	return tensor.Conv2DGradInputInto(din, dout, c.W.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
 }
 
@@ -89,17 +85,18 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 // map, so Backward must follow a training Forward.
 type MaxPool struct {
 	K, Stride int
-	arg       []int // persistent argmax scratch, regrown only on batch-shape change
-	inShape   []int
-	ws        *tensor.Workspace
-	stash     []maxPoolStash // per-micro-batch cache stash (stash.go)
+
+	base[maxPoolSaved]
+}
+
+// maxPoolSaved is what a training Forward of MaxPool leaves for Backward.
+type maxPoolSaved struct {
+	arg   []int // argmax positions, regrown only on batch-shape change
+	shape []int // the input shape
 }
 
 // NewMaxPool creates a pooling layer with window k and stride.
 func NewMaxPool(k, stride int) *MaxPool { return &MaxPool{K: k, Stride: stride} }
-
-// SetWorkspace routes the layer's temporaries through ws.
-func (m *MaxPool) SetWorkspace(ws *tensor.Workspace) { m.ws = ws }
 
 // Forward applies max pooling; in training mode it also records the
 // argmax positions and the input shape for Backward.
@@ -111,18 +108,19 @@ func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		tensor.MaxPool2DInto(out, nil, x, m.K, m.Stride)
 		return out
 	}
-	m.inShape = append(m.inShape[:0], x.Shape()...)
-	if cap(m.arg) < out.Size() {
-		m.arg = make([]int, out.Size())
+	s := &m.saved
+	s.shape = append(s.shape[:0], x.Shape()...)
+	if cap(s.arg) < out.Size() {
+		s.arg = make([]int, out.Size())
 	}
-	m.arg = m.arg[:out.Size()]
-	tensor.MaxPool2DInto(out, m.arg, x, m.K, m.Stride)
+	s.arg = s.arg[:out.Size()]
+	tensor.MaxPool2DInto(out, s.arg, x, m.K, m.Stride)
 	return out
 }
 
 // Backward routes gradients to the argmax positions.
 func (m *MaxPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return tensor.MaxPool2DBackwardInto(m.ws.GetUninit(m.inShape...), dout, m.arg) // zeroes din itself
+	return tensor.MaxPool2DBackwardInto(m.ws.GetUninit(m.saved.shape...), dout, m.saved.arg) // zeroes din itself
 }
 
 // Params returns nil.
@@ -130,23 +128,18 @@ func (m *MaxPool) Params() []*Param { return nil }
 
 // GlobalAvgPool2D reduces (N,C,H,W) to (N,C).
 type GlobalAvgPool2D struct {
-	h, w  int
-	ws    *tensor.Workspace
-	stash [][2]int // per-micro-batch (h, w) stash (stash.go)
+	base[[2]int] // saved: the input's (H, W)
 }
-
-// SetWorkspace routes the layer's temporaries through ws.
-func (g *GlobalAvgPool2D) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
 
 // Forward averages each feature map.
 func (g *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	g.h, g.w = x.Dim(2), x.Dim(3)
+	g.saved = [2]int{x.Dim(2), x.Dim(3)}
 	return tensor.GlobalAvgPoolInto(g.ws.GetUninit(x.Dim(0), x.Dim(1)), x)
 }
 
 // Backward broadcasts the gradient uniformly over each map.
 func (g *GlobalAvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return tensor.GlobalAvgPoolBackwardInto(g.ws.GetUninit(dout.Dim(0), dout.Dim(1), g.h, g.w), dout)
+	return tensor.GlobalAvgPoolBackwardInto(g.ws.GetUninit(dout.Dim(0), dout.Dim(1), g.saved[0], g.saved[1]), dout)
 }
 
 // Params returns nil.
@@ -166,18 +159,21 @@ type BatchNorm2D struct {
 	Momentum    float64
 	Eps         float64
 	C           int
-	xhat        *tensor.Tensor
-	invStd      []float64
-	meanBuf     []float64 // per-channel scratch of one call (scratch)
-	varBuf      []float64
-	inShape     []int
-	ws          *tensor.Workspace
-	stash       []bnStash // per-micro-batch cache stash (stash.go)
-	conv        *Conv2D   // the conv that applies this layer in eval (evalLinks)
+
+	base[bnSaved]
+
+	meanBuf, varBuf []float64 // per-channel scratch of one call (scratch)
+	conv            *Conv2D   // the conv that applies this layer in eval (evalLinks)
 }
 
-// SetWorkspace routes the layer's temporaries through ws.
-func (b *BatchNorm2D) SetWorkspace(ws *tensor.Workspace) { b.ws = ws }
+// bnSaved is what a training Forward of BatchNorm2D leaves for Backward.
+// The running statistics are not in it: they are parameters of the step,
+// not per-micro-batch state.
+type bnSaved struct {
+	xhat   *tensor.Tensor
+	invStd []float64
+	shape  []int // the input shape
+}
 
 // NewBatchNorm2D creates a batch-norm layer for c channels.
 func NewBatchNorm2D(name string, c int) *BatchNorm2D {
@@ -218,12 +214,13 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		out := b.ws.GetUninit(x.Shape()...) // the kernel writes every element
 		return tensor.BatchNormNormalizeInto(out, nil, x, e.Mean, e.Inv, e.Gamma, e.Beta)
 	}
-	b.inShape = append(b.inShape[:0], x.Shape()...)
-	if cap(b.invStd) < c {
-		b.invStd = make([]float64, c)
+	s := &b.saved
+	s.shape = append(s.shape[:0], x.Shape()...)
+	if cap(s.invStd) < c {
+		s.invStd = make([]float64, c)
 	}
-	invStd := b.invStd[:c]
-	b.invStd = invStd
+	invStd := s.invStd[:c]
+	s.invStd = invStd
 	mean, variance := b.scratch(c)
 	tensor.BatchNormStats(mean, variance, x)
 	for ch, m := range mean {
@@ -232,9 +229,9 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
 	}
 	// xhat and out are written in full by the kernel.
-	b.xhat = b.ws.GetUninit(x.Shape()...)
+	s.xhat = b.ws.GetUninit(x.Shape()...)
 	out := b.ws.GetUninit(x.Shape()...)
-	return tensor.BatchNormNormalizeInto(out, b.xhat, x, mean, invStd, gamma, beta)
+	return tensor.BatchNormNormalizeInto(out, s.xhat, x, mean, invStd, gamma, beta)
 }
 
 // evalChain returns the eval normalisation over the running statistics,
@@ -249,9 +246,10 @@ func (b *BatchNorm2D) evalChain(relu bool) tensor.BNReLU {
 
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	sumDy, sumDyXhat := b.scratch(b.inShape[1])
-	din := b.ws.GetUninit(b.inShape...) // written in full by the kernel
-	tensor.BatchNormBackwardInto(din, dout, b.xhat, b.Gamma.Value.Data(), b.invStd, sumDy, sumDyXhat)
+	s := &b.saved
+	sumDy, sumDyXhat := b.scratch(s.shape[1])
+	din := b.ws.GetUninit(s.shape...) // written in full by the kernel
+	tensor.BatchNormBackwardInto(din, dout, s.xhat, b.Gamma.Value.Data(), s.invStd, sumDy, sumDyXhat)
 	dGamma, dBeta := b.Gamma.Grad.Data(), b.Beta.Grad.Data()
 	for ch := range sumDy {
 		dBeta[ch] += sumDy[ch]
@@ -269,7 +267,7 @@ func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 type Residual struct {
 	Main     *Sequential
 	Shortcut *Sequential // nil for identity
-	relu     ReLU        // the join's rectifier; Backward reads its output gate
+	relu     ReLU        // the join's rectifier; Backward reads its saved output
 	ws       *tensor.Workspace
 }
 
@@ -316,7 +314,7 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	out := tensor.AddReLUInto(r.ws.GetUninit(f.Shape()...), f, s)
 	if train {
-		r.relu.out = out
+		r.relu.saved = out
 	}
 	return out
 }

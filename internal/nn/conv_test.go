@@ -192,7 +192,7 @@ func TestConvForwardKeepsNoColumns(t *testing.T) {
 		t.Fatalf("workspace holds %d tensors after Forward(train), want 1 (the output)", ws.InUse())
 	}
 	ws.Put(out) // panics unless out is that one tensor
-	if conv.x != x {
+	if conv.saved != x {
 		t.Fatal("Conv2D must keep a pointer to its input, not a copy")
 	}
 }
@@ -204,7 +204,7 @@ func TestConvForwardKeepsNoColumns(t *testing.T) {
 // architecture (arm64 would otherwise fuse them).
 func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	b.inShape = append(b.inShape[:0], x.Shape()...)
+	b.saved.shape = append(b.saved.shape[:0], x.Shape()...)
 	cnt := float64(n * h * w)
 	mean, variance := make([]float64, c), make([]float64, c)
 	if train {
@@ -235,11 +235,11 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 		copy(mean, b.RunMean.Data())
 		copy(variance, b.RunVar.Data())
 	}
-	b.invStd = make([]float64, c)
+	b.saved.invStd = make([]float64, c)
 	for ch := 0; ch < c; ch++ {
-		b.invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
+		b.saved.invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
 	}
-	b.xhat = tensor.New(x.Shape()...)
+	b.saved.xhat = tensor.New(x.Shape()...)
 	out := tensor.New(x.Shape()...)
 	for bi := 0; bi < n; bi++ {
 		for ch := 0; ch < c; ch++ {
@@ -247,8 +247,8 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 			g := b.Gamma.Value.Data()[ch]
 			bt := b.Beta.Value.Data()[ch]
 			for i := 0; i < h*w; i++ {
-				xh := (x.Data()[base+i] - mean[ch]) * b.invStd[ch]
-				b.xhat.Data()[base+i] = xh
+				xh := (x.Data()[base+i] - mean[ch]) * b.saved.invStd[ch]
+				b.saved.xhat.Data()[base+i] = xh
 				out.Data()[base+i] = float64(g*xh) + bt
 			}
 		}
@@ -257,8 +257,8 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 func refBNBackward(b *BatchNorm2D, dout *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := b.inShape[0], b.inShape[1], b.inShape[2], b.inShape[3]
-	din := tensor.New(b.inShape...)
+	n, c, h, w := b.saved.shape[0], b.saved.shape[1], b.saved.shape[2], b.saved.shape[3]
+	din := tensor.New(b.saved.shape...)
 	cnt := float64(n * h * w)
 	for ch := 0; ch < c; ch++ {
 		var sumDy, sumDyXhat float64
@@ -267,18 +267,18 @@ func refBNBackward(b *BatchNorm2D, dout *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < h*w; i++ {
 				dy := dout.Data()[base+i]
 				sumDy += dy
-				sumDyXhat += float64(dy * b.xhat.Data()[base+i])
+				sumDyXhat += float64(dy * b.saved.xhat.Data()[base+i])
 			}
 		}
 		b.Beta.Grad.Data()[ch] += sumDy
 		b.Gamma.Grad.Data()[ch] += sumDyXhat
 		g := b.Gamma.Value.Data()[ch]
-		inv := b.invStd[ch]
+		inv := b.saved.invStd[ch]
 		for bi := 0; bi < n; bi++ {
 			base := ((bi*c + ch) * h) * w
 			for i := 0; i < h*w; i++ {
 				dy := dout.Data()[base+i]
-				xh := b.xhat.Data()[base+i]
+				xh := b.saved.xhat.Data()[base+i]
 				din.Data()[base+i] = g * inv / cnt * (float64(cnt*dy) - sumDy - float64(xh*sumDyXhat))
 			}
 		}
@@ -315,7 +315,7 @@ func TestBatchNorm2DMatchesFormerLoops(t *testing.T) {
 				dout := tensor.Randn(rng, 1, 3, c, 7, 6)
 				name := fmt.Sprintf("step %d ", step)
 				requireSameBits(t, name+"training output", got.Forward(x, true), refBNForward(ref, x, true))
-				requireSameBits(t, name+"xhat", got.xhat, ref.xhat)
+				requireSameBits(t, name+"xhat", got.saved.xhat, ref.saved.xhat)
 				requireSameBits(t, name+"running mean", got.RunMean, ref.RunMean)
 				requireSameBits(t, name+"running variance", got.RunVar, ref.RunVar)
 				requireSameBits(t, name+"din", got.Backward(dout), refBNBackward(ref, dout))
@@ -367,7 +367,7 @@ func TestReLUMatchesFormerLoops(t *testing.T) {
 	r := &ReLU{}
 	r.SetWorkspace(ws)
 	requireSameBits(t, "ReLU output", r.Forward(x, true), wantOut)
-	for i, o := range r.out.Data() {
+	for i, o := range r.saved.Data() {
 		if gate := !(o <= 0); gate != wantMask[i] {
 			t.Fatalf("ReLU output gate[%d] = %v for input %v, want the input mask %v", i, gate, x.Data()[i], wantMask[i])
 		}

@@ -49,24 +49,23 @@ type GRU struct {
 	Wxr, Whr, Br,
 	Wxh, Whh, Bh *Param
 
-	// Time-major stash Forward leaves for Backward, which consumes it in
-	// place and returns every buffer to the workspace.
-	xT   *tensor.Tensor // (T·N, D) input; Backward reuses it for time-major dx
-	zr   *tensor.Tensor // (T·N, 2H) gates z|r; overwritten with daz|dar
-	hh   *tensor.Tensor // (T·N, H) candidates h̃; overwritten with r⊙h_{t-1}
-	hp   *tensor.Tensor // (T·N, H) block t holds h_{t-1} (block 0 is h_0 = 0)
-	n, t int
-	ws   *tensor.Workspace
+	base[gruSaved]
 
 	// pass is what the parallel parts of the running pass share; it is
 	// cleared when they return.
 	pass gruPass
 }
 
-// SetWorkspace routes the layer's time-major buffers through ws. Backward
-// puts all of them back, so a stacked GRU's lower layer reuses the upper
-// layer's storage.
-func (g *GRU) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
+// gruSaved is the time-major state Forward leaves for Backward, which
+// consumes it in place and puts every buffer back to the workspace, so a
+// stacked GRU's lower layer reuses the upper layer's storage.
+type gruSaved struct {
+	xT   *tensor.Tensor // (T·N, D) input; Backward reuses it for time-major dx
+	zr   *tensor.Tensor // (T·N, 2H) gates z|r; overwritten with daz|dar
+	hh   *tensor.Tensor // (T·N, H) candidates h̃; overwritten with r⊙h_{t-1}
+	hp   *tensor.Tensor // (T·N, H) block t holds h_{t-1} (block 0 is h_0 = 0)
+	n, t int
+}
 
 // NewGRU creates a GRU layer with Glorot-uniform input weights and
 // orthogonal-ish (scaled normal) recurrent weights.
@@ -91,7 +90,7 @@ func NewGRU(rng *rand.Rand, name string, d, h int) *GRU {
 // time-major buffers, the fused recurrent weights, and scratch.
 type gruPass struct {
 	blocks     int       // row blocks the batch is split into
-	zr, hh, hp []float64 // the stash (see GRU)
+	zr, hh, hp []float64 // the saved buffers (see gruSaved)
 	whzr, whh  []float64 // [Whz|Whr] (H, 2H) and Whh (H, H)
 
 	// Forward only.
@@ -110,7 +109,7 @@ type gruPass struct {
 
 // rowBlocks is how many contiguous row blocks the batch splits into:
 // min(Workers, N/32), at least one.
-func (g *GRU) rowBlocks() int { return max(1, min(tensor.Workers(), g.n/32)) }
+func (g *GRU) rowBlocks() int { return max(1, min(tensor.Workers(), g.saved.n/32)) }
 
 // gruRun is a layer and the per-piece body one parallel pass runs.
 type gruRun struct {
@@ -129,7 +128,7 @@ func runGRUPieces(r gruRun, lo, hi int) {
 // run executes body(g, i) for each of n pieces in parallel, pass p installed.
 func (g *GRU) run(p gruPass, n int, body func(g *GRU, i int)) {
 	g.pass = p
-	gruJobs.For(n, 6*g.t*g.n*g.H*(g.D+g.H)/n, gruRun{g, body}, runGRUPieces)
+	gruJobs.For(n, 6*g.saved.t*g.saved.n*g.H*(g.D+g.H)/n, gruRun{g, body}, runGRUPieces)
 	g.pass = gruPass{}
 }
 
@@ -139,24 +138,24 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic("nn: GRU expects input (N, T, D)")
 	}
 	n, t, d, h := x.Dim(0), x.Dim(1), g.D, g.H
-	g.n, g.t = n, t
-	ws := g.ws
+	s, ws := &g.saved, g.ws
+	s.n, s.t = n, t
 
 	// Every buffer below is written in full before it is read, so none
 	// needs the pool's zero-fill (h_0 = 0 is the one exception).
-	g.xT = ws.GetUninit(t*n, d)
-	swapLeadingAxes(g.xT.Data(), x.Data(), n, t, d)
+	s.xT = ws.GetUninit(t*n, d)
+	swapLeadingAxes(s.xT.Data(), x.Data(), n, t, d)
 
 	// Hoisted input projections.
 	wxzr := concatCols(ws, g.Wxz.Value, g.Wxr.Value, h)
-	g.zr = ws.GetUninit(t*n, 2*h)
-	tensor.MatMulInto(g.zr, g.xT, wxzr)
+	s.zr = ws.GetUninit(t*n, 2*h)
+	tensor.MatMulInto(s.zr, s.xT, wxzr)
 	ws.Put(wxzr)
-	g.hh = ws.GetUninit(t*n, h)
-	tensor.MatMulInto(g.hh, g.xT, g.Wxh.Value)
+	s.hh = ws.GetUninit(t*n, h)
+	tensor.MatMulInto(s.hh, s.xT, g.Wxh.Value)
 
-	g.hp = ws.GetUninit(t*n, h)
-	clear(g.hp.Data()[:n*h])
+	s.hp = ws.GetUninit(t*n, h)
+	clear(s.hp.Data()[:n*h])
 	whzr := concatCols(ws, g.Whz.Value, g.Whr.Value, h)
 	bzr := concatCols(ws, g.Bz.Value, g.Br.Value, h)
 	hLast := ws.GetUninit(n, h)
@@ -164,7 +163,7 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	blocks := g.rowBlocks()
 	g.run(gruPass{
 		blocks: blocks,
-		zr:     g.zr.Data(), hh: g.hh.Data(), hp: g.hp.Data(),
+		zr:     s.zr.Data(), hh: s.hh.Data(), hp: s.hp.Data(),
 		whzr: whzr.Data(), whh: g.Whh.Value.Data(),
 		bzr: bzr.Data(), bh: g.Bh.Value.Data(),
 		hLast: hLast.Data(), out: out.Data(),
@@ -177,7 +176,7 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // forwardBlock runs all T steps for row block b.
 func (g *GRU) forwardBlock(b int) {
-	p, n, t, h := &g.pass, g.n, g.t, g.H
+	p, n, t, h := &g.pass, g.saved.n, g.saved.t, g.H
 	lo, hi := b*n/p.blocks, (b+1)*n/p.blocks
 	nb := hi - lo
 	for s := 0; s < t; s++ {
@@ -217,14 +216,14 @@ func (g *GRU) forwardBlock(b int) {
 }
 
 // Backward backpropagates through time given dout of shape (N, T, H) and
-// returns dx of shape (N, T, D). It consumes the stash of the preceding
-// Forward: one Backward per Forward.
+// returns dx of shape (N, T, D). It consumes what the preceding Forward
+// saved: one Backward per Forward.
 func (g *GRU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if g.xT == nil {
+	s, ws := &g.saved, g.ws
+	if s.xT == nil {
 		panic("nn: GRU.Backward without a preceding Forward")
 	}
-	n, t, d, h := g.n, g.t, g.D, g.H
-	ws := g.ws
+	n, t, d, h := s.n, s.t, g.D, g.H
 
 	dah := ws.GetUninit(t*n, h)
 	swapLeadingAxes(dah.Data(), dout.Data(), n, t, h)
@@ -239,13 +238,13 @@ func (g *GRU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	blocks := g.rowBlocks()
 	pass := gruPass{
 		blocks: blocks,
-		zr:     g.zr.Data(), hh: g.hh.Data(), hp: g.hp.Data(),
+		zr:     s.zr.Data(), hh: s.hh.Data(), hp: s.hp.Data(),
 		whzr: whzr.Data(), whh: g.Whh.Value.Data(),
-		xT: g.xT.Data(), dah: dah.Data(), dh: dh.Data(), drh: drh.Data(),
+		xT: s.xT.Data(), dah: dah.Data(), dh: dh.Data(), drh: drh.Data(),
 		gxzr: gxzr.Data(), ghzr: ghzr.Data(), sumH: sumH.Data(), sumZR: sumZR.Data(),
 	}
 	g.run(pass, blocks, (*GRU).backwardBlock)
-	// The stash now holds daz|dar (zr), r⊙h_{t-1} (hh) and dah: every
+	// The saved buffers now hold daz|dar (zr), r⊙h_{t-1} (hh) and dah: every
 	// parameter gradient is one GEMM, or one column sum, over all T·N rows.
 	g.run(pass, gruGradTasks, (*GRU).gradTask)
 	splitCols(gxzr.Data(), g.Wxz.Grad.Data(), g.Wxr.Grad.Data(), h)
@@ -256,18 +255,18 @@ func (g *GRU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// dx, time-major, into the now dead input copy: h̃ columns first, then
 	// z, then r.
-	dxT := g.xT
+	dxT := s.xT
 	tensor.MatMulTInto(dxT, dah, g.Wxh.Value)
 	wxzr := concatCols(ws, g.Wxz.Value, g.Wxr.Value, h)
-	tensor.MatMulTAccInto(dxT, g.zr, wxzr)
+	tensor.MatMulTAccInto(dxT, s.zr, wxzr)
 	ws.Put(wxzr)
 	dx := ws.GetUninit(n, t, d)
 	swapLeadingAxes(dx.Data(), dxT.Data(), t, n, d)
 
-	for _, buf := range []*tensor.Tensor{whzr, dh, drh, gxzr, ghzr, sumH, sumZR, dah, g.xT, g.zr, g.hh, g.hp} {
+	for _, buf := range []*tensor.Tensor{whzr, dh, drh, gxzr, ghzr, sumH, sumZR, dah, s.xT, s.zr, s.hh, s.hp} {
 		ws.Put(buf)
 	}
-	g.xT, g.zr, g.hh, g.hp = nil, nil, nil, nil
+	s.xT, s.zr, s.hh, s.hp = nil, nil, nil, nil
 	return dx
 }
 
@@ -276,11 +275,12 @@ func (g *GRU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 const gruGradTasks = 4
 
 // gradTask computes piece i of the parameter gradients from the finished
-// stash, serially: a K = T·N GEMM (the pair against daz|dar costs twice
-// the one against dah, so the order pairs a heavy piece with a light one)
-// and, where the operand is already streaming through, its column sums.
+// saved buffers, serially: a K = T·N GEMM (the pair against daz|dar costs
+// twice the one against dah, so the order pairs a heavy piece with a light
+// one) and, where the operand is already streaming through, its column
+// sums.
 func (g *GRU) gradTask(i int) {
-	p, k, d, h := &g.pass, g.t*g.n, g.D, g.H
+	p, k, d, h := &g.pass, g.saved.t*g.saved.n, g.D, g.H
 	switch i {
 	case 0:
 		tensor.TMatMulAccSerial(p.gxzr, p.xT, p.zr, d, k, 2*h)
@@ -296,9 +296,9 @@ func (g *GRU) gradTask(i int) {
 }
 
 // backwardBlock runs the dh recurrence from step T-1 down to 0 for row
-// block b, leaving dah, daz|dar and r⊙h_{t-1} in the stash.
+// block b, leaving dah, daz|dar and r⊙h_{t-1} in the saved buffers.
 func (g *GRU) backwardBlock(b int) {
-	p, n, t, h := &g.pass, g.n, g.t, g.H
+	p, n, t, h := &g.pass, g.saved.n, g.saved.t, g.H
 	lo, hi := b*n/p.blocks, (b+1)*n/p.blocks
 	nb := hi - lo
 	dh := p.dh[lo*h : hi*h]
@@ -424,7 +424,6 @@ func copyIntoTime(dst *tensor.Tensor, step int, src *tensor.Tensor) {
 // prediction per timestep.
 type TimeDistributed struct {
 	Inner Layer
-	n, t  int
 }
 
 // NewTimeDistributed wraps a layer for per-timestep application.
@@ -440,17 +439,16 @@ func (td *TimeDistributed) SetWorkspace(ws *tensor.Workspace) {
 
 // Forward folds (N,T,D) to (N·T,D), applies the inner layer, and unfolds.
 func (td *TimeDistributed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	td.n, td.t = x.Dim(0), x.Dim(1)
-	folded := x.Reshape(td.n*td.t, x.Dim(2))
-	out := td.Inner.Forward(folded, train)
-	return out.Reshape(td.n, td.t, out.Dim(1))
+	n, t := x.Dim(0), x.Dim(1)
+	out := td.Inner.Forward(x.Reshape(n*t, x.Dim(2)), train)
+	return out.Reshape(n, t, out.Dim(1))
 }
 
-// Backward folds the gradient and delegates.
+// Backward folds the (N, T, ·) gradient the same way and delegates.
 func (td *TimeDistributed) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	folded := dout.Reshape(td.n*td.t, dout.Dim(2))
-	din := td.Inner.Backward(folded)
-	return din.Reshape(td.n, td.t, din.Dim(1))
+	n, t := dout.Dim(0), dout.Dim(1)
+	din := td.Inner.Backward(dout.Reshape(n*t, dout.Dim(2)))
+	return din.Reshape(n, t, din.Dim(1))
 }
 
 // Params returns the inner layer's parameters.
@@ -459,23 +457,20 @@ func (td *TimeDistributed) Params() []*Param { return td.Inner.Params() }
 // LastTimestep reduces (N, T, H) to the final step's hidden state (N, H);
 // used when a recurrent encoder feeds a classification head.
 type LastTimestep struct {
-	n, t, h int
-	ws      *tensor.Workspace
+	base[[3]int] // saved: the input shape (N, T, H)
 }
-
-// SetWorkspace routes the layer's temporaries through ws.
-func (l *LastTimestep) SetWorkspace(ws *tensor.Workspace) { l.ws = ws }
 
 // Forward extracts the last timestep.
 func (l *LastTimestep) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.n, l.t, l.h = x.Dim(0), x.Dim(1), x.Dim(2)
-	return sliceTimeInto(l.ws.Get(l.n, l.h), x, l.t-1)
+	l.saved = [3]int{x.Dim(0), x.Dim(1), x.Dim(2)}
+	return sliceTimeInto(l.ws.Get(x.Dim(0), x.Dim(2)), x, x.Dim(1)-1)
 }
 
 // Backward scatters the gradient into the last timestep slot.
 func (l *LastTimestep) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	din := l.ws.Get(l.n, l.t, l.h)
-	copyIntoTime(din, l.t-1, dout)
+	n, t, h := l.saved[0], l.saved[1], l.saved[2]
+	din := l.ws.Get(n, t, h)
+	copyIntoTime(din, t-1, dout)
 	return din
 }
 
@@ -488,16 +483,11 @@ func (l *LastTimestep) Params() []*Param { return nil }
 // paper's 1-D CNN baseline for the ARDS study.
 type Conv1D struct {
 	conv *Conv2D
-	n, t int
-	ws   *tensor.Workspace
 }
 
-// SetWorkspace routes the layout-conversion temporaries (and the inner
-// convolution's) through ws.
-func (c *Conv1D) SetWorkspace(ws *tensor.Workspace) {
-	c.ws = ws
-	c.conv.SetWorkspace(ws)
-}
+// SetWorkspace routes the inner convolution's temporaries, and the layout
+// conversions', through ws.
+func (c *Conv1D) SetWorkspace(ws *tensor.Workspace) { c.conv.SetWorkspace(ws) }
 
 // NewConv1D creates a 1-D convolution with kernel size k.
 func NewConv1D(rng *rand.Rand, name string, inD, outF, k, stride, pad int) *Conv1D {
@@ -514,18 +504,18 @@ func NewConv1D(rng *rand.Rand, name string, inD, outF, k, stride, pad int) *Conv
 
 // Forward reshapes (N,T,D) → (N,D,1,T), convolves, and restores layout.
 func (c *Conv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	c.n, c.t = x.Dim(0), x.Dim(1)
-	d := x.Dim(2)
-	img := toNCHW1(c.ws.Get(c.n, d, 1, c.t), x)
+	ws := c.conv.ws
+	img := toNCHW1(ws.Get(x.Dim(0), x.Dim(2), 1, x.Dim(1)), x)
 	out := c.conv.Forward(img, train) // (N, F, 1, T')
-	return fromNCHW1(c.ws.Get(out.Dim(0), out.Dim(3), out.Dim(1)), out)
+	return fromNCHW1(ws.Get(out.Dim(0), out.Dim(3), out.Dim(1)), out)
 }
 
 // Backward mirrors the layout conversions.
 func (c *Conv1D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dimg := toNCHW1(c.ws.Get(dout.Dim(0), dout.Dim(2), 1, dout.Dim(1)), dout)
+	ws := c.conv.ws
+	dimg := toNCHW1(ws.Get(dout.Dim(0), dout.Dim(2), 1, dout.Dim(1)), dout)
 	din := c.conv.Backward(dimg) // (N, D, 1, T)
-	return fromNCHW1(c.ws.Get(din.Dim(0), din.Dim(3), din.Dim(1)), din)
+	return fromNCHW1(ws.Get(din.Dim(0), din.Dim(3), din.Dim(1)), din)
 }
 
 // Params returns the kernel parameters.

@@ -29,18 +29,18 @@ type InputDecay struct {
 	W *Param // per-channel decay rate parameters (C)
 	C int
 
-	// caches
-	in            *tensor.Tensor
-	gamma         *tensor.Tensor // (N, T, C)
-	xlast         *tensor.Tensor // (N, T, C)
-	delta         *tensor.Tensor // (N, T, C)
-	decayedActive *tensor.Tensor // 1 where the decayed path was taken
-	srcT          *tensor.Tensor // timestep the decayed value came from
-	ws            *tensor.Workspace
+	base[decaySaved]
 }
 
-// SetWorkspace routes the layer's caches and outputs through ws.
-func (d *InputDecay) SetWorkspace(ws *tensor.Workspace) { d.ws = ws }
+// decaySaved is what a Forward of InputDecay leaves for Backward, each
+// (N, T, C).
+type decaySaved struct {
+	gamma         *tensor.Tensor
+	xlast         *tensor.Tensor
+	delta         *tensor.Tensor
+	decayedActive *tensor.Tensor // 1 where the decayed path was taken
+	srcT          *tensor.Tensor // timestep the decayed value came from
+}
 
 // NewInputDecay creates the layer for C value channels, with decay rates
 // initialized near softplus⁻¹(0.1) so early training starts gently.
@@ -60,12 +60,12 @@ func (d *InputDecay) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic("nn: InputDecay expects (N, T, 2C) input")
 	}
 	n, T := x.Dim(0), x.Dim(1)
-	d.in = x
-	d.gamma = d.ws.Get(n, T, d.C)
-	d.xlast = d.ws.Get(n, T, d.C)
-	d.delta = d.ws.Get(n, T, d.C)
-	d.decayedActive = d.ws.Get(n, T, d.C)
-	d.srcT = d.ws.Get(n, T, d.C)
+	s := &d.saved
+	s.gamma = d.ws.Get(n, T, d.C)
+	s.xlast = d.ws.Get(n, T, d.C)
+	s.delta = d.ws.Get(n, T, d.C)
+	s.decayedActive = d.ws.Get(n, T, d.C)
+	s.srcT = d.ws.Get(n, T, d.C)
 	out := cloneInto(d.ws, x)
 
 	for b := 0; b < n; b++ {
@@ -89,11 +89,11 @@ func (d *InputDecay) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					continue // nothing observed yet: leave the zero (mean)
 				}
 				g := math.Exp(-rate * sinceObs)
-				d.gamma.Set(g, b, t, ch)
-				d.xlast.Set(last, b, t, ch)
-				d.delta.Set(sinceObs, b, t, ch)
-				d.decayedActive.Set(1, b, t, ch)
-				d.srcT.Set(float64(lastT), b, t, ch)
+				s.gamma.Set(g, b, t, ch)
+				s.xlast.Set(last, b, t, ch)
+				s.delta.Set(sinceObs, b, t, ch)
+				s.decayedActive.Set(1, b, t, ch)
+				s.srcT.Set(float64(lastT), b, t, ch)
 				out.Set(g*last, b, t, ch)
 			}
 		}
@@ -107,26 +107,27 @@ func (d *InputDecay) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // γ sensitivity.
 func (d *InputDecay) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, T := dout.Dim(0), dout.Dim(1)
+	s := &d.saved
 	din := cloneInto(d.ws, dout)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < d.C; ch++ {
 			w := d.W.Value.Data()[ch]
 			dsig := 1 / (1 + math.Exp(-w)) // d softplus(w)/dw
 			for t := 0; t < T; t++ {
-				if d.decayedActive.At(b, t, ch) == 0 {
+				if s.decayedActive.At(b, t, ch) == 0 {
 					continue
 				}
 				g := dout.At(b, t, ch)
-				gamma := d.gamma.At(b, t, ch)
-				xl := d.xlast.At(b, t, ch)
-				delta := d.delta.At(b, t, ch)
+				gamma := s.gamma.At(b, t, ch)
+				xl := s.xlast.At(b, t, ch)
+				delta := s.delta.At(b, t, ch)
 				// out = exp(-softplus(w)·δ)·x_last ⇒
 				// ∂out/∂w = out·(-δ)·σ(w), ∂out/∂x_last = γ.
 				d.W.Grad.Data()[ch] += float64(g * gamma * xl * (-delta) * dsig)
 				// The missing input slot itself contributed nothing...
 				din.Set(0, b, t, ch)
 				// ...but the source observation did, through γ.
-				if src := int(d.srcT.At(b, t, ch)); src >= 0 {
+				if src := int(s.srcT.At(b, t, ch)); src >= 0 {
 					din.Set(din.At(b, src, ch)+float64(g*gamma), b, src, ch)
 				}
 			}

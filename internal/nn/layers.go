@@ -11,14 +11,10 @@ import (
 
 // Dense is a fully connected layer: y = xW + b for x of shape (N, in).
 type Dense struct {
-	W, B  *Param
-	x     *tensor.Tensor // cached input
-	ws    *tensor.Workspace
-	stash []*tensor.Tensor // per-micro-batch input stash (stash.go)
-}
+	W, B *Param
 
-// SetWorkspace routes the layer's temporaries through ws.
-func (d *Dense) SetWorkspace(ws *tensor.Workspace) { d.ws = ws }
+	base[*tensor.Tensor] // saved: the input
+}
 
 // NewDense creates a Dense layer with He-uniform initialization.
 func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
@@ -32,7 +28,7 @@ func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
 // Forward computes xW + b with the bias add fused into the matmul
 // epilogue.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	d.x = x
+	d.saved = x
 	y := d.ws.GetUninit(x.Dim(0), d.W.Value.Dim(1)) // the GEMM zeroes it
 	tensor.MatMulBiasInto(y, x, d.W.Value, d.B.Value)
 	return y
@@ -40,7 +36,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW = xᵀ·dout, db = Σ dout and returns dout·Wᵀ.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	tensor.TMatMulAccInto(d.W.Grad, d.x, dout)
+	tensor.TMatMulAccInto(d.W.Grad, d.saved, dout)
 	dB := d.ws.Get(d.B.Value.Shape()...)
 	tensor.SumAxis0Into(dB, dout)
 	d.B.Grad.AddInPlace(dB)
@@ -61,14 +57,10 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // linked to the conv (see Conv2D), and an eval Forward returns its input,
 // which the conv has already rectified.
 type ReLU struct {
-	out   *tensor.Tensor
-	ws    *tensor.Workspace
-	stash []*tensor.Tensor // per-micro-batch output stash (stash.go)
-	conv  *Conv2D          // the conv that applies this layer in eval (evalLinks)
-}
+	base[*tensor.Tensor] // saved: the output
 
-// SetWorkspace routes the layer's temporaries through ws.
-func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
+	conv *Conv2D // the conv that applies this layer in eval (evalLinks)
+}
 
 // Forward applies the rectifier (tensor.ReLUInto).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -77,7 +69,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	out := tensor.ReLUInto(r.ws.GetUninit(x.Shape()...), x)
 	if train {
-		r.out = out
+		r.saved = out
 	}
 	return out
 }
@@ -85,7 +77,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward passes the upstream gradient where the output is not <= 0,
 // which is exactly where the input was not (tensor.ReLUBackwardInto).
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return tensor.ReLUBackwardInto(r.ws.GetUninit(dout.Shape()...), r.out, dout)
+	return tensor.ReLUBackwardInto(r.ws.GetUninit(dout.Shape()...), r.saved, dout)
 }
 
 // Params returns nil: ReLU has no parameters.
@@ -93,24 +85,19 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Sigmoid applies the logistic function elementwise.
 type Sigmoid struct {
-	out   *tensor.Tensor
-	ws    *tensor.Workspace
-	stash []*tensor.Tensor // per-micro-batch output stash (stash.go)
+	base[*tensor.Tensor] // saved: the output
 }
-
-// SetWorkspace routes the layer's temporaries through ws.
-func (s *Sigmoid) SetWorkspace(ws *tensor.Workspace) { s.ws = ws }
 
 // Forward computes σ(x), caching the output for the backward pass.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.out = tensor.SigmoidInto(s.ws.GetUninit(x.Shape()...), x)
-	return s.out
+	s.saved = tensor.SigmoidInto(s.ws.GetUninit(x.Shape()...), x)
+	return s.saved
 }
 
 // Backward computes dout · σ(x)(1-σ(x)).
 func (s *Sigmoid) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	din := cloneInto(s.ws, dout)
-	for i, o := range s.out.Data() {
+	for i, o := range s.saved.Data() {
 		din.Data()[i] *= o * (1 - o)
 	}
 	return din
@@ -121,24 +108,19 @@ func (s *Sigmoid) Params() []*Param { return nil }
 
 // Tanh applies the hyperbolic tangent elementwise.
 type Tanh struct {
-	out   *tensor.Tensor
-	ws    *tensor.Workspace
-	stash []*tensor.Tensor // per-micro-batch output stash (stash.go)
+	base[*tensor.Tensor] // saved: the output
 }
-
-// SetWorkspace routes the layer's temporaries through ws.
-func (t *Tanh) SetWorkspace(ws *tensor.Workspace) { t.ws = ws }
 
 // Forward computes tanh(x).
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t.out = tensor.TanhInto(t.ws.GetUninit(x.Shape()...), x)
-	return t.out
+	t.saved = tensor.TanhInto(t.ws.GetUninit(x.Shape()...), x)
+	return t.saved
 }
 
 // Backward computes dout · (1 - tanh²(x)).
 func (t *Tanh) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	din := cloneInto(t.ws, dout)
-	for i, o := range t.out.Data() {
+	for i, o := range t.saved.Data() {
 		din.Data()[i] *= 1 - float64(o*o)
 	}
 	return din
@@ -151,15 +133,11 @@ func (t *Tanh) Params() []*Param { return nil }
 // rescales the survivors by 1/(1-Rate) (inverted dropout), matching the
 // Keras behaviour used by the paper's GRU model (dropout 0.2, §IV-B).
 type Dropout struct {
-	Rate  float64
-	rng   *rand.Rand
-	mask  []float64
-	ws    *tensor.Workspace
-	stash []dropoutStash // per-micro-batch mask stash (stash.go)
-}
+	Rate float64
+	rng  *rand.Rand
 
-// SetWorkspace routes the layer's temporaries through ws.
-func (d *Dropout) SetWorkspace(ws *tensor.Workspace) { d.ws = ws }
+	base[[]float64] // saved: the mask (nil after an eval Forward)
+}
 
 // NewDropout creates a dropout layer with its own RNG stream.
 func NewDropout(rng *rand.Rand, rate float64) *Dropout {
@@ -172,19 +150,19 @@ func NewDropout(rng *rand.Rand, rate float64) *Dropout {
 // Forward samples a fresh mask in training mode; identity in eval mode.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.Rate == 0 {
-		d.mask = nil
+		d.saved = nil
 		return x
 	}
 	keep := 1 - d.Rate
 	scale := 1 / keep
-	if cap(d.mask) < x.Size() {
-		d.mask = make([]float64, x.Size())
+	if cap(d.saved) < x.Size() {
+		d.saved = make([]float64, x.Size())
 	}
-	d.mask = d.mask[:x.Size()]
+	d.saved = d.saved[:x.Size()]
 	out := d.ws.GetUninit(x.Shape()...)
 	// One sweep: draw, record the mask, write the output. The draw order
 	// (one rng.Float64 per element, ascending) fixes the mask per seed.
-	xd, od, mask, rng := x.Data(), out.Data(), d.mask, d.rng
+	xd, od, mask, rng := x.Data(), out.Data(), d.saved, d.rng
 	for i, v := range xd {
 		if rng.Float64() < keep {
 			mask[i] = scale
@@ -199,11 +177,11 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward applies the cached mask (identity if eval-mode Forward ran).
 func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
+	if d.saved == nil {
 		return dout
 	}
 	din := d.ws.GetUninit(dout.Shape()...)
-	tensor.VecMulInto(din.Data(), dout.Data(), d.mask)
+	tensor.VecMulInto(din.Data(), dout.Data(), d.saved)
 	return din
 }
 
@@ -212,20 +190,19 @@ func (d *Dropout) Params() []*Param { return nil }
 
 // Flatten reshapes (N, ...) to (N, prod(...)).
 type Flatten struct {
-	inShape []int
-	stash   [][]int // per-micro-batch shape stash (stash.go)
+	base[[]int] // saved: the input shape
 }
 
 // Forward flattens all trailing axes.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape()...)
+	f.saved = append(f.saved[:0], x.Shape()...)
 	n := x.Dim(0)
 	return x.Reshape(n, -1)
 }
 
 // Backward restores the cached input shape.
 func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return dout.Reshape(f.inShape...)
+	return dout.Reshape(f.saved...)
 }
 
 // Params returns nil.

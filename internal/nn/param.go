@@ -64,4 +64,7 @@ type Layer interface {
 	Backward(dout *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
+	// Stasher parks the state Forward leaves for Backward per
+	// micro-batch, so pipeline schedules can interleave passes.
+	Stasher
 }

@@ -2,23 +2,23 @@ package nn
 
 import "repro/internal/tensor"
 
-// Stasher is implemented by layers whose between-pass activation caches
-// can be parked per micro-batch, so one layer instance can have several
-// forward passes outstanding before their backward passes run — the
-// execution shape of pipeline-parallel schedules (internal/pipeline).
+// Stasher lets one layer instance have several forward passes
+// outstanding before their backward passes run — the execution shape of
+// pipeline-parallel schedules (internal/pipeline). Every Layer is one:
+// leaves through base, containers by recursing into their children.
 //
-// The contract is swap-based: Stash(slot) exchanges the working cache
-// with slot's contents, so the swap is its own inverse. After a Forward,
-// Stash(slot) parks the cache that Forward wrote; before the matching
-// Backward, Stash(slot) again brings it back into the working fields.
-// Swapping rather than copying means slice-backed caches (dropout masks,
-// input shapes, argmax scratch) rotate through at most slots+1 buffers
-// and stop allocating once every slot has been warmed —
-// the same steady-state-alloc-free property the workspace pool gives
-// tensors. Tensor-valued caches are plain pointer swaps: the tensors
-// live in the stage's tensor.Workspace and stay valid until its next
-// ReleaseAll, which pipeline steps only perform once all stashed
-// micro-batches of the step are consumed.
+// The contract is swap-based: Stash(slot) exchanges the between-pass
+// state with slot's contents, so the swap is its own inverse. After a
+// Forward, Stash(slot) parks the state that Forward wrote; before the
+// matching Backward, Stash(slot) again brings it back. Swapping rather
+// than copying means slice-backed state (dropout masks, input shapes,
+// argmax scratch) rotates through at most slots+1 buffers and stops
+// allocating once every slot has been warmed — the same
+// steady-state-alloc-free property the workspace pool gives tensors.
+// Tensor-valued state is a plain pointer swap: the tensors live in the
+// stage's tensor.Workspace and stay valid until its next ReleaseAll,
+// which pipeline steps only perform once all stashed micro-batches of the
+// step are consumed.
 //
 // Stash with an out-of-range slot panics via the slice index; callers
 // size the stash first with EnsureStash.
@@ -26,7 +26,7 @@ type Stasher interface {
 	// EnsureStash grows the stash to hold at least slots micro-batches.
 	// Existing slots are preserved; growing is cheap and idempotent.
 	EnsureStash(slots int)
-	// Stash swaps the working activation cache with slot's contents.
+	// Stash swaps the between-pass state with slot's contents.
 	Stash(slot int)
 	// Unstash is Stash.
 	//
@@ -35,186 +35,36 @@ type Stasher interface {
 	Unstash(slot int)
 }
 
-// StashUnsupported walks the model (recursing through Sequential and
-// Residual) and returns the first layer that cannot stash per-micro-batch
-// state, or nil when the whole model is pipeline-safe. Partition-time
-// validation in internal/pipeline calls this so unsupported layers (the
-// recurrent stack: GRU, GRUD, TimeDistributed) fail fast with a clear
-// error instead of corrupting caches mid-schedule.
-func StashUnsupported(l Layer) Layer {
-	switch v := l.(type) {
-	case *Sequential:
-		for _, sub := range v.Layers {
-			if bad := StashUnsupported(sub); bad != nil {
-				return bad
-			}
-		}
-		return nil
-	case *Residual:
-		if bad := StashUnsupported(v.Main); bad != nil {
-			return bad
-		}
-		if v.Shortcut != nil {
-			if bad := StashUnsupported(v.Shortcut); bad != nil {
-				return bad
-			}
-		}
-		return nil
-	case Stasher:
-		return nil
-	default:
-		return l
+// base is what every leaf layer embeds: ws, the workspace its
+// temporaries are borrowed from, and saved, what the last training
+// Forward leaves for Backward, in the layer's own state type T. Per-call
+// scratch and links to neighbouring layers are not between-pass state and
+// stay outside saved.
+type base[T any] struct {
+	ws    *tensor.Workspace
+	saved T
+	slots []T // parked saved values, one per outstanding micro-batch
+}
+
+// SetWorkspace routes the layer's temporaries through ws.
+func (b *base[T]) SetWorkspace(ws *tensor.Workspace) { b.ws = ws }
+
+// EnsureStash implements Stasher.
+func (b *base[T]) EnsureStash(slots int) {
+	if n := slots - len(b.slots); n > 0 {
+		b.slots = append(b.slots, make([]T, n)...)
 	}
 }
 
-// ensureLen grows s to n elements, preserving existing contents.
-func ensureLen[T any](s []T, n int) []T {
-	for len(s) < n {
-		var zero T
-		s = append(s, zero)
-	}
-	return s
-}
-
-// --- Dense: caches the forward input x ---
-
-// EnsureStash implements Stasher.
-func (d *Dense) EnsureStash(slots int) { d.stash = ensureLen(d.stash, slots) }
-
 // Stash implements Stasher.
-func (d *Dense) Stash(slot int) { d.stash[slot], d.x = d.x, d.stash[slot] }
+func (b *base[T]) Stash(slot int) { b.saved, b.slots[slot] = b.slots[slot], b.saved }
 
 // Unstash implements Stasher.
-func (d *Dense) Unstash(slot int) { d.Stash(slot) }
+func (b *base[T]) Unstash(slot int) { b.Stash(slot) }
 
-// --- ReLU: caches the forward output, whose sign gates Backward ---
-
-// EnsureStash implements Stasher.
-func (r *ReLU) EnsureStash(slots int) { r.stash = ensureLen(r.stash, slots) }
-
-// Stash implements Stasher.
-func (r *ReLU) Stash(slot int) { r.stash[slot], r.out = r.out, r.stash[slot] }
-
-// Unstash implements Stasher.
-func (r *ReLU) Unstash(slot int) { r.Stash(slot) }
-
-// --- Sigmoid / Tanh: cache the forward output ---
-
-// EnsureStash implements Stasher.
-func (s *Sigmoid) EnsureStash(slots int) { s.stash = ensureLen(s.stash, slots) }
-
-// Stash implements Stasher.
-func (s *Sigmoid) Stash(slot int) { s.stash[slot], s.out = s.out, s.stash[slot] }
-
-// Unstash implements Stasher.
-func (s *Sigmoid) Unstash(slot int) { s.Stash(slot) }
-
-// EnsureStash implements Stasher.
-func (t *Tanh) EnsureStash(slots int) { t.stash = ensureLen(t.stash, slots) }
-
-// Stash implements Stasher.
-func (t *Tanh) Stash(slot int) { t.stash[slot], t.out = t.out, t.stash[slot] }
-
-// Unstash implements Stasher.
-func (t *Tanh) Unstash(slot int) { t.Stash(slot) }
-
-// --- Dropout: caches the sampled mask (nil in eval mode) ---
-
-type dropoutStash struct{ mask []float64 }
-
-// EnsureStash implements Stasher.
-func (d *Dropout) EnsureStash(slots int) { d.stash = ensureLen(d.stash, slots) }
-
-// Stash implements Stasher.
-func (d *Dropout) Stash(slot int) { d.stash[slot].mask, d.mask = d.mask, d.stash[slot].mask }
-
-// Unstash implements Stasher.
-func (d *Dropout) Unstash(slot int) { d.Stash(slot) }
-
-// --- Flatten: caches the input shape ---
-
-// EnsureStash implements Stasher.
-func (f *Flatten) EnsureStash(slots int) { f.stash = ensureLen(f.stash, slots) }
-
-// Stash implements Stasher.
-func (f *Flatten) Stash(slot int) { f.stash[slot], f.inShape = f.inShape, f.stash[slot] }
-
-// Unstash implements Stasher.
-func (f *Flatten) Unstash(slot int) { f.Stash(slot) }
-
-// --- Conv2D: caches the forward input x ---
-
-// EnsureStash implements Stasher.
-func (c *Conv2D) EnsureStash(slots int) { c.stash = ensureLen(c.stash, slots) }
-
-// Stash implements Stasher.
-func (c *Conv2D) Stash(slot int) { c.stash[slot], c.x = c.x, c.stash[slot] }
-
-// Unstash implements Stasher.
-func (c *Conv2D) Unstash(slot int) { c.Stash(slot) }
-
-// --- MaxPool: caches argmax positions and the input shape ---
-
-type maxPoolStash struct {
-	arg     []int
-	inShape []int
-}
-
-// EnsureStash implements Stasher.
-func (m *MaxPool) EnsureStash(slots int) { m.stash = ensureLen(m.stash, slots) }
-
-// Stash implements Stasher.
-func (m *MaxPool) Stash(slot int) {
-	s := &m.stash[slot]
-	s.arg, m.arg = m.arg, s.arg
-	s.inShape, m.inShape = m.inShape, s.inShape
-}
-
-// Unstash implements Stasher.
-func (m *MaxPool) Unstash(slot int) { m.Stash(slot) }
-
-// --- GlobalAvgPool2D: caches the spatial dimensions ---
-
-// EnsureStash implements Stasher.
-func (g *GlobalAvgPool2D) EnsureStash(slots int) { g.stash = ensureLen(g.stash, slots) }
-
-// Stash implements Stasher.
-func (g *GlobalAvgPool2D) Stash(slot int) {
-	s := &g.stash[slot]
-	s[0], g.h = g.h, s[0]
-	s[1], g.w = g.w, s[1]
-}
-
-// Unstash implements Stasher.
-func (g *GlobalAvgPool2D) Unstash(slot int) { g.Stash(slot) }
-
-// --- BatchNorm2D: caches xhat, invStd and the input shape. meanBuf and
-// varBuf are scratch within one call and need no stashing; running
-// statistics are parameters of the step, not per-micro-batch state. ---
-
-type bnStash struct {
-	xhat    *tensor.Tensor
-	invStd  []float64
-	inShape []int
-}
-
-// EnsureStash implements Stasher.
-func (b *BatchNorm2D) EnsureStash(slots int) { b.stash = ensureLen(b.stash, slots) }
-
-// Stash implements Stasher.
-func (b *BatchNorm2D) Stash(slot int) {
-	s := &b.stash[slot]
-	s.xhat, b.xhat = b.xhat, s.xhat
-	s.invStd, b.invStd = b.invStd, s.invStd
-	s.inShape, b.inShape = b.inShape, s.inShape
-}
-
-// Unstash implements Stasher.
-func (b *BatchNorm2D) Unstash(slot int) { b.Stash(slot) }
-
-// --- Residual: keeps no cache of its own (the join's gate is its ReLU's
-// output pointer), so stashing recurses into the ReLU and both
-// sub-sequentials. ---
+// Residual keeps no state of its own (the join's gate is its ReLU's
+// saved output), so stashing recurses into the ReLU and both
+// sub-sequentials.
 
 // EnsureStash implements Stasher.
 func (r *Residual) EnsureStash(slots int) {
@@ -237,28 +87,58 @@ func (r *Residual) Stash(slot int) {
 // Unstash implements Stasher.
 func (r *Residual) Unstash(slot int) { r.Stash(slot) }
 
-// --- Sequential: recurses into every stashable layer. Callers validate
-// the model with StashUnsupported first; layers without stash support are
-// skipped here so partially-supported models fail loudly at validation,
-// not silently at swap time. ---
-
 // EnsureStash implements Stasher.
 func (s *Sequential) EnsureStash(slots int) {
 	for _, l := range s.Layers {
-		if st, ok := l.(Stasher); ok {
-			st.EnsureStash(slots)
-		}
+		l.EnsureStash(slots)
 	}
 }
 
 // Stash implements Stasher.
 func (s *Sequential) Stash(slot int) {
 	for _, l := range s.Layers {
-		if st, ok := l.(Stasher); ok {
-			st.Stash(slot)
-		}
+		l.Stash(slot)
 	}
 }
 
 // Unstash implements Stasher.
 func (s *Sequential) Unstash(slot int) { s.Stash(slot) }
+
+// TimeDistributed keeps no state of its own: Backward reads (N, T) off
+// the gradient.
+
+// EnsureStash implements Stasher.
+func (td *TimeDistributed) EnsureStash(slots int) { td.Inner.EnsureStash(slots) }
+
+// Stash implements Stasher.
+func (td *TimeDistributed) Stash(slot int) { td.Inner.Stash(slot) }
+
+// Unstash implements Stasher.
+func (td *TimeDistributed) Unstash(slot int) { td.Stash(slot) }
+
+// Conv1D keeps no state of its own: its layout conversions read their
+// shapes off their inputs.
+
+// EnsureStash implements Stasher.
+func (c *Conv1D) EnsureStash(slots int) { c.conv.EnsureStash(slots) }
+
+// Stash implements Stasher.
+func (c *Conv1D) Stash(slot int) { c.conv.Stash(slot) }
+
+// Unstash implements Stasher.
+func (c *Conv1D) Unstash(slot int) { c.Stash(slot) }
+
+// EnsureStash implements Stasher.
+func (a *Autoencoder) EnsureStash(slots int) {
+	a.Encoder.EnsureStash(slots)
+	a.Decoder.EnsureStash(slots)
+}
+
+// Stash implements Stasher.
+func (a *Autoencoder) Stash(slot int) {
+	a.Encoder.Stash(slot)
+	a.Decoder.Stash(slot)
+}
+
+// Unstash implements Stasher.
+func (a *Autoencoder) Unstash(slot int) { a.Stash(slot) }

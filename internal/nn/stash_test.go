@@ -115,21 +115,63 @@ func TestStashConvStack(t *testing.T) {
 	compareGrads(t, ref, got)
 }
 
-// TestStashUnsupportedDetectsRecurrent verifies partition-time validation
-// flags the recurrent layers and accepts the stashable stacks.
-func TestStashUnsupportedDetectsRecurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if bad := StashUnsupported(ResNetMini(rng, 1, 3, 4, 2)); bad != nil {
-		t.Fatalf("ResNetMini reported unsupported layer %T", bad)
+// TestStashRecurrentModels runs the stash contract over the recurrent
+// layer set — GRU, Dropout, TimeDistributed, InputDecay, Conv1D,
+// LastTimestep — on uneven micro-batches through one shared workspace:
+// gradients equal the plain interleaving bit for bit on every step (the
+// dropout masks are drawn in the same forward order), and once warm a
+// step misses the pool no more, though each GRU puts its buffers back
+// while later micro-batches are still stashed.
+func TestStashRecurrentModels(t *testing.T) {
+	const T, D = 6, 4
+	cases := []struct {
+		name  string
+		build func(rng *rand.Rand) *Sequential
+		x     func(rng *rand.Rand, n int) *tensor.Tensor
+		yCols []int // target shape after the batch axis
+	}{
+		{"GRUImputer", func(rng *rand.Rand) *Sequential { return GRUImputer(rng, D) },
+			func(rng *rand.Rand, n int) *tensor.Tensor { return tensor.Randn(rng, 1, n, T, D) }, []int{T, 1}},
+		{"GRUDImputer", func(rng *rand.Rand) *Sequential { return GRUDImputer(rng, D) },
+			func(rng *rand.Rand, n int) *tensor.Tensor { return decayTestInput(rng, n, T, D/2) }, []int{T, 1}},
+		{"Conv1DImputer", func(rng *rand.Rand) *Sequential { return Conv1DImputer(rng, D) },
+			func(rng *rand.Rand, n int) *tensor.Tensor { return tensor.Randn(rng, 1, n, T, D) }, []int{T, 1}},
+		{"GRU-LastTimestep-Dense", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewGRU(rng, "gru", D, 8), &LastTimestep{}, NewDense(rng, "head", 8, 3))
+		}, func(rng *rand.Rand, n int) *tensor.Tensor { return tensor.Randn(rng, 1, n, T, D) }, []int{3}},
 	}
-	mlp := MLP(rng, 4, 4, 2)
-	mlp.Add(NewDropout(rng, 0.2))
-	if bad := StashUnsupported(mlp); bad != nil {
-		t.Fatalf("MLP+Dropout reported unsupported layer %T", bad)
-	}
-	gru := GRUImputer(rng, 3)
-	if bad := StashUnsupported(gru); bad == nil {
-		t.Fatal("GRUImputer should contain a stash-unsupported layer")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			var xs, ys []*tensor.Tensor
+			for _, n := range []int{3, 2, 3} {
+				xs = append(xs, tc.x(rng, n))
+				ys = append(ys, tensor.Randn(rng, 1, append([]int{n}, tc.yCols...)...))
+			}
+			loss := MSE{}
+			ref := tc.build(rand.New(rand.NewSource(5)))
+			got := tc.build(rand.New(rand.NewSource(5)))
+			ws := tensor.NewWorkspace()
+			got.SetWorkspace(ws)
+			warm := 0
+			for step := 0; step < 3; step++ {
+				ref.ZeroGrads()
+				for m := range xs {
+					_, grad := loss.Forward(ref.Forward(xs[m], true), ys[m])
+					ref.Backward(grad)
+				}
+				ws.ReleaseAll()
+				got.ZeroGrads()
+				forwardStashed(t, got, loss, xs, ys)
+				compareGrads(t, ref, got)
+				if step == 1 {
+					warm = ws.Allocs()
+				}
+			}
+			if ws.Allocs() != warm {
+				t.Errorf("stashed steady-state step still misses the pool: %d -> %d", warm, ws.Allocs())
+			}
+		})
 	}
 }
 

@@ -253,7 +253,7 @@ func TestDropoutMatchesTwoPassReference(t *testing.T) {
 		d := NewDropout(rand.New(rand.NewSource(seed)), rate)
 		d.SetWorkspace(ws)
 		requireSameBits(t, "output", d.Forward(x, true), wantOut)
-		requireSameBits(t, "mask", tensor.FromSlice(d.mask, len(d.mask)), tensor.FromSlice(wantMask, len(wantMask)))
+		requireSameBits(t, "mask", tensor.FromSlice(d.saved, len(d.saved)), tensor.FromSlice(wantMask, len(wantMask)))
 		requireSameBits(t, "input gradient", d.Backward(dout), wantDin)
 	}
 }

@@ -74,9 +74,9 @@ func ParseSchedule(s string) (Schedule, error) {
 // maximum per-chunk cost where a layer costs 1 plus its parameter count —
 // a proxy for both compute and the gradient state a stage carries. The
 // returned Sequentials alias the model's layers (no parameters are
-// copied), so updating a chunk updates the model. Partitioning fails if
-// the model has fewer layers than chunks or contains a layer that cannot
-// stash per-micro-batch state (see nn.StashUnsupported).
+// copied), so updating a chunk updates the model. Every layer can stash
+// per-micro-batch state (nn.Stasher), so any model with at least n layers
+// partitions.
 func Partition(model *nn.Sequential, n int) ([]*nn.Sequential, error) {
 	layers := model.Layers
 	if n < 1 {
@@ -84,9 +84,6 @@ func Partition(model *nn.Sequential, n int) ([]*nn.Sequential, error) {
 	}
 	if len(layers) < n {
 		return nil, fmt.Errorf("pipeline: cannot split %d layers into %d chunks", len(layers), n)
-	}
-	if bad := nn.StashUnsupported(model); bad != nil {
-		return nil, fmt.Errorf("pipeline: layer %T cannot stash per-micro-batch activations", bad)
 	}
 	L := len(layers)
 	cost := make([]float64, L)

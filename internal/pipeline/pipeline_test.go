@@ -49,9 +49,6 @@ func TestPartitionContiguousAndBalanced(t *testing.T) {
 	if _, err := Partition(model, len(model.Layers)+1); err == nil {
 		t.Fatal("Partition with more chunks than layers should fail")
 	}
-	if _, err := Partition(nn.GRUImputer(rng, 3), 2); err == nil {
-		t.Fatal("Partition of a recurrent model should fail (no stash support)")
-	}
 }
 
 // TestPartitionCutUnlinksConvBN: Partition cuts CovidNetMini between every
@@ -182,6 +179,42 @@ func microRef(model *nn.Sequential, loss nn.Loss, x, y *tensor.Tensor, M int) fl
 	return total
 }
 
+// pipeModel is what an equivalence run trains: the model (built the same
+// on the reference and on every rank), the batch of each step, and the
+// loss.
+type pipeModel struct {
+	build func() *nn.Sequential
+	batch func(step int) (x, y *tensor.Tensor)
+	loss  nn.Loss
+}
+
+// mlpPipe is the MLP classifier on batches of 13 rows: deliberately not
+// divisible by M, so micro-batches are uneven.
+var mlpPipe = pipeModel{
+	build: func() *nn.Sequential { return buildPipeModel(42) },
+	batch: func(step int) (*tensor.Tensor, *tensor.Tensor) { return pipeBatch(int64(100+step), 13) },
+	loss:  nn.SoftmaxCrossEntropy{},
+}
+
+// gruPipe is the §IV-B imputer, dropout included, regressing (13, 5, 3)
+// sequences onto one value per step under MSE. Its two Dropouts draw from
+// streams of their own: built by GRUImputer they share the model's, and a
+// rank that runs only one of them cannot draw in one rank's interleaved
+// order.
+var gruPipe = pipeModel{
+	build: func() *nn.Sequential {
+		m := nn.GRUImputer(rand.New(rand.NewSource(42)), 3)
+		m.Layers[1] = nn.NewDropout(rand.New(rand.NewSource(43)), 0.2)
+		m.Layers[3] = nn.NewDropout(rand.New(rand.NewSource(44)), 0.2)
+		return m
+	},
+	batch: func(step int) (*tensor.Tensor, *tensor.Tensor) {
+		rng := rand.New(rand.NewSource(int64(100 + step)))
+		return tensor.Randn(rng, 1, 13, 5, 3), tensor.Randn(rng, 1, 13, 5, 1)
+	},
+	loss: nn.MSE{},
+}
+
 func buildPipeModel(seed int64) *nn.Sequential {
 	return nn.MLP(rand.New(rand.NewSource(seed)), 12, 24, 20, 16, 5)
 }
@@ -196,20 +229,19 @@ func pipeBatch(seed int64, rows int) (*tensor.Tensor, *tensor.Tensor) {
 	return x, y
 }
 
-// runEquivalence trains steps steps on S pipeline ranks under sched and
-// checks gradients, parameter values, and losses against the single-rank
-// micro-accumulation reference, bitwise.
-func runEquivalence(t *testing.T, S, M, steps int, sched Schedule, virtual int) {
+// runEquivalence trains pm for steps steps on S pipeline ranks under sched
+// and checks gradients, parameter values, and losses against the
+// single-rank micro-accumulation reference, bitwise.
+func runEquivalence(t *testing.T, pm pipeModel, S, M, steps int, sched Schedule, virtual int) {
 	t.Helper()
-	const rows = 13 // deliberately not divisible by M: uneven micros
-	loss := nn.SoftmaxCrossEntropy{}
+	loss := pm.loss
 
 	// Reference: same model seed, same micro split, full model on one rank.
-	ref := buildPipeModel(42)
+	ref := pm.build()
 	refOpt := nn.NewSGD(0.9, 0)
 	refLosses := make([]float64, steps)
 	for s := 0; s < steps; s++ {
-		x, y := pipeBatch(int64(100+s), rows)
+		x, y := pm.batch(s)
 		ref.ZeroGrads()
 		refLosses[s] = microRef(ref, loss, x, y, M)
 		refOpt.Step(ref.Params(), 0.05)
@@ -217,7 +249,7 @@ func runEquivalence(t *testing.T, S, M, steps int, sched Schedule, virtual int) 
 
 	w := mpi.NewWorld(S)
 	err := w.Run(func(c *mpi.Comm) error {
-		model := buildPipeModel(42)
+		model := pm.build()
 		st, err := New(c, model, loss, Config{
 			MicroBatches: M, Schedule: sched, VirtualChunks: virtual,
 		})
@@ -229,7 +261,7 @@ func runEquivalence(t *testing.T, S, M, steps int, sched Schedule, virtual int) 
 			opts[ci] = nn.NewSGD(0.9, 0)
 		}
 		for s := 0; s < steps; s++ {
-			x, y := pipeBatch(int64(100+s), rows)
+			x, y := pm.batch(s)
 			model.ZeroGrads()
 			got := st.Step(x, y)
 			if got != refLosses[s] {
@@ -285,14 +317,25 @@ func runEquivalence(t *testing.T, S, M, steps int, sched Schedule, virtual int) 
 	}
 }
 
-func TestGPipeMatchesSingleRank(t *testing.T)          { runEquivalence(t, 3, 4, 3, GPipe, 0) }
-func TestGPipeFourStages(t *testing.T)                 { runEquivalence(t, 4, 6, 2, GPipe, 0) }
-func TestOneFOneBMatchesSingleRank(t *testing.T)       { runEquivalence(t, 3, 4, 3, OneFOneB, 0) }
-func TestOneFOneBVirtual1MatchesGPipeRef(t *testing.T) { runEquivalence(t, 3, 5, 2, OneFOneB, 1) }
-func TestTwoStagePipeline(t *testing.T)                { runEquivalence(t, 2, 4, 2, GPipe, 0) }
+func TestGPipeMatchesSingleRank(t *testing.T)    { runEquivalence(t, mlpPipe, 3, 4, 3, GPipe, 0) }
+func TestGPipeFourStages(t *testing.T)           { runEquivalence(t, mlpPipe, 4, 6, 2, GPipe, 0) }
+func TestOneFOneBMatchesSingleRank(t *testing.T) { runEquivalence(t, mlpPipe, 3, 4, 3, OneFOneB, 0) }
+func TestOneFOneBVirtual1MatchesGPipeRef(t *testing.T) {
+	runEquivalence(t, mlpPipe, 3, 5, 2, OneFOneB, 1)
+}
+func TestTwoStagePipeline(t *testing.T) { runEquivalence(t, mlpPipe, 2, 4, 2, GPipe, 0) }
 func TestSingleRankPipelineLocalHandoff(t *testing.T) {
 	// S=1 exercises the local chunk-to-chunk handoff path (no messages).
-	runEquivalence(t, 1, 4, 2, OneFOneB, 3)
+	runEquivalence(t, mlpPipe, 1, 4, 2, OneFOneB, 3)
+}
+
+// TestRecurrentPipelineEquivalence trains the §IV-B GRU imputer on two
+// stages with four uneven micro-batches: the GRUs and the per-timestep
+// head stash like any layer, so both schedules match the reference.
+func TestRecurrentPipelineEquivalence(t *testing.T) {
+	for _, sched := range []Schedule{OneFOneB, GPipe} {
+		t.Run(sched.String(), func(t *testing.T) { runEquivalence(t, gruPipe, 2, 4, 2, sched, 0) })
+	}
 }
 
 // TestPipelineRunsPlanVerbatim runs one traced step and checks that every
@@ -400,16 +443,30 @@ func TestConvPipelineEquivalence(t *testing.T) {
 // misses on any stage — micro splitting, activation receive, stash
 // rotation, and loss scratch all run from recycled storage.
 func TestPipelineStepPoolSteadyState(t *testing.T) {
-	const S, M, rows, warm, measured = 3, 4, 12, 3, 4
-	loss := nn.SoftmaxCrossEntropy{}
+	x, y := pipeBatch(3, 12)
+	runPoolSteadyState(t, func() *nn.Sequential { return buildPipeModel(5) }, x, y, nn.SoftmaxCrossEntropy{}, 3)
+}
+
+// TestRecurrentPipelinePoolSteadyState is the same gate on the GRU
+// imputer over two stages: each GRU puts its buffers back in Backward
+// while later micro-batches are still stashed, and the pool still settles.
+func TestRecurrentPipelinePoolSteadyState(t *testing.T) {
+	x, y := gruPipe.batch(0)
+	runPoolSteadyState(t, gruPipe.build, x, y, gruPipe.loss, 2)
+}
+
+// runPoolSteadyState steps the model on S 1F1B stages with M = 4 and fails
+// if any stage's workspace misses its pool after three warm-up steps.
+func runPoolSteadyState(t *testing.T, build func() *nn.Sequential, x, y *tensor.Tensor, loss nn.Loss, S int) {
+	t.Helper()
+	const M, warm, measured = 4, 3, 4
 	w := mpi.NewWorld(S)
 	err := w.Run(func(c *mpi.Comm) error {
-		model := buildPipeModel(5)
+		model := build()
 		st, err := New(c, model, loss, Config{MicroBatches: M, Schedule: OneFOneB})
 		if err != nil {
 			return err
 		}
-		x, y := pipeBatch(3, rows)
 		for s := 0; s < warm; s++ {
 			model.ZeroGrads()
 			st.Step(x, y)

@@ -342,15 +342,16 @@ func packConvEpilogue(ep, bias []float64, ev []BNReLU, outC int) (mode int) {
 // panel into a zero-seeded tile, stored through the epilogue. Eight
 // pixels of one output row at stride 1 are read in place from the
 // bordered planes (conv4x8); strided, partial and row-straddling panels
-// are gathered into bp first.
+// are gathered into bp first, taken from the scratch pool at the range's
+// first such panel, so a range of in-place panels takes no lock.
 func convForwardPanels(v convArgs, lo, hi int) {
 	out, xp, ap, g := v.out, v.x, v.a, v.g
 	k, p := g.k(), g.p()
 	panels := (p + 7) / 8
 	wp := g.wp()
 	plane := g.hp() * wp
-	bpP := getScratch(k * 8)
-	bp := *bpP
+	var bpP *[]float64
+	var bp []float64
 	var tile [32]float64
 	for u := lo; u < hi; u++ {
 		b, pix0 := u/panels, u%panels*8
@@ -359,6 +360,10 @@ func convForwardPanels(v convArgs, lo, hi int) {
 		oy, ox0 := pix0/g.ow, pix0%g.ow
 		inPlace := g.stride == 1 && wv == 8 && ox0+8 <= g.ow
 		if !inPlace {
+			if bpP == nil {
+				bpP = getScratch(k * 8)
+				bp = *bpP
+			}
 			packConvPixels64(bp, xpB, &g, pix0)
 		}
 		for oc0 := 0; oc0 < g.outC; oc0 += 4 {
@@ -371,7 +376,9 @@ func convForwardPanels(v convArgs, lo, hi int) {
 			convStore(out[(b*g.outC+oc0)*p+pix0:], p, &tile, (*[20]float64)(v.ep[oc0*5:]), v.mode, min(4, g.outC-oc0), wv)
 		}
 	}
-	putScratch(bpP)
+	if bpP != nil {
+		putScratch(bpP)
+	}
 }
 
 // convStoreGo stores rows r < rows and lanes j < wv of a conv tile (row
