@@ -157,27 +157,22 @@ func BenchmarkE8_QSVM(b *testing.B) {
 }
 
 // BenchmarkE9_Allreduce sweeps each allreduce algorithm (the GCE
-// comparison of §II-A) and the two-level hierarchical allreduce over
-// goroutine rank counts, at a latency-bound 4 KB and a bandwidth-bound
+// comparison of §II-A) over goroutine rank counts, at a latency-bound 4 KB and a bandwidth-bound
 // 4 MB payload. Cells are named <algo>/p=<P>/<payload> and report bus
 // bandwidth, 2·(p−1)/p · bytes / time: flat across p means the algorithm
 // scales like a bandwidth-optimal ring.
 func BenchmarkE9_Allreduce(b *testing.B) {
-	flat := []int{2, 4, 8, 16}
 	for _, a := range []struct {
-		name  string
-		algo  mpi.Algo
-		group int // > 0: HierarchicalAllreduce with this group size
-		ranks []int
+		name string
+		algo mpi.Algo
 	}{
-		{"naive", mpi.AlgoNaive, 0, flat},
-		{"tree", mpi.AlgoTree, 0, flat},
-		{"recdbl", mpi.AlgoRecursiveDoubling, 0, flat},
-		{"ring", mpi.AlgoRing, 0, flat},
-		{"gce", mpi.AlgoGCE, 0, flat},
-		{"hier-g4", "", 4, []int{4, 8, 16}},
+		{"naive", mpi.AlgoNaive},
+		{"tree", mpi.AlgoTree},
+		{"recdbl", mpi.AlgoRecursiveDoubling},
+		{"ring", mpi.AlgoRing},
+		{"gce", mpi.AlgoGCE},
 	} {
-		for _, p := range a.ranks {
+		for _, p := range []int{2, 4, 8, 16} {
 			for _, payload := range []struct {
 				label string
 				elems int
@@ -188,11 +183,7 @@ func BenchmarkE9_Allreduce(b *testing.B) {
 					err := w.Run(func(c *mpi.Comm) error {
 						buf := make([]float64, payload.elems)
 						for i := 0; i < b.N; i++ {
-							if a.group > 0 {
-								c.HierarchicalAllreduce(buf, mpi.OpSum, a.group)
-							} else {
-								c.AllreduceInPlace(buf, mpi.OpSum, a.algo)
-							}
+							c.AllreduceInPlace(buf, mpi.OpSum, a.algo)
 						}
 						return nil
 					})
@@ -246,16 +237,16 @@ func BenchmarkE11_CascadeSVM(b *testing.B) {
 	}
 }
 
-// BenchmarkE12_Storage times the NAM access path (hit + miss mix) and the
+// BenchmarkE12_Storage times E12's NAM-shared staging model and the
 // striped-bandwidth model.
 func BenchmarkE12_Storage(b *testing.B) {
 	deep := msa.DEEP()
 	fs := storage.NewSSSM(*deep.Module(msa.StorageService).Storage)
-	b.Run("nam-access", func(b *testing.B) {
+	b.Run("nam-shared", func(b *testing.B) {
 		nam := storage.NewNAM(*deep.Module(msa.NetworkMemory).NAM)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			nam.Access("ds", 50, fs, 4)
+			_, _ = storage.SharedNAMTime(i%16+1, 50, fs, nam, 4)
 		}
 	})
 	b.Run("stream-bw", func(b *testing.B) {
@@ -295,9 +286,10 @@ func BenchmarkMatMul128(b *testing.B) {
 func BenchmarkIm2Col(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	img := tensor.Randn(rng, 1, 4, 8, 16, 16)
+	cols := tensor.New(4*16*16, 8*3*3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tensor.Im2Col(img, 3, 3, 1, 1, 1)
+		tensor.Im2ColInto(cols, img, 3, 3, 1, 1, 1)
 	}
 }
 

@@ -101,10 +101,6 @@ func TestCanaryPromote(t *testing.T) {
 	if f.Snapshot().Promotions != 1 {
 		t.Fatalf("promotions = %d, want 1", f.Snapshot().Promotions)
 	}
-	// And the registry can roll the promote back.
-	if prev, err := reg.Rollback("m"); err != nil || prev.Version != 1 {
-		t.Fatalf("rollback after promote: %+v, %v", prev, err)
-	}
 }
 
 func TestCanaryDoubleDeployRejected(t *testing.T) {

@@ -6,7 +6,7 @@
 // arXiv:2211.06918, motivates for MSA systems):
 //
 //   - a model Registry of versioned checkpoints in storage.ModelStore
-//     with promote/rollback/pin and per-version metadata (registry.go);
+//     with promotion and per-version metadata (registry.go);
 //   - a deployment Controller doing canary rollouts (weighted split,
 //     automatic rollback on error-rate or p99 breach) (controller.go);
 //   - a Router dispatching each request across heterogeneous CM/ESB/DAM
@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -45,8 +44,6 @@ type Entry struct {
 	// Meta carries free-form per-version metadata (training run id,
 	// dataset hash, accuracy at publish time, ...).
 	Meta map[string]string `json:"meta,omitempty"`
-	// Pinned versions are protected from GC regardless of age.
-	Pinned bool `json:"pinned,omitempty"`
 }
 
 // Ref renders the canonical model@vN reference.
@@ -57,9 +54,6 @@ func (e Entry) Ref() string { return fmt.Sprintf("%s@v%d", e.Model, e.Version) }
 type manifest struct {
 	// Stable is the currently promoted version (0 = none).
 	Stable int `json:"stable"`
-	// History lists previously stable versions, oldest first — the
-	// rollback stack.
-	History []int `json:"history,omitempty"`
 	// Versions lists every published version in order.
 	Versions []Entry `json:"versions"`
 }
@@ -83,12 +77,11 @@ func validModelName(model string) bool {
 }
 
 // validate checks a manifest read back from the store before the
-// registry trusts it. Every method dereferences the entries stable and
-// history name, and GC hands each entry's Checkpoint to ModelStore.Delete,
-// so a manifest is accepted only if its versions are ≥ 1, unique and
-// ascending, each entry belongs to this model under its canonical
-// checkpoint name, and stable (unless 0) and every history element name
-// a listed version.
+// registry trusts it. Stable dereferences the entry stable names, and Blob
+// reads each entry's Checkpoint from the store, so a manifest is accepted
+// only if its versions are ≥ 1, unique and ascending, each entry belongs
+// to this model under its canonical checkpoint name, and stable (unless 0)
+// names a listed version.
 func (m *manifest) validate(model string) error {
 	if !validModelName(model) {
 		return fmt.Errorf("invalid model name %q", model)
@@ -109,19 +102,13 @@ func (m *manifest) validate(model string) error {
 	if m.Stable != 0 && m.entry(m.Stable) == nil {
 		return fmt.Errorf("stable v%d is not a listed version", m.Stable)
 	}
-	for _, v := range m.History {
-		if m.entry(v) == nil {
-			return fmt.Errorf("history names v%d, not a listed version", v)
-		}
-	}
 	return nil
 }
 
 // Registry is the versioned model catalog: checkpoints live in a
-// storage.ModelStore, registry state (stable pointers, rollback history,
-// metadata) lives beside them as per-model manifest blobs, so a restarted
-// fleet recovers the exact deployment state. All methods are safe for
-// concurrent use.
+// storage.ModelStore, registry state (stable pointers, metadata) lives
+// beside them as per-model manifest blobs, so a restarted fleet recovers
+// the exact deployment state. All methods are safe for concurrent use.
 type Registry struct {
 	store *storage.ModelStore
 
@@ -255,8 +242,7 @@ func (r *Registry) Blob(e Entry) ([]byte, error) {
 	return r.store.Blob(e.Checkpoint)
 }
 
-// Promote makes version the stable one, pushing the previous stable onto
-// the rollback history.
+// Promote makes version the stable one.
 func (r *Registry) Promote(model string, version int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,78 +253,6 @@ func (r *Registry) Promote(model string, version int) error {
 	if m.Stable == version {
 		return nil
 	}
-	if m.Stable != 0 {
-		m.History = append(m.History, m.Stable)
-	}
 	m.Stable = version
 	return r.persist(model)
-}
-
-// Rollback reverts stable to the previously promoted version and returns
-// it. The abandoned version stays published (and pinnable) for forensics.
-func (r *Registry) Rollback(model string) (Entry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.models[model]
-	if m == nil || len(m.History) == 0 {
-		return Entry{}, fmt.Errorf("fleet: model %q has no rollback history", model)
-	}
-	prev := m.History[len(m.History)-1]
-	m.History = m.History[:len(m.History)-1]
-	m.Stable = prev
-	if err := r.persist(model); err != nil {
-		return Entry{}, err
-	}
-	return *m.entry(prev), nil
-}
-
-// Pin marks (or unmarks) a version as protected from GC.
-func (r *Registry) Pin(model string, version int, pinned bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.models[model]
-	if m == nil {
-		return fmt.Errorf("fleet: unknown model %q", model)
-	}
-	e := m.entry(version)
-	if e == nil {
-		return fmt.Errorf("fleet: %s@v%d not published", model, version)
-	}
-	e.Pinned = pinned
-	return r.persist(model)
-}
-
-// GC deletes old checkpoints of model, keeping the newest `keep` versions
-// plus anything stable, in the rollback history, or pinned. It returns
-// the deleted version numbers.
-func (r *Registry) GC(model string, keep int) ([]int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.models[model]
-	if m == nil {
-		return nil, fmt.Errorf("fleet: unknown model %q", model)
-	}
-	protected := map[int]bool{m.Stable: true}
-	for _, v := range m.History {
-		protected[v] = true
-	}
-	var removed []int
-	cutoff := len(m.Versions) - keep
-	kept := m.Versions[:0]
-	for i, e := range m.Versions {
-		if i < cutoff && !e.Pinned && !protected[e.Version] {
-			if err := r.store.Delete(e.Checkpoint); err != nil {
-				return removed, err
-			}
-			removed = append(removed, e.Version)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	m.Versions = kept
-	sort.Ints(removed)
-	if err := r.persist(model); err != nil {
-		return removed, err
-	}
-	return removed, nil
 }

@@ -37,16 +37,12 @@ func TestRegistryPublishPromoteRollback(t *testing.T) {
 	if s, _ := reg.Stable("mnist"); s.Version != 2 {
 		t.Fatalf("stable after promote: %+v", s)
 	}
-	// Rollback pops the history.
-	prev, err := reg.Rollback("mnist")
-	if err != nil || prev.Version != 1 {
-		t.Fatalf("rollback: %+v, %v", prev, err)
+	// Promoting the earlier version again moves stable back.
+	if err := reg.Promote("mnist", e1.Version); err != nil {
+		t.Fatal(err)
 	}
 	if s, _ := reg.Stable("mnist"); s.Version != 1 {
-		t.Fatalf("stable after rollback: %+v", s)
-	}
-	if _, err := reg.Rollback("mnist"); err == nil {
-		t.Fatal("rollback with empty history succeeded")
+		t.Fatalf("stable after re-promote: %+v", s)
 	}
 	// Metadata round-trips.
 	if g, _ := reg.Get("mnist", 1); g.Meta["acc"] != "0.97" {
@@ -76,7 +72,7 @@ func TestRegistryValidation(t *testing.T) {
 
 // TestRegistryPersistence proves deployment state survives a process
 // restart: a second Registry over the same store dir recovers stable
-// pointers, history, pins, and metadata.
+// pointers, versions and metadata.
 func TestRegistryPersistence(t *testing.T) {
 	dir := t.TempDir()
 	store, err := storage.NewModelStore(dir)
@@ -88,14 +84,11 @@ func TestRegistryPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, blob := range []string{"class:0", "class:1", "class:2"} {
-		if _, err := reg.Publish("m", []byte(blob), nil); err != nil {
+		if _, err := reg.Publish("m", []byte(blob), map[string]string{"blob": blob}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := reg.Promote("m", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Pin("m", 2, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,11 +104,8 @@ func TestRegistryPersistence(t *testing.T) {
 	if s, err := reg2.Stable("m"); err != nil || s.Version != 3 {
 		t.Fatalf("recovered stable: %+v, %v", s, err)
 	}
-	if prev, err := reg2.Rollback("m"); err != nil || prev.Version != 1 {
-		t.Fatalf("recovered history: %+v, %v", prev, err)
-	}
-	if e, _ := reg2.Get("m", 2); !e.Pinned {
-		t.Fatal("pin not recovered")
+	if e, _ := reg2.Get("m", 2); e.Meta["blob"] != "class:1" {
+		t.Fatalf("metadata not recovered: %+v", e)
 	}
 	if vs := reg2.Versions("m"); len(vs) != 3 {
 		t.Fatalf("recovered %d versions, want 3", len(vs))
@@ -123,17 +113,16 @@ func TestRegistryPersistence(t *testing.T) {
 }
 
 // TestRegistryRejectsBadManifest: the manifest is untrusted bytes on
-// disk. One that names a missing version as stable or in the history
-// would make Stable and Rollback dereference nil, and one whose
-// checkpoint names escape model@vNNNNNN would let GC delete any *.ckpt
-// the store path reaches; NewRegistry must refuse them all.
+// disk. One that names a missing version as stable would make Stable
+// dereference nil, and one whose checkpoint names escape model@vNNNNNN
+// would let Blob read any *.ckpt the store path reaches; NewRegistry must
+// refuse them all.
 func TestRegistryRejectsBadManifest(t *testing.T) {
-	const ok = `{"stable":2,"history":[1],"versions":[` +
+	const ok = `{"stable":2,"versions":[` +
 		`{"model":"m","version":1,"checkpoint":"m@v000001"},` +
 		`{"model":"m","version":2,"checkpoint":"m@v000002"}]}`
 	cases := []struct{ name, model, manifest string }{
 		{"stable not listed", "m", `{"stable":3,"versions":[{"model":"m","version":1,"checkpoint":"m@v000001"}]}`},
-		{"history not listed", "m", `{"stable":1,"history":[7],"versions":[{"model":"m","version":1,"checkpoint":"m@v000001"}]}`},
 		{"stable without versions", "m", `{"stable":1}`},
 		{"version zero", "m", `{"versions":[{"model":"m","version":0,"checkpoint":"m@v000000"}]}`},
 		{"negative version", "m", `{"versions":[{"model":"m","version":-1,"checkpoint":"m@v-00001"}]}`},
@@ -175,13 +164,13 @@ func TestRegistryRejectsBadManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
-	if e, err := reg.Rollback("m"); err != nil || e.Version != 1 {
-		t.Fatalf("rollback on the valid manifest: %+v, %v", e, err)
+	if e, err := reg.Stable("m"); err != nil || e.Version != 2 {
+		t.Fatalf("stable on the valid manifest: %+v, %v", e, err)
 	}
 }
 
 // registrySeedManifests returns the manifest model "m" has after each step
-// of a Publish/Promote/Pin/Rollback/GC history, as the registry wrote it.
+// of a Publish/Promote history, as the registry wrote it.
 func registrySeedManifests(f *testing.F) [][]byte {
 	store, err := storage.NewModelStore(f.TempDir())
 	if err != nil {
@@ -208,29 +197,26 @@ func registrySeedManifests(f *testing.F) [][]byte {
 	}
 	step(reg.Promote("m", 3))
 	step(reg.Promote("m", 4))
-	step(reg.Pin("m", 2, true))
-	_, err = reg.Rollback("m")
+	step(reg.Promote("m", 2))
+	_, err = reg.Publish("m", []byte("class:1"), nil)
 	step(err)
-	_, err = reg.GC("m", 1)
-	step(err)
+	step(reg.Promote("m", 5))
 	return out
 }
 
 // FuzzRegistryManifest loads arbitrary bytes as model "m"'s manifest.
 // Seeds are the manifests the registry itself writes, their truncations
 // and single-field edits. NewRegistry never panics; after a successful
-// load every method runs without panic and every entry names its
-// canonical checkpoint; and GC deletes nothing but files named
-// m@vNNNNNN.ckpt — not another model's checkpoint, not a file outside
-// the store.
+// load every method runs without panic, every entry names its canonical
+// checkpoint, and no file in or outside the store goes missing.
 func FuzzRegistryManifest(f *testing.F) {
 	edits := [][2]string{
 		{`"stable": 3`, `"stable": 9`},
-		{`"history": [`, `"history": [7, `},
 		{`"m@v000001"`, `"../victim"`},
 		{`"m@v000002"`, `"other@v000001"`},
 		{`"version": 2`, `"version": 1`},
 		{`"model": "m"`, `"model": "x"`},
+		{`"run": "seed"`, `"run": 7`},
 	}
 	for _, blob := range registrySeedManifests(f) {
 		f.Add(blob)
@@ -275,18 +261,15 @@ func FuzzRegistryManifest(f *testing.F) {
 		for _, e := range vs {
 			reg.Get("m", e.Version)
 			reg.Blob(e)
-			reg.Pin("m", e.Version, e.Version%2 == 0)
 		}
+		before := storeFiles(t, storeDir)
 		if len(vs) > 0 {
 			reg.Promote("m", vs[len(vs)-1].Version)
 		}
-		reg.Rollback("m")
-		before := storeFiles(t, storeDir)
-		reg.GC("m", 1)
 		after := storeFiles(t, storeDir)
 		for name := range before {
-			if !after[name] && !canonical.MatchString(name) {
-				t.Fatalf("GC deleted %s", name)
+			if !after[name] {
+				t.Fatalf("%s went missing", name)
 			}
 		}
 		if _, err := os.Stat(victim); err != nil {
@@ -307,41 +290,4 @@ func storeFiles(t *testing.T, dir string) map[string]bool {
 		names[e.Name()] = true
 	}
 	return names
-}
-
-func TestRegistryGC(t *testing.T) {
-	reg := newTestRegistry(t)
-	for i := 0; i < 6; i++ {
-		if _, err := reg.Publish("m", []byte("class:0"), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := reg.Promote("m", 5); err != nil { // history: [1], stable: 5
-		t.Fatal(err)
-	}
-	if err := reg.Pin("m", 2, true); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := reg.GC("m", 2) // keep v5, v6; protect v1 (history), v2 (pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 2 || removed[0] != 3 || removed[1] != 4 {
-		t.Fatalf("GC removed %v, want [3 4]", removed)
-	}
-	for _, v := range removed {
-		if _, err := reg.Get("m", v); err == nil {
-			t.Fatalf("v%d still published after GC", v)
-		}
-	}
-	// Protected versions still loadable.
-	for _, v := range []int{1, 2, 5, 6} {
-		e, err := reg.Get("m", v)
-		if err != nil {
-			t.Fatalf("v%d gone after GC: %v", v, err)
-		}
-		if _, err := reg.Blob(e); err != nil {
-			t.Fatalf("v%d blob gone after GC: %v", v, err)
-		}
-	}
 }

@@ -49,12 +49,6 @@ func TestPlanValidate(t *testing.T) {
 
 func TestPlanCrashStepAndString(t *testing.T) {
 	p := &Plan{Events: []Event{{Kind: Crash, Rank: 2, Step: 50}}}
-	if s, ok := p.CrashStep(2); !ok || s != 50 {
-		t.Fatalf("CrashStep(2) = %d, %v", s, ok)
-	}
-	if _, ok := p.CrashStep(1); ok {
-		t.Fatal("rank 1 has no crash")
-	}
 	if got := p.String(); !strings.Contains(got, "crash rank 2 at step 50") {
 		t.Fatalf("String() = %q", got)
 	}
@@ -128,8 +122,8 @@ func TestInjectorIgnoresOtherRanks(t *testing.T) {
 	for s := 0; s < 100; s++ {
 		inj.AtStep(s)
 	}
-	if inj.GlobalRank() != 0 {
-		t.Fatalf("GlobalRank = %d", inj.GlobalRank())
+	if inj.globalRank != 0 {
+		t.Fatalf("globalRank = %d", inj.globalRank)
 	}
 }
 

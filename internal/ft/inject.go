@@ -85,10 +85,6 @@ func (inj *Injector) AtStep(s int) {
 	}
 }
 
-// GlobalRank returns the immutable global rank id this injector serves
-// (distinct from Rank(), which renumbers after an elastic shrink).
-func (inj *Injector) GlobalRank() int { return inj.globalRank }
-
 func activeAt(events []Event, step int) time.Duration {
 	var d time.Duration
 	for _, e := range events {

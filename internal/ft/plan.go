@@ -146,20 +146,6 @@ func (p *Plan) Validate(worldSize int) error {
 	return nil
 }
 
-// CrashStep returns the step at which the given global rank is scripted to
-// crash, if any.
-func (p *Plan) CrashStep(rank int) (int, bool) {
-	if p == nil {
-		return 0, false
-	}
-	for _, e := range p.Events {
-		if e.Kind == Crash && e.Rank == rank {
-			return e.Step, true
-		}
-	}
-	return 0, false
-}
-
 // String renders the plan as one line per event, in a stable order.
 func (p *Plan) String() string {
 	if p == nil || len(p.Events) == 0 {

@@ -4,10 +4,10 @@
 // larger RS datasets can take advantage of Apache Spark on the
 // large-memory DEEP DAM nodes using the MLlib implementation").
 //
-// A Dataset is a partitioned collection of float64 rows; transformations
-// (Map, Filter) are lazy per-partition closures executed by a pool of
-// worker goroutines, and actions (Collect, Reduce, ReduceByKey, Count)
-// trigger parallel execution. On top of it, mllib.go implements the two
+// A Dataset is a partitioned collection of float64 rows; the Map
+// transformation is a lazy per-partition closure executed by a pool of
+// worker goroutines, and the actions (ReduceByKey, Count) trigger
+// parallel execution. On top of it, mllib.go implements the two
 // MLlib algorithms the paper's case studies name: random forests (the
 // "robust classifiers often used", footnote 37) and k-means.
 package mapreduce
@@ -79,36 +79,6 @@ func (d *Dataset) Map(f func(Row) Row) *Dataset {
 	}
 }
 
-// Filter keeps rows for which pred is true, lazily.
-func (d *Dataset) Filter(pred func(Row) bool) *Dataset {
-	prev := d.compute
-	return &Dataset{
-		eng: d.eng, parts: d.parts,
-		compute: func(p int) []Row {
-			in := prev(p)
-			out := in[:0:0]
-			for _, r := range in {
-				if pred(r) {
-					out = append(out, r)
-				}
-			}
-			return out
-		},
-	}
-}
-
-// MapPartitions applies f to each whole partition, lazily (used by the
-// tree learner to train one model per partition).
-func (d *Dataset) MapPartitions(f func(part int, rows []Row) []Row) *Dataset {
-	prev := d.compute
-	return &Dataset{
-		eng: d.eng, parts: d.parts,
-		compute: func(p int) []Row {
-			return f(p, prev(p))
-		},
-	}
-}
-
 // runParallel materializes every partition using the worker pool and
 // hands each to sink (called concurrently, once per partition).
 func (d *Dataset) runParallel(sink func(part int, rows []Row)) {
@@ -126,17 +96,6 @@ func (d *Dataset) runParallel(sink func(part int, rows []Row)) {
 	wg.Wait()
 }
 
-// Collect materializes all rows in partition order.
-func (d *Dataset) Collect() []Row {
-	byPart := make([][]Row, d.parts)
-	d.runParallel(func(p int, rows []Row) { byPart[p] = rows })
-	var out []Row
-	for _, rows := range byPart {
-		out = append(out, rows...)
-	}
-	return out
-}
-
 // Count returns the number of rows after all transformations.
 func (d *Dataset) Count() int {
 	counts := make([]int, d.parts)
@@ -146,24 +105,6 @@ func (d *Dataset) Count() int {
 		total += c
 	}
 	return total
-}
-
-// Reduce folds all rows with an associative, commutative combiner; zero
-// is the identity row. Rows must share the combiner's expected length.
-func (d *Dataset) Reduce(zero Row, combine func(acc, r Row) Row) Row {
-	partials := make([]Row, d.parts)
-	d.runParallel(func(p int, rows []Row) {
-		acc := append(Row(nil), zero...)
-		for _, r := range rows {
-			acc = combine(acc, r)
-		}
-		partials[p] = acc
-	})
-	acc := append(Row(nil), zero...)
-	for _, pr := range partials {
-		acc = combine(acc, pr)
-	}
-	return acc
 }
 
 // KV is a keyed value vector for shuffle operations.

@@ -15,6 +15,17 @@ func rowsOf(vals ...float64) []Row {
 	return out
 }
 
+// collect materializes all rows of d in partition order.
+func collect(d *Dataset) []Row {
+	byPart := make([][]Row, d.parts)
+	d.runParallel(func(p int, rows []Row) { byPart[p] = rows })
+	var out []Row
+	for _, rows := range byPart {
+		out = append(out, rows...)
+	}
+	return out
+}
+
 func TestNewEnginePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -28,7 +39,7 @@ func TestParallelizeCollectRoundTrip(t *testing.T) {
 	e := NewEngine(3)
 	rows := rowsOf(1, 2, 3, 4, 5, 6, 7)
 	for _, parts := range []int{1, 2, 3, 7, 10} {
-		got := e.Parallelize(rows, parts).Collect()
+		got := collect(e.Parallelize(rows, parts))
 		if len(got) != 7 {
 			t.Fatalf("parts=%d: %d rows", parts, len(got))
 		}
@@ -43,26 +54,13 @@ func TestParallelizeCollectRoundTrip(t *testing.T) {
 func TestMapFilterCount(t *testing.T) {
 	e := NewEngine(2)
 	ds := e.Parallelize(rowsOf(1, 2, 3, 4, 5, 6), 3).
-		Map(func(r Row) Row { return Row{r[0] * 10} }).
-		Filter(func(r Row) bool { return r[0] > 25 })
-	if n := ds.Count(); n != 4 {
+		Map(func(r Row) Row { return Row{r[0] * 10} })
+	if n := ds.Count(); n != 6 {
 		t.Fatalf("count %d", n)
 	}
-	got := ds.Collect()
-	if got[0][0] != 30 || got[3][0] != 60 {
+	got := collect(ds)
+	if got[0][0] != 10 || got[5][0] != 60 {
 		t.Fatalf("collect: %v", got)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	e := NewEngine(4)
-	ds := e.Parallelize(rowsOf(1, 2, 3, 4, 5), 2)
-	sum := ds.Reduce(Row{0}, func(acc, r Row) Row {
-		acc[0] += r[0]
-		return acc
-	})
-	if sum[0] != 15 {
-		t.Fatalf("reduce sum %v", sum)
 	}
 }
 
@@ -90,24 +88,8 @@ func TestReduceByKey(t *testing.T) {
 	}
 }
 
-func TestMapPartitions(t *testing.T) {
-	e := NewEngine(2)
-	ds := e.Parallelize(rowsOf(1, 2, 3, 4), 2).
-		MapPartitions(func(p int, rows []Row) []Row {
-			s := 0.0
-			for _, r := range rows {
-				s += r[0]
-			}
-			return []Row{{float64(p), s}}
-		})
-	got := ds.Collect()
-	if len(got) != 2 || got[0][1] != 3 || got[1][1] != 7 {
-		t.Fatalf("per-partition sums: %v", got)
-	}
-}
-
-// Property: Count == len(Collect) and Reduce(sum) equals sequential sum
-// for any partitioning.
+// Property: Count equals the number of rows and the partitions hold the
+// input rows, summing to the sequential sum, for any partitioning.
 func TestEngineEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -121,11 +103,15 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 		}
 		e := NewEngine(1 + rng.Intn(4))
 		ds := e.Parallelize(rows, 1+rng.Intn(8))
-		if ds.Count() != n || len(ds.Collect()) != n {
+		got := collect(ds)
+		if ds.Count() != n || len(got) != n {
 			return false
 		}
-		got := ds.Reduce(Row{0}, func(acc, r Row) Row { acc[0] += r[0]; return acc })
-		return math.Abs(got[0]-want) < 1e-9
+		sum := 0.0
+		for _, r := range got {
+			sum += r[0]
+		}
+		return math.Abs(sum-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -185,10 +185,8 @@ type RandomForest struct {
 
 // ForestConfig tunes forest training.
 type ForestConfig struct {
-	Trees    int // default 10
-	Tree     TreeConfig
-	Seed     int64
-	Subspace bool // √d features per split (default true behaviour when Tree.FeatureSubs==0)
+	Trees int // default 10
+	Seed  int64
 }
 
 // TrainForest trains the forest data-parallel on the engine: each tree
@@ -202,10 +200,8 @@ func TrainForest(eng *Engine, rows []Row, classes int, cfg ForestConfig) *Random
 		panic("mapreduce: TrainForest on empty data")
 	}
 	nf := len(rows[0]) - 1
-	treeCfg := cfg.Tree
-	if treeCfg.FeatureSubs == 0 {
-		treeCfg.FeatureSubs = int(math.Ceil(math.Sqrt(float64(nf))))
-	}
+	// Each split samples √d features, the random-subspace rule.
+	treeCfg := TreeConfig{FeatureSubs: int(math.Ceil(math.Sqrt(float64(nf))))}
 	forest := &RandomForest{classes: classes, Trees: make([]*DecisionTree, cfg.Trees)}
 	sem := make(chan struct{}, eng.workers)
 	var wg sync.WaitGroup

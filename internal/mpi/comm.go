@@ -32,9 +32,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator's group.
 func (c *Comm) Size() int { return len(c.g.members) }
 
-// WorldRank returns the world rank of group member i.
-func (c *Comm) WorldRank(i int) int { return c.g.members[i] }
-
 // Send delivers a copy of data to dst with the given tag. Tags must be in
 // [0, maxUserTag) for user code; internal collectives use the reserved
 // space above. Send is asynchronous-buffered: it never blocks.

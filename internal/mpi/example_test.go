@@ -25,7 +25,7 @@ func ExampleWorld_Run() {
 }
 
 // ExampleComm_Split builds node-local sub-communicators, the structure
-// hierarchical allreduce uses for NVLink islands.
+// a two-level allreduce over NVLink islands would reduce within first.
 func ExampleComm_Split() {
 	world := mpi.NewWorld(4)
 	_ = world.Run(func(c *mpi.Comm) error {

@@ -117,7 +117,7 @@ func runFailFast(w *World, fn func(c *Comm) error) error {
 func checkAllreduce(c *Comm, name string, p int) error {
 	members := make([]int, c.Size())
 	for i := range members {
-		members[i] = c.WorldRank(i)
+		members[i] = c.g.members[i]
 	}
 	for ni, n := range propertySizes(p) {
 		for oi, op := range propertyOps {
@@ -198,7 +198,7 @@ func TestPropertyCollectives(t *testing.T) {
 			// barrier on each side of a snapshot makes it quiescent (Barrier
 			// moves no pooled payload).
 			c.Barrier()
-			g0, p0 := w.WireStats()
+			g0, p0 := w.wire.stats()
 			c.Barrier()
 			for _, g := range comms {
 				for _, algo := range allAlgos {
@@ -209,14 +209,14 @@ func TestPropertyCollectives(t *testing.T) {
 				}
 			}
 			c.Barrier()
-			g1, p1 := w.WireStats()
+			g1, p1 := w.wire.stats()
 			c.Barrier()
 			if g1-g0 != p1-p0 {
 				return fmt.Errorf("p=%d: wire pool leak over in-place window: %d gets, %d puts", p, g1-g0, p1-p0)
 			}
 			for k, g := range comms {
 				transcripts[k][c.wrank] = otherCollectives(g.Comm, otherN, func(i int) []float64 {
-					return propertyFloats(g.WorldRank(i), otherN, 2)
+					return propertyFloats(g.g.members[i], otherN, 2)
 				})
 				if g.Rank() == 0 {
 					groups[k][c.wrank] = g.g.members
@@ -279,11 +279,12 @@ func TestPropertyNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := NewWorld(8)
 	err := w.Run(func(c *Comm) error {
-		c.HierarchicalAllreduce(propertyFloats(c.Rank(), 17161, 3), OpSum, 4)
+		local := c.Split(c.Rank()/4, c.Rank())
+		local.AllreduceInPlace(propertyFloats(c.Rank(), 17161, 3), OpSum, AlgoRing)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, base, "after HierarchicalAllreduce")
+	waitGoroutines(t, base, "after a split-group ring allreduce")
 }

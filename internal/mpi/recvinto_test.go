@@ -103,7 +103,7 @@ func TestGroupRecvIntoIsolated(t *testing.T) {
 		sub := c.split(c.Rank()%2, c.Rank())
 		const tag = 5
 		if sub.Rank() != 0 {
-			c.Send(sub.WorldRank(0), tag, []float64{-1})
+			c.Send(sub.g.members[0], tag, []float64{-1})
 			sub.Send(0, tag, []float64{float64(c.Rank())})
 			return nil
 		}
@@ -112,13 +112,13 @@ func TestGroupRecvIntoIsolated(t *testing.T) {
 			if n := sub.RecvInto(src, tag, buf); n != 1 {
 				return fmt.Errorf("root %d: n=%d", c.Rank(), n)
 			}
-			if int(buf[0]) != sub.WorldRank(src) {
+			if int(buf[0]) != sub.g.members[src] {
 				return fmt.Errorf("root %d: got payload %v from group-local %d (world %d)",
-					c.Rank(), buf[0], src, sub.WorldRank(src))
+					c.Rank(), buf[0], src, sub.g.members[src])
 			}
 		}
 		for src := 1; src < sub.Size(); src++ {
-			if c.RecvInto(sub.WorldRank(src), tag, buf); buf[0] != -1 {
+			if c.RecvInto(sub.g.members[src], tag, buf); buf[0] != -1 {
 				return fmt.Errorf("root %d: world receive got %v, want the decoy", c.Rank(), buf[0])
 			}
 		}

@@ -211,13 +211,13 @@ func TestRingTakesNoWireBuffers(t *testing.T) {
 		x := propertyFloats(c.wrank, 4099, 6)
 		g := c.split(0, -c.Rank())
 		c.Barrier()
-		g0, _ := w.WireStats()
+		g0, _ := w.wire.stats()
 		c.Barrier()
 		c.AllreduceInPlace(x, OpSum, AlgoRing)
 		c.AllreduceMeanInPlace(x, AlgoRing)
 		g.AllreduceInPlace(x, OpMax, AlgoRing)
 		c.Barrier()
-		if g1, _ := w.WireStats(); g1 != g0 {
+		if g1, _ := w.wire.stats(); g1 != g0 {
 			return fmt.Errorf("ring allreduces took %d wire buffers", g1-g0)
 		}
 		return nil
@@ -437,7 +437,7 @@ func TestShareBufferReturnsEveryBuffer(t *testing.T) {
 				g.AllreduceInPlace(x, OpSum, AlgoRing)
 				got := g.ShareBuffer(bufs[c.wrank])
 				for r, b := range got {
-					if wr := g.WorldRank(r); len(b) != len(bufs[wr]) || &b[0] != &bufs[wr][0] {
+					if wr := g.g.members[r]; len(b) != len(bufs[wr]) || &b[0] != &bufs[wr][0] {
 						return fmt.Errorf("p=%d %s rank %d: member %d shared another buffer", p, g.name, g.rank, r)
 					}
 				}

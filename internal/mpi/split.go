@@ -2,17 +2,12 @@ package mpi
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
 )
 
-// Communicator splitting (MPI_Comm_split) and the hierarchical allreduce
-// built on it. The paper's §III-A setting — "very many GPUs connected by
-// NVLink or NVSwitches to scale beyond a large-scale HPC node setup" —
-// is exactly what hierarchical collectives exploit: a fast intra-node
-// reduce, a slower inter-node exchange among node leaders, then an
-// intra-node broadcast.
+// Communicator splitting (MPI_Comm_split): the sub-communicators the
+// 2-D data × pipeline trainers run their per-axis collectives on.
 
 // commTagStride is the width of one communicator's tag block: user tags
 // [0, maxUserTag) plus the internal collective band above them.
@@ -117,34 +112,4 @@ func (c *Comm) split(color, key int) *Comm {
 		return nil
 	}
 	return &Comm{world: c.world, g: res.g, rank: res.rank, wrank: c.wrank}
-}
-
-// HierarchicalAllreduce performs the two-level allreduce of NVLink-island
-// clusters: ring allreduce inside each node group, ring allreduce among
-// the group leaders over the slow fabric, then an intra-group broadcast.
-// groupSize is the number of ranks per node (the last group may be
-// smaller). It must be called by every rank with identical arguments.
-//
-// The three phases run back to back on the whole vector; DESIGN.md §9 has
-// the measurements behind not pipelining them by segment.
-func (c *Comm) HierarchicalAllreduce(data []float64, op ReduceOp, groupSize int) []float64 {
-	if groupSize < 1 {
-		panic(fmt.Sprintf("mpi: groupSize must be >=1, got %d", groupSize))
-	}
-	defer c.collective(KindHierarchicalAllreduce, len(data), fmt.Sprintf("group=%d", groupSize))()
-	local := c.split(c.rank/groupSize, c.rank)
-	leaderColor := -1
-	if local.rank == 0 {
-		leaderColor = 0
-	}
-	leaders := c.split(leaderColor, c.rank)
-
-	acc := c.world.wire.get(len(data))
-	copy(acc, data)
-	local.AllreduceInPlace(acc, op, AlgoRing)
-	if leaders != nil {
-		leaders.AllreduceInPlace(acc, op, AlgoRing)
-	}
-	local.BcastInto(0, acc)
-	return acc
 }

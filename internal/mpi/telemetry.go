@@ -27,13 +27,12 @@ const (
 	KindAllgather
 	KindGather
 	KindSplit
-	KindHierarchicalAllreduce
 	NumCollectiveKinds
 )
 
 var kindNames = [NumCollectiveKinds]string{
 	"barrier", "bcast", "reduce", "allreduce", "reduce-scatter",
-	"allgather", "gather", "split", "hierarchical-allreduce",
+	"allgather", "gather", "split",
 }
 
 // String returns the kind's canonical lowercase name.

@@ -32,7 +32,7 @@ type wirePool struct {
 	// a growing gets-puts gap inside such a window is a leaked buffer.
 	// User-owned Recv payloads legitimately widen the gap (receiver owns
 	// the buffer, never returns it), so the invariant is per-window, not
-	// global. The collective tests pin it via World.WireStats.
+	// global. The collective tests pin it via stats.
 	gets, puts uint64
 }
 

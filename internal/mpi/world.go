@@ -190,12 +190,6 @@ func (w *World) Revoke(reason string) {
 // Revoked reports whether Revoke has been called.
 func (w *World) Revoked() bool { return w.revoked.Load() != nil }
 
-// WireStats returns the cumulative wire-pool get/put counts. Over a
-// window of purely internal buffer circulation (in-place collectives)
-// the two deltas match exactly; the collective tests use this as a
-// buffer-leak check.
-func (w *World) WireStats() (gets, puts uint64) { return w.wire.stats() }
-
 // Comm returns the communicator handle for a rank.
 func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {

@@ -110,17 +110,6 @@ func (n NodeSpec) CPUPeakGFlops() float64 {
 	return float64(n.Cores()) * n.CPU.ClockGHz * n.CPU.FlopsPerCyc
 }
 
-// GPUPeakTFlops returns the node's aggregate peak GPU fp32 performance.
-func (n NodeSpec) GPUPeakTFlops() float64 {
-	s := 0.0
-	for _, a := range n.Accels {
-		if a.Spec.Class == AccelGPU {
-			s += float64(a.Count) * a.Spec.FP32TFlops
-		}
-	}
-	return s
-}
-
 // PowerW returns a node's nominal power draw (sockets + accelerators +
 // a fixed 150 W board/memory/NIC overhead).
 func (n NodeSpec) PowerW() float64 {

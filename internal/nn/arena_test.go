@@ -151,9 +151,9 @@ func refSGDStep(s *SGD, vel map[*Param]*tensor.Tensor, params []*Param, lr float
 			g = v
 		}
 		if s.WeightDecay > 0 && !p.NoDecay {
-			p.Value.Axpy(-lr*s.WeightDecay, p.Value)
+			tensor.AxpyInto(p.Value.Data(), -lr*s.WeightDecay, p.Value.Data())
 		}
-		p.Value.Axpy(-lr, g)
+		tensor.AxpyInto(p.Value.Data(), -lr, g.Data())
 	}
 }
 

@@ -63,7 +63,9 @@ func TestSaveLoadModelIncludesBNStats(t *testing.T) {
 	m1 := CovidNetMini(rng, 16, 3)
 	// Train a little so running stats move off their init values.
 	x := tensor.Randn(rng, 1, 6, 1, 16, 16)
-	x.AddScalar(3)
+	for i := range x.Data() {
+		x.Data()[i] += 3
+	}
 	for i := 0; i < 5; i++ {
 		m1.Forward(x, true)
 	}

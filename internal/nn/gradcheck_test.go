@@ -96,7 +96,7 @@ func TestReLUGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := tensor.Randn(rng, 1, 4, 6)
 	// Keep activations away from the kink at 0.
-	x.ApplyInPlace(func(v float64) float64 {
+	tensor.ApplyInto(x, x, func(v float64) float64 {
 		if math.Abs(v) < 0.05 {
 			return v + 0.2
 		}

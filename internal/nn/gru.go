@@ -171,6 +171,13 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	ws.Put(whzr)
 	ws.Put(bzr)
 	ws.Put(hLast)
+	if !train {
+		// No Backward follows an eval pass to return the saved buffers.
+		for _, buf := range []*tensor.Tensor{s.xT, s.zr, s.hh, s.hp} {
+			ws.Put(buf)
+		}
+		s.xT, s.zr, s.hh, s.hp = nil, nil, nil, nil
+	}
 	return out
 }
 
@@ -217,7 +224,7 @@ func (g *GRU) forwardBlock(b int) {
 
 // Backward backpropagates through time given dout of shape (N, T, H) and
 // returns dx of shape (N, T, D). It consumes what the preceding Forward
-// saved: one Backward per Forward.
+// saved: one Backward per training Forward.
 func (g *GRU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	s, ws := &g.saved, g.ws
 	if s.xT == nil {

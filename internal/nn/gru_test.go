@@ -49,7 +49,7 @@ func (r *refGRU) forward(x *tensor.Tensor) *tensor.Tensor {
 		tensor.MatMulAccBiasActInto(rr, hPrev, g.Whr.Value, g.Br.Value, tensor.EpSigmoid)
 
 		rh := tensor.New(n, g.H)
-		tensor.MulInto(rh, rr, hPrev)
+		tensor.VecMulInto(rh.Data(), rr.Data(), hPrev.Data())
 		hh := tensor.New(n, g.H)
 		tensor.MatMulInto(hh, xt, g.Wxh.Value)
 		tensor.MatMulAccBiasActInto(hh, rh, g.Whh.Value, g.Bh.Value, tensor.EpTanh)
@@ -105,14 +105,14 @@ func (r *refGRU) backward(dout *tensor.Tensor) *tensor.Tensor {
 			dahd[i] = dhhd[i] * (1 - float64(hhd[i]*hhd[i]))
 		}
 		rh := tensor.New(n, g.H)
-		tensor.MulInto(rh, rr, hPrev)
+		tensor.VecMulInto(rh.Data(), rr.Data(), hPrev.Data())
 		dxt := tensor.New(n, g.D)
 		tensor.MatMulTInto(dxt, dah, g.Wxh.Value)
 		drh := tensor.New(n, g.H)
 		tensor.MatMulTInto(drh, dah, g.Whh.Value)
 		// r⊙hPrev splits.
 		dr := tensor.New(n, g.H)
-		tensor.MulInto(dr, drh, hPrev)
+		tensor.VecMulInto(dr.Data(), drh.Data(), hPrev.Data())
 		for i, v := range drh.Data() {
 			dhpd[i] += float64(v * rr.Data()[i])
 		}
@@ -343,4 +343,24 @@ func TestGRUBackwardNeedsForward(t *testing.T) {
 		}
 	}()
 	g.Backward(dout)
+}
+
+// TestGRUEvalReturnsSavedBuffers: an eval Forward has no Backward to hand
+// the time-major buffers back, so it returns them itself. An eval pass of
+// the §IV-B imputer leaves only the three layer outputs borrowed (each
+// GRU's and the head's; dropout passes its input through), and a training
+// pass still keeps the saved state its Backward needs.
+func TestGRUEvalReturnsSavedBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := GRUImputer(rng, 5)
+	x := tensor.RandUniform(rng, -1, 1, 3, 7, 5)
+	if _, inUse := evalPass(m, x); inUse != 3 {
+		t.Fatalf("eval forward left %d workspace tensors in use, want 3 (the layer outputs)", inUse)
+	}
+	ws := tensor.NewWorkspace()
+	m.SetWorkspace(ws)
+	m.Forward(x, true)
+	if inUse := ws.InUse(); inUse <= 3 {
+		t.Fatalf("training forward left %d workspace tensors in use, want the saved state too", inUse)
+	}
 }

@@ -273,12 +273,16 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	// Feed shifted data for several training steps.
 	for i := 0; i < 50; i++ {
 		x := tensor.Randn(rng, 1, 8, 2, 3, 3)
-		x.AddScalar(5)
+		for i := range x.Data() {
+			x.Data()[i] += 5
+		}
 		bn.Forward(x, true)
 	}
 	// Eval on the same distribution: output should be ~N(0,1) per channel.
 	x := tensor.Randn(rng, 1, 64, 2, 3, 3)
-	x.AddScalar(5)
+	for i := range x.Data() {
+		x.Data()[i] += 5
+	}
 	out := bn.Forward(x, false)
 	if m := out.Mean(); math.Abs(m) > 0.2 {
 		t.Fatalf("eval-mode BN mean %f, want ~0", m)

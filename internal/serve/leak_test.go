@@ -22,10 +22,7 @@ import (
 func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 	const in, maxBatch, clients = 16, 8, 8
 	factory := func() *nn.Sequential { return nn.MLP(rand.New(rand.NewSource(3)), in, 64, 4) }
-	backends, err := NewReplicaModels(factory, nil, 2, nn.ActSoftmax)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backends := []Backend{NewModelBackend(factory(), nn.ActSoftmax), NewModelBackend(factory(), nn.ActSoftmax)}
 	rng := rand.New(rand.NewSource(4))
 	if _, err := backends[0].Infer(tensor.Randn(rng, 1, maxBatch, in)); err != nil {
 		t.Fatal(err)

@@ -131,25 +131,3 @@ func (b *FlakyBackend) Infer(batch *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return b.Inner.Infer(batch)
 }
-
-// NewReplicaModels builds n independent model replicas from factory and
-// restores the same nn.SaveModel checkpoint blob into each (layers are
-// stateful, so every replica needs its own instance; identical weights
-// come from the shared checkpoint — the serving warm-up path). A nil blob
-// keeps the factory's initialization.
-func NewReplicaModels(factory func() *nn.Sequential, blob []byte, n int, act nn.Activation) ([]Backend, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("serve: need at least one replica, got %d", n)
-	}
-	out := make([]Backend, n)
-	for i := range out {
-		m := factory()
-		if blob != nil {
-			if err := nn.LoadModel(m, blob); err != nil {
-				return nil, fmt.Errorf("serve: restoring replica %d: %w", i, err)
-			}
-		}
-		out[i] = NewModelBackend(m, act)
-	}
-	return out, nil
-}

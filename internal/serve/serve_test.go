@@ -305,33 +305,6 @@ func TestModelBackendProbabilities(t *testing.T) {
 	}
 }
 
-func TestNewReplicaModelsSharedWeights(t *testing.T) {
-	factory := func() *nn.Sequential {
-		// Deliberately varying seeds: identical weights must come from the
-		// checkpoint blob, not the factory.
-		return nn.MLP(rand.New(rand.NewSource(time.Now().UnixNano())), 3, 5, 2)
-	}
-	ref := nn.MLP(rand.New(rand.NewSource(42)), 3, 5, 2)
-	blob, err := nn.SaveModel(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backends, err := NewReplicaModels(factory, blob, 3, nn.ActSoftmax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(rand.New(rand.NewSource(7)), 2, 4, 3)
-	want, _ := backends[0].Infer(x)
-	for i, be := range backends[1:] {
-		got, _ := be.Infer(x)
-		for j, v := range got.Data() {
-			if v != want.Data()[j] {
-				t.Fatalf("replica %d diverges from replica 0 at %d", i+1, j)
-			}
-		}
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 90; i++ {

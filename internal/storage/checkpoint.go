@@ -103,16 +103,6 @@ func CompareCheckpointTargets(p CheckpointPlan, fs *SSSM, nam *NAM) (sssm, viaNA
 // analytic companions to the measured recovery costs internal/ft reports:
 // cmd/msa-ft joins the two into an MTBF-vs-overhead study.
 
-// YoungInterval returns Young's optimal compute time between checkpoints,
-// τ = sqrt(2 δ M), for checkpoint stall ckptSec and MTBF mtbfSec. Panics
-// on non-positive inputs (matching the package's modelling helpers).
-func YoungInterval(ckptSec, mtbfSec float64) float64 {
-	if ckptSec <= 0 || mtbfSec <= 0 {
-		panic(fmt.Sprintf("storage: YoungInterval needs positive inputs, got δ=%g M=%g", ckptSec, mtbfSec))
-	}
-	return math.Sqrt(2 * ckptSec * mtbfSec)
-}
-
 // DalyInterval returns Daly's higher-order refinement of Young's optimum:
 //
 //	τ = sqrt(2δM)·[1 + 1/3·sqrt(δ/2M) + 1/9·(δ/2M)] − δ   for δ < 2M

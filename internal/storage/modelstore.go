@@ -127,13 +127,3 @@ func (s *ModelStore) Blob(name string) ([]byte, error) {
 	}
 	return blob, nil
 }
-
-// LoadInto restores the named checkpoint into a structurally identical
-// model (parameter names and shapes must match).
-func (s *ModelStore) LoadInto(name string, m *nn.Sequential) error {
-	blob, err := s.Blob(name)
-	if err != nil {
-		return err
-	}
-	return nn.LoadModel(m, blob)
-}

@@ -44,8 +44,13 @@ func TestModelStoreRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint missing after Save")
 	}
 
+	// Blob is the fan-out path for many replicas: one read, N restores.
+	blob, err := store.Blob("resnet")
+	if err != nil {
+		t.Fatal(err)
+	}
 	replica := build(77) // different init: weights must come from the store
-	if err := store.LoadInto("resnet", replica); err != nil {
+	if err := nn.LoadModel(replica, blob); err != nil {
 		t.Fatal(err)
 	}
 	want := trained.Forward(x, false)
@@ -56,11 +61,6 @@ func TestModelStoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Blob is the fan-out path for many replicas: one read, N restores.
-	blob, err := store.Blob("resnet")
-	if err != nil {
-		t.Fatal(err)
-	}
 	replica2 := build(78)
 	if err := nn.LoadModel(replica2, blob); err != nil {
 		t.Fatal(err)
@@ -68,11 +68,11 @@ func TestModelStoreRoundTrip(t *testing.T) {
 
 	// Structural mismatch must be rejected, not silently accepted.
 	wrong := nn.MLP(rand.New(rand.NewSource(3)), 4, 2)
-	if err := store.LoadInto("resnet", wrong); err == nil {
+	if err := nn.LoadModel(wrong, blob); err == nil {
 		t.Fatal("loading a ResNet checkpoint into an MLP must fail")
 	}
 	// Missing checkpoint is an error.
-	if err := store.LoadInto("nope", build(1)); err == nil {
+	if _, err := store.Blob("nope"); err == nil {
 		t.Fatal("loading a missing checkpoint must fail")
 	}
 }

@@ -66,23 +66,11 @@ func (s *SSSM) ReadTime(sizeGB float64, stripe, readers int) float64 {
 	return sizeGB / s.StreamBW(stripe, readers)
 }
 
-// NAM is the network-attached-memory dataset cache: far-memory reachable
-// by every module over the federation, with LRU eviction when capacity is
-// exceeded.
+// NAM is the network-attached-memory module: far memory reachable by
+// every module over the federation, at the spec's capacity, bandwidth and
+// latency.
 type NAM struct {
 	Spec msa.NAMSpec
-	// entries in LRU order (front = least recently used).
-	lru    []namEntry
-	usedGB float64
-	// Stats.
-	Hits, Misses int
-	StagedGB     float64 // data pulled from the SSSM on misses
-	ServedGB     float64 // data served from NAM memory
-}
-
-type namEntry struct {
-	name   string
-	sizeGB float64
 }
 
 // NewNAM wraps a NAM spec.
@@ -91,59 +79,6 @@ func NewNAM(spec msa.NAMSpec) *NAM {
 		panic(fmt.Sprintf("storage: invalid NAM spec %+v", spec))
 	}
 	return &NAM{Spec: spec}
-}
-
-// UsedGB returns current cache occupancy.
-func (n *NAM) UsedGB() float64 { return n.usedGB }
-
-// Contains reports whether a dataset is resident.
-func (n *NAM) Contains(name string) bool {
-	for _, e := range n.lru {
-		if e.name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Access reads a dataset through the NAM: a hit serves from NAM memory at
-// NAM bandwidth; a miss first stages the dataset from the SSSM (at the
-// SSSM's single-stream bandwidth with the given stripe), inserting it
-// with LRU eviction, then serves it. Returns the elapsed time.
-func (n *NAM) Access(name string, sizeGB float64, src *SSSM, stripe int) float64 {
-	if sizeGB > n.Spec.CapacityGB {
-		panic(fmt.Sprintf("storage: dataset %s (%.0f GB) exceeds NAM capacity %.0f GB", name, sizeGB, n.Spec.CapacityGB))
-	}
-	t := n.Spec.LatencyUS * 1e-6
-	if n.touch(name) {
-		n.Hits++
-		n.ServedGB += sizeGB
-		return t + sizeGB/n.Spec.BWGBs
-	}
-	n.Misses++
-	// Stage from the SSSM, evicting LRU entries as needed.
-	for n.usedGB+sizeGB > n.Spec.CapacityGB && len(n.lru) > 0 {
-		ev := n.lru[0]
-		n.lru = n.lru[1:]
-		n.usedGB -= ev.sizeGB
-	}
-	n.lru = append(n.lru, namEntry{name: name, sizeGB: sizeGB})
-	n.usedGB += sizeGB
-	n.StagedGB += sizeGB
-	t += src.ReadTime(sizeGB, stripe, 1)
-	n.ServedGB += sizeGB
-	return t + sizeGB/n.Spec.BWGBs
-}
-
-// touch moves an entry to the MRU position, reporting whether it existed.
-func (n *NAM) touch(name string) bool {
-	for i, e := range n.lru {
-		if e.name == name {
-			n.lru = append(append(n.lru[:i], n.lru[i+1:]...), e)
-			return true
-		}
-	}
-	return false
 }
 
 // DuplicateDownloadTime models the workflow the NAM replaces: k group

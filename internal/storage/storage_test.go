@@ -81,52 +81,6 @@ func TestMoreStripesFasterSingleStream(t *testing.T) {
 	}
 }
 
-func TestNAMHitMissAccounting(t *testing.T) {
-	fs := testFS()
-	nam := testNAM()
-	t1 := nam.Access("bigearthnet", 50, fs, 8)
-	if nam.Misses != 1 || nam.Hits != 0 || !nam.Contains("bigearthnet") {
-		t.Fatalf("first access must miss: %+v", nam)
-	}
-	t2 := nam.Access("bigearthnet", 50, fs, 8)
-	if nam.Hits != 1 {
-		t.Fatal("second access must hit")
-	}
-	if t2 >= t1 {
-		t.Fatalf("hit (%f) must be faster than miss (%f)", t2, t1)
-	}
-	if nam.StagedGB != 50 || nam.ServedGB != 100 {
-		t.Fatalf("traffic accounting: staged=%f served=%f", nam.StagedGB, nam.ServedGB)
-	}
-}
-
-func TestNAMLRUEviction(t *testing.T) {
-	fs := testFS()
-	nam := testNAM() // 100 GB capacity
-	nam.Access("a", 40, fs, 8)
-	nam.Access("b", 40, fs, 8)
-	nam.Access("a", 40, fs, 8) // touch a: b becomes LRU
-	nam.Access("c", 40, fs, 8) // evicts b
-	if !nam.Contains("a") || !nam.Contains("c") || nam.Contains("b") {
-		t.Fatalf("LRU eviction wrong: a=%v b=%v c=%v", nam.Contains("a"), nam.Contains("b"), nam.Contains("c"))
-	}
-	if nam.UsedGB() != 80 {
-		t.Fatalf("used: %f", nam.UsedGB())
-	}
-}
-
-func TestNAMOversizedDatasetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	testNAM().Access("huge", 1000, testFS(), 8)
-}
-
-// TestNAMBeatsDuplicateDownloads is experiment E12's second half: for a
-// research group of k members, shared NAM access must move k× less data
-// out of the SSSM and (for meaningful k) finish sooner.
 func TestNAMBeatsDuplicateDownloads(t *testing.T) {
 	fs := testFS()
 	for _, k := range []int{4, 8, 16} {

@@ -1,10 +1,6 @@
 package svm
 
-import (
-	"fmt"
-
-	"repro/internal/mpi"
-)
+import "repro/internal/mpi"
 
 // Cascade SVM (Graf et al., the parallelization scheme behind the paper's
 // MPI SVM [16]): the training set is split across P workers, each trains a
@@ -149,57 +145,6 @@ func ShardData(x [][]float64, y []int, p int) ([][][]float64, [][]int) {
 		ys[r] = y[lo:hi]
 	}
 	return xs, ys
-}
-
-// OneVsRest is a multiclass SVM composed of per-class binary models.
-type OneVsRest struct {
-	Models  []*Model
-	Classes int
-}
-
-// TrainOneVsRest fits one binary SVM per class (class c vs. all others).
-func TrainOneVsRest(x [][]float64, labels []int, classes int, cfg Config) *OneVsRest {
-	if classes < 2 {
-		panic(fmt.Sprintf("svm: need >=2 classes, got %d", classes))
-	}
-	ovr := &OneVsRest{Classes: classes, Models: make([]*Model, classes)}
-	for cl := 0; cl < classes; cl++ {
-		y := make([]int, len(labels))
-		for i, l := range labels {
-			if l == cl {
-				y[i] = 1
-			} else {
-				y[i] = -1
-			}
-		}
-		ovr.Models[cl] = Train(x, y, cfg)
-	}
-	return ovr
-}
-
-// Predict returns the class with the largest decision value.
-func (o *OneVsRest) Predict(x []float64) int {
-	best, bestV := 0, o.Models[0].Decision(x)
-	for cl := 1; cl < o.Classes; cl++ {
-		if v := o.Models[cl].Decision(x); v > bestV {
-			best, bestV = cl, v
-		}
-	}
-	return best
-}
-
-// Accuracy evaluates multiclass accuracy.
-func (o *OneVsRest) Accuracy(x [][]float64, labels []int) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range x {
-		if o.Predict(x[i]) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(x))
 }
 
 // Ensemble is a majority-vote committee of binary SVMs trained on

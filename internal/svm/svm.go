@@ -234,6 +234,3 @@ func (m *Model) Accuracy(x [][]float64, y []int) float64 {
 	}
 	return float64(correct) / float64(len(x))
 }
-
-// NumSVs returns the support-vector count.
-func (m *Model) NumSVs() int { return len(m.SVs) }

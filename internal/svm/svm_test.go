@@ -48,8 +48,8 @@ func TestLinearSVMSeparable(t *testing.T) {
 		t.Fatalf("linear SVM accuracy %f", acc)
 	}
 	// Margins of support vectors should be near ±1 for separable data.
-	if m.NumSVs() == 0 || m.NumSVs() == len(x) {
-		t.Fatalf("suspicious SV count %d of %d", m.NumSVs(), len(x))
+	if len(m.SVs) == 0 || len(m.SVs) == len(x) {
+		t.Fatalf("suspicious SV count %d of %d", len(m.SVs), len(x))
 	}
 }
 
@@ -210,36 +210,6 @@ func TestCascadeOddWorldSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestOneVsRest(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Three clusters at angles.
-	n := 90
-	x := make([][]float64, n)
-	labels := make([]int, n)
-	for i := range x {
-		c := i % 3
-		angle := float64(c) * 2 * math.Pi / 3
-		x[i] = []float64{
-			3*math.Cos(angle) + rng.NormFloat64()*0.5,
-			3*math.Sin(angle) + rng.NormFloat64()*0.5,
-		}
-		labels[i] = c
-	}
-	ovr := TrainOneVsRest(x, labels, 3, Config{Kernel: RBF{Gamma: 0.5}, Seed: 12})
-	if acc := ovr.Accuracy(x, labels); acc < 0.95 {
-		t.Fatalf("OvR accuracy %f", acc)
-	}
-}
-
-func TestOneVsRestPanicsOnOneClass(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	TrainOneVsRest([][]float64{{1}}, []int{0}, 1, Config{})
 }
 
 func TestEnsembleMajorityVote(t *testing.T) {

@@ -35,7 +35,7 @@ func BenchmarkCounterAdd(b *testing.B) {
 	c := reg.Counter("bench_total")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		c.Add(1)
 	}
 }
 

@@ -20,9 +20,6 @@ type Label struct {
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n (n must be non-negative for Prometheus semantics).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 

@@ -173,7 +173,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestRegistryPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("msa_requests_total", Label{"kind", "ok"}).Add(7)
-	reg.Counter("msa_requests_total", Label{"kind", "shed"}).Inc()
+	reg.Counter("msa_requests_total", Label{"kind", "shed"}).Add(1)
 	reg.SetHelp("msa_requests_total", "requests by outcome")
 	reg.Gauge("msa_queue_depth").Set(3)
 	reg.GaugeFunc("msa_uptime_seconds", func() float64 { return 1.5 })

@@ -10,32 +10,16 @@ func ConvDims(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
-// Im2Col lowers an image batch of shape (N, C, H, W) to a matrix of shape
-// (N*OH*OW, C*KH*KW) so that convolution becomes a single MatMul against a
-// (C*KH*KW, OutC) filter matrix. Out-of-bounds (padding) samples are zero.
+// Im2ColInto lowers an image batch img of shape (N, C, H, W) into the
+// caller-provided column matrix cols of shape (N*OH*OW, C*KH*KW), so that
+// convolution becomes a single matmul against a (C*KH*KW, OutC) filter
+// matrix. cols is fully overwritten; out-of-bounds (padding) samples are
+// zero.
 //
-// Im2Col/Col2Im are the reference lowering, not the training path: the
-// convolution engine below computes the same products without building
-// this matrix, and its tests compose these functions with the matmul
-// family to state what every result must equal, bit for bit.
-func Im2Col(img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
-	if len(img.shape) != 4 {
-		panic("tensor: Im2Col requires (N,C,H,W)")
-	}
-	n, c, h, w := img.shape[0], img.shape[1], img.shape[2], img.shape[3]
-	oh := ConvDims(h, kh, stride, padH)
-	ow := ConvDims(w, kw, stride, padW)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col degenerate output %dx%d", oh, ow))
-	}
-	cols := New(n*oh*ow, c*kh*kw)
-	Im2ColInto(cols, img, kh, kw, stride, padH, padW)
-	return cols
-}
-
-// Im2ColInto lowers img into the caller-provided column matrix cols, which
-// must have shape (N*OH*OW, C*KH*KW) and is fully overwritten (padding
-// cells included). Reference lowering; see Im2Col.
+// Im2ColInto/Col2ImInto are the reference lowering, not the training
+// path: the convolution engine below computes the same products without
+// building this matrix, and its tests compose these functions with the
+// matmul family to state what every result must equal, bit for bit.
 func Im2ColInto(cols, img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	if len(img.shape) != 4 {
 		panic("tensor: Im2ColInto requires (N,C,H,W)")
@@ -93,19 +77,11 @@ func im2colRows(v convArgs, lo, hi int) {
 	}
 }
 
-// Col2Im scatters a column matrix (as produced by Im2Col) back into an
-// image batch of shape (N, C, H, W), accumulating overlapping windows.
-// It is the adjoint of Im2Col, and with it the reference for the order in
-// which Conv2DGradInputInto adds into each input pixel.
-func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, padH, padW int) *Tensor {
-	img := New(n, c, h, w)
-	Col2ImInto(img, cols, kh, kw, stride, padH, padW)
-	return img
-}
-
-// Col2ImInto scatters cols into the caller-provided image batch img of
-// shape (N, C, H, W), overwriting it (img is zeroed, then overlapping
-// windows accumulate). Reference lowering; see Im2Col.
+// Col2ImInto scatters a column matrix (as produced by Im2ColInto) into the
+// caller-provided image batch img of shape (N, C, H, W), overwriting it
+// (img is zeroed, then overlapping windows accumulate). It is the adjoint
+// of Im2ColInto, and with it the reference for the order in which
+// Conv2DGradInputInto adds into each input pixel.
 func Col2ImInto(img, cols *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	if len(img.shape) != 4 {
 		panic("tensor: Col2ImInto requires (N,C,H,W) output")
@@ -114,7 +90,7 @@ func Col2ImInto(img, cols *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	oh := ConvDims(h, kh, stride, padH)
 	ow := ConvDims(w, kw, stride, padW)
 	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with (%d,%d,%d,%d) k=%dx%d", cols.shape, n, c, h, w, kh, kw))
+		panic(fmt.Sprintf("tensor: Col2ImInto shape %v incompatible with (%d,%d,%d,%d) k=%dx%d", cols.shape, n, c, h, w, kh, kw))
 	}
 	// Overlapping windows accumulate, but only within one batch image —
 	// so the scatter parallelizes over the batch axis, each worker owning
@@ -585,45 +561,6 @@ func convInputImages(v convArgs, lo, hi int) {
 		}
 	}
 	putScratch(bpP)
-}
-
-// RefConv2DInto is the naive scalar reference for Conv2DBiasInto
-// (stride 1): per-element FMA accumulation in ascending (c, ky, kx)
-// order, skipping padded taps, bias added with a plain + afterwards.
-// Kept for bitwise cross-checks and benchmark baselines, not speed.
-func RefConv2DInto(out, img, w, bias *Tensor, kh, kw, padH, padW int) *Tensor {
-	n, c, h, iw := img.shape[0], img.shape[1], img.shape[2], img.shape[3]
-	outC, oh, ow := out.shape[1], out.shape[2], out.shape[3]
-	od, id, wd := out.data, img.data, w.data
-	for b := 0; b < n; b++ {
-		for oc := 0; oc < outC; oc++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					acc := 0.0
-					for ch := 0; ch < c; ch++ {
-						for ky := 0; ky < kh; ky++ {
-							iy := oy + ky - padH
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kx := 0; kx < kw; kx++ {
-								ix := ox + kx - padW
-								if ix < 0 || ix >= iw {
-									continue
-								}
-								acc = math.FMA(id[((b*c+ch)*h+iy)*iw+ix], wd[((ch*kh+ky)*kw+kx)*outC+oc], acc)
-							}
-						}
-					}
-					if bias != nil {
-						acc += bias.data[oc]
-					}
-					od[((b*outC+oc)*oh+oy)*ow+ox] = acc
-				}
-			}
-		}
-	}
-	return out
 }
 
 // MaxPool2DInto performs max pooling into the caller-provided out tensor

@@ -46,8 +46,15 @@ func gatherNCHW(flat, img *Tensor) {
 	}
 }
 
+// im2col allocates img's column matrix and lowers img into it.
+func im2col(img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
+	n, c, h, w := img.Dim(0), img.Dim(1), img.Dim(2), img.Dim(3)
+	oh, ow := ConvDims(h, kh, stride, padH), ConvDims(w, kw, stride, padW)
+	return Im2ColInto(New(n*oh*ow, c*kh*kw), img, kh, kw, stride, padH, padW)
+}
+
 func loweredForward(out, img, w, bias *Tensor, kh, kw, stride, padH, padW int) {
-	cols := Im2Col(img, kh, kw, stride, padH, padW)
+	cols := im2col(img, kh, kw, stride, padH, padW)
 	flat := New(cols.shape[0], w.shape[1])
 	MatMulBiasInto(flat, cols, w, bias)
 	scatterNCHW(out, flat)
@@ -55,7 +62,7 @@ func loweredForward(out, img, w, bias *Tensor, kh, kw, stride, padH, padW int) {
 
 // loweredBackward accumulates into dw and db and overwrites dx.
 func loweredBackward(dw, db, dx, img, dout, w *Tensor, kh, kw, stride, padH, padW int) {
-	cols := Im2Col(img, kh, kw, stride, padH, padW)
+	cols := im2col(img, kh, kw, stride, padH, padW)
 	dflat := New(cols.shape[0], w.shape[1])
 	gatherNCHW(dflat, dout)
 	TMatMulAccInto(dw, cols, dflat)

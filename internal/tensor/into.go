@@ -25,12 +25,6 @@ func subRange(e ewArgs, lo, hi int) {
 	}
 }
 
-func divRange(e ewArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e.od[i] = e.ad[i] / e.bd[i]
-	}
-}
-
 // AddInto sets out = a+b elementwise. out may alias a or b.
 func AddInto(out, a, b *Tensor) *Tensor {
 	checkSame("AddInto", a, b)
@@ -44,22 +38,6 @@ func SubInto(out, a, b *Tensor) *Tensor {
 	checkSame("SubInto", a, b)
 	checkSame("SubInto", out, a)
 	ewJobs.For(len(out.data), 1, ewArgs{out.data, a.data, b.data}, subRange)
-	return out
-}
-
-// MulInto sets out = a*b elementwise (Hadamard). out may alias a or b.
-func MulInto(out, a, b *Tensor) *Tensor {
-	checkSame("MulInto", a, b)
-	checkSame("MulInto", out, a)
-	VecMulInto(out.data, a.data, b.data)
-	return out
-}
-
-// DivInto sets out = a/b elementwise. out may alias a or b.
-func DivInto(out, a, b *Tensor) *Tensor {
-	checkSame("DivInto", a, b)
-	checkSame("DivInto", out, a)
-	ewJobs.For(len(out.data), 1, ewArgs{out.data, a.data, b.data}, divRange)
 	return out
 }
 
@@ -77,8 +55,7 @@ func applyRange(v applyArgs, lo, hi int) {
 	}
 }
 
-// ApplyInto sets out[i] = f(a[i]). out may alias a. This is the single
-// kernel behind Apply and ApplyInPlace.
+// ApplyInto sets out[i] = f(a[i]). out may alias a.
 func ApplyInto(out, a *Tensor, f func(float64) float64) *Tensor {
 	checkSame("ApplyInto", out, a)
 	// f is an arbitrary function call per element: assume it is
@@ -156,24 +133,6 @@ func SoftmaxRowsInto(out, a *Tensor) *Tensor {
 	// ~3 passes over the row, one of them math.Exp.
 	cost := 24 * c
 	softmaxJobs.For(r, cost, softmaxArgs{out.data, a.data, c}, softmaxRows)
-	return out
-}
-
-// TransposeInto writes the transpose of the 2-D tensor a into out
-// (shape (C,R)). out must not alias a.
-func TransposeInto(out, a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: TransposeInto requires a 2-D tensor")
-	}
-	r, c := a.shape[0], a.shape[1]
-	if len(out.shape) != 2 || out.shape[0] != c || out.shape[1] != r {
-		panic("tensor: TransposeInto output shape mismatch")
-	}
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.data[j*r+i] = a.data[i*c+j]
-		}
-	}
 	return out
 }
 

@@ -160,8 +160,7 @@ func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue,
 
 // epilogueRowSeg64 applies bias+activation to rows row segments of width
 // w at c (row stride ldc), whose columns start at jOff. A plain add (not
-// FMA) keeps bias semantics identical to the former separate AddRowVector
-// pass.
+// FMA) keeps bias semantics identical to a separate bias-add pass.
 func epilogueRowSeg64(c []float64, ldc, rows, w int, bias []float64, jOff int, ep Epilogue) {
 	if bias != nil {
 		for r := range rows {
@@ -423,69 +422,4 @@ func gemmSmallMNT64(v gemmArgs, lo, hi int) {
 			}
 		}
 	}
-}
-
-// Reference kernels: the floating-point contract stated literally — one
-// scalar FMA chain per element, ascending p, seeded from the prior out
-// value. Every optimized path must match these bitwise (kernel_test.go).
-
-func refGemm(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
-	var m, k, n int
-	switch kind {
-	case gemmNN:
-		m, k, n = a.shape[0], a.shape[1], b.shape[1]
-	case gemmNT:
-		m, k, n = a.shape[0], a.shape[1], b.shape[0]
-	case gemmTN:
-		k, m, n = a.shape[0], a.shape[1], b.shape[1]
-	}
-	if out.shape[0] != m || out.shape[1] != n {
-		panic("tensor: matmul output shape mismatch")
-	}
-	if !acc {
-		out.Zero()
-	}
-	od, ad, bd := out.data, a.data, b.data
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			acc := od[i*n+j]
-			switch kind {
-			case gemmNN:
-				for p := 0; p < k; p++ {
-					acc = math.FMA(ad[i*k+p], bd[p*n+j], acc)
-				}
-			case gemmNT:
-				for p := 0; p < k; p++ {
-					acc = math.FMA(ad[i*k+p], bd[j*k+p], acc)
-				}
-			case gemmTN:
-				for p := 0; p < k; p++ {
-					acc = math.FMA(ad[p*m+i], bd[p*n+j], acc)
-				}
-			}
-			if bias != nil {
-				acc += bias.data[j]
-			}
-			od[i*n+j] = applyEp(acc, ep)
-		}
-	}
-}
-
-// RefMatMulInto is the naive reference for MatMulInto (out = a·b). It is
-// kept for bitwise cross-checks and benchmark baselines, not speed.
-func RefMatMulInto(out, a, b *Tensor) *Tensor {
-	refGemm(gemmNN, out, a, b, nil, EpNone, false)
-	return out
-}
-
-// RefMatMulTInto is the naive reference for MatMulTInto (out = a·bᵀ).
-func RefMatMulTInto(out, a, b *Tensor) *Tensor {
-	refGemm(gemmNT, out, a, b, nil, EpNone, false)
-	return out
-}
-
-// RefTMatMulInto is the naive reference for TMatMulInto (out = aᵀ·b).
-func RefTMatMulInto(out, a, b *Tensor) *Tensor {
-	refGemm(gemmTN, out, a, b, nil, EpNone, false)
-	return out
 }

@@ -56,10 +56,11 @@ func TestGemmBitwiseVsRef(t *testing.T) {
 		if !bitEqual64(got, want) {
 			t.Fatalf("MatMulTInto %dx%dx%d differs from reference", m, k, n)
 		}
-		TMatMulInto(got, at, b)
+		got.Zero()
+		TMatMulAccInto(got, at, b)
 		RefTMatMulInto(want, at, b)
 		if !bitEqual64(got, want) {
-			t.Fatalf("TMatMulInto %dx%dx%d differs from reference", m, k, n)
+			t.Fatalf("TMatMulAccInto %dx%dx%d differs from reference", m, k, n)
 		}
 	}
 }
@@ -146,7 +147,8 @@ func TestGemmNaNInfPropagation(t *testing.T) {
 					atr.Set(a.At(i, p), p, i)
 				}
 			}
-			TMatMulInto(out, atr, b)
+			out.Zero()
+			TMatMulAccInto(out, atr, b)
 			if !math.IsNaN(out.At(0, 0)) {
 				t.Fatalf("TMatMul lost 0*%v poisoning", poison)
 			}

@@ -5,22 +5,13 @@ package tensor
 // rounded FMA accumulation in ascending-k order, seeded from the output's
 // prior value), one parallel runtime (parallel.go), one packed blocked
 // kernel, and optional fused epilogues (bias add + activation) that
-// replace the separate AddRowVector/Apply passes the layers used to run.
+// replace separate bias-add and activation passes over the output.
 //
 // Naming: MatMul is a·b, MatMulT is a·bᵀ, TMatMul is aᵀ·b (none
-// materialize a transpose). The Acc variants add on top of out instead of
-// overwriting it — the FMA chain simply starts from out's current values,
-// so out += a·b costs the same as out = a·b and needs no temporary.
-
-// MatMul returns a×b for 2-D tensors of shapes (M,K) and (K,N).
-func MatMul(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMul requires 2-D tensors")
-	}
-	out := New(a.shape[0], b.shape[1])
-	gemmEx(gemmNN, out, a, b, nil, EpNone, false)
-	return out
-}
+// materialize a transpose). Every entry point writes into a caller-owned
+// out. The Acc variants add on top of out instead of overwriting it — the
+// FMA chain simply starts from out's current values, so out += a·b costs
+// the same as out = a·b and needs no temporary.
 
 // MatMulInto computes out = a×b, reusing out's storage. out must have
 // shape (M,N) and is overwritten.
@@ -30,8 +21,8 @@ func MatMulInto(out, a, b *Tensor) {
 
 // MatMulBiasInto computes out = a×b + bias, with bias (length N)
 // broadcast over rows — the fused Dense/conv forward. The bias is added
-// with a plain + after the full-K accumulation, exactly matching the
-// former separate AddRowVector pass.
+// with a plain + after the full-K accumulation, exactly matching a
+// separate bias-add pass.
 func MatMulBiasInto(out, a, b, bias *Tensor) {
 	gemmEx(gemmNN, out, a, b, bias, EpNone, false)
 }
@@ -43,17 +34,6 @@ func MatMulAccBiasActInto(out, a, b, bias *Tensor, act Epilogue) {
 	gemmEx(gemmNN, out, a, b, bias, act, true)
 }
 
-// MatMulT returns a×bᵀ for shapes (M,K) and (N,K): a common pattern in
-// backprop, computed without materializing the transpose.
-func MatMulT(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulT requires 2-D tensors")
-	}
-	out := New(a.shape[0], b.shape[0])
-	gemmEx(gemmNT, out, a, b, nil, EpNone, false)
-	return out
-}
-
 // MatMulTInto computes out = a×bᵀ, reusing out's storage. out must have
 // shape (M,N) and is overwritten.
 func MatMulTInto(out, a, b *Tensor) {
@@ -63,23 +43,6 @@ func MatMulTInto(out, a, b *Tensor) {
 // MatMulTAccInto computes out += a×bᵀ (input-gradient accumulation).
 func MatMulTAccInto(out, a, b *Tensor) {
 	gemmEx(gemmNT, out, a, b, nil, EpNone, true)
-}
-
-// TMatMul returns aᵀ×b for shapes (K,M) and (K,N) without materializing
-// the transpose; used for weight gradients (xᵀ·dy).
-func TMatMul(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: TMatMul requires 2-D tensors")
-	}
-	out := New(a.shape[1], b.shape[1])
-	gemmEx(gemmTN, out, a, b, nil, EpNone, false)
-	return out
-}
-
-// TMatMulInto computes out = aᵀ×b, reusing out's storage. out must have
-// shape (M,N) and is overwritten.
-func TMatMulInto(out, a, b *Tensor) {
-	gemmEx(gemmTN, out, a, b, nil, EpNone, false)
 }
 
 // TMatMulAccInto computes out += aᵀ×b: the weight-gradient accumulation

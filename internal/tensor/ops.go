@@ -24,51 +24,13 @@ func Sub(a, b *Tensor) *Tensor {
 	return SubInto(New(a.shape...), a, b)
 }
 
-// Mul returns a*b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	checkSame("Mul", a, b)
-	return MulInto(New(a.shape...), a, b)
-}
-
-// Div returns a/b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	checkSame("Div", a, b)
-	return DivInto(New(a.shape...), a, b)
-}
-
 // AddInPlace sets a += b.
 func (t *Tensor) AddInPlace(b *Tensor) *Tensor { return AddInto(t, t, b) }
-
-// SubInPlace sets a -= b.
-func (t *Tensor) SubInPlace(b *Tensor) *Tensor { return SubInto(t, t, b) }
-
-// MulInPlace sets a *= b elementwise.
-func (t *Tensor) MulInPlace(b *Tensor) *Tensor { return MulInto(t, t, b) }
 
 // Scale multiplies every element by s in place.
 func (t *Tensor) Scale(s float64) *Tensor {
 	VecScaleInto(t.data, t.data, s)
 	return t
-}
-
-// AddScalar adds s to every element in place.
-func (t *Tensor) AddScalar(s float64) *Tensor {
-	for i := range t.data {
-		t.data[i] += s
-	}
-	return t
-}
-
-// Axpy performs t += alpha*x (BLAS axpy) in place.
-func (t *Tensor) Axpy(alpha float64, x *Tensor) *Tensor {
-	checkSame("Axpy", t, x)
-	AxpyInto(t.data, alpha, x.data)
-	return t
-}
-
-// ApplyInPlace applies f to each element in place.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	return ApplyInto(t, t, f)
 }
 
 // Dot returns the inner product of a and b viewed as flat vectors.
@@ -137,17 +99,6 @@ func (t *Tensor) Min() float64 {
 	return m
 }
 
-// Argmax returns the flat index of the maximum element.
-func (t *Tensor) Argmax() int {
-	best, bi := math.Inf(-1), 0
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
 // ArgmaxRows returns, for a 2-D tensor, the argmax of each row.
 func (t *Tensor) ArgmaxRows() []int {
 	if len(t.shape) != 2 {
@@ -172,65 +123,4 @@ func MeanAxis0(a *Tensor) *Tensor {
 		out.Scale(1 / float64(a.shape[0]))
 	}
 	return out
-}
-
-// AddRowVector adds vector v (shape (C)) to every row of the 2-D tensor in
-// place.
-func (t *Tensor) AddRowVector(v *Tensor) *Tensor {
-	if len(t.shape) != 2 || len(v.data) != t.shape[1] {
-		panic("tensor: AddRowVector shape mismatch")
-	}
-	r, c := t.shape[0], t.shape[1]
-	for i := 0; i < r; i++ {
-		row := t.data[i*c : (i+1)*c]
-		for j := range row {
-			row[j] += v.data[j]
-		}
-	}
-	return t
-}
-
-// MulRowVector multiplies every row of the 2-D tensor by v elementwise, in
-// place.
-func (t *Tensor) MulRowVector(v *Tensor) *Tensor {
-	if len(t.shape) != 2 || len(v.data) != t.shape[1] {
-		panic("tensor: MulRowVector shape mismatch")
-	}
-	r, c := t.shape[0], t.shape[1]
-	for i := 0; i < r; i++ {
-		row := t.data[i*c : (i+1)*c]
-		for j := range row {
-			row[j] *= v.data[j]
-		}
-	}
-	return t
-}
-
-// SoftmaxRows returns the row-wise softmax of a 2-D tensor, computed with
-// the max-subtraction trick for numerical stability.
-func SoftmaxRows(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: SoftmaxRows requires a 2-D tensor")
-	}
-	return SoftmaxRowsInto(New(a.shape...), a)
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: Transpose requires a 2-D tensor")
-	}
-	return TransposeInto(New(a.shape[1], a.shape[0]), a)
-}
-
-// Clip bounds each element to [lo, hi] in place.
-func (t *Tensor) Clip(lo, hi float64) *Tensor {
-	for i, v := range t.data {
-		if v < lo {
-			t.data[i] = lo
-		} else if v > hi {
-			t.data[i] = hi
-		}
-	}
-	return t
 }

@@ -320,7 +320,7 @@ func TestParallelForAllocsSteadyState(t *testing.T) {
 		{"packed MatMulInto", func() { MatMulInto(pout, pa, pb) }},
 		{"small NN", func() { MatMulInto(sout, sa, sb) }},
 		{"small NT", func() { MatMulTInto(sout, sa, sbt) }},
-		{"small TN", func() { TMatMulInto(sout, sat, sb) }},
+		{"small TN", func() { TMatMulAccInto(sout, sat, sb) }},
 		{"Conv2DBiasInto", func() { Conv2DBiasInto(ws, planes, img, w, bias, 3, 3, 1, 1, 1) }},
 		{"Conv2DGradWeightsInto", func() { Conv2DGradWeightsInto(dw, db, img, dout, 3, 3, 1, 1, 1) }},
 		{"Conv2DGradInputInto", func() { Conv2DGradInputInto(dx, dout, w, 3, 3, 1, 1, 1) }},

@@ -20,10 +20,9 @@ type RPCAResult struct {
 
 // RPCAConfig tunes the decomposition.
 type RPCAConfig struct {
-	Rank      int     // rank of the background component
-	Lambda    float64 // soft threshold; default 3·MAD of initial residual
-	MaxIter   int     // default 25
-	PowerIter int     // power iterations per PCA; default 30
+	Rank      int // rank of the background component
+	MaxIter   int // default 25
+	PowerIter int // power iterations per PCA; default 30
 	Seed      int64
 }
 
@@ -52,12 +51,9 @@ func RPCA(x *Tensor, cfg RPCAConfig) RPCAResult {
 		comps, means := PCA(residual, cfg.Rank, cfg.PowerIter, rng)
 		l = PCAReconstruct(PCAProject(residual, comps, means), comps, means)
 
-		// Sparse step: soft-threshold X - L.
+		// Sparse step: soft-threshold X - L at 3·MAD of that residual.
 		diff := Sub(x, l)
-		lambda := cfg.Lambda
-		if lambda == 0 {
-			lambda = 3 * medianAbs(diff.Data())
-		}
+		lambda := 3 * medianAbs(diff.Data())
 		prev := s
 		s = ApplyInto(diff, diff, func(v float64) float64 {
 			switch {

@@ -55,9 +55,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
-// Zeros is an alias of New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones allocates a tensor filled with 1.
 func Ones(shape ...int) *Tensor {
 	t := New(shape...)

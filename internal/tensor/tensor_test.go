@@ -124,15 +124,9 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Sub(b, a).Data(); got[0] != 3 || got[2] != 3 {
 		t.Fatalf("Sub: %v", got)
 	}
-	if got := Mul(a, b).Data(); got[1] != 10 {
-		t.Fatalf("Mul: %v", got)
-	}
-	if got := Div(b, a).Data(); got[2] != 2 {
-		t.Fatalf("Div: %v", got)
-	}
 	c := a.Clone()
-	c.AddInPlace(b).SubInPlace(b).MulInPlace(b)
-	want := []float64{4, 10, 18}
+	c.AddInPlace(b).AddInPlace(b)
+	want := []float64{9, 12, 15}
 	for i := range want {
 		if c.Data()[i] != want[i] {
 			t.Fatalf("chained in-place: %v", c.Data())
@@ -149,7 +143,7 @@ func TestScaleAxpyDotNorm(t *testing.T) {
 	if b.At(0) != 6 {
 		t.Fatal("Scale")
 	}
-	b.Axpy(-2, a)
+	AxpyInto(b.Data(), -2, a.Data())
 	if b.Norm2() != 0 {
 		t.Fatal("Axpy")
 	}
@@ -160,7 +154,7 @@ func TestScaleAxpyDotNorm(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	a := FromSlice([]float64{1, -2, 3, 0}, 4)
-	if a.Sum() != 2 || a.Mean() != 0.5 || a.Max() != 3 || a.Min() != -2 || a.Argmax() != 2 {
+	if a.Sum() != 2 || a.Mean() != 0.5 || a.Max() != 3 || a.Min() != -2 {
 		t.Fatalf("reductions wrong on %v", a.Data())
 	}
 }
@@ -183,21 +177,11 @@ func TestAxisReductionsAndRowOps(t *testing.T) {
 	if m.At(1) != 3.5 {
 		t.Fatalf("MeanAxis0: %v", m.Data())
 	}
-	b := a.Clone()
-	b.AddRowVector(FromSlice([]float64{10, 20, 30}, 3))
-	if b.At(1, 2) != 36 {
-		t.Fatal("AddRowVector")
-	}
-	b = a.Clone()
-	b.MulRowVector(FromSlice([]float64{2, 0, 1}, 3))
-	if b.At(0, 0) != 2 || b.At(1, 1) != 0 {
-		t.Fatal("MulRowVector")
-	}
 }
 
 func TestSoftmaxRows(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 1000, 1001, 1002}, 2, 3)
-	s := SoftmaxRows(a)
+	s := SoftmaxRowsInto(New(2, 3), a)
 	for i := 0; i < 2; i++ {
 		sum := 0.0
 		for j := 0; j < 3; j++ {
@@ -215,26 +199,10 @@ func TestSoftmaxRows(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose(a)
-	if at.Dim(0) != 3 || at.Dim(1) != 2 || at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Fatalf("Transpose wrong: %v", at.Data())
-	}
-}
-
-func TestClip(t *testing.T) {
-	a := FromSlice([]float64{-5, 0.5, 7}, 3)
-	a.Clip(-1, 1)
-	if a.At(0) != -1 || a.At(1) != 0.5 || a.At(2) != 1 {
-		t.Fatalf("Clip: %v", a.Data())
-	}
-}
-
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float64{19, 22, 43, 50}
 	for i, w := range want {
 		if c.Data()[i] != w {
@@ -249,7 +217,26 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulInto(New(2, 3), New(2, 3), New(2, 3))
+}
+
+// matMul returns a×b from MatMulInto.
+func matMul(a, b *Tensor) *Tensor {
+	out := New(a.Dim(0), b.Dim(1))
+	MatMulInto(out, a, b)
+	return out
+}
+
+// transposed returns the transpose of the 2-D tensor a.
+func transposed(a *Tensor) *Tensor {
+	r, c := a.Dim(0), a.Dim(1)
+	out := New(c, r)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			out.Set(a.At(i, j), j, i)
+		}
+	}
+	return out
 }
 
 // naiveMatMul is the reference O(n³) ijk implementation used to validate
@@ -273,7 +260,7 @@ func TestMatMulMatchesNaiveLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Randn(rng, 1, 67, 45)
 	b := Randn(rng, 1, 45, 83)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := naiveMatMul(a, b)
 	if !AllClose(got, want, 1e-9) {
 		t.Fatal("parallel MatMul disagrees with naive reference")
@@ -284,8 +271,9 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := Randn(rng, 1, 13, 7)
 	b := Randn(rng, 1, 11, 7)
-	got := MatMulT(a, b)
-	want := naiveMatMul(a, Transpose(b))
+	got := New(13, 11)
+	MatMulTInto(got, a, b)
+	want := naiveMatMul(a, transposed(b))
 	if !AllClose(got, want, 1e-9) {
 		t.Fatal("MatMulT disagrees with a×bᵀ")
 	}
@@ -295,10 +283,11 @@ func TestTMatMulCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := Randn(rng, 1, 9, 5)  // K=9, M=5
 	b := Randn(rng, 1, 9, 11) // K=9, N=11
-	got := TMatMul(a, b)
-	want := naiveMatMul(Transpose(a), b)
+	got := New(5, 11)
+	TMatMulAccInto(got, a, b)
+	want := naiveMatMul(transposed(a), b)
 	if !AllClose(got, want, 1e-9) {
-		t.Fatal("TMatMul disagrees with aᵀ×b")
+		t.Fatal("TMatMulAccInto disagrees with aᵀ×b")
 	}
 }
 
@@ -322,8 +311,8 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a := Randn(rng, 1, m, k)
 		b := Randn(rng, 1, k, n)
 		c := Randn(rng, 1, n, p)
-		left := MatMul(MatMul(a, b), c)
-		right := MatMul(a, MatMul(b, c))
+		left := matMul(matMul(a, b), c)
+		right := matMul(a, matMul(b, c))
 		return AllClose(left, right, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -331,26 +320,7 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 }
 
-// Property: transpose is an involution and (AB)ᵀ = BᵀAᵀ.
-func TestTransposeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(10)
-		n := 1 + rng.Intn(10)
-		k := 1 + rng.Intn(10)
-		a := Randn(rng, 1, m, k)
-		b := Randn(rng, 1, k, n)
-		if !AllClose(Transpose(Transpose(a)), a, 0) {
-			return false
-		}
-		return AllClose(Transpose(MatMul(a, b)), MatMul(Transpose(b), Transpose(a)), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Col2Im is the adjoint of Im2Col: <Im2Col(x), y> == <x, Col2Im(y)>.
+// Property: Col2ImInto is the adjoint of Im2ColInto: <Im2Col(x), y> == <x, Col2Im(y)>.
 func TestIm2ColAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -362,10 +332,10 @@ func TestIm2ColAdjointProperty(t *testing.T) {
 		stride := 1 + rng.Intn(2)
 		pad := rng.Intn(2)
 		x := Randn(rng, 1, n, c, h, w)
-		cols := Im2Col(x, k, k, stride, pad, pad)
+		cols := im2col(x, k, k, stride, pad, pad)
 		y := Randn(rng, 1, cols.Dim(0), cols.Dim(1))
 		lhs := Dot(cols, y)
-		rhs := Dot(x, Col2Im(y, n, c, h, w, k, k, stride, pad, pad))
+		rhs := Dot(x, Col2ImInto(New(n, c, h, w), y, k, k, stride, pad, pad))
 		return math.Abs(lhs-rhs) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -374,10 +344,10 @@ func TestIm2ColAdjointProperty(t *testing.T) {
 }
 
 func TestIm2ColIdentityKernel(t *testing.T) {
-	// 1x1 kernel, stride 1, no pad: Im2Col is just a reshape.
+	// 1x1 kernel, stride 1, no pad: Im2ColInto is just a reshape.
 	rng := rand.New(rand.NewSource(3))
 	x := Randn(rng, 1, 2, 3, 4, 4)
-	cols := Im2Col(x, 1, 1, 1, 0, 0)
+	cols := im2col(x, 1, 1, 1, 0, 0)
 	if cols.Dim(0) != 2*4*4 || cols.Dim(1) != 3 {
 		t.Fatalf("Im2Col 1x1 shape: %v", cols.Shape())
 	}
@@ -436,9 +406,9 @@ func TestConvDims(t *testing.T) {
 
 func TestApplyAndApplyInPlace(t *testing.T) {
 	a := FromSlice([]float64{-1, 2}, 2)
-	a.ApplyInPlace(func(v float64) float64 { return v * v })
+	ApplyInto(a, a, func(v float64) float64 { return v * v })
 	if a.At(0) != 1 || a.At(1) != 4 {
-		t.Fatal("ApplyInPlace")
+		t.Fatal("ApplyInto in place")
 	}
 }
 
@@ -487,30 +457,31 @@ func TestMatMulParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := Randn(rng, 1, 96, 70)
 	b := Randn(rng, 1, 70, 90)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	if !AllClose(got, naiveMatMul(a, b), 1e-9) {
 		t.Fatal("parallel MatMul path disagrees with reference")
 	}
-	gt := MatMulT(a, Randn(rng, 1, 90, 70))
+	gt := New(96, 90)
+	MatMulTInto(gt, a, Randn(rng, 1, 90, 70))
 	if gt.Dim(0) != 96 || gt.Dim(1) != 90 {
 		t.Fatal("parallel MatMulT shape")
 	}
 	// More workers than rows: band loop must handle empty bands.
 	small := Randn(rng, 1, 2, 70)
-	got2 := MatMul(small, b)
+	got2 := matMul(small, b)
 	if !AllClose(got2, naiveMatMul(small, b), 1e-9) {
 		t.Fatal("small-row parallel MatMul wrong")
 	}
 }
 
 func TestZerosAddScalarMeanEmpty(t *testing.T) {
-	z := Zeros(3, 2)
+	z := New(3, 2)
 	if z.Sum() != 0 || z.Dim(0) != 3 {
-		t.Fatal("Zeros")
+		t.Fatal("New")
 	}
-	z.AddScalar(2.5)
+	z.Fill(2.5)
 	if z.At(0, 0) != 2.5 || z.Sum() != 15 {
-		t.Fatal("AddScalar")
+		t.Fatal("Fill")
 	}
 	if New(0).Mean() != 0 {
 		t.Fatal("Mean of empty must be 0")
@@ -537,7 +508,7 @@ func TestElementwiseShapeMismatchPanics(t *testing.T) {
 	a, b := New(2), New(3)
 	for _, f := range []func(){
 		func() { Add(a, b) },
-		func() { a.Axpy(1, b) },
+		func() { AxpyInto(b.Data(), 1, a.Data()) },
 		func() { Dot(a, b) },
 	} {
 		func() {

@@ -143,8 +143,8 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestIm2ColAdjoint checks that Col2Im is the exact adjoint of Im2Col:
-// <Im2Col(x), y> == <x, Col2Im(y)> for random x, y. This is the property
+// TestIm2ColAdjoint checks that Col2ImInto is the exact adjoint of
+// Im2ColInto: <Im2Col(x), y> == <x, Col2Im(y)> for random x, y. This is the property
 // that makes the conv backward pass (dcols routed through Col2ImInto) the
 // true gradient of the im2col-based forward.
 func TestIm2ColAdjoint(t *testing.T) {
@@ -161,12 +161,12 @@ func TestIm2ColAdjoint(t *testing.T) {
 		for i := range x.Data() {
 			x.Data()[i] = rng.NormFloat64()
 		}
-		cols := Im2Col(x, tc.kh, tc.kw, tc.stride, tc.pad, tc.pad)
+		cols := im2col(x, tc.kh, tc.kw, tc.stride, tc.pad, tc.pad)
 		y := New(cols.Shape()...)
 		for i := range y.Data() {
 			y.Data()[i] = rng.NormFloat64()
 		}
-		back := Col2Im(y, tc.n, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, tc.pad)
+		back := Col2ImInto(New(x.Shape()...), y, tc.kh, tc.kw, tc.stride, tc.pad, tc.pad)
 
 		dot := func(a, b *Tensor) float64 {
 			s := 0.0
