@@ -6,12 +6,15 @@
 //
 //	msa-train -dataset bigearthnet -workers 4 -epochs 3
 //	msa-train -dataset covidx -workers 2 -epochs 10
+//	msa-train -workers 4 -epochs 1 -trace-dir out  # + trace.json, metrics.txt, breakdown.json
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -35,6 +38,7 @@ func main() {
 	virtual := flag.Int("virtual-chunks", 0, "model chunks per stage (0 = schedule default: 1 gpipe, 2 1f1b)")
 	seed := flag.Int64("seed", 1, "global seed")
 	serveAddr := flag.String("serve", "", "serve the live observability endpoint (/metrics /trace /breakdown /debug/pprof /healthz) at host:port during the run")
+	traceDir := flag.String("trace-dir", "", "trace the run and write trace.json (Chrome trace events), metrics.txt (Prometheus) and breakdown.json (causal attribution) into this directory")
 	kernelWorkers := flag.Int("kernel-workers", 0, "goroutines per tensor kernel (0 = GOMAXPROCS; set low when -workers ranks already saturate the host)")
 	flag.Parse()
 
@@ -54,13 +58,21 @@ func main() {
 
 	var tracer *telemetry.Tracer
 	var reg *telemetry.Registry
-	if *serveAddr != "" {
-		// The endpoint reads the tracer and registry live, so a scrape or
-		// /breakdown request mid-training sees the run so far.
+	if *serveAddr != "" || *traceDir != "" {
 		tracer = telemetry.NewTracer(0)
 		reg = telemetry.NewRegistry()
 		telemetry.RegisterMemMetrics(reg)
 		cfg.Tracer, cfg.Registry = tracer, reg
+	}
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "msa-train: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	if *serveAddr != "" {
+		// The endpoint reads the tracer and registry live, so a scrape or
+		// /breakdown request mid-training sees the run so far.
 		srv, err := telemetry.Serve(*serveAddr, telemetry.ServeConfig{
 			Registry:  reg,
 			Tracer:    tracer,
@@ -116,6 +128,55 @@ func main() {
 			sb := rep.Steps[n-1]
 			fmt.Printf("causal attribution (last step): compute %.3f  exposed-comm %.3f  bubble %.3f  straggler %.3f\n",
 				sb.ComputeFraction, sb.CommFraction, sb.BubbleFraction, sb.StragglerFraction)
+			if *traceDir != "" {
+				show := sb.CriticalPath[max(0, len(sb.CriticalPath)-5):]
+				fmt.Printf("critical path (last %d of %d segments):\n", len(show), len(sb.CriticalPath))
+				for _, seg := range show {
+					fmt.Printf("  rank %d  %-14s %-14s %10.3fms -> %.3fms\n",
+						seg.Rank, seg.Name, seg.Class, float64(seg.StartNS)/1e6, float64(seg.EndNS)/1e6)
+				}
+			}
+		}
+		if *traceDir != "" {
+			if n := tracer.Dropped(); n > 0 {
+				fmt.Printf("(%d spans dropped by ring wrap-around — trace is partial)\n", n)
+			}
+			if rep.UnmatchedRecvs > 0 {
+				fmt.Printf("(%d unmatched recvs — trace is partial, breakdown approximate)\n", rep.UnmatchedRecvs)
+			}
+			if err := writeTraceDir(*traceDir, tracer, reg, rep); err != nil {
+				fmt.Fprintf(os.Stderr, "msa-train: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("wrote trace.json (open in ui.perfetto.dev), metrics.txt and breakdown.json to %s\n", *traceDir)
 		}
 	}
+}
+
+// writeTraceDir writes the run's Chrome trace, Prometheus dump and causal
+// breakdown into dir.
+func writeTraceDir(dir string, tracer *telemetry.Tracer, reg *telemetry.Registry, rep *causal.Report) error {
+	blob, err := rep.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "breakdown.json"), blob, 0o644); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(dir, "trace.json"), tracer.WriteChromeTrace); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(dir, "metrics.txt"), reg.WritePrometheus)
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

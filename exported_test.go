@@ -2,9 +2,11 @@ package repro
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -21,64 +23,149 @@ var exportedKeep = map[string]string{
 	"MatMulAccBiasActInto": "refGRU in the nn tests runs the GRU through the unfused GEMM path",
 	"EmitPlannedTrace":     "the causal golden fixture in telemetry is emitted from the pipeline plan",
 	"Result.Metric":        "the core experiment tests read pinned metrics by name",
+	"OptimizerState.Span":  "distdl's ZeRO test checks that each rank's optimizer state spans its owned chunk",
+	"Tensor.Sum":           "the tensor and nn tests check fills, gradients and output means through it",
+	"Tensor.Max":           "the tensor tests bound RandUniform's draws and pin the empty-tensor panic with it",
+	"Tensor.Min":           "the tensor tests bound RandUniform's draws and pin the empty-tensor panic with it",
+}
+
+// stdInterfaces names the standard-library interfaces that program code
+// reaches methods through: a method that implements one of them counts as
+// called. "io" stands for every interface the io package declares.
+var stdInterfaces = map[string][]string{
+	"":              {"error"},
+	"fmt":           {"Stringer"},
+	"sort":          {"Interface"},
+	"io":            nil,
+	"net/http":      {"Handler"},
+	"encoding/json": {"Marshaler"},
 }
 
 // TestExportedFuncsHaveProgramCallers fails on an exported function or
 // method in internal/ that no non-test file in internal/, cmd/ or
-// benchmark/ names. The scan matches names only, without type checking: a
-// declaration counts as called when some program file uses its name as a
-// selector or an identifier.
+// benchmark/ uses. The program packages of both modules are type-checked
+// from source, so a use is resolved to the object it names: a method
+// counts as used when a program file refers to it, or when its type
+// implements an interface that has the method — any interface the repo
+// declares, or one of stdInterfaces.
 func TestExportedFuncsHaveProgramCallers(t *testing.T) {
 	fset := token.NewFileSet()
-	type decl struct{ key, pos string }
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	type decl struct {
+		fn       *types.Func
+		key, pos string
+	}
 	var decls []decl
-	used := map[string]bool{}
-	for _, root := range []string{"internal", "cmd", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	for _, p := range append(listPackages(t, "."), listPackages(t, "benchmark")...) {
+		if checked[p.path] != nil {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.files {
+			f, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			declared := map[*ast.Ident]bool{}
+			files = append(files, f)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(p.path, fset, files, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked[p.path] = pkg
+		if !strings.HasPrefix(p.path, "repro/internal/") {
+			continue
+		}
+		for _, f := range files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				declared[fd.Name] = true
-				if root != "internal" || !fd.Name.IsExported() {
+				if !ok || !fd.Name.IsExported() {
 					continue
 				}
 				key := fd.Name.Name
 				if fd.Recv != nil {
 					key = recvName(fd.Recv.List[0].Type) + "." + key
 				}
-				decls = append(decls, decl{key, fset.Position(fd.Pos()).String()})
+				decls = append(decls, decl{info.Defs[fd.Name].(*types.Func), key, fset.Position(fd.Pos()).String()})
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					used[n.Sel.Name] = true
-				case *ast.Ident:
-					if !declared[n] {
-						used[n.Name] = true
-					}
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
+
+	used := map[*types.Func]bool{}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+	}
+	var ifaces []*types.Interface
+	addIfaces := func(scope *types.Scope, names []string) {
+		if names == nil {
+			names = scope.Names()
+		}
+		for _, name := range names {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	for path, names := range stdInterfaces {
+		scope := types.Universe
+		if path != "" {
+			p, err := std.Import(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = p.Scope()
+		}
+		addIfaces(scope, names)
+	}
+	for _, p := range checked {
+		addIfaces(p.Scope(), nil)
+	}
+	for _, p := range checked {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			mset := types.NewMethodSet(ptr)
+			for _, it := range ifaces {
+				if !types.Implements(ptr, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					m := it.Method(i)
+					if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+						used[sel.Obj().(*types.Func).Origin()] = true
+					}
+				}
+			}
+		}
+	}
+
 	var unused []string
 	for _, d := range decls {
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		if _, keep := exportedKeep[d.key]; !keep && !used[name] {
+		if _, keep := exportedKeep[d.key]; !keep && !used[d.fn] {
 			unused = append(unused, d.pos+": "+d.key)
 		}
 	}
@@ -86,6 +173,33 @@ func TestExportedFuncsHaveProgramCallers(t *testing.T) {
 	for _, u := range unused {
 		t.Errorf("%s has no caller outside tests; delete it, or keep it in exportedKeep with a reason", u)
 	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+type goPackage struct {
+	path, dir string
+	files     []string
+}
+
+// listPackages returns the module's own packages under dir and the repo
+// packages they import, dependencies first, with their non-test Go files.
+func listPackages(t *testing.T, dir string) []goPackage {
+	out, err := exec.Command("go", "list", "-C", dir, "-deps",
+		"-f", "{{if not .Standard}}{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \" \"}}{{end}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	var pkgs []goPackage
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		if len(f) == 3 && f[2] != "" {
+			pkgs = append(pkgs, goPackage{f[0], f[1], strings.Fields(f[2])})
+		}
+	}
+	return pkgs
 }
 
 // recvName returns the type name of a method receiver, without pointer or

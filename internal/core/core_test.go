@@ -6,19 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/msa"
 )
-
-func TestNewRuntime(t *testing.T) {
-	for _, name := range []string{"deep", "DEEP", "juwels"} {
-		r, err := NewRuntime(name)
-		if err != nil || r.System == nil {
-			t.Fatalf("NewRuntime(%s): %v", name, err)
-		}
-	}
-	if _, err := NewRuntime("frontier"); err == nil {
-		t.Fatal("unknown system must error")
-	}
-}
 
 func TestTableFormatting(t *testing.T) {
 	tb := NewTable("title", "a", "bb")
@@ -64,6 +53,9 @@ func TestE1MatchesTableI(t *testing.T) {
 	}
 	if !strings.Contains(r.Report, "Cascade Lake") {
 		t.Fatal("E1 report missing CPU row")
+	}
+	if !strings.HasPrefix(r.Report, msa.DEEP().Summary()) {
+		t.Fatal("E1 report does not open with the DEEP per-module overview")
 	}
 }
 

@@ -10,6 +10,16 @@ import (
 // experiments.
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// Scale selects the problem sizes the experiments run at.
+type Scale int
+
+// Experiment scales: Quick keeps every experiment in test-friendly
+// seconds; Full runs the sizes the cmd/msa-bench harness reports.
+const (
+	Quick Scale = iota
+	Full
+)
+
 // Experiment is a runnable entry of the harness.
 type Experiment struct {
 	ID    string

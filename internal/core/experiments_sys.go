@@ -12,13 +12,14 @@ import (
 )
 
 // E1TableI regenerates the paper's Table I from the machine-readable DEEP
-// configuration.
+// configuration, after the per-module overview of the whole system.
 func E1TableI() Result {
-	dam := msa.DEEP().Module(msa.DataAnalytics)
+	deep := msa.DEEP()
+	dam := deep.Module(msa.DataAnalytics)
 	return Result{
 		ID:     "E1",
 		Title:  "Table I — technical specifications of the DEEP DAM",
-		Report: msa.RenderTableI(dam),
+		Report: deep.Summary() + "\n" + msa.RenderTableI(dam),
 		Metrics: map[string]float64{
 			"nodes":       float64(dam.Nodes()),
 			"gpus":        float64(dam.GPUs()),

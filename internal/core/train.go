@@ -104,8 +104,8 @@ func TrainCovidNet(cfg DDPConfig, ds *data.CXRDataset, split data.Split) DDPResu
 func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 	xs, ys *tensor.Tensor, split data.Split, evalFn func(*nn.Sequential, []int) float64) DDPResult {
 
-	if cfg.Workers < 1 {
-		panic("core: DDP needs at least one worker")
+	if cfg.Workers < 1 || cfg.Batch < 1 {
+		panic("core: DDP needs at least one worker and a positive batch")
 	}
 	pipelined := cfg.PipelineStages > 1
 	if pipelined {
@@ -155,13 +155,19 @@ func runDDP(cfg DDPConfig, build func() *nn.Sequential, loss nn.Loss,
 		if pipeTr != nil {
 			shardIdx, shards = pipeTr.Replica(), pipeTr.Replicas()
 		}
+		// Every step is a collective, so every shard runs the step count of
+		// the smallest one (⌊n/shards⌋ rows); a larger shard's extra row
+		// waits for the next epoch's shuffle. A pipelined tail batch too
+		// small to split into micro-batches is skipped on every shard.
+		small := len(split.Train) / shards
+		steps := (small + cfg.Batch - 1) / cfg.Batch
+		if tail := small % cfg.Batch; pipeTr != nil && tail > 0 && tail < cfg.MicroBatches {
+			steps--
+		}
 		var last float64
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
 			shard := distdl.Shard(len(split.Train), cfg.Seed+int64(epoch), shardIdx, shards)
-			for _, batch := range distdl.Batches(shard, cfg.Batch) {
-				if pipeTr != nil && len(batch) < cfg.MicroBatches {
-					continue // tail batch too small to split into micros
-				}
+			for _, batch := range distdl.Batches(shard, cfg.Batch)[:steps] {
 				idx := make([]int, len(batch))
 				for i, b := range batch {
 					idx[i] = split.Train[b]

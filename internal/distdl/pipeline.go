@@ -112,8 +112,8 @@ func (t *PipelineTrainer) Step(x, y *tensor.Tensor) float64 {
 	return loss
 }
 
-// Stage exposes the underlying pipeline executor (bubble fraction,
-// busy time, workspace, chunk layout).
+// Stage exposes the underlying pipeline executor (busy time, workspace,
+// chunk layout).
 func (t *PipelineTrainer) Stage() *pipeline.Stage { return t.stage }
 
 // Replica returns this rank's replica index along the data axis.
@@ -132,7 +132,7 @@ func (t *PipelineTrainer) StepCount() int { return t.step }
 
 // CommFraction returns the share of accumulated step time this rank spent
 // in data-parallel gradient/loss sync. Pipeline p2p waits are not charged
-// here — they are the bubble, reported by Stage().BubbleFraction().
+// here — they are the bubble (see pipeline.PlannedBubble).
 func (t *PipelineTrainer) CommFraction() float64 {
 	total := t.computeNS + t.commNS
 	if total == 0 {

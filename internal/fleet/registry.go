@@ -226,17 +226,6 @@ func (r *Registry) Get(model string, version int) (Entry, error) {
 	return *e, nil
 }
 
-// Versions returns every published version of model, oldest first.
-func (r *Registry) Versions(model string) []Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.models[model]
-	if m == nil {
-		return nil
-	}
-	return append([]Entry(nil), m.Versions...)
-}
-
 // Blob reads the checkpoint bytes of an entry.
 func (r *Registry) Blob(e Entry) ([]byte, error) {
 	return r.store.Blob(e.Checkpoint)

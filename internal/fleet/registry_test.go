@@ -107,7 +107,7 @@ func TestRegistryPersistence(t *testing.T) {
 	if e, _ := reg2.Get("m", 2); e.Meta["blob"] != "class:1" {
 		t.Fatalf("metadata not recovered: %+v", e)
 	}
-	if vs := reg2.Versions("m"); len(vs) != 3 {
+	if vs := reg2.models["m"].Versions; len(vs) != 3 {
 		t.Fatalf("recovered %d versions, want 3", len(vs))
 	}
 }
@@ -248,7 +248,10 @@ func FuzzRegistryManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		vs := reg.Versions("m")
+		var vs []Entry
+		if m := reg.models["m"]; m != nil {
+			vs = m.Versions
+		}
 		for _, e := range vs {
 			if !canonical.MatchString(e.Checkpoint + ".ckpt") {
 				t.Fatalf("loaded entry v%d names checkpoint %q", e.Version, e.Checkpoint)

@@ -40,11 +40,3 @@ func StepBatch(n int, epochSeed int64, step, globalBatch, pos, alive int) []int 
 	q, r := globalBatch/alive, globalBatch%alive
 	return batch[pos*q+min(pos, r) : (pos+1)*q+min(pos+1, r)]
 }
-
-// StepsPerEpoch returns how many full global batches one epoch holds.
-func StepsPerEpoch(n, globalBatch int) int {
-	if globalBatch <= 0 || globalBatch > n {
-		panic(fmt.Sprintf("ft: global batch %d out of (0,%d]", globalBatch, n))
-	}
-	return n / globalBatch
-}

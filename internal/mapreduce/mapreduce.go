@@ -36,9 +36,6 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the engine parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
 // Dataset is a lazily transformed, partitioned collection of rows.
 type Dataset struct {
 	eng *Engine
@@ -94,17 +91,6 @@ func (d *Dataset) runParallel(sink func(part int, rows []Row)) {
 		}(p)
 	}
 	wg.Wait()
-}
-
-// Count returns the number of rows after all transformations.
-func (d *Dataset) Count() int {
-	counts := make([]int, d.parts)
-	d.runParallel(func(p int, rows []Row) { counts[p] = len(rows) })
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }
 
 // KV is a keyed value vector for shuffle operations.

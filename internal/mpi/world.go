@@ -167,9 +167,6 @@ func NewWorld(n int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Revoke marks the world as failed (ULFM's MPI_Comm_revoke): every blocked
 // and future communication call on any rank panics with RevokedError. A
 // fault-tolerance supervisor calls this after detecting a dead rank so the

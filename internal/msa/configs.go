@@ -28,13 +28,6 @@ var (
 		FP64TFlops: 1.3, FP32TFlops: 2.6,
 		MemGB: 32, MemBWGBs: 77, PowerW: 225,
 	}
-	// MI250X is the AMD Instinct GPU of LUMI-G (the paper's related-work
-	// note: "Nvidia GPUs in JUWELS vs AMD Instinct in LUMI").
-	MI250X = AcceleratorSpec{
-		Name: "AMD MI250X", Class: AccelGPU,
-		FP64TFlops: 47.9, FP32TFlops: 47.9, TensorTFlop: 383,
-		MemGB: 128, MemBWGBs: 3277, PowerW: 560,
-	}
 )
 
 // CPU catalog.
@@ -177,45 +170,6 @@ func JUWELS() *System {
 			{
 				Kind: StorageService, Name: "juwels-sssm",
 				Storage: &StorageSpec{Filesystem: "GPFS", OSTs: 64, OSTBWGBs: 6.25, CapacityPB: 75, MetadataOps: 500000},
-			},
-		},
-	}
-}
-
-// LUMI returns the EuroHPC LUMI system at CSC in Finland, which the paper
-// names as another MSA implementation ("An MSA implementation is ideal
-// for a supercomputer centre infrastructure such as JSC ... or CSC in
-// Finland (e.g., EuroHPC LUMI)", §II): LUMI-C as the cluster module
-// (EPYC Milan), LUMI-G as the booster (quad MI250X), and the LUMI-P/F
-// Lustre storage.
-func LUMI() *System {
-	milan := CPUSpec{Name: "AMD EPYC 7763", Cores: 64, ClockGHz: 2.45, FlopsPerCyc: 16, PowerW: 280}
-	trento := CPUSpec{Name: "AMD EPYC 7A53", Cores: 64, ClockGHz: 2.0, FlopsPerCyc: 16, PowerW: 225}
-	slingshot := Link{Name: "HPE Slingshot-11", LatencyUS: 1.1, BWGBs: 25}
-	return &System{
-		Name:       "LUMI",
-		Federation: slingshot,
-		Modules: []*Module{
-			{
-				Kind: ClusterModule, Name: "lumi-c",
-				Interconnect: slingshot,
-				Groups: []NodeGroup{{
-					Name: "compute", Count: 2048,
-					Node: NodeSpec{CPU: milan, Sockets: 2, MemGB: 256, MemBWGBs: 400},
-				}},
-			},
-			{
-				Kind: BoosterModule, Name: "lumi-g",
-				Interconnect: slingshot,
-				Groups: []NodeGroup{{
-					Name: "gpu", Count: 2978,
-					Node: NodeSpec{CPU: trento, Sockets: 1, MemGB: 512, MemBWGBs: 400,
-						Accels: []AccelAttach{{Spec: MI250X, Count: 4}}},
-				}},
-			},
-			{
-				Kind: StorageService, Name: "lumi-p",
-				Storage: &StorageSpec{Filesystem: "Lustre", OSTs: 128, OSTBWGBs: 7.5, CapacityPB: 80, MetadataOps: 400000},
 			},
 		},
 	}

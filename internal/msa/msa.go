@@ -247,15 +247,6 @@ func (m *Module) TotalNVMTB() float64 {
 	return s
 }
 
-// PeakPowerW returns the module's aggregate nominal power draw.
-func (m *Module) PeakPowerW() float64 {
-	s := 0.0
-	for _, g := range m.Groups {
-		s += float64(g.Count) * g.Node.PowerW()
-	}
-	return s
-}
-
 // System is a complete MSA machine: modules joined by a federation link.
 type System struct {
 	Name       string
@@ -296,76 +287,6 @@ func (s *System) ModuleByName(name string) *Module {
 	for _, m := range s.Modules {
 		if m.Name == name {
 			return m
-		}
-	}
-	return nil
-}
-
-// TotalNodes sums nodes across modules.
-func (s *System) TotalNodes() int {
-	n := 0
-	for _, m := range s.Modules {
-		n += m.Nodes()
-	}
-	return n
-}
-
-// Validate checks structural consistency of the system description.
-func (s *System) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("msa: system has no name")
-	}
-	if len(s.Modules) == 0 {
-		return fmt.Errorf("msa: system %s has no modules", s.Name)
-	}
-	if s.Federation.BWGBs <= 0 || s.Federation.LatencyUS <= 0 {
-		return fmt.Errorf("msa: system %s has invalid federation link %+v", s.Name, s.Federation)
-	}
-	seen := map[string]bool{}
-	for _, m := range s.Modules {
-		if m.Name == "" {
-			return fmt.Errorf("msa: module of kind %s has no name", m.Kind)
-		}
-		if seen[m.Name] {
-			return fmt.Errorf("msa: duplicate module name %q", m.Name)
-		}
-		seen[m.Name] = true
-		switch m.Kind {
-		case StorageService:
-			if m.Storage == nil {
-				return fmt.Errorf("msa: SSSM module %s lacks storage spec", m.Name)
-			}
-			if m.Storage.OSTs <= 0 || m.Storage.OSTBWGBs <= 0 {
-				return fmt.Errorf("msa: SSSM module %s has invalid storage spec %+v", m.Name, *m.Storage)
-			}
-		case QuantumModule:
-			if m.Quantum == nil || m.Quantum.Qubits <= 0 {
-				return fmt.Errorf("msa: QM module %s lacks a valid quantum spec", m.Name)
-			}
-		case NetworkMemory:
-			if m.NAM == nil || m.NAM.CapacityGB <= 0 {
-				return fmt.Errorf("msa: NAM module %s lacks a valid NAM spec", m.Name)
-			}
-		default:
-			if m.Nodes() <= 0 {
-				return fmt.Errorf("msa: module %s has no nodes", m.Name)
-			}
-			if m.Interconnect.BWGBs <= 0 || m.Interconnect.LatencyUS <= 0 {
-				return fmt.Errorf("msa: module %s has invalid interconnect %+v", m.Name, m.Interconnect)
-			}
-			if m.HasGCE && m.Kind != BoosterModule {
-				return fmt.Errorf("msa: module %s has a GCE but is not an ESB", m.Name)
-			}
-		}
-		for _, g := range m.Groups {
-			if g.Count < 0 {
-				return fmt.Errorf("msa: module %s group %s has negative count", m.Name, g.Name)
-			}
-			if !g.Node.Service && g.Count > 0 && m.Kind != StorageService && m.Kind != NetworkMemory && m.Kind != QuantumModule {
-				if g.Node.Sockets <= 0 || g.Node.CPU.Cores <= 0 {
-					return fmt.Errorf("msa: module %s group %s has invalid node spec", m.Name, g.Name)
-				}
-			}
 		}
 	}
 	return nil

@@ -1,18 +1,19 @@
 package msa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 func TestDEEPValidates(t *testing.T) {
-	if err := DEEP().Validate(); err != nil {
+	if err := DEEP().validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestJUWELSValidates(t *testing.T) {
-	if err := JUWELS().Validate(); err != nil {
+	if err := JUWELS().validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -190,7 +191,11 @@ func TestPowerAggregation(t *testing.T) {
 	if perNode != want {
 		t.Fatalf("node power: want %.0f got %.0f", want, perNode)
 	}
-	if dam.PeakPowerW() != 16*want {
+	total := 0.0
+	for _, g := range dam.Groups {
+		total += float64(g.Count) * g.Node.PowerW()
+	}
+	if total != 16*want {
 		t.Fatal("module power aggregate")
 	}
 }
@@ -240,8 +245,8 @@ func TestValidateCatchesBrokenSystems(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if err := tc.sys().Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a broken system", tc.name)
+		if err := tc.sys().validate(); err == nil {
+			t.Errorf("%s: validate accepted a broken system", tc.name)
 		}
 	}
 }
@@ -258,26 +263,73 @@ func TestSummaryMentionsEveryModule(t *testing.T) {
 }
 
 func TestTotalNodes(t *testing.T) {
-	j := JUWELS()
-	if j.TotalNodes() != 2583+940 {
-		t.Fatalf("TotalNodes: %d", j.TotalNodes())
+	total := 0
+	for _, m := range JUWELS().Modules {
+		total += m.Nodes()
+	}
+	if total != 2583+940 {
+		t.Fatalf("total nodes: %d", total)
 	}
 }
 
-func TestLUMIValidates(t *testing.T) {
-	l := LUMI()
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
+// validate checks the structural consistency of a compiled-in system
+// description.
+func (s *System) validate() error {
+	if s.Name == "" {
+		return fmt.Errorf("msa: system has no name")
 	}
-	g := l.Module(BoosterModule)
-	if g.GPUs() != 2978*4 {
-		t.Fatalf("LUMI-G GPUs: %d", g.GPUs())
+	if len(s.Modules) == 0 {
+		return fmt.Errorf("msa: system %s has no modules", s.Name)
 	}
-	// The related-work point: LUMI uses AMD Instinct, not NVIDIA.
-	if g.Groups[0].Node.Accels[0].Spec.Name != "AMD MI250X" {
-		t.Fatal("LUMI-G must carry MI250X")
+	if s.Federation.BWGBs <= 0 || s.Federation.LatencyUS <= 0 {
+		return fmt.Errorf("msa: system %s has invalid federation link %+v", s.Name, s.Federation)
 	}
-	if l.Module(ClusterModule).Cores() != 2048*128 {
-		t.Fatalf("LUMI-C cores: %d", l.Module(ClusterModule).Cores())
+	seen := map[string]bool{}
+	for _, m := range s.Modules {
+		if m.Name == "" {
+			return fmt.Errorf("msa: module of kind %s has no name", m.Kind)
+		}
+		if seen[m.Name] {
+			return fmt.Errorf("msa: duplicate module name %q", m.Name)
+		}
+		seen[m.Name] = true
+		switch m.Kind {
+		case StorageService:
+			if m.Storage == nil {
+				return fmt.Errorf("msa: SSSM module %s lacks storage spec", m.Name)
+			}
+			if m.Storage.OSTs <= 0 || m.Storage.OSTBWGBs <= 0 {
+				return fmt.Errorf("msa: SSSM module %s has invalid storage spec %+v", m.Name, *m.Storage)
+			}
+		case QuantumModule:
+			if m.Quantum == nil || m.Quantum.Qubits <= 0 {
+				return fmt.Errorf("msa: QM module %s lacks a valid quantum spec", m.Name)
+			}
+		case NetworkMemory:
+			if m.NAM == nil || m.NAM.CapacityGB <= 0 {
+				return fmt.Errorf("msa: NAM module %s lacks a valid NAM spec", m.Name)
+			}
+		default:
+			if m.Nodes() <= 0 {
+				return fmt.Errorf("msa: module %s has no nodes", m.Name)
+			}
+			if m.Interconnect.BWGBs <= 0 || m.Interconnect.LatencyUS <= 0 {
+				return fmt.Errorf("msa: module %s has invalid interconnect %+v", m.Name, m.Interconnect)
+			}
+			if m.HasGCE && m.Kind != BoosterModule {
+				return fmt.Errorf("msa: module %s has a GCE but is not an ESB", m.Name)
+			}
+		}
+		for _, g := range m.Groups {
+			if g.Count < 0 {
+				return fmt.Errorf("msa: module %s group %s has negative count", m.Name, g.Name)
+			}
+			if !g.Node.Service && g.Count > 0 && m.Kind != StorageService && m.Kind != NetworkMemory && m.Kind != QuantumModule {
+				if g.Node.Sockets <= 0 || g.Node.CPU.Cores <= 0 {
+					return fmt.Errorf("msa: module %s group %s has invalid node spec", m.Name, g.Name)
+				}
+			}
+		}
 	}
+	return nil
 }

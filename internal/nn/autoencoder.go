@@ -49,11 +49,6 @@ func (a *Autoencoder) Params() []*Param {
 	return append(a.Encoder.Params(), a.Decoder.Params()...)
 }
 
-// Encode returns codes without caching for backprop (eval mode).
-func (a *Autoencoder) Encode(x *tensor.Tensor) *tensor.Tensor {
-	return a.Encoder.Forward(x, false)
-}
-
 // Reconstruct encodes and decodes in eval mode.
 func (a *Autoencoder) Reconstruct(x *tensor.Tensor) *tensor.Tensor {
 	return a.Decoder.Forward(a.Encoder.Forward(x, false), false)

@@ -11,7 +11,7 @@ func TestAutoencoderShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ae := NewAutoencoder(rng, 8, 16, 3)
 	x := tensor.Randn(rng, 1, 5, 8)
-	code := ae.Encode(x)
+	code := ae.Encoder.Forward(x, false)
 	if code.Dim(0) != 5 || code.Dim(1) != 3 {
 		t.Fatalf("code shape %v", code.Shape())
 	}

@@ -86,10 +86,9 @@ type chunkState struct {
 // Stage is one rank's pipeline executor. It is owned by that rank's
 // goroutine, like the Comm it wraps.
 type Stage struct {
-	peer  Peer
-	model *nn.Sequential
-	loss  nn.Loss
-	cfg   Config
+	peer Peer
+	loss nn.Loss
+	cfg  Config
 
 	rank, S, C, M int
 	chunks        []*chunkState
@@ -108,10 +107,7 @@ type Stage struct {
 	// with goroutine timing.
 	order []Task
 
-	steps              int
-	busyNS             int64
-	firstTask, lastEnd int64
-	bubble             float64
+	busyNS int64
 }
 
 // New builds this rank's stage over peer. Every rank passes the full
@@ -136,7 +132,7 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 		return nil, err
 	}
 	st := &Stage{
-		peer: peer, model: model, loss: loss, cfg: cfg,
+		peer: peer, loss: loss, cfg: cfg,
 		rank: peer.Rank(), S: S, C: C, M: cfg.MicroBatches,
 		ws:  tensor.NewWorkspace(),
 		hdr: make([]float64, hdrLen), lossBuf: make([]float64, 1),
@@ -165,9 +161,6 @@ func New(peer Peer, model *nn.Sequential, loss nn.Loss, cfg Config) (*Stage, err
 // pool-miss counter across steady-state steps.
 func (st *Stage) Workspace() *tensor.Workspace { return st.ws }
 
-// Model returns the full model this stage was built from.
-func (st *Stage) Model() *nn.Sequential { return st.model }
-
 // LocalChunks returns the chunk indices owned by this rank, ascending.
 func (st *Stage) LocalChunks() []int { return st.locals }
 
@@ -192,7 +185,7 @@ func (st *Stage) Step(x, y *tensor.Tensor) float64 {
 	}
 
 	lossTotal := 0.0
-	st.firstTask, st.lastEnd, st.busyNS = 0, 0, 0
+	st.busyNS = 0
 	for _, tk := range st.order {
 		lossTotal += st.run(tk)
 	}
@@ -212,11 +205,7 @@ func (st *Stage) Step(x, y *tensor.Tensor) float64 {
 		lossTotal = st.lossBuf[0]
 	}
 
-	if st.lastEnd > st.firstTask {
-		st.bubble = 1 - float64(st.busyNS)/float64(st.lastEnd-st.firstTask)
-	}
 	st.cfg.Tracer.End(st.rank, telemetry.CatStep, "pipe.step", trStep, 0, st.cfg.Schedule.String())
-	st.steps++
 	return lossTotal
 }
 
@@ -320,10 +309,6 @@ func (st *Stage) run(tk Task) float64 {
 		st.cfg.Tracer.End(st.rank, telemetry.CatCompute,
 			fmt.Sprintf("%s c%d m%d", name, c, m), tr, 0, st.cfg.Schedule.String())
 	}
-	if st.firstTask == 0 {
-		st.firstTask = t0
-	}
-	st.lastEnd = t1
 	st.busyNS += t1 - t0
 	return lossShare
 }
@@ -425,14 +410,6 @@ func (st *Stage) SyncFullModel() {
 	}
 }
 
-// Steps returns how many pipeline steps have run.
-func (st *Stage) Steps() int { return st.steps }
-
-// BubbleFraction returns the last step's measured bubble: 1 − busy/wall
-// over this rank's active window (first task start to last task end).
-func (st *Stage) BubbleFraction() float64 { return st.bubble }
-
-// BusyNS exposes the last step's busy time behind BubbleFraction, in
-// nanoseconds; cross-rank aggregation happens in callers that can see
+// BusyNS exposes the last step's busy time in nanoseconds; cross-rank aggregation happens in callers that can see
 // every rank.
 func (st *Stage) BusyNS() int64 { return st.busyNS }

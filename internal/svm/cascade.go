@@ -146,42 +146,3 @@ func ShardData(x [][]float64, y []int, p int) ([][][]float64, [][]int) {
 	}
 	return xs, ys
 }
-
-// Ensemble is a majority-vote committee of binary SVMs trained on
-// bootstrap sub-samples — the construction the quantum-annealer study
-// uses to overcome the annealer's training-set size limit (§III-C,
-// ref [11]).
-type Ensemble struct {
-	Members []*Model
-}
-
-// VoteDecision returns the mean signed vote in [-1, 1].
-func (e *Ensemble) VoteDecision(x []float64) float64 {
-	s := 0.0
-	for _, m := range e.Members {
-		s += float64(m.Predict(x))
-	}
-	return s / float64(len(e.Members))
-}
-
-// Predict returns the majority-vote label.
-func (e *Ensemble) Predict(x []float64) int {
-	if e.VoteDecision(x) >= 0 {
-		return 1
-	}
-	return -1
-}
-
-// Accuracy evaluates the ensemble on ±1-labeled data.
-func (e *Ensemble) Accuracy(x [][]float64, y []int) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range x {
-		if e.Predict(x[i]) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(x))
-}

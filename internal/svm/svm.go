@@ -5,9 +5,8 @@
 // The core is a simplified-SMO dual solver with linear and RBF kernels;
 // parallel training uses the cascade-SVM scheme (shards are trained
 // independently, their support vectors merged pairwise up a binary tree
-// and retrained), running over the mpi runtime. One-vs-rest composition
-// provides multiclass classification, and bootstrap ensembles provide the
-// voting classifiers the quantum-annealer study reuses.
+// and retrained), running over the mpi runtime. The quantum-annealer
+// study's bootstrap ensembles live in package qa.
 package svm
 
 import (

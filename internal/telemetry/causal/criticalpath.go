@@ -37,16 +37,9 @@ type PathSeg struct {
 // maxPathSegs bounds the walk against degenerate traces.
 const maxPathSegs = 1 << 16
 
-// CriticalPath walks the DAG backward from its last-ending node and
-// returns the binding-constraint chain in chronological order.
-func (d *DAG) CriticalPath() []PathSeg {
-	const inf = int64(1) << 62
-	return d.criticalPathIn(-inf, inf)
-}
-
-// criticalPathIn is CriticalPath restricted to a step window: the walk
-// starts from the last node ending inside it and stops once it crosses
-// the window's left edge.
+// criticalPathIn walks the DAG backward from the last node ending inside
+// the step window [w0, w1] and returns the binding-constraint chain in
+// chronological order, stopping once it crosses the window's left edge.
 func (d *DAG) criticalPathIn(w0, w1 int64) []PathSeg {
 	cur := d.lastEndingIn(w0, w1)
 	var rev []PathSeg

@@ -90,16 +90,6 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	return s.gauge
 }
 
-// Histogram returns the histogram registered under name+labels, creating
-// it on first use.
-func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	s := r.seriesFor(name, "histogram", labels)
-	if s.hist == nil {
-		s.hist = &Histogram{}
-	}
-	return s.hist
-}
-
 // CounterFunc registers a callback-backed counter: the value is read at
 // export time. Used to re-export counters owned by other subsystems
 // (mpi world stats, serve metrics) without double bookkeeping. The

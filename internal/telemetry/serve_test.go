@@ -101,7 +101,8 @@ func TestServeCloseIdempotentAndRebind(t *testing.T) {
 
 func TestHistogramQuantileExport(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("msa_q_seconds", Label{Key: "op", Value: "step"})
+	h := &Histogram{}
+	reg.AttachHistogram("msa_q_seconds", h, Label{Key: "op", Value: "step"})
 	for i := 0; i < 1000; i++ {
 		h.Observe(time.Millisecond)
 	}
@@ -134,7 +135,7 @@ func TestHistogramQuantileExport(t *testing.T) {
 		t.Fatal("quantile lines must follow _count")
 	}
 	reg2 := NewRegistry()
-	reg2.Histogram("msa_empty_seconds")
+	reg2.AttachHistogram("msa_empty_seconds", &Histogram{})
 	b.Reset()
 	if err := reg2.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -53,9 +53,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if sum := Summarize(tr); len(sum.Tracks) != 0 {
-		t.Fatalf("nil summary: %+v", sum)
-	}
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
@@ -177,7 +174,8 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	reg.SetHelp("msa_requests_total", "requests by outcome")
 	reg.Gauge("msa_queue_depth").Set(3)
 	reg.GaugeFunc("msa_uptime_seconds", func() float64 { return 1.5 })
-	h := reg.Histogram("msa_latency_seconds")
+	h := &Histogram{}
+	reg.AttachHistogram("msa_latency_seconds", h)
 	h.Observe(100 * time.Microsecond)
 	h.Observe(3 * time.Millisecond)
 
@@ -242,41 +240,5 @@ func TestRegistryHandler(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "hits_total 2") {
 		t.Fatalf("handler body:\n%s", buf.String())
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tr := NewTracer(0)
-	tr.SetTrackName(0, "rank 0")
-	// One step of 1000ns: 600 compute, 400 comm.
-	tr.Emit(0, CatCompute, "fwd-bwd", 0, 600, 0, "")
-	tr.Emit(0, CatComm, "grad-sync", 600, 400, 1024, "ring")
-	tr.Emit(0, CatStep, "step", 0, 1000, 0, "")
-	// Track 1 has only mpi-level collective spans.
-	tr.Emit(1, CatCollective, "allreduce", 0, 250, 1024, "ring")
-	tr.Emit(1, CatCompute, "fwd", 250, 750, 0, "")
-
-	sum := Summarize(tr)
-	if len(sum.Tracks) != 2 {
-		t.Fatalf("tracks: %+v", sum.Tracks)
-	}
-	t0 := sum.Tracks[0]
-	if t0.Name != "rank 0" || t0.Extent != 1000 {
-		t.Fatalf("track 0: %+v", t0)
-	}
-	if t0.CommFraction < 0.39 || t0.CommFraction > 0.41 {
-		t.Fatalf("comm fraction %f, want 0.4", t0.CommFraction)
-	}
-	// Collective fallback: 250/1000 of extent.
-	t1 := sum.Tracks[1]
-	if t1.CommFraction < 0.24 || t1.CommFraction > 0.26 {
-		t.Fatalf("track 1 comm fraction %f, want 0.25", t1.CommFraction)
-	}
-	top := sum.TopCategories(2)
-	if len(top) != 2 || top[0].Cat != CatCompute {
-		t.Fatalf("top categories: %+v", top)
-	}
-	if !strings.Contains(sum.String(), "comm-fraction") {
-		t.Fatalf("summary report:\n%s", sum)
 	}
 }

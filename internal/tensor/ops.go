@@ -12,12 +12,6 @@ func checkSame(op string, a, b *Tensor) {
 	}
 }
 
-// Add returns a+b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	checkSame("Add", a, b)
-	return AddInto(New(a.shape...), a, b)
-}
-
 // Sub returns a-b elementwise.
 func Sub(a, b *Tensor) *Tensor {
 	checkSame("Sub", a, b)
@@ -61,14 +55,6 @@ func (t *Tensor) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
 }
 
 // Max returns the maximum element. Panics on empty tensors.

@@ -131,7 +131,7 @@ func TestRPCASeparatesAnomalies(t *testing.T) {
 		t.Fatal("no iterations recorded")
 	}
 	// L + S must reconstruct X reasonably.
-	recon := Add(res.L, res.S)
+	recon := AddInto(New(x.Shape()...), res.L, res.S)
 	if !AllClose(recon, x, 0.5) {
 		t.Fatal("L + S far from X")
 	}
