@@ -19,7 +19,6 @@ var exportedKeep = map[string]string{
 	"Workspace.InUse":      "tests in nn and distdl count the buffers a pass leaves borrowed",
 	"WithGrain":            "the tensor and nn tests drive ParallelFor chunking at a fixed grain",
 	"Tensor.Fill":          "tests in nn, distdl and pipeline build constant inputs with it",
-	"Col2ImInto":           "the conv engine's property tests check dX against the im2col lowering",
 	"MatMulAccBiasActInto": "refGRU in the nn tests runs the GRU through the unfused GEMM path",
 	"EmitPlannedTrace":     "the causal golden fixture in telemetry is emitted from the pipeline plan",
 	"Result.Metric":        "the core experiment tests read pinned metrics by name",

@@ -44,6 +44,7 @@ var goldenCases = []struct {
 	{"ddp-resnet-p3", 3, true, nil, "ac33b57009594a0ea0ea9f9855d9fc7b3a4319baa27c2a1cd2618be3fee8c51f"},
 	{"ddp-resnet-p4", 4, true, nil, "2eaa081cc43afa38402204f5415de35263f6ca8edd57bc1ee8e2c0faf4c77862"},
 	{"pipe2d-mlp-2x2-1f1b", 4, false, []Option{WithPipeline(2, 4, pipeline.OneFOneB)}, "e65662e2805f43833e47b595e5614f6de4a11f795c02337da58970c7dc8f1dc4"},
+	{"pipe2d-resnet-2x2-1f1b", 4, true, []Option{WithPipeline(2, 4, pipeline.OneFOneB)}, "adb3ff50dcc15e947927d288e5bc2ec9f95827ed22d35f9fb06b10324769cafb"},
 }
 
 func TestGoldenDigests(t *testing.T) {

@@ -122,7 +122,7 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 	t.Model.ZeroGrads()
 	out := t.Model.Forward(x, true)
 	loss, grad := nn.LossForward(t.ws, t.Loss, out, y)
-	t.Model.Backward(grad)
+	t.Model.BackwardParams(grad)
 	t.ComputeNs += time.Since(c0).Nanoseconds()
 	tr.End(rank, telemetry.CatCompute, "fwd-bwd", stepStart, 0, "")
 

@@ -72,9 +72,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates the filter and bias gradients from the saved
 // input and returns the input gradient.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	tensor.Conv2DGradWeightsInto(c.W.Grad, c.B.Grad, c.saved, dout, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
+	c.backwardParams(dout)
 	din := c.ws.GetUninit(c.saved.Shape()...)
 	return tensor.Conv2DGradInputInto(din, dout, c.W.Value, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
+}
+
+// backwardParams is Backward without the input gradient
+// (Sequential.BackwardParams).
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
+	tensor.Conv2DGradWeightsInto(c.W.Grad, c.B.Grad, c.saved, dout, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
 }
 
 // Params returns W and b.

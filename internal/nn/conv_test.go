@@ -62,8 +62,33 @@ func (c *refConvLowered) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dcols := tensor.New(rows, c.k)
 	tensor.MatMulTInto(dcols, dflat, c.W.Value)
 	din := tensor.New(c.inShape...)
-	tensor.Col2ImInto(din, dcols, c.kh, c.kw, c.stride, c.padH, c.padW)
+	col2im(din, dcols, c.kh, c.kw, c.stride, c.padH, c.padW)
 	return din
+}
+
+// col2im zeroes din (N, C, H, W) and scatters dcols into it by plain
+// adds in the lowering's order: the adjoint of tensor.Im2ColInto.
+func col2im(din, dcols *tensor.Tensor, kh, kw, stride, padH, padW int) {
+	n, c, h, w := din.Dim(0), din.Dim(1), din.Dim(2), din.Dim(3)
+	oh, ow := tensor.ConvDims(h, kh, stride, padH), tensor.ConvDims(w, kw, stride, padW)
+	d, src, i := din.Data(), dcols.Data(), 0
+	clear(d)
+	for b := 0; b < n; b++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < kh; ky++ {
+						for kx := 0; kx < kw; kx++ {
+							if iy, ix := oy*stride-padH+ky, ox*stride-padW+kx; iy >= 0 && iy < h && ix >= 0 && ix < w {
+								d[((b*c+ch)*h+iy)*w+ix] += src[i]
+							}
+							i++
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // eachNCHW visits every output element with its offset in the (N, OutC,

@@ -36,14 +36,20 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW = xᵀ·dout, db = Σ dout and returns dout·Wᵀ.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(dout)
+	din := d.ws.GetUninit(dout.Dim(0), d.W.Value.Dim(0)) // the GEMM zeroes it
+	tensor.MatMulTInto(din, dout, d.W.Value)
+	return din
+}
+
+// backwardParams is Backward without the input gradient
+// (Sequential.BackwardParams).
+func (d *Dense) backwardParams(dout *tensor.Tensor) {
 	tensor.TMatMulAccInto(d.W.Grad, d.saved, dout)
 	dB := d.ws.Get(d.B.Value.Shape()...)
 	tensor.SumAxis0Into(dB, dout)
 	d.B.Grad.AddInPlace(dB)
 	d.ws.Put(dB)
-	din := d.ws.GetUninit(dout.Dim(0), d.W.Value.Dim(0)) // the GEMM zeroes it
-	tensor.MatMulTInto(din, dout, d.W.Value)
-	return din
 }
 
 // Params returns W and b.
@@ -280,6 +286,22 @@ func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		dout = s.Layers[i].Backward(dout)
 	}
 	return dout
+}
+
+// BackwardParams is Backward for a caller that drops the model's input
+// gradient: the first layer accumulates its parameter gradients and
+// computes no input gradient where it can (Conv2D and Dense); any other
+// first layer runs its Backward. Every parameter gradient gets Backward's
+// bits.
+func (s *Sequential) BackwardParams(dout *tensor.Tensor) {
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		dout = s.Layers[i].Backward(dout)
+	}
+	if l, ok := s.Layers[0].(interface{ backwardParams(*tensor.Tensor) }); ok {
+		l.backwardParams(dout)
+	} else {
+		s.Layers[0].Backward(dout)
+	}
 }
 
 // Params concatenates all layers' parameters in order. The list is cached

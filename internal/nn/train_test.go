@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -577,6 +578,61 @@ func TestOptimizerLoadStateErrors(t *testing.T) {
 	} {
 		if _, err := DecodeCheckpoint(tc.blob, tc.m, tc.opt); err == nil {
 			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+}
+
+// TestBackwardParamsMatchesBackward: a training step whose backward runs
+// through BackwardParams leaves every parameter gradient bitwise equal to
+// Backward's, and a first layer that skips its input gradient (Conv2D,
+// Dense) borrows one workspace tensor fewer; any other first layer (the
+// GRU) falls back to Backward.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model func(rng *rand.Rand) *Sequential
+		x     []int
+		fewer int
+	}{
+		{"ResNetMini", func(rng *rand.Rand) *Sequential { return ResNetMini(rng, 3, 4, 8, 2) }, []int{5, 3, 12, 12}, 1},
+		{"MLP", func(rng *rand.Rand) *Sequential { return MLP(rng, 10, 16, 4) }, []int{7, 10}, 1},
+		{"CovidNetMini", func(rng *rand.Rand) *Sequential { return CovidNetMini(rng, 16, 4) }, []int{3, 1, 16, 16}, 1},
+		{"GRUImputer", func(rng *rand.Rand) *Sequential { return GRUImputer(rng, 3) }, []int{4, 6, 3}, 0},
+	} {
+		var grads [2][]*tensor.Tensor
+		var inUse [2]int
+		for pass, paramsOnly := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(61))
+			m := tc.model(rng)
+			ws := tensor.NewWorkspace()
+			m.SetWorkspace(ws)
+			x := tensor.Randn(rng, 1, tc.x...)
+			out := m.Forward(x, true)
+			var loss Loss = MSE{}
+			y := tensor.Randn(rng, 1, out.Shape()...)
+			if len(out.Shape()) == 2 {
+				labels := make([]int, out.Dim(0))
+				for i := range labels {
+					labels[i] = i % out.Dim(1)
+				}
+				loss, y = SoftmaxCrossEntropy{}, OneHot(labels, out.Dim(1))
+			}
+			_, grad := LossForward(ws, loss, out, y)
+			if paramsOnly {
+				m.BackwardParams(grad)
+			} else {
+				m.Backward(grad)
+			}
+			inUse[pass] = ws.InUse()
+			for _, p := range m.Params() {
+				grads[pass] = append(grads[pass], p.Grad)
+			}
+		}
+		for i, g := range grads[1] {
+			requireSameBits(t, fmt.Sprintf("%s param %d gradient", tc.name, i), g, grads[0][i])
+		}
+		if inUse[0]-inUse[1] != tc.fewer {
+			t.Errorf("%s: %d workspace tensors in use after Backward, %d after BackwardParams, want %d fewer", tc.name, inUse[0], inUse[1], tc.fewer)
 		}
 	}
 }

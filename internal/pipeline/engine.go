@@ -294,9 +294,12 @@ func (st *Stage) run(tk Task) float64 {
 		}
 	} else {
 		cs.seq.Stash(m)
-		din := cs.seq.Backward(in)
-		cs.bwdDone++
-		if c > 0 {
+		if c == 0 { // the model's input gradient: nothing consumes it
+			cs.seq.BackwardParams(in)
+			cs.bwdDone++
+		} else {
+			din := cs.seq.Backward(in)
+			cs.bwdDone++
 			st.deliver(kindB, c-1, m, din)
 		}
 	}

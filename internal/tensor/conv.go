@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ConvDims computes output spatial size for a convolution/pooling window.
@@ -16,10 +17,11 @@ func ConvDims(in, kernel, stride, pad int) int {
 // matrix. cols is fully overwritten; out-of-bounds (padding) samples are
 // zero.
 //
-// Im2ColInto/Col2ImInto are the reference lowering, not the training
-// path: the convolution engine below computes the same products without
-// building this matrix, and its tests compose these functions with the
-// matmul family to state what every result must equal, bit for bit.
+// Im2ColInto and its adjoint col2im (conv_test.go) are the reference
+// lowering, not the training path: the convolution engine below computes
+// the same products without building this matrix, and its tests compose
+// them with the matmul family to state what every result must equal, bit
+// for bit.
 func Im2ColInto(cols, img *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	if len(img.shape) != 4 {
 		panic("tensor: Im2ColInto requires (N,C,H,W)")
@@ -77,80 +79,18 @@ func im2colRows(v convArgs, lo, hi int) {
 	}
 }
 
-// Col2ImInto scatters a column matrix (as produced by Im2ColInto) into the
-// caller-provided image batch img of shape (N, C, H, W), overwriting it
-// (img is zeroed, then overlapping windows accumulate). It is the adjoint
-// of Im2ColInto, and with it the reference for the order in which
-// Conv2DGradInputInto adds into each input pixel.
-func Col2ImInto(img, cols *Tensor, kh, kw, stride, padH, padW int) *Tensor {
-	if len(img.shape) != 4 {
-		panic("tensor: Col2ImInto requires (N,C,H,W) output")
-	}
-	n, c, h, w := img.shape[0], img.shape[1], img.shape[2], img.shape[3]
-	oh := ConvDims(h, kh, stride, padH)
-	ow := ConvDims(w, kw, stride, padW)
-	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
-		panic(fmt.Sprintf("tensor: Col2ImInto shape %v incompatible with (%d,%d,%d,%d) k=%dx%d", cols.shape, n, c, h, w, kh, kw))
-	}
-	// Overlapping windows accumulate, but only within one batch image —
-	// so the scatter parallelizes over the batch axis, each worker owning
-	// a disjoint (C,H,W) slab that it zeroes itself.
-	g := convGeom{c: c, h: h, w: w, oh: oh, ow: ow, kh: kh, kw: kw, stride: stride, padH: padH, padW: padW}
-	convJobs.For(n, 2*oh*ow*c*kh*kw, convArgs{out: img.data, x: cols.data, g: g}, col2imBatches)
-	return img
-}
-
-// col2imBatches scatters cols back into batch images [lo,hi).
-func col2imBatches(v convArgs, lo, hi int) {
-	img, cols, g := v.out, v.x, v.g
-	c, h, w, oh, ow, kh, kw, stride, padH, padW := g.c, g.h, g.w, g.oh, g.ow, g.kh, g.kw, g.stride, g.padH, g.padW
-	for b := lo; b < hi; b++ {
-		slab := img[b*c*h*w : (b+1)*c*h*w]
-		for i := range slab {
-			slab[i] = 0
-		}
-		colRow := b * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*stride - padH
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*stride - padW
-				src := cols[colRow*c*kh*kw : (colRow+1)*c*kh*kw]
-				si := 0
-				for ch := 0; ch < c; ch++ {
-					base := ((b*c + ch) * h) * w
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							si += kw
-							continue
-						}
-						rowBase := base + iy*w
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix >= 0 && ix < w {
-								img[rowBase+ix] += src[si]
-							}
-							si++
-						}
-					}
-				}
-				colRow++
-			}
-		}
-	}
-}
-
 // The convolution engine: forward, filter gradient and input gradient as
 // three packed-GEMM kernels over the NCHW tensors themselves. With
 // K = C·KH·KW (reduction index p = (c, ky, kx), the filter matrix's row)
 // and P = OH·OW (pixel index (oy, ox) within one output plane), the
-// lowered matrix cols (N·P × K) is never built: the micro-kernel's panels
-// are read in place or gathered (pack.go) from zero-bordered copies of
-// the tensors, where the lowering wrote cols to memory, packed panels out
-// of it three times and scattered the last product back through col2im.
+// lowered matrix cols (N·P × K) is never built: the micro-kernels read
+// their panels in place from the tensors or from zero-bordered,
+// phase-split copies of the input (pack.go), where the lowering wrote
+// cols to memory, packed panels out of it three times and scattered the
+// last product back through col2im.
 //
 // Floating-point contract — the lowering's, element for element, so every
-// result is bitwise what Im2ColInto + the matmul family + Col2ImInto give
+// result is bitwise what Im2ColInto + the matmul family + col2im give
 // (conv_test.go keeps that composition as the reference):
 //
 //   - forward: out[b,oc,oy,ox] is the FMA chain over ascending p seeded
@@ -160,10 +100,11 @@ func col2imBatches(v convArgs, lo, hi int) {
 //     value over ascending (image, pixel); db[oc] += the sum of
 //     dout[·,oc,·,·] taken from +0 in that same order by plain adds.
 //   - input gradient: per kernel tap one zero-seeded FMA chain over
-//     ascending oc, and the per-tap values reach dx[b,c,iy,ix] by plain
-//     adds in ascending output-pixel order. For a fixed input pixel that
-//     is descending (ky, kx) order, because oy = (iy+padH-ky)/stride
-//     falls as ky rises (and likewise ox against kx).
+//     ascending oc, and the per-tap values reach dx[b,c,iy,ix], from +0,
+//     by plain adds in ascending output-pixel order. For a fixed input
+//     pixel that is descending (ky, kx) order, because oy = (iy+padH-ky)/
+//     stride falls as ky rises (and likewise ox against kx); a tap whose
+//     output pixel is clipped or off the stride adds nothing.
 
 // convGeom is one convolution's geometry.
 type convGeom struct {
@@ -176,9 +117,11 @@ type convGeom struct {
 // convArgs is what the convolution and lowering kernels take for a range
 // of their parallel units: the slice they write, the slice they read, the
 // packed operand where they have one, the forward's tile-store operands
-// and mode (packConvEpilogue), and the geometry.
+// and mode (packConvEpilogue), the forward's tap offsets (tapOffsets) or
+// the input gradient's tap lists (gatherTaps), and the geometry.
 type convArgs struct {
 	out, x, a, ep []float64
+	offs          []int
 	mode          int
 	g             convGeom
 }
@@ -188,12 +131,39 @@ var convJobs Jobs[convArgs]
 func (g convGeom) k() int { return g.c * g.kh * g.kw }
 func (g convGeom) p() int { return g.oh * g.ow }
 
-// hp and wp are the plane dimensions of the zero-bordered input copies
-// the forward and filter-gradient kernels gather from: the padded image,
-// or the reach of the last window where that is larger (a kernel wider
-// than the padded input, which the lowering reads as zeros too).
-func (g convGeom) hp() int { return max(g.h+2*g.padH, (g.oh-1)*g.stride+g.kh) }
-func (g convGeom) wp() int { return max(g.w+2*g.padW, (g.ow-1)*g.stride+g.kw) }
+// The forward and filter-gradient kernels read the input from a
+// zero-bordered copy split by stride phase (packConvPhases64): phase
+// (fy, fx) holds the bordered pixels (y·stride+fy, x·stride+fx) in an
+// hq × wq plane, for fy < min(stride, KH) and fx < min(stride, KW). Tap
+// (ky, kx) of output pixel (oy, ox) is then pixel (oy+ky/stride,
+// ox+kx/stride) of phase (ky mod stride, kx mod stride), so a tap's
+// pixels along an output row are consecutive at every stride. At stride 1
+// there is one phase, the bordered image.
+func (g convGeom) hq() int     { return g.oh + (g.kh-1)/g.stride }
+func (g convGeom) wq() int     { return g.ow + (g.kw-1)/g.stride }
+func (g convGeom) phases() int { return min(g.stride, g.kh) * min(g.stride, g.kw) }
+
+// phaseOf returns the phase plane and the offset within it of tap
+// (ky, kx) for output pixel (0, 0).
+func (g convGeom) phaseOf(ky, kx int) (plane, off int) {
+	s := g.stride
+	return ky%s*min(s, g.kw) + kx%s, ky/s*g.wq() + kx/s
+}
+
+// tapOffsets fills offs[p] with row p's offset within one image's phase
+// planes (one channel per plane set) from the output pixel (0, 0).
+func (g convGeom) tapOffsets(offs []int) {
+	plane := g.hq() * g.wq()
+	for c, p := 0, 0; c < g.c; c++ {
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				ph, off := g.phaseOf(ky, kx)
+				offs[p] = (c*g.phases()+ph)*plane + off
+				p++
+			}
+		}
+	}
+}
 
 // convGeometry validates a convolution's operands — img (N,C,H,W), planes
 // (N,OutC,OH,OW) and the (C·KH·KW, OutC) filter matrix w — and returns
@@ -249,12 +219,13 @@ const (
 //
 // Per image it is the product Wᵀ (OutC×K) · colsᵀ (K×P) on the packed
 // micro-kernel with output pixels as the 8-wide panel dimension: Wᵀ is
-// packed once per call, the input is copied once into zero-bordered
-// planes so that row p of a pixel panel is the panel's window origin plus
-// a fixed offset per (c, ky, kx) with no tap out of range, and the
-// finished 4×8 tiles go straight to the NCHW planes through one epilogue
-// (convStore). One kernel serves training and inference at every stride.
-// The scratch is the packing pool's; ws is not used.
+// packed once per call, the input is read in place or copied once into
+// zero-bordered phase planes so that row p of a pixel panel is the
+// panel's origin plus a fixed offset per (c, ky, kx) with no tap out of
+// range, and the finished 4×8 tiles go straight to the NCHW planes
+// through one epilogue (convStore). One kernel serves training and
+// inference at every stride. The scratch is the packing pool's; ws is not
+// used.
 func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, padH, padW int, ev ...BNReLU) *Tensor {
 	g := convGeometry("Conv2DBiasInto", img, out, w, kh, kw, stride, padH, padW)
 	var bd []float64
@@ -266,19 +237,21 @@ func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, pa
 	}
 	k := g.k()
 	ocBlocks := (g.outC + 3) / 4
-	apP := getScratch(ocBlocks * (k*4 + 20))
-	ap, ep := (*apP)[:ocBlocks*k*4], (*apP)[ocBlocks*k*4:]
+	apP := getScratch(ocBlocks*(k*4+20) + k)
+	ap, ep := (*apP)[:ocBlocks*k*4], (*apP)[ocBlocks*k*4:ocBlocks*(k*4+20)]
+	offs := intView((*apP)[ocBlocks*(k*4+20):])
 	for ob := 0; ob < ocBlocks; ob++ {
 		packACols64(ap[ob*k*4:(ob+1)*k*4], w.data, g.outC, ob*4, min(4, g.outC-ob*4), 0, k)
 	}
 	mode := packConvEpilogue(ep, bd, ev, g.outC)
+	g.tapOffsets(offs)
 	xp, xpP := img.data, (*[]float64)(nil)
-	if g.hp() != g.h || g.wp() != g.w {
-		xpP = getScratch(g.n * g.c * g.hp() * g.wp())
+	if g.stride > 1 || g.hq() != g.h || g.wq() != g.w {
+		xpP = getScratch(g.n * g.c * g.phases() * g.hq() * g.wq())
 		xp = *xpP
-		padConvPlanes64(xp, img.data, g.n*g.c, g)
+		packConvPhases64(xp, img.data, g, 1)
 	}
-	convJobs.For(g.n*((g.p()+7)/8), 16*k*g.outC, convArgs{out: out.data, x: xp, a: ap, ep: ep, mode: mode, g: g}, convForwardPanels)
+	convJobs.For(g.n*((g.p()+7)/8), 16*k*g.outC, convArgs{out: out.data, x: xp, a: ap, ep: ep, offs: offs, mode: mode, g: g}, convForwardPanels)
 	if xpP != nil {
 		putScratch(xpP)
 	}
@@ -316,36 +289,41 @@ func packConvEpilogue(ep, bias []float64, ev []BNReLU, outC int) (mode int) {
 // convForwardPanels computes units [lo,hi), unit = image·panels + pixel
 // panel: every 4-channel block of the packed Wᵀ against the unit's K×8
 // panel into a zero-seeded tile, stored through the epilogue. Eight
-// pixels of one output row at stride 1 are read in place from the
-// bordered planes (conv4x8); strided, partial and row-straddling panels
-// are gathered into bp first, taken from the scratch pool at the range's
-// first such panel, so a range of in-place panels takes no lock.
+// pixels of one output row are read in place from the phase planes
+// (conv4x8 at stride 1, conv4x8Taps strided); partial and row-straddling
+// panels are gathered into bp first, taken from the scratch pool at the
+// range's first such panel, so a range of in-place panels takes no lock.
 func convForwardPanels(v convArgs, lo, hi int) {
 	out, xp, ap, g := v.out, v.x, v.a, v.g
 	k, p := g.k(), g.p()
 	panels := (p + 7) / 8
-	wp := g.wp()
-	plane := g.hp() * wp
+	wq := g.wq()
+	plane := g.hq() * wq
+	image := g.c * g.phases() * plane
+	maxOff := slices.Max(v.offs)
 	var bpP *[]float64
 	var bp []float64
 	var tile [32]float64
 	for u := lo; u < hi; u++ {
 		b, pix0 := u/panels, u%panels*8
 		wv := min(8, p-pix0)
-		xpB := xp[b*g.c*plane : (b+1)*g.c*plane]
+		xpB := xp[b*image : (b+1)*image]
 		oy, ox0 := pix0/g.ow, pix0%g.ow
-		inPlace := g.stride == 1 && wv == 8 && ox0+8 <= g.ow
+		inPlace := wv == 8 && ox0+8 <= g.ow
 		if !inPlace {
 			if bpP == nil {
 				bpP = getScratch(k * 8)
 				bp = *bpP
 			}
-			packConvPixels64(bp, xpB, &g, pix0)
+			packConvPixels64(bp, xpB, v.offs, &g, pix0)
 		}
 		for oc0 := 0; oc0 < g.outC; oc0 += 4 {
-			if inPlace {
-				conv4x8(ap[oc0*k:], xpB[oy*wp+ox0:], g.c, g.kh, g.kw, plane, wp, &tile)
-			} else {
+			switch {
+			case inPlace && g.stride == 1:
+				conv4x8(ap[oc0*k:], xpB[oy*wq+ox0:], g.c, g.kh, g.kw, plane, wq, &tile)
+			case inPlace:
+				conv4x8Taps(ap[oc0*k:], xpB[oy*wq+ox0:], v.offs, maxOff, &tile)
+			default:
 				tile = [32]float64{}
 				gemm4x8(k, ap[oc0*k:], 1, 4, bp, 8, tile[:], 8)
 			}
@@ -383,30 +361,34 @@ func convStoreGo(dst []float64, p int, tile *[32]float64, ep *[20]float64, mode,
 //
 // It is the TN product dw (K×OutC) += A·B with the reduction over all
 // N·P pixels. Both operands are repacked once per call: dout into
-// 8-channel p-major panels (the db sums ride on that pass), the input
-// into zero-bordered planes with four channels interleaved per pixel
-// (packConvInput64). A 4-row block of K is then four consecutive channels
-// at one kernel tap — rows (c·KH+ky)·KW+kx of dw, KH·KW rows apart — and
-// its A panel over an output row is one contiguous run of the interleaved
-// input, shifted by the tap. Blocks accumulate in place over ascending
-// (image, pixel), so every dw element keeps the lowering's chain.
+// 8-channel p-major panels, the input into its phase planes with four
+// channels interleaved per pixel (packConvPhases64). A 4-row block of K
+// is then four consecutive channels at one kernel tap — rows
+// (c·KH+ky)·KW+kx of dw, KH·KW rows apart — and its A panel over an
+// output row is one contiguous run of the interleaved input, the next
+// row's run wq pixels on, which the micro-kernel reads in place. Blocks
+// accumulate over ascending (image, pixel), so every dw element keeps the
+// lowering's chain. The db sums run in channel lanes (chanSums).
 func Conv2DGradWeightsInto(dw, db, img, dout *Tensor, kh, kw, stride, padH, padW int) {
 	g := convGeometry("Conv2DGradWeightsInto", img, dout, dw, kh, kw, stride, padH, padW)
-	var dbd []float64
-	if db != nil {
-		if db.Size() != g.outC {
-			panic("tensor: Conv2DGradWeightsInto bias gradient length mismatch")
-		}
-		dbd = db.data
+	if db != nil && db.Size() != g.outC {
+		panic("tensor: Conv2DGradWeightsInto bias gradient length mismatch")
 	}
 	np := g.n * g.p()
-	bpP := getScratch((g.outC + 7) / 8 * np * 8)
+	bpP := getScratch((g.outC+7)/8*np*8 + g.outC)
 	bp := *bpP
-	packConvGrad64(bp, dbd, dout.data, g.n, g.outC, g.p())
+	packConvGrad64(bp, dout.data, g.n, g.outC, g.p())
+	if db != nil {
+		sums := bp[len(bp)-g.outC:]
+		chanSums(sums, nil, dout.data, nil, nil, g.n, g.outC, g.p())
+		for oc, v := range sums {
+			db.data[oc] += v
+		}
+	}
 	cBlocks := (g.c + 3) / 4
-	xtP := getScratch(g.n * cBlocks * g.hp() * g.wp() * 4)
+	xtP := getScratch(g.n * cBlocks * g.phases() * g.hq() * g.wq() * 4)
 	xt := *xtP
-	packConvInput64(xt, img.data, g)
+	packConvPhases64(xt, img.data, g, 4)
 	convJobs.For(cBlocks*kh*kw, 8*np*g.outC, convArgs{out: dw.data, x: xt, a: bp, g: g}, convFilterRows)
 	putScratch(xtP)
 	putScratch(bpP)
@@ -414,153 +396,188 @@ func Conv2DGradWeightsInto(dw, db, img, dout *Tensor, kh, kw, stride, padH, padW
 
 // convFilterRows accumulates 4-row blocks [lo,hi) of dw, block =
 // channel-block·KH·KW + tap. The reduction runs in chunks of whole output
-// rows of one image (about kc pixels), so the A chunk copied out of xt
-// stays cache-resident; dw carries the chain from chunk to chunk exactly
-// as the blocked matmul carries it across kc.
+// rows of one image (about kc pixels), so the A rows a chunk's 8-column
+// blocks share stay cache-resident; dw carries the chain from chunk to
+// chunk exactly as the blocked matmul carries it across kc.
 func convFilterRows(v convArgs, lo, hi int) {
 	dw, xt, bp, g := v.out, v.x, v.a, v.g
-	p, s, taps := g.p(), g.stride, g.kh*g.kw
+	p, taps := g.p(), g.kh*g.kw
 	np := g.n * p
 	cBlocks := (g.c + 3) / 4
-	hp, wp := g.hp(), g.wp()
+	wq := g.wq()
+	plane := g.hq() * wq * 4
 	chunkRows := min(g.oh, max(1, kc/g.ow))
-	apP := getScratch(chunkRows * g.ow * 4)
-	ap := *apP
 	var tile [32]float64
 	for u := lo; u < hi; u++ {
 		cb, tap := u/taps, u%taps
-		ky, kx := tap/g.kw, tap%g.kw
+		ph, off := g.phaseOf(tap/g.kw, tap%g.kw)
 		mb := min(4, g.c-cb*4)
 		ldc := taps * g.outC // dw rows of consecutive channels at one tap
 		c0 := (cb*4*taps + tap) * g.outC
 		for b := 0; b < g.n; b++ {
-			xtB := xt[(b*cBlocks+cb)*hp*wp*4:][:hp*wp*4]
+			xtB := xt[((b*cBlocks+cb)*g.phases()+ph)*plane+off*4:]
 			for oy0 := 0; oy0 < g.oh; oy0 += chunkRows {
 				rows := min(chunkRows, g.oh-oy0)
-				for r := 0; r < rows; r++ {
-					dst := ap[r*g.ow*4:][:g.ow*4]
-					src := xtB[(((oy0+r)*s+ky)*wp+kx)*4:]
-					if s == 1 {
-						copy(dst, src)
-						continue
-					}
-					for ox := 0; ox < g.ow; ox++ {
-						*(*[4]float64)(dst[ox*4:]) = *(*[4]float64)(src[ox*s*4:])
-					}
+				a := xtB[oy0*wq*4:]
+				k, runs := g.ow, rows
+				if wq == g.ow { // the rows' runs are back to back
+					k, runs = rows*g.ow, 1
 				}
-				kb := rows * g.ow
 				q0 := b*p + oy0*g.ow
 				for jc := 0; jc < g.outC; jc += 8 {
-					bpanel := bp[jc*np+q0*8:][:kb*8]
+					bpanel := bp[jc*np+q0*8:][:rows*g.ow*8]
 					w8 := min(8, g.outC-jc)
 					c := dw[c0+jc:]
 					if mb == 4 && w8 == 8 {
-						gemm4x8(kb, ap, 1, 4, bpanel, 8, c, ldc)
+						gemm4x8Rows(k, runs, a, wq*4, bpanel, c, ldc)
 						continue
 					}
 					loadTile(&tile, c, ldc, mb, w8)
-					gemm4x8(kb, ap, 1, 4, bpanel, 8, tile[:], 8)
+					gemm4x8Rows(k, runs, a, wq*4, bpanel, tile[:], 8)
 					storeTile(c, ldc, &tile, mb, w8)
 				}
 			}
 		}
 	}
-	putScratch(apP)
 }
 
 // Conv2DGradInputInto computes a convolution's input gradient
 // dx (N, C, H, W) from dout (N, OutC, OH, OW) and the filter matrix w,
 // overwriting every element of dx.
 //
-// Per image and kernel tap it is the product W_tap (C×OutC) · dout_b
-// (OutC×P): dout's planes are already the 8-pixel B panels' rows, the taps'
-// 4-channel A panels are packed once per call, and each finished
-// zero-seeded 4×8 tile is added into dx at the tap's shifted, clipped
-// position. Pixel panels ascend and taps descend within a panel, which
-// adds into every dx element in ascending output-pixel order — the order
-// Col2ImInto scatters in. Overlapping windows meet only within an image,
-// so the split is over images, each worker zeroing the slabs it owns.
+// It is a gather: each dx tile (four channels × eight input pixels)
+// takes, tap by tap in descending order, the zero-seeded product
+// W_tap (4×OutC) · dout (OutC×8) read in place at the tap's output
+// pixels, and adds it into a running tile that starts at +0; the tile is
+// stored once (convGather). For a fixed dx element the descending taps
+// are its output pixels in ascending order, the order col2im
+// scatters in. A tile's lanes share a row and a column phase (ix mod
+// stride), so at every stride a tap reads consecutive dout pixels; lanes
+// whose output pixel a tap clips are masked. The taps' 4-channel A
+// panels and every tile position's tap list are built once per call, and
+// the split is over images.
 func Conv2DGradInputInto(dx, dout, w *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	g := convGeometry("Conv2DGradInputInto", dx, dout, w, kh, kw, stride, padH, padW)
 	taps := kh * kw
 	cBlocks := (g.c + 3) / 4
-	apP := getScratch(taps * cBlocks * g.outC * 4)
-	ap := *apP
-	for tap := 0; tap < taps; tap++ {
-		for cb := 0; cb < cBlocks; cb++ {
-			packARows64(ap[(tap*cBlocks+cb)*g.outC*4:][:g.outC*4], w.data[tap*g.outC:], taps*g.outC, cb*4, min(4, g.c-cb*4), 0, g.outC)
+	tiles := g.h * g.gatherCols()
+	apP := getScratch(cBlocks*taps*g.outC*4 + tiles + 1 + tiles*taps*4)
+	ap := (*apP)[:cBlocks*taps*g.outC*4]
+	for cb := 0; cb < cBlocks; cb++ {
+		for tap := 0; tap < taps; tap++ {
+			packARows64(ap[(cb*taps+tap)*g.outC*4:][:g.outC*4], w.data[tap*g.outC:], taps*g.outC, cb*4, min(4, g.c-cb*4), 0, g.outC)
 		}
 	}
-	convJobs.For(g.n, 2*g.p()*g.k()*g.outC, convArgs{out: dx.data, x: dout.data, a: ap, g: g}, convInputImages)
+	list := intView((*apP)[len(ap):])
+	g.gatherTaps(list[:tiles+1], list[tiles+1:])
+	convJobs.For(g.n, 2*g.p()*g.k()*g.outC, convArgs{out: dx.data, x: dout.data, a: ap, offs: list, g: g}, convInputImages)
 	putScratch(apP)
 	return dx
 }
 
-// convInputImages computes dx for images [lo,hi).
-func convInputImages(v convArgs, lo, hi int) {
-	dx, dout, ap, g := v.out, v.x, v.a, v.g
-	p, hw, s := g.p(), g.h*g.w, g.stride
-	cBlocks := (g.c + 3) / 4
-	bpP := getScratch(g.outC * 8)
-	bp := *bpP
-	var tile [32]float64
-	// Lane j of the current panel has its window origin at input pixel
-	// (iyb[j], ixb[j]) and, for the current tap, lands at offset tgt[j] of
-	// a dx plane (-1 when clipped).
-	var tgt, iyb, ixb [8]int
-	for b := lo; b < hi; b++ {
-		slab := dx[b*g.c*hw : (b+1)*g.c*hw]
-		clear(slab)
-		for pix0 := 0; pix0 < p; pix0 += 8 {
-			wv := min(8, p-pix0)
-			packBRows64(bp, dout[b*g.outC*p:(b+1)*g.outC*p], p, 0, g.outC, pix0, wv)
-			for j, oy, ox := 0, pix0/g.ow, pix0%g.ow; j < wv; j++ {
-				iyb[j], ixb[j] = oy*s-g.padH, ox*s-g.padW
-				if ox++; ox == g.ow {
-					oy, ox = oy+1, 0
-				}
-			}
-			for tap := g.kh*g.kw - 1; tap >= 0; tap-- {
-				ky, kx := tap/g.kw, tap%g.kw
-				// The lanes that land inside the image span [jlo,jhi); run
-				// says they are all of that span, on consecutive offsets.
-				jlo, jhi, run := 8, 0, true
-				for j := 0; j < wv; j++ {
-					iy, ix := iyb[j]+ky, ixb[j]+kx
-					if uint(iy) >= uint(g.h) || uint(ix) >= uint(g.w) {
-						tgt[j] = -1
+// gatherCols is the number of dx tiles along one input row. The row is
+// cut into groups of 8·stride pixels, and a group into one tile per
+// column phase, eight pixels stride apart.
+func (g convGeom) gatherCols() int {
+	n := 0
+	for gx := 0; gx < g.w; gx += 8 * g.stride {
+		n += min(g.stride, g.w-gx)
+	}
+	return n
+}
+
+// gatherTaps lists the taps of every dx tile, by row, group and phase:
+// tile t's taps are taps[start[t]·4 : start[t+1]·4], four ints each,
+// {a, d, lo, hi} (convGather4x8AVX), in descending tap order. A tap
+// reaches a tile where its output row and column are whole and in range,
+// for the lanes [lo, hi) whose output column is.
+func (g convGeom) gatherTaps(start, taps []int) {
+	s, n, t := g.stride, 0, 0
+	for iy := 0; iy < g.h; iy++ {
+		for gx := 0; gx < g.w; gx += 8 * s {
+			for ix0 := gx; ix0 < min(gx+s, g.w); ix0++ {
+				start[t] = n
+				t++
+				for ky := g.kh - 1; ky >= 0; ky-- {
+					ty := iy + g.padH - ky
+					if ty < 0 || ty%s != 0 || ty/s >= g.oh {
 						continue
 					}
-					tgt[j] = iy*g.w + ix
-					if jlo < jhi && (j != jhi || tgt[j] != tgt[j-1]+1) {
-						run = false
-					}
-					jlo, jhi = min(jlo, j), j+1
-				}
-				if jlo >= jhi {
-					continue // columns the lowering computes and col2im drops
-				}
-				for cb := 0; cb < cBlocks; cb++ {
-					apanel := ap[(tap*cBlocks+cb)*g.outC*4:]
-					if run && g.c-cb*4 >= 4 {
-						gemm4x8Add(g.outC, apanel, bp, slab[cb*4*hw:], tgt[jlo]-jlo, hw, jlo, jhi)
-						continue
-					}
-					tile = [32]float64{}
-					gemm4x8(g.outC, apanel, 1, 4, bp, 8, tile[:], 8)
-					for r := 0; r < min(4, g.c-cb*4); r++ {
-						plane := slab[(cb*4+r)*hw : (cb*4+r+1)*hw]
-						for j := jlo; j < jhi; j++ {
-							if t := tgt[j]; t >= 0 {
-								plane[t] += tile[r*8+j]
-							}
+					for kx := g.kw - 1; kx >= 0; kx-- {
+						tx := ix0 + g.padW - kx
+						if tx%s != 0 {
+							continue
+						}
+						ox := tx / s
+						if lo, hi := max(0, -ox), min(8, g.ow-ox); lo < hi {
+							*(*[4]int)(taps[n*4:]) = [4]int{(ky*g.kw + kx) * g.outC * 4, ty/s*g.ow + ox, lo, hi}
+							n++
 						}
 					}
 				}
 			}
 		}
 	}
-	putScratch(bpP)
+	start[t] = n
+}
+
+// convInputImages computes dx for images [lo,hi), tile by tile in
+// gatherTaps' order. At stride 2 a whole group's two phase tiles are
+// stored together, as sixteen consecutive pixels a row.
+func convInputImages(v convArgs, lo, hi int) {
+	dx, dout, ap, g := v.out, v.x, v.a, v.g
+	s, p, hw, taps := g.stride, g.p(), g.h*g.w, g.kh*g.kw
+	cBlocks := (g.c + 3) / 4
+	tiles := g.h * g.gatherCols()
+	start, list := v.offs[:tiles+1], v.offs[tiles+1:]
+	var tile [2][32]float64
+	for b := lo; b < hi; b++ {
+		doutB := dout[b*g.outC*p : (b+1)*g.outC*p]
+		t := 0
+		for iy := 0; iy < g.h; iy++ {
+			for gx := 0; gx < g.w; gx += 8 * s {
+				nf := min(s, g.w-gx)
+				pair := s == 2 && gx+16 <= g.w
+				for cb := 0; cb < cBlocks; cb++ {
+					d := dx[(b*g.c+cb*4)*hw+iy*g.w+gx:]
+					rows := min(4, g.c-cb*4)
+					for fx := 0; fx < nf; fx++ {
+						tt := &tile[fx%2]
+						if tl := list[start[t+fx]*4 : start[t+fx+1]*4]; len(tl) == 0 {
+							*tt = [32]float64{}
+						} else {
+							convGather(ap[cb*taps*g.outC*4:], doutB, tl, g.outC, p, tt)
+						}
+						if !pair {
+							storeGatherTile(d[fx:], hw, s, rows, min(8, (g.w-gx-fx+s-1)/s), tt)
+						}
+					}
+					for r := 0; pair && r < rows; r++ {
+						q, a, c := (*[16]float64)(d[r*hw:]), (*[8]float64)(tile[0][r*8:]), (*[8]float64)(tile[1][r*8:])
+						for j := range 8 {
+							q[2*j], q[2*j+1] = a[j], c[j]
+						}
+					}
+				}
+				t += nf
+			}
+		}
+	}
+}
+
+// storeGatherTile stores lanes j < wv of a dx tile's rows r < rows at
+// d[r·hw + j·s].
+func storeGatherTile(d []float64, hw, s, rows, wv int, tile *[32]float64) {
+	for r := 0; r < rows; r++ {
+		row, t := d[r*hw:], (*[8]float64)(tile[r*8:])
+		if s == 1 && wv == 8 {
+			*(*[8]float64)(row) = *t
+			continue
+		}
+		for j := 0; j < wv; j++ {
+			row[j*s] = t[j]
+		}
+	}
 }
 
 // MaxPool2DInto performs max pooling into the caller-provided out tensor

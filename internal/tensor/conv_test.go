@@ -71,7 +71,70 @@ func loweredBackward(dw, db, dx, img, dout, w *Tensor, kh, kw, stride, padH, pad
 	db.AddInPlace(dB)
 	dcols := New(cols.shape...)
 	MatMulTInto(dcols, dflat, w)
-	Col2ImInto(dx, dcols, kh, kw, stride, padH, padW)
+	col2imInto(dx, dcols, kh, kw, stride, padH, padW)
+}
+
+// col2imInto scatters a column matrix (as produced by Im2ColInto) into the
+// image batch img of shape (N, C, H, W), overwriting it (img is zeroed,
+// then overlapping windows accumulate). It is the adjoint of Im2ColInto,
+// and with it the reference for the order in which Conv2DGradInputInto
+// adds into each input pixel.
+func col2imInto(img, cols *Tensor, kh, kw, stride, padH, padW int) *Tensor {
+	if len(img.shape) != 4 {
+		panic("tensor: col2imInto requires (N,C,H,W) output")
+	}
+	n, c, h, w := img.shape[0], img.shape[1], img.shape[2], img.shape[3]
+	oh := ConvDims(h, kh, stride, padH)
+	ow := ConvDims(w, kw, stride, padW)
+	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
+		panic(fmt.Sprintf("tensor: col2imInto shape %v incompatible with (%d,%d,%d,%d) k=%dx%d", cols.shape, n, c, h, w, kh, kw))
+	}
+	// Overlapping windows accumulate, but only within one batch image —
+	// so the scatter parallelizes over the batch axis, each worker owning
+	// a disjoint (C,H,W) slab that it zeroes itself.
+	g := convGeom{c: c, h: h, w: w, oh: oh, ow: ow, kh: kh, kw: kw, stride: stride, padH: padH, padW: padW}
+	convJobs.For(n, 2*oh*ow*c*kh*kw, convArgs{out: img.data, x: cols.data, g: g}, col2imBatches)
+	return img
+}
+
+// col2imBatches scatters cols back into batch images [lo,hi).
+func col2imBatches(v convArgs, lo, hi int) {
+	img, cols, g := v.out, v.x, v.g
+	c, h, w, oh, ow, kh, kw, stride, padH, padW := g.c, g.h, g.w, g.oh, g.ow, g.kh, g.kw, g.stride, g.padH, g.padW
+	for b := lo; b < hi; b++ {
+		slab := img[b*c*h*w : (b+1)*c*h*w]
+		for i := range slab {
+			slab[i] = 0
+		}
+		colRow := b * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*stride - padH
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*stride - padW
+				src := cols[colRow*c*kh*kw : (colRow+1)*c*kh*kw]
+				si := 0
+				for ch := 0; ch < c; ch++ {
+					base := ((b*c + ch) * h) * w
+					for ky := 0; ky < kh; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= h {
+							si += kw
+							continue
+						}
+						rowBase := base + iy*w
+						for kx := 0; kx < kw; kx++ {
+							ix := ix0 + kx
+							if ix >= 0 && ix < w {
+								img[rowBase+ix] += src[si]
+							}
+							si++
+						}
+					}
+				}
+				colRow++
+			}
+		}
+	}
 }
 
 type convCase struct{ n, c, outC, h, w, kh, kw, stride, padH, padW int }
@@ -125,8 +188,10 @@ func convCases(seed int64, count int) []convCase {
 }
 
 // checkConvCase runs the three kernels and the lowering on one geometry
-// and compares forward, dw, db and dx bitwise. The gradients start from a
-// non-zero prior and are accumulated twice; out and dx start from NaN.
+// and compares forward, dw, db and dx bitwise, first on normal draws and
+// then with special values (convSpecials) in one of the inputs. The gradients
+// start from a non-zero prior and are accumulated twice; out and dx start
+// from NaN.
 func checkConvCase(t *testing.T, rng *rand.Rand, tc convCase, label string) {
 	t.Helper()
 	oh := ConvDims(tc.h, tc.kh, tc.stride, tc.padH)
@@ -134,26 +199,109 @@ func checkConvCase(t *testing.T, rng *rand.Rand, tc convCase, label string) {
 	k := tc.c * tc.kh * tc.kw
 	img := Randn(rng, 1, tc.n, tc.c, tc.h, tc.w)
 	w := Randn(rng, 1, k, tc.outC)
-	bias := Randn(rng, 1, tc.outC)
 	dout := Randn(rng, 1, tc.n, tc.outC, oh, ow)
-	nan := func(shape ...int) *Tensor {
-		x := New(shape...)
-		x.Fill(math.NaN())
-		return x
+	checkConvOperands(t, rng, tc, label, img, w, dout)
+	// One operand at a time: where a product has two NaN factors, which
+	// payload survives depends on the operands' roles in the instruction,
+	// and the lowering gives the two factors the other roles. In dout a
+	// channel's NaNs share one payload and its infinities one sign: the
+	// bias gradient sums a channel with plain adds, and in Go code which
+	// of two NaN addends survives is the compiler's choice.
+	// Each call takes one operand, drawn at random, so the suite covers
+	// all three over its cases at twice the cost of normal draws alone.
+	i := rng.Intn(3)
+	ops := []*Tensor{img, w, dout}
+	var ch func(int) int
+	if i == 2 {
+		p := oh * ow
+		ch = func(e int) int { return e / p % tc.outC }
 	}
+	convSpecials(rng, ops[i], ch)
+	checkConvOperands(t, rng, tc, label+" specials in "+[]string{"img", "w", "dout"}[i], ops[0], ops[1], ops[2])
+}
+
+// convSpecials overwrites about one element in eight of x with a value a
+// kernel could mishandle: quiet NaNs with distinct payloads, ±Inf, −0 and
+// subnormals. With ch set, element e's NaN payload and infinity sign are
+// fixed by its channel ch(e).
+func convSpecials(rng *rand.Rand, x *Tensor, ch func(int) int) {
+	for i := range x.data {
+		payload, sign := rng.Intn(1<<20)+1, 1-2*rng.Intn(2)
+		if ch != nil {
+			payload, sign = ch(i)+1, 1-2*(ch(i)%2)
+		}
+		switch rng.Intn(48) {
+		case 0, 1:
+			x.data[i] = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(payload))
+		case 2, 3:
+			x.data[i] = math.Inf(sign)
+		case 4:
+			x.data[i] = math.Copysign(0, -1)
+		case 5:
+			x.data[i] = math.Float64frombits(uint64(rng.Intn(1<<20))) * float64(1-2*rng.Intn(2))
+		}
+	}
+}
+
+// guarded returns a tensor of the given shape filled with v whose storage
+// sits between two 64-byte guard zones (convGuard), and the whole buffer.
+func guarded(v float64, shape ...int) (*Tensor, []float64) {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	buf := make([]float64, n+16)
+	for i := range buf {
+		buf[i] = convGuard
+	}
+	x := FromSlice(buf[8:8+n:8+n], shape...)
+	x.Fill(v)
+	return x, buf
+}
+
+var convGuard = math.Float64frombits(0x7ff4_dead_beef_0bad)
+
+// guardsIntact reports whether buf's guard zones still hold convGuard.
+func guardsIntact(buf []float64) bool {
+	for _, v := range append(buf[:8:8], buf[len(buf)-8:]...) {
+		if math.Float64bits(v) != math.Float64bits(convGuard) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkConvOperands is checkConvCase on given operands: every result
+// written by the engine is guarded, and the inputs must come back
+// unchanged.
+func checkConvOperands(t *testing.T, rng *rand.Rand, tc convCase, label string, img, w, dout *Tensor) {
+	t.Helper()
+	oh, ow, k := dout.shape[2], dout.shape[3], w.shape[0]
+	bias := Randn(rng, 1, tc.outC)
+	inputs := []*Tensor{img, w, dout}
+	saved := []*Tensor{img.Clone(), w.Clone(), dout.Clone()}
 
 	for _, bs := range []*Tensor{bias, nil} {
-		got, want := nan(tc.n, tc.outC, oh, ow), New(tc.n, tc.outC, oh, ow)
+		got, gbuf := guarded(math.NaN(), tc.n, tc.outC, oh, ow)
+		want := New(tc.n, tc.outC, oh, ow)
 		Conv2DBiasInto(nil, got, img, w, bs, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
 		loweredForward(want, img, w, bs, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
 		if !bitEqual64(got, want) {
 			t.Fatalf("%s %+v: forward (bias %v) differs from the lowering", label, tc, bs != nil)
 		}
+		if !guardsIntact(gbuf) {
+			t.Fatalf("%s %+v: forward wrote outside out", label, tc)
+		}
 	}
 
 	dw0, db0 := Randn(rng, 1, k, tc.outC), Randn(rng, 1, tc.outC)
-	gotW, gotB, wantW, wantB := dw0.Clone(), db0.Clone(), dw0.Clone(), db0.Clone()
-	gotX, wantX := nan(tc.n, tc.c, tc.h, tc.w), New(tc.n, tc.c, tc.h, tc.w)
+	gotW, wbuf := guarded(0, k, tc.outC)
+	gotB, bbuf := guarded(0, tc.outC)
+	gotW.CopyFrom(dw0)
+	gotB.CopyFrom(db0)
+	wantW, wantB := dw0.Clone(), db0.Clone()
+	gotX, xbuf := guarded(math.NaN(), tc.n, tc.c, tc.h, tc.w)
+	wantX := New(tc.n, tc.c, tc.h, tc.w)
 	for pass := 0; pass < 2; pass++ {
 		Conv2DGradWeightsInto(gotW, gotB, img, dout, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
 		Conv2DGradInputInto(gotX, dout, w, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
@@ -168,12 +316,25 @@ func checkConvCase(t *testing.T, rng *rand.Rand, tc convCase, label string) {
 	if !bitEqual64(gotX, wantX) {
 		t.Fatalf("%s %+v: dx differs from the lowering", label, tc)
 	}
+	for name, buf := range map[string][]float64{"dw": wbuf, "db": bbuf, "dx": xbuf} {
+		if !guardsIntact(buf) {
+			t.Fatalf("%s %+v: backward wrote outside %s", label, tc, name)
+		}
+	}
 	// A nil db leaves dw's chain alone.
-	gotW = dw0.Clone()
+	gotW.CopyFrom(dw0)
 	Conv2DGradWeightsInto(gotW, nil, img, dout, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
 	Conv2DGradWeightsInto(gotW, nil, img, dout, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
 	if !bitEqual64(gotW, wantW) {
 		t.Fatalf("%s %+v: dw with nil db differs from the lowering", label, tc)
+	}
+	if !guardsIntact(wbuf) {
+		t.Fatalf("%s %+v: dw with nil db wrote outside dw", label, tc)
+	}
+	for i, x := range inputs {
+		if !bitEqual64(x, saved[i]) {
+			t.Fatalf("%s %+v: the engine changed input %d", label, tc, i)
+		}
 	}
 }
 
@@ -273,31 +434,47 @@ func TestConvEngineWorkspaceUntouched(t *testing.T) {
 	}
 }
 
-// BenchmarkConvEngine times the three kernels one by one at the two layer
-// shapes that carry resnet-ddp (2·N·P·K·OutC flops each).
+// BenchmarkConvEngine times the three kernels one by one at the five conv
+// shapes of a ResNetMini (width 8, two stages, 16×16 input), at the
+// data-parallel batch (16) and the pipeline's micro-batch (4), and reports
+// GFLOP/s (2·N·P·K·OutC flops a pass) and µs per sample.
 func BenchmarkConvEngine(b *testing.B) {
-	for _, s := range []struct{ n, c, hw, outC int }{{16, 8, 16, 8}, {16, 16, 8, 16}} {
-		rng := rand.New(rand.NewSource(2))
-		img := Randn(rng, 1, s.n, s.c, s.hw, s.hw)
-		w, bias := Randn(rng, 1, s.c*9, s.outC), Randn(rng, 1, s.outC)
-		dout := Randn(rng, 1, s.n, s.outC, s.hw, s.hw)
-		out, dx := New(dout.shape...), New(img.shape...)
-		dw, db := New(w.shape...), New(s.outC)
-		flops := 2 * float64(s.n*s.hw*s.hw) * float64(s.c*9) * float64(s.outC)
-		for _, k := range []struct {
-			name string
-			fn   func()
-		}{
-			{"forward", func() { Conv2DBiasInto(nil, out, img, w, bias, 3, 3, 1, 1, 1) }},
-			{"dw", func() { Conv2DGradWeightsInto(dw, db, img, dout, 3, 3, 1, 1, 1) }},
-			{"dx", func() { Conv2DGradInputInto(dx, dout, w, 3, 3, 1, 1, 1) }},
-		} {
-			b.Run(fmt.Sprintf("%dx%dx%dx%d-%d/%s", s.n, s.c, s.hw, s.hw, s.outC, k.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					k.fn()
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+	for _, s := range []struct {
+		name                        string
+		c, hw, outC, k, stride, pad int
+	}{
+		{"stem", 4, 16, 8, 3, 1, 1},
+		{"block16", 8, 16, 8, 3, 1, 1},
+		{"down", 8, 16, 16, 3, 2, 1},
+		{"proj", 8, 16, 16, 1, 2, 0},
+		{"block8", 16, 8, 16, 3, 1, 1},
+	} {
+		for _, n := range []int{16, 4} {
+			rng := rand.New(rand.NewSource(2))
+			o := ConvDims(s.hw, s.k, s.stride, s.pad)
+			img := Randn(rng, 1, n, s.c, s.hw, s.hw)
+			w, bias := Randn(rng, 1, s.c*s.k*s.k, s.outC), Randn(rng, 1, s.outC)
+			dout := Randn(rng, 1, n, s.outC, o, o)
+			out, dx := New(dout.shape...), New(img.shape...)
+			dw, db := New(w.shape...), New(s.outC)
+			flops := 2 * float64(n*o*o) * float64(s.c*s.k*s.k) * float64(s.outC)
+			for _, k := range []struct {
+				name string
+				fn   func()
+			}{
+				{"forward", func() { Conv2DBiasInto(nil, out, img, w, bias, s.k, s.k, s.stride, s.pad, s.pad) }},
+				{"dw", func() { Conv2DGradWeightsInto(dw, db, img, dout, s.k, s.k, s.stride, s.pad, s.pad) }},
+				{"dx", func() { Conv2DGradInputInto(dx, dout, w, s.k, s.k, s.stride, s.pad, s.pad) }},
+			} {
+				b.Run(fmt.Sprintf("%s-%d→%d-%dx%d-s%d/N%d/%s", s.name, s.c, s.outC, s.k, s.k, s.stride, n, k.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						k.fn()
+					}
+					sec := b.Elapsed().Seconds()
+					b.ReportMetric(flops*float64(b.N)/sec/1e9, "GFLOP/s")
+					b.ReportMetric(sec*1e6/float64(b.N*n), "µs/sample")
+				})
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Panel packing for the blocked matmul (kernel.go). B column strips are
@@ -188,129 +189,144 @@ func packACols64(dst, a []float64, lda, i0, mb, p0, kb int) {
 	}
 }
 
-// Convolution packers (conv.go): the gathers that stand in for the im2col
+// Convolution packers (conv.go): the copies that stand in for the im2col
 // matrix cols (N·P × K). They are data movement only — padding cells
-// become the same explicit zeros Im2ColInto writes — so the micro-kernel
-// sees exactly the panels the lowering would have packed out of cols.
+// become the same explicit zeros Im2ColInto writes — so the micro-kernels
+// see exactly the panels the lowering would have packed out of cols.
 
-// padConvPlanes64 copies planes (h×w) of src to (hp×wp) planes of dst with
-// the image at row padH, column padW and zeros around it.
-func padConvPlanes64(dst, src []float64, planes int, g convGeom) {
-	hp, wp := g.hp(), g.wp()
-	for pl := 0; pl < planes; pl++ {
-		d := dst[pl*hp*wp : (pl+1)*hp*wp]
-		clear(d[:g.padH*wp])
-		for y := 0; y < g.h; y++ {
-			row := d[(g.padH+y)*wp:][:wp]
-			clear(row[:g.padW])
-			copy(row[g.padW:g.padW+g.w], src[(pl*g.h+y)*g.w:])
-			clear(row[g.padW+g.w:])
+// packConvPhases64 copies the input batch img (N, C, H, W) into the
+// zero-bordered phase planes (convGeom.hq): for each image, group of
+// lanes channels (lanes is 1 or 4), and phase (fy, fx), an hq × wq plane
+// with the group's channels interleaved per pixel,
+//
+//	dst[(((b·groups+cg)·phases + fy·min(stride,KW)+fx)·hq·wq + y·wq + x)·lanes + r]
+//	  = img[b][cg·lanes+r][y·stride+fy−padH][x·stride+fx−padW],
+//
+// zero outside the image and for channels past C.
+func packConvPhases64(dst, img []float64, g convGeom, lanes int) {
+	s, hq, wq, hw := g.stride, g.hq(), g.wq(), g.h*g.w
+	row := wq * lanes
+	// inside returns [lo, hi): the plane coordinates t < n whose image
+	// coordinate t·s + f − pad lies in [0, size).
+	inside := func(n, f, pad, size int) (lo, hi int) {
+		for lo < n && lo*s+f < pad {
+			lo++
 		}
-		clear(d[(g.padH+g.h)*wp:])
+		for hi = lo; hi < n && hi*s+f-pad < size; hi++ {
+		}
+		return lo, hi
+	}
+	for b := 0; b < g.n; b++ {
+		for c0 := 0; c0 < g.c; c0 += lanes {
+			mb := min(lanes, g.c-c0)
+			src := img[(b*g.c+c0)*hw:]
+			for fy := 0; fy < min(s, g.kh); fy++ {
+				ylo, yhi := inside(hq, fy, g.padH, g.h)
+				for fx := 0; fx < min(s, g.kw); fx++ {
+					xlo, xhi := inside(wq, fx, g.padW, g.w)
+					plane := dst[:hq*row]
+					dst = dst[hq*row:]
+					clear(plane[:ylo*row])
+					clear(plane[yhi*row:])
+					for y := ylo; y < yhi; y++ {
+						d := plane[y*row : (y+1)*row]
+						clear(d[:xlo*lanes])
+						clear(d[xhi*lanes:])
+						sr := src[(y*s+fy-g.padH)*g.w+xlo*s+fx-g.padW:]
+						d = d[xlo*lanes : xhi*lanes]
+						switch {
+						case lanes == 1 && s == 1:
+							copy(d, sr)
+						case lanes == 1:
+							for x := range d {
+								d[x] = sr[x*s]
+							}
+						default:
+							packPhaseRow(d, sr, hw, s, mb)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// packPhaseRow copies one row of an interleaved phase plane: pixel x of
+// channel r is src[r·hw + x·s], and channels from mb on are zero.
+func packPhaseRow(d, src []float64, hw, s, mb int) {
+	n := len(d) / 4
+	switch {
+	case s == 1:
+		packARows64(d, src, hw, 0, mb, 0, n)
+	case mb == 4:
+		a0, a1, a2, a3 := src, src[hw:], src[2*hw:], src[3*hw:]
+		for x := 0; x < n; x++ {
+			q, xs := (*[4]float64)(d[x*4:]), x*s
+			q[0], q[1], q[2], q[3] = a0[xs], a1[xs], a2[xs], a3[xs]
+		}
+	default:
+		for x := 0; x < n; x++ {
+			for r := 0; r < 4; r++ {
+				d[x*4+r] = 0
+				if r < mb {
+					d[x*4+r] = src[r*hw+x*s]
+				}
+			}
+		}
 	}
 }
 
 // packConvPixels64 packs the forward B panel of one image, given as its
-// zero-bordered planes xp (C × hp × wp): dst[p*8+j] = cols[pix0+j][p] for
-// the K rows p = (c, ky, kx), zero past the last pixel. The border makes
-// every tap an in-range read, so an entry is lane j's window origin plus
-// one offset per (c, ky, kx). This is the gather for strided, partial and
-// row-straddling panels; the others need no packing (conv4x8).
-func packConvPixels64(dst, xp []float64, g *convGeom, pix0 int) {
-	s, wp := g.stride, g.wp()
-	plane := g.hp() * wp
-	var org [8]int // window origin of each lane within a bordered plane
+// phase planes xp: dst[p*8+j] = cols[pix0+j][p] for the K rows p, zero
+// past the last pixel. Row p of lane j is xp[offs[p] + org[j]], org[j]
+// the lane's output pixel within a phase plane. This is the gather for
+// partial and row-straddling panels; the others are read in place.
+func packConvPixels64(dst, xp []float64, offs []int, g *convGeom, pix0 int) {
+	wq := g.wq()
+	var org [8]int
 	wv := min(8, g.p()-pix0)
 	for j, oy, ox := 0, pix0/g.ow, pix0%g.ow; j < wv; j++ {
-		org[j] = (oy*wp + ox) * s
+		org[j] = oy*wq + ox
 		if ox++; ox == g.ow {
 			oy, ox = oy+1, 0
 		}
 	}
-	di := 0
-	for ch := 0; ch < g.c; ch++ {
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
-				d := (*[8]float64)(dst[di:])
-				di += 8
-				src := xp[ch*plane+ky*wp+kx:]
-				for j := 0; j < wv; j++ {
-					d[j] = src[org[j]]
-				}
-				clear(d[wv:])
-			}
+	for p, off := range offs {
+		d := (*[8]float64)(dst[p*8:])
+		src := xp[off:]
+		for j := 0; j < wv; j++ {
+			d[j] = src[org[j]]
 		}
+		clear(d[wv:])
 	}
 }
 
-// packConvInput64 packs the input batch as the filter-gradient A operand:
-// zero-bordered (hp×wp) planes with four channels interleaved per pixel,
-// dst[((b·cBlocks+cb)·hp·wp + y·wp + x)*4 + r] = img[b][cb*4+r][y-padH][x-padW],
-// zero in the border and for channels past C. In this layout the A panel
-// of channels cb*4..cb*4+3 at tap (ky, kx) over output row oy is the
-// contiguous run starting at pixel (oy·stride+ky, kx) — cols is never
-// transposed element by element.
-func packConvInput64(dst, img []float64, g convGeom) {
-	hp, wp, hw := g.hp(), g.wp(), g.h*g.w
-	cBlocks := (g.c + 3) / 4
-	if hp != g.h || wp != g.w {
-		clear(dst[:g.n*cBlocks*hp*wp*4]) // the border
-	}
-	for b := 0; b < g.n; b++ {
-		for cb := 0; cb < cBlocks; cb++ {
-			d := dst[(b*cBlocks+cb)*hp*wp*4:][:hp*wp*4]
-			src := img[(b*g.c+cb*4)*hw:]
-			for y := 0; y < g.h; y++ {
-				packARows64(d[((y+g.padH)*wp+g.padW)*4:], src[y*g.w:], hw, 0, min(4, g.c-cb*4), 0, g.w)
-			}
-		}
-	}
-}
-
-// packConvGrad64 packs dout (N, OutC, P) as the filter-gradient B operand
-// — 8-channel panels over all N·P pixels, dst[jc·N·P + q*8 + j] =
-// dout[b][jc+j][pix] with q = b·P+pix, zero-padded past OutC — and, when
-// db is not nil, adds each channel's sum into db[oc]. A sum runs from +0
-// over ascending (image, pixel) with plain adds before it meets db, the
-// order SumAxis0Into takes over the lowered matrix; four channels go at
-// a time so the four dependent add chains overlap.
-func packConvGrad64(dst, db, dout []float64, n, outC, p int) {
+// packConvGrad64 packs dout (N, OutC, P) as the filter-gradient B operand:
+// 8-channel panels over all N·P pixels, dst[jc·N·P + q*8 + j] =
+// dout[b][jc+j][pix] with q = b·P+pix, zero-padded past OutC.
+func packConvGrad64(dst, dout []float64, n, outC, p int) {
 	np := n * p
 	for jc := 0; jc < outC; jc += 8 {
 		panel := dst[jc*np:][:np*8]
 		w8 := min(8, outC-jc)
 		j := 0
 		for ; j+4 <= w8; j += 4 {
-			var s0, s1, s2, s3 float64
 			for b := 0; b < n; b++ {
 				src := dout[(b*outC+jc+j)*p:][:4*p]
 				a0, a1, a2, a3 := src[:p], src[p:2*p], src[2*p:3*p], src[3*p:]
 				d := panel[b*p*8+j:]
 				for pix, v0 := range a0 {
-					v1, v2, v3 := a1[pix], a2[pix], a3[pix]
 					q := (*[4]float64)(d[pix*8:])
-					q[0], q[1], q[2], q[3] = v0, v1, v2, v3
-					s0, s1, s2, s3 = s0+v0, s1+v1, s2+v2, s3+v3
+					q[0], q[1], q[2], q[3] = v0, a1[pix], a2[pix], a3[pix]
 				}
-			}
-			if db != nil {
-				db[jc+j] += s0
-				db[jc+j+1] += s1
-				db[jc+j+2] += s2
-				db[jc+j+3] += s3
 			}
 		}
 		for ; j < w8; j++ {
-			sum := 0.0
 			for b := 0; b < n; b++ {
 				d := panel[b*p*8+j:]
 				for pix, v := range dout[(b*outC+jc+j)*p:][:p] {
 					d[pix*8] = v
-					sum += v
 				}
-			}
-			if db != nil {
-				db[jc+j] += sum
 			}
 		}
 		for ; j < 8; j++ {
@@ -319,4 +335,10 @@ func packConvGrad64(dst, db, dout []float64, n, outC, p int) {
 			}
 		}
 	}
+}
+
+// intView reuses a packing-scratch buffer for ints, which are no wider
+// than a float64 on every target.
+func intView(s []float64) []int {
+	return unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }

@@ -38,14 +38,39 @@ func conv4x8Go(ap, xp []float64, c, kh, kw, plane, wp int, tile *[32]float64) {
 	}
 }
 
-func gemm4x8AddGo(k int, ap, bp, c []float64, off, ldc, jlo, jhi int) {
+func conv4x8TapsGo(ap, xp []float64, offs []int, tile *[32]float64) {
 	for r := 0; r < 4; r++ {
-		for j := jlo; j < jhi; j++ {
+		for j := 0; j < 8; j++ {
 			acc := 0.0
-			for p := 0; p < k; p++ {
-				acc = math.FMA(ap[p*4+r], bp[p*8+j], acc)
+			for p, off := range offs {
+				acc = math.FMA(ap[p*4+r], xp[off+j], acc)
 			}
-			c[off+r*ldc+j] += acc
+			tile[r*8+j] = acc
+		}
+	}
+}
+
+// gemm4x8RowsGo runs the chain on through c from run to run.
+func gemm4x8RowsGo(k, rows int, a []float64, arow int, b, c []float64, ldc int) {
+	for y := 0; y < rows; y++ {
+		gemm4x8FMA(k, a[y*arow:], 1, 4, b[y*k*8:], 8, c, ldc)
+	}
+}
+
+// convGatherGo adds nothing to the lanes a tap masks: they are the terms
+// the scatter it replaces never computed.
+func convGatherGo(ap, dout []float64, taps []int, outC, p int, tile *[32]float64) {
+	*tile = [32]float64{}
+	for i := 0; i < len(taps); i += 4 {
+		a, d, lo, hi := taps[i], taps[i+1], taps[i+2], taps[i+3]
+		for r := 0; r < 4; r++ {
+			for j := lo; j < hi; j++ {
+				acc := 0.0
+				for oc := 0; oc < outC; oc++ {
+					acc = math.FMA(ap[a+oc*4+r], dout[d+oc*p+j], acc)
+				}
+				tile[r*8+j] += acc
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@ package tensor
 import "os"
 
 //go:noescape
-func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc int)
+func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, rows, askip int)
 
 //go:noescape
 func conv4x8AVX(ap, xp *float64, c, kh, kw, plane, wp int, tile *float64)
@@ -14,7 +14,10 @@ func conv4x8AVX(ap, xp *float64, c, kh, kw, plane, wp int, tile *float64)
 func convStoreAVX(dst *float64, p int, tile, ep *float64, mode int)
 
 //go:noescape
-func gemm4x8AddAVX(k int, ap, bp, c *float64, off, ldc int, mask *int64)
+func conv4x8TapsAVX(ap, xp *float64, offs *int, k int, tile *float64)
+
+//go:noescape
+func convGather4x8AVX(ap, dout *float64, taps *int, ntaps, outC, p int, tile *float64, masks *[8]int64)
 
 //go:noescape
 func axpyAVX(alpha float64, x, y *float64, n int)
@@ -97,10 +100,23 @@ func gemm4x8(k int, a []float64, ars, aps int, b []float64, bps int, c []float64
 	if useAVX {
 		last := max(k-1, 0)
 		_, _, _ = a[3*ars+last*aps], b[last*bps+7], c[3*ldc+7]
-		gemm4x8Asm(k, &a[0], ars, aps, &b[0], bps, &c[0], ldc)
+		gemm4x8Asm(k, &a[0], ars, aps, &b[0], bps, &c[0], ldc, 1, 0)
 		return
 	}
 	gemm4x8FMA(k, a, ars, aps, b, bps, c, ldc)
+}
+
+// gemm4x8Rows is gemm4x8 on packed panels, (ars, aps, bps) = (1, 4, 8),
+// over rows runs of k steps: run y's A panel starts at a[y·arow], and B
+// runs on. The filter gradient reads its input in place this way, one run
+// per output row.
+func gemm4x8Rows(k, rows int, a []float64, arow int, b, c []float64, ldc int) {
+	if useAVX {
+		_, _, _ = a[(rows-1)*arow+k*4-1], b[rows*k*8-1], c[3*ldc+7]
+		gemm4x8Asm(k, &a[0], 1, 4, &b[0], 8, &c[0], ldc, rows, (arow-k*4)*8)
+		return
+	}
+	gemm4x8RowsGo(k, rows, a, arow, b, c, ldc)
 }
 
 // conv4x8 overwrites tile (row stride 8) with the zero-seeded 4×8 product
@@ -127,25 +143,37 @@ func convStore(dst []float64, p int, tile *[32]float64, ep *[20]float64, mode, r
 	convStoreGo(dst, p, tile, ep, mode, rows, wv)
 }
 
-// gemm4x8Add adds the zero-seeded 4×8 product of the packed panels ap and
-// bp (k steps) to c: lane j of row r joins c[off+r*ldc+j] for jlo <= j <
-// jhi; the other lanes are dropped, and off+r*ldc+j may lie outside c for
-// them.
-func gemm4x8Add(k int, ap, bp, c []float64, off, ldc, jlo, jhi int) {
+// conv4x8Taps overwrites tile with the zero-seeded 4×8 product of the
+// packed panel ap and a B panel read in place: row p is xp[offs[p] ..+8),
+// maxOff the largest offset.
+func conv4x8Taps(ap, xp []float64, offs []int, maxOff int, tile *[32]float64) {
 	if useAVX {
-		_, _, _, _ = ap[k*4-1], bp[k*8-1], c[off+jlo], c[off+3*ldc+jhi-1]
-		gemm4x8AddAVX(k, &ap[0], &bp[0], &c[0], off, ldc, &laneMasks[jlo][jhi][0])
+		_, _ = ap[len(offs)*4-1], xp[maxOff+7]
+		conv4x8TapsAVX(&ap[0], &xp[0], &offs[0], len(offs), &tile[0])
 		return
 	}
-	gemm4x8AddGo(k, ap, bp, c, off, ldc, jlo, jhi)
+	conv4x8TapsGo(ap, xp, offs, tile)
 }
 
-// laneMasks[jlo][jhi] is the VMASKMOVPD mask selecting lanes [jlo,jhi).
-var laneMasks = func() (m [9][9][8]int64) {
-	for jlo := range m {
-		for jhi := range m[jlo] {
+// convGather overwrites tile with the gathered dx tile of taps, four ints
+// {a, d, lo, hi} each (convGather4x8AVX); dout is one image's planes, p
+// apart.
+func convGather(ap, dout []float64, taps []int, outC, p int, tile *[32]float64) {
+	if useAVX {
+		_, _ = ap[taps[0]+outC*4-1], dout[outC*p-1] // taps descend
+		*tile = [32]float64{}
+		convGather4x8AVX(&ap[0], &dout[0], &taps[0], len(taps)/4, outC, p, &tile[0], &laneMasks[0])
+		return
+	}
+	convGatherGo(ap, dout, taps, outC, p, tile)
+}
+
+// laneMasks[jlo·9+jhi] is the VMASKMOVPD mask selecting lanes [jlo,jhi).
+var laneMasks = func() (m [81][8]int64) {
+	for jlo := range 9 {
+		for jhi := range 9 {
 			for j := jlo; j < jhi; j++ {
-				m[jlo][jhi][j] = -1
+				m[jlo*9+jhi][j] = -1
 			}
 		}
 	}

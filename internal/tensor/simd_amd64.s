@@ -8,16 +8,18 @@
 // order per output element, so their results are bit-identical to the
 // scalar math.FMA reference kernels.
 
-// func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc int)
+// func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, rows, askip int)
 //
 // C (a 4×8 tile at c with row stride ldc doubles) accumulates
 // sum_p a[r*ars + p*aps] * b[p*bps + j] on top of its current contents.
 // Strides are in doubles: a packed panel pair is (ars, aps, bps) =
 // (1, 4, 8); a row-major B read in place has bps = its row length, and
 // rows of a matrix broadcast in place have ars = the row length, aps = 1.
+// The k steps repeat rows times, the A pointer moving on askip bytes
+// after each run and B running on (gemm4x8Rows).
 // Eight YMM accumulators hold the tile; each p step is two B-row loads,
 // four indexed A broadcasts, eight VFMADD231PD and two pointer bumps.
-TEXT ·gemm4x8Asm(SB), NOSPLIT, $0-64
+TEXT ·gemm4x8Asm(SB), NOSPLIT, $0-80
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ ars+16(FP), R12
@@ -42,8 +44,12 @@ TEXT ·gemm4x8Asm(SB), NOSPLIT, $0-64
 	VMOVUPD 32(R10), Y5
 	VMOVUPD (R11), Y6
 	VMOVUPD 32(R11), Y7
-	TESTQ CX, CX
-	JZ    store
+	MOVQ    rows+64(FP), R8
+	TESTQ   CX, CX
+	JZ      store
+
+run:
+	MOVQ k+0(FP), CX
 
 loop:
 	VMOVUPD      (DI), Y8
@@ -64,6 +70,9 @@ loop:
 	ADDQ         AX, DI
 	DECQ         CX
 	JNZ          loop
+	ADDQ         askip+72(FP), SI
+	DECQ         R8
+	JNZ          run
 
 store:
 	VMOVUPD Y0, (DX)
@@ -288,63 +297,109 @@ storeout:
 	VZEROUPPER
 	RET
 
-// func gemm4x8AddAVX(k int, ap, bp, c *float64, off, ldc int, mask *int64)
+// func conv4x8TapsAVX(ap, xp *float64, offs *int, k int, tile *float64)
 //
-// The input-gradient micro-kernel: the 4×8 product of the packed panels
-// accumulates from +0 in registers (the per-tap chain), then joins C by a
-// plain add, C first: row r of the tile goes to c[off + r*ldc ..+8). mask
-// holds eight lane words (all ones = live); dead lanes are neither read
-// nor written, so they may lie outside the buffer — a tile clipped at
-// the image border adds only the lanes that land inside.
-TEXT ·gemm4x8AddAVX(SB), NOSPLIT, $0-56
-	MOVQ k+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ off+32(FP), AX
-	MOVQ ldc+40(FP), R8
-	MOVQ mask+48(FP), BX
-	LEAQ (DX)(AX*8), DX
-	SHLQ $3, R8
+// conv4x8AVX for the strided forward: row p of the B panel is the eight
+// doubles at xp[offs[p]], from the phase-split planes, where conv4x8AVX
+// steps a pointer. The tile (row stride 8) is seeded with +0 and
+// overwritten.
+TEXT ·conv4x8TapsAVX(SB), NOSPLIT, $0-40
+	MOVQ ap+0(FP), SI
+	MOVQ xp+8(FP), DI
+	MOVQ offs+16(FP), R8
+	MOVQ k+24(FP), CX
+	MOVQ tile+32(FP), DX
 	ZERO4X8
 
-addloop:
-	VMOVUPD (DI), Y8
-	VMOVUPD 32(DI), Y9
+tapsloop:
+	MOVQ    (R8), AX
+	VMOVUPD (DI)(AX*8), Y8
+	VMOVUPD 32(DI)(AX*8), Y9
 	FMA4X8
-	ADDQ    $64, DI
+	ADDQ    $8, R8
 	DECQ    CX
-	JNZ     addloop
+	JNZ     tapsloop
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
+	RET
 
-	VMOVDQU (BX), Y14
-	VMOVDQU 32(BX), Y15
-	VMASKMOVPD (DX), Y14, Y8
-	VMASKMOVPD 32(DX), Y15, Y9
-	VADDPD     Y0, Y8, Y8
-	VADDPD     Y1, Y9, Y9
-	VMASKMOVPD Y8, Y14, (DX)
-	VMASKMOVPD Y9, Y15, 32(DX)
-	ADDQ       R8, DX
-	VMASKMOVPD (DX), Y14, Y8
-	VMASKMOVPD 32(DX), Y15, Y9
-	VADDPD     Y2, Y8, Y8
-	VADDPD     Y3, Y9, Y9
-	VMASKMOVPD Y8, Y14, (DX)
-	VMASKMOVPD Y9, Y15, 32(DX)
-	ADDQ       R8, DX
-	VMASKMOVPD (DX), Y14, Y8
-	VMASKMOVPD 32(DX), Y15, Y9
-	VADDPD     Y4, Y8, Y8
-	VADDPD     Y5, Y9, Y9
-	VMASKMOVPD Y8, Y14, (DX)
-	VMASKMOVPD Y9, Y15, 32(DX)
-	ADDQ       R8, DX
-	VMASKMOVPD (DX), Y14, Y8
-	VMASKMOVPD 32(DX), Y15, Y9
-	VADDPD     Y6, Y8, Y8
-	VADDPD     Y7, Y9, Y9
-	VMASKMOVPD Y8, Y14, (DX)
-	VMASKMOVPD Y9, Y15, 32(DX)
+// One row of the running dx tile at off(DX) += the tap's row y, the
+// running value first.
+#define ADDRUN(off, y) \
+	VMOVUPD off(DX), Y8 \
+	VADDPD  y, Y8, Y8   \
+	VMOVUPD Y8, off(DX)
+
+// func convGather4x8AVX(ap, dout *float64, taps *int, ntaps, outC, p int, tile *float64, masks *[8]int64)
+//
+// The input-gradient micro-kernel: a 4-channel × 8-pixel dx tile gathered
+// tap by tap into the running tile (row stride 8, in memory, +0 on entry).
+// Per tap {a, d, lo, hi} the zero-seeded 4×8 dot over outC steps runs in
+// registers: A is ap[a..] packed 4 per step, B row oc is dout[d+oc·p ..+8)
+// read in place. Lanes outside [lo, hi) fall outside dout's plane: they
+// are loaded as zero through the lane mask masks[lo·9+hi] and cleared
+// after the dot, so an Inf or NaN weight leaves no trace there. The dot
+// then joins the running tile with one add, running value first. The
+// caller guarantees ntaps, outC >= 1.
+TEXT ·convGather4x8AVX(SB), NOSPLIT, $0-64
+	MOVQ   ap+0(FP), R8
+	MOVQ   dout+8(FP), R9
+	MOVQ   taps+16(FP), R10
+	MOVQ   ntaps+24(FP), R11
+	MOVQ   outC+32(FP), R12
+	MOVQ   p+40(FP), R13
+	MOVQ   tile+48(FP), DX
+	SHLQ   $3, R13
+
+gathertap:
+	MOVQ 0(R10), SI
+	LEAQ (R8)(SI*8), SI
+	MOVQ 8(R10), DI
+	LEAQ (R9)(DI*8), DI
+	MOVQ 16(R10), AX
+	MOVQ 24(R10), BX
+	MOVQ R12, CX
+	ZERO4X8
+	LEAQ    (AX)(AX*8), AX
+	ADDQ    BX, AX
+	SHLQ    $6, AX
+	MOVQ    masks+56(FP), BX
+	VMOVDQU (BX)(AX*1), Y14
+	VMOVDQU 32(BX)(AX*1), Y15
+
+gatherloop:
+	VMASKMOVPD (DI), Y14, Y8
+	VMASKMOVPD 32(DI), Y15, Y9
+	FMA4X8
+	ADDQ       R13, DI
+	DECQ       CX
+	JNZ        gatherloop
+	VANDPD     Y14, Y0, Y0
+	VANDPD     Y15, Y1, Y1
+	VANDPD     Y14, Y2, Y2
+	VANDPD     Y15, Y3, Y3
+	VANDPD     Y14, Y4, Y4
+	VANDPD     Y15, Y5, Y5
+	VANDPD     Y14, Y6, Y6
+	VANDPD     Y15, Y7, Y7
+	ADDRUN(0, Y0)
+	ADDRUN(32, Y1)
+	ADDRUN(64, Y2)
+	ADDRUN(96, Y3)
+	ADDRUN(128, Y4)
+	ADDRUN(160, Y5)
+	ADDRUN(192, Y6)
+	ADDRUN(224, Y7)
+	ADDQ    $32, R10
+	DECQ    R11
+	JNZ     gathertap
 	VZEROUPPER
 	RET
 

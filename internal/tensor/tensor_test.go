@@ -320,7 +320,7 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 }
 
-// Property: Col2ImInto is the adjoint of Im2ColInto: <Im2Col(x), y> == <x, Col2Im(y)>.
+// Property: col2imInto is the adjoint of Im2ColInto: <Im2Col(x), y> == <x, Col2Im(y)>.
 func TestIm2ColAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -335,7 +335,7 @@ func TestIm2ColAdjointProperty(t *testing.T) {
 		cols := im2col(x, k, k, stride, pad, pad)
 		y := Randn(rng, 1, cols.Dim(0), cols.Dim(1))
 		lhs := Dot(cols, y)
-		rhs := Dot(x, Col2ImInto(New(n, c, h, w), y, k, k, stride, pad, pad))
+		rhs := Dot(x, col2imInto(New(n, c, h, w), y, k, k, stride, pad, pad))
 		return math.Abs(lhs-rhs) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

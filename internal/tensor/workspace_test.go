@@ -143,9 +143,9 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestIm2ColAdjoint checks that Col2ImInto is the exact adjoint of
+// TestIm2ColAdjoint checks that col2imInto is the exact adjoint of
 // Im2ColInto: <Im2Col(x), y> == <x, Col2Im(y)> for random x, y. This is the property
-// that makes the conv backward pass (dcols routed through Col2ImInto) the
+// that makes the conv backward pass (dcols routed through col2imInto) the
 // true gradient of the im2col-based forward.
 func TestIm2ColAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -166,7 +166,7 @@ func TestIm2ColAdjoint(t *testing.T) {
 		for i := range y.Data() {
 			y.Data()[i] = rng.NormFloat64()
 		}
-		back := Col2ImInto(New(x.Shape()...), y, tc.kh, tc.kw, tc.stride, tc.pad, tc.pad)
+		back := col2imInto(New(x.Shape()...), y, tc.kh, tc.kw, tc.stride, tc.pad, tc.pad)
 
 		dot := func(a, b *Tensor) float64 {
 			s := 0.0
