@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // ConvDims computes output spatial size for a convolution/pooling window.
@@ -128,8 +127,8 @@ type convArgs struct {
 
 var convJobs Jobs[convArgs]
 
-func (g convGeom) k() int { return g.c * g.kh * g.kw }
-func (g convGeom) p() int { return g.oh * g.ow }
+func (g *convGeom) k() int { return g.c * g.kh * g.kw }
+func (g *convGeom) p() int { return g.oh * g.ow }
 
 // The forward and filter-gradient kernels read the input from a
 // zero-bordered copy split by stride phase (packConvPhases64): phase
@@ -139,29 +138,27 @@ func (g convGeom) p() int { return g.oh * g.ow }
 // ox+kx/stride) of phase (ky mod stride, kx mod stride), so a tap's
 // pixels along an output row are consecutive at every stride. At stride 1
 // there is one phase, the bordered image.
-func (g convGeom) hq() int     { return g.oh + (g.kh-1)/g.stride }
-func (g convGeom) wq() int     { return g.ow + (g.kw-1)/g.stride }
-func (g convGeom) phases() int { return min(g.stride, g.kh) * min(g.stride, g.kw) }
+func (g *convGeom) hq() int     { return g.oh + (g.kh-1)/g.stride }
+func (g *convGeom) wq() int     { return g.ow + (g.kw-1)/g.stride }
+func (g *convGeom) phases() int { return min(g.stride, g.kh) * min(g.stride, g.kw) }
 
 // phaseOf returns the phase plane and the offset within it of tap
 // (ky, kx) for output pixel (0, 0).
-func (g convGeom) phaseOf(ky, kx int) (plane, off int) {
+func (g *convGeom) phaseOf(ky, kx int) (plane, off int) {
 	s := g.stride
 	return ky%s*min(s, g.kw) + kx%s, ky/s*g.wq() + kx/s
 }
 
-// tapOffsets fills offs[p] with row p's offset within one image's phase
-// planes (one channel per plane set) from the output pixel (0, 0).
-func (g convGeom) tapOffsets(offs []int) {
-	plane := g.hq() * g.wq()
-	for c, p := 0, 0; c < g.c; c++ {
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
-				ph, off := g.phaseOf(ky, kx)
-				offs[p] = (c*g.phases()+ph)*plane + off
-				p++
-			}
-		}
+// tapOffsets fills offs[p] for p < K with row p's offset within one
+// image's phase planes (one channel per plane set) from the output pixel
+// (0, 0), and offs[K] with the largest of them.
+func (g *convGeom) tapOffsets(offs []int) {
+	plane, k, taps := g.hq()*g.wq(), g.k(), g.kh*g.kw
+	offs[k] = 0
+	for p := range k {
+		ph, off := g.phaseOf(p%taps/g.kw, p%g.kw)
+		offs[p] = (p/taps*g.phases()+ph)*plane + off
+		offs[k] = max(offs[k], offs[p])
 	}
 }
 
@@ -237,7 +234,7 @@ func Conv2DBiasInto(ws *Workspace, out, img, w, bias *Tensor, kh, kw, stride, pa
 	}
 	k := g.k()
 	ocBlocks := (g.outC + 3) / 4
-	apP := getScratch(ocBlocks*(k*4+20) + k)
+	apP := getScratch(ocBlocks*(k*4+20) + k + 1)
 	ap, ep := (*apP)[:ocBlocks*k*4], (*apP)[ocBlocks*k*4:ocBlocks*(k*4+20)]
 	offs := intView((*apP)[ocBlocks*(k*4+20):])
 	for ob := 0; ob < ocBlocks; ob++ {
@@ -300,7 +297,6 @@ func convForwardPanels(v convArgs, lo, hi int) {
 	wq := g.wq()
 	plane := g.hq() * wq
 	image := g.c * g.phases() * plane
-	maxOff := slices.Max(v.offs)
 	var bpP *[]float64
 	var bp []float64
 	var tile [32]float64
@@ -315,14 +311,14 @@ func convForwardPanels(v convArgs, lo, hi int) {
 				bpP = getScratch(k * 8)
 				bp = *bpP
 			}
-			packConvPixels64(bp, xpB, v.offs, &g, pix0)
+			packConvPixels64(bp, xpB, v.offs[:k], &g, pix0)
 		}
 		for oc0 := 0; oc0 < g.outC; oc0 += 4 {
 			switch {
 			case inPlace && g.stride == 1:
 				conv4x8(ap[oc0*k:], xpB[oy*wq+ox0:], g.c, g.kh, g.kw, plane, wq, &tile)
 			case inPlace:
-				conv4x8Taps(ap[oc0*k:], xpB[oy*wq+ox0:], v.offs, maxOff, &tile)
+				conv4x8Taps(ap[oc0*k:], xpB[oy*wq+ox0:], v.offs, &tile)
 			default:
 				tile = [32]float64{}
 				gemm4x8(k, ap[oc0*k:], 1, 4, bp, 8, tile[:], 8)
@@ -448,14 +444,13 @@ func convFilterRows(v convArgs, lo, hi int) {
 // It is a gather: each dx tile (four channels × eight input pixels)
 // takes, tap by tap in descending order, the zero-seeded product
 // W_tap (4×OutC) · dout (OutC×8) read in place at the tap's output
-// pixels, and adds it into a running tile that starts at +0; the tile is
-// stored once (convGather). For a fixed dx element the descending taps
-// are its output pixels in ascending order, the order col2im
-// scatters in. A tile's lanes share a row and a column phase (ix mod
-// stride), so at every stride a tap reads consecutive dout pixels; lanes
-// whose output pixel a tap clips are masked. The taps' 4-channel A
-// panels and every tile position's tap list are built once per call, and
-// the split is over images.
+// pixels, and adds it into a running tile that starts at +0
+// (convGather). For a fixed dx element the descending taps are its output
+// pixels in ascending order, the order col2im scatters in. A tile's lanes
+// share a row and a column phase (ix mod stride), so at every stride a
+// tap reads consecutive dout pixels; lanes whose output pixel a tap clips
+// are masked. The taps' 4-channel A panels and every tile position's tap
+// list are built once per call, and the split is over images.
 func Conv2DGradInputInto(dx, dout, w *Tensor, kh, kw, stride, padH, padW int) *Tensor {
 	g := convGeometry("Conv2DGradInputInto", dx, dout, w, kh, kw, stride, padH, padW)
 	taps := kh * kw
@@ -475,27 +470,26 @@ func Conv2DGradInputInto(dx, dout, w *Tensor, kh, kw, stride, padH, padW int) *T
 	return dx
 }
 
-// gatherCols is the number of dx tiles along one input row. The row is
-// cut into groups of 8·stride pixels, and a group into one tile per
-// column phase, eight pixels stride apart.
-func (g convGeom) gatherCols() int {
+// gatherCols is the number of dx tiles along one input row: eight pixels
+// of one column phase each.
+func (g *convGeom) gatherCols() int {
 	n := 0
-	for gx := 0; gx < g.w; gx += 8 * g.stride {
-		n += min(g.stride, g.w-gx)
+	for fx := 0; fx < min(g.stride, g.w); fx++ {
+		n += ((g.w-fx+g.stride-1)/g.stride + 7) / 8
 	}
 	return n
 }
 
-// gatherTaps lists the taps of every dx tile, by row, group and phase:
-// tile t's taps are taps[start[t]·4 : start[t+1]·4], four ints each,
-// {a, d, lo, hi} (convGather4x8AVX), in descending tap order. A tap
-// reaches a tile where its output row and column are whole and in range,
-// for the lanes [lo, hi) whose output column is.
-func (g convGeom) gatherTaps(start, taps []int) {
+// gatherTaps lists the taps of every dx tile, row by row and in a row by
+// phase and position: tile t's taps are taps[start[t]·4 : start[t+1]·4],
+// four ints each, {a, d, lo, hi} (convGather4x8AVX), in descending tap
+// order. A tap reaches a tile where its output row and column are whole
+// and in range, for the lanes [lo, hi) whose output column is.
+func (g *convGeom) gatherTaps(start, taps []int) {
 	s, n, t := g.stride, 0, 0
 	for iy := 0; iy < g.h; iy++ {
-		for gx := 0; gx < g.w; gx += 8 * s {
-			for ix0 := gx; ix0 < min(gx+s, g.w); ix0++ {
+		for fx := 0; fx < min(s, g.w); fx++ {
+			for ix0 := fx; ix0 < g.w; ix0 += 8 * s {
 				start[t] = n
 				t++
 				for ky := g.kh - 1; ky >= 0; ky-- {
@@ -522,60 +516,45 @@ func (g convGeom) gatherTaps(start, taps []int) {
 }
 
 // convInputImages computes dx for images [lo,hi), tile by tile in
-// gatherTaps' order. At stride 2 a whole group's two phase tiles are
-// stored together, as sixteen consecutive pixels a row.
+// gatherTaps' order. A tile of four channels and eight consecutive pixels
+// is gathered in dx itself, the others through a tile buffer. Strided,
+// an image's dx is cleared first and the tiles no tap reaches are left so.
 func convInputImages(v convArgs, lo, hi int) {
 	dx, dout, ap, g := v.out, v.x, v.a, v.g
 	s, p, hw, taps := g.stride, g.p(), g.h*g.w, g.kh*g.kw
 	cBlocks := (g.c + 3) / 4
 	tiles := g.h * g.gatherCols()
 	start, list := v.offs[:tiles+1], v.offs[tiles+1:]
-	var tile [2][32]float64
+	var tile [32]float64
 	for b := lo; b < hi; b++ {
+		if s > 1 {
+			clear(dx[b*g.c*hw : (b+1)*g.c*hw])
+		}
 		doutB := dout[b*g.outC*p : (b+1)*g.outC*p]
 		t := 0
 		for iy := 0; iy < g.h; iy++ {
-			for gx := 0; gx < g.w; gx += 8 * s {
-				nf := min(s, g.w-gx)
-				pair := s == 2 && gx+16 <= g.w
-				for cb := 0; cb < cBlocks; cb++ {
-					d := dx[(b*g.c+cb*4)*hw+iy*g.w+gx:]
-					rows := min(4, g.c-cb*4)
-					for fx := 0; fx < nf; fx++ {
-						tt := &tile[fx%2]
-						if tl := list[start[t+fx]*4 : start[t+fx+1]*4]; len(tl) == 0 {
-							*tt = [32]float64{}
-						} else {
-							convGather(ap[cb*taps*g.outC*4:], doutB, tl, g.outC, p, tt)
-						}
-						if !pair {
-							storeGatherTile(d[fx:], hw, s, rows, min(8, (g.w-gx-fx+s-1)/s), tt)
-						}
+			for fx := 0; fx < min(s, g.w); fx++ {
+				for ix0 := fx; ix0 < g.w; ix0 += 8 * s {
+					tl, wv := list[start[t]*4:start[t+1]*4], min(8, (g.w-ix0+s-1)/s)
+					t++
+					if s > 1 && len(tl) == 0 {
+						continue
 					}
-					for r := 0; pair && r < rows; r++ {
-						q, a, c := (*[16]float64)(d[r*hw:]), (*[8]float64)(tile[0][r*8:]), (*[8]float64)(tile[1][r*8:])
-						for j := range 8 {
-							q[2*j], q[2*j+1] = a[j], c[j]
+					for cb := 0; cb < cBlocks; cb++ {
+						d, rows, apB := dx[(b*g.c+cb*4)*hw+iy*g.w+ix0:], min(4, g.c-cb*4), ap[cb*taps*g.outC*4:]
+						if s == 1 && wv == 8 && rows == 4 {
+							convGather(apB, doutB, tl, g.outC, p, d, hw)
+							continue
+						}
+						convGather(apB, doutB, tl, g.outC, p, tile[:], 8)
+						for r := 0; r < rows; r++ {
+							for j, v := range tile[r*8 : r*8+wv] {
+								d[r*hw+j*s] = v
+							}
 						}
 					}
 				}
-				t += nf
 			}
-		}
-	}
-}
-
-// storeGatherTile stores lanes j < wv of a dx tile's rows r < rows at
-// d[r·hw + j·s].
-func storeGatherTile(d []float64, hw, s, rows, wv int, tile *[32]float64) {
-	for r := 0; r < rows; r++ {
-		row, t := d[r*hw:], (*[8]float64)(tile[r*8:])
-		if s == 1 && wv == 8 {
-			*(*[8]float64)(row) = *t
-			continue
-		}
-		for j := 0; j < wv; j++ {
-			row[j*s] = t[j]
 		}
 	}
 }

@@ -205,57 +205,55 @@ func packACols64(dst, a []float64, lda, i0, mb, p0, kb int) {
 // zero outside the image and for channels past C.
 func packConvPhases64(dst, img []float64, g convGeom, lanes int) {
 	s, hq, wq, hw := g.stride, g.hq(), g.wq(), g.h*g.w
-	row := wq * lanes
+	row, groups := wq*lanes, (g.c+lanes-1)/lanes
 	// inside returns [lo, hi): the plane coordinates t < n whose image
-	// coordinate t·s + f − pad lies in [0, size).
+	// coordinate t·s + f − pad lies in [0, size) (f < s, so the divisions
+	// round up).
 	inside := func(n, f, pad, size int) (lo, hi int) {
-		for lo < n && lo*s+f < pad {
-			lo++
-		}
-		for hi = lo; hi < n && hi*s+f-pad < size; hi++ {
-		}
-		return lo, hi
+		lo = min(n, max(0, (pad-f+s-1)/s))
+		return lo, max(lo, min(n, (size+pad-f+s-1)/s))
 	}
-	for b := 0; b < g.n; b++ {
-		for c0 := 0; c0 < g.c; c0 += lanes {
-			mb := min(lanes, g.c-c0)
-			src := img[(b*g.c+c0)*hw:]
-			for fy := 0; fy < min(s, g.kh); fy++ {
-				ylo, yhi := inside(hq, fy, g.padH, g.h)
-				for fx := 0; fx < min(s, g.kw); fx++ {
-					xlo, xhi := inside(wq, fx, g.padW, g.w)
-					plane := dst[:hq*row]
-					dst = dst[hq*row:]
-					clear(plane[:ylo*row])
-					clear(plane[yhi*row:])
-					for y := ylo; y < yhi; y++ {
-						d := plane[y*row : (y+1)*row]
-						clear(d[:xlo*lanes])
-						clear(d[xhi*lanes:])
-						sr := src[(y*s+fy-g.padH)*g.w+xlo*s+fx-g.padW:]
-						d = d[xlo*lanes : xhi*lanes]
-						switch {
-						case lanes == 1 && s == 1:
-							copy(d, sr)
-						case lanes == 1:
-							for x := range d {
-								d[x] = sr[x*s]
-							}
-						default:
-							packPhaseRow(d, sr, hw, s, mb)
-						}
+	for fy := 0; fy < min(s, g.kh); fy++ {
+		ylo, yhi := inside(hq, fy, g.padH, g.h)
+		for fx := 0; fx < min(s, g.kw); fx++ {
+			xlo, xhi := inside(wq, fx, g.padW, g.w)
+			ph := fy*min(s, g.kw) + fx
+			for bg, phases := 0, g.phases(); bg < g.n*groups; bg++ {
+				d := dst[(bg*phases+ph)*hq*row:][:hq*row]
+				clear(d[:ylo*row])
+				clear(d[yhi*row:])
+				c0 := bg % groups * lanes
+				chans := img[(bg/groups*g.c+c0)*hw:]
+				for y := ylo; y < yhi; y++ {
+					r := d[y*row : (y+1)*row]
+					for i := 0; i < xlo*lanes; i++ { // too short for a clear call
+						r[i] = 0
 					}
+					for i := xhi * lanes; i < row; i++ {
+						r[i] = 0
+					}
+					if xlo == xhi {
+						continue
+					}
+					packPhaseRow(r[xlo*lanes:xhi*lanes], chans[(y*s+fy-g.padH)*g.w+xlo*s+fx-g.padW:], hw, s, min(lanes, g.c-c0), lanes)
 				}
 			}
 		}
 	}
 }
 
-// packPhaseRow copies one row of an interleaved phase plane: pixel x of
-// channel r is src[r·hw + x·s], and channels from mb on are zero.
-func packPhaseRow(d, src []float64, hw, s, mb int) {
-	n := len(d) / 4
+// packPhaseRow copies one phase-plane row, lanes (1 or 4) channels
+// interleaved: pixel x of channel r is src[r·hw + x·s], and channels from
+// mb on are zero.
+func packPhaseRow(d, src []float64, hw, s, mb, lanes int) {
+	n := len(d) / lanes
 	switch {
+	case lanes == 1 && s == 1:
+		copy(d, src[:n])
+	case lanes == 1:
+		for x := range d {
+			d[x] = src[x*s]
+		}
 	case s == 1:
 		packARows64(d, src, hw, 0, mb, 0, n)
 	case mb == 4:

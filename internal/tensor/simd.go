@@ -59,8 +59,10 @@ func gemm4x8RowsGo(k, rows int, a []float64, arow int, b, c []float64, ldc int) 
 
 // convGatherGo adds nothing to the lanes a tap masks: they are the terms
 // the scatter it replaces never computed.
-func convGatherGo(ap, dout []float64, taps []int, outC, p int, tile *[32]float64) {
-	*tile = [32]float64{}
+func convGatherGo(ap, dout []float64, taps []int, outC, p int, dst []float64, ldd int) {
+	for r := 0; r < 4; r++ {
+		clear(dst[r*ldd : r*ldd+8])
+	}
 	for i := 0; i < len(taps); i += 4 {
 		a, d, lo, hi := taps[i], taps[i+1], taps[i+2], taps[i+3]
 		for r := 0; r < 4; r++ {
@@ -69,7 +71,7 @@ func convGatherGo(ap, dout []float64, taps []int, outC, p int, tile *[32]float64
 				for oc := 0; oc < outC; oc++ {
 					acc = math.FMA(ap[a+oc*4+r], dout[d+oc*p+j], acc)
 				}
-				tile[r*8+j] += acc
+				dst[r*ldd+j] += acc
 			}
 		}
 	}

@@ -2,7 +2,10 @@
 
 package tensor
 
-import "os"
+import (
+	"os"
+	"unsafe"
+)
 
 //go:noescape
 func gemm4x8Asm(k int, a *float64, ars, aps int, b *float64, bps int, c *float64, ldc, rows, askip int)
@@ -17,7 +20,7 @@ func convStoreAVX(dst *float64, p int, tile, ep *float64, mode int)
 func conv4x8TapsAVX(ap, xp *float64, offs *int, k int, tile *float64)
 
 //go:noescape
-func convGather4x8AVX(ap, dout *float64, taps *int, ntaps, outC, p int, tile *float64, masks *[8]int64)
+func convGather4x8AVX(ap, dout *float64, taps *int, ntaps, outC, p int, dst *float64, ldd int, masks *[8]int64)
 
 //go:noescape
 func axpyAVX(alpha float64, x, y *float64, n int)
@@ -144,37 +147,38 @@ func convStore(dst []float64, p int, tile *[32]float64, ep *[20]float64, mode, r
 }
 
 // conv4x8Taps overwrites tile with the zero-seeded 4×8 product of the
-// packed panel ap and a B panel read in place: row p is xp[offs[p] ..+8),
-// maxOff the largest offset.
-func conv4x8Taps(ap, xp []float64, offs []int, maxOff int, tile *[32]float64) {
+// packed panel ap and a B panel read in place: row p < K is
+// xp[offs[p] ..+8), and offs[K] is the largest offset (tapOffsets).
+func conv4x8Taps(ap, xp []float64, offs []int, tile *[32]float64) {
+	k := len(offs) - 1
 	if useAVX {
-		_, _ = ap[len(offs)*4-1], xp[maxOff+7]
-		conv4x8TapsAVX(&ap[0], &xp[0], &offs[0], len(offs), &tile[0])
+		_, _ = ap[k*4-1], xp[offs[k]+7]
+		conv4x8TapsAVX(&ap[0], &xp[0], &offs[0], k, &tile[0])
 		return
 	}
-	conv4x8TapsGo(ap, xp, offs, tile)
+	conv4x8TapsGo(ap, xp, offs[:k], tile)
 }
 
-// convGather overwrites tile with the gathered dx tile of taps, four ints
-// {a, d, lo, hi} each (convGather4x8AVX); dout is one image's planes, p
-// apart.
-func convGather(ap, dout []float64, taps []int, outC, p int, tile *[32]float64) {
+// convGather overwrites the 4×8 dx tile at dst (rows ldd apart) with the
+// tile gathered from taps, four ints {a, d, lo, hi} each
+// (convGather4x8AVX); dout is one image's planes, p apart.
+func convGather(ap, dout []float64, taps []int, outC, p int, dst []float64, ldd int) {
 	if useAVX {
-		_, _ = ap[taps[0]+outC*4-1], dout[outC*p-1] // taps descend
-		*tile = [32]float64{}
-		convGather4x8AVX(&ap[0], &dout[0], &taps[0], len(taps)/4, outC, p, &tile[0], &laneMasks[0])
+		_ = dst[3*ldd+7]
+		if len(taps) > 0 {
+			_, _ = ap[taps[0]+outC*4-1], dout[outC*p-1] // taps descend
+		}
+		convGather4x8AVX(&ap[0], &dout[0], unsafe.SliceData(taps), len(taps)/4, outC, p, &dst[0], ldd, &laneMasks[0])
 		return
 	}
-	convGatherGo(ap, dout, taps, outC, p, tile)
+	convGatherGo(ap, dout, taps, outC, p, dst, ldd)
 }
 
 // laneMasks[jlo·9+jhi] is the VMASKMOVPD mask selecting lanes [jlo,jhi).
 var laneMasks = func() (m [81][8]int64) {
-	for jlo := range 9 {
-		for jhi := range 9 {
-			for j := jlo; j < jhi; j++ {
-				m[jlo*9+jhi][j] = -1
-			}
+	for i := range m {
+		for j := i / 9; j < i%9; j++ {
+			m[i][j] = -1
 		}
 	}
 	return

@@ -330,33 +330,47 @@ tapsloop:
 	VZEROUPPER
 	RET
 
-// One row of the running dx tile at off(DX) += the tap's row y, the
+// One row of the running dx tile at off(base) += the tap's row y, the
 // running value first.
 #define ADDRUN(off, y) \
-	VMOVUPD off(DX), Y8 \
-	VADDPD  y, Y8, Y8   \
-	VMOVUPD Y8, off(DX)
+	VMOVUPD off, Y8  \
+	VADDPD  y, Y8, Y8 \
+	VMOVUPD Y8, off
 
-// func convGather4x8AVX(ap, dout *float64, taps *int, ntaps, outC, p int, tile *float64, masks *[8]int64)
+// func convGather4x8AVX(ap, dout *float64, taps *int, ntaps, outC, p int, dst *float64, ldd int, masks *[8]int64)
 //
-// The input-gradient micro-kernel: a 4-channel × 8-pixel dx tile gathered
-// tap by tap into the running tile (row stride 8, in memory, +0 on entry).
-// Per tap {a, d, lo, hi} the zero-seeded 4×8 dot over outC steps runs in
-// registers: A is ap[a..] packed 4 per step, B row oc is dout[d+oc·p ..+8)
-// read in place. Lanes outside [lo, hi) fall outside dout's plane: they
-// are loaded as zero through the lane mask masks[lo·9+hi] and cleared
-// after the dot, so an Inf or NaN weight leaves no trace there. The dot
-// then joins the running tile with one add, running value first. The
-// caller guarantees ntaps, outC >= 1.
-TEXT ·convGather4x8AVX(SB), NOSPLIT, $0-64
+// The input-gradient micro-kernel: a 4-channel × 8-pixel dx tile,
+// rows ldd doubles apart at dst, gathered tap by tap into the running
+// tile, which starts at +0 and lives in dst. Per tap {a, d, lo, hi} the
+// zero-seeded 4×8 dot over outC steps runs in registers: A is ap[a..]
+// packed 4 per step, B row oc is dout[d+oc·p ..+8) read in place. Lanes
+// outside [lo, hi) fall outside dout's plane: they are loaded as zero
+// through the lane mask masks[lo·9+hi] and cleared after the dot, so an
+// Inf or NaN weight leaves no trace there. The dot then joins the running
+// tile with one add, running value first.
+TEXT ·convGather4x8AVX(SB), NOSPLIT, $0-72
 	MOVQ   ap+0(FP), R8
 	MOVQ   dout+8(FP), R9
 	MOVQ   taps+16(FP), R10
 	MOVQ   ntaps+24(FP), R11
 	MOVQ   outC+32(FP), R12
 	MOVQ   p+40(FP), R13
-	MOVQ   tile+48(FP), DX
+	MOVQ   dst+48(FP), DX
+	MOVQ   ldd+56(FP), AX
 	SHLQ   $3, R13
+	SHLQ   $3, AX
+	LEAQ   (DX)(AX*2), BX
+	VXORPD Y0, Y0, Y0
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y0, 32(DX)
+	VMOVUPD Y0, (DX)(AX*1)
+	VMOVUPD Y0, 32(DX)(AX*1)
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y0, 32(BX)
+	VMOVUPD Y0, (BX)(AX*1)
+	VMOVUPD Y0, 32(BX)(AX*1)
+	TESTQ  R11, R11
+	JZ     gatherdone
 
 gathertap:
 	MOVQ 0(R10), SI
@@ -370,7 +384,7 @@ gathertap:
 	LEAQ    (AX)(AX*8), AX
 	ADDQ    BX, AX
 	SHLQ    $6, AX
-	MOVQ    masks+56(FP), BX
+	MOVQ    masks+64(FP), BX
 	VMOVDQU (BX)(AX*1), Y14
 	VMOVDQU 32(BX)(AX*1), Y15
 
@@ -389,17 +403,22 @@ gatherloop:
 	VANDPD     Y15, Y5, Y5
 	VANDPD     Y14, Y6, Y6
 	VANDPD     Y15, Y7, Y7
-	ADDRUN(0, Y0)
-	ADDRUN(32, Y1)
-	ADDRUN(64, Y2)
-	ADDRUN(96, Y3)
-	ADDRUN(128, Y4)
-	ADDRUN(160, Y5)
-	ADDRUN(192, Y6)
-	ADDRUN(224, Y7)
-	ADDQ    $32, R10
-	DECQ    R11
-	JNZ     gathertap
+	MOVQ       ldd+56(FP), AX
+	SHLQ       $3, AX
+	LEAQ       (DX)(AX*2), BX
+	ADDRUN((DX), Y0)
+	ADDRUN(32(DX), Y1)
+	ADDRUN((DX)(AX*1), Y2)
+	ADDRUN(32(DX)(AX*1), Y3)
+	ADDRUN((BX), Y4)
+	ADDRUN(32(BX), Y5)
+	ADDRUN((BX)(AX*1), Y6)
+	ADDRUN(32(BX)(AX*1), Y7)
+	ADDQ       $32, R10
+	DECQ       R11
+	JNZ        gathertap
+
+gatherdone:
 	VZEROUPPER
 	RET
 

@@ -19,16 +19,16 @@ func convStore(dst []float64, p int, tile *[32]float64, ep *[20]float64, mode, r
 	convStoreGo(dst, p, tile, ep, mode, rows, wv)
 }
 
-func conv4x8Taps(ap, xp []float64, offs []int, maxOff int, tile *[32]float64) {
-	conv4x8TapsGo(ap, xp, offs, tile)
+func conv4x8Taps(ap, xp []float64, offs []int, tile *[32]float64) {
+	conv4x8TapsGo(ap, xp, offs[:len(offs)-1], tile)
 }
 
 func gemm4x8Rows(k, rows int, a []float64, arow int, b, c []float64, ldc int) {
 	gemm4x8RowsGo(k, rows, a, arow, b, c, ldc)
 }
 
-func convGather(ap, dout []float64, taps []int, outC, p int, tile *[32]float64) {
-	convGatherGo(ap, dout, taps, outC, p, tile)
+func convGather(ap, dout []float64, taps []int, outC, p int, dst []float64, ldd int) {
+	convGatherGo(ap, dout, taps, outC, p, dst, ldd)
 }
 
 func axpyFMA(alpha float64, x, y []float64) {
