@@ -130,7 +130,7 @@ func E10Scheduler(scale Scale) Result {
 	if scale == Full {
 		nJobs = 400
 	}
-	sys := schedTestSystem()
+	sys := msa.DEEP() // the real module sizes: 50 CM / 75 ESB / 16 DAM
 	jobs := sched.GenWorkload(nJobs, 42)
 
 	modular := sched.Simulate(sys, jobs, sched.Options{Backfill: true})
@@ -161,14 +161,6 @@ func E10Scheduler(scale Scale) Result {
 			"mono_cpu_energy":   monoCPU.EnergyJ,
 		},
 	}
-}
-
-// schedTestSystem scales DEEP's module mix to a size where the workload
-// trace saturates the machine.
-func schedTestSystem() *msa.System {
-	sys := msa.DEEP()
-	// Use the real DEEP module sizes (50 CM / 75 ESB / 16 DAM).
-	return sys
 }
 
 // E12Storage sweeps parallel-filesystem read bandwidth and compares NAM

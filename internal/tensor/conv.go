@@ -415,21 +415,17 @@ func convFilterRows(v convArgs, lo, hi int) {
 			for oy0 := 0; oy0 < g.oh; oy0 += chunkRows {
 				rows := min(chunkRows, g.oh-oy0)
 				a := xtB[oy0*wq*4:]
-				k, runs := g.ow, rows
-				if wq == g.ow { // the rows' runs are back to back
-					k, runs = rows*g.ow, 1
-				}
 				q0 := b*p + oy0*g.ow
 				for jc := 0; jc < g.outC; jc += 8 {
 					bpanel := bp[jc*np+q0*8:][:rows*g.ow*8]
 					w8 := min(8, g.outC-jc)
 					c := dw[c0+jc:]
 					if mb == 4 && w8 == 8 {
-						gemm4x8Rows(k, runs, a, wq*4, bpanel, c, ldc)
+						gemm4x8Rows(g.ow, rows, a, wq*4, bpanel, c, ldc)
 						continue
 					}
 					loadTile(&tile, c, ldc, mb, w8)
-					gemm4x8Rows(k, runs, a, wq*4, bpanel, tile[:], 8)
+					gemm4x8Rows(g.ow, rows, a, wq*4, bpanel, tile[:], 8)
 					storeTile(c, ldc, &tile, mb, w8)
 				}
 			}
@@ -455,7 +451,7 @@ func Conv2DGradInputInto(dx, dout, w *Tensor, kh, kw, stride, padH, padW int) *T
 	g := convGeometry("Conv2DGradInputInto", dx, dout, w, kh, kw, stride, padH, padW)
 	taps := kh * kw
 	cBlocks := (g.c + 3) / 4
-	tiles := g.h * g.gatherCols()
+	tiles := g.gatherTiles()
 	apP := getScratch(cBlocks*taps*g.outC*4 + tiles + 1 + tiles*taps*4)
 	ap := (*apP)[:cBlocks*taps*g.outC*4]
 	for cb := 0; cb < cBlocks; cb++ {
@@ -470,15 +466,9 @@ func Conv2DGradInputInto(dx, dout, w *Tensor, kh, kw, stride, padH, padW int) *T
 	return dx
 }
 
-// gatherCols is the number of dx tiles along one input row: eight pixels
-// of one column phase each.
-func (g *convGeom) gatherCols() int {
-	n := 0
-	for fx := 0; fx < min(g.stride, g.w); fx++ {
-		n += ((g.w-fx+g.stride-1)/g.stride + 7) / 8
-	}
-	return n
-}
+// gatherTiles bounds the number of dx tiles: along a row, eight pixels
+// of one column phase each, at most W/8 + stride of them.
+func (g *convGeom) gatherTiles() int { return g.h * (g.w/8 + g.stride) }
 
 // gatherTaps lists the taps of every dx tile, row by row and in a row by
 // phase and position: tile t's taps are taps[start[t]·4 : start[t+1]·4],
@@ -523,7 +513,7 @@ func convInputImages(v convArgs, lo, hi int) {
 	dx, dout, ap, g := v.out, v.x, v.a, v.g
 	s, p, hw, taps := g.stride, g.p(), g.h*g.w, g.kh*g.kw
 	cBlocks := (g.c + 3) / 4
-	tiles := g.h * g.gatherCols()
+	tiles := g.gatherTiles()
 	start, list := v.offs[:tiles+1], v.offs[tiles+1:]
 	var tile [32]float64
 	for b := lo; b < hi; b++ {

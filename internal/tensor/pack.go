@@ -235,22 +235,21 @@ func packConvPhases64(dst, img []float64, g convGeom, lanes int) {
 					if xlo == xhi {
 						continue
 					}
-					packPhaseRow(r[xlo*lanes:xhi*lanes], chans[(y*s+fy-g.padH)*g.w+xlo*s+fx-g.padW:], hw, s, min(lanes, g.c-c0), lanes)
+					packPhaseRow(r[xlo*lanes:xhi*lanes], chans[(y*s+fy-g.padH)*g.w+xlo*s+fx-g.padW:], xhi-xlo, hw, s, min(lanes, g.c-c0))
 				}
 			}
 		}
 	}
 }
 
-// packPhaseRow copies one phase-plane row, lanes (1 or 4) channels
-// interleaved: pixel x of channel r is src[r·hw + x·s], and channels from
-// mb on are zero.
-func packPhaseRow(d, src []float64, hw, s, mb, lanes int) {
-	n := len(d) / lanes
+// packPhaseRow copies n pixels of one phase-plane row, len(d)/n (1 or 4)
+// channels interleaved: pixel x of channel r is src[r·hw + x·s], and
+// channels from mb on are zero.
+func packPhaseRow(d, src []float64, n, hw, s, mb int) {
 	switch {
-	case lanes == 1 && s == 1:
+	case len(d) == n && s == 1:
 		copy(d, src[:n])
-	case lanes == 1:
+	case len(d) == n:
 		for x := range d {
 			d[x] = src[x*s]
 		}
@@ -319,17 +318,12 @@ func packConvGrad64(dst, dout []float64, n, outC, p int) {
 				}
 			}
 		}
-		for ; j < w8; j++ {
-			for b := 0; b < n; b++ {
-				d := panel[b*p*8+j:]
-				for pix, v := range dout[(b*outC+jc+j)*p:][:p] {
-					d[pix*8] = v
-				}
-			}
-		}
 		for ; j < 8; j++ {
 			for q := 0; q < np; q++ {
 				panel[q*8+j] = 0
+				if j < w8 {
+					panel[q*8+j] = dout[(q/p*outC+jc+j)*p+q%p]
+				}
 			}
 		}
 	}
