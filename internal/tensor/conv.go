@@ -114,10 +114,9 @@ type convGeom struct {
 }
 
 // convArgs is what the convolution and lowering kernels take for a range
-// of their parallel units: the slice they write, the slice they read, the
-// packed operand where they have one, the forward's tile-store operands
-// and mode (packConvEpilogue), the forward's tap offsets (tapOffsets) or
-// the input gradient's tap lists (gatherTaps), and the geometry.
+// of their parallel units: the slices they write and read, the packed
+// operand, the forward's tile-store operands and mode (packConvEpilogue),
+// the tap offsets (tapOffsets) or lists (gatherTaps), and the geometry.
 type convArgs struct {
 	out, x, a, ep []float64
 	offs          []int
@@ -132,12 +131,10 @@ func (g *convGeom) p() int { return g.oh * g.ow }
 
 // The forward and filter-gradient kernels read the input from a
 // zero-bordered copy split by stride phase (packConvPhases64): phase
-// (fy, fx) holds the bordered pixels (y·stride+fy, x·stride+fx) in an
-// hq × wq plane, for fy < min(stride, KH) and fx < min(stride, KW). Tap
-// (ky, kx) of output pixel (oy, ox) is then pixel (oy+ky/stride,
-// ox+kx/stride) of phase (ky mod stride, kx mod stride), so a tap's
-// pixels along an output row are consecutive at every stride. At stride 1
-// there is one phase, the bordered image.
+// (fy, fx) is an hq × wq plane of the bordered pixels (y·stride+fy,
+// x·stride+fx), and tap (ky, kx) of output pixel (oy, ox) is its pixel
+// (oy+ky/stride, ox+kx/stride) for fy, fx = ky, kx mod stride: a tap's
+// pixels along an output row are consecutive at every stride.
 func (g *convGeom) hq() int     { return g.oh + (g.kh-1)/g.stride }
 func (g *convGeom) wq() int     { return g.ow + (g.kw-1)/g.stride }
 func (g *convGeom) phases() int { return min(g.stride, g.kh) * min(g.stride, g.kw) }
@@ -506,9 +503,7 @@ func (g *convGeom) gatherTaps(start, taps []int) {
 }
 
 // convInputImages computes dx for images [lo,hi), tile by tile in
-// gatherTaps' order. A tile of four channels and eight consecutive pixels
-// is gathered in dx itself, the others through a tile buffer. Strided,
-// an image's dx is cleared first and the tiles no tap reaches are left so.
+// gatherTaps' order (see Conv2DGradInputInto and DESIGN §Convolution).
 func convInputImages(v convArgs, lo, hi int) {
 	dx, dout, ap, g := v.out, v.x, v.a, v.g
 	s, p, hw, taps := g.stride, g.p(), g.h*g.w, g.kh*g.kw

@@ -26,6 +26,10 @@ import "math"
 // channels' serial chains, and the normalise and backward passes — and
 // the conv tile store convStore (conv.go): the bias, then in eval the
 // batch norm's normalise expression and the rectifier, in registers.
+// The conv engine's micro-kernels run the same FMA step: conv4x8 and
+// conv4x8Taps (forward), gemm4x8Rows (filter gradient) and convGather
+// (input gradient: per tap a zero-seeded chain, then one plain add to the
+// running tile, running value first).
 
 // Epilogue selects the activation fused after the bias add.
 type Epilogue uint8

@@ -273,11 +273,10 @@ func packPhaseRow(d, src []float64, n, hw, s, mb int) {
 	}
 }
 
-// packConvPixels64 packs the forward B panel of one image, given as its
-// phase planes xp: dst[p*8+j] = cols[pix0+j][p] for the K rows p, zero
-// past the last pixel. Row p of lane j is xp[offs[p] + org[j]], org[j]
-// the lane's output pixel within a phase plane. This is the gather for
-// partial and row-straddling panels; the others are read in place.
+// packConvPixels64 packs the forward B panel of one image from its phase
+// planes xp: dst[p*8+j] = cols[pix0+j][p] = xp[offs[p] + lane j's output
+// pixel in a plane], zero past the last pixel. Panels within one output
+// row are read in place instead.
 func packConvPixels64(dst, xp []float64, offs []int, g *convGeom, pix0 int) {
 	wq := g.wq()
 	var org [8]int

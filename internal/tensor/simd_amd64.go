@@ -110,9 +110,8 @@ func gemm4x8(k int, a []float64, ars, aps int, b []float64, bps int, c []float64
 }
 
 // gemm4x8Rows is gemm4x8 on packed panels, (ars, aps, bps) = (1, 4, 8),
-// over rows runs of k steps: run y's A panel starts at a[y·arow], and B
-// runs on. The filter gradient reads its input in place this way, one run
-// per output row.
+// over rows runs of k steps, run y's A panel at a[y·arow] and B running
+// on: the filter gradient's input read in place, one run per output row.
 func gemm4x8Rows(k, rows int, a []float64, arow int, b, c []float64, ldc int) {
 	if useAVX {
 		_, _, _ = a[(rows-1)*arow+k*4-1], b[rows*k*8-1], c[3*ldc+7]

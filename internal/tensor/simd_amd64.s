@@ -299,10 +299,8 @@ storeout:
 
 // func conv4x8TapsAVX(ap, xp *float64, offs *int, k int, tile *float64)
 //
-// conv4x8AVX for the strided forward: row p of the B panel is the eight
-// doubles at xp[offs[p]], from the phase-split planes, where conv4x8AVX
-// steps a pointer. The tile (row stride 8) is seeded with +0 and
-// overwritten.
+// conv4x8AVX with row p of the B panel at xp[offs[p]], in the phase
+// planes; the tile (row stride 8) is seeded with +0 and overwritten.
 TEXT ·conv4x8TapsAVX(SB), NOSPLIT, $0-40
 	MOVQ ap+0(FP), SI
 	MOVQ xp+8(FP), DI
@@ -339,15 +337,13 @@ tapsloop:
 
 // func convGather4x8AVX(ap, dout *float64, taps *int, ntaps, outC, p int, dst *float64, ldd int, masks *[8]int64)
 //
-// The input-gradient micro-kernel: a 4-channel × 8-pixel dx tile,
-// rows ldd doubles apart at dst, gathered tap by tap into the running
-// tile, which starts at +0 and lives in dst. Per tap {a, d, lo, hi} the
-// zero-seeded 4×8 dot over outC steps runs in registers: A is ap[a..]
-// packed 4 per step, B row oc is dout[d+oc·p ..+8) read in place. Lanes
-// outside [lo, hi) fall outside dout's plane: they are loaded as zero
-// through the lane mask masks[lo·9+hi] and cleared after the dot, so an
-// Inf or NaN weight leaves no trace there. The dot then joins the running
-// tile with one add, running value first.
+// The input-gradient micro-kernel: a 4-channel × 8-pixel dx tile (rows
+// ldd doubles apart at dst) gathered tap by tap into dst from +0. Per tap
+// {a, d, lo, hi} the zero-seeded dot over outC steps (A at ap[a..], B row
+// oc dout[d+oc·p ..+8) read in place) runs in registers and joins the
+// tile with one add, running value first. Lanes outside [lo, hi) fall
+// outside dout's plane: they load as zero through masks[lo·9+hi] and are
+// cleared after the dot, so an Inf or NaN weight leaves no trace there.
 TEXT ·convGather4x8AVX(SB), NOSPLIT, $0-72
 	MOVQ   ap+0(FP), R8
 	MOVQ   dout+8(FP), R9
@@ -383,6 +379,19 @@ gathertap:
 	ZERO4X8
 	LEAQ    (AX)(AX*8), AX
 	ADDQ    BX, AX
+	CMPQ    AX, $8
+	JNE     gathermasked // not lanes [0, 8)
+
+gatherfull:
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	FMA4X8
+	ADDQ    R13, DI
+	DECQ    CX
+	JNZ     gatherfull
+	JMP     gatheradd
+
+gathermasked:
 	SHLQ    $6, AX
 	MOVQ    masks+64(FP), BX
 	VMOVDQU (BX)(AX*1), Y14
@@ -403,6 +412,8 @@ gatherloop:
 	VANDPD     Y15, Y5, Y5
 	VANDPD     Y14, Y6, Y6
 	VANDPD     Y15, Y7, Y7
+
+gatheradd:
 	MOVQ       ldd+56(FP), AX
 	SHLQ       $3, AX
 	LEAQ       (DX)(AX*2), BX
