@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ConvDims computes output spatial size for a convolution/pooling window.
@@ -150,12 +151,14 @@ func (g *convGeom) phaseOf(ky, kx int) (plane, off int) {
 // image's phase planes (one channel per plane set) from the output pixel
 // (0, 0), and offs[K] with the largest of them.
 func (g *convGeom) tapOffsets(offs []int) {
-	plane, k, taps := g.hq()*g.wq(), g.k(), g.kh*g.kw
-	offs[k] = 0
-	for p := range k {
-		ph, off := g.phaseOf(p%taps/g.kw, p%g.kw)
-		offs[p] = (p/taps*g.phases()+ph)*plane + off
-		offs[k] = max(offs[k], offs[p])
+	k, taps, chans := g.k(), g.kh*g.kw, g.phases()*g.hq()*g.wq()
+	for t := range taps {
+		ph, off := g.phaseOf(t/g.kw, t%g.kw)
+		offs[t] = ph*g.hq()*g.wq() + off
+	}
+	offs[k] = slices.Max(offs[:taps]) + (g.c-1)*chans
+	for p := taps; p < k; p++ {
+		offs[p] = offs[p-taps] + chans
 	}
 }
 

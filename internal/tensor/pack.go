@@ -262,12 +262,10 @@ func packPhaseRow(d, src []float64, n, hw, s, mb int) {
 			q[0], q[1], q[2], q[3] = a0[xs], a1[xs], a2[xs], a3[xs]
 		}
 	default:
-		for x := 0; x < n; x++ {
-			for r := 0; r < 4; r++ {
-				d[x*4+r] = 0
-				if r < mb {
-					d[x*4+r] = src[r*hw+x*s]
-				}
+		for i := range d {
+			d[i] = 0
+			if i%4 < mb {
+				d[i] = src[i%4*hw+i/4*s]
 			}
 		}
 	}
