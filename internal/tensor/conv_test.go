@@ -189,9 +189,10 @@ func convCases(seed int64, count int) []convCase {
 
 // checkConvCase runs the three kernels and the lowering on one geometry
 // and compares forward, dw, db and dx bitwise, first on normal draws and
-// then with special values (convSpecials) in one of the inputs. The gradients
-// start from a non-zero prior and are accumulated twice; out and dx start
-// from NaN.
+// then with special values (convSpecials) in one input, drawn at random,
+// so the suite covers all three over its cases at twice the cost of
+// normal draws alone. The gradients start from a non-zero prior and are
+// accumulated twice; out and dx start from NaN.
 func checkConvCase(t *testing.T, rng *rand.Rand, tc convCase, label string) {
 	t.Helper()
 	oh := ConvDims(tc.h, tc.kh, tc.stride, tc.padH)
@@ -207,8 +208,6 @@ func checkConvCase(t *testing.T, rng *rand.Rand, tc convCase, label string) {
 	// channel's NaNs share one payload and its infinities one sign: the
 	// bias gradient sums a channel with plain adds, and in Go code which
 	// of two NaN addends survives is the compiler's choice.
-	// Each call takes one operand, drawn at random, so the suite covers
-	// all three over its cases at twice the cost of normal draws alone.
 	i := rng.Intn(3)
 	ops := []*Tensor{img, w, dout}
 	var ch func(int) int
