@@ -220,22 +220,13 @@ func packConvPhases64(dst, img []float64, g convGeom, lanes int) {
 			ph := fy*min(s, g.kw) + fx
 			for bg, phases := 0, g.phases(); bg < g.n*groups; bg++ {
 				d := dst[(bg*phases+ph)*hq*row:][:hq*row]
-				clear(d[:ylo*row])
-				clear(d[yhi*row:])
+				if ylo > 0 || yhi < hq || xlo > 0 || xhi < wq {
+					clear(d) // the border; the image rows are written over
+				}
 				c0 := bg % groups * lanes
 				chans := img[(bg/groups*g.c+c0)*hw:]
-				for y := ylo; y < yhi; y++ {
-					r := d[y*row : (y+1)*row]
-					for i := 0; i < xlo*lanes; i++ { // too short for a clear call
-						r[i] = 0
-					}
-					for i := xhi * lanes; i < row; i++ {
-						r[i] = 0
-					}
-					if xlo == xhi {
-						continue
-					}
-					packPhaseRow(r[xlo*lanes:xhi*lanes], chans[(y*s+fy-g.padH)*g.w+xlo*s+fx-g.padW:], xhi-xlo, hw, s, min(lanes, g.c-c0))
+				for y := ylo; y < yhi && xlo < xhi; y++ {
+					packPhaseRow(d[y*row+xlo*lanes:y*row+xhi*lanes], chans[(y*s+fy-g.padH)*g.w+xlo*s+fx-g.padW:], xhi-xlo, hw, s, min(lanes, g.c-c0))
 				}
 			}
 		}
