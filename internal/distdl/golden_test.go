@@ -21,7 +21,10 @@ import (
 // flat copies, before the parameter arena, and the data-parallel ones when
 // every rank still allreduced the gradient and stepped all of it. Neither
 // the arena nor the sharded step changed any arithmetic or element order,
-// so they must reproduce bit for bit.
+// so they must reproduce bit for bit. The pipelined ResNet's digest was
+// recorded while the conv input gradient was still a scatter; the gather
+// keeps its order, and the first pipeline chunk skips the input gradient
+// it drops.
 
 const (
 	goldenSteps   = 5

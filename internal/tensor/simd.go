@@ -57,8 +57,8 @@ func gemm4x8RowsGo(k, rows int, a []float64, arow int, b, c []float64, ldc int) 
 	}
 }
 
-// convGatherGo adds nothing to the lanes a tap masks: they are the terms
-// the scatter it replaces never computed.
+// convGatherGo adds nothing to the lanes a tap masks: col2im adds no
+// term there.
 func convGatherGo(ap, dout []float64, taps []int, outC, p int, dst []float64, ldd int) {
 	for r := 0; r < 4; r++ {
 		clear(dst[r*ldd : r*ldd+8])
