@@ -43,14 +43,14 @@ func main() {
 	// request.
 	var plan *ft.Plan
 	if *crashes > 0 {
-		p, err := ft.RandomPlan(*seed, *ranks, *steps/4, 3*(*steps)/4, *crashes, 0, 0)
+		p, err := ft.RandomPlan(*seed, *ranks, *steps/4, 3*(*steps)/4, *crashes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "msa-ft: %v\n", err)
 			os.Exit(2)
 		}
 		plan = p
 	} else if *crashRank >= 0 {
-		plan = &ft.Plan{Events: []ft.Event{{Kind: ft.Crash, Rank: *crashRank, Step: *crashStep}}}
+		plan = &ft.Plan{Events: []ft.Event{{Rank: *crashRank, Step: *crashStep}}}
 	}
 
 	opts := func(p *ft.Plan) ft.Options {

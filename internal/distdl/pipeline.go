@@ -17,15 +17,13 @@ import (
 // data-parallel groups that average their chunk gradients. Both axes are
 // groups split off the given communicator, so pipeline p2p traffic and
 // per-stage allreduce rings coexist without cross-talk (disjoint tag
-// blocks), and a wrapped communicator (tracing, fault injection) sees the
-// traffic on both.
+// blocks), and a wrapped communicator (the benchmark's tracing
+// interposer) sees the traffic on both.
 
 // PipelineTrainer drives one rank of a 2D data×pipeline grid. It
 // implements Stepper; construct it via New(..., WithPipeline(...)).
 type PipelineTrainer struct {
-	Comm  mpi.Communicator
 	Model *nn.Sequential
-	Loss  nn.Loss
 	Opt   nn.Optimizer
 	Cfg   Config
 
@@ -57,7 +55,7 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 		cfg.Schedule = nn.ConstLR(0.01)
 	}
 	t := &PipelineTrainer{
-		Comm: wc, Model: model, Loss: loss, Opt: opt, Cfg: cfg,
+		Model: model, Opt: opt, Cfg: cfg,
 		rep: wc.Rank() / S,
 	}
 	t.pipe = wc.Split(t.rep, wc.Rank())

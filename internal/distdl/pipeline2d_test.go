@@ -2,6 +2,7 @@ package distdl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -184,9 +185,9 @@ func Test2DOneFOneBThreeStages(t *testing.T) {
 	run2DEquivalence(t, 3, 2, 4, 2, pipeline.OneFOneB)
 }
 
-// countingComm is a minimal interposer: it counts the calls that reach
-// the wire through it and wraps the groups its Split returns, the way a
-// tracing or fault-injecting communicator does. Each rank owns its counts.
+// countingComm is a minimal pass-through interposer: it counts the calls
+// that reach the wire through it and wraps the groups its Split returns,
+// the way a tracing communicator does. Each rank owns its counts.
 type countingComm struct {
 	mpi.Communicator
 	n *struct{ splits, sends, allreduces int }
@@ -237,6 +238,44 @@ func Test2DOverWrappedCommunicator(t *testing.T) {
 		// per micro-batch; one loss sync per step plus the chunk syncs.
 		if n.splits != 2 || n.sends < steps*M || n.allreduces <= steps {
 			t.Fatalf("rank %d: wrapper saw %+v", r, n)
+		}
+	}
+}
+
+// Test2DPassThroughCommMatchesBare runs one 2-stage × 2-replica 1F1B
+// grid over the bare *mpi.Comm and over a pass-through interposer whose
+// Split wraps both axis groups: every rank's losses and final parameters
+// must come out bitwise equal. It is the contract an interposer between
+// a 2D trainer and the wire, such as a tracing communicator, relies on.
+func Test2DPassThroughCommMatchesBare(t *testing.T) {
+	const S, R, M, steps = 2, 2, 4, 3
+	run := func(wrap func(*mpi.Comm) mpi.Communicator) [][]float64 {
+		out := make([][]float64, S*R)
+		err := mpi.NewWorld(S * R).Run(func(c *mpi.Comm) error {
+			model := build2DModel(3)
+			tr := New(wrap(c), model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0),
+				WithPipeline(S, M, pipeline.OneFOneB)).(*PipelineTrainer)
+			x, y := shardBatch(int64(100+tr.Replica()), 8)
+			for s := 0; s < steps; s++ {
+				out[c.Rank()] = append(out[c.Rank()], tr.Step(x, y))
+			}
+			tr.SyncFullModel()
+			out[c.Rank()] = append(out[c.Rank()], nn.FlattenValues(model.Params())...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	bare := run(func(c *mpi.Comm) mpi.Communicator { return c })
+	counts := make([]struct{ splits, sends, allreduces int }, S*R)
+	wrapped := run(func(c *mpi.Comm) mpi.Communicator { return countingComm{c, &counts[c.Rank()]} })
+	for r := range bare {
+		for i := range bare[r] {
+			if math.Float64bits(wrapped[r][i]) != math.Float64bits(bare[r][i]) {
+				t.Fatalf("rank %d value %d: wrapped %v, bare %v", r, i, wrapped[r][i], bare[r][i])
+			}
 		}
 	}
 }

@@ -41,8 +41,8 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// Trainer drives one rank's replica. Comm is an interface so a fault
-// injector (internal/ft) or any other interposer can sit between the
+// Trainer drives one rank's replica. Comm is an interface so an
+// interposer (the benchmark's tracing communicator) can sit between the
 // trainer and the wire.
 type Trainer struct {
 	Comm  mpi.Communicator

@@ -4,24 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/distdl"
-	"repro/internal/mpi"
-	"repro/internal/nn"
-	"repro/internal/pipeline"
-	"repro/internal/tensor"
 )
 
 func TestPlanValidate(t *testing.T) {
-	ok := &Plan{Events: []Event{
-		{Kind: Crash, Rank: 2, Step: 50},
-		{Kind: Straggle, Rank: 1, Step: 0, Until: 10, PerOp: time.Millisecond},
-	}}
+	ok := &Plan{Events: []Event{{Rank: 2, Step: 50}, {Rank: 1, Step: 0}}}
 	if err := ok.Validate(4); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
@@ -29,16 +18,12 @@ func TestPlanValidate(t *testing.T) {
 		t.Fatalf("nil plan should validate: %v", err)
 	}
 	bad := map[string]*Plan{
-		"rank out of range": {Events: []Event{{Kind: Crash, Rank: 4, Step: 1}}},
-		"negative rank":     {Events: []Event{{Kind: Crash, Rank: -1, Step: 1}}},
-		"negative step":     {Events: []Event{{Kind: Crash, Rank: 0, Step: -1}}},
-		"until before step": {Events: []Event{{Kind: Straggle, Rank: 0, Step: 5, Until: 3, PerOp: time.Millisecond}}},
-		"negative perop":    {Events: []Event{{Kind: DelayMsg, Rank: 0, Step: 0, PerOp: -time.Millisecond}}},
-		"zero perop":        {Events: []Event{{Kind: Straggle, Rank: 0, Step: 0, PerOp: 0}}},
-		"double crash":      {Events: []Event{{Kind: Crash, Rank: 1, Step: 1}, {Kind: Crash, Rank: 1, Step: 2}}},
+		"rank out of range": {Events: []Event{{Rank: 4, Step: 1}}},
+		"negative rank":     {Events: []Event{{Rank: -1, Step: 1}}},
+		"negative step":     {Events: []Event{{Rank: 0, Step: -1}}},
+		"double crash":      {Events: []Event{{Rank: 1, Step: 1}, {Rank: 1, Step: 2}}},
 		"all ranks crash": {Events: []Event{
-			{Kind: Crash, Rank: 0, Step: 1}, {Kind: Crash, Rank: 1, Step: 1},
-			{Kind: Crash, Rank: 2, Step: 1}, {Kind: Crash, Rank: 3, Step: 1}}},
+			{Rank: 0, Step: 1}, {Rank: 1, Step: 1}, {Rank: 2, Step: 1}, {Rank: 3, Step: 1}}},
 	}
 	for name, p := range bad {
 		if err := p.Validate(4); err == nil {
@@ -48,7 +33,7 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestPlanCrashStepAndString(t *testing.T) {
-	p := &Plan{Events: []Event{{Kind: Crash, Rank: 2, Step: 50}}}
+	p := &Plan{Events: []Event{{Rank: 2, Step: 50}}}
 	if got := p.String(); !strings.Contains(got, "crash rank 2 at step 50") {
 		t.Fatalf("String() = %q", got)
 	}
@@ -58,162 +43,72 @@ func TestPlanCrashStepAndString(t *testing.T) {
 }
 
 func TestRandomPlanDeterministic(t *testing.T) {
-	a, err := RandomPlan(7, 8, 10, 100, 2, 1, time.Millisecond)
+	a, err := RandomPlan(7, 8, 10, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := RandomPlan(7, 8, 10, 100, 2, 1, time.Millisecond)
+	b, _ := RandomPlan(7, 8, 10, 100, 2)
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different plans:\n%s\n%s", a, b)
 	}
-	c, _ := RandomPlan(8, 8, 10, 100, 2, 1, time.Millisecond)
+	c, _ := RandomPlan(8, 8, 10, 100, 2)
 	if a.String() == c.String() {
 		t.Fatal("different seeds should give different plans")
 	}
 	if err := a.Validate(8); err != nil {
 		t.Fatalf("generated plan invalid: %v", err)
 	}
-	// Crash targets and straggle targets must not overlap.
-	crashed := map[int]bool{}
-	for _, e := range a.Events {
-		if e.Kind == Crash {
-			crashed[e.Rank] = true
-		}
-	}
-	for _, e := range a.Events {
-		if e.Kind == Straggle && crashed[e.Rank] {
-			t.Fatalf("rank %d both crashes and straggles", e.Rank)
-		}
-	}
-	if _, err := RandomPlan(1, 4, 10, 100, 4, 0, 0); err == nil {
+	if _, err := RandomPlan(1, 4, 10, 100, 4); err == nil {
 		t.Fatal("crashing all ranks must be rejected")
 	}
-	if _, err := RandomPlan(1, 4, 100, 100, 1, 0, 0); err == nil {
+	if _, err := RandomPlan(1, 4, 100, 100, 1); err == nil {
 		t.Fatal("empty step range must be rejected")
 	}
 }
 
-func TestInjectorCrashFires(t *testing.T) {
-	p := &Plan{Events: []Event{{Kind: Crash, Rank: 3, Step: 5}}}
-	w := mpi.NewWorld(1)
-	inj := p.Wrap(w.Comm(0), 3)
-	for s := 0; s < 5; s++ {
-		inj.AtStep(s) // must not fire early
-	}
-	defer func() {
-		f, ok := AsRankFailure(recover())
-		if !ok {
-			t.Fatal("expected a RankFailure panic")
-		}
-		if f.Rank != 3 || f.Step != 5 {
-			t.Fatalf("failure = %+v", f)
-		}
-		if !strings.Contains(f.Error(), "rank 3") {
-			t.Fatalf("error = %q", f.Error())
-		}
-	}()
-	inj.AtStep(5)
-}
-
-func TestInjectorIgnoresOtherRanks(t *testing.T) {
-	p := &Plan{Events: []Event{{Kind: Crash, Rank: 3, Step: 5}}}
-	w := mpi.NewWorld(1)
-	inj := p.Wrap(w.Comm(0), 0) // same plan, different rank
-	for s := 0; s < 100; s++ {
-		inj.AtStep(s)
-	}
-	if inj.globalRank != 0 {
-		t.Fatalf("globalRank = %d", inj.globalRank)
-	}
-}
-
-func TestInjectorStraggleDelaysCollectives(t *testing.T) {
-	delay := 30 * time.Millisecond
-	p := &Plan{Events: []Event{{Kind: Straggle, Rank: 0, Step: 2, Until: 2, PerOp: delay}}}
-	w := mpi.NewWorld(1)
-	inj := p.Wrap(w.Comm(0), 0)
-
-	inj.AtStep(1) // outside the window: fast
-	t0 := time.Now()
-	inj.Barrier()
-	if d := time.Since(t0); d > delay/2 {
-		t.Fatalf("barrier outside straggle window took %v", d)
-	}
-	inj.AtStep(2) // inside: throttled
-	t0 = time.Now()
-	inj.Barrier()
-	if d := time.Since(t0); d < delay {
-		t.Fatalf("straggled barrier took only %v, want >= %v", d, delay)
-	}
-	inj.AtStep(3) // past Until: fast again
-	t0 = time.Now()
-	inj.Barrier()
-	if d := time.Since(t0); d > delay/2 {
-		t.Fatalf("barrier after straggle window took %v", d)
-	}
-}
-
-func TestInjectorIsTransparent(t *testing.T) {
-	// A wrapped communicator must behave exactly like the raw one for a
-	// fault-free rank: run a small allreduce through injectors.
-	p := &Plan{} // no events
-	w := mpi.NewWorld(3)
-	err := w.Run(func(c *mpi.Comm) error {
-		inj := p.Wrap(c, c.Rank())
-		got := inj.AllreduceScalar(float64(c.Rank()), mpi.OpSum)
-		if got != 3 { // 0+1+2
-			t.Errorf("allreduce through injector = %v", got)
-		}
-		if inj.Rank() != c.Rank() || inj.Size() != 3 {
-			t.Errorf("rank/size not delegated")
-		}
-		return nil
-	})
+// TestRandomPlanPinned pins the plan `msa-ft -crashes 2 -seed 3` runs
+// (4 ranks, 100 steps: crashes drawn from [25, 75)), so a seed names the
+// same crashes from one version to the next.
+func TestRandomPlanPinned(t *testing.T) {
+	p, err := RandomPlan(3, 4, 25, 75, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := p.String(), "crash rank 2 at step 52; crash rank 1 at step 54"; got != want {
+		t.Fatalf("RandomPlan(3, 4, 25, 75, 2) = %q, want %q", got, want)
+	}
 }
 
-// TestInjectorIsTransparentUnderPipeline runs a 2-stage × 2-replica
-// distdl.WithPipeline trainer over a pass-through injector and over the
-// bare *mpi.Comm: the injector's Split wraps both axis groups, its
-// Send/RecvInto carry the pipeline traffic, and every loss and
-// final parameter must come out bitwise equal.
-func TestInjectorIsTransparentUnderPipeline(t *testing.T) {
-	const S, R, M, steps = 2, 2, 4, 3
-	run := func(wrap func(*mpi.Comm) mpi.Communicator) [][]float64 {
-		out := make([][]float64, S*R)
-		w := mpi.NewWorld(S * R)
-		err := w.Run(func(c *mpi.Comm) error {
-			model := nn.MLP(rand.New(rand.NewSource(3)), 10, 18, 16, 14, 6)
-			tr := distdl.New(wrap(c), model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0),
-				distdl.WithPipeline(S, M, pipeline.OneFOneB)).(*distdl.PipelineTrainer)
-			rng := rand.New(rand.NewSource(int64(100 + tr.Replica())))
-			x := tensor.Randn(rng, 1, 8, 10)
-			y := tensor.New(8, 6)
-			for r := 0; r < 8; r++ {
-				y.Data()[r*6+rng.Intn(6)] = 1
-			}
-			for s := 0; s < steps; s++ {
-				out[c.Rank()] = append(out[c.Rank()], tr.Step(x, y))
-			}
-			tr.SyncFullModel()
-			out[c.Rank()] = append(out[c.Rank()], nn.FlattenValues(model.Params())...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+func TestInjectorCrashFires(t *testing.T) {
+	p := &Plan{Events: []Event{{Rank: 3, Step: 5}}}
+	if got := p.crashStep(3); got != 5 {
+		t.Fatalf("crashStep(3) = %d, want 5", got)
 	}
-	bare := run(func(c *mpi.Comm) mpi.Communicator { return c })
-	injected := run(func(c *mpi.Comm) mpi.Communicator { return (&Plan{}).Wrap(c, c.Rank()) })
-	for r := range bare {
-		for i := range bare[r] {
-			if math.Float64bits(injected[r][i]) != math.Float64bits(bare[r][i]) {
-				t.Fatalf("rank %d value %d: injected %v, bare %v", r, i, injected[r][i], bare[r][i])
-			}
+	f := RankFailure{Rank: 3, Step: p.crashStep(3)}
+	defer func() {
+		got, ok := AsRankFailure(recover())
+		if !ok {
+			t.Fatal("expected a RankFailure panic")
 		}
+		if got != f {
+			t.Fatalf("failure = %+v, want %+v", got, f)
+		}
+		if !strings.Contains(got.Error(), "rank 3") {
+			t.Fatalf("error = %q", got.Error())
+		}
+	}()
+	panic(f)
+}
+
+func TestInjectorIgnoresOtherRanks(t *testing.T) {
+	p := &Plan{Events: []Event{{Rank: 3, Step: 5}}}
+	for _, r := range []int{0, 1, 2, 4} { // same plan, other ranks
+		if got := p.crashStep(r); got != -1 {
+			t.Fatalf("crashStep(%d) = %d, want -1", r, got)
+		}
+	}
+	if got := (*Plan)(nil).crashStep(3); got != -1 {
+		t.Fatalf("nil plan crashStep = %d, want -1", got)
 	}
 }
 

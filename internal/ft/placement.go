@@ -32,9 +32,8 @@ type TargetAdvice struct {
 // PlacementAdvice compares the available targets for one (job, system,
 // MTBF) point.
 type PlacementAdvice struct {
-	MTBFSec float64
-	SSSM    *TargetAdvice // nil when the system has no SSSM module
-	NAM     *TargetAdvice // nil when the system has no NAM module
+	SSSM *TargetAdvice // nil when the system has no SSSM module
+	NAM  *TargetAdvice // nil when the system has no NAM module
 	// Best points at the lower-waste target of the two.
 	Best *TargetAdvice
 }
@@ -60,7 +59,7 @@ func AdviseCheckpointPlacement(sys *msa.System, plan storage.CheckpointPlan, mtb
 	if fsSpec == nil && namSpec == nil {
 		return nil, fmt.Errorf("ft: system %q has neither an SSSM nor a NAM module — nowhere to checkpoint", sys.Name)
 	}
-	adv := &PlacementAdvice{MTBFSec: mtbfSec}
+	adv := &PlacementAdvice{}
 	mk := func(target string, stall float64) *TargetAdvice {
 		interval := storage.DalyInterval(stall, mtbfSec)
 		return &TargetAdvice{

@@ -9,10 +9,9 @@
 //
 // Three pieces:
 //
-//   - A deterministic fault injector (Plan/Injector): seeded, scripted
-//     rank crashes, message delays, and slow-rank throttling behind the
-//     mpi.Communicator interface, so failure scenarios replay bit-exactly
-//     in tests.
+//   - A deterministic fault plan (Plan): seeded, scripted fail-stop rank
+//     crashes, each firing at the top of a global step, so failure
+//     scenarios replay bit-exactly in tests.
 //   - A recovery supervisor (Supervisor): runs a distdl training job under
 //     a fault plan, takes periodic coordinated checkpoints (rank-0
 //     serialized, retention-pruned), detects dead ranks by heartbeat
@@ -30,84 +29,33 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 )
 
-// EventKind classifies one scripted fault.
-type EventKind int
-
-// Fault kinds.
-const (
-	// Crash terminates the rank at the start of step Step (before it
-	// enters any collective of that step) — fail-stop semantics.
-	Crash EventKind = iota
-	// Straggle sleeps PerOp before every communication operation the rank
-	// issues while the event is active: a slow NIC, a thermally throttled
-	// GPU, a noisy neighbour.
-	Straggle
-	// DelayMsg sleeps PerOp before every point-to-point Send while the
-	// event is active, modelling link-level latency injection.
-	DelayMsg
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case Straggle:
-		return "straggle"
-	case DelayMsg:
-		return "delay-msg"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one scripted fault against one global rank.
+// Event is one scripted fail-stop crash: global rank Rank dies at the
+// start of step Step, before it enters any collective of that step.
 type Event struct {
-	Kind EventKind
-	// Rank is the global rank id the event targets. Global ids are the
+	// Rank is the global rank id the crash targets. Global ids are the
 	// ranks of the initial world and never renumber, so a plan stays
 	// meaningful across elastic shrinks.
 	Rank int
-	// Step is the global optimizer step the event starts at (fires at for
-	// Crash).
+	// Step is the global optimizer step the crash fires at.
 	Step int
-	// Until, for Straggle/DelayMsg, is the last step (inclusive) the
-	// event is active; 0 means open-ended.
-	Until int
-	// PerOp is the injected sleep per operation (Straggle/DelayMsg).
-	PerOp time.Duration
 }
 
 func (e Event) String() string {
-	switch e.Kind {
-	case Crash:
-		return fmt.Sprintf("crash rank %d at step %d", e.Rank, e.Step)
-	case Straggle, DelayMsg:
-		until := "end"
-		if e.Until > 0 {
-			until = fmt.Sprintf("step %d", e.Until)
-		}
-		return fmt.Sprintf("%s rank %d from step %d to %s (%v/op)", e.Kind, e.Rank, e.Step, until, e.PerOp)
-	default:
-		return fmt.Sprintf("%s rank %d step %d", e.Kind, e.Rank, e.Step)
-	}
+	return fmt.Sprintf("crash rank %d at step %d", e.Rank, e.Step)
 }
 
-// Plan is a seeded, fully deterministic fault schedule. Two runs of the
-// same plan against the same job produce identical recovery logs, lost
-// step counts, and final parameters (wall-clock timings excepted).
+// Plan is a fully deterministic crash schedule. Two runs of the same plan
+// against the same job produce identical recovery logs, lost step counts,
+// and final parameters (wall-clock timings excepted).
 type Plan struct {
-	// Seed identifies the plan (RandomPlan derives the events from it;
-	// hand-built plans may leave it 0).
-	Seed   int64
 	Events []Event
 }
 
 // Validate checks the plan against an initial world size: ranks in range,
-// non-negative steps, at most one crash per rank, sane durations, and at
-// least one rank left alive.
+// non-negative steps, at most one crash per rank, and at least one rank
+// left alive.
 func (p *Plan) Validate(worldSize int) error {
 	if p == nil {
 		return nil
@@ -120,25 +68,10 @@ func (p *Plan) Validate(worldSize int) error {
 		if e.Step < 0 {
 			return fmt.Errorf("ft: event %d: negative step %d", i, e.Step)
 		}
-		if e.Until != 0 && e.Until < e.Step {
-			return fmt.Errorf("ft: event %d: Until %d before Step %d", i, e.Until, e.Step)
+		if crashed[e.Rank] {
+			return fmt.Errorf("ft: event %d: rank %d crashes twice", i, e.Rank)
 		}
-		if e.PerOp < 0 {
-			return fmt.Errorf("ft: event %d: negative PerOp %v", i, e.PerOp)
-		}
-		switch e.Kind {
-		case Crash:
-			if crashed[e.Rank] {
-				return fmt.Errorf("ft: event %d: rank %d crashes twice", i, e.Rank)
-			}
-			crashed[e.Rank] = true
-		case Straggle, DelayMsg:
-			if e.PerOp == 0 {
-				return fmt.Errorf("ft: event %d: %s with zero PerOp is a no-op", i, e.Kind)
-			}
-		default:
-			return fmt.Errorf("ft: event %d: unknown kind %d", i, int(e.Kind))
-		}
+		crashed[e.Rank] = true
 	}
 	if len(crashed) >= worldSize {
 		return fmt.Errorf("ft: plan crashes all %d ranks — no survivors to recover with", worldSize)
@@ -158,11 +91,23 @@ func (p *Plan) String() string {
 	return strings.Join(lines, "; ")
 }
 
+// crashStep returns the step at which globalRank crashes, or -1 when the
+// plan never crashes it.
+func (p *Plan) crashStep(globalRank int) int {
+	if p != nil {
+		for _, e := range p.Events {
+			if e.Rank == globalRank {
+				return e.Step
+			}
+		}
+	}
+	return -1
+}
+
 // RandomPlan derives a deterministic plan from a seed: `crashes` distinct
-// ranks crash at uniform steps in [minStep, maxStep), and `stragglers`
-// distinct non-crashing ranks straggle with the given per-op delay from a
-// uniform start step. The same seed always yields the same plan.
-func RandomPlan(seed int64, worldSize, minStep, maxStep, crashes, stragglers int, perOp time.Duration) (*Plan, error) {
+// ranks crash at uniform steps in [minStep, maxStep). The same seed always
+// yields the same plan.
+func RandomPlan(seed int64, worldSize, minStep, maxStep, crashes int) (*Plan, error) {
 	if worldSize < 2 {
 		return nil, fmt.Errorf("ft: RandomPlan needs at least 2 ranks, got %d", worldSize)
 	}
@@ -172,22 +117,11 @@ func RandomPlan(seed int64, worldSize, minStep, maxStep, crashes, stragglers int
 	if maxStep <= minStep || minStep < 0 {
 		return nil, fmt.Errorf("ft: bad step range [%d,%d)", minStep, maxStep)
 	}
-	if crashes+stragglers > worldSize {
-		return nil, fmt.Errorf("ft: %d crashes + %d stragglers exceed %d ranks", crashes, stragglers, worldSize)
-	}
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(worldSize)
-	p := &Plan{Seed: seed}
+	p := &Plan{}
 	for i := 0; i < crashes; i++ {
-		p.Events = append(p.Events, Event{
-			Kind: Crash, Rank: perm[i], Step: minStep + rng.Intn(maxStep-minStep),
-		})
-	}
-	for i := 0; i < stragglers; i++ {
-		p.Events = append(p.Events, Event{
-			Kind: Straggle, Rank: perm[crashes+i],
-			Step: minStep + rng.Intn(maxStep-minStep), PerOp: perOp,
-		})
+		p.Events = append(p.Events, Event{Rank: perm[i], Step: minStep + rng.Intn(maxStep-minStep)})
 	}
 	// Stable presentation order: by step, then rank.
 	sort.SliceStable(p.Events, func(a, b int) bool {
@@ -197,4 +131,21 @@ func RandomPlan(seed int64, worldSize, minStep, maxStep, crashes, stragglers int
 		return p.Events[a].Rank < p.Events[b].Rank
 	})
 	return p, nil
+}
+
+// RankFailure is the panic payload a scripted crash raises. The supervisor
+// distinguishes it from programming bugs when classifying a rank's death.
+type RankFailure struct {
+	Rank int // global rank id
+	Step int // step the crash fired at
+}
+
+func (f RankFailure) Error() string {
+	return fmt.Sprintf("ft: injected crash of rank %d at step %d", f.Rank, f.Step)
+}
+
+// AsRankFailure extracts a RankFailure from a recover() value.
+func AsRankFailure(r any) (RankFailure, bool) {
+	f, ok := r.(RankFailure)
+	return f, ok
 }

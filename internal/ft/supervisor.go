@@ -185,11 +185,7 @@ func (s *Supervisor) Run() (*Report, error) {
 	restoreStep := 0
 	maxInc := 2
 	if s.opt.Plan != nil {
-		for _, e := range s.opt.Plan.Events {
-			if e.Kind == Crash {
-				maxInc++
-			}
-		}
+		maxInc += len(s.opt.Plan.Events)
 	}
 	s.logf("plan: %s", s.opt.Plan.String())
 	for inc := 0; ; inc++ {
@@ -364,8 +360,8 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, re
 				world.Revoke(fmt.Sprintf("rank %d panicked: %v", gid, r))
 			}()
 
-			inj := s.opt.Plan.Wrap(world.Comm(pos), gid)
-			trainer := distdl.New(inj, s.job.NewModel(), s.job.Loss, s.job.NewOpt(),
+			crashStep := s.opt.Plan.crashStep(gid)
+			trainer := distdl.New(world.Comm(pos), s.job.NewModel(), s.job.Loss, s.job.NewOpt(),
 				distdl.WithConfig(s.job.Cfg)).(*distdl.Trainer)
 			if restoreBlob != nil {
 				if err := trainer.Restore(restoreBlob); err != nil {
@@ -385,13 +381,15 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, re
 				// Crash before the beat: a dead rank's last beat is then
 				// strictly behind the survivors' frontier, which is what
 				// makes SuspectDead exact and deterministic.
-				inj.AtStep(step)
+				if crashStep >= 0 && step >= crashStep {
+					panic(RankFailure{Rank: gid, Step: crashStep})
+				}
 				mon.Beat(gid, step)
 				idx := StepBatch(n, s.job.EpochSeed, step, globalBatch, pos, len(alive))
 				x, y := distdl.GatherBatch(s.job.Xs, s.job.Ys, idx)
 				lastLoss = trainer.Step(x, y)
 				if every := s.opt.Checkpoint.Every; every > 0 && (step+1)%every == 0 {
-					s.coordinatedCheckpoint(inc, trainer, inj, pos, step+1)
+					s.coordinatedCheckpoint(inc, trainer, pos, step+1)
 				}
 			}
 			mon.Done(gid)
@@ -421,8 +419,8 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, re
 // one writer suffices — and releases the world only once the write is
 // durable (second barrier). Write failures
 // panic and are classified as fatal by the rank's recover handler.
-func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, comm mpi.Communicator, pos, step int) {
-	comm.Barrier()
+func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, pos, step int) {
+	trainer.Comm.Barrier()
 	if pos == 0 {
 		traceStart := s.opt.Tracer.Start()
 		t0 := time.Now()
@@ -447,7 +445,7 @@ func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, com
 		s.mu.Unlock()
 		s.logf("incarnation %d: coordinated checkpoint %s at step %d (%d bytes)", inc, name, step, len(blob))
 	}
-	comm.Barrier()
+	trainer.Comm.Barrier()
 }
 
 func containsInt(s []int, v int) bool {

@@ -51,7 +51,7 @@ func TestNewSupervisorValidation(t *testing.T) {
 			j.NewOpt = func() nn.Optimizer { return statelessOpt{} }
 		},
 		"invalid plan": func(_ *Job, o *Options) {
-			o.Plan = &Plan{Events: []Event{{Kind: Crash, Rank: 99, Step: 1}}}
+			o.Plan = &Plan{Events: []Event{{Rank: 99, Step: 1}}}
 		},
 	}
 	for name, mutate := range cases {
@@ -96,7 +96,7 @@ func TestCrashRecovery(t *testing.T) {
 	// every 20 steps, 100 steps total. The survivors must detect the
 	// death, restore from step 40, re-execute the 10 lost steps with 3
 	// ranks, and finish in sync.
-	plan := &Plan{Events: []Event{{Kind: Crash, Rank: 2, Step: 50}}}
+	plan := &Plan{Events: []Event{{Rank: 2, Step: 50}}}
 	tr := telemetry.NewTracer(0)
 	reg := telemetry.NewRegistry()
 	opt := testOptions(plan, 20)
@@ -179,7 +179,7 @@ func TestCrashRecovery(t *testing.T) {
 // parameters (bitwise), and identical lost-step counts.
 func TestDeterministicRecovery(t *testing.T) {
 	run := func() *Report {
-		plan := &Plan{Events: []Event{{Kind: Crash, Rank: 2, Step: 50}}}
+		plan := &Plan{Events: []Event{{Rank: 2, Step: 50}}}
 		return mustRun(t, testJob(4, 8, 100), testOptions(plan, 20))
 	}
 	a, b := run(), run()
@@ -206,7 +206,7 @@ func TestDeterministicRecovery(t *testing.T) {
 // (only the per-rank split of each batch differs after the shrink).
 func TestConvergenceUnderCrashes(t *testing.T) {
 	clean := mustRun(t, testJob(4, 8, 100), testOptions(nil, 20))
-	plan := &Plan{Events: []Event{{Kind: Crash, Rank: 2, Step: 50}}}
+	plan := &Plan{Events: []Event{{Rank: 2, Step: 50}}}
 	crashed := mustRun(t, testJob(4, 8, 100), testOptions(plan, 20))
 	if !clean.ParamsInSync || !crashed.ParamsInSync {
 		t.Fatal("sync invariant broken")
@@ -225,7 +225,7 @@ func TestConvergenceUnderCrashes(t *testing.T) {
 func TestCrashOfRankZero(t *testing.T) {
 	// Rank 0 is the checkpoint writer and broadcast root; its death must
 	// not take the run down — the lowest surviving rank takes over.
-	plan := &Plan{Events: []Event{{Kind: Crash, Rank: 0, Step: 30}}}
+	plan := &Plan{Events: []Event{{Rank: 0, Step: 30}}}
 	rep := mustRun(t, testJob(4, 8, 60), testOptions(plan, 10))
 	if rep.Incarnations != 2 || len(rep.Failures) != 1 || rep.Failures[0].Rank != 0 {
 		t.Fatalf("report = %+v", rep)
@@ -245,8 +245,8 @@ func TestCrashOfRankZero(t *testing.T) {
 
 func TestTwoSequentialCrashes(t *testing.T) {
 	plan := &Plan{Events: []Event{
-		{Kind: Crash, Rank: 1, Step: 25},
-		{Kind: Crash, Rank: 3, Step: 55},
+		{Rank: 1, Step: 25},
+		{Rank: 3, Step: 55},
 	}}
 	rep := mustRun(t, testJob(4, 8, 80), testOptions(plan, 10))
 	if rep.Incarnations != 3 || len(rep.Failures) != 2 {
@@ -269,7 +269,7 @@ func TestTwoSequentialCrashes(t *testing.T) {
 
 func TestRecoveryWithoutCheckpoints(t *testing.T) {
 	// No periodic checkpoints: recovery restarts training from scratch.
-	plan := &Plan{Events: []Event{{Kind: Crash, Rank: 1, Step: 15}}}
+	plan := &Plan{Events: []Event{{Rank: 1, Step: 15}}}
 	rep := mustRun(t, testJob(2, 8, 30), testOptions(plan, 0))
 	if rep.Incarnations != 2 || rep.Checkpoints != 0 {
 		t.Fatalf("report = %+v", rep)

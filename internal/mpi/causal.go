@@ -11,10 +11,9 @@ import "sync"
 // coordinates, with no cross-rank clock agreement required.
 //
 // Counters are assigned on the rank goroutine issuing the operation.
-// Traffic injected from foreign goroutines onto user tags (e.g. the ft
-// injector's delayed-delivery timers) may observe seq assignment order
-// different from mailbox order; such edges simply go unmatched in the
-// merge rather than corrupting it.
+// Traffic sent from a foreign goroutine onto a user tag may observe seq
+// assignment order different from mailbox order; such edges simply go
+// unmatched in the merge rather than corrupting it.
 
 // traceTag reports whether p2p traffic on a wire tag (group tag block +
 // local tag) belongs to a user-visible stream worth a causal span: plain

@@ -6,10 +6,10 @@ package mpi
 // no wildcard receive and no probe, so a message is matched by (source,
 // tag) alone, FIFO per pair. Code written against this interface (distdl
 // trainers on either axis of a 2D grid, the ft supervisor) can run over a
-// plain *Comm or over an interposer that injects faults, delays, or
-// tracing between the algorithm and the wire — the mechanism internal/ft
-// uses to make failure scenarios reproducible. It lists only what some
-// caller outside this package reaches through it; *Comm has more.
+// plain *Comm or over an interposer that traces calls between the
+// algorithm and the wire, as the benchmark's tracing wrapper does. It
+// lists only what some caller outside this package reaches through it;
+// *Comm has more.
 //
 // Methods panic with RevokedError once the underlying World has been
 // revoked (see World.Revoke), so algorithms blocked in a collective unwind

@@ -40,18 +40,31 @@ const maxPathSegs = 1 << 16
 // criticalPathIn walks the DAG backward from the last node ending inside
 // the step window [w0, w1] and returns the binding-constraint chain in
 // chronological order, stopping once it crosses the window's left edge.
+// Each segment ends at the instant its node released its successor (a
+// producer span can run on past its send) and starts no earlier than the
+// instant its own binding constraint released it, so the segments stay
+// inside the window, in order, without overlapping.
 func (d *DAG) criticalPathIn(w0, w1 int64) []PathSeg {
 	cur := d.lastEndingIn(w0, w1)
+	var end int64
+	if cur != nil {
+		end = cur.Span.End()
+	}
 	var rev []PathSeg
-	for cur != nil && cur.Span.End() > w0 && len(rev) < maxPathSegs {
+	for cur != nil && end > w0 && len(rev) < maxPathSegs {
+		prev, release := d.binding(cur)
+		start := min(max(cur.Span.Start, release, w0), end)
 		rev = append(rev, PathSeg{
 			Rank:    cur.Rank(),
 			Name:    cur.Span.Name,
 			Class:   classOf(cur),
-			StartNS: cur.Span.Start,
-			EndNS:   cur.Span.End(),
+			StartNS: start,
+			EndNS:   end,
 		})
-		cur = d.binding(cur)
+		if prev != nil {
+			end = min(prev.Span.End(), release, start)
+		}
+		cur = prev
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -81,8 +94,9 @@ func (d *DAG) lastEndingIn(w0, w1 int64) *Node {
 }
 
 // binding returns the node whose completion (or arrival) gated cur's
-// start — nil when cur starts unconstrained at the trace's beginning.
-func (d *DAG) binding(cur *Node) *Node {
+// start, and the instant it released cur — nil when cur starts
+// unconstrained at the trace's beginning.
+func (d *DAG) binding(cur *Node) (*Node, int64) {
 	prev := d.prevOnRank(cur)
 	selfT := int64(-1)
 	if prev != nil {
@@ -121,9 +135,9 @@ func (d *DAG) binding(cur *Node) *Node {
 		}
 	}
 	if remote != nil && remoteT >= selfT {
-		return remote
+		return remote, remoteT
 	}
-	return prev
+	return prev, selfT
 }
 
 // prevOnRank returns the non-send leaf preceding cur on its own rank.
