@@ -147,7 +147,7 @@ func BenchmarkE8_QSVM(b *testing.B) {
 		x[i] = []float64{float64(c) + rng.NormFloat64()*0.3, float64(c) + rng.NormFloat64()*0.3}
 		y[i] = c
 	}
-	cfg := qa.QSVMConfig{Bits: 3, Anneal: qa.AnnealConfig{Reads: 3, Sweeps: 50, Seed: 12}}
+	cfg := qa.QSVMConfig{Anneal: qa.AnnealConfig{Reads: 3, Sweeps: 50, Seed: 12}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := qa.TrainQSVM(x, y, cfg); err != nil {

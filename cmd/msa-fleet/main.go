@@ -122,13 +122,13 @@ func main() {
 		plan := serve.DerivePlan(w, m, 8).Scaled(*speedup)
 		spec := fleet.GroupSpec{
 			Name: m.Name, Kind: string(m.Kind),
-			Replicas: 2, MinReplicas: 1, MaxReplicas: plan.Replicas,
+			Replicas: 2, MaxReplicas: plan.Replicas,
 			LatencyScore: plan.PerSample.Seconds(),
 			Overhead:     plan.Overhead, PerSample: plan.PerSample,
 		}
 		groups = append(groups, spec)
-		fmt.Printf("  %-8s [%s] %d..%d replicas, %s/sample + %s/batch\n",
-			spec.Name, spec.Kind, spec.MinReplicas, spec.MaxReplicas,
+		fmt.Printf("  %-8s [%s] 1..%d replicas, %s/sample + %s/batch\n",
+			spec.Name, spec.Kind, spec.MaxReplicas,
 			spec.PerSample.Round(time.Microsecond), spec.Overhead.Round(time.Microsecond))
 	}
 
@@ -172,9 +172,9 @@ func main() {
 
 	// --- 3. Autoscaler: queue depth leads, rolling p99 confirms.
 	scaler, err := f.NewAutoscaler(modelName, fleet.AutoscaleConfig{
-		SLO:      fleet.SLO{P99: *sloP99},
-		Interval: 25 * time.Millisecond,
-		UpAfter:  1, DownAfter: 4, Cooldown: 2,
+		SLO:       fleet.SLO{P99: *sloP99},
+		Interval:  25 * time.Millisecond,
+		DownAfter: 4, Cooldown: 2,
 	})
 	if err != nil {
 		fatal(err)
@@ -203,7 +203,7 @@ func main() {
 		*requests, *phases, *phaseDur, *sloP99, badPhase, goodPhase)
 
 	canarySpec := fleet.GroupSpec{
-		Name: "canary", Kind: "ESB", Replicas: 2, MinReplicas: 1, MaxReplicas: 4,
+		Name: "canary", Kind: "ESB", Replicas: 2, MaxReplicas: 4,
 		Overhead: groups[1].Overhead, PerSample: groups[1].PerSample,
 	}
 	start := time.Now()

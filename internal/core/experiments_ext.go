@@ -37,7 +37,7 @@ func E14SparkAnalytics(scale Scale) Result {
 	eng := mapreduce.NewEngine(4)
 	forest := mapreduce.TrainForest(eng, train, 3, mapreduce.ForestConfig{Trees: trees, Seed: 92})
 	accF := forest.Accuracy(test)
-	tree := mapreduce.TrainTree(train, 3, mapreduce.TreeConfig{Seed: 92})
+	tree := mapreduce.TrainTree(train, 3, 92)
 	correct := 0
 	for _, r := range test {
 		if tree.Predict(r[:len(r)-1]) == int(r[len(r)-1]) {

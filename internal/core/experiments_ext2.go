@@ -139,9 +139,9 @@ func E18Checkpoint() Result {
 			panic(err)
 		}
 		tb.Add(fmt.Sprint(cfg.nodes), fmt.Sprintf("%.0f", cfg.gb),
-			fmt.Sprintf("%.1f", direct.StallPerCkpt), fmt.Sprintf("%.1f", via.StallPerCkpt),
-			fmt.Sprintf("%.1fx", direct.StallPerCkpt/via.StallPerCkpt))
-		metrics[fmt.Sprintf("speedup_n%d", cfg.nodes)] = direct.StallPerCkpt / via.StallPerCkpt
+			fmt.Sprintf("%.1f", direct), fmt.Sprintf("%.1f", via),
+			fmt.Sprintf("%.1fx", direct/via))
+		metrics[fmt.Sprintf("speedup_n%d", cfg.nodes)] = direct / via
 	}
 	return Result{
 		ID: "E18", Title: "NAM-accelerated checkpoint/restart (ref [12])",

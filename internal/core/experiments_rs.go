@@ -152,7 +152,7 @@ func E8QuantumSVM(scale Scale) Result {
 	classical := svm.Train(xTr, yTr, svm.Config{Kernel: kernel, Seed: 62})
 	accClassical := classical.Accuracy(xTe, yTe)
 
-	qcfg := qa.QSVMConfig{Bits: 3, Kernel: kernel, Anneal: anneal, Device: qa.Advantage}
+	qcfg := qa.QSVMConfig{Kernel: kernel, Anneal: anneal}
 	single, err := qa.TrainQSVM(xTr[:subSingle], yTr[:subSingle], qcfg)
 	if err != nil {
 		panic(err)

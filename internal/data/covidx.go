@@ -23,9 +23,11 @@ var CXRClassNames = [CXRClasses]string{"normal", "pneumonia", "COVID-19"}
 type CXRConfig struct {
 	Samples int
 	Size    int // square image edge; default 32
-	Noise   float64
 	Seed    int64
 }
+
+// cxrNoise is the standard deviation of the pixel noise on every image.
+const cxrNoise = 0.25
 
 // CXRDataset holds synthetic radiographs: X (N, 1, Size, Size) and
 // integer labels.
@@ -42,9 +44,6 @@ type CXRDataset struct {
 func GenCXR(cfg CXRConfig) *CXRDataset {
 	if cfg.Size == 0 {
 		cfg.Size = 32
-	}
-	if cfg.Noise == 0 {
-		cfg.Noise = 0.25
 	}
 	if cfg.Samples <= 0 {
 		panic("data: Samples must be positive")
@@ -78,7 +77,7 @@ func GenCXR(cfg CXRConfig) *CXRDataset {
 			}
 		}
 		for p := range img {
-			img[p] += rng.NormFloat64() * cfg.Noise
+			img[p] += rng.NormFloat64() * cxrNoise
 		}
 	}
 	return &CXRDataset{X: x, Labels: labels}

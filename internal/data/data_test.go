@@ -141,7 +141,7 @@ func TestGenCXRShapesAndBalance(t *testing.T) {
 func TestCXRClassesCarrySignal(t *testing.T) {
 	// COVID images are bilateral: both lung halves gain opacity, while
 	// pneumonia concentrates in one. Check mean intensity asymmetry.
-	d := GenCXR(CXRConfig{Samples: 150, Seed: 2, Noise: 0.1})
+	d := GenCXR(CXRConfig{Samples: 150, Seed: 2})
 	s := 32
 	asym := make(map[int][]float64)
 	for i, l := range d.Labels {
@@ -194,7 +194,7 @@ func TestGenICUShapes(t *testing.T) {
 }
 
 func TestICUMissingnessMatchesMask(t *testing.T) {
-	d := GenICU(ICUConfig{Patients: 10, Seed: 2, MissingRate: 0.3})
+	d := GenICU(ICUConfig{Patients: 10, Seed: 2})
 	n, T := 10, 48
 	missing, total := 0, 0
 	for i := 0; i < n; i++ {
@@ -211,8 +211,8 @@ func TestICUMissingnessMatchesMask(t *testing.T) {
 		}
 	}
 	frac := float64(missing) / float64(total)
-	if frac < 0.2 || frac > 0.5 {
-		t.Fatalf("missing fraction %f implausible for rate 0.3", frac)
+	if frac < icuMissingRate-0.1 || frac > icuMissingRate+0.2 {
+		t.Fatalf("missing fraction %f implausible for rate %g", frac, icuMissingRate)
 	}
 }
 

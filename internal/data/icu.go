@@ -35,11 +35,12 @@ type ICUConfig struct {
 	// ARDSFraction is the share of patients who develop ARDS (the real
 	// incidence is 1-2% of MV ICU patients; experiments oversample).
 	ARDSFraction float64
-	// MissingRate is the per-observation MCAR missingness probability;
-	// sensor-dropout runs are added on top.
-	MissingRate float64
-	Seed        int64
+	Seed         int64
 }
+
+// icuMissingRate is the per-observation MCAR missingness probability;
+// sensor-dropout runs are added on top.
+const icuMissingRate = 0.15
 
 // ICUDataset holds generated stays.
 //
@@ -77,9 +78,6 @@ func GenICU(cfg ICUConfig) *ICUDataset {
 	}
 	if cfg.ARDSFraction == 0 {
 		cfg.ARDSFraction = 0.3
-	}
-	if cfg.MissingRate == 0 {
-		cfg.MissingRate = 0.15
 	}
 	if cfg.Patients <= 0 {
 		panic("data: Patients must be positive")
@@ -131,7 +129,7 @@ func GenICU(cfg ICUConfig) *ICUDataset {
 		for ch := 0; ch < ICUChannels; ch++ {
 			dropUntil := -1
 			for t := 0; t < T; t++ {
-				missing := rng.Float64() < cfg.MissingRate
+				missing := rng.Float64() < icuMissingRate
 				if rng.Float64() < 0.01 {
 					dropUntil = t + 2 + rng.Intn(4)
 				}

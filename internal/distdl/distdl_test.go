@@ -152,7 +152,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	finals := make([][]float64, p)
 	err := w.Run(func(c *mpi.Comm) error {
 		model := buildModel(100) // same init seed on every rank
-		tr := New(c, model, loss, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: nn.ConstLR(0.05)})).(*Trainer)
+		tr := New(c, model, loss, nn.NewSGD(0.9, 0), WithSchedule(nn.ConstLR(0.05))).(*Trainer)
 		for s := 0; s < steps; s++ {
 			idx := make([]int, 4)
 			for i := range idx {
@@ -184,7 +184,7 @@ func TestParamsStayInSync(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		// Different init seeds per rank: broadcast must fix that.
 		model := buildModel(int64(c.Rank()))
-		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{})).(*Trainer)
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewAdam()).(*Trainer)
 		if !tr.ParamsInSync() {
 			return fmt.Errorf("params not in sync after broadcast")
 		}
@@ -212,9 +212,7 @@ func TestTrainingConvergesDistributed(t *testing.T) {
 	var acc float64
 	err := w.Run(func(c *mpi.Comm) error {
 		model := buildModel(55)
-		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{
-			Schedule: nn.WarmupLinearScale{Base: 0.01, Workers: p, WarmupSteps: 10},
-		})).(*Trainer)
+		tr := New(c, model, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithSchedule(nn.WarmupLinearScale{Base: 0.01, Workers: p, WarmupSteps: 10})).(*Trainer)
 		var last float64
 		for epoch := 0; epoch < 15; epoch++ {
 			shard := Shard(80, int64(epoch), c.Rank(), p)
@@ -435,6 +433,12 @@ func TestDistributedArgmaxPanicsOnBadBatch(t *testing.T) {
 	}
 }
 
+// halvingSchedule halves the rate every 3 steps, so a resumed run diverges
+// unless it restores the schedule position.
+type halvingSchedule struct{}
+
+func (halvingSchedule) LR(step int) float64 { return 0.05 * math.Pow(0.5, float64(step/3)) }
+
 // TestCheckpointResumeExact is the checkpoint/restart invariant (the
 // workflow the NAM accelerates, ref [12]): training k steps, saving,
 // resuming in a fresh process, and training k more must equal an
@@ -442,7 +446,7 @@ func TestDistributedArgmaxPanicsOnBadBatch(t *testing.T) {
 // and the schedule position.
 func TestCheckpointResumeExact(t *testing.T) {
 	xs, ys, _ := synthClassification(30, 40, 4)
-	sched := nn.StepDecay{Base: 0.05, Gamma: 0.5, DecayEvery: 3}
+	sched := halvingSchedule{}
 	step := func(tr *Trainer, s int) {
 		idx := []int{(s * 4) % 40, (s*4 + 1) % 40, (s*4 + 2) % 40, (s*4 + 3) % 40}
 		bx, by := GatherBatch(xs, ys, idx)
@@ -453,7 +457,7 @@ func TestCheckpointResumeExact(t *testing.T) {
 	w1 := mpi.NewWorld(1)
 	var ref []float64
 	_ = w1.Run(func(c *mpi.Comm) error {
-		tr := New(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: sched})).(*Trainer)
+		tr := New(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithSchedule(sched)).(*Trainer)
 		for s := 0; s < 8; s++ {
 			step(tr, s)
 		}
@@ -465,7 +469,7 @@ func TestCheckpointResumeExact(t *testing.T) {
 	var blob []byte
 	w2 := mpi.NewWorld(1)
 	_ = w2.Run(func(c *mpi.Comm) error {
-		tr := New(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: sched})).(*Trainer)
+		tr := New(c, buildModel(500), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithSchedule(sched)).(*Trainer)
 		for s := 0; s < 4; s++ {
 			step(tr, s)
 		}
@@ -477,7 +481,7 @@ func TestCheckpointResumeExact(t *testing.T) {
 	var resumed []float64
 	w3 := mpi.NewWorld(1)
 	_ = w3.Run(func(c *mpi.Comm) error {
-		tr := New(c, buildModel(12345), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: sched})).(*Trainer)
+		tr := New(c, buildModel(12345), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithSchedule(sched)).(*Trainer)
 		if err := tr.Restore(blob); err != nil {
 			return err
 		}
@@ -505,7 +509,7 @@ func TestCheckpointResumeAdam(t *testing.T) {
 		var out []float64
 		w := mpi.NewWorld(1)
 		_ = w.Run(func(c *mpi.Comm) error {
-			tr := New(c, buildModel(600), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*Trainer)
+			tr := New(c, buildModel(600), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithSchedule(nn.ConstLR(0.01))).(*Trainer)
 			for s := 0; s < 3; s++ {
 				bx, by := GatherBatch(xs, ys, []int{s, s + 1})
 				tr.Step(bx, by)
@@ -527,7 +531,7 @@ func TestCheckpointResumeAdam(t *testing.T) {
 		}
 		w2 := mpi.NewWorld(1)
 		_ = w2.Run(func(c *mpi.Comm) error {
-			tr := New(c, buildModel(77), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithConfig(Config{Schedule: nn.ConstLR(0.01)})).(*Trainer)
+			tr := New(c, buildModel(77), nn.SoftmaxCrossEntropy{}, nn.NewAdam(), WithSchedule(nn.ConstLR(0.01))).(*Trainer)
 			if err := tr.Restore(blob); err != nil {
 				return err
 			}
@@ -560,7 +564,7 @@ func TestElasticRestart(t *testing.T) {
 	var lossBefore float64
 	w4 := mpi.NewWorld(4)
 	err := w4.Run(func(c *mpi.Comm) error {
-		tr := New(c, buildModel(700), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: nn.ConstLR(0.05)})).(*Trainer)
+		tr := New(c, buildModel(700), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithSchedule(nn.ConstLR(0.05))).(*Trainer)
 		for epoch := 0; epoch < 4; epoch++ {
 			shard := Shard(60, int64(epoch), c.Rank(), 4)
 			for _, batch := range Batches(shard, 5) {
@@ -586,7 +590,7 @@ func TestElasticRestart(t *testing.T) {
 	var lossAfter float64
 	w2 := mpi.NewWorld(2)
 	err = w2.Run(func(c *mpi.Comm) error {
-		tr := New(c, buildModel(701), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{Schedule: nn.ConstLR(0.05)})).(*Trainer)
+		tr := New(c, buildModel(701), nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithSchedule(nn.ConstLR(0.05))).(*Trainer)
 		if err := tr.Restore(blob); err != nil {
 			return err
 		}

@@ -17,7 +17,7 @@ import (
 func soloTrainer(modelSeed int64, dims ...int) *Trainer {
 	w := mpi.NewWorld(1)
 	m := nn.MLP(rand.New(rand.NewSource(modelSeed)), dims...)
-	return New(w.Comm(0), m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{})).(*Trainer)
+	return New(w.Comm(0), m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0)).(*Trainer)
 }
 
 func TestRestoreRejectsMismatchedModel(t *testing.T) {
@@ -259,7 +259,7 @@ func TestRestoreIntoSmallerWorld(t *testing.T) {
 	w4 := mpi.NewWorld(4)
 	err := w4.Run(func(c *mpi.Comm) error {
 		m := nn.MLP(rand.New(rand.NewSource(11)), 4, 8, 2)
-		tr := New(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{})).(*Trainer)
+		tr := New(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0)).(*Trainer)
 		for i := 0; i < 5; i++ {
 			shard := Shard(32, int64(i), c.Rank(), 4)
 			bx, by := GatherBatch(xs, ys, shard[:4])
@@ -279,7 +279,7 @@ func TestRestoreIntoSmallerWorld(t *testing.T) {
 	w2 := mpi.NewWorld(2)
 	err = w2.Run(func(c *mpi.Comm) error {
 		m := nn.MLP(rand.New(rand.NewSource(11)), 4, 8, 2)
-		tr := New(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0), WithConfig(Config{})).(*Trainer)
+		tr := New(c, m, nn.SoftmaxCrossEntropy{}, nn.NewSGD(0.9, 0)).(*Trainer)
 		if err := tr.Restore(blob); err != nil {
 			return err
 		}

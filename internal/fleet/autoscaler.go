@@ -35,9 +35,6 @@ type AutoscaleConfig struct {
 	// Interval between Run ticks (default 100ms). Tests drive Tick
 	// directly and ignore this.
 	Interval time.Duration
-	// UpAfter is how many consecutive overloaded ticks trigger a
-	// scale-up (default 1 — scale-ups race bursts, so react fast).
-	UpAfter int
 	// DownAfter is how many consecutive underloaded ticks trigger a
 	// scale-down (default 5 — scale-downs are cheap to delay and
 	// expensive to flap).
@@ -52,9 +49,6 @@ type AutoscaleConfig struct {
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 1
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 5
@@ -79,7 +73,6 @@ type ScaleEvent struct {
 // groupScalerState is the per-group control-loop memory.
 type groupScalerState struct {
 	lastSnap   telemetry.HistogramSnapshot
-	upStreak   int
 	downStreak int
 	cooldown   int
 }
@@ -171,9 +164,9 @@ func (a *Autoscaler) tickGroup(g *group) (ScaleEvent, bool) {
 	replicas := int(g.replicas.Load())
 
 	if overloaded {
-		st.upStreak++
+		// Scale-ups race bursts: the first overloaded tick acts.
 		st.downStreak = 0
-		if st.upStreak >= a.cfg.UpAfter && replicas < g.spec.MaxReplicas {
+		if replicas < g.spec.MaxReplicas {
 			target := min(max(upFactor*replicas, replicas+1), g.spec.MaxReplicas)
 			reason := fmt.Sprintf("queue %.0f%% of cap", qfrac*100)
 			if overP99 {
@@ -184,11 +177,10 @@ func (a *Autoscaler) tickGroup(g *group) (ScaleEvent, bool) {
 		return ScaleEvent{}, false
 	}
 
-	st.upStreak = 0
 	if underloaded {
 		st.downStreak++
-		if st.downStreak >= a.cfg.DownAfter && replicas > g.spec.MinReplicas {
-			target := max(replicas-downStep, g.spec.MinReplicas)
+		if st.downStreak >= a.cfg.DownAfter && replicas > minReplicas {
+			target := max(replicas-downStep, minReplicas)
 			return a.apply(g, st, replicas, target,
 				fmt.Sprintf("rolling p99 %s, queue %.0f%% of cap", p99.Round(time.Microsecond), qfrac*100), p99, qfrac)
 		}
@@ -206,7 +198,7 @@ func (a *Autoscaler) apply(g *group, st *groupScalerState, from, to int, reason 
 		return ScaleEvent{}, false
 	}
 	st.cooldown = a.cfg.Cooldown
-	st.upStreak, st.downStreak = 0, 0
+	st.downStreak = 0
 	dir := "scale-up"
 	if to < from {
 		dir = "scale-down"

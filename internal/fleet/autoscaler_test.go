@@ -26,10 +26,10 @@ func replicasOf(t *testing.T, f *Fleet) int {
 func TestAutoscalerScalesUpOnQueuePressure(t *testing.T) {
 	f, _ := newTestFleet(t,
 		Config{Serve: serve.Config{MaxBatch: 1, QueueCap: 16, BatchWindow: 100 * time.Microsecond}},
-		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MinReplicas: 1, MaxReplicas: 8,
+		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MaxReplicas: 8,
 			PerSample: 2 * time.Millisecond})
 	a, err := f.NewAutoscaler("m", AutoscaleConfig{
-		UpAfter: 1, Cooldown: 1,
+		Cooldown: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,10 +72,10 @@ func TestAutoscalerScalesUpOnQueuePressure(t *testing.T) {
 
 // TestAutoscalerScalesDownWhenIdle parks an overprovisioned group with no
 // traffic and checks the slow additive scale-down path: DownAfter
-// underloaded ticks per step, never below MinReplicas.
+// underloaded ticks per step, never below minReplicas.
 func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 	f, _ := newTestFleet(t, Config{},
-		GroupSpec{Name: "cm", Kind: "CM", Replicas: 4, MinReplicas: 1, MaxReplicas: 8})
+		GroupSpec{Name: "cm", Kind: "CM", Replicas: 4, MaxReplicas: 8})
 	a, err := f.NewAutoscaler("m", AutoscaleConfig{
 		SLO: SLO{P99: 50 * time.Millisecond}, DownAfter: 3, Cooldown: 1,
 	})
@@ -95,7 +95,7 @@ func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 		}
 	}
 	if got := replicasOf(t, f); got != 1 {
-		t.Fatalf("replicas = %d after 40 idle ticks, want MinReplicas=1", got)
+		t.Fatalf("replicas = %d after 40 idle ticks, want minReplicas=%d", got, minReplicas)
 	}
 	if downs != 3 {
 		t.Fatalf("scale-downs = %d, want 3 (4 -> 1 additively)", downs)
@@ -105,7 +105,7 @@ func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 		a.Tick()
 	}
 	if got := replicasOf(t, f); got != 1 {
-		t.Fatalf("replicas = %d, scaled below MinReplicas", got)
+		t.Fatalf("replicas = %d, scaled below minReplicas", got)
 	}
 }
 
@@ -114,10 +114,10 @@ func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 // underload ticks, and DownAfter delays the eventual scale-down.
 func TestAutoscalerHysteresis(t *testing.T) {
 	f, _ := newTestFleet(t, Config{Serve: serve.Config{MaxBatch: 1, QueueCap: 8, BatchWindow: 100 * time.Microsecond}},
-		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MinReplicas: 1, MaxReplicas: 4,
+		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MaxReplicas: 4,
 			PerSample: 2 * time.Millisecond})
 	a, err := f.NewAutoscaler("m", AutoscaleConfig{
-		UpAfter: 1, DownAfter: 4, Cooldown: 2,
+		DownAfter: 4, Cooldown: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 // TestAutoscalerRunStop exercises the background ticker loop.
 func TestAutoscalerRunStop(t *testing.T) {
 	f, _ := newTestFleet(t, Config{},
-		GroupSpec{Name: "cm", Kind: "CM", Replicas: 2, MinReplicas: 1, MaxReplicas: 4})
+		GroupSpec{Name: "cm", Kind: "CM", Replicas: 2, MaxReplicas: 4})
 	a, err := f.NewAutoscaler("m", AutoscaleConfig{
 		SLO: SLO{P99: 50 * time.Millisecond}, Interval: time.Millisecond, DownAfter: 2, Cooldown: 1,
 	})

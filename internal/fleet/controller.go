@@ -104,12 +104,9 @@ func (c *canary) currentState() CanaryState { return CanaryState(c.state.Load())
 
 // CanaryReport is the inspectable outcome of a canary rollout.
 type CanaryReport struct {
-	Version   string
-	State     CanaryState
-	Requests  int64
-	Errors    int64
-	ErrorRate float64
-	P99       time.Duration
+	Version  string
+	State    CanaryState
+	Requests int64
 	// Reason explains a rollback ("error-rate 0.31 > 0.05") or promote.
 	Reason string
 }
@@ -119,13 +116,6 @@ func (c *canary) report() CanaryReport {
 		Version:  c.entry.Ref(),
 		State:    c.currentState(),
 		Requests: c.total.Load(),
-		Errors:   c.errs.Load(),
-	}
-	if rep.Requests > 0 {
-		rep.ErrorRate = float64(rep.Errors) / float64(rep.Requests)
-	}
-	if srv := c.group.srv.Load(); srv != nil {
-		rep.P99 = srv.P99()
 	}
 	if r := c.reason.Load(); r != nil {
 		rep.Reason = *r
@@ -306,7 +296,6 @@ func (f *Fleet) promoteCanary(d *deployment, c *canary, reason string) {
 // events track.
 type Event struct {
 	Time   time.Time
-	Model  string
 	Kind   string
 	Detail string
 }
@@ -326,7 +315,7 @@ func (l *eventLog) emit(model, kind, detail string) {
 		return
 	}
 	l.mu.Lock()
-	l.events = append(l.events, Event{Time: time.Now(), Model: model, Kind: kind, Detail: detail})
+	l.events = append(l.events, Event{Time: time.Now(), Kind: kind, Detail: detail})
 	if len(l.events) > maxEvents {
 		l.events = l.events[len(l.events)-maxEvents:]
 	}

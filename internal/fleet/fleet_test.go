@@ -138,7 +138,7 @@ func TestFleetUnknownModel(t *testing.T) {
 // assertion — a dropped request would leave the sum short.
 func TestFleetZeroDroppedAcrossResizes(t *testing.T) {
 	f, reg := newTestFleet(t, Config{Serve: serve.Config{QueueCap: 256, BatchWindow: 200 * time.Microsecond}},
-		GroupSpec{Name: "cm", Kind: "CM", Replicas: 2, MinReplicas: 1, MaxReplicas: 8})
+		GroupSpec{Name: "cm", Kind: "CM", Replicas: 2, MaxReplicas: 8})
 	const (
 		workers = 8
 		perW    = 200

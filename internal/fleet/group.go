@@ -28,9 +28,8 @@ type GroupSpec struct {
 	Kind string
 	// Replicas is the initial replica count.
 	Replicas int
-	// MinReplicas/MaxReplicas bound the autoscaler (defaults 1 and
-	// 4×Replicas).
-	MinReplicas int
+	// MaxReplicas bounds the autoscaler from above (default 4×Replicas);
+	// minReplicas bounds it from below.
 	MaxReplicas int
 	// LatencyScore is the router's per-sample service-time estimate for
 	// this group's hardware, in seconds — perfmodel.NodeTime of the
@@ -48,12 +47,12 @@ type GroupSpec struct {
 	Backend func(blob []byte) (serve.Backend, error)
 }
 
+// minReplicas is the fewest replicas a group scales down to.
+const minReplicas = 1
+
 func (s GroupSpec) withDefaults() GroupSpec {
 	if s.Replicas < 1 {
 		s.Replicas = 1
-	}
-	if s.MinReplicas < 1 {
-		s.MinReplicas = 1
 	}
 	if s.MaxReplicas < s.Replicas {
 		s.MaxReplicas = 4 * s.Replicas
@@ -167,8 +166,8 @@ func (g *group) reconfigure(n int, e Entry, blob []byte) error {
 	if g.closed.Load() {
 		return ErrGroupClosed
 	}
-	if n < g.spec.MinReplicas {
-		n = g.spec.MinReplicas
+	if n < minReplicas {
+		n = minReplicas
 	}
 	if n > g.spec.MaxReplicas {
 		n = g.spec.MaxReplicas

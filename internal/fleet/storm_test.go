@@ -36,9 +36,9 @@ func TestStormClosedLoop(t *testing.T) {
 				QueueCap: 32, DefaultDeadline: time.Second,
 			},
 		},
-		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MinReplicas: 1, MaxReplicas: 6,
+		GroupSpec{Name: "cm", Kind: "CM", Replicas: 1, MaxReplicas: 6,
 			LatencyScore: 2e-3, PerSample: 600 * time.Microsecond},
-		GroupSpec{Name: "esb", Kind: "ESB", Replicas: 1, MinReplicas: 1, MaxReplicas: 6,
+		GroupSpec{Name: "esb", Kind: "ESB", Replicas: 1, MaxReplicas: 6,
 			LatencyScore: 1e-3, PerSample: 300 * time.Microsecond},
 	)
 	// v3 is a broken build: classFactory returns an always-failing backend.
@@ -47,9 +47,9 @@ func TestStormClosedLoop(t *testing.T) {
 	}
 
 	scaler, err := f.NewAutoscaler("m", AutoscaleConfig{
-		SLO:      SLO{P99: 100 * time.Millisecond},
-		Interval: 20 * time.Millisecond,
-		UpAfter:  1, DownAfter: 2, Cooldown: 1,
+		SLO:       SLO{P99: 100 * time.Millisecond},
+		Interval:  20 * time.Millisecond,
+		DownAfter: 2, Cooldown: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

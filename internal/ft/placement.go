@@ -77,7 +77,7 @@ func AdviseCheckpointPlacement(sys *msa.System, plan storage.CheckpointPlan, mtb
 			// The full comparison honours NAM capacity and drain limits.
 			_, viaNAM, err := storage.CompareCheckpointTargets(plan, fs, storage.NewNAM(*namSpec))
 			if err == nil {
-				adv.NAM = mk("via-nam", viaNAM.StallPerCkpt)
+				adv.NAM = mk("via-nam", viaNAM)
 			}
 			// A capacity/drain error just means the NAM is not a viable
 			// target for this plan; the SSSM advice stands alone.

@@ -18,10 +18,10 @@
 //     staleness, revokes the world (ULFM-style), forms a shrunken elastic
 //     world from the survivors, re-shards the data with the global batch
 //     held constant, and resumes from the last coordinated checkpoint.
-//   - Accounting: lost-step and recovery-time metrics, checkpoint/recovery
-//     spans through internal/telemetry, and module-aware checkpoint
-//     placement advice (placement.go) joining measured recovery cost to
-//     the analytic Young/Daly interval model in internal/storage.
+//   - Accounting: lost-step and recovery-time figures in the Report, and
+//     module-aware checkpoint placement advice (placement.go) joining
+//     measured recovery cost to the analytic Young/Daly interval model in
+//     internal/storage.
 package ft
 
 import (

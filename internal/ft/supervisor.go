@@ -8,7 +8,6 @@ import (
 	"repro/internal/distdl"
 	"repro/internal/mpi"
 	"repro/internal/nn"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -35,8 +34,6 @@ type Job struct {
 	Steps int
 	// EpochSeed seeds the per-epoch shuffles (see StepBatch).
 	EpochSeed int64
-	// Cfg is passed through to the distdl trainers.
-	Cfg distdl.Config
 }
 
 // Failure-detector constants: the watcher checks heartbeats every
@@ -57,11 +54,6 @@ type Options struct {
 	// Store persists checkpoints; defaults to an in-memory MemStore. Use
 	// *storage.ModelStore for durable SSSM-style placement.
 	Store BlobStore
-	// Tracer, when set, receives checkpoint and recovery spans (plus the
-	// per-step spans the trainers emit via Job.Cfg.Tracer if configured).
-	Tracer *telemetry.Tracer
-	// Metrics, when set, receives ft_* counters and gauges.
-	Metrics *telemetry.Registry
 	// Logf, when set, additionally receives each Report.Log line as it is
 	// emitted (e.g. log.Printf). The Report always collects them.
 	Logf func(format string, args ...any)
@@ -159,19 +151,6 @@ func (s *Supervisor) logf(format string, args ...any) {
 	}
 }
 
-func (s *Supervisor) counter(name string) *telemetry.Counter {
-	if s.opt.Metrics == nil {
-		return nil
-	}
-	return s.opt.Metrics.Counter(name)
-}
-
-func addCounter(c *telemetry.Counter, n int64) {
-	if c != nil {
-		c.Add(n)
-	}
-}
-
 // Run executes the job to completion, surviving every crash the plan
 // scripts, and returns the accounting report. The returned Report.Log,
 // FinalParams, LostSteps, and Failures (minus wall-clock Recovery values)
@@ -222,17 +201,12 @@ func (s *Supervisor) Run() (*Report, error) {
 				rep.TotalRecovery += f.Recovery
 			}
 			s.mu.Unlock()
-			if g := s.opt.Metrics; g != nil {
-				g.Gauge("ft_lost_steps").Set(float64(s.rep.LostSteps))
-				g.Gauge("ft_incarnations").Set(float64(s.rep.Incarnations))
-			}
 			out := s.rep
 			return &out, nil
 		}
 
 		// Recovery: shrink the world to the survivors and resume from the
 		// newest coordinated checkpoint.
-		addCounter(s.counter("ft_failures_total"), int64(len(res.dead)))
 		survivors := exclude(alive, res.dead)
 		if len(survivors) == 0 {
 			return nil, fmt.Errorf("ft: all ranks dead at step %d — nothing to recover with", res.stallStep)
@@ -256,14 +230,8 @@ func (s *Supervisor) Run() (*Report, error) {
 		s.rep.LostSteps += incidentLost
 		s.lastDetect = res.detectedAt
 		s.mu.Unlock()
-		addCounter(s.counter("ft_recoveries_total"), 1)
 		s.logf("incarnation %d: recovering — survivors %v resume from checkpoint step %d (lost %d steps)",
 			inc, survivors, ckptStep, res.stallStep-ckptStep)
-		if s.opt.Tracer != nil {
-			s.opt.Tracer.Emit(s.job.Ranks, telemetry.CatRecovery,
-				fmt.Sprintf("recover-%d", inc), res.traceStart, 0, 0,
-				fmt.Sprintf("dead %v", res.dead))
-		}
 		alive, restoreBlob, restoreStep = survivors, blob, ckptStep
 	}
 }
@@ -273,7 +241,6 @@ type incResult struct {
 	dead       []int // global ranks that died this incarnation
 	stallStep  int   // survivors' frontier step at detection
 	detectedAt time.Time
-	traceStart int64 // tracer timestamp at detection
 	readyAt    time.Time
 	finalLoss  float64
 	inSync     bool
@@ -323,7 +290,6 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, re
 				res.dead = append([]int(nil), suspects...)
 				res.stallStep = stall
 				res.detectedAt = time.Now()
-				res.traceStart = s.opt.Tracer.Start()
 				resMu.Unlock()
 				s.logf("incarnation %d: heartbeat detector suspects ranks %v dead (survivor frontier step %d); revoking world",
 					inc, suspects, stall)
@@ -361,8 +327,7 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, re
 			}()
 
 			crashStep := s.opt.Plan.crashStep(gid)
-			trainer := distdl.New(world.Comm(pos), s.job.NewModel(), s.job.Loss, s.job.NewOpt(),
-				distdl.WithConfig(s.job.Cfg)).(*distdl.Trainer)
+			trainer := distdl.New(world.Comm(pos), s.job.NewModel(), s.job.Loss, s.job.NewOpt()).(*distdl.Trainer)
 			if restoreBlob != nil {
 				if err := trainer.Restore(restoreBlob); err != nil {
 					resMu.Lock()
@@ -422,7 +387,6 @@ func (s *Supervisor) runIncarnation(inc int, alive []int, restoreBlob []byte, re
 func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, pos, step int) {
 	trainer.Comm.Barrier()
 	if pos == 0 {
-		traceStart := s.opt.Tracer.Start()
 		t0 := time.Now()
 		blob, err := trainer.Checkpoint()
 		name := checkpointName(checkpointPrefix, step)
@@ -436,8 +400,6 @@ func (s *Supervisor) coordinatedCheckpoint(inc int, trainer *distdl.Trainer, pos
 			panic(fmt.Sprintf("coordinated checkpoint %s failed: %v", name, err))
 		}
 		dur := time.Since(t0)
-		s.opt.Tracer.End(trainer.Comm.Rank(), telemetry.CatCheckpoint, "checkpoint", traceStart, int64(len(blob)), name)
-		addCounter(s.counter("ft_checkpoints_total"), 1)
 		s.mu.Lock()
 		s.rep.Checkpoints++
 		s.rep.CheckpointBytes = int64(len(blob))

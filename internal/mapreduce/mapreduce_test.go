@@ -131,7 +131,7 @@ func labeledClusters(rng *rand.Rand, n int) []Row {
 func TestDecisionTreeLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rows := labeledClusters(rng, 100)
-	tree := TrainTree(rows, 2, TreeConfig{Seed: 2})
+	tree := TrainTree(rows, 2, 2)
 	correct := 0
 	for _, r := range rows {
 		if tree.Predict(r[:2]) == int(r[2]) {
@@ -149,16 +149,26 @@ func TestTreePanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	TrainTree(nil, 2, TreeConfig{})
+	TrainTree(nil, 2, 0)
 }
 
 func TestTreeDepthLimit(t *testing.T) {
+	// Labels independent of the features: a tree can only memorise them,
+	// so it grows until the depth limit stops it.
 	rng := rand.New(rand.NewSource(3))
-	rows := labeledClusters(rng, 60)
-	tree := TrainTree(rows, 2, TreeConfig{MaxDepth: 1, Seed: 4})
-	// Depth-1 tree has at most one split: left/right leaves only.
-	if tree.root.left != nil && (tree.root.left.left != nil || tree.root.right.left != nil) {
-		t.Fatal("depth limit violated")
+	rows := make([]Row, 400)
+	for i := range rows {
+		rows[i] = Row{rng.Float64(), rng.Float64(), float64(rng.Intn(2))}
+	}
+	var depth func(n *treeNode) int
+	depth = func(n *treeNode) int {
+		if n.left == nil {
+			return 0
+		}
+		return 1 + max(depth(n.left), depth(n.right))
+	}
+	if d := depth(TrainTree(rows, 2, 4).root); d != treeMaxDepth {
+		t.Fatalf("tree depth %d, want the limit %d", d, treeMaxDepth)
 	}
 }
 
@@ -187,7 +197,7 @@ func TestRandomForestBeatsOrMatchesSingleTreeOnNoisyData(t *testing.T) {
 	e := NewEngine(4)
 	forest := TrainForest(e, train, 2, ForestConfig{Trees: 25, Seed: 6})
 	accF := forest.Accuracy(test)
-	single := TrainTree(train, 2, TreeConfig{Seed: 6})
+	single := TrainTree(train, 2, 6)
 	correct := 0
 	for _, r := range test {
 		if single.Predict(r[:len(r)-1]) == int(r[len(r)-1]) {

@@ -22,39 +22,30 @@ type treeNode struct {
 
 // DecisionTree is a CART classifier trained with Gini impurity.
 type DecisionTree struct {
-	root    *treeNode
-	classes int
+	root *treeNode
 }
 
-// TreeConfig tunes tree induction.
-type TreeConfig struct {
-	MaxDepth    int // default 8
-	MinSamples  int // minimum rows to split; default 2
-	FeatureSubs int // features sampled per split; 0 = all (√d for forests)
-	Seed        int64
-}
-
-func (c TreeConfig) withDefaults() TreeConfig {
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 8
-	}
-	if c.MinSamples < 2 {
-		c.MinSamples = 2
-	}
-	return c
-}
+// Tree induction stops at depth treeMaxDepth and at nodes of fewer than
+// treeMinSamples rows.
+const (
+	treeMaxDepth   = 8
+	treeMinSamples = 2
+)
 
 // TrainTree fits a decision tree on rows whose last element is the class
-// label in [0, classes).
-func TrainTree(rows []Row, classes int, cfg TreeConfig) *DecisionTree {
-	cfg = cfg.withDefaults()
+// label in [0, classes), trying every feature at each split.
+func TrainTree(rows []Row, classes int, seed int64) *DecisionTree {
+	return trainTree(rows, classes, 0, seed)
+}
+
+// trainTree tries featureSubs randomly drawn features at each split, or
+// every feature when featureSubs is 0.
+func trainTree(rows []Row, classes, featureSubs int, seed int64) *DecisionTree {
 	if len(rows) == 0 {
 		panic("mapreduce: TrainTree on empty data")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := &DecisionTree{classes: classes}
-	t.root = buildNode(rows, classes, cfg, rng, 0)
-	return t
+	rng := rand.New(rand.NewSource(seed))
+	return &DecisionTree{root: buildNode(rows, classes, featureSubs, rng, 0)}
 }
 
 func majority(rows []Row, classes int) int {
@@ -83,15 +74,15 @@ func gini(counts []int, total int) float64 {
 	return g
 }
 
-func buildNode(rows []Row, classes int, cfg TreeConfig, rng *rand.Rand, depth int) *treeNode {
+func buildNode(rows []Row, classes, featureSubs int, rng *rand.Rand, depth int) *treeNode {
 	leaf := &treeNode{label: majority(rows, classes)}
-	if depth >= cfg.MaxDepth || len(rows) < cfg.MinSamples || pure(rows) {
+	if depth >= treeMaxDepth || len(rows) < treeMinSamples || pure(rows) {
 		return leaf
 	}
 	nf := len(rows[0]) - 1
 	features := rng.Perm(nf)
-	if cfg.FeatureSubs > 0 && cfg.FeatureSubs < nf {
-		features = features[:cfg.FeatureSubs]
+	if featureSubs > 0 && featureSubs < nf {
+		features = features[:featureSubs]
 	}
 
 	bestGain, bestF := 0.0, -1
@@ -147,8 +138,8 @@ func buildNode(rows []Row, classes int, cfg TreeConfig, rng *rand.Rand, depth in
 	}
 	return &treeNode{
 		feature: bestF, threshold: bestThr,
-		left:  buildNode(left, classes, cfg, rng, depth+1),
-		right: buildNode(right, classes, cfg, rng, depth+1),
+		left:  buildNode(left, classes, featureSubs, rng, depth+1),
+		right: buildNode(right, classes, featureSubs, rng, depth+1),
 		label: leaf.label,
 	}
 }
@@ -201,7 +192,7 @@ func TrainForest(eng *Engine, rows []Row, classes int, cfg ForestConfig) *Random
 	}
 	nf := len(rows[0]) - 1
 	// Each split samples √d features, the random-subspace rule.
-	treeCfg := TreeConfig{FeatureSubs: int(math.Ceil(math.Sqrt(float64(nf))))}
+	subs := int(math.Ceil(math.Sqrt(float64(nf))))
 	forest := &RandomForest{classes: classes, Trees: make([]*DecisionTree, cfg.Trees)}
 	sem := make(chan struct{}, eng.workers)
 	var wg sync.WaitGroup
@@ -216,9 +207,7 @@ func TrainForest(eng *Engine, rows []Row, classes int, cfg ForestConfig) *Random
 			for i := range boot {
 				boot[i] = rows[rng.Intn(len(rows))]
 			}
-			tc := treeCfg
-			tc.Seed = cfg.Seed + int64(b)*104729
-			forest.Trees[b] = TrainTree(boot, classes, tc)
+			forest.Trees[b] = trainTree(boot, classes, subs, cfg.Seed+int64(b)*104729)
 		}(b)
 	}
 	wg.Wait()

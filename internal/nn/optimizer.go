@@ -60,17 +60,23 @@ func (s *SGD) StepSpan(params []*Param, lo, hi int, lr float64) {
 }
 
 // Adam is the Adam optimizer (Kingma & Ba), used by the paper's GRU model
-// with lr 1e-4 (§IV-B).
+// with lr 1e-4 (§IV-B), with the standard hyperparameters below.
 type Adam struct {
-	Beta1, Beta2, Eps float64
-	WeightDecay       float64
-	t                 int
-	st                OptimizerState // slots 0 and 1: the moments m and v
+	t  int
+	st OptimizerState // slots 0 and 1: the moments m and v
 }
 
-// NewAdam constructs Adam with the standard hyperparameters.
+// Adam's hyperparameters. They are typed so that 1-adamBeta1 and
+// 1-adamBeta2 are the float64 differences a runtime subtraction gives.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
+
+// NewAdam constructs Adam.
 func NewAdam() *Adam {
-	a := &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	a := &Adam{}
 	a.st = OptimizerState{Slots: []string{"m", "v"}, Counter: &a.t}
 	return a
 }
@@ -85,21 +91,17 @@ func (a *Adam) Step(params []*Param, lr float64) { a.StepSpan(params, 0, NumPara
 func (a *Adam) StepSpan(params []*Param, lo, hi int, lr float64) {
 	slabs := a.st.begin(params, lo, hi, true)
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(adamBeta1, float64(a.t))
+	c2 := 1 - math.Pow(adamBeta2, float64(a.t))
 	eachPiece(params, lo, hi, func(p *Param, i0, i1, at int) {
 		gd, wd := p.Grad.Data()[i0:i1], p.Value.Data()[i0:i1]
 		md, vd := slabs[0][at:at+i1-i0], slabs[1][at:at+i1-i0]
-		for i := range gd {
-			g := gd[i]
-			if a.WeightDecay > 0 && !p.NoDecay {
-				g += float64(a.WeightDecay * wd[i])
-			}
-			md[i] = float64(a.Beta1*md[i]) + float64((1-a.Beta1)*g)
-			vd[i] = float64(a.Beta2*vd[i]) + float64((1-a.Beta2)*g*g)
+		for i, g := range gd {
+			md[i] = float64(adamBeta1*md[i]) + float64((1-adamBeta1)*g)
+			vd[i] = float64(adamBeta2*vd[i]) + float64((1-adamBeta2)*g*g)
 			mh := md[i] / c1
 			vh := vd[i] / c2
-			wd[i] -= lr * mh / (math.Sqrt(vh) + a.Eps)
+			wd[i] -= lr * mh / (math.Sqrt(vh) + adamEps)
 		}
 	})
 }
@@ -256,21 +258,6 @@ func (w WarmupLinearScale) LR(step int) float64 {
 	}
 	frac := float64(step) / float64(w.WarmupSteps)
 	return w.Base + float64((target-w.Base)*frac)
-}
-
-// StepDecay multiplies the base rate by Gamma every DecayEvery steps.
-type StepDecay struct {
-	Base       float64
-	Gamma      float64
-	DecayEvery int
-}
-
-// LR returns Base·Gamma^(step/DecayEvery).
-func (s StepDecay) LR(step int) float64 {
-	if s.DecayEvery <= 0 {
-		return s.Base
-	}
-	return s.Base * math.Pow(s.Gamma, float64(step/s.DecayEvery))
 }
 
 // ClipGradNorm rescales all gradients so their global L2 norm is at most

@@ -34,7 +34,7 @@ func TestStashMatchesSequentialBackward(t *testing.T) {
 		m := MLP(rng, 12, 16, 10, 6)
 		m.Add(&Tanh{})
 		m.Add(NewDense(rng, "head", 6, 4))
-		m.Add(&Sigmoid{})
+		m.Add(&sigmoidLayer{})
 		return m
 	}
 	rng := rand.New(rand.NewSource(7))

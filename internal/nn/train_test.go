@@ -165,14 +165,6 @@ func TestSchedules(t *testing.T) {
 	if !(w.LR(50) > 0.1 && w.LR(50) < 0.8) {
 		t.Fatal("warmup midpoint")
 	}
-	s := StepDecay{Base: 1, Gamma: 0.1, DecayEvery: 10}
-	if s.LR(0) != 1 || s.LR(10) != 0.1 || math.Abs(s.LR(25)-0.01) > 1e-12 {
-		t.Fatalf("StepDecay: %f %f %f", s.LR(0), s.LR(10), s.LR(25))
-	}
-	s.DecayEvery = 0
-	if s.LR(100) != 1 {
-		t.Fatal("StepDecay with DecayEvery=0 must be constant")
-	}
 }
 
 func TestClipGradNorm(t *testing.T) {

@@ -12,13 +12,13 @@ import (
 // per-feature relevance to the label while penalizing pairwise
 // redundancy, with a soft cardinality constraint |S| = k:
 //
-//	E(x) = -Σᵢ relᵢ·xᵢ + α·Σᵢ<ⱼ redᵢⱼ·xᵢxⱼ + λ·(Σᵢ xᵢ − k)²
+//	E(x) = -Σᵢ relᵢ·xᵢ + Σᵢ<ⱼ redᵢⱼ·xᵢxⱼ + λ·(Σᵢ xᵢ − k)²
+//
+// with λ just above 2·max(rel), so the constraint outweighs relevance.
+// The QUBO runs on the Advantage device.
 type FeatureSelectConfig struct {
-	K           int     // target subset size
-	Redundancy  float64 // α weight; default 1
-	Cardinality float64 // λ weight; default max(rel)·2
-	Anneal      AnnealConfig
-	Device      Device
+	K      int // target subset size
+	Anneal AnnealConfig
 }
 
 // correlation computes the absolute Pearson correlation of two columns.
@@ -73,22 +73,17 @@ func FeatureRelevance(x [][]float64, y []int) []float64 {
 func BuildFeatureSelectQUBO(x [][]float64, y []int, cfg FeatureSelectConfig) (*QUBO, []float64) {
 	d := len(x[0])
 	rel := FeatureRelevance(x, y)
-	if cfg.Redundancy == 0 {
-		cfg.Redundancy = 1
-	}
-	if cfg.Cardinality == 0 {
-		maxRel := 0.0
-		for _, r := range rel {
-			if r > maxRel {
-				maxRel = r
-			}
+	maxRel := 0.0
+	for _, r := range rel {
+		if r > maxRel {
+			maxRel = r
 		}
-		cfg.Cardinality = 2*maxRel + 1e-6
 	}
+	lambda := 2*maxRel + 1e-6
 	q := NewQUBO(d)
 	// Relevance and cardinality linear terms: -rel + λ(1-2k).
 	for i := 0; i < d; i++ {
-		q.AddLinear(i, -rel[i]+cfg.Cardinality*(1-2*float64(cfg.K)))
+		q.AddLinear(i, -rel[i]+lambda*(1-2*float64(cfg.K)))
 	}
 	// Redundancy + cardinality quadratic terms.
 	colI := make([]float64, len(x))
@@ -102,7 +97,7 @@ func BuildFeatureSelectQUBO(x [][]float64, y []int, cfg FeatureSelectConfig) (*Q
 				colJ[r] = x[r][j]
 			}
 			red := correlation(colI, colJ)
-			q.AddCoupling(i, j, cfg.Redundancy*red+2*cfg.Cardinality)
+			q.AddCoupling(i, j, red+2*lambda)
 		}
 	}
 	return q, rel
@@ -117,11 +112,8 @@ func SelectFeatures(x [][]float64, y []int, cfg FeatureSelectConfig) ([]int, err
 	if cfg.K < 1 || cfg.K > len(x[0]) {
 		return nil, fmt.Errorf("qa: k=%d invalid for %d features", cfg.K, len(x[0]))
 	}
-	if cfg.Device.Qubits == 0 {
-		cfg.Device = Advantage
-	}
 	q, _ := BuildFeatureSelectQUBO(x, y, cfg)
-	samples, err := cfg.Device.Submit(q, cfg.Anneal)
+	samples, err := Advantage.Submit(q, cfg.Anneal)
 	if err != nil {
 		return nil, err
 	}

@@ -204,7 +204,7 @@ func TestQSVMLearnsSeparableData(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := separable(rng, 20)
 	m, err := TrainQSVM(x, y, QSVMConfig{
-		Bits: 3, Kernel: svm.RBF{Gamma: 0.5},
+		Kernel: svm.RBF{Gamma: 0.5},
 		Anneal: AnnealConfig{Reads: 10, Sweeps: 200, Seed: 2},
 	})
 	if err != nil {
@@ -221,25 +221,25 @@ func TestQSVMLearnsSeparableData(t *testing.T) {
 
 func TestQSVMRespectsDeviceLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	// 700 samples × 3 bits = 2100 qubits > 2000Q capacity.
-	x, y := separable(rng, 700)
-	_, err := TrainQSVM(x, y, QSVMConfig{Bits: 3, Device: DWave2000Q,
-		Anneal: AnnealConfig{Reads: 1, Sweeps: 1, Seed: 1}})
+	// 100 samples × 3 bits = 300 fully coupled variables: 44 850 couplers
+	// > Advantage's 35 000.
+	x, y := separable(rng, 100)
+	_, err := TrainQSVM(x, y, QSVMConfig{Anneal: AnnealConfig{Reads: 1, Sweeps: 1, Seed: 1}})
 	if err == nil {
-		t.Fatal("2000Q must reject 700-sample qSVM")
+		t.Fatal("Advantage must reject a 100-sample qSVM")
 	}
 }
 
 func TestQUBOBuildDimensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, y := separable(rng, 8)
-	q := BuildQUBO(x, y, QSVMConfig{Bits: 2})
-	if q.N != 16 {
-		t.Fatalf("QUBO size %d, want 16", q.N)
+	q := BuildQUBO(x, y, QSVMConfig{})
+	if q.N != 24 {
+		t.Fatalf("QUBO size %d, want 24", q.N)
 	}
-	// Fully connected: C(16,2) couplers (all kernel entries nonzero).
-	if q.Couplers() != 120 {
-		t.Fatalf("couplers %d, want 120", q.Couplers())
+	// Fully connected: C(24,2) couplers (all kernel entries nonzero).
+	if q.Couplers() != 276 {
+		t.Fatalf("couplers %d, want 276", q.Couplers())
 	}
 }
 
@@ -247,7 +247,7 @@ func TestQEnsembleBeatsOrMatchesSingleSubsample(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xTr, yTr := separable(rng, 120)
 	xTe, yTe := separable(rng, 80)
-	cfg := QSVMConfig{Bits: 3, Anneal: AnnealConfig{Reads: 5, Sweeps: 100, Seed: 7}}
+	cfg := QSVMConfig{Anneal: AnnealConfig{Reads: 5, Sweeps: 100, Seed: 7}}
 
 	single, err := TrainQSVM(xTr[:16], yTr[:16], cfg)
 	if err != nil {
@@ -270,8 +270,8 @@ func TestQEnsembleBeatsOrMatchesSingleSubsample(t *testing.T) {
 func TestQEnsembleRejectsOversizedSubsample(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x, y := separable(rng, 100)
-	cfg := QSVMConfig{Bits: 3, Device: DWave2000Q}
-	_, err := TrainQEnsemble(x, y, 2, 99, cfg, 1)
+	// Advantage embeds at most 88 three-bit samples.
+	_, err := TrainQEnsemble(x, y, 2, 99, QSVMConfig{}, 1)
 	if err == nil {
 		t.Fatal("subsample larger than device capacity must fail")
 	}

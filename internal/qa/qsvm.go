@@ -15,31 +15,23 @@ import (
 // the equality constraint Σ αᵢyᵢ = 0. The annealer samples low-energy
 // assignments; the best feasible sample yields the classifier.
 
-// QSVMConfig tunes the quantum SVM.
+// QSVMConfig tunes the quantum SVM, which runs on the Advantage device.
 type QSVMConfig struct {
-	Bits    int     // binary digits per multiplier; default 3
-	Base    float64 // encoding base B; default 2
-	Penalty float64 // ξ weight of the equality constraint; default 1
-	Kernel  svm.Kernel
-	Anneal  AnnealConfig
-	Device  Device
+	Kernel svm.Kernel // default RBF{Gamma: 0.5}
+	Anneal AnnealConfig
 }
 
+// The multiplier encoding: qsvmBits binary digits per multiplier in base
+// qsvmBase, and qsvmPenalty, the weight ξ of the equality constraint.
+const (
+	qsvmBits    = 3
+	qsvmBase    = 2
+	qsvmPenalty = 1
+)
+
 func (c QSVMConfig) withDefaults() QSVMConfig {
-	if c.Bits == 0 {
-		c.Bits = 3
-	}
-	if c.Base == 0 {
-		c.Base = 2
-	}
-	if c.Penalty == 0 {
-		c.Penalty = 1
-	}
 	if c.Kernel == nil {
 		c.Kernel = svm.RBF{Gamma: 0.5}
-	}
-	if c.Device.Qubits == 0 {
-		c.Device = Advantage
 	}
 	return c
 }
@@ -51,7 +43,6 @@ type QSVM struct {
 	Alphas []float64
 	B      float64
 	Kernel svm.Kernel
-	Energy float64 // QUBO energy of the selected sample
 }
 
 // BuildQUBO constructs the dual-SVM QUBO for the given ±1-labeled data.
@@ -59,7 +50,7 @@ type QSVM struct {
 func BuildQUBO(x [][]float64, y []int, cfg QSVMConfig) *QUBO {
 	cfg = cfg.withDefaults()
 	n := len(x)
-	k := cfg.Bits
+	k := qsvmBits
 	q := NewQUBO(n * k)
 
 	// Precompute kernel and the B^k digit weights.
@@ -74,7 +65,7 @@ func BuildQUBO(x [][]float64, y []int, cfg QSVMConfig) *QUBO {
 	}
 	w := make([]float64, k)
 	for d := range w {
-		w[d] = math.Pow(cfg.Base, float64(d))
+		w[d] = math.Pow(qsvmBase, float64(d))
 	}
 
 	// E = ½ Σᵢⱼ αᵢαⱼyᵢyⱼK(i,j) − Σᵢ αᵢ + ξ(Σᵢ αᵢyᵢ)².
@@ -91,7 +82,7 @@ func BuildQUBO(x [][]float64, y []int, cfg QSVMConfig) *QUBO {
 					if vj < vi {
 						continue
 					}
-					coef := w[d] * w[e] * float64(y[i]*y[j]) * (0.5*ker[i][j] + cfg.Penalty)
+					coef := w[d] * w[e] * float64(y[i]*y[j]) * (0.5*ker[i][j] + qsvmPenalty)
 					if vi == vj {
 						// a² = a for binary variables.
 						q.AddLinear(vi, coef-w[d])
@@ -116,22 +107,22 @@ func TrainQSVM(x [][]float64, y []int, cfg QSVMConfig) (*QSVM, error) {
 		return nil, fmt.Errorf("qa: bad training set (%d samples, %d labels)", len(x), len(y))
 	}
 	q := BuildQUBO(x, y, cfg)
-	samples, err := cfg.Device.Submit(q, cfg.Anneal)
+	samples, err := Advantage.Submit(q, cfg.Anneal)
 	if err != nil {
 		return nil, err
 	}
 	best := samples[0]
 
-	n, k := len(x), cfg.Bits
+	n, k := len(x), qsvmBits
 	alphas := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for d := 0; d < k; d++ {
 			if best.X[i*k+d] == 1 {
-				alphas[i] += math.Pow(cfg.Base, float64(d))
+				alphas[i] += math.Pow(qsvmBase, float64(d))
 			}
 		}
 	}
-	m := &QSVM{X: x, Y: y, Alphas: alphas, Kernel: cfg.Kernel, Energy: best.Energy}
+	m := &QSVM{X: x, Y: y, Alphas: alphas, Kernel: cfg.Kernel}
 	m.B = m.computeBias()
 	return m, nil
 }
@@ -204,8 +195,8 @@ type QEnsemble struct {
 // `subsample` (capped by the device) and trains one QSVM on each.
 func TrainQEnsemble(x [][]float64, y []int, members, subsample int, cfg QSVMConfig, seed int64) (*QEnsemble, error) {
 	cfg = cfg.withDefaults()
-	if maxN := cfg.Device.MaxTrainSamples(cfg.Bits); subsample > maxN {
-		return nil, fmt.Errorf("qa: subsample %d exceeds device capacity %d (bits=%d)", subsample, maxN, cfg.Bits)
+	if maxN := Advantage.MaxTrainSamples(qsvmBits); subsample > maxN {
+		return nil, fmt.Errorf("qa: subsample %d exceeds device capacity %d (bits=%d)", subsample, maxN, qsvmBits)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ens := &QEnsemble{}

@@ -92,46 +92,36 @@ type Sample struct {
 
 // AnnealConfig tunes the simulated-annealing sampler.
 type AnnealConfig struct {
-	Reads  int     // independent anneal restarts; default 10
-	Sweeps int     // full-variable sweeps per read; default 200
-	TStart float64 // initial temperature; default auto from coefficients
-	TEnd   float64 // final temperature; default TStart/1000
+	Reads  int // independent anneal restarts; default 10
+	Sweeps int // full-variable sweeps per read; default 200
 	Seed   int64
-}
-
-func (c AnnealConfig) withDefaults(q *QUBO) AnnealConfig {
-	if c.Reads == 0 {
-		c.Reads = 10
-	}
-	if c.Sweeps == 0 {
-		c.Sweeps = 200
-	}
-	if c.TStart == 0 {
-		// Scale of the largest coefficient keeps early acceptance high.
-		maxAbs := 1.0
-		for i := 0; i < q.N; i++ {
-			for j := i; j < q.N; j++ {
-				if a := math.Abs(q.Q[i][j]); a > maxAbs {
-					maxAbs = a
-				}
-			}
-		}
-		c.TStart = maxAbs * 2
-	}
-	if c.TEnd == 0 {
-		c.TEnd = c.TStart / 1000
-	}
-	return c
 }
 
 // Anneal runs simulated annealing and returns samples sorted best-first.
 // Each read starts from a random assignment and sweeps all variables with
-// single-bit-flip Metropolis moves under a geometric cooling schedule;
-// flip energies are computed incrementally in O(n).
+// single-bit-flip Metropolis moves under a geometric cooling schedule from
+// twice the largest coefficient (at least 1), which keeps early acceptance
+// high, down to a thousandth of that; flip energies are computed
+// incrementally in O(n).
 func (q *QUBO) Anneal(cfg AnnealConfig) []Sample {
-	cfg = cfg.withDefaults(q)
+	if cfg.Reads == 0 {
+		cfg.Reads = 10
+	}
+	if cfg.Sweeps == 0 {
+		cfg.Sweeps = 200
+	}
+	maxAbs := 1.0
+	for i := 0; i < q.N; i++ {
+		for j := i; j < q.N; j++ {
+			if a := math.Abs(q.Q[i][j]); a > maxAbs {
+				maxAbs = a
+			}
+		}
+	}
+	tStart := maxAbs * 2
+	tEnd := tStart / 1000
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	cool := math.Pow(cfg.TEnd/cfg.TStart, 1/float64(cfg.Sweeps-1))
+	cool := math.Pow(tEnd/tStart, 1/float64(cfg.Sweeps-1))
 	if cfg.Sweeps == 1 {
 		cool = 1
 	}
@@ -145,7 +135,7 @@ func (q *QUBO) Anneal(cfg AnnealConfig) []Sample {
 		e := q.Energy(x)
 		bestX := append([]int(nil), x...)
 		bestE := e
-		temp := cfg.TStart
+		temp := tStart
 		for sweep := 0; sweep < cfg.Sweeps; sweep++ {
 			for i := 0; i < q.N; i++ {
 				de := q.flipDelta(x, i)

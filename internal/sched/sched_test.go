@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/msa"
-	"repro/internal/telemetry"
 )
 
 // testSystem builds a small 3-module MSA for scheduling tests.
@@ -24,11 +23,11 @@ func testSystem(cmNodes, esbNodes, damNodes int) *msa.System {
 		Federation: msa.Extoll,
 		Modules: []*msa.Module{
 			{Kind: msa.ClusterModule, Name: "cm", Interconnect: msa.InfinibandEDR,
-				Groups: []msa.NodeGroup{{Name: "cn", Count: cmNodes, Node: node(msa.Skylake8168, 0)}}},
+				Groups: []msa.NodeGroup{{Count: cmNodes, Node: node(msa.Skylake8168, 0)}}},
 			{Kind: msa.BoosterModule, Name: "esb", Interconnect: msa.Extoll, HasGCE: true,
-				Groups: []msa.NodeGroup{{Name: "esb", Count: esbNodes, Node: node(msa.XeonPhiLike, 1)}}},
+				Groups: []msa.NodeGroup{{Count: esbNodes, Node: node(msa.XeonPhiLike, 1)}}},
 			{Kind: msa.DataAnalytics, Name: "dam", Interconnect: msa.Extoll,
-				Groups: []msa.NodeGroup{{Name: "dam", Count: damNodes, Node: node(msa.CascadeLake, 1)}}},
+				Groups: []msa.NodeGroup{{Count: damNodes, Node: node(msa.CascadeLake, 1)}}},
 		},
 	}
 }
@@ -41,15 +40,15 @@ func simpleJob(id int, submit float64, nodes int, kind msa.ModuleKind, dur float
 
 func TestSingleJobRuns(t *testing.T) {
 	sys := testSystem(4, 4, 4)
-	rep := Simulate(sys, []Job{simpleJob(0, 0, 2, msa.ClusterModule, 100)}, Options{})
+	rep, res := simulate(sys, []Job{simpleJob(0, 0, 2, msa.ClusterModule, 100)}, Options{})
 	if rep.Makespan != 100 {
 		t.Fatalf("makespan %f", rep.Makespan)
 	}
-	if len(rep.Jobs) != 1 || rep.Jobs[0].Wait() != 0 {
-		t.Fatalf("job results: %+v", rep.Jobs)
+	if len(res) != 1 || res[0].Wait() != 0 {
+		t.Fatalf("job results: %+v", res)
 	}
-	if rep.Jobs[0].Phases[0].Module != "cm" {
-		t.Fatalf("placed on %s", rep.Jobs[0].Phases[0].Module)
+	if res[0].Phases[0].Module != "cm" {
+		t.Fatalf("placed on %s", res[0].Phases[0].Module)
 	}
 }
 
@@ -59,12 +58,12 @@ func TestJobsQueueWhenFull(t *testing.T) {
 		simpleJob(0, 0, 2, msa.ClusterModule, 100),
 		simpleJob(1, 0, 2, msa.ClusterModule, 100),
 	}
-	rep := Simulate(sys, jobs, Options{})
+	rep, res := simulate(sys, jobs, Options{})
 	if rep.Makespan != 200 {
 		t.Fatalf("makespan %f, want 200 (serialized)", rep.Makespan)
 	}
-	if rep.Jobs[1].Wait() != 100 {
-		t.Fatalf("second job wait %f", rep.Jobs[1].Wait())
+	if res[1].Wait() != 100 {
+		t.Fatalf("second job wait %f", res[1].Wait())
 	}
 }
 
@@ -86,16 +85,29 @@ func TestPhaseChainRunsSequentially(t *testing.T) {
 		{Name: "a", Nodes: 1, Runtime: map[msa.ModuleKind]float64{msa.ClusterModule: 50}},
 		{Name: "b", Nodes: 2, Runtime: map[msa.ModuleKind]float64{msa.BoosterModule: 70}},
 	}}
-	rep := Simulate(sys, []Job{job}, Options{})
+	rep, res := simulate(sys, []Job{job}, Options{})
 	if rep.Makespan != 120 {
 		t.Fatalf("phase chain makespan %f", rep.Makespan)
 	}
-	ph := rep.Jobs[0].Phases
+	ph := res[0].Phases
 	if len(ph) != 2 || ph[0].Module != "cm" || ph[1].Module != "esb" {
 		t.Fatalf("phases: %+v", ph)
 	}
 	if ph[1].Start != ph[0].End {
 		t.Fatal("phase 2 must start when phase 1 ends")
+	}
+
+	// An ETL phase on the DAM feeding a training phase on the booster,
+	// beside an independent cluster job: the chain sets the makespan.
+	jobs := []Job{
+		{ID: 0, Submit: 0, Phases: []Phase{
+			{Name: "etl", Nodes: 2, Runtime: map[msa.ModuleKind]float64{msa.DataAnalytics: 50}},
+			{Name: "dl", Nodes: 2, Runtime: map[msa.ModuleKind]float64{msa.BoosterModule: 100}},
+		}},
+		simpleJob(1, 10, 1, msa.ClusterModule, 30),
+	}
+	if rep := Simulate(sys, jobs, Options{}); rep.Makespan != 150 {
+		t.Fatalf("ETL→train chain makespan %f, want 150", rep.Makespan)
 	}
 }
 
@@ -109,9 +121,9 @@ func TestBestModuleSelection(t *testing.T) {
 			msa.BoosterModule: 150,
 		},
 	}}}
-	rep := Simulate(sys, []Job{job}, Options{})
-	if rep.Jobs[0].Phases[0].Module != "dam" {
-		t.Fatalf("placed on %s, want dam", rep.Jobs[0].Phases[0].Module)
+	rep, res := simulate(sys, []Job{job}, Options{})
+	if res[0].Phases[0].Module != "dam" {
+		t.Fatalf("placed on %s, want dam", res[0].Phases[0].Module)
 	}
 	if rep.Makespan != 100 {
 		t.Fatalf("makespan %f", rep.Makespan)
@@ -120,9 +132,9 @@ func TestBestModuleSelection(t *testing.T) {
 
 func TestSubmitTimeRespected(t *testing.T) {
 	sys := testSystem(4, 4, 4)
-	rep := Simulate(sys, []Job{simpleJob(0, 500, 1, msa.ClusterModule, 10)}, Options{})
-	if rep.Jobs[0].Start != 500 || rep.Makespan != 510 {
-		t.Fatalf("start %f makespan %f", rep.Jobs[0].Start, rep.Makespan)
+	rep, res := simulate(sys, []Job{simpleJob(0, 500, 1, msa.ClusterModule, 10)}, Options{})
+	if res[0].Start != 500 || rep.Makespan != 510 {
+		t.Fatalf("start %f makespan %f", res[0].Start, rep.Makespan)
 	}
 }
 
@@ -142,8 +154,8 @@ func TestBackfillImprovesUtilization(t *testing.T) {
 		simpleJob(1, 1, 4, msa.ClusterModule, 100), // head: needs all 4, waits until 100
 		simpleJob(2, 2, 2, msa.ClusterModule, 50),  // fits now, ends at 52 < 100: backfillable
 	}
-	fcfs := Simulate(sys, jobs, Options{Backfill: false})
-	easy := Simulate(sys, jobs, Options{Backfill: true})
+	fcfs, fcfsRes := simulate(sys, jobs, Options{Backfill: false})
+	easy, easyRes := simulate(sys, jobs, Options{Backfill: true})
 	// FCFS: job2 waits behind the head → starts at 100+100=200? No: after
 	// head starts at 100, job2 starts at 200? The head runs 100..200, so
 	// job2 (2 nodes) can start at 100 only if nodes free — head takes all
@@ -153,8 +165,8 @@ func TestBackfillImprovesUtilization(t *testing.T) {
 		t.Fatalf("backfill should shorten makespan: easy=%f fcfs=%f", easy.Makespan, fcfs.Makespan)
 	}
 	// Backfill must not delay the head job.
-	headFCFS := fcfs.Jobs[1].Start
-	headEASY := easy.Jobs[1].Start
+	headFCFS := fcfsRes[1].Start
+	headEASY := easyRes[1].Start
 	if headEASY > headFCFS+1e-9 {
 		t.Fatalf("backfill delayed the head: %f vs %f", headEASY, headFCFS)
 	}
@@ -199,7 +211,7 @@ func TestGenWorkloadDeterministic(t *testing.T) {
 	a := GenWorkload(10, 42)
 	b := GenWorkload(10, 42)
 	for i := range a {
-		if a[i].Name != b[i].Name || a[i].Submit != b[i].Submit {
+		if a[i].Submit != b[i].Submit || len(a[i].Phases) != len(b[i].Phases) || a[i].Phases[0].Name != b[i].Phases[0].Name {
 			t.Fatal("workload must be deterministic by seed")
 		}
 	}
@@ -274,7 +286,7 @@ func TestSchedulerInvariantsProperty(t *testing.T) {
 		nJobs := 5 + int(seed%20+20)%20
 		jobs := GenWorkload(nJobs, seed)
 		sys := testSystem(16, 16, 16)
-		rep := Simulate(sys, jobs, Options{Backfill: backfillRaw})
+		rep, res := simulate(sys, jobs, Options{Backfill: backfillRaw})
 		// Capacity invariant.
 		for name, peak := range rep.PeakNodes {
 			if peak > rep.Capacity[name] {
@@ -282,12 +294,12 @@ func TestSchedulerInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, jr := range rep.Jobs {
+		for _, jr := range res {
 			if jr.Start < jr.Submit-1e-9 {
 				t.Logf("job %d started before submit", jr.JobID)
 				return false
 			}
-			if jr.End <= 0 || len(jr.Phases) == 0 {
+			if len(jr.Phases) == 0 || jr.Phases[len(jr.Phases)-1].End <= 0 {
 				t.Logf("job %d did not finish", jr.JobID)
 				return false
 			}
@@ -301,7 +313,7 @@ func TestSchedulerInvariantsProperty(t *testing.T) {
 					return false
 				}
 			}
-			if jr.End > rep.Makespan+1e-9 {
+			if jr.Phases[len(jr.Phases)-1].End > rep.Makespan+1e-9 {
 				t.Logf("job %d ends after makespan", jr.JobID)
 				return false
 			}
@@ -310,52 +322,5 @@ func TestSchedulerInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSimulateEmitsPhaseSpans checks the module-occupancy trace: every
-// executed phase appears as a CatPhase span on its module's track with
-// simulated-clock times.
-func TestSimulateEmitsPhaseSpans(t *testing.T) {
-	tr := telemetry.NewTracer(0)
-	sys := testSystem(4, 4, 4)
-	jobs := []Job{
-		{ID: 0, Name: "train", Submit: 0, Phases: []Phase{
-			{Name: "etl", Nodes: 2, Runtime: map[msa.ModuleKind]float64{msa.DataAnalytics: 50}},
-			{Name: "dl", Nodes: 2, Runtime: map[msa.ModuleKind]float64{msa.BoosterModule: 100}},
-		}},
-		simpleJob(1, 10, 1, msa.ClusterModule, 30),
-	}
-	rep := Simulate(sys, jobs, Options{Tracer: tr})
-	spans := tr.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
-	}
-	names := tr.TrackNames()
-	found := map[string]bool{}
-	for _, s := range spans {
-		if s.Cat != telemetry.CatPhase {
-			t.Fatalf("span category %q", s.Cat)
-		}
-		found[s.Name] = true
-		if s.Name == "train/dl" {
-			if names[s.Track] != "module esb" {
-				t.Fatalf("dl phase on track %q", names[s.Track])
-			}
-			if s.Start != int64(50e9) || s.Dur != int64(100e9) {
-				t.Fatalf("dl phase timing: start %d dur %d", s.Start, s.Dur)
-			}
-			if s.Attr != "job=0 nodes=2" {
-				t.Fatalf("dl phase attr %q", s.Attr)
-			}
-		}
-	}
-	for _, want := range []string{"train/etl", "train/dl", "p"} {
-		if !found[want] {
-			t.Fatalf("missing span %q (have %v)", want, found)
-		}
-	}
-	if rep.Makespan != 150 {
-		t.Fatalf("makespan %f", rep.Makespan)
 	}
 }

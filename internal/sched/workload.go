@@ -99,10 +99,7 @@ func GenWorkload(n int, seed int64) []Job {
 	for i := 0; i < n; i++ {
 		arrival += rng.ExpFloat64() * 300 // ~1 job / 5 min
 		c := pickClass(rng, classes, weights)
-		jobs[i] = Job{
-			ID: i, Name: fmt.Sprintf("%s-%d", c, i),
-			Submit: arrival, Phases: classPhases(c, rng),
-		}
+		jobs[i] = Job{ID: i, Submit: arrival, Phases: classPhases(c, rng)}
 	}
 	return jobs
 }
@@ -146,7 +143,7 @@ func Monolithic(ref *msa.System, kind msa.ModuleKind) *msa.System {
 		Modules: []*msa.Module{{
 			Kind: kind, Name: "mono-" + string(kind),
 			Interconnect: src.Interconnect,
-			Groups:       []msa.NodeGroup{{Name: "all", Count: total, Node: spec}},
+			Groups:       []msa.NodeGroup{{Count: total, Node: spec}},
 		}},
 	}
 }

@@ -69,7 +69,6 @@ type Snapshot struct {
 	Arrivals  int64
 	Completed int64
 	Shed      int64
-	Rejected  int64
 	Expired   int64
 	Failed    int64
 	Retries   int64
@@ -99,7 +98,6 @@ func (s *Server) Snapshot() Snapshot {
 		Arrivals:      m.arrivals.Load(),
 		Completed:     m.completed.Load(),
 		Shed:          m.shed.Load(),
-		Rejected:      m.rejected.Load(),
 		Expired:       m.expired.Load(),
 		Failed:        m.failed.Load(),
 		Retries:       m.retries.Load(),

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,22 +111,5 @@ type ModeledBackend struct {
 // Infer sleeps the modeled service time, then delegates.
 func (b *ModeledBackend) Infer(batch *tensor.Tensor) (*tensor.Tensor, error) {
 	time.Sleep(b.Overhead + time.Duration(batch.Dim(0))*b.PerSample)
-	return b.Inner.Infer(batch)
-}
-
-// FlakyBackend injects replica failures for degradation testing: calls
-// for which FailWhen returns true fail instead of inferring.
-type FlakyBackend struct {
-	Inner    Backend
-	FailWhen func(call int64) bool
-	calls    atomic.Int64
-}
-
-// Infer fails on injected calls, delegating otherwise.
-func (b *FlakyBackend) Infer(batch *tensor.Tensor) (*tensor.Tensor, error) {
-	n := b.calls.Add(1)
-	if b.FailWhen != nil && b.FailWhen(n) {
-		return nil, fmt.Errorf("serve: injected failure on call %d", n)
-	}
 	return b.Inner.Infer(batch)
 }

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -63,10 +62,6 @@ type Config struct {
 	// DefaultDeadline is the per-request deadline applied when the
 	// caller's context carries none (default 250ms).
 	DefaultDeadline time.Duration
-	// Tracer, when non-nil, records queue-wait spans (one per request, on
-	// the "queue" track) and batch-dispatch spans (one per dispatched
-	// batch, on the serving replica's track). Nil costs nothing.
-	Tracer *telemetry.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -105,9 +100,6 @@ type request struct {
 	ctx      context.Context
 	resp     chan response // buffered 1: respond never blocks, exactly one send
 	enqueued time.Time
-	// traceStart is the tracer-epoch enqueue time for the queue-wait
-	// span (0 when tracing is off).
-	traceStart int64
 }
 
 func (r *request) respond(p Prediction, err error) {
@@ -154,18 +146,8 @@ func New(backends []Backend, cfg Config) *Server {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if cfg.Tracer != nil {
-		for i := range backends {
-			cfg.Tracer.SetTrackName(i, "replica "+strconv.Itoa(i))
-		}
-		cfg.Tracer.SetTrackName(s.queueTrack(), "queue")
-	}
 	return s
 }
-
-// queueTrack is the trace track for queue-wait spans: one past the last
-// replica id.
-func (s *Server) queueTrack() int { return len(s.pool.all) }
 
 // Predict submits one sample (shape = model input without the batch
 // dimension) and blocks until it is served, shed, expired, or failed. It
@@ -176,7 +158,7 @@ func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (Prediction, err
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
 		defer cancel()
 	}
-	r := &request{x: x, ctx: ctx, resp: make(chan response, 1), enqueued: time.Now(), traceStart: s.cfg.Tracer.Start()}
+	r := &request{x: x, ctx: ctx, resp: make(chan response, 1), enqueued: time.Now()}
 
 	s.metrics.arrivals.Add(1)
 	s.mu.RLock()
@@ -285,9 +267,6 @@ func (s *Server) runBatch(ws *tensor.Workspace, job *batchJob) {
 	if len(valid) == 0 {
 		return
 	}
-	for _, r := range valid {
-		s.cfg.Tracer.End(s.queueTrack(), telemetry.CatQueue, "queue-wait", r.traceStart, 0, "")
-	}
 	bx := ws.Get(append([]int{len(valid)}, rowShape...)...)
 	for i, r := range valid {
 		copy(bx.Data()[i*rowLen:(i+1)*rowLen], r.x.Data())
@@ -301,11 +280,8 @@ func (s *Server) runBatch(ws *tensor.Workspace, job *batchJob) {
 		}
 		rep := s.pool.acquire()
 		start := time.Now()
-		batchStart := s.cfg.Tracer.Start()
 		out, err := rep.backend.Infer(bx)
 		rep.busyNs.Add(time.Since(start).Nanoseconds())
-		s.cfg.Tracer.End(rep.id, telemetry.CatBatch, "infer-batch", batchStart,
-			int64(len(valid)*rowLen)*8, "samples="+strconv.Itoa(len(valid)))
 		if err != nil {
 			lastErr = err
 			rep.failures.Add(1)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -20,6 +21,22 @@ import (
 // echoBackend returns its input as the score matrix: row i of the output
 // equals request i's sample, so tests can verify responses are routed to
 // the right requester. It also records every dispatched batch size.
+// flakyBackend injects replica failures: calls for which failWhen
+// returns true fail instead of inferring.
+type flakyBackend struct {
+	inner    Backend
+	failWhen func(call int64) bool
+	calls    atomic.Int64
+}
+
+func (b *flakyBackend) Infer(batch *tensor.Tensor) (*tensor.Tensor, error) {
+	n := b.calls.Add(1)
+	if b.failWhen(n) {
+		return nil, fmt.Errorf("serve: injected failure on call %d", n)
+	}
+	return b.inner.Infer(batch)
+}
+
 type echoBackend struct {
 	delay time.Duration
 	mu    sync.Mutex
@@ -179,7 +196,7 @@ func TestDeadlineExpiry(t *testing.T) {
 func TestReplicaFailureRetries(t *testing.T) {
 	// Replica 0 always fails; replica 1 echoes. Requests must succeed
 	// via retry, and the pool must record the failures.
-	bad := &FlakyBackend{Inner: &echoBackend{}, FailWhen: func(int64) bool { return true }}
+	bad := &flakyBackend{inner: &echoBackend{}, failWhen: func(int64) bool { return true }}
 	good := &echoBackend{}
 	s := New([]Backend{bad, good}, Config{MaxBatch: 4, BatchWindow: time.Millisecond,
 		DefaultDeadline: 5 * time.Second})
@@ -212,7 +229,7 @@ func TestReplicaFailureRetries(t *testing.T) {
 // ErrReplicasExhausted.
 func TestAllReplicasFailing(t *testing.T) {
 	var calls atomic.Int64
-	bad := &FlakyBackend{Inner: &echoBackend{}, FailWhen: func(int64) bool { calls.Add(1); return true }}
+	bad := &flakyBackend{inner: &echoBackend{}, failWhen: func(int64) bool { calls.Add(1); return true }}
 	s := New([]Backend{bad}, Config{MaxBatch: 1, DefaultDeadline: 5 * time.Second})
 	defer s.Close()
 
@@ -394,16 +411,17 @@ func TestRunClosedLoop(t *testing.T) {
 		t.Fatalf("QueueCap = %d, want 64", s.QueueCap())
 	}
 	before := s.LatencySnapshot()
-	rep := RunClosedLoop(s, LoadConfig{Clients: 8, RequestsPerClient: 25},
+	rep := RunClosedLoop(s, LoadConfig{Clients: 8, Duration: 20 * time.Millisecond},
 		func(c, i int) *tensor.Tensor { return sampleVec(float64(c), float64(i)) })
-	if rep.Sent != 200 {
-		t.Fatalf("sent %d, want 200", rep.Sent)
-	}
-	if rep.OK+rep.Shed+rep.Expired+rep.Failed != rep.Sent {
-		t.Fatalf("outcomes don't sum: %+v", rep)
-	}
 	if rep.OK == 0 || rep.Throughput <= 0 {
 		t.Fatalf("no successful load: %+v", rep)
+	}
+	snap := s.Snapshot()
+	if snap.Completed+snap.Shed+snap.Expired+snap.Failed != snap.Arrivals {
+		t.Fatalf("outcomes don't sum: %+v", snap)
+	}
+	if snap.Completed != rep.OK {
+		t.Fatalf("server completed %d, client counted %d OK", snap.Completed, rep.OK)
 	}
 
 	window := s.LatencySnapshot().Sub(before)

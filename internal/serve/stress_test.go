@@ -37,8 +37,8 @@ func TestStressConcurrentClients(t *testing.T) {
 	mk := func() Backend { return &echoBackend{delay: 200 * time.Microsecond} }
 	backends := []Backend{
 		mk(), mk(),
-		&FlakyBackend{Inner: mk(), FailWhen: func(c int64) bool { return c%3 == 0 }},
-		&FlakyBackend{Inner: mk(), FailWhen: func(c int64) bool { return c%3 == 0 }},
+		&flakyBackend{inner: mk(), failWhen: func(c int64) bool { return c%3 == 0 }},
+		&flakyBackend{inner: mk(), failWhen: func(c int64) bool { return c%3 == 0 }},
 	}
 	s := New(backends, Config{
 		MaxBatch:        8,
@@ -121,7 +121,7 @@ func TestStressConcurrentClients(t *testing.T) {
 func TestStressReplicaChurn(t *testing.T) {
 	backends := make([]Backend, 3)
 	for i := range backends {
-		backends[i] = &FlakyBackend{Inner: &echoBackend{}, FailWhen: func(c int64) bool { return c%4 == 0 }}
+		backends[i] = &flakyBackend{inner: &echoBackend{}, failWhen: func(c int64) bool { return c%4 == 0 }}
 	}
 	s := New(backends, Config{
 		MaxBatch:        4,
@@ -131,12 +131,14 @@ func TestStressReplicaChurn(t *testing.T) {
 	})
 	defer s.Close()
 
-	rep := RunClosedLoop(s, LoadConfig{Clients: 50, RequestsPerClient: 10},
+	rep := RunClosedLoop(s, LoadConfig{Clients: 50, Duration: 20 * time.Millisecond},
 		func(c, i int) *tensor.Tensor { return sampleVec(float64(c), float64(i), 0) })
-	if rep.OK+rep.Shed+rep.Expired+rep.Failed != rep.Sent {
-		t.Fatalf("outcomes don't sum: %+v", rep)
+	s.Close()
+	snap := s.Snapshot()
+	if snap.Completed+snap.Shed+snap.Expired+snap.Failed != snap.Arrivals {
+		t.Fatalf("outcomes don't sum: %+v", snap)
 	}
-	if rep.OK < rep.Sent/2 {
-		t.Fatalf("churn degraded service too far: %+v", rep)
+	if rep.OK < snap.Arrivals/2 {
+		t.Fatalf("churn degraded service too far: %d of %d served", rep.OK, snap.Arrivals)
 	}
 }

@@ -50,50 +50,33 @@ func (p CheckpointPlan) NAMCheckpointTime(nam *NAM) float64 {
 	return p.StateGBNode/perNodeBW + nam.Spec.LatencyUS*1e-6
 }
 
-// RunOverhead summarizes a full run's checkpoint cost for one target.
-type RunOverhead struct {
-	Target        string
-	StallPerCkpt  float64
-	TotalStall    float64
-	RunTime       float64 // compute + stalls
-	OverheadRatio float64 // stalls / compute
-}
-
-// CompareCheckpointTargets evaluates the plan against the SSSM directly
-// and through the NAM, returning both summaries. NAM capacity must hold
-// one full checkpoint (double-buffered drains are assumed); an error is
-// returned otherwise — the sizing constraint ref [12] discusses.
-func CompareCheckpointTargets(p CheckpointPlan, fs *SSSM, nam *NAM) (sssm, viaNAM RunOverhead, err error) {
+// CompareCheckpointTargets returns the stall per checkpoint of the plan
+// written to the SSSM directly and through the NAM. NAM capacity must
+// hold one full checkpoint (double-buffered drains are assumed); an error
+// is returned otherwise — the sizing constraint ref [12] discusses.
+func CompareCheckpointTargets(p CheckpointPlan, fs *SSSM, nam *NAM) (sssmStall, namStall float64, err error) {
 	if err := p.Validate(); err != nil {
-		return RunOverhead{}, RunOverhead{}, err
+		return 0, 0, err
 	}
 	if fs == nil || fs.Spec.OSTs <= 0 || fs.Spec.OSTBWGBs <= 0 {
-		return RunOverhead{}, RunOverhead{}, fmt.Errorf("storage: SSSM target has no usable bandwidth")
+		return 0, 0, fmt.Errorf("storage: SSSM target has no usable bandwidth")
 	}
 	if nam == nil || nam.Spec.BWGBs <= 0 || nam.Spec.CapacityGB <= 0 {
-		return RunOverhead{}, RunOverhead{}, fmt.Errorf("storage: NAM target has no usable bandwidth or capacity")
+		return 0, 0, fmt.Errorf("storage: NAM target has no usable bandwidth or capacity")
 	}
 	if p.TotalGB() > nam.Spec.CapacityGB {
-		return RunOverhead{}, RunOverhead{}, fmt.Errorf(
+		return 0, 0, fmt.Errorf(
 			"storage: checkpoint of %.0f GB exceeds NAM capacity %.0f GB", p.TotalGB(), nam.Spec.CapacityGB)
-	}
-	compute := p.IntervalSec * float64(p.Checkpoints)
-	mk := func(target string, stall float64) RunOverhead {
-		total := stall * float64(p.Checkpoints)
-		return RunOverhead{
-			Target: target, StallPerCkpt: stall, TotalStall: total,
-			RunTime: compute + total, OverheadRatio: total / compute,
-		}
 	}
 	// Background drain feasibility: the NAM must empty one checkpoint into
 	// the SSSM within the compute interval, or the next burst blocks.
 	drain := fs.ReadTime(p.TotalGB(), p.StripePerJob, 1)
-	namStall := p.NAMCheckpointTime(nam)
+	namStall = p.NAMCheckpointTime(nam)
 	if drain > p.IntervalSec {
 		// Drain-limited: the application absorbs the leftover.
 		namStall += drain - p.IntervalSec
 	}
-	return mk("sssm-direct", p.SSSMCheckpointTime(fs)), mk("via-nam", namStall), nil
+	return p.SSSMCheckpointTime(fs), namStall, nil
 }
 
 // Checkpoint-interval selection. With checkpoint stall δ and system MTBF

@@ -181,11 +181,8 @@ func TestNAMCheckpointBeatsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if via.StallPerCkpt >= direct.StallPerCkpt {
-		t.Fatalf("NAM stall %f should beat direct %f", via.StallPerCkpt, direct.StallPerCkpt)
-	}
-	if via.RunTime >= direct.RunTime || via.OverheadRatio >= direct.OverheadRatio {
-		t.Fatalf("NAM run summary should win: %+v vs %+v", via, direct)
+	if via >= direct {
+		t.Fatalf("NAM stall %f should beat direct %f", via, direct)
 	}
 }
 
@@ -205,8 +202,8 @@ func TestNAMCheckpointDrainLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if via.StallPerCkpt <= viaSlow.StallPerCkpt {
-		t.Fatalf("drain-limited plan must stall more: %f vs %f", via.StallPerCkpt, viaSlow.StallPerCkpt)
+	if via <= viaSlow {
+		t.Fatalf("drain-limited plan must stall more: %f vs %f", via, viaSlow)
 	}
 }
 

@@ -21,21 +21,6 @@ type Kernel interface {
 	Name() string
 }
 
-// Linear is the dot-product kernel.
-type Linear struct{}
-
-// Eval returns a·b.
-func (Linear) Eval(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Name returns "linear".
-func (Linear) Name() string { return "linear" }
-
 // RBF is the Gaussian kernel exp(-γ‖a-b‖²).
 type RBF struct{ Gamma float64 }
 
@@ -54,27 +39,20 @@ func (k RBF) Name() string { return "rbf" }
 
 // Config tunes the SMO solver.
 type Config struct {
-	C         float64 // box constraint; default 1
-	Tol       float64 // KKT tolerance; default 1e-3
-	MaxPasses int     // passes without change before stopping; default 5
-	MaxIter   int     // hard iteration cap; default 200 passes
-	Kernel    Kernel  // default RBF{Gamma: 0.5}
-	Seed      int64
+	Kernel Kernel // default RBF{Gamma: 0.5}
+	Seed   int64
 }
 
+// The SMO solver's constants: the box constraint C, the KKT tolerance,
+// the passes without change before it stops, and its hard cap on passes.
+const (
+	boxC      = 1
+	kktTol    = 1e-3
+	maxPasses = 5
+	maxIter   = 200
+)
+
 func (c Config) withDefaults() Config {
-	if c.C == 0 {
-		c.C = 1
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-3
-	}
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 5
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 200
-	}
 	if c.Kernel == nil {
 		c.Kernel = RBF{Gamma: 0.5}
 	}
@@ -134,11 +112,11 @@ func Train(x [][]float64, y []int, cfg Config) *Model {
 	}
 
 	passes, iter := 0, 0
-	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
+	for passes < maxPasses && iter < maxIter {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - yf[i]
-			if (yf[i]*ei < -cfg.Tol && alpha[i] < cfg.C) || (yf[i]*ei > cfg.Tol && alpha[i] > 0) {
+			if (yf[i]*ei < -kktTol && alpha[i] < boxC) || (yf[i]*ei > kktTol && alpha[i] > 0) {
 				j := rng.Intn(n - 1)
 				if j >= i {
 					j++
@@ -148,10 +126,10 @@ func Train(x [][]float64, y []int, cfg Config) *Model {
 				var lo, hi float64
 				if y[i] != y[j] {
 					lo = math.Max(0, aj-ai)
-					hi = math.Min(cfg.C, cfg.C+aj-ai)
+					hi = math.Min(boxC, boxC+aj-ai)
 				} else {
-					lo = math.Max(0, ai+aj-cfg.C)
-					hi = math.Min(cfg.C, ai+aj)
+					lo = math.Max(0, ai+aj-boxC)
+					hi = math.Min(boxC, ai+aj)
 				}
 				if lo == hi {
 					continue
@@ -173,9 +151,9 @@ func Train(x [][]float64, y []int, cfg Config) *Model {
 				b1 := b - ei - yf[i]*(aiNew-ai)*k[i][i] - yf[j]*(ajNew-aj)*k[i][j]
 				b2 := b - ej - yf[i]*(aiNew-ai)*k[i][j] - yf[j]*(ajNew-aj)*k[j][j]
 				switch {
-				case aiNew > 0 && aiNew < cfg.C:
+				case aiNew > 0 && aiNew < boxC:
 					b = b1
-				case ajNew > 0 && ajNew < cfg.C:
+				case ajNew > 0 && ajNew < boxC:
 					b = b2
 				default:
 					b = (b1 + b2) / 2

@@ -29,16 +29,6 @@ func BenchmarkEnabledSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkCounterAdd measures the registry counter hot path.
-func BenchmarkCounterAdd(b *testing.B) {
-	reg := NewRegistry()
-	c := reg.Counter("bench_total")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
 // BenchmarkHistogramObserve measures one latency observation.
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram

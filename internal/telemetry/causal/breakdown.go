@@ -163,10 +163,9 @@ func (d *DAG) breakdown(w0, w1 int64) StepBreakdown {
 					rb.ExposedCommNS += hi - lo
 				}
 			default:
-				switch s.Cat {
-				case telemetry.CatCompute, telemetry.CatBatch, telemetry.CatPhase:
+				if s.Cat == telemetry.CatCompute {
 					rb.ComputeNS += hi - lo
-				default:
+				} else {
 					rb.ExposedCommNS += hi - lo
 				}
 			}

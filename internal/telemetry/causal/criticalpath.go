@@ -175,7 +175,7 @@ func classOf(n *Node) string {
 		return ClassStraggler
 	}
 	switch n.Span.Cat {
-	case telemetry.CatCompute, telemetry.CatBatch, telemetry.CatPhase, telemetry.CatStep:
+	case telemetry.CatCompute, telemetry.CatStep:
 		return ClassCompute
 	}
 	return ClassComm

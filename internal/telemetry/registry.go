@@ -17,15 +17,6 @@ type Label struct {
 	Key, Value string
 }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add adds n (n must be non-negative for Prometheus semantics).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 // Gauge is an atomically updated float64 value.
 type Gauge struct{ bits atomic.Uint64 }
 
@@ -38,11 +29,10 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // series is one labeled instance of a metric family; exactly one of the
 // value sources is set.
 type series struct {
-	labels  []Label
-	counter *Counter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
+	labels []Label
+	gauge  *Gauge
+	fn     func() float64
+	hist   *Histogram
 }
 
 // family groups all series sharing a metric name.
@@ -56,7 +46,7 @@ type family struct {
 
 // Registry is a named collection of metrics with create-or-get semantics:
 // asking for the same (name, labels) pair always returns the same
-// instrument. Instruments are lock-free on the hot path (atomic adds);
+// instrument. Instruments are lock-free on the hot path (atomic stores);
 // the registry lock is taken only on registration and export. Create
 // registries with NewRegistry.
 type Registry struct {
@@ -70,18 +60,8 @@ func NewRegistry() *Registry {
 	return &Registry{fams: map[string]*family{}}
 }
 
-// Counter returns the counter registered under name+labels, creating it
-// on first use. Panics if the name is already registered as another type.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	s := r.seriesFor(name, "counter", labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
-}
-
 // Gauge returns the gauge registered under name+labels, creating it on
-// first use.
+// first use. Panics if the name is already registered as another type.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	s := r.seriesFor(name, "gauge", labels)
 	if s.gauge == nil {
@@ -234,9 +214,6 @@ func writeSeries(w io.Writer, f *family, s *series, key string) error {
 		return nil
 	case s.fn != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(s.fn()))
-		return err
-	case s.counter != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, key, s.counter.Value())
 		return err
 	case s.gauge != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(s.gauge.Value()))

@@ -30,10 +30,6 @@ type ServeConfig struct {
 	// package need not import telemetry/causal; cmd drivers inject
 	// causal.BreakdownJSON here.
 	Breakdown func() ([]byte, error)
-	// Healthz, when set, is consulted by /healthz; a non-nil error
-	// reports 503 with the error text. When unset /healthz always
-	// reports ok.
-	Healthz func() error
 }
 
 // Server is a started observability endpoint.
@@ -42,7 +38,6 @@ type Server struct {
 	Addr string
 
 	srv *http.Server
-	ln  net.Listener
 	err chan error
 }
 
@@ -74,14 +69,7 @@ func Serve(addr string, cfg ServeConfig) (*Server, error) {
 			_, _ = w.Write(body)
 		})
 	}
-	hz := cfg.Healthz
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if hz != nil {
-			if err := hz(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		fmt.Fprintln(w, "ok")
 	})
 	// The default pprof handlers register on http.DefaultServeMux; mount
@@ -100,7 +88,6 @@ func Serve(addr string, cfg ServeConfig) (*Server, error) {
 	s := &Server{
 		Addr: ln.Addr().String(),
 		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		ln:   ln,
 		err:  make(chan error, 1),
 	}
 	go func() { s.err <- s.srv.Serve(ln) }()

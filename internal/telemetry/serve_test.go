@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,21 +26,14 @@ func getBody(t *testing.T, url string) (int, string) {
 
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("msa_serve_test_total").Add(7)
+	reg.CounterFunc("msa_serve_test_total", func() float64 { return 7 })
 	tr := NewTracer(64)
 	tr.Emit(0, CatCompute, "work", 0, 1000, 0, "")
 
-	degraded := false
 	srv, err := Serve("127.0.0.1:0", ServeConfig{
 		Registry:  reg,
 		Tracer:    tr,
 		Breakdown: func() ([]byte, error) { return []byte(`{"steps":[]}`), nil },
-		Healthz: func() error {
-			if degraded {
-				return errors.New("draining")
-			}
-			return nil
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,10 +60,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if code, body := getBody(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz: code %d body %q", code, body)
-	}
-	degraded = true
-	if code, body := getBody(t, base+"/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
-		t.Fatalf("/healthz degraded: code %d body %q", code, body)
 	}
 	if code, _ := getBody(t, base+"/debug/pprof/cmdline"); code != 200 {
 		t.Fatalf("/debug/pprof/cmdline: code %d", code)

@@ -169,8 +169,8 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestRegistryPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("msa_requests_total", Label{"kind", "ok"}).Add(7)
-	reg.Counter("msa_requests_total", Label{"kind", "shed"}).Add(1)
+	reg.CounterFunc("msa_requests_total", func() float64 { return 7 }, Label{"kind", "ok"})
+	reg.CounterFunc("msa_requests_total", func() float64 { return 1 }, Label{"kind", "shed"})
 	reg.SetHelp("msa_requests_total", "requests by outcome")
 	reg.Gauge("msa_queue_depth").Set(3)
 	reg.GaugeFunc("msa_uptime_seconds", func() float64 { return 1.5 })
@@ -208,22 +208,22 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 
 func TestRegistryCreateOrGet(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("x_total")
-	b := reg.Counter("x_total")
+	a := reg.Gauge("x")
+	b := reg.Gauge("x")
 	if a != b {
-		t.Fatal("same name returned different counters")
+		t.Fatal("same name returned different gauges")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("type conflict did not panic")
 		}
 	}()
-	reg.Gauge("x_total")
+	reg.CounterFunc("x", func() float64 { return 0 })
 }
 
 func TestRegistryHandler(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hits_total").Add(2)
+	reg.CounterFunc("hits_total", func() float64 { return 2 })
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)

@@ -38,19 +38,6 @@ const (
 	CatCompute Category = "compute"
 	// CatStep marks one whole optimizer step.
 	CatStep Category = "step"
-	// CatBatch marks a dispatched inference batch on a serve replica.
-	CatBatch Category = "batch"
-	// CatQueue marks time a serve request spent queued before dispatch.
-	CatQueue Category = "queue"
-	// CatPhase marks a scheduled job phase occupying an MSA module
-	// (simulated clock).
-	CatPhase Category = "phase"
-	// CatCheckpoint marks a coordinated checkpoint serialization/write in
-	// the ft subsystem.
-	CatCheckpoint Category = "checkpoint"
-	// CatRecovery marks failure detection, world revocation, and elastic
-	// restart work in the ft supervisor.
-	CatRecovery Category = "recovery"
 	// CatFleet marks fleet control-plane transitions (canary rollbacks,
 	// promotions, scale events, drains) and routed requests.
 	CatFleet Category = "fleet"

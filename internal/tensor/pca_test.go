@@ -127,13 +127,15 @@ func TestRPCASeparatesAnomalies(t *testing.T) {
 		row[rng.Intn(d)] -= 5
 	}
 	res := RPCA(x, RPCAConfig{Rank: 2, Seed: 10})
-	if res.Iterations < 1 {
-		t.Fatal("no iterations recorded")
+	// S must be sparse: the background lives in the low-rank part.
+	zeros := 0
+	for _, v := range res.S.Data() {
+		if v == 0 {
+			zeros++
+		}
 	}
-	// L + S must reconstruct X reasonably.
-	recon := AddInto(New(x.Shape()...), res.L, res.S)
-	if !AllClose(recon, x, 0.5) {
-		t.Fatal("L + S far from X")
+	if zeros < n*d/2 {
+		t.Fatalf("sparse part has %d zeros of %d", zeros, n*d)
 	}
 	// The three anomalous rows must carry the top-3 anomaly scores.
 	scores := res.AnomalyScores()

@@ -13,18 +13,23 @@ import (
 // paper's related work surveys (Zhang et al. [35]), in its standard
 // centralized form: iterate a rank-k projection of X−S (via the power-
 // iteration PCA kernel) against soft-thresholding of the residual X−L.
+// The result keeps the sparse part S, the anomalies.
 type RPCAResult struct {
-	L, S       *Tensor
-	Iterations int
+	S *Tensor
 }
 
 // RPCAConfig tunes the decomposition.
 type RPCAConfig struct {
-	Rank      int // rank of the background component
-	MaxIter   int // default 25
-	PowerIter int // power iterations per PCA; default 30
-	Seed      int64
+	Rank int // rank of the background component
+	Seed int64
 }
+
+// RPCA runs at most rpcaMaxIter alternations, each PCA with rpcaPowerIter
+// power iterations.
+const (
+	rpcaMaxIter   = 25
+	rpcaPowerIter = 30
+)
 
 // RPCA decomposes x (N, D) into low-rank + sparse parts.
 func RPCA(x *Tensor, cfg RPCAConfig) RPCAResult {
@@ -34,22 +39,14 @@ func RPCA(x *Tensor, cfg RPCAConfig) RPCAResult {
 	if cfg.Rank < 1 || cfg.Rank > x.Dim(1) {
 		panic("tensor: RPCA rank out of range")
 	}
-	if cfg.MaxIter == 0 {
-		cfg.MaxIter = 25
-	}
-	if cfg.PowerIter == 0 {
-		cfg.PowerIter = 30
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	s := New(x.Shape()...)
-	var l *Tensor
-	iter := 0
-	for ; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < rpcaMaxIter; iter++ {
 		// Low-rank step: rank-k PCA reconstruction of X - S.
 		residual := Sub(x, s)
-		comps, means := PCA(residual, cfg.Rank, cfg.PowerIter, rng)
-		l = PCAReconstruct(PCAProject(residual, comps, means), comps, means)
+		comps, means := PCA(residual, cfg.Rank, rpcaPowerIter, rng)
+		l := PCAReconstruct(PCAProject(residual, comps, means), comps, means)
 
 		// Sparse step: soft-threshold X - L at 3·MAD of that residual.
 		diff := Sub(x, l)
@@ -67,11 +64,10 @@ func RPCA(x *Tensor, cfg RPCAConfig) RPCAResult {
 		})
 		// Converged when the sparse part stops moving.
 		if AllClose(prev, s, 1e-7) {
-			iter++
 			break
 		}
 	}
-	return RPCAResult{L: l, S: s, Iterations: iter}
+	return RPCAResult{S: s}
 }
 
 // medianAbs returns the median of |v|: a robust scale estimate.

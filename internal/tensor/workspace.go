@@ -40,7 +40,7 @@ type Workspace struct {
 	// here (wsIdx) for O(1) early release.
 	live []*Tensor
 
-	gets, puts, news int
+	news int // fresh allocations (pool misses), for Allocs
 }
 
 const maxSizeClass = 48
@@ -108,7 +108,6 @@ func (w *Workspace) get(zero bool, shape ...int) *Tensor {
 	}
 	t.wsIdx = len(w.live)
 	w.live = append(w.live, t)
-	w.gets++
 	return t
 }
 
@@ -132,7 +131,6 @@ func (w *Workspace) Put(t *Tensor) {
 	w.live[last] = nil
 	w.live = w.live[:last]
 	w.recycle(t)
-	w.puts++
 }
 
 // ReleaseAll recycles every outstanding borrow: the arena reset performed
@@ -147,7 +145,6 @@ func (w *Workspace) ReleaseAll() {
 		w.live[i] = nil
 	}
 	w.live = w.live[:0]
-	w.puts = w.gets
 }
 
 func (w *Workspace) recycle(t *Tensor) {
