@@ -25,7 +25,7 @@ import (
 type PipelineTrainer struct {
 	Model *nn.Sequential
 	Opt   nn.Optimizer
-	Cfg   Config
+	cfg   config
 
 	stage *pipeline.Stage
 	pipe  mpi.Communicator // this rank's replica group (pipeline axis)
@@ -46,16 +46,16 @@ type PipelineTrainer struct {
 // newPipelineTrainer splits comm into the 2D grid and builds this rank's
 // pipeline stage. New has already broadcast the parameters from world
 // rank 0, so every replica and stage starts from identical weights.
-func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config, pc pipeOptions) *PipelineTrainer {
+func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg config, pc pipeOptions) *PipelineTrainer {
 	W, S := wc.Size(), pc.stages
 	if S < 1 || W%S != 0 {
 		panic(fmt.Sprintf("distdl: world size %d is not divisible by %d pipeline stages", W, S))
 	}
-	if cfg.Schedule == nil {
-		cfg.Schedule = nn.ConstLR(0.01)
+	if cfg.schedule == nil {
+		cfg.schedule = nn.ConstLR(0.01)
 	}
 	t := &PipelineTrainer{
-		Model: model, Opt: opt, Cfg: cfg,
+		Model: model, Opt: opt, cfg: cfg,
 		rep: wc.Rank() / S,
 	}
 	t.pipe = wc.Split(t.rep, wc.Rank())
@@ -64,7 +64,7 @@ func newPipelineTrainer(wc mpi.Communicator, model *nn.Sequential, loss nn.Loss,
 		MicroBatches:  pc.microBatches,
 		Schedule:      pc.schedule,
 		VirtualChunks: pc.virtualChunks,
-		Tracer:        cfg.Tracer,
+		Tracer:        cfg.tracer,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("distdl: building pipeline stage: %v", err))
@@ -98,7 +98,7 @@ func (t *PipelineTrainer) Step(x, y *tensor.Tensor) float64 {
 		}
 	}
 	t.commNS += time.Since(c0).Nanoseconds()
-	t.Opt.Step(t.localParams, t.Cfg.Schedule.LR(t.step))
+	t.Opt.Step(t.localParams, t.cfg.schedule.LR(t.step))
 	t.step++
 	c0 = time.Now()
 	if t.dp.Size() > 1 {

@@ -25,20 +25,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// Config tunes a distributed trainer.
-type Config struct {
-	// ClipNorm, when positive, clips the global gradient norm after
+// config tunes a distributed trainer.
+type config struct {
+	// clipNorm, when positive, clips the global gradient norm after
 	// averaging (needed by the recurrent models). New panics if it is
 	// combined with WithPipeline.
-	ClipNorm float64
-	// Schedule yields the learning rate per optimizer step; defaults to
+	clipNorm float64
+	// schedule yields the learning rate per optimizer step; defaults to
 	// a constant 0.01 when nil.
-	Schedule nn.Schedule
-	// Tracer, when non-nil, receives compute/comm sub-spans and one step
+	schedule nn.Schedule
+	// tracer, when non-nil, receives compute/comm sub-spans and one step
 	// span per optimizer step on this rank's track, so the per-step
 	// communication fraction is readable straight off the timeline. The
 	// nil default costs nothing on the hot path.
-	Tracer *telemetry.Tracer
+	tracer *telemetry.Tracer
 }
 
 // Trainer drives one rank's replica. Comm is an interface so an
@@ -49,7 +49,7 @@ type Trainer struct {
 	Model *nn.Sequential
 	Loss  nn.Loss
 	Opt   nn.Optimizer
-	Cfg   Config
+	cfg   config
 
 	params []*nn.Param
 	// values and grads are the model's parameter arena
@@ -80,11 +80,11 @@ type Trainer struct {
 // `broadcast_parameters` step). A stateful optimizer's state is reserved
 // for the span this rank steps and, when p > 1, shared with every rank
 // (the MPI_Win_allocate_shared pattern), so that Checkpoint can read it.
-func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg Config) *Trainer {
-	if cfg.Schedule == nil {
-		cfg.Schedule = nn.ConstLR(0.01)
+func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt nn.Optimizer, cfg config) *Trainer {
+	if cfg.schedule == nil {
+		cfg.schedule = nn.ConstLR(0.01)
 	}
-	t := &Trainer{Comm: comm, Model: model, Loss: loss, Opt: opt, Cfg: cfg,
+	t := &Trainer{Comm: comm, Model: model, Loss: loss, Opt: opt, cfg: cfg,
 		params: model.Params(), ws: tensor.NewWorkspace()}
 	t.values, t.grads = model.Span(t.params)
 	model.SetWorkspace(t.ws)
@@ -110,7 +110,7 @@ func newTrainer(comm mpi.Communicator, model *nn.Sequential, loss nn.Loss, opt n
 // element at a time, so every parameter gets the bits of a replicated step
 // that allreduced the gradient and stepped the whole arena.
 func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
-	tr := t.Cfg.Tracer
+	tr := t.cfg.tracer
 	rank := t.Comm.Rank()
 	stepStart := tr.Start()
 
@@ -130,10 +130,10 @@ func (t *Trainer) Step(x, y *tensor.Tensor) float64 {
 
 	optStart := tr.Start()
 	o0 := time.Now()
-	if t.Cfg.ClipNorm > 0 {
+	if t.cfg.clipNorm > 0 {
 		t.clipGrads()
 	}
-	t.Opt.StepSpan(t.params, t.lo, t.hi, t.Cfg.Schedule.LR(t.step))
+	t.Opt.StepSpan(t.params, t.lo, t.hi, t.cfg.schedule.LR(t.step))
 	t.ComputeNs += time.Since(o0).Nanoseconds()
 	tr.End(rank, telemetry.CatCompute, "optimizer", optStart, 0, "")
 	t.step++
@@ -168,7 +168,7 @@ func (t *Trainer) syncGrads(tr *telemetry.Tracer, rank int) {
 }
 
 // clipGrads scales the averaged gradient span this rank steps so that the
-// global L2 norm is at most ClipNorm: each rank sums its span's squares,
+// global L2 norm is at most clipNorm: each rank sums its span's squares,
 // and more than one rank add them up with one scalar allreduce.
 func (t *Trainer) clipGrads() {
 	g, sq := t.grads[t.lo:t.hi], 0.0
@@ -178,8 +178,8 @@ func (t *Trainer) clipGrads() {
 	if t.Comm.Size() > 1 {
 		sq = t.Comm.AllreduceScalar(sq, mpi.OpSum)
 	}
-	if norm := math.Sqrt(sq); norm > t.Cfg.ClipNorm {
-		tensor.VecScaleInto(g, g, t.Cfg.ClipNorm/norm)
+	if norm := math.Sqrt(sq); norm > t.cfg.clipNorm {
+		tensor.VecScaleInto(g, g, t.cfg.clipNorm/norm)
 	}
 }
 
