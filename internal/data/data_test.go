@@ -287,6 +287,17 @@ func TestImputationTask(t *testing.T) {
 	}
 }
 
+// TestMAEOnZeroAlloc: scoring an imputation reads three tensors element
+// by element through At, which allocates nothing, so neither does MAEOn.
+func TestMAEOnZeroAlloc(t *testing.T) {
+	d := GenICU(ICUConfig{Patients: 20, Seed: 5})
+	task := d.MakeImputationTask(ChPaO2, 0.25, 6)
+	pred := task.ForwardFillBaseline()
+	if allocs := testing.AllocsPerRun(10, func() { task.MAEOn(pred) }); allocs != 0 {
+		t.Fatalf("MAEOn allocates %.1f per call, want 0", allocs)
+	}
+}
+
 func TestTrainValSplit(t *testing.T) {
 	s := TrainValSplit(100, 0.2, 1)
 	if len(s.Val) != 20 || len(s.Train) != 80 {

@@ -162,8 +162,6 @@ type BatchNorm2D struct {
 	Gamma, Beta *Param
 	RunMean     *tensor.Tensor
 	RunVar      *tensor.Tensor
-	Momentum    float64
-	Eps         float64
 
 	base[bnSaved]
 
@@ -186,9 +184,16 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 		Gamma:   &Param{Name: name + ".gamma", Value: tensor.Ones(c), Grad: tensor.New(c), NoDecay: true},
 		Beta:    &Param{Name: name + ".beta", Value: tensor.New(c), Grad: tensor.New(c), NoDecay: true},
 		RunMean: tensor.New(c), RunVar: tensor.Ones(c),
-		Momentum: 0.9, Eps: 1e-5,
 	}
 }
+
+// The batch norm's running-average momentum and variance floor. They are
+// typed, so 1-bnMomentum is the float64 difference 1 - float64(0.9), as a
+// float64 field's would be, not the exact 0.1.
+const (
+	bnMomentum float64 = 0.9
+	bnEps      float64 = 1e-5
+)
 
 // scratch returns the two per-channel scratch slices, c long: the batch
 // statistics in a training Forward, 1/√(var+ε) in an eval one (evalChain),
@@ -229,9 +234,9 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	mean, variance := b.scratch(c)
 	tensor.BatchNormStats(mean, variance, x)
 	for ch, m := range mean {
-		runMean[ch] = float64(b.Momentum*runMean[ch]) + float64((1-b.Momentum)*m)
-		runVar[ch] = float64(b.Momentum*runVar[ch]) + float64((1-b.Momentum)*variance[ch])
-		invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
+		runMean[ch] = float64(bnMomentum*runMean[ch]) + float64((1-bnMomentum)*m)
+		runVar[ch] = float64(bnMomentum*runVar[ch]) + float64((1-bnMomentum)*variance[ch])
+		invStd[ch] = 1 / math.Sqrt(variance[ch]+bnEps)
 	}
 	// xhat and out are written in full by the kernel.
 	s.xhat = b.ws.GetUninit(x.Shape()...)
@@ -244,7 +249,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (b *BatchNorm2D) evalChain(relu bool) tensor.BNReLU {
 	_, inv := b.scratch(b.RunVar.Size())
 	for ch, v := range b.RunVar.Data() {
-		inv[ch] = 1 / math.Sqrt(v+b.Eps)
+		inv[ch] = 1 / math.Sqrt(v+bnEps)
 	}
 	return tensor.BNReLU{Mean: b.RunMean.Data(), Inv: inv, Gamma: b.Gamma.Value.Data(), Beta: b.Beta.Value.Data(), ReLU: relu}
 }

@@ -253,8 +253,8 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 			variance[ch] = s / cnt
-			b.RunMean.Data()[ch] = float64(b.Momentum*b.RunMean.Data()[ch]) + float64((1-b.Momentum)*mean[ch])
-			b.RunVar.Data()[ch] = float64(b.Momentum*b.RunVar.Data()[ch]) + float64((1-b.Momentum)*variance[ch])
+			b.RunMean.Data()[ch] = float64(bnMomentum*b.RunMean.Data()[ch]) + float64((1-bnMomentum)*mean[ch])
+			b.RunVar.Data()[ch] = float64(bnMomentum*b.RunVar.Data()[ch]) + float64((1-bnMomentum)*variance[ch])
 		}
 	} else {
 		copy(mean, b.RunMean.Data())
@@ -262,7 +262,7 @@ func refBNForward(b *BatchNorm2D, x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	b.saved.invStd = make([]float64, c)
 	for ch := 0; ch < c; ch++ {
-		b.saved.invStd[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
+		b.saved.invStd[ch] = 1 / math.Sqrt(variance[ch]+bnEps)
 	}
 	b.saved.xhat = tensor.New(x.Shape()...)
 	out := tensor.New(x.Shape()...)

@@ -392,11 +392,24 @@ func splitCols(src, a, b []float64, cols int) {
 
 // swapLeadingAxes copies row-major (A, B, D) data into (B, A, D) order:
 // batch-major (N, T, D) to time-major (T·N, D) with (A, B) = (N, T), and
-// back with (A, B) = (T, N).
+// back with (A, B) = (T, N). The A rows split over the tensor pool.
 func swapLeadingAxes(dst, src []float64, a, b, d int) {
-	for i := 0; i < a; i++ {
+	swapJobs.For(a, b*d, swapArgs{dst, src, a, b, d}, swapRows)
+}
+
+type swapArgs struct {
+	dst, src []float64
+	a, b, d  int
+}
+
+var swapJobs tensor.Jobs[swapArgs]
+
+// swapRows copies source rows [lo, hi) of swapLeadingAxes.
+func swapRows(v swapArgs, lo, hi int) {
+	a, b, d := v.a, v.b, v.d
+	for i := lo; i < hi; i++ {
 		for j := 0; j < b; j++ {
-			copy(dst[(j*a+i)*d:(j*a+i+1)*d], src[(i*b+j)*d:(i*b+j+1)*d])
+			copy(v.dst[(j*a+i)*d:(j*a+i+1)*d], v.src[(i*b+j)*d:(i*b+j+1)*d])
 		}
 	}
 }

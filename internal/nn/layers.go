@@ -145,15 +145,19 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := d.ws.GetUninit(x.Shape()...)
 	// One sweep: draw, record the mask, write the output. The draw order
 	// (one rng.Float64 per element, ascending) fixes the mask per seed.
+	// The keep decision is a random branch, so it selects by bit mask
+	// instead: all ones keeps scale and v·scale, all zeros leaves a
+	// literal +0 in both (not v·0, which is -0 for negative v).
 	xd, od, mask, rng := x.Data(), out.Data(), d.saved, d.rng
+	sb := math.Float64bits(scale)
 	for i, v := range xd {
+		var sel uint64
 		if rng.Float64() < keep {
-			mask[i] = scale
-			od[i] = v * scale
-		} else {
-			mask[i] = 0
-			od[i] = 0 // a literal +0, not v·0 (which is -0 for negative v)
+			sel = 1
 		}
+		sel = -sel
+		mask[i] = math.Float64frombits(sb & sel)
+		od[i] = math.Float64frombits(math.Float64bits(v*scale) & sel)
 	}
 	return out
 }

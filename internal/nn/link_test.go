@@ -117,7 +117,7 @@ func TestUnlinkedLayersKeepTheirPath(t *testing.T) {
 
 	inv := make([]float64, 4)
 	for ch, v := range bn.RunVar.Data() {
-		inv[ch] = 1 / math.Sqrt(v+bn.Eps)
+		inv[ch] = 1 / math.Sqrt(v+bnEps)
 	}
 	wantBN := tensor.BatchNormNormalizeInto(tensor.New(x.Shape()...), nil, x, bn.RunMean.Data(), inv, bn.Gamma.Value.Data(), bn.Beta.Value.Data())
 	wantConv := tensor.Conv2DBiasInto(nil, tensor.New(x.Shape()...), x, conv.W.Value, conv.B.Value, 3, 3, 1, 1, 1)

@@ -251,6 +251,47 @@ func TestDropoutMatchesTwoPassReference(t *testing.T) {
 	}
 }
 
+// TestDropoutSelectMatchesBranch pins the bit-mask select of
+// Dropout.Forward to the scalar branch it replaced, on inputs carrying
+// -0, NaN payloads of both signs and ±Inf, over several seeds and rates:
+// the output bits, the mask bits and the generator's next draw are equal.
+func TestDropoutSelectMatchesBranch(t *testing.T) {
+	specials := []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+		math.SmallestNonzeroFloat64, -math.MaxFloat64,
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, rate := range []float64{0.2, 0.5, 0.9} {
+			x := tensor.RandUniform(rand.New(rand.NewSource(seed+100)), -3, 3, 4, 9, 13)
+			for i, v := range specials {
+				x.Data()[(i*37+int(seed))%x.Size()] = v
+			}
+			ref := rand.New(rand.NewSource(seed))
+			keep := 1 - rate
+			scale := 1 / keep
+			wantMask := make([]float64, x.Size())
+			wantOut := tensor.New(x.Shape()...)
+			for i, v := range x.Data() {
+				if ref.Float64() < keep {
+					wantMask[i] = scale
+					wantOut.Data()[i] = v * scale
+				} else {
+					wantMask[i] = 0
+					wantOut.Data()[i] = 0
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			d := NewDropout(rng, rate)
+			requireSameBits(t, "output", d.Forward(x, true), wantOut)
+			requireSameBits(t, "mask", tensor.FromSlice(d.saved, len(d.saved)), tensor.FromSlice(wantMask, len(wantMask)))
+			if got, want := rng.Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d rate %v: next draw %d, want %d", seed, rate, got, want)
+			}
+		}
+	}
+}
+
 func TestDropoutRatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -5,16 +5,17 @@ import "math"
 // The shared GEMM engine behind MatMulInto, MatMulTInto, TMatMulInto and
 // their fused bias/activation/accumulate variants (matmul.go).
 //
-// Floating-point contract, shared by every path (scalar reference, packed
-// AVX2 kernel, axpy small path, any worker split): each output element is
-// an exactly-rounded FMA chain over products in ascending p order, seeded
-// from the element's prior value (out is zeroed first when not
-// accumulating). Bias is added with a plain + after the full-K chain,
-// then the activation is applied: the repo's own Sigmoid and Tanh
-// (exp.go), whose scalar code and AVX2 kernels round every operation
-// once. Because every path follows the same recipe, results are bitwise
-// identical across kernels, worker counts and architectures —
-// kernel_test.go pins this against the Ref* kernels below. What still
+// Floating-point contract, shared by every path (scalar reference, axpy
+// small path, small-m, direct and packed AVX2 paths, any worker split):
+// each output element is an exactly-rounded FMA chain over products in
+// ascending p order, seeded from the element's prior value (+0 when not
+// accumulating: out is zeroed first, or on the direct path each row block
+// is, inside the parallel loop). Bias is added with a plain + after the
+// full-K chain, then the activation is applied: the repo's own Sigmoid
+// and Tanh (exp.go), whose scalar code and AVX2 kernels round every
+// operation once. Because every path follows the same recipe, results
+// are bitwise identical across kernels, worker counts and architectures
+// — kernel_test.go pins this against the Ref* kernels below. What still
 // calls math.Exp, whose bits differ between ports, is outside this
 // engine: the softmax (into.go), the losses and GRU-D (package nn).
 //
@@ -60,33 +61,46 @@ const (
 	gemmTN                 // out = aᵀ·b       a (k,m), b (k,n)
 )
 
-// packMinFlops is the problem size (2·m·n·k flops) below which the
-// packing overhead outweighs the blocked kernel and the direct small
-// paths win. kc and nc are the packed path's cache blocking: kc the panel
-// depth (a kc×8 B panel and a 4×kc A panel stay L1/L2 resident), nc the
-// column strip width packed per pass. At or below smallM rows a float64
-// NN or NT product reads its large operand in place instead of packing
-// it (gemmSmallM64): with one or two 4-row blocks to serve, a packed
-// panel is used too few times to repay the copy.
+// Four paths, chosen by shape alone (gemm64):
+//
+//   - below packMinFlops (2·m·n·k flops) the axpy/dot small paths, which
+//     need no scratch and no tiling;
+//   - at or below smallM rows, NN and NT read their large operand in place
+//     (gemmSmallM64): with one or two 4-row blocks to serve, a packed
+//     panel is used too few times to repay the copy;
+//   - when any of m, n, k is at most directMax, the direct path
+//     (gemmDirect64) reads A and B where they lie: a packed B panel would
+//     serve few row blocks, a packed A panel few column panels, or either
+//     is too short for contiguity to matter, and the copy costs more than
+//     it saves (the GRU's T·N-row products, small-batch weight gradients);
+//   - otherwise the packed blocked path, for large high-reuse products.
+//
+// kc and nc are the blocking of the tiled paths: kc the panel depth (a
+// kc×8 B panel and a 4×kc A panel stay L1/L2 resident), nc the column
+// strip width packed per pass.
 const (
 	packMinFlops = 1 << 17
 	kc           = 512
 	nc           = 2048
 	smallM       = 8
+	directMax    = 64
 )
 
 // gemmArgs is one GEMM's operands as its row-range kernels take them,
 // and on the packed paths the packed B block (bp) and the current K block
 // and column strip. On the small-m path bp holds the packed small operand
-// and edge B's packed edge panel.
+// and edge B's packed edge panel; on the direct path bp holds NT's packed
+// B, edge B's edge panel and aEdge A's. seed asks the direct path to
+// start each row block's chains at +0 (a product that does not
+// accumulate).
 type gemmArgs struct {
 	kind             gemmKind
 	ep               Epilogue
 	od, ad, bd, bias []float64
-	bp, edge         []float64
+	bp, edge, aEdge  []float64
 	m, k, n          int
 	pc, kb, jc, nb   int
-	lastK            bool
+	lastK, seed      bool
 }
 
 var gemmJobs Jobs[gemmArgs]
@@ -134,21 +148,28 @@ func gemmEx(kind gemmKind, out, a, b, bias *Tensor, ep Epilogue, acc bool) {
 		}
 		biasData = bias.data
 	}
-	if !acc {
-		out.Zero()
-	}
 	if m == 0 || n == 0 {
 		return
 	}
-	gemm64(kind, out.data, a.data, b.data, biasData, m, k, n, ep, true)
+	gemm64(kind, out.data, a.data, b.data, biasData, m, k, n, ep, true, acc)
 }
 
-// gemm64 runs one GEMM on raw row-major slices; od already holds
-// the chain seeds. par=false keeps the whole product on the calling
-// goroutine (the Serial entry points in matmul.go).
-func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue, par bool) {
+// gemm64 runs one GEMM on raw row-major slices: od holds the chain seeds
+// when acc is set and is overwritten otherwise. par=false keeps the whole
+// product on the calling goroutine (the Serial entry points in
+// matmul.go).
+func gemm64(kind gemmKind, od, ad, bd, bias []float64, m, k, n int, ep Epilogue, par, acc bool) {
 	v := gemmArgs{kind: kind, ep: ep, od: od, ad: ad, bd: bd, bias: bias, m: m, k: k, n: n}
-	if 2*m*n*k >= packMinFlops {
+	big := 2*m*n*k >= packMinFlops
+	if big && (m > smallM || kind == gemmTN) && min(m, n, k) <= directMax {
+		v.seed = !acc
+		gemmDirect64(v, par)
+		return
+	}
+	if !acc {
+		clear(od)
+	}
+	if big {
 		gemmPacked64(v, par)
 		return
 	}
@@ -424,6 +445,91 @@ func gemmSmallMNT64(v gemmArgs, lo, hi int) {
 				}
 				od[i*n+j0+r] = x
 			}
+		}
+	}
+}
+
+// Direct path (min(m, n, k) ≤ directMax beyond the small-m cases). The
+// 4×8 kernel reads A where it lies — rows at stride k for NN and NT
+// (ars, aps = k, 1), columns of a for TN (1, m) — and B's rows where they
+// lie for NN and TN (bps = n). Only what the kernel cannot read in place
+// is packed, once per kc block before the parallel-for and zero-padded as
+// on the packed path: NT's B = bᵀ (the kernel wants eight consecutive
+// columns of B), the ragged last n % 8 columns of B and the last m % 4
+// rows of A. The split
+// is over 4-row blocks, each owning whole rows of C, so a non-accumulating
+// product clears a block's rows just before its first K block instead of
+// zeroing C in a serial pass before the product. Every element keeps its
+// one ascending-p FMA chain, so the bits are those of every other path.
+func gemmDirect64(v gemmArgs, par bool) {
+	m, k, n := v.m, v.k, v.n
+	bw := 8
+	if v.kind == gemmNT {
+		bw = (n + 7) / 8 * 8
+	}
+	bufP := getScratch(min(kc, k) * (bw + 4))
+	for pc := 0; pc < k; pc += kc {
+		kb := min(k-pc, kc)
+		v.pc, v.kb, v.lastK = pc, kb, pc+kb == k
+		buf := (*bufP)[:kb*(bw+4)]
+		v.aEdge = buf[kb*bw:]
+		if r := m % 4; r != 0 {
+			if v.kind == gemmTN {
+				packACols64(v.aEdge, v.ad, m, m-r, r, pc, kb)
+			} else {
+				packARows64(v.aEdge, v.ad, k, m-r, r, pc, kb)
+			}
+		}
+		switch r := n % 8; {
+		case v.kind == gemmNT:
+			v.bp = buf[:kb*bw]
+			packBCols64(v.bp, v.bd, k, pc, kb, 0, n)
+		case r != 0:
+			v.edge = buf[:kb*8]
+			packBRows64(v.edge, v.bd, n, pc, kb, n-r, r)
+		}
+		gemmRun(par, (m+3)/4, 8*kb*n, v, gemmDirectRows64)
+	}
+	putScratch(bufP)
+}
+
+// gemmDirectRows64 runs 4-row blocks [lo,hi) of C for one kc block.
+func gemmDirectRows64(v gemmArgs, lo, hi int) {
+	kind, od, ad, bd, bias, ep, m, k, n, pc, kb := v.kind, v.od, v.ad, v.bd, v.bias, v.ep, v.m, v.k, v.n, v.pc, v.kb
+	var tile [32]float64
+	for ib := lo; ib < hi; ib++ {
+		i0 := ib * 4
+		mb := min(4, m-i0)
+		a, ars, aps := ad[i0*k+pc:], k, 1
+		switch {
+		case mb < 4:
+			a, ars, aps = v.aEdge, 1, 4
+		case kind == gemmTN:
+			a, ars, aps = ad[pc*m+i0:], 1, m
+		}
+		c := od[i0*n : (i0+mb)*n]
+		if v.seed && pc == 0 {
+			clear(c)
+		}
+		for jj := 0; jj < n; jj += 8 {
+			w := min(8, n-jj)
+			b, bps := bd[pc*n+jj:], n
+			switch {
+			case kind == gemmNT:
+				b, bps = v.bp[jj*kb:], 8
+			case w < 8:
+				b, bps = v.edge, 8
+			}
+			if mb == 4 && w == 8 {
+				gemm4x8(kb, a, ars, aps, b, bps, c[jj:], n)
+				continue
+			}
+			loadTile(&tile, c[jj:], n, mb, w)
+			gemm4x8(kb, a, ars, aps, b, bps, tile[:], 8)
+			storeTile(c[jj:], n, &tile, mb, w)
+		}
+		if v.lastK && (bias != nil || ep != EpNone) {
+			epilogueRowSeg64(c, n, mb, n, bias, 0, ep)
 		}
 	}
 }

@@ -26,12 +26,14 @@ func bitEqual64(a, b *Tensor) bool {
 
 // kernelShapes covers tile remainders (4-row and 8-col micro-kernel
 // edges), odd primes, degenerate dims, and sizes on both sides of the
-// packed-path threshold (2·m·n·k ≷ packMinFlops).
+// packed-size threshold (2·m·n·k ≷ packMinFlops) and of directMax: the
+// last two rows take the packed path, one of them over two kc blocks
+// with ragged edges on both sides.
 var kernelShapes = [][3]int{
 	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 8, 8}, {5, 9, 17},
 	{7, 13, 11}, {8, 16, 24}, {16, 31, 33}, {33, 17, 65},
-	{40, 64, 56}, {64, 64, 64}, {65, 67, 63}, {96, 70, 90},
-	{128, 33, 129},
+	{40, 64, 56}, {64, 64, 64}, {65, 67, 63}, {128, 33, 129},
+	{96, 70, 90}, {67, 600, 75},
 }
 
 func randn2(rng *rand.Rand, r, c int) *Tensor { return Randn(rng, 1, r, c) }
@@ -372,6 +374,145 @@ func TestGemmSmallMAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// directShapes (m, k, n) all take the direct path (min(m, n, k) ≤
+// directMax, m > smallM, at least packMinFlops): depths of one, a few, one
+// whole kc block plus a short one (1100) and sixteen whole blocks (8192);
+// ragged 4-row edges (m % 4 ≠ 0) beside whole ones; single, ragged 8-column
+// and whole panels (n ∈ {1, 12, 16, 40, 64}).
+var directShapes = [][3]int{
+	{8192, 1, 12}, {8191, 3, 12}, {4099, 17, 1}, {13, 8192, 12}, {12, 8192, 16},
+	{13, 1100, 12}, {70, 1100, 1}, {1027, 12, 64}, {96, 64, 40},
+}
+
+// directSpecials are the values the direct-path sweep plants in its
+// operands and seeds: signed zeros, infinities, NaNs with payloads of
+// both signs, and subnormals.
+var directSpecials = []float64{
+	math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	math.Float64frombits(0x7ff8_0000_0bad_cafe), math.Float64frombits(0xfff8_0000_0000_0042),
+	math.SmallestNonzeroFloat64, -0x1p-1030,
+}
+
+// TestGemmDirectVsRef runs the direct path (gemmDirect64) against refGemm
+// bit for bit over directShapes for NN, NT and TN, accumulating and
+// overwriting (a non-accumulating product starts from an out full of
+// NaNs, which the row blocks must clear), with bias and the three
+// epilogues rotating, specials planted in both operands and in the seeds,
+// worker counts 1, 2 and 4 and the assembly on and off. out sits between
+// 64-byte guards that no path may touch.
+func TestGemmDirectVsRef(t *testing.T) {
+	resetConfigAfter(t)
+	orig := useAVX
+	t.Cleanup(func() { useAVX = orig })
+	rng := rand.New(rand.NewSource(56))
+	const guard = 8
+	guardBits := math.Float64frombits(0x7ff4_dead_beef_0001)
+	idx := 0
+	for _, s := range directShapes {
+		m, k, n := s[0], s[1], s[2]
+		for _, kind := range []gemmKind{gemmNN, gemmNT, gemmTN} {
+			for _, acc := range []bool{false, true} {
+				idx++
+				ep := Epilogue(idx % 3)
+				a := randn2(rng, m, k)
+				b := randn2(rng, k, n)
+				switch kind {
+				case gemmNT:
+					b = randn2(rng, n, k)
+				case gemmTN:
+					a = randn2(rng, k, m)
+				}
+				var bias *Tensor
+				var bd []float64
+				if idx%4 != 0 {
+					bias = randn2(rng, 1, n)
+					bd = bias.data
+				}
+				seed := randn2(rng, m, n)
+				for i, v := range directSpecials {
+					a.data[(idx*131+i*977)%len(a.data)] = v
+					b.data[(idx*71+i*353)%len(b.data)] = v
+					seed.data[(idx+i*7)%len(seed.data)] = v
+				}
+				want := seed.Clone()
+				refGemm(kind, want, a, b, bias, ep, acc)
+				Configure(WithWorkers([]int{1, 2, 4}[idx%3]), WithGrain(1024))
+				for _, avx := range []bool{orig, false} {
+					useAVX = avx
+					buf := make([]float64, guard+m*n+guard)
+					for i := range buf {
+						buf[i] = guardBits
+					}
+					od := buf[guard : guard+m*n]
+					if acc {
+						copy(od, seed.data)
+					}
+					gemmDirect64(gemmArgs{kind: kind, ep: ep, od: od, ad: a.data, bd: b.data, bias: bd,
+						m: m, k: k, n: n, seed: !acc}, idx%2 == 0)
+					if !bitEqual64(FromSlice(od, m, n), want) {
+						t.Fatalf("kind %d m=%d k=%d n=%d ep%d acc=%v bias=%v avx=%v workers=%d differs from reference",
+							kind, m, k, n, ep, acc, bias != nil, avx, Workers())
+					}
+					for _, g := range [][]float64{buf[:guard], buf[guard+m*n:]} {
+						for _, v := range g {
+							if math.Float64bits(v) != math.Float64bits(guardBits) {
+								t.Fatalf("kind %d m=%d k=%d n=%d acc=%v avx=%v: a guard word changed", kind, m, k, n, acc, avx)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmDirectNoAVXProcess re-runs the direct-path sweep in a child
+// process started with MSA_NO_AVX=1.
+func TestGemmDirectNoAVXProcess(t *testing.T) {
+	if os.Getenv("MSA_NO_AVX") != "" {
+		t.Skip("already running with MSA_NO_AVX set")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestGemmDirectVsRef$")
+	cmd.Env = append(os.Environ(), "MSA_NO_AVX=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("direct-path sweep with MSA_NO_AVX=1: %v\n%s", err, out)
+	}
+}
+
+// TestGemmDirectAllocsSteadyState: the direct path's edge and NT panels
+// come from the scratch pool and its tiles live on the stack, so the GRU
+// imputer's T·N-row products (whole and ragged, through the Tensor entry
+// points and the Serial ones) allocate nothing once warm.
+func TestGemmDirectAllocsSteadyState(t *testing.T) {
+	resetConfigAfter(t)
+	rng := rand.New(rand.NewSource(57))
+	x, w, y := randn2(rng, 8192, 12), randn2(rng, 12, 64), New(8192, 64)
+	dah, wxh, dx := randn2(rng, 8192, 32), randn2(rng, 12, 32), New(8192, 12)
+	gw, hp, gh := New(12, 32), randn2(rng, 8192, 32), New(32, 64)
+	ra, rb, rout := randn2(rng, 1027, 12), randn2(rng, 12, 61), New(1027, 61)
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"NN", func() { MatMulInto(y, x, w) }},
+		{"NT", func() { MatMulTInto(dx, dah, wxh) }},
+		{"TN", func() { TMatMulAccInto(gw, x, dah) }},
+		{"TN serial", func() { TMatMulAccSerial(gh.data, hp.data, y.data, 32, 8192, 64) }},
+		{"ragged NN", func() { MatMulAccBiasActInto(rout, ra, rb, nil, EpSigmoid) }},
+	}
+	for _, workers := range []int{1, 4} {
+		Configure(WithWorkers(workers), WithGrain(1024))
+		for _, c := range cases {
+			for range 3 {
+				c.f()
+			}
+			if allocs := testing.AllocsPerRun(10, c.f); allocs != 0 {
+				t.Errorf("%s at %d workers allocates %.1f/call in steady state, want 0", c.name, workers, allocs)
+			}
+		}
+	}
+}
+
 // BenchmarkDenseSmallBatch times the three GEMMs of one gradsync-ddp Dense
 // layer (1024→640 at batch 8): the forward 8×1024·1024×640 with bias
 // (NN), the input gradient dY·Wᵀ (NT) and the weight gradient Xᵀ·dY
@@ -481,4 +622,47 @@ func BenchmarkConvGFLOPS(b *testing.B) {
 		Conv2DBiasInto(nil, out, img, wt, bias, k, k, 1, 1, 1)
 	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkGemmShapes reports GFLOP/s for the products the workloads run,
+// named kind-m×k×n: the GRU imputer's T·N = 8192-row products at D 12 and
+// 32, H 32 (the hoisted input projections NN, the weight gradients TN, dx
+// NT), gradsync-ddp's batch-8 weight gradients (TN), and 512³, which the
+// packed path keeps.
+func BenchmarkGemmShapes(b *testing.B) {
+	shapes := []struct {
+		kind    gemmKind
+		m, k, n int
+	}{
+		{gemmNN, 8192, 12, 32}, {gemmNN, 8192, 12, 64}, {gemmNN, 8192, 32, 32}, {gemmNN, 8192, 32, 64},
+		{gemmTN, 12, 8192, 1}, {gemmTN, 12, 8192, 32}, {gemmTN, 12, 8192, 64},
+		{gemmTN, 32, 8192, 1}, {gemmTN, 32, 8192, 32}, {gemmTN, 32, 8192, 64},
+		{gemmNT, 8192, 32, 12}, {gemmNT, 8192, 32, 32}, {gemmNT, 8192, 64, 12}, {gemmNT, 8192, 64, 32},
+		{gemmTN, 640, 8, 640}, {gemmTN, 1024, 8, 640}, {gemmTN, 640, 8, 16},
+		{gemmNN, 512, 512, 512},
+	}
+	for _, s := range shapes {
+		rng := rand.New(rand.NewSource(4))
+		out := New(s.m, s.n)
+		var a, bm *Tensor
+		var f func()
+		switch s.kind {
+		case gemmNN:
+			a, bm = randn2(rng, s.m, s.k), randn2(rng, s.k, s.n)
+			f = func() { MatMulInto(out, a, bm) }
+		case gemmNT:
+			a, bm = randn2(rng, s.m, s.k), randn2(rng, s.n, s.k)
+			f = func() { MatMulTInto(out, a, bm) }
+		case gemmTN:
+			a, bm = randn2(rng, s.k, s.m), randn2(rng, s.k, s.n)
+			f = func() { TMatMulAccInto(out, a, bm) }
+		}
+		name := fmt.Sprintf("%s-%dx%dx%d", [...]string{"NN", "NT", "TN"}[s.kind], s.m, s.k, s.n)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }

@@ -3,9 +3,10 @@ package tensor
 // The matmul family. Every entry point below is a thin shim over the
 // shared GEMM engine in kernel.go: one floating-point contract (exactly
 // rounded FMA accumulation in ascending-k order, seeded from the output's
-// prior value), one parallel runtime (parallel.go), one packed blocked
-// kernel, and optional fused epilogues (bias add + activation) that
-// replace separate bias-add and activation passes over the output.
+// prior value), one parallel runtime (parallel.go), one 4×8 micro-kernel
+// behind paths chosen by shape alone (small, small-m, direct in place,
+// packed blocked), and optional fused epilogues (bias add + activation)
+// that replace separate bias-add and activation passes over the output.
 //
 // Naming: MatMul is a·b, MatMulT is a·bᵀ, TMatMul is aᵀ·b (none
 // materialize a transpose). Every entry point writes into a caller-owned
@@ -70,20 +71,17 @@ func MatMulAccBiasActSerial(out, a, b, bias []float64, m, k, n int, act Epilogue
 	if m == 0 || n == 0 {
 		return
 	}
-	gemm64(gemmNN, out, a, b, bias, m, k, n, act, false)
+	gemm64(gemmNN, out, a, b, bias, m, k, n, act, false, true)
 }
 
 // MatMulTSerial computes out = a×bᵀ (acc false) or out += a×bᵀ (acc
 // true) for row-major a (m×k), b (n×k), out (m×n).
 func MatMulTSerial(out, a, b []float64, m, k, n int, acc bool) {
 	checkSerial(len(out), len(a), len(b), m*n, m*k, n*k)
-	if !acc {
-		clear(out)
-	}
 	if m == 0 || n == 0 {
 		return
 	}
-	gemm64(gemmNT, out, a, b, nil, m, k, n, EpNone, false)
+	gemm64(gemmNT, out, a, b, nil, m, k, n, EpNone, false, acc)
 }
 
 // TMatMulAccSerial computes out += aᵀ×b for row-major a (k×m), b (k×n),
@@ -94,7 +92,7 @@ func TMatMulAccSerial(out, a, b []float64, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	gemm64(gemmTN, out, a, b, nil, m, k, n, EpNone, false)
+	gemm64(gemmTN, out, a, b, nil, m, k, n, EpNone, false, true)
 }
 
 func checkSerial(lo, la, lb, wo, wa, wb int) {

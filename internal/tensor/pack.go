@@ -14,8 +14,12 @@ import (
 //
 // Which products pack what:
 //
-//   - m > smallM (any kind) and every TN product pack both operands as
-//     above.
+//   - Products on the packed path (kernel.go: large in every dimension)
+//     pack both operands as above.
+//   - The direct path (some dimension ≤ directMax) packs only NT's B = bᵀ
+//     and the zero-padded ragged edges: the last m % 4 rows of A and, for
+//     NN and TN, the last n % 8 columns of B. Everything else is read in
+//     place.
 //   - NN and NT with m ≤ smallM (gemmSmallM64) pack only what is
 //     small or ragged: the A rows (NN: 4-row panels; NT: Aᵀ as one 8-wide
 //     panel through packBCols64) and B's edge panel (NN: the last n % 8

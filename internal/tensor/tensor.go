@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense, row-major, contiguous n-dimensional array.
@@ -116,16 +117,23 @@ func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
 
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
+		badIndex(idx, "does not match", t.shape)
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			badIndex(idx, "out of range for", t.shape)
 		}
 		off = off*t.shape[i] + x
 	}
 	return off
+}
+
+// badIndex panics naming idx and shape. It formats copies, so that idx
+// does not escape: the variadic index slice of every At and Set call then
+// stays on the caller's stack instead of costing an allocation.
+func badIndex(idx []int, what string, shape []int) {
+	panic(fmt.Sprintf("tensor: index %v %s shape %v", slices.Clone(idx), what, slices.Clone(shape)))
 }
 
 // Clone returns a deep copy.

@@ -39,6 +39,20 @@ func TestFromSliceAndAtSet(t *testing.T) {
 	}
 }
 
+// TestAtSetZeroAlloc: the variadic index of At and Set stays on the
+// caller's stack (only the panic path formats it, from a copy), so
+// element access allocates nothing.
+func TestAtSetZeroAlloc(t *testing.T) {
+	a := New(3, 4, 5)
+	i := 1
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Set(a.At(i, 2, 3)+1, i, 3, 4)
+	})
+	if allocs != 0 {
+		t.Fatalf("At/Set allocate %.1f per call pair, want 0", allocs)
+	}
+}
+
 func TestFromSlicePanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
