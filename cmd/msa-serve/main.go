@@ -81,6 +81,7 @@ func main() {
 		if dir, err = os.MkdirTemp("", "msa-serve-ckpt"); err != nil {
 			fatal(err)
 		}
+		defer os.RemoveAll(dir)
 	}
 	store, err := storage.NewModelStore(dir)
 	if err != nil {

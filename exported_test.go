@@ -73,6 +73,8 @@ var fieldKeep = map[string]string{
 	"sched.phaseExec.Start":            "the chaining tests check that a job's next phase starts no earlier than its previous one ends",
 	"sched.phaseExec.End":              "the chaining tests check phase order, and the invariant test that every job ends within the makespan",
 	"sched.phaseExec.PhaseIdx":         "the invariant test checks that a job's phases ran in order",
+	"fleet.GroupSpec.Kind":             "benchmark/serving.go labels its serving groups with the module kind; the field goes with the next change to benchmark/",
+	"fleet.GroupStats.Name":            "the router tests tell which group served a request by its name",
 	"msa.*":                            "msa/configs.go holds the paper's Table I systems as literals: a spec field is a column of that table, set there rather than by the programs that build their own systems",
 }
 

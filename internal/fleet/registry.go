@@ -1,26 +1,19 @@
-// Package fleet is the multi-model serving fleet layered above serve,
-// storage, perfmodel, and telemetry: the production answer to the
-// million-user north star. Where internal/serve runs one model version on
-// a static replica set, fleet adds the four control surfaces a real
-// serving estate needs (and the dynamic-composability literature,
-// arXiv:2211.06918, motivates for MSA systems):
+// Package fleet serves registered model versions across heterogeneous
+// replica groups: the §II-A deployment pattern (train on the CM, scale
+// inference out on the ESB) with more than one module serving at once.
+// It is layered above serve and storage and has three parts:
 //
-//   - a model Registry of versioned checkpoints in storage.ModelStore
-//     with promotion and per-version metadata (registry.go);
-//   - a deployment Controller doing canary rollouts (weighted split,
-//     automatic rollback on error-rate or p99 breach) (controller.go);
-//   - a Router dispatching each request across heterogeneous CM/ESB/DAM
-//     replica groups by least-loaded, perfmodel-latency-weighted scoring,
-//     with a bounded result cache for idempotent requests (router.go);
-//   - an Autoscaler resizing replica groups from admission-queue depth
-//     and rolling p99 against a configured SLO, with hysteresis and
-//     graceful drain of retired replicas (autoscaler.go).
+//   - a model Registry of versioned checkpoints in a storage.ModelStore,
+//     with per-model JSON manifests that are validated before they are
+//     trusted (registry.go);
+//   - a Router that sends each request to the group with the lowest
+//     congestion-stretched, perfmodel-derived latency score, and a
+//     bounded result cache for idempotent requests (router.go);
+//   - fixed-size replica groups, one serve.Server each (group.go).
 //
-// Everything is observable as msa_fleet_* metrics and fleet-track spans
-// through internal/telemetry, and provable under the storm scenario
-// (storm_test.go, cmd/msa-fleet): bursty diurnal traffic with a canary
-// deploy and rollback mid-storm, asserting SLO attainment and zero
-// dropped in-flight requests.
+// Deploy serves a model's stable version on every group; Close drains
+// them. There is no resize path: a group keeps the replica count it was
+// built with.
 package fleet
 
 import (
@@ -46,13 +39,10 @@ type Entry struct {
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
-// Ref renders the canonical model@vN reference.
-func (e Entry) Ref() string { return fmt.Sprintf("%s@v%d", e.Model, e.Version) }
-
 // manifest is one model's registry state, persisted as a JSON blob in the
 // same ModelStore as the checkpoints (atomically, via SaveBlob).
 type manifest struct {
-	// Stable is the currently promoted version (0 = none).
+	// Stable is the version Deploy serves (0 = none).
 	Stable int `json:"stable"`
 	// Versions lists every published version in order.
 	Versions []Entry `json:"versions"`
@@ -160,9 +150,9 @@ func (r *Registry) persist(model string) error {
 }
 
 // Publish stores blob as the next version of model and returns its entry.
-// The first published version of a model is auto-promoted to stable so a
-// fresh model is immediately deployable; later versions must earn
-// promotion (directly or through a canary).
+// The first published version of a model becomes its stable version, so a
+// fresh model is immediately deployable; later versions are stored beside
+// it and do not move the stable pointer.
 func (r *Registry) Publish(model string, blob []byte, meta map[string]string) (Entry, error) {
 	if !validModelName(model) {
 		return Entry{}, fmt.Errorf("fleet: invalid model name %q", model)
@@ -200,7 +190,7 @@ func (r *Registry) Publish(model string, blob []byte, meta map[string]string) (E
 	return e, nil
 }
 
-// Stable returns the currently promoted version of model.
+// Stable returns the version of model that Deploy serves.
 func (r *Registry) Stable(model string) (Entry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -211,37 +201,7 @@ func (r *Registry) Stable(model string) (Entry, error) {
 	return *m.entry(m.Stable), nil
 }
 
-// Get returns one specific version of model.
-func (r *Registry) Get(model string, version int) (Entry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.models[model]
-	if m == nil {
-		return Entry{}, fmt.Errorf("fleet: unknown model %q", model)
-	}
-	e := m.entry(version)
-	if e == nil {
-		return Entry{}, fmt.Errorf("fleet: %s@v%d not published", model, version)
-	}
-	return *e, nil
-}
-
 // Blob reads the checkpoint bytes of an entry.
 func (r *Registry) Blob(e Entry) ([]byte, error) {
 	return r.store.Blob(e.Checkpoint)
-}
-
-// Promote makes version the stable one.
-func (r *Registry) Promote(model string, version int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.models[model]
-	if m == nil || m.entry(version) == nil {
-		return fmt.Errorf("fleet: cannot promote unpublished %s@v%d", model, version)
-	}
-	if m.Stable == version {
-		return nil
-	}
-	m.Stable = version
-	return r.persist(model)
 }

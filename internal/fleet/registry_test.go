@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,16 +11,48 @@ import (
 	"repro/internal/storage"
 )
 
-func TestRegistryPublishPromoteRollback(t *testing.T) {
+// Promote makes version the stable one. Programs only ever serve a
+// model's first published version; the tests use Promote to write the
+// manifests a registry must still load, whose stable entry is a later one.
+func (r *Registry) Promote(model string, version int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.models[model]
+	if m == nil || m.entry(version) == nil {
+		return fmt.Errorf("fleet: cannot promote unpublished %s@v%d", model, version)
+	}
+	if m.Stable == version {
+		return nil
+	}
+	m.Stable = version
+	return r.persist(model)
+}
+
+// Get returns one specific version of model.
+func (r *Registry) Get(model string, version int) (Entry, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.models[model]
+	if m == nil {
+		return Entry{}, fmt.Errorf("fleet: unknown model %q", model)
+	}
+	e := m.entry(version)
+	if e == nil {
+		return Entry{}, fmt.Errorf("fleet: %s@v%d not published", model, version)
+	}
+	return *e, nil
+}
+
+func TestRegistryFirstPublishIsStable(t *testing.T) {
 	reg := newTestRegistry(t)
 	e1, err := reg.Publish("mnist", []byte("class:0"), map[string]string{"acc": "0.97"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.Version != 1 || e1.Ref() != "mnist@v1" {
+	if e1.Version != 1 || e1.Checkpoint != "mnist@v000001" {
 		t.Fatalf("first publish: %+v", e1)
 	}
-	// First version auto-promotes.
+	// The first version becomes stable.
 	if s, err := reg.Stable("mnist"); err != nil || s.Version != 1 {
 		t.Fatalf("stable after first publish: %+v, %v", s, err)
 	}
@@ -27,26 +60,13 @@ func TestRegistryPublishPromoteRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second version does not auto-promote.
+	// A later version does not move the stable pointer.
 	if s, _ := reg.Stable("mnist"); s.Version != 1 {
-		t.Fatalf("stable moved without promote: %+v", s)
-	}
-	if err := reg.Promote("mnist", e2.Version); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := reg.Stable("mnist"); s.Version != 2 {
-		t.Fatalf("stable after promote: %+v", s)
-	}
-	// Promoting the earlier version again moves stable back.
-	if err := reg.Promote("mnist", e1.Version); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := reg.Stable("mnist"); s.Version != 1 {
-		t.Fatalf("stable after re-promote: %+v", s)
+		t.Fatalf("stable moved on a later publish: %+v", s)
 	}
 	// Metadata round-trips.
-	if g, _ := reg.Get("mnist", 1); g.Meta["acc"] != "0.97" {
-		t.Fatalf("meta lost: %+v", g)
+	if s, _ := reg.Stable("mnist"); s.Meta["acc"] != "0.97" {
+		t.Fatalf("meta lost: %+v", s)
 	}
 	// Blob round-trips.
 	if b, err := reg.Blob(e2); err != nil || string(b) != "class:1" {
@@ -64,9 +84,6 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	if _, err := reg.Stable("ghost"); err == nil {
 		t.Fatal("stable of unknown model succeeded")
-	}
-	if err := reg.Promote("ghost", 1); err == nil {
-		t.Fatal("promote of unknown model succeeded")
 	}
 }
 

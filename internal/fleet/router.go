@@ -21,9 +21,6 @@ func pickGroup(groups []*group) *group {
 	var best *group
 	bestScore := math.Inf(1)
 	for _, g := range groups {
-		if g.srv.Load() == nil {
-			continue
-		}
 		if s := g.score(); s < bestScore {
 			bestScore, best = s, g
 		}
@@ -32,9 +29,8 @@ func pickGroup(groups []*group) *group {
 }
 
 // resultCache is the bounded LRU over idempotent predictions. Keys bind
-// the model name, the serving version, and the full input payload, so a
-// promote or rollback naturally invalidates every stale entry (the old
-// version's keys just stop being asked for) and two models never collide.
+// the model name, the serving version, and the full input payload, so two
+// models or two versions of one model never share an entry.
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -125,14 +121,4 @@ func (c *resultCache) put(key uint64, p serve.Prediction) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// Len returns the current entry count.
-func (c *resultCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }

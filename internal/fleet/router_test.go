@@ -8,6 +8,16 @@ import (
 	"repro/internal/serve"
 )
 
+// Len returns the current entry count.
+func (c *resultCache) Len() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
+}
+
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)
 	k1 := cacheKey("m", 1, testSample(1))
@@ -131,9 +141,15 @@ func TestRouterPrefersFastGroup(t *testing.T) {
 // TestRouterSpillsUnderBacklog floods the fast group and checks the slow
 // group picks up overflow — the score must stretch with congestion.
 func TestRouterSpillsUnderBacklog(t *testing.T) {
-	f, _ := newTestFleet(t, Config{Serve: serve.Config{MaxBatch: 1, QueueCap: 4, BatchWindow: 100 * time.Microsecond}},
-		GroupSpec{Name: "slow", Kind: "CM", Replicas: 1, LatencyScore: 2e-3, PerSample: time.Millisecond},
-		GroupSpec{Name: "fast", Kind: "ESB", Replicas: 1, LatencyScore: 1e-3, PerSample: time.Millisecond},
+	// Every replica takes 1 ms per sample, so the fast group's queue fills.
+	slow := func(model string, blob []byte) (serve.Backend, error) {
+		b, err := classFactory(model, blob)
+		return &serve.ModeledBackend{Inner: b, PerSample: time.Millisecond}, err
+	}
+	f, _ := newTestFleet(t, Config{BackendFactory: slow,
+		Serve: serve.Config{MaxBatch: 1, QueueCap: 4, BatchWindow: 100 * time.Microsecond}},
+		GroupSpec{Name: "slow", Kind: "CM", Replicas: 1, LatencyScore: 2e-3},
+		GroupSpec{Name: "fast", Kind: "ESB", Replicas: 1, LatencyScore: 1e-3},
 	)
 	done := make(chan struct{}, 64)
 	for i := 0; i < 64; i++ {

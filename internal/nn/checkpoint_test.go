@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -42,6 +43,56 @@ func TestCheckpointLayoutV1(t *testing.T) {
 		"19803092" // CRC-32C
 	if got := hex.EncodeToString(EncodeCheckpoint(m, adam, 7)); got != want {
 		t.Fatalf("checkpoint bytes\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCheckpointStepCounterBounds: the step and the optimizer counter are
+// stored as uint64 and read into an int. math.MaxInt is the largest value
+// that loads; one more is rejected and leaves the model and the optimizer
+// bitwise unchanged.
+func TestCheckpointStepCounterBounds(t *testing.T) {
+	m := MLP(rand.New(rand.NewSource(71)), 3, 4, 2)
+	adam := NewAdam()
+	adam.Step(m.Params(), 0.1)
+	blob := EncodeCheckpoint(m, adam, 5)
+	stepAt := len(ckptMagic) + 4
+	_, _, afterCounter, _ := entry(blob, stepAt+8)
+	for _, tc := range []struct {
+		name  string
+		at    int
+		value uint64
+		ok    bool
+	}{
+		{"step MaxInt", stepAt, math.MaxInt, true},
+		{"step MaxInt+1", stepAt, math.MaxInt + 1, false},
+		{"counter MaxInt", afterCounter - 8, math.MaxInt, true},
+		{"counter MaxInt+1", afterCounter - 8, math.MaxInt + 1, false},
+	} {
+		edited := slices.Clone(blob)
+		binary.LittleEndian.PutUint64(edited[tc.at:], tc.value)
+		edited = reseal(edited)
+		dst, opt := MLP(rand.New(rand.NewSource(72)), 3, 4, 2), NewAdam()
+		before := EncodeCheckpoint(dst, opt, 0)
+		c, err := DecodeCheckpoint(edited, dst, opt)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: decoded without error", tc.name)
+			} else if !bytes.Equal(before, EncodeCheckpoint(dst, opt, 0)) {
+				t.Errorf("%s: the rejected blob changed the model or optimizer", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		c.Apply()
+		if tc.at == stepAt && c.Step != math.MaxInt {
+			t.Errorf("%s: Step = %d", tc.name, c.Step)
+		}
+		if tc.at != stepAt && opt.t != math.MaxInt {
+			t.Errorf("%s: Adam's counter = %d", tc.name, opt.t)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -333,25 +332,6 @@ func (s *Server) Close() {
 
 // QueueDepth returns the current admission-queue occupancy.
 func (s *Server) QueueDepth() int { return len(s.queue) }
-
-// QueueCap returns the admission-queue bound: QueueDepth/QueueCap is the
-// overload signal control loops act on before shedding starts.
-func (s *Server) QueueCap() int { return cap(s.queue) }
-
-// P99 returns the cumulative 99th-percentile served latency since the
-// server started. Control loops that need a *windowed* p99 should diff
-// LatencySnapshot calls instead — a lifetime quantile stops moving once
-// enough history accumulates.
-func (s *Server) P99() time.Duration { return s.metrics.latency.Quantile(0.99) }
-
-// LatencySnapshot copies the latency histogram's bucket counts. Two
-// snapshots subtract (telemetry.HistogramSnapshot.Sub) into a rolling
-// window whose Quantile(0.99) is the p99 of just the traffic in between —
-// the autoscaler's and canary guardrail's decision input, without
-// scraping the Prometheus text dump.
-func (s *Server) LatencySnapshot() telemetry.HistogramSnapshot {
-	return s.metrics.latency.Snapshot()
-}
 
 func sameShape(a, b []int) bool {
 	if len(a) != len(b) {

@@ -407,10 +407,6 @@ func TestRunClosedLoop(t *testing.T) {
 		QueueCap: 64, DefaultDeadline: time.Second})
 	defer s.Close()
 
-	if s.QueueCap() != 64 {
-		t.Fatalf("QueueCap = %d, want 64", s.QueueCap())
-	}
-	before := s.LatencySnapshot()
 	rep := RunClosedLoop(s, LoadConfig{Clients: 8, Duration: 20 * time.Millisecond},
 		func(c, i int) *tensor.Tensor { return sampleVec(float64(c), float64(i)) })
 	if rep.OK == 0 || rep.Throughput <= 0 {
@@ -422,16 +418,5 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 	if snap.Completed != rep.OK {
 		t.Fatalf("server completed %d, client counted %d OK", snap.Completed, rep.OK)
-	}
-
-	window := s.LatencySnapshot().Sub(before)
-	if window.Count() != rep.OK {
-		t.Fatalf("latency window count %d, want %d served", window.Count(), rep.OK)
-	}
-	if p99 := window.Quantile(0.99); p99 <= 0 {
-		t.Fatalf("windowed p99 = %v, want > 0", p99)
-	}
-	if s.P99() <= 0 {
-		t.Fatal("cumulative P99 accessor returned 0 after traffic")
 	}
 }

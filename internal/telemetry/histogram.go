@@ -53,56 +53,14 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile returns the latency at quantile q in [0,1], estimated as the
-// geometric midpoint of the containing bucket.
+// geometric midpoint of the containing bucket (0 when nothing was
+// observed).
 func (h *Histogram) Quantile(q float64) time.Duration {
-	return h.Snapshot().Quantile(q)
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram's bucket
-// counts. Subtracting an earlier snapshot yields a *windowed* view, which
-// is how control loops (the serve autoscaler, canary guardrails) compute
-// a rolling p99 over just the traffic since their last tick instead of a
-// lifetime-cumulative quantile that old requests dominate.
-type HistogramSnapshot struct {
-	Buckets [NumHistogramBuckets]int64
-}
-
-// Snapshot copies the current bucket counts.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
-// Sub returns the per-bucket difference s - prev: the observations that
-// arrived between the two snapshots. Buckets that would go negative (a
-// reset histogram) clamp to zero.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	var out HistogramSnapshot
-	for i := range s.Buckets {
-		if d := s.Buckets[i] - prev.Buckets[i]; d > 0 {
-			out.Buckets[i] = d
-		}
-	}
-	return out
-}
-
-// Count returns the number of observations in the snapshot.
-func (s HistogramSnapshot) Count() int64 {
+	buckets := h.BucketCounts()
 	var n int64
-	for _, c := range s.Buckets {
+	for _, c := range buckets {
 		n += c
 	}
-	return n
-}
-
-// Quantile returns the latency at quantile q in [0,1] over the snapshot's
-// observations, estimated as the geometric midpoint of the containing
-// bucket (0 when the snapshot is empty).
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	n := s.Count()
 	if n == 0 {
 		return 0
 	}
@@ -114,8 +72,8 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	}
 	rank := int64(q*float64(n-1)) + 1
 	var cum int64
-	for i := 0; i < NumHistogramBuckets; i++ {
-		cum += s.Buckets[i]
+	for i, c := range buckets {
+		cum += c
 		if cum >= rank {
 			if i == 0 {
 				return 0

@@ -38,9 +38,6 @@ const (
 	CatCompute Category = "compute"
 	// CatStep marks one whole optimizer step.
 	CatStep Category = "step"
-	// CatFleet marks fleet control-plane transitions (canary rollbacks,
-	// promotions, scale events, drains) and routed requests.
-	CatFleet Category = "fleet"
 )
 
 // SpanKind marks a span as a causally matchable communication event.
